@@ -62,7 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strict", action="store_true", help="require strictly above the threshold"
     )
-    p.add_argument("--jobs", type=int, default=1, help="parallel pair analyses")
     p.add_argument("--dot", help="write the product automaton DOT here")
     p.set_defaults(func=cmd_synth)
 
@@ -134,7 +133,6 @@ def cmd_synth(args) -> int:
         threshold,
         strict=args.strict,
         max_states=args.max_states,
-        jobs=args.jobs,
     )
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:

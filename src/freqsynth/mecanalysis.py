@@ -3,9 +3,13 @@ Buchi mean-payoff conditions, with witness-strategy construction.
 
 Feasibility of the per-flow linear constraints decides whether the maximal
 satisfaction probability is 1 or 0.  Each limit-superior bound gets its own
-flow block; limit-inferior bounds are replicated into every block.  The
-witness strategy cycles through one randomized mode per flow with steeply
-growing epochs and starts every epoch with a pilgrimage through the Inf sets.
+flow block; limit-inferior bounds are replicated into every block.  The LP
+solution that accepts a component is also its witness's flows: that of the
+LP maximizing one margin shared by every mean-payoff row, or, when there are
+no bounds or strict bounds leave that margin at 0, that of the LP putting
+slack on the strict rows alone.  The witness strategy cycles through one
+randomized mode per flow with steeply growing epochs and starts every epoch
+with a pilgrimage through the Inf sets.
 """
 
 from __future__ import annotations
@@ -166,12 +170,14 @@ def lp_feasible(system: LinearSystem) -> Optional[LpSolution]:
 
 
 def maximize_margin(system: LinearSystem) -> Optional[LpSolution]:
-    """Re-solve maximizing a shared margin over every mean-payoff row;
-    used to pick a robust witness once feasibility is settled."""
-    mdp, cond = system.mdp, system.cond
-    n_actions = len(mdp.actions)
-    n_flows = system.num_flows
-    margin_var = n_flows * n_actions
+    """Solve with one margin shared by every mean-payoff row and maximized
+    (strictness ignored); None when even the non-strict rows are infeasible.
+
+    The margin comes back as ``slack``.  The solution meets every bound, and
+    is checked against them, unless a bound is strict and the margin is 0.
+    """
+    n_actions = len(system.mdp.actions)
+    margin_var = system.num_flows * n_actions
     rows = []
     for coeffs, rel, rhs in system.rows:
         coeffs = {j: c for j, c in coeffs.items() if j != system.slack_var}
@@ -181,13 +187,15 @@ def maximize_margin(system: LinearSystem) -> Optional[LpSolution]:
     status, values, _ = simplex.solve_lp(
         margin_var + 1, rows, {margin_var: Fraction(1)}, maximize=True
     )
+    if status == simplex.INFEASIBLE:
+        return None
     if status != simplex.OPTIMAL:
-        return None
-    slack = values[margin_var]
-    if system.strict and slack <= 0:
-        return None
-    sol = _solution_from_values(system, values, slack)
-    _verify_solution(system, sol)
+        raise simplex.SimplexError(
+            f"margin system unexpectedly {status} (the flows are bounded by 1)"
+        )
+    sol = _solution_from_values(system, values, values[margin_var])
+    if not system.strict or sol.slack > 0:
+        _verify_solution(system, sol)
     return sol
 
 
@@ -241,15 +249,30 @@ def _flow_reward(mdp: Mdp, sol: LpSolution, flow: int, bound: MpBound) -> Fracti
 
 def accepting_mec(mdp: Mdp, cond: GbmpCondition):
     """Decide whether the condition holds with probability 1 in the strongly
-    connected MDP (0 otherwise); returns (answer, witness flows or None)."""
+    connected MDP (0 otherwise); returns (answer, witness flows or None).
+
+    The component is rejected at once when it misses an Inf set.  With
+    mean-payoff bounds the margin LP decides: infeasible rejects, and an
+    optimum accepts with that solution as the witness when every bound is
+    non-strict or the margin is positive.  Only when strict bounds leave the
+    best margin at 0 does a second LP run, with slack on the strict rows
+    alone (``>= 1/2`` with ``> 1/3`` on one reward can have margin 0 but
+    slack 1/6).  Without bounds the margin is unbounded, so that slack LP
+    is the only one.
+    """
     states = frozenset(mdp.states)
     for inf_set in cond.inf_sets:
         if not (frozenset(inf_set) & states):
             return False, None
-    sol = lp_feasible(build_lp(mdp, cond))
-    if sol is None:
-        return False, None
-    return True, sol
+    system = build_lp(mdp, cond)
+    if cond.mp_inf or cond.mp_sup:
+        sol = maximize_margin(system)
+        if sol is None:
+            return False, None
+        if not system.strict or sol.slack > 0:
+            return True, sol
+    sol = lp_feasible(system)
+    return sol is not None, sol
 
 
 @dataclass(frozen=True)
@@ -286,19 +309,13 @@ class StrategyMode:
 
 @dataclass(frozen=True)
 class Strategy:
-    """Witness strategy: per-flow randomized modes, visited in epochs.
-
-    ``tight_pilgrimage`` flags the delicate case of a zero reward margin
-    combined with mandatory Inf-set detours: with capped epochs the detour
-    frequency does not vanish, so empirical averages may sit at the bound.
-    """
+    """Witness strategy: per-flow randomized modes, visited in epochs."""
 
     modes: tuple
     pilgrimage: tuple  # target state indices, one per Inf set
     pilgrimage_policies: tuple  # matching attractor policies
     schedule: EpochSchedule
     cond: GbmpCondition
-    tight_pilgrimage: bool = False
 
 
 def attractor_policy(mdp: Mdp, targets: Iterable[int]) -> dict:
@@ -366,9 +383,8 @@ def _support_classes(mdp: Mdp, sol: LpSolution, flow: int) -> list[ModeClass]:
     for cls in classes:
         for si in cls.states:
             for ai, _ in cls.choices[si]:
-                assert all(
-                    t in cls.states for t, _ in mdp.actions[ai].dist
-                ), "flow support component is not closed"
+                if any(t not in cls.states for t, _ in mdp.actions[ai].dist):
+                    raise MdpError("flow support component is not closed")
     classes.sort(key=lambda c: min(c.states))
     return classes
 
@@ -396,14 +412,7 @@ def build_witness_strategy(
             raise MdpError("Inf set does not intersect the component")
         pilgrimage.append(members[0])
         policies.append(attractor_policy(mdp, {members[0]}))
-    return Strategy(
-        tuple(modes),
-        tuple(pilgrimage),
-        tuple(policies),
-        schedule,
-        cond,
-        tight_pilgrimage=bool(pilgrimage) and sol.slack == 0,
-    )
+    return Strategy(tuple(modes), tuple(pilgrimage), tuple(policies), schedule, cond)
 
 
 class StrategyRunner:

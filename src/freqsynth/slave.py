@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .boolfn import BoolFn, formula_to_boolfn, proves, rank, step
-from .formula import Formula
+from .formula import Formula, FormulaError
 from .lts import Lts, build_lts
 
 DEFAULT_STATE_CAP = 100_000
@@ -65,8 +65,8 @@ def build_slave_lts(
         if row is None:
             continue
         r = rank(lts.states[q])
-        for target in row:
-            assert rank(lts.states[target]) < r, "slave LTS must be acyclic"
+        if any(rank(lts.states[target]) >= r for target in row):
+            raise FormulaError(f"slave LTS of {xi} is not acyclic")
     return SlaveLts(lts, sinks)
 
 
@@ -122,7 +122,8 @@ def build_count_lts(slave: SlaveLts, cap: int = DEFAULT_STATE_CAP) -> Lts:
             if c and q not in slave.sinks:
                 nxt[inner.delta[q][li]] += c
         nxt[inner.init] += 1
-        assert max(nxt) <= bound, "token count exceeded the slave size bound"
+        if max(nxt) > bound:
+            raise FormulaError("token count exceeded the slave size bound")
         return tuple(nxt)
 
     init = tuple(1 if q == inner.init else 0 for q in range(size))

@@ -2,13 +2,13 @@
 
 The analysis removes each pair's Fin set, decomposes the rest into maximal
 end components, decides each component with the flow constraints, takes the
-union of the winners, and finishes with exact maximal reachability.
+union of the winners, and finishes with exact maximal reachability.  The
+LP solution that accepts a component is kept as the flows of its witness.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
@@ -24,9 +24,8 @@ from .mecanalysis import (
     Strategy,
     StrategyRunner,
     accepting_mec,
-    build_lp,
     build_witness_strategy,
-    maximize_margin,
+    maximize_margin,  # not called here; bench/spans.py hooks this name
 )
 
 _ZERO = Fraction(0)
@@ -72,47 +71,29 @@ def lift_pair(
 @dataclass
 class PairOutcome:
     pair_index: int
-    winners: list  # EndComponent
+    winners: list  # (EndComponent, its sub-MDP, accepting LpSolution)
 
 
-def winning_union(
-    product: Mdp, lifted: list, jobs: int = 1
-) -> tuple[frozenset, frozenset, list]:
+def winning_union(product: Mdp, lifted: list) -> tuple[frozenset, list]:
     """Union of accepting end components over all pairs.
 
-    ``lifted`` holds (fin set, condition) per pair; returns winning states,
-    winning actions, and the per-pair outcomes with their winner components.
-    Pairs are independent, so they may be analyzed in parallel; the union is
-    assembled in pair order either way.
+    ``lifted`` holds (fin set, condition) per pair; returns the winning
+    states and the per-pair outcomes with their winner components.
     """
-
-    def analyze(item) -> PairOutcome:
-        k, (fin, cond) = item
+    w_states: set = set()
+    outcomes = []
+    for k, (fin, cond) in enumerate(lifted):
         outcome = PairOutcome(k, [])
         sub = restrict(product, fin)
         if sub is not None:
             for ec in mec_decomposition(sub):
                 component = sub_mdp(product, ec)
-                ok, _ = accepting_mec(component, cond)
+                ok, sol = accepting_mec(component, cond)
                 if ok:
-                    outcome.winners.append(ec)
-        return outcome
-
-    if jobs > 1 and len(lifted) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(analyze, enumerate(lifted)))
-    else:
-        outcomes = [analyze(item) for item in enumerate(lifted)]
-
-    w_states: set = set()
-    w_actions: set = set()
-    for outcome in outcomes:
-        for ec in outcome.winners:
-            w_states |= ec.states
-            w_actions |= ec.actions
-    return frozenset(w_states), frozenset(w_actions), outcomes
+                    outcome.winners.append((ec, component, sol))
+                    w_states |= ec.states
+        outcomes.append(outcome)
+    return frozenset(w_states), outcomes
 
 
 def _gauss_solve(rows: list, rhs: list) -> list:
@@ -285,7 +266,6 @@ class SynthesisReport:
     sizes: dict
     automaton: Optional[Dgrma] = None
     product: Optional[Mdp] = None
-    timings: dict = None
 
     def to_text(self) -> str:
         lines = [
@@ -297,7 +277,7 @@ class SynthesisReport:
         ]
         for outcome in self.outcomes:
             mecs = "; ".join(
-                "{" + ",".join(sorted(ec.states)) + "}" for ec in outcome.winners
+                "{" + ",".join(sorted(ec.states)) + "}" for ec, _, _ in outcome.winners
             )
             lines.append(f"pair_{outcome.pair_index}_winning_mecs: {mecs or '-'}")
         lines.append(
@@ -319,7 +299,6 @@ def synthesize(
     schedule: Optional[EpochSchedule] = None,
     want_strategy: bool = True,
     automaton: Optional[Dgrma] = None,
-    jobs: int = 1,
 ) -> SynthesisReport:
     """Decide the controller synthesis problem and build the witness."""
     if not 0 <= threshold <= 1:
@@ -329,21 +308,13 @@ def synthesize(
     atoms = set()
     for letters in valuation:
         atoms |= set(letters)
-    timings = {}
-    tick = time.perf_counter()
     aut = automaton or build_dgrma(phi, ap=atoms, cap=max_states)
-    timings["translate_s"] = time.perf_counter() - tick
-    tick = time.perf_counter()
     product, _, automaton_component = product_mdp(mdp, valuation, aut.lts)
     if len(product) > max_states:
         raise StateCapExceeded("product MDP", max_states)
-    timings["product_s"] = time.perf_counter() - tick
 
-    tick = time.perf_counter()
     lifted = [lift_pair(pair, product, automaton_component) for pair in aut.pairs]
-    w_states, _w_actions, outcomes = winning_union(product, lifted, jobs=jobs)
-    timings["mec_analysis_s"] = time.perf_counter() - tick
-    tick = time.perf_counter()
+    w_states, outcomes = winning_union(product, lifted)
     if w_states:
         values, selector = max_reach(product, w_states)
         probability = values[product.states[product.init]]
@@ -351,13 +322,10 @@ def synthesize(
         values = {s: _ZERO for s in product.states}
         selector = {s: product.actions[product.act[i][0]].name for i, s in enumerate(product.states)}
         probability = _ZERO
-    timings["reachability_s"] = time.perf_counter() - tick
 
     strategy = None
     if want_strategy and w_states:
-        strategy = _assemble_strategy(
-            product, lifted, outcomes, selector, schedule
-        )
+        strategy = _assemble_strategy(lifted, outcomes, selector, schedule)
 
     met = probability > threshold if strict else probability >= threshold
     return SynthesisReport(
@@ -376,25 +344,18 @@ def synthesize(
         },
         automaton=aut,
         product=product,
-        timings=timings,
     )
 
 
-def _assemble_strategy(product, lifted, outcomes, selector, schedule):
+def _assemble_strategy(lifted, outcomes, selector, schedule):
     winners: list[McWinner] = []
     state_to_winner: dict = {}
     for outcome in outcomes:
         _fin, cond = lifted[outcome.pair_index]
-        for ec in outcome.winners:
+        for ec, component, sol in outcome.winners:
             if all(s in state_to_winner for s in ec.states):
                 continue
-            component = sub_mdp(product, ec)
-            ok, sol = accepting_mec(component, cond)
-            assert ok, "winner must stay accepting on re-analysis"
-            better = maximize_margin(build_lp(component, cond))
-            strategy = build_witness_strategy(
-                component, better or sol, cond, schedule
-            )
+            strategy = build_witness_strategy(component, sol, cond, schedule)
             idx = len(winners)
             winners.append(McWinner(ec, outcome.pair_index, component, strategy))
             for s in ec.states:

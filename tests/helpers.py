@@ -2,7 +2,9 @@
 
 The oracles here (Markov-chain BSCC classification, deterministic-memoryless
 strategy enumeration with exact stationary distributions) deliberately avoid
-the package's LP/MEC analysis path so cross-validation is meaningful.
+the package's LP/MEC analysis path so cross-validation is meaningful.  The
+one exception, ``decide_then_maximize_margin``, is a differential oracle: it
+keeps the earlier two-LP witness rule that the single-LP decision replaced.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from freqsynth.formula import (
 from freqsynth.lts import StateCapExceeded
 from freqsynth.dgrma import build_dgrma
 from freqsynth.mdp import Mdp, MdpAction, mec_decomposition
+from freqsynth.mecanalysis import LpSolution, build_lp, lp_feasible
+from freqsynth.simplex import OPTIMAL, solve_lp
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
@@ -317,3 +321,34 @@ def chain_pipeline_probability(product, lifted_pairs):
         else:
             values[s] = _ZERO
     return values[product.init]
+
+
+def decide_then_maximize_margin(mdp, cond):
+    """The earlier witness rule as (accepted, witness): the slack LP decides,
+    then a second LP maximizing one margin shared by every mean-payoff row
+    replaces the witness when it is optimal and its margin meets strictness."""
+    names = set(mdp.states)
+    if any(not (set(inf) & names) for inf in cond.inf_sets):
+        return False, None
+    system = build_lp(mdp, cond)
+    sol = lp_feasible(system)
+    if sol is None:
+        return False, None
+    n_actions = len(mdp.actions)
+    margin_var = system.num_flows * n_actions
+    rows = []
+    for coeffs, rel, rhs in system.rows:
+        coeffs = {j: c for j, c in coeffs.items() if j != system.slack_var}
+        if rel == ">=":
+            coeffs[margin_var] = -_ONE
+        rows.append((coeffs, rel, rhs))
+    status, values, _ = solve_lp(margin_var + 1, rows, {margin_var: _ONE})
+    if status != OPTIMAL or (system.strict and values[margin_var] <= 0):
+        return True, sol
+    x = {
+        (i, a.name): values[i * n_actions + ai]
+        for i in range(system.num_flows)
+        for ai, a in enumerate(mdp.actions)
+        if values[i * n_actions + ai]
+    }
+    return True, LpSolution(x, values[margin_var])

@@ -28,9 +28,7 @@ from freqsynth.mecanalysis import (
     GbmpCondition,
     MpBound,
     accepting_mec,
-    build_lp,
     build_witness_strategy,
-    maximize_margin,
     simulate_strategy,
 )
 from freqsynth.slave import (
@@ -46,6 +44,7 @@ from freqsynth.synthesis import lift_pair, max_reach, synthesize, winning_union
 from helpers import (
     chain_pipeline_probability,
     corpus_formulas,
+    decide_then_maximize_margin,
     enumerate_md_strategies,
     md_strategy_satisfies,
     random_fragment_formula,
@@ -207,15 +206,26 @@ def test_criterion_5_lp_vs_md_oracle(instance_pool):
     )
 
 
+def test_one_lp_witness_matches_decide_then_margin(instance_pool):
+    """The single-LP decision returns the verdict and the witness flows of
+    the earlier sequence: decide with the slack LP, then re-solve for the
+    largest shared margin and keep it unless a strict bound leaves it at 0."""
+    accepted = 0
+    for idx, (mdp, cond) in enumerate(instance_pool):
+        expected = decide_then_maximize_margin(mdp, cond)
+        assert accepting_mec(mdp, cond) == expected, idx
+        accepted += expected[0]
+    assert 0 < accepted < len(instance_pool)
+
+
 def test_criterion_6_witness_realization(instance_pool):
     tol = 0.05
     simulated = 0
     for idx, (mdp, cond) in enumerate(instance_pool):
-        ok, sol = accepting_mec(mdp, cond)
+        ok, witness = accepting_mec(mdp, cond)
         if not ok:
             continue
         simulated += 1
-        witness = maximize_margin(build_lp(mdp, cond)) or sol
         strat = build_witness_strategy(mdp, witness, cond)
         stats = simulate_strategy(mdp, strat, 100_000, seed=660_000 + idx)
         for (label, value), bound in zip(stats.mp_min_late, cond.mp_inf):
@@ -285,7 +295,7 @@ def test_criterion_8_qualitative_dichotomy():
                     for b in cond.mp_inf
                 ),
             )
-            w_states, _, _ = winning_union(product, [(frozenset(), lifted_cond)])
+            w_states, _ = winning_union(product, [(frozenset(), lifted_cond)])
             if w_states:
                 values, _ = max_reach(product, w_states)
                 answers.add(values[product.states[product.init]])

@@ -83,6 +83,19 @@ def test_strict_bounds_need_positive_slack():
     assert sol is not None and sol.slack > 0
 
 
+def test_mixed_strict_bounds_fall_back_to_slack_lp():
+    # ">= 1/2" caps the shared margin at 0, yet "> 1/3" holds with slack 1/6
+    # when the frequency of s is exactly 1/2.
+    mdp = _alternating()
+    q = {"s": Fr(1), "t": Fr(0)}
+    cond = GbmpCondition(mp_inf=(MpBound(">=", Fr(1, 2), q), MpBound(">", Fr(1, 3), q)))
+    assert maximize_margin(build_lp(mdp, cond)).slack == 0
+    ok, sol = accepting_mec(mdp, cond)
+    assert ok
+    assert sol.slack == Fr(1, 6)
+    assert sol.flow(0, "a_st") == Fr(1, 2)
+
+
 def test_accepting_mec_inf_set_check():
     mdp = _alternating()
     cond = GbmpCondition(inf_sets=(frozenset({"nowhere"}),))
@@ -170,7 +183,7 @@ def test_witness_simulation_alternating():
     )
     ok, sol = accepting_mec(mdp, cond)
     assert ok
-    strat = build_witness_strategy(mdp, maximize_margin(build_lp(mdp, cond)) or sol, cond)
+    strat = build_witness_strategy(mdp, sol, cond)
     stats = simulate_strategy(mdp, strat, 100_000, seed=2024)
     label, max_prefix = stats.mp_max_prefix[0]
     assert max_prefix >= 0.5 - 0.05

@@ -3,9 +3,10 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from freqsynth import simplex
 from freqsynth.dgrma import build_dgrma
 from freqsynth.formula import parse_formula
-from freqsynth.mdp import parse_mdp, product_mdp
+from freqsynth.mdp import mec_decomposition, parse_mdp, product_mdp, restrict
 from freqsynth.mecanalysis import GbmpCondition, MpBound
 from freqsynth.synthesis import (
     SynthesisError,
@@ -123,7 +124,7 @@ def test_qualitative_dichotomy_small():
         answers = set()
         for init in range(len(mdp)):
             shifted = parse_mdp_like(mdp, init)
-            w_states, _, _ = winning_union(shifted, [pair])
+            w_states, _ = winning_union(shifted, [pair])
             if w_states:
                 values, _ = max_reach(shifted, w_states)
                 answers.add(values[shifted.states[shifted.init]])
@@ -137,6 +138,45 @@ def parse_mdp_like(mdp, init):
     from freqsynth.mdp import Mdp
 
     return Mdp(mdp.states, mdp.actions, init)
+
+
+def test_one_lp_solve_per_mec_that_meets_the_inf_sets(monkeypatch):
+    # {t,v} can see b infinitely often with a at frequency 3/4 or more; {x}
+    # sees b but never a; {u,w} never sees b; s is transient.  Deciding a
+    # component and building its witness share one solve, and a component
+    # missing an Inf set needs none.
+    mdp, valuation = parse_mdp(
+        "mdp\nstates s t u v w x\ninit s\n"
+        "label t a\nlabel u a\nlabel v b\nlabel x b\n"
+        "action s left : t 1\naction s right : u 1\naction s mid : x 1\n"
+        "action t ta : t 1\naction t tv : v 1\naction v vt : t 1\n"
+        "action u uu : u 1/2 , w 1/2\naction w wu : u 1\naction x xx : x 1\n"
+    )
+    phi = parse_formula("G{>=3/4,inf} a & G F b")
+    aut = build_dgrma(phi, ap={"a", "b"})
+    product, _, comp = product_mdp(mdp, valuation, aut.lts)
+    expected = mecs = 0
+    for pair in aut.pairs:
+        fin, cond = lift_pair(pair, product, comp)
+        assert all(b.cmp == ">=" for b in cond.mp_inf + cond.mp_sup)
+        sub = restrict(product, fin)
+        for ec in mec_decomposition(sub) if sub is not None else ():
+            mecs += 1
+            expected += all(inf & ec.states for inf in cond.inf_sets)
+
+    calls = []
+    solve_lp = simplex.solve_lp
+
+    def counting_solve_lp(*args, **kwargs):
+        calls.append(args)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve_lp", counting_solve_lp)
+    report = synthesize(mdp, valuation, phi, Fr(1), automaton=aut)
+    assert report.probability == 1
+    assert len(report.strategy.winners) == 1
+    assert mecs > expected >= 2
+    assert len(calls) == expected
 
 
 def test_global_strategy_enters_winning_union():
