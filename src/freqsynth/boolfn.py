@@ -285,8 +285,3 @@ def formula_rank(phi: Formula) -> int:
 def rank(f: BoolFn) -> int:
     vs = f.variables()
     return max((formula_rank(Formula.by_uid(u)) for u in vs), default=0)
-
-
-def is_letter_fixed(f: BoolFn) -> bool:
-    """True iff every letter maps the function to itself (slave sink test)."""
-    return rank(f) == 0

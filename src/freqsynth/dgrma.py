@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .boolfn import BoolFn, bf_and_many, formula_to_boolfn, substitute_ff
+from .boolfn import BoolFn, bf_and, bf_and_many, formula_to_boolfn, substitute_ff
 from .formula import (
     ALWAYS,
     EVENTUALLY,
@@ -22,6 +22,7 @@ from .formula import (
     FormulaError,
     atoms_of,
     in_fragment,
+    nb_subformulas,
 )
 from .lasso import Lasso, letter_to_str
 from .lts import Lts, StateCapExceeded, build_lts
@@ -58,15 +59,14 @@ class GrmpPair:
 
     A run satisfies the pair iff it visits ``fin`` finitely often, every
     member of ``infs`` infinitely often, and every mean-payoff atom holds.
-    ``fin`` is the union of ``fin_parts`` (the master prohibition plus one
-    set per assumed G-formula); avoiding all parts equals avoiding the union.
+    ``fin`` is the union of the master prohibition and one set per assumed
+    G-formula; avoiding every part equals avoiding the union.
     """
 
     assumptions: tuple  # the recurrent formulas assumed by this pair
     fin: frozenset
     infs: tuple  # of frozenset
     mps: tuple  # of MpAtom
-    fin_parts: tuple = ()
 
 
 class Dgrma:
@@ -98,21 +98,8 @@ class Dgrma:
 
 def rec_set(phi: Formula) -> list[Formula]:
     """F-, G- and frequency-G subformulas in the global interning order."""
-    out = {
-        f for f in _all_subformulas(phi) if f.kind in (EVENTUALLY, ALWAYS, FREQ)
-    }
+    out = [f for f in nb_subformulas(phi) if f.kind in (EVENTUALLY, ALWAYS, FREQ)]
     return sorted(out, key=lambda f: f.uid)
-
-
-def _all_subformulas(phi: Formula):
-    stack, seen = [phi], set()
-    while stack:
-        f = stack.pop()
-        if f.uid in seen:
-            continue
-        seen.add(f.uid)
-        yield f
-        stack.extend(f.children)
 
 
 def build_dgrma(
@@ -187,14 +174,13 @@ def _build_pairs(lts, master, rec, slaves, components) -> list[GrmpPair]:
             if proved is None:
                 conj = base
                 for i in g_members:
-                    conj = _bf_and2(conj, token_conj(i, payload[i + 1]))
+                    conj = bf_and(conj, token_conj(i, payload[i + 1]))
                 goal = master.states[payload[0]]
                 proved = all(goal.holds_under(m) for m in conj.models)
                 proved_cache[key] = proved
             if not proved:
                 fin.add(q)
 
-        fin_parts = [frozenset(fin)]
         infs = []
         mps = []
         degenerate = False
@@ -211,11 +197,9 @@ def _build_pairs(lts, master, rec, slaves, components) -> list[GrmpPair]:
                 infs.append(lifted)
             elif rho.kind == ALWAYS:
                 bad = cobuchi_rejecting_sets(slaves[i], components[i], assumed)
-                part = frozenset(
+                fin.update(
                     q for q, payload in enumerate(lts.states) if payload[i + 1] in bad
                 )
-                fin_parts.append(part)
-                fin.update(part)
             else:
                 rewards = mp_reward(slaves[i], components[i], assumed)
                 cmp, p, ext = rho.bound
@@ -229,18 +213,8 @@ def _build_pairs(lts, master, rec, slaves, components) -> list[GrmpPair]:
                 )
         if degenerate or frozenset(fin) == all_states:
             continue
-        pairs.append(
-            GrmpPair(
-                assumed, frozenset(fin), tuple(infs), tuple(mps), tuple(fin_parts)
-            )
-        )
+        pairs.append(GrmpPair(assumed, frozenset(fin), tuple(infs), tuple(mps)))
     return pairs
-
-
-def _bf_and2(f: BoolFn, g: BoolFn) -> BoolFn:
-    from .boolfn import bf_and
-
-    return bf_and(f, g)
 
 
 def run_cycle(lts: Lts, w: Lasso) -> tuple[list[int], list[int]]:

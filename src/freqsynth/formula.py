@@ -29,6 +29,11 @@ GT = ">"
 INF = "inf"
 SUP = "sup"
 
+# Deepest nesting of parentheses, unary operators and right operands of U and
+# -> that the parser accepts.  The parser and every recursive pass over the
+# parsed formula fit in the interpreter's default stack at this depth.
+MAX_DEPTH = 100
+
 
 class FreqBound(NamedTuple):
     """Comparison, threshold and limit flavor of a frequency-globally operator."""
@@ -316,6 +321,7 @@ class _Lexer:
         self.tokens: list[tuple[str, str, int]] = []
         self._scan()
         self.idx = 0
+        self.depth = 0
 
     def _scan(self):
         text, n = self.text, len(self.text)
@@ -371,6 +377,15 @@ class _Lexer:
             raise FormulaSyntaxError(f"expected {value!r}, found {tok[1]!r}", tok[2])
         return tok
 
+    def nested(self, parse, pos: int) -> "Formula":
+        """Run a sub-parse one nesting level deeper, at most MAX_DEPTH deep."""
+        if self.depth == MAX_DEPTH:
+            raise FormulaSyntaxError(f"formula nested deeper than {MAX_DEPTH} levels", pos)
+        self.depth += 1
+        out = parse(self)
+        self.depth -= 1
+        return out
+
 
 def parse_formula(text: str) -> Formula:
     """Parse formula text and return its negation-normal-form tree."""
@@ -385,8 +400,8 @@ def parse_formula(text: str) -> Formula:
 def _parse_impl(lx: _Lexer) -> Formula:
     left = _parse_until(lx)
     if lx.peek()[1] == "->":
-        lx.next()
-        right = _parse_impl(lx)
+        pos = lx.next()[2]
+        right = lx.nested(_parse_impl, pos)
         return disj(negation(left), right)
     return left
 
@@ -394,8 +409,8 @@ def _parse_impl(lx: _Lexer) -> Formula:
 def _parse_until(lx: _Lexer) -> Formula:
     left = _parse_or(lx)
     if lx.peek()[1] == "U":
-        lx.next()
-        right = _parse_until(lx)
+        pos = lx.next()[2]
+        right = lx.nested(_parse_until, pos)
         return until(left, right)
     return left
 
@@ -420,19 +435,19 @@ def _parse_unary(lx: _Lexer) -> Formula:
     kind, value, pos = lx.peek()
     if value == "!":
         lx.next()
-        return negation(_parse_unary(lx))
+        return negation(lx.nested(_parse_unary, pos))
     if value == "X":
         lx.next()
-        return next_(_parse_unary(lx))
+        return next_(lx.nested(_parse_unary, pos))
     if value == "F":
         lx.next()
-        return eventually(_parse_unary(lx))
+        return eventually(lx.nested(_parse_unary, pos))
     if value == "G":
         lx.next()
         if lx.peek()[1] == "{":
             bound = _parse_freq_bound(lx)
-            return freq_always(bound, _parse_unary(lx))
-        return always(_parse_unary(lx))
+            return freq_always(bound, lx.nested(_parse_unary, pos))
+        return always(lx.nested(_parse_unary, pos))
     return _parse_primary(lx)
 
 
@@ -476,7 +491,7 @@ def _parse_rational(lx: _Lexer) -> Fraction:
 def _parse_primary(lx: _Lexer) -> Formula:
     kind, value, pos = lx.next()
     if value == "(":
-        inner = _parse_impl(lx)
+        inner = lx.nested(_parse_impl, pos)
         lx.expect(")")
         return inner
     if value == "tt":

@@ -49,15 +49,6 @@ class Lts:
             return None
         return row[self.letter_index[frozenset(letter) & self.atoms]]
 
-    def run_prefix(self, letters: Iterable[Letter], start: Optional[int] = None) -> int:
-        q = self.init if start is None else start
-        for l in letters:
-            nxt = self.successor(q, l)
-            if nxt is None:
-                return q
-            q = nxt
-        return q
-
     def to_dot(self, label: Callable = str, annotate: Callable = None) -> str:
         lines = ["digraph lts {", "  rankdir=LR;", '  __init [shape=point, label=""];']
         for q, payload in enumerate(self.states):

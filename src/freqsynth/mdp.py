@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .lts import Lts
+from .lts import Lts, StateCapExceeded
 
 
 class MdpError(ValueError):
@@ -43,8 +43,14 @@ class Mdp:
         if len(self.action_index) != len(self.actions):
             raise MdpError("duplicate action name")
         self.act: list[list[int]] = [[] for _ in self.states]
+        self.pre: list[list[int]] = [[] for _ in self.states]  # entering actions
         for ai, a in enumerate(self.actions):
             self.act[a.source].append(ai)
+            for t, _ in a.dist:
+                if not 0 <= t < len(self.states):
+                    raise MdpError(f"action {a.name!r} has a target outside the states")
+                if not self.pre[t] or self.pre[t][-1] != ai:
+                    self.pre[t].append(ai)
         for si, enabled in enumerate(self.act):
             if not enabled:
                 raise MdpError(f"state {self.states[si]!r} has no enabled action")
@@ -100,6 +106,8 @@ def parse_mdp(text: str) -> tuple[Mdp, Valuation]:
             parts = rest.split()
             if not parts:
                 raise MdpError(f"line {lineno}: label line needs a state")
+            if parts[0] in labels:
+                raise MdpError(f"line {lineno}: duplicate 'label' line for {parts[0]!r}")
             labels[parts[0]] = frozenset(parts[1:])
         elif head == "action":
             name_part, sep, dist_part = rest.partition(":")
@@ -160,18 +168,21 @@ def parse_mdp(text: str) -> tuple[Mdp, Valuation]:
     return mdp, valuation
 
 
-def product_mdp(mdp: Mdp, valuation: Valuation, lts: Lts):
+def product_mdp(mdp: Mdp, valuation: Valuation, lts: Lts, cap: int = 100_000):
     """Synchronous product with a deterministic LTS reading state labels.
 
     Returns the product MDP, the map (state idx, lts state) -> product idx,
     and the automaton component per product state.  The automaton advances on
     the label of the state being entered; the initial automaton component has
-    already read the initial state's label.
+    already read the initial state's label.  Raises ``StateCapExceeded`` as
+    soon as the product would have more than ``cap`` states.
     """
     for letters in valuation:
         if (frozenset(letters) & lts.atoms) not in lts.letter_index:
             raise MdpError("valuation letter outside the automaton alphabet")
 
+    if cap < 1:
+        raise StateCapExceeded("product MDP", cap)
     init_q = lts.successor(lts.init, valuation[mdp.init])
     start = (mdp.init, init_q)
     index: dict = {start: 0}
@@ -188,6 +199,8 @@ def product_mdp(mdp: Mdp, valuation: Valuation, lts: Lts):
                 key = (target, tq)
                 ti = index.get(key)
                 if ti is None:
+                    if len(order) >= cap:
+                        raise StateCapExceeded("product MDP", cap)
                     ti = len(order)
                     index[key] = ti
                     order.append(key)
@@ -251,60 +264,123 @@ def _sccs(nodes: list[int], edges: dict[int, list[int]]) -> list[list[int]]:
     return out
 
 
+def successor_edges(mdp: Mdp, actions: Iterable[int]) -> dict[int, list[int]]:
+    """Graph edges source -> targets of the given actions, in action order."""
+    edges: dict[int, list[int]] = {}
+    for ai in actions:
+        a = mdp.actions[ai]
+        edges.setdefault(a.source, []).extend(t for t, _ in a.dist)
+    return edges
+
+
+def closed_part(
+    mdp: Mdp, states: Iterable[int], actions: Iterable[int]
+) -> tuple[set, set]:
+    """Largest sub-part in which every action stays inside the states and
+    every state keeps an action; one pass over the predecessor lists."""
+    states = set(states)
+    actions = {
+        ai
+        for ai in actions
+        if mdp.actions[ai].source in states
+        and all(t in states for t, _ in mdp.actions[ai].dist)
+    }
+    enabled = {s: 0 for s in states}
+    for ai in actions:
+        enabled[mdp.actions[ai].source] += 1
+    dead = [s for s, count in enabled.items() if count == 0]
+    while dead:
+        s = dead.pop()
+        states.discard(s)
+        for ai in mdp.pre[s]:
+            if ai in actions:
+                actions.discard(ai)
+                source = mdp.actions[ai].source
+                enabled[source] -= 1
+                if enabled[source] == 0:
+                    dead.append(source)
+    return states, actions
+
+
+def induced(
+    mdp: Mdp, states: Sequence[int], actions: Iterable[int], init: Optional[int]
+) -> Mdp:
+    """The sub-MDP on the given states and actions, renumbered in the given
+    orders; the old state ``init`` (if kept) becomes the initial state."""
+    remap = {old: new for new, old in enumerate(states)}
+    renamed = [
+        MdpAction(a.name, remap[a.source], tuple((remap[t], p) for t, p in a.dist))
+        for a in (mdp.actions[ai] for ai in actions)
+    ]
+    return Mdp([mdp.states[s] for s in states], renamed, remap.get(init))
+
+
+def can_reach(mdp: Mdp, targets: Iterable[int], actions) -> set:
+    """States with a path into the targets that uses only the given actions
+    (a container): the pre-image closure of the targets."""
+    reached = set(targets)
+    stack = list(reached)
+    while stack:
+        t = stack.pop()
+        for ai in mdp.pre[t]:
+            source = mdp.actions[ai].source
+            if source not in reached and ai in actions:
+                reached.add(source)
+                stack.append(source)
+    return reached
+
+
+def attractor_policy(mdp: Mdp, targets: Iterable[int]) -> dict:
+    """Distance-minimizing action choice steering into the target set.
+
+    Layer by layer from the targets, each new state takes its first action
+    (in index order) that can enter the previous layer.  In a strongly
+    connected MDP every state gets a choice, and following it hits the
+    target set almost surely.
+    """
+    frontier = set(targets)
+    assigned = set(frontier)
+    policy: dict[int, int] = {}
+    while frontier:
+        layer: dict[int, int] = {}  # state -> its first action into frontier
+        for t in frontier:
+            for ai in mdp.pre[t]:
+                source = mdp.actions[ai].source
+                if source not in assigned and ai < layer.get(source, ai + 1):
+                    layer[source] = ai
+        for s in sorted(layer):
+            policy[s] = layer[s]
+        assigned.update(layer)
+        frontier = layer
+    return policy
+
+
 def mec_decomposition(
     mdp: Mdp,
     states: Optional[Iterable[int]] = None,
     actions: Optional[Iterable[int]] = None,
 ) -> list[EndComponent]:
-    """Maximal end components of the (sub-)MDP, by iterated SCC pruning."""
-    cur_states = set(range(len(mdp))) if states is None else set(states)
-    cur_actions = set(range(len(mdp.actions))) if actions is None else set(actions)
-    cur_actions = {
-        ai
-        for ai in cur_actions
-        if mdp.actions[ai].source in cur_states
-        and all(t in cur_states for t, _ in mdp.actions[ai].dist)
-    }
-    while True:
-        edges: dict[int, list[int]] = {s: [] for s in cur_states}
-        for ai in cur_actions:
-            a = mdp.actions[ai]
-            edges[a.source].extend(t for t, _ in a.dist)
-        comps = _sccs(sorted(cur_states), edges)
-        comp_of = {}
-        for ci, comp in enumerate(comps):
-            for s in comp:
-                comp_of[s] = ci
-        removed_actions = {
-            ai
-            for ai in cur_actions
-            if any(comp_of[t] != comp_of[mdp.actions[ai].source] for t, _ in mdp.actions[ai].dist)
-        }
-        next_actions = cur_actions - removed_actions
-        has_action = {mdp.actions[ai].source for ai in next_actions}
-        next_states = {s for s in cur_states if s in has_action}
-        next_actions = {
-            ai
-            for ai in next_actions
-            if all(t in next_states for t, _ in mdp.actions[ai].dist)
-        }
-        if next_states == cur_states and next_actions == cur_actions:
-            break
-        cur_states, cur_actions = next_states, next_actions
-    edges = {s: [] for s in cur_states}
-    for ai in cur_actions:
-        a = mdp.actions[ai]
-        edges[a.source].extend(t for t, _ in a.dist)
+    """Maximal end components of the (sub-)MDP: split the closed part into
+    SCCs, and split again every SCC whose closed part loses an action."""
+    work = [
+        closed_part(
+            mdp,
+            range(len(mdp)) if states is None else states,
+            range(len(mdp.actions)) if actions is None else actions,
+        )
+    ]
     mecs = []
-    for comp in _sccs(sorted(cur_states), edges):
-        comp_set = set(comp)
-        internal = [
-            ai for ai in cur_actions if mdp.actions[ai].source in comp_set
-        ]
-        if internal:
-            mecs.append(
-                EndComponent(mdp.state_names(comp_set), mdp.action_names(internal))
-            )
+    while work:
+        cur_states, cur_actions = work.pop()
+        for comp in _sccs(sorted(cur_states), successor_edges(mdp, cur_actions)):
+            enabled = [ai for s in comp for ai in mdp.act[s] if ai in cur_actions]
+            part = closed_part(mdp, comp, enabled)
+            if len(part[1]) == len(enabled):
+                mecs.append(
+                    EndComponent(mdp.state_names(comp), mdp.action_names(enabled))
+                )
+            elif part[0]:
+                work.append(part)
     mecs.sort(key=lambda ec: min(ec.states))
     return mecs
 
@@ -313,47 +389,16 @@ def restrict(mdp: Mdp, removed: Iterable[str]) -> Optional[Mdp]:
     """Remove states plus every action touching them; prune until every
     surviving state has an action.  Returns None when nothing survives."""
     gone = {mdp.state_index[s] for s in removed}
-    keep_states = set(range(len(mdp))) - gone
-    keep_actions = {
-        ai
-        for ai, a in enumerate(mdp.actions)
-        if a.source in keep_states and all(t in keep_states for t, _ in a.dist)
-    }
-    while True:
-        has_action = {mdp.actions[ai].source for ai in keep_actions}
-        dead = keep_states - has_action
-        if not dead:
-            break
-        keep_states -= dead
-        keep_actions = {
-            ai
-            for ai in keep_actions
-            if all(t in keep_states for t, _ in mdp.actions[ai].dist)
-        }
-    if not keep_states:
+    states, actions = closed_part(
+        mdp, (s for s in range(len(mdp)) if s not in gone), range(len(mdp.actions))
+    )
+    if not states:
         return None
-    order = sorted(keep_states)
-    remap = {old: new for new, old in enumerate(order)}
-    actions = [
-        MdpAction(
-            a.name,
-            remap[a.source],
-            tuple((remap[t], p) for t, p in a.dist),
-        )
-        for a in (mdp.actions[ai] for ai in sorted(keep_actions))
-    ]
-    init = remap.get(mdp.init) if mdp.init is not None else None
-    return Mdp([mdp.states[i] for i in order], actions, init)
+    return induced(mdp, sorted(states), sorted(actions), mdp.init)
 
 
 def sub_mdp(mdp: Mdp, ec: EndComponent) -> Mdp:
     """The end component viewed as a standalone (strongly connected) MDP."""
-    keep_states = sorted(mdp.state_index[s] for s in ec.states)
-    remap = {old: new for new, old in enumerate(keep_states)}
-    actions = []
-    for name in sorted(ec.actions):
-        a = mdp.actions[mdp.action_index[name]]
-        actions.append(
-            MdpAction(a.name, remap[a.source], tuple((remap[t], p) for t, p in a.dist))
-        )
-    return Mdp([mdp.states[i] for i in keep_states], actions, 0)
+    states = sorted(mdp.state_index[s] for s in ec.states)
+    actions = [mdp.action_index[name] for name in sorted(ec.actions)]
+    return induced(mdp, states, actions, states[0])

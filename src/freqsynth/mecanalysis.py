@@ -17,11 +17,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from . import simplex
 from .formula import GEQ, GT
-from .mdp import Mdp, MdpError, _sccs
+from .mdp import Mdp, MdpError, _sccs, attractor_policy, successor_edges
 
 _ZERO = Fraction(0)
 
@@ -318,45 +318,13 @@ class Strategy:
     cond: GbmpCondition
 
 
-def attractor_policy(mdp: Mdp, targets: Iterable[int]) -> dict:
-    """Distance-minimizing action choice steering into the target set.
-
-    In a strongly connected MDP every state gets a choice, and following it
-    hits the target set almost surely.
-    """
-    target_set = set(targets)
-    dist = {t: 0 for t in target_set}
-    policy: dict[int, int] = {}
-    frontier = set(target_set)
-    while frontier:
-        nxt = set()
-        for si in range(len(mdp)):
-            if si in dist:
-                continue
-            best = None
-            for ai in mdp.act[si]:
-                if any(t in frontier for t, _ in mdp.actions[ai].dist):
-                    best = ai
-                    break
-            if best is not None:
-                dist[si] = min(dist[t] for t, _ in mdp.actions[best].dist if t in dist) + 1
-                policy[si] = best
-                nxt.add(si)
-        frontier = nxt
-    return policy
-
-
 def _support_classes(mdp: Mdp, sol: LpSolution, flow: int) -> list[ModeClass]:
     support_actions = [
         ai for ai, a in enumerate(mdp.actions) if sol.flow(flow, a.name) > 0
     ]
     support_states = sorted({mdp.actions[ai].source for ai in support_actions})
-    edges: dict[int, list[int]] = {s: [] for s in support_states}
-    for ai in support_actions:
-        a = mdp.actions[ai]
-        edges[a.source].extend(t for t, _ in a.dist)
     classes = []
-    for comp in _sccs(support_states, edges):
+    for comp in _sccs(support_states, successor_edges(mdp, support_actions)):
         comp_set = frozenset(comp)
         weight = _ZERO
         choices = {}
@@ -460,13 +428,7 @@ class StrategyRunner:
             choices = cls.choices[state]
             if len(choices) == 1:
                 return choices[0][0]
-            u = self.rng.random()
-            acc = _ZERO
-            for ai, p in choices:
-                acc += p
-                if u < acc:
-                    return ai
-            return choices[-1][0]
+            return sample(choices, self.rng)
 
 
 @dataclass
@@ -557,7 +519,7 @@ def simulate_strategy(
         for k, idx in enumerate(inf_sets_idx):
             if state in idx:
                 visits[k][-1] += 1
-        state = _sample(action, rng)
+        state = sample(action.dist, rng)
 
     labels = [
         f"{kind}{i}:{b.cmp}{b.bound}" for kind, i, b in bounds
@@ -583,11 +545,12 @@ def simulate_strategy(
     )
 
 
-def _sample(action, rng: random.Random) -> int:
+def sample(pairs: tuple, rng: random.Random):
+    """Draw a value from (value, probability) pairs with one random number."""
     u = rng.random()
     acc = _ZERO
-    for t, p in action.dist:
+    for value, p in pairs:
         acc += p
         if u < acc:
-            return t
-    return action.dist[-1][0]
+            return value
+    return pairs[-1][0]

@@ -15,8 +15,16 @@ from typing import Iterable, Mapping, Optional
 
 from .dgrma import Dgrma, GrmpPair, build_dgrma
 from .formula import Formula, in_fragment
-from .lts import StateCapExceeded
-from .mdp import EndComponent, Mdp, MdpError, mec_decomposition, product_mdp, restrict, sub_mdp
+from .mdp import (
+    EndComponent,
+    Mdp,
+    MdpError,
+    can_reach,
+    mec_decomposition,
+    product_mdp,
+    restrict,
+    sub_mdp,
+)
 from .mecanalysis import (
     EpochSchedule,
     GbmpCondition,
@@ -26,6 +34,7 @@ from .mecanalysis import (
     accepting_mec,
     build_witness_strategy,
     maximize_margin,  # not called here; bench/spans.py hooks this name
+    sample,
 )
 
 _ZERO = Fraction(0)
@@ -117,19 +126,7 @@ def _gauss_solve(rows: list, rhs: list) -> list:
 def _evaluate_policy(mdp: Mdp, policy: list, target: set) -> list:
     """Exact reach probabilities of a memoryless deterministic policy."""
     n = len(mdp)
-    # States that can reach the target in the policy's chain.
-    can = set(target)
-    changed = True
-    while changed:
-        changed = False
-        for s in range(n):
-            if s in can:
-                continue
-            action = mdp.actions[policy[s]]
-            if any(t in can for t, _ in action.dist):
-                can.add(s)
-                changed = True
-    variables = sorted(can - target)
+    variables = sorted(can_reach(mdp, target, set(policy)) - target)
     pos = {s: i for i, s in enumerate(variables)}
     rows = []
     rhs = []
@@ -162,20 +159,7 @@ def max_reach(mdp: Mdp, target_names: Iterable) -> tuple[dict, dict]:
     n = len(mdp)
     target = {mdp.state_index[s] for s in target_names}
     # Qualitative pre-pass: states with maximal probability zero.
-    can = set(target)
-    changed = True
-    while changed:
-        changed = False
-        for s in range(n):
-            if s in can:
-                continue
-            if any(
-                any(t in can for t, _ in mdp.actions[ai].dist)
-                for ai in mdp.act[s]
-            ):
-                can.add(s)
-                changed = True
-    zero = set(range(n)) - can
+    zero = set(range(n)) - can_reach(mdp, target, range(len(mdp.actions)))
 
     policy = [mdp.act[s][0] for s in range(n)]
     values = _evaluate_policy(mdp, policy, target)
@@ -309,9 +293,7 @@ def synthesize(
     for letters in valuation:
         atoms |= set(letters)
     aut = automaton or build_dgrma(phi, ap=atoms, cap=max_states)
-    product, _, automaton_component = product_mdp(mdp, valuation, aut.lts)
-    if len(product) > max_states:
-        raise StateCapExceeded("product MDP", max_states)
+    product, _, automaton_component = product_mdp(mdp, valuation, aut.lts, max_states)
 
     lifted = [lift_pair(pair, product, automaton_component) for pair in aut.pairs]
     w_states, outcomes = winning_union(product, lifted)
@@ -437,15 +419,7 @@ def simulate_global(
                 ai = runner.next_action(li)
                 local_action = local.actions[ai]
                 action = product.actions[product.action_index[local_action.name]]
-            u = rng.random()
-            acc = _ZERO
-            nxt = action.dist[-1][0]
-            for t, p in action.dist:
-                acc += p
-                if u < acc:
-                    nxt = t
-                    break
-            state = nxt
+            state = sample(action.dist, rng)
         stats.append(EpisodeStats(runner is not None, entry_step, winner_idx))
 
     mp_pooled = []

@@ -3,8 +3,11 @@
 The oracles here (Markov-chain BSCC classification, deterministic-memoryless
 strategy enumeration with exact stationary distributions) deliberately avoid
 the package's LP/MEC analysis path so cross-validation is meaningful.  The
-one exception, ``decide_then_maximize_margin``, is a differential oracle: it
-keeps the earlier two-LP witness rule that the single-LP decision replaced.
+exceptions are differential oracles that keep replaced implementations:
+``decide_then_maximize_margin`` is the earlier two-LP witness rule, and
+``rescan_mec_decomposition``, ``rescan_restrict`` and
+``rescan_attractor_policy`` are the full-rescan fixpoints that the graph
+toolkit in ``freqsynth.mdp`` replaced.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from freqsynth.formula import (
 )
 from freqsynth.lts import StateCapExceeded
 from freqsynth.dgrma import build_dgrma
-from freqsynth.mdp import Mdp, MdpAction, mec_decomposition
+from freqsynth.mdp import EndComponent, Mdp, MdpAction, _sccs, mec_decomposition
 from freqsynth.mecanalysis import LpSolution, build_lp, lp_feasible
 from freqsynth.simplex import OPTIMAL, solve_lp
 
@@ -352,3 +355,109 @@ def decide_then_maximize_margin(mdp, cond):
         if values[i * n_actions + ai]
     }
     return True, LpSolution(x, values[margin_var])
+
+
+def rescan_mec_decomposition(mdp, states=None, actions=None):
+    """MECs by iterated SCC pruning that rescans every state and action."""
+    cur_states = set(range(len(mdp))) if states is None else set(states)
+    cur_actions = set(range(len(mdp.actions))) if actions is None else set(actions)
+    cur_actions = {
+        ai
+        for ai in cur_actions
+        if mdp.actions[ai].source in cur_states
+        and all(t in cur_states for t, _ in mdp.actions[ai].dist)
+    }
+    while True:
+        edges = {s: [] for s in cur_states}
+        for ai in cur_actions:
+            a = mdp.actions[ai]
+            edges[a.source].extend(t for t, _ in a.dist)
+        comps = _sccs(sorted(cur_states), edges)
+        comp_of = {}
+        for ci, comp in enumerate(comps):
+            for s in comp:
+                comp_of[s] = ci
+        removed_actions = {
+            ai
+            for ai in cur_actions
+            if any(comp_of[t] != comp_of[mdp.actions[ai].source] for t, _ in mdp.actions[ai].dist)
+        }
+        next_actions = cur_actions - removed_actions
+        has_action = {mdp.actions[ai].source for ai in next_actions}
+        next_states = {s for s in cur_states if s in has_action}
+        next_actions = {
+            ai
+            for ai in next_actions
+            if all(t in next_states for t, _ in mdp.actions[ai].dist)
+        }
+        if next_states == cur_states and next_actions == cur_actions:
+            break
+        cur_states, cur_actions = next_states, next_actions
+    edges = {s: [] for s in cur_states}
+    for ai in cur_actions:
+        a = mdp.actions[ai]
+        edges[a.source].extend(t for t, _ in a.dist)
+    mecs = []
+    for comp in _sccs(sorted(cur_states), edges):
+        comp_set = set(comp)
+        internal = [ai for ai in cur_actions if mdp.actions[ai].source in comp_set]
+        if internal:
+            mecs.append(EndComponent(mdp.state_names(comp_set), mdp.action_names(internal)))
+    mecs.sort(key=lambda ec: min(ec.states))
+    return mecs
+
+
+def rescan_restrict(mdp, removed):
+    """Remove states and the actions touching them, pruning by rescans."""
+    gone = {mdp.state_index[s] for s in removed}
+    keep_states = set(range(len(mdp))) - gone
+    keep_actions = {
+        ai
+        for ai, a in enumerate(mdp.actions)
+        if a.source in keep_states and all(t in keep_states for t, _ in a.dist)
+    }
+    while True:
+        has_action = {mdp.actions[ai].source for ai in keep_actions}
+        dead = keep_states - has_action
+        if not dead:
+            break
+        keep_states -= dead
+        keep_actions = {
+            ai
+            for ai in keep_actions
+            if all(t in keep_states for t, _ in mdp.actions[ai].dist)
+        }
+    if not keep_states:
+        return None
+    order = sorted(keep_states)
+    remap = {old: new for new, old in enumerate(order)}
+    actions = [
+        MdpAction(a.name, remap[a.source], tuple((remap[t], p) for t, p in a.dist))
+        for a in (mdp.actions[ai] for ai in sorted(keep_actions))
+    ]
+    init = remap.get(mdp.init) if mdp.init is not None else None
+    return Mdp([mdp.states[i] for i in order], actions, init)
+
+
+def rescan_attractor_policy(mdp, targets):
+    """Attractor layers found by scanning every state once per layer."""
+    target_set = set(targets)
+    dist = {t: 0 for t in target_set}
+    policy = {}
+    frontier = set(target_set)
+    while frontier:
+        nxt = set()
+        for si in range(len(mdp)):
+            if si in dist:
+                continue
+            best = None
+            for ai in mdp.act[si]:
+                if any(t in frontier for t, _ in mdp.actions[ai].dist):
+                    best = ai
+                    break
+            if best is not None:
+                dist[si] = min(dist[t] for t, _ in mdp.actions[best].dist if t in dist) + 1
+                policy[si] = best
+                nxt.add(si)
+        frontier = nxt
+    return policy

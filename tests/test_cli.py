@@ -74,6 +74,13 @@ def test_automaton_state_cap():
     assert "cap" in out.stderr
 
 
+def test_deeply_nested_formula_is_a_syntax_error():
+    out = run_cli("automaton", "--formula", "X " * 400 + "a")
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: formula nested deeper than")
+    assert out.stderr.count("\n") == 1
+
+
 def test_check_word(model_file):
     match = run_cli("check-word", "--formula", "F a", "--stem", "{}",
                     "--loop", "{a}")

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from freqsynth.boolfn import formula_rank
 from freqsynth.formula import (
+    MAX_DEPTH,
     FormulaSyntaxError,
     FreqBound,
     atom,
@@ -66,6 +68,29 @@ def test_syntax_errors_carry_position():
         parse_formula("G{>=3/2,inf} a")  # frequency bound outside [0,1]
     with pytest.raises(FormulaSyntaxError):
         parse_formula("G{>=1/0,inf} a")
+
+
+@pytest.mark.parametrize(
+    "opening, closing, levels",
+    [
+        ("X ", "", 1),
+        ("(", ")", 1),
+        ("!", "", 1),
+        ("a U ", "", 1),
+        ("a -> ", "", 1),
+        ("G{>=1/2,inf}(a | X !(b & F ", "))", 6),
+    ],
+)
+def test_nesting_depth_limit(opening, closing, levels):
+    reps, pad = divmod(MAX_DEPTH, levels)
+    text = "(" * pad + opening * reps + "a" + closing * reps + ")" * pad
+    phi = parse_formula(text)
+    assert push_negation(phi) is phi
+    in_fragment(phi)
+    formula_rank(phi)
+    str(phi)
+    with pytest.raises(FormulaSyntaxError, match=f"nested deeper than {MAX_DEPTH}"):
+        parse_formula("(" + text + ")")
 
 
 def test_in_fragment():

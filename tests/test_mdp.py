@@ -1,18 +1,28 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from freqsynth.formula import parse_formula
+from freqsynth.lts import StateCapExceeded
 from freqsynth.master import build_master
 from freqsynth.mdp import (
     Mdp,
     MdpAction,
     MdpError,
+    attractor_policy,
     mec_decomposition,
     parse_mdp,
     product_mdp,
     restrict,
     sub_mdp,
+)
+
+from helpers import (
+    random_mdp,
+    rescan_attractor_policy,
+    rescan_mec_decomposition,
+    rescan_restrict,
 )
 
 EXAMPLE = """\
@@ -65,6 +75,14 @@ def test_parse_requires_init_and_actions():
         parse_mdp("mdp\nstates s\ninit s\naction s a : s 1\naction s a : s 1\n")
     with pytest.raises(MdpError, match="mdp"):
         parse_mdp("states s\ninit s\naction s a : s 1\n")
+
+
+def test_parse_rejects_repeated_directives():
+    base = "mdp\nstates s\ninit s\nlabel s a\naction s a : s 1\n"
+    parse_mdp(base)
+    for extra in ("states s\n", "init s\n", "label s b\n"):
+        with pytest.raises(MdpError, match="duplicate"):
+            parse_mdp(base + extra)
 
 
 def test_product_with_master():
@@ -146,6 +164,34 @@ def test_restrict_can_split_mecs():
     cut = restrict(mdp, ["u"])
     mecs = mec_decomposition(cut)
     assert {ec.states for ec in mecs} == {frozenset({"t"}), frozenset({"v"})}
+
+
+def test_product_enforces_the_state_cap():
+    mdp, valuation = parse_mdp(EXAMPLE)
+    master = build_master(parse_formula("G F a"), ap={"a", "b"})
+    size = len(product_mdp(mdp, valuation, master)[0])
+    assert len(product_mdp(mdp, valuation, master, size)[0]) == size
+    with pytest.raises(StateCapExceeded, match=f"product MDP exceeds the state cap of {size - 1} "):
+        product_mdp(mdp, valuation, master, size - 1)
+
+
+def test_graph_toolkit_matches_rescan_oracles():
+    rng = random.Random(20260)
+    for _ in range(300):
+        mdp = random_mdp(rng, 10, 3)
+        n = len(mdp)
+        assert mec_decomposition(mdp) == rescan_mec_decomposition(mdp)
+        states = rng.sample(range(n), rng.randint(1, n))
+        assert mec_decomposition(mdp, states) == rescan_mec_decomposition(mdp, states)
+        removed = rng.sample(mdp.states, rng.randint(0, n))
+        cut, oracle = restrict(mdp, removed), rescan_restrict(mdp, removed)
+        if oracle is None:
+            assert cut is None
+        else:
+            assert (cut.states, cut.actions, cut.init) == (oracle.states, oracle.actions, oracle.init)
+        targets = rng.sample(range(n), rng.randint(1, n))
+        policy = attractor_policy(mdp, targets)
+        assert list(policy.items()) == list(rescan_attractor_policy(mdp, targets).items())
 
 
 def test_mec_idempotent_on_own_component():
