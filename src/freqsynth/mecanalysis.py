@@ -120,24 +120,26 @@ def build_lp(mdp: Mdp, cond: GbmpCondition) -> LinearSystem:
             coeffs[slack_var] = Fraction(-1)
         return coeffs
 
+    # Balance at each state, inflow minus outflow, keyed by action index in
+    # ascending order.  Probabilities are positive, so only the outflow at
+    # the source can cancel (a sure self-loop); that entry is dropped.
+    balance: list[dict[int, Fraction]] = [{} for _ in mdp.states]
+    for ai, action in enumerate(mdp.actions):
+        for t, prob in action.dist:
+            balance[t][ai] = balance[t].get(ai, _ZERO) + prob
+        src = balance[action.source]
+        src[ai] = src.get(ai, _ZERO) - 1
+        if not src[ai]:
+            del src[ai]
+
     rows = []
     for i in range(n_flows):
         base = i * n_actions
         rows.append(
             ({base + ai: Fraction(1) for ai in range(n_actions)}, "==", Fraction(1))
         )
-        for si in range(len(mdp)):
-            coeffs: dict[int, Fraction] = {}
-            for ai, action in enumerate(mdp.actions):
-                p = _ZERO
-                for t, prob in action.dist:
-                    if t == si:
-                        p += prob
-                if action.source == si:
-                    p -= 1
-                if p:
-                    coeffs[base + ai] = p
-            rows.append((coeffs, "==", _ZERO))
+        for coeffs in balance:
+            rows.append(({base + ai: p for ai, p in coeffs.items()}, "==", _ZERO))
         for bound in cond.mp_inf:
             rows.append((reward_row(i, bound), ">=", Fraction(bound.bound)))
         if cond.mp_sup:
@@ -212,32 +214,31 @@ def _solution_from_values(system, values, slack) -> LpSolution:
 
 
 def _verify_solution(system: LinearSystem, sol: LpSolution):
+    """Evaluate the system's flow-sum and balance rows at the solution, then
+    check every mean-payoff bound (strict ones strictly) with ``MpBound.check``."""
     mdp, cond = system.mdp, system.cond
+    n_actions = len(mdp.actions)
+    x = [_ZERO] * system.num_vars
+    for (i, name), v in sol.x.items():
+        x[i * n_actions + mdp.action_index[name]] = v
+    block = len(system.rows) // system.num_flows  # sum, balance, bound rows
+    for r, (coeffs, rel, rhs) in enumerate(system.rows):
+        if rel != "==":
+            continue
+        value = sum((c * x[j] for j, c in coeffs.items()), _ZERO)
+        if value != rhs:
+            i, k = divmod(r, block)
+            if k == 0:
+                raise simplex.SimplexError(f"flow {i} sums to {value}")
+            raise simplex.SimplexError(f"flow {i} unbalanced at {mdp.states[k - 1]}")
     for i in range(system.num_flows):
-        total = sum(
-            sol.flow(i, a.name) for a in mdp.actions
-        )
-        if total != 1:
-            raise simplex.SimplexError(f"flow {i} sums to {total}")
-        for si, state in enumerate(mdp.states):
-            inflow = sum(
-                sol.flow(i, a.name) * p
-                for a in mdp.actions
-                for t, p in a.dist
-                if t == si
-            )
-            outflow = sum(sol.flow(i, a.name) for ai, a in enumerate(mdp.actions) if a.source == si)
-            if inflow != outflow:
-                raise simplex.SimplexError(f"flow {i} unbalanced at {state}")
         for bound in cond.mp_inf:
-            value = _flow_reward(mdp, sol, i, bound)
-            if not bound.check(value):
+            if not bound.check(_flow_reward(mdp, sol, i, bound)):
                 raise simplex.SimplexError("inferior bound violated by the solution")
-        if cond.mp_sup:
-            bound = cond.mp_sup[i]
-            value = _flow_reward(mdp, sol, i, bound)
-            if not bound.check(value):
-                raise simplex.SimplexError("superior bound violated by the solution")
+        if cond.mp_sup and not cond.mp_sup[i].check(
+            _flow_reward(mdp, sol, i, cond.mp_sup[i])
+        ):
+            raise simplex.SimplexError("superior bound violated by the solution")
 
 
 def _flow_reward(mdp: Mdp, sol: LpSolution, flow: int, bound: MpBound) -> Fraction:

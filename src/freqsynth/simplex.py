@@ -1,13 +1,16 @@
 """Two-phase simplex over exact rationals with Bland's anti-cycling rule.
 
 Problem form: optimize a linear objective subject to rows ``coeffs rel rhs``
-with rel in {<=, >=, ==} and all variables non-negative.  Sizes here are tiny
-(dozens of variables), so a dense Fraction tableau is the simple, safe choice.
+with rel in {<=, >=, ==} and all variables non-negative.  Each row of the
+dense tableau, and the cost row, is a list of int numerators over one positive
+int denominator, reduced by their gcd after every update: exact, without a
+Fraction object per cell and pivot.  Only the returned values are Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 OPTIMAL = "optimal"
@@ -19,7 +22,6 @@ GEQ = ">="
 EQ = "=="
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class SimplexError(Exception):
@@ -37,43 +39,37 @@ def solve_lp(
     ``values`` has one Fraction per original variable when status is optimal,
     otherwise None.
     """
-    sense = _ONE if maximize else -_ONE
+    sense = 1 if maximize else -1
 
-    # Normalize to equality form with slack/surplus columns and b >= 0.
+    # Normalize to equality form with slack/surplus columns and b >= 0.  A
+    # row is [numerators, denominator]; cell j stands for nums[j] / den.
     n_slack = sum(1 for _, rel, _ in rows if rel in (LEQ, GEQ))
     total = num_vars + n_slack
-    tableau: list[list[Fraction]] = []
-    art_rows: list[int] = []
+    tableau: list[list] = []
     slack_idx = num_vars
     for coeffs, rel, rhs in rows:
-        row = [_ZERO] * (total + 1)
-        for j, c in coeffs.items():
+        for j in coeffs:
             if not 0 <= j < num_vars:
                 raise SimplexError(f"variable index {j} out of range")
-            row[j] = Fraction(c)
-        rhs = Fraction(rhs)
+        nums, den = _int_row(coeffs, Fraction(rhs), total + 1)
         if rel == LEQ:
-            row[slack_idx] = _ONE
+            nums[slack_idx] = den
             slack_idx += 1
         elif rel == GEQ:
-            row[slack_idx] = -_ONE
+            nums[slack_idx] = -den
             slack_idx += 1
         elif rel != EQ:
             raise SimplexError(f"unknown relation {rel!r}")
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-        row[total] = rhs
-        tableau.append(row)
+        if nums[total] < 0:
+            nums = [-v for v in nums]
+        tableau.append([nums, den])
 
     m = len(tableau)
     basis = [-1] * m
     # A slack column with +1 and zero rhs contribution can start basic.
     for i, row in enumerate(tableau):
         for j in range(num_vars, total):
-            if row[j] == _ONE and all(
-                tableau[k][j] == 0 for k in range(m) if k != i
-            ):
+            if row[0][j] == row[1] and all(t[0][j] == 0 for t in tableau if t is not row):
                 basis[i] = j
                 break
 
@@ -82,37 +78,32 @@ def solve_lp(
     art_cols = []
     next_art = total
     for i in range(m):
-        row = tableau[i]
-        row[total:total] = [_ZERO] * n_art
+        nums, den = tableau[i]
+        nums[total:total] = [0] * n_art
         if basis[i] < 0:
-            row[next_art] = _ONE
+            nums[next_art] = den
             basis[i] = next_art
             art_cols.append(next_art)
             next_art += 1
 
     if art_cols:
         # Phase one: drive the artificial variables to zero.
-        cost = [_ZERO] * width
-        for j in art_cols:
-            cost[j] = -_ONE
+        cost = list(_int_row({j: -1 for j in art_cols}, _ZERO, width))
         _reduce_cost(cost, tableau, basis)
         _iterate(tableau, basis, cost, restrict=None)
-        if cost[-1] != 0:
+        if cost[0][-1] != 0:
             return INFEASIBLE, None, None
         for i in range(m):
             if basis[i] in art_cols:
-                pivot_col = next(
-                    (j for j in range(total) if tableau[i][j] != 0), None
-                )
+                nums = tableau[i][0]
+                pivot_col = next((j for j in range(total) if nums[j] != 0), None)
                 if pivot_col is None:
                     continue  # redundant row stays with a zero artificial
                 _pivot(tableau, basis, i, pivot_col)
 
-    cost = [_ZERO] * width
-    for j, c in objective.items():
-        cost[j] = sense * Fraction(c)
+    cost = list(_int_row({j: sense * Fraction(c) for j, c in objective.items()}, _ZERO, width))
     for j in art_cols:
-        cost[j] = _ZERO
+        cost[0][j] = 0
     _reduce_cost(cost, tableau, basis)
     status = _iterate(tableau, basis, cost, restrict=set(art_cols))
     if status == UNBOUNDED:
@@ -121,62 +112,91 @@ def solve_lp(
     values = [_ZERO] * num_vars
     for i, b in enumerate(basis):
         if b < num_vars:
-            values[b] = tableau[i][-1]
+            nums, den = tableau[i]
+            values[b] = Fraction(nums[-1], den)
     # The maintained z-row holds the negated objective of the current basis.
-    return OPTIMAL, values, -sense * cost[-1]
+    return OPTIMAL, values, Fraction(-sense * cost[0][-1], cost[1])
+
+
+def _int_row(coeffs, rhs, size):
+    """Coefficients plus rhs (last cell) over their least common denominator."""
+    coeffs = {j: Fraction(c) for j, c in coeffs.items()}
+    den = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+    nums = [0] * size
+    for j, c in coeffs.items():
+        nums[j] = c.numerator * (den // c.denominator)
+    nums[-1] = rhs.numerator * (den // rhs.denominator)
+    return nums, den
+
+
+def _eliminate(row, pivot_row, c, support):
+    """row -= row[c] * pivot_row in place, where pivot_row[c] is 1 and
+    support holds (at least) the pivot row's nonzero columns."""
+    nums, den = row
+    pivot_nums, p = pivot_row
+    f = nums[c]
+    g = gcd(f, p)
+    f, p = f // g, p // g
+    nums = [a * p for a in nums] if p != 1 else nums[:]
+    for j in support:
+        nums[j] -= f * pivot_nums[j]
+    row[:] = _reduced(nums, den * p)
+
+
+def _reduced(nums, den):
+    g = gcd(den, *nums)
+    return ([v // g for v in nums], den // g) if g > 1 else (nums, den)
 
 
 def _reduce_cost(cost, tableau, basis):
     for i, b in enumerate(basis):
-        if cost[b] != 0:
-            f = cost[b]
-            row = tableau[i]
-            for j in range(len(cost)):
-                cost[j] -= f * row[j]
+        if cost[0][b] != 0:
+            _eliminate(cost, tableau[i], b, range(len(cost[0])))
 
 
 def _iterate(tableau, basis, cost, restrict):
-    total = len(cost) - 1
+    total = len(cost[0]) - 1
     while True:
+        cost_nums = cost[0]
         entering = None
         for j in range(total):
             if restrict and j in restrict:
                 continue
-            if cost[j] > 0:
+            if cost_nums[j] > 0:
                 entering = j
                 break
         if entering is None:
             return OPTIMAL
+        # Bland's ratio test; row denominators cancel in rhs / a, so compare
+        # ratios of numerators by cross-multiplication (every a is positive).
         leaving = None
-        best = None
-        for i, row in enumerate(tableau):
-            a = row[entering]
+        for i, (nums, _) in enumerate(tableau):
+            a = nums[entering]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leaving]
+                r = nums[-1]
+                if leaving is None or r * best_a < best_r * a or (
+                    r * best_a == best_r * a and basis[i] < basis[leaving]
                 ):
-                    best = ratio
-                    leaving = i
+                    best_r, best_a, leaving = r, a, i
         if leaving is None:
             return UNBOUNDED
         _pivot(tableau, basis, leaving, entering)
-        f = cost[entering]
-        if f != 0:
-            row = tableau[leaving]
-            for j in range(len(cost)):
-                cost[j] -= f * row[j]
+        if cost_nums[entering] != 0:
+            _eliminate(cost, tableau[leaving], entering, range(total + 1))
 
 
 def _pivot(tableau, basis, r, c):
     row = tableau[r]
-    piv = row[c]
+    nums = row[0]
+    piv = nums[c]
     if piv == 0:
         raise SimplexError("zero pivot")
-    inv = _ONE / piv
-    tableau[r] = row = [v * inv for v in row]
+    # Dividing by the pivot cell cancels the row's denominator.
+    if piv < 0:
+        nums, piv = [-v for v in nums], -piv
+    row[:] = _reduced(nums, piv)
+    support = [j for j, v in enumerate(row[0]) if v]
     for i, other in enumerate(tableau):
-        if i != r and other[c] != 0:
-            f = other[c]
-            tableau[i] = [a - f * b for a, b in zip(other, row)]
+        if i != r and other[0][c] != 0:
+            _eliminate(other, row, c, support)
     basis[r] = c

@@ -7,7 +7,10 @@ exceptions are differential oracles that keep replaced implementations:
 ``decide_then_maximize_margin`` is the earlier two-LP witness rule, and
 ``rescan_mec_decomposition``, ``rescan_restrict`` and
 ``rescan_attractor_policy`` are the full-rescan fixpoints that the graph
-toolkit in ``freqsynth.mdp`` replaced.
+toolkit in ``freqsynth.mdp`` replaced, ``fraction_solve_lp`` is the simplex
+over a tableau of Fractions that the integer-row tableau replaced, and
+``rescan_build_lp`` is the flow-system builder that scanned every action
+distribution once per state.
 """
 
 from __future__ import annotations
@@ -31,9 +34,19 @@ from freqsynth.formula import (
 )
 from freqsynth.lts import StateCapExceeded
 from freqsynth.dgrma import build_dgrma
+from freqsynth.formula import GT
 from freqsynth.mdp import EndComponent, Mdp, MdpAction, _sccs, mec_decomposition
-from freqsynth.mecanalysis import LpSolution, build_lp, lp_feasible
-from freqsynth.simplex import OPTIMAL, solve_lp
+from freqsynth.mecanalysis import LinearSystem, LpSolution, build_lp, lp_feasible
+from freqsynth.simplex import (
+    EQ,
+    GEQ,
+    INFEASIBLE,
+    LEQ,
+    OPTIMAL,
+    UNBOUNDED,
+    SimplexError,
+    solve_lp,
+)
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
@@ -461,3 +474,200 @@ def rescan_attractor_policy(mdp, targets):
                 nxt.add(si)
         frontier = nxt
     return policy
+
+
+def ring_mdp(rng, n):
+    """A ring of n states plus random chords, shaped like the models of the
+    benchmark's LP workload (so strongly connected), with atoms a and b."""
+    probs = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(3, 4))
+    actions = []
+    for k in range(n):
+        nxt = (k + 1) % n
+        q = rng.choice(probs)
+        actions.append(MdpAction(f"r{k}", k, tuple(sorted(((nxt, q), (k, 1 - q))))))
+        if rng.random() < 0.6:
+            t = rng.choice([j for j in range(n) if j not in (k, nxt)])
+            q = rng.choice(probs)
+            actions.append(MdpAction(f"c{k}", k, tuple(sorted(((t, q), (nxt, 1 - q))))))
+    valuation = [frozenset(x for x in ("a", "b") if rng.random() < 0.5) for _ in range(n)]
+    return Mdp([f"s{k}" for k in range(n)], actions, 0), valuation
+
+
+def fraction_solve_lp(num_vars, rows, objective, maximize=True):
+    """Two-phase Bland simplex on a dense tableau of Fractions, with the same
+    pivot rules and results as ``freqsynth.simplex.solve_lp``."""
+    sense = _ONE if maximize else -_ONE
+    n_slack = sum(1 for _, rel, _ in rows if rel in (LEQ, GEQ))
+    total = num_vars + n_slack
+    tableau = []
+    slack_idx = num_vars
+    for coeffs, rel, rhs in rows:
+        row = [_ZERO] * (total + 1)
+        for j, c in coeffs.items():
+            if not 0 <= j < num_vars:
+                raise SimplexError(f"variable index {j} out of range")
+            row[j] = Fraction(c)
+        rhs = Fraction(rhs)
+        if rel == LEQ:
+            row[slack_idx] = _ONE
+            slack_idx += 1
+        elif rel == GEQ:
+            row[slack_idx] = -_ONE
+            slack_idx += 1
+        elif rel != EQ:
+            raise SimplexError(f"unknown relation {rel!r}")
+        if rhs < 0:
+            row = [-v for v in row]
+            rhs = -rhs
+        row[total] = rhs
+        tableau.append(row)
+
+    m = len(tableau)
+    basis = [-1] * m
+    for i, row in enumerate(tableau):
+        for j in range(num_vars, total):
+            if row[j] == _ONE and all(tableau[k][j] == 0 for k in range(m) if k != i):
+                basis[i] = j
+                break
+
+    n_art = sum(1 for b in basis if b < 0)
+    width = total + n_art + 1
+    art_cols = []
+    next_art = total
+    for i in range(m):
+        row = tableau[i]
+        row[total:total] = [_ZERO] * n_art
+        if basis[i] < 0:
+            row[next_art] = _ONE
+            basis[i] = next_art
+            art_cols.append(next_art)
+            next_art += 1
+
+    if art_cols:
+        cost = [_ZERO] * width
+        for j in art_cols:
+            cost[j] = -_ONE
+        _fraction_reduce_cost(cost, tableau, basis)
+        _fraction_iterate(tableau, basis, cost, restrict=None)
+        if cost[-1] != 0:
+            return INFEASIBLE, None, None
+        for i in range(m):
+            if basis[i] in art_cols:
+                pivot_col = next((j for j in range(total) if tableau[i][j] != 0), None)
+                if pivot_col is None:
+                    continue
+                _fraction_pivot(tableau, basis, i, pivot_col)
+
+    cost = [_ZERO] * width
+    for j, c in objective.items():
+        cost[j] = sense * Fraction(c)
+    for j in art_cols:
+        cost[j] = _ZERO
+    _fraction_reduce_cost(cost, tableau, basis)
+    status = _fraction_iterate(tableau, basis, cost, restrict=set(art_cols))
+    if status == UNBOUNDED:
+        return UNBOUNDED, None, None
+    values = [_ZERO] * num_vars
+    for i, b in enumerate(basis):
+        if b < num_vars:
+            values[b] = tableau[i][-1]
+    return OPTIMAL, values, -sense * cost[-1]
+
+
+def _fraction_reduce_cost(cost, tableau, basis):
+    for i, b in enumerate(basis):
+        if cost[b] != 0:
+            f = cost[b]
+            row = tableau[i]
+            for j in range(len(cost)):
+                cost[j] -= f * row[j]
+
+
+def _fraction_iterate(tableau, basis, cost, restrict):
+    total = len(cost) - 1
+    while True:
+        entering = None
+        for j in range(total):
+            if restrict and j in restrict:
+                continue
+            if cost[j] > 0:
+                entering = j
+                break
+        if entering is None:
+            return OPTIMAL
+        leaving = None
+        best = None
+        for i, row in enumerate(tableau):
+            a = row[entering]
+            if a > 0:
+                ratio = row[-1] / a
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leaving]
+                ):
+                    best = ratio
+                    leaving = i
+        if leaving is None:
+            return UNBOUNDED
+        _fraction_pivot(tableau, basis, leaving, entering)
+        f = cost[entering]
+        if f != 0:
+            row = tableau[leaving]
+            for j in range(len(cost)):
+                cost[j] -= f * row[j]
+
+
+def _fraction_pivot(tableau, basis, r, c):
+    row = tableau[r]
+    piv = row[c]
+    if piv == 0:
+        raise SimplexError("zero pivot")
+    inv = _ONE / piv
+    tableau[r] = row = [v * inv for v in row]
+    for i, other in enumerate(tableau):
+        if i != r and other[c] != 0:
+            f = other[c]
+            tableau[i] = [a - f * b for a, b in zip(other, row)]
+    basis[r] = c
+
+
+def rescan_build_lp(mdp, cond):
+    """The flow system built with one scan over every action distribution
+    per state and flow; rows and keys in the order of ``build_lp``."""
+    n_flows = cond.num_flows()
+    n_actions = len(mdp.actions)
+    strict_rows = any(b.cmp == GT for b in cond.mp_inf + cond.mp_sup)
+    num_vars = n_flows * n_actions + (1 if strict_rows else 0)
+    slack_var = n_flows * n_actions if strict_rows else None
+
+    def reward_row(flow, bound):
+        coeffs = {}
+        for ai, action in enumerate(mdp.actions):
+            r = bound.reward[mdp.states[action.source]]
+            if r:
+                coeffs[flow * n_actions + ai] = Fraction(r)
+        if bound.cmp == GT:
+            coeffs[slack_var] = Fraction(-1)
+        return coeffs
+
+    rows = []
+    for i in range(n_flows):
+        base = i * n_actions
+        rows.append(({base + ai: _ONE for ai in range(n_actions)}, "==", _ONE))
+        for si in range(len(mdp)):
+            coeffs = {}
+            for ai, action in enumerate(mdp.actions):
+                p = _ZERO
+                for t, prob in action.dist:
+                    if t == si:
+                        p += prob
+                if action.source == si:
+                    p -= 1
+                if p:
+                    coeffs[base + ai] = p
+            rows.append((coeffs, "==", _ZERO))
+        for bound in cond.mp_inf:
+            rows.append((reward_row(i, bound), ">=", Fraction(bound.bound)))
+        if cond.mp_sup:
+            rows.append((reward_row(i, cond.mp_sup[i]), ">=", Fraction(cond.mp_sup[i].bound)))
+    objective = {slack_var: _ONE} if strict_rows else {}
+    return LinearSystem(mdp, cond, n_flows, num_vars, rows, objective, slack_var, strict_rows)

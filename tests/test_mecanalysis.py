@@ -7,7 +7,9 @@ from freqsynth.mdp import parse_mdp
 from freqsynth.mecanalysis import (
     EpochSchedule,
     GbmpCondition,
+    LpSolution,
     MpBound,
+    _verify_solution,
     accepting_mec,
     build_lp,
     build_witness_strategy,
@@ -15,11 +17,14 @@ from freqsynth.mecanalysis import (
     maximize_margin,
     simulate_strategy,
 )
+from freqsynth.simplex import SimplexError
 
 from helpers import (
     enumerate_md_strategies,
     md_strategy_satisfies,
+    random_mdp,
     random_strongly_connected_mdp,
+    rescan_build_lp,
 )
 
 
@@ -160,6 +165,55 @@ def _random_condition(rng, mdp):
     if rng.random() < 0.5:
         inf_sets = (frozenset(rng.sample(mdp.states, rng.randint(1, len(mdp)))),)
     return GbmpCondition(inf_sets, mp_inf, mp_sup)
+
+
+def test_build_lp_matches_rescan_builder():
+    rng = random.Random(303)
+    cancelled = 0
+    for _ in range(300):
+        mdp = random_mdp(rng, 6, 3)
+        cond = _random_condition(rng, mdp)
+        got, want = build_lp(mdp, cond), rescan_build_lp(mdp, cond)
+        # Same rows with the same key order and value types, so same dumps.
+        assert [(repr(list(c.items())), rel, rhs) for c, rel, rhs in got.rows] == [
+            (repr(list(c.items())), rel, rhs) for c, rel, rhs in want.rows
+        ]
+        assert got.dump() == want.dump()
+        assert (got.num_vars, got.objective, got.slack_var) == (
+            want.num_vars, want.objective, want.slack_var
+        )
+        cancelled += any(a.dist == ((a.source, 1),) for a in mdp.actions)
+    assert cancelled >= 30  # sure self-loops, whose balance entry cancels
+
+
+def test_verify_solution_rejects_tampered_solutions():
+    mdp, _ = parse_mdp(
+        "mdp\nstates s t\ninit s\naction s ss : s 1\naction s st : t 1\n"
+        "action t tt : t 1\naction t ts : s 1\n"
+    )
+    q = {"s": Fr(1), "t": Fr(0)}
+    inf_system = build_lp(mdp, GbmpCondition(mp_inf=(MpBound(">=", Fr(1, 2), q),)))
+    sup_system = build_lp(mdp, GbmpCondition(mp_sup=(MpBound(">=", Fr(1, 2), q),)))
+    sol = lp_feasible(inf_system)
+    assert sol is not None
+    _verify_solution(sup_system, sol)
+    doubled = LpSolution({k: 2 * v for k, v in sol.x.items()}, sol.slack)
+    with pytest.raises(SimplexError, match="sums to 2"):
+        _verify_solution(inf_system, doubled)
+    leaking = LpSolution({(0, "ss"): Fr(1, 2), (0, "st"): Fr(1, 2)}, Fr(0))
+    with pytest.raises(SimplexError, match="unbalanced at s"):
+        _verify_solution(inf_system, leaking)
+    stuck_in_t = LpSolution({(0, "tt"): Fr(1)}, Fr(0))
+    with pytest.raises(SimplexError, match="inferior bound"):
+        _verify_solution(inf_system, stuck_in_t)
+    with pytest.raises(SimplexError, match="superior bound"):
+        _verify_solution(sup_system, stuck_in_t)
+    # Strict bounds are checked strictly: frequency 1/2 of s misses "> 1/2".
+    cycling = LpSolution({(0, "st"): Fr(1, 2), (0, "ts"): Fr(1, 2)}, Fr(0))
+    _verify_solution(inf_system, cycling)
+    strict = build_lp(mdp, GbmpCondition(mp_inf=(MpBound(">", Fr(1, 2), q),)))
+    with pytest.raises(SimplexError, match="inferior bound"):
+        _verify_solution(strict, cycling)
 
 
 def test_witness_single_action_deterministic():

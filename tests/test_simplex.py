@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction as Fr
 
+import helpers
+from freqsynth import simplex
+from freqsynth.mecanalysis import GbmpCondition, MpBound, accepting_mec
 from freqsynth.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from helpers import fraction_solve_lp, ring_mdp
 
 
 def test_basic_maximization():
@@ -82,3 +86,106 @@ def test_negative_rhs_normalization():
         1, [({0: Fr(-1)}, "<=", Fr(-2))], {0: Fr(1)}, maximize=False
     )
     assert status == OPTIMAL and x[0] == Fr(2)
+
+
+def test_bland_tie_break_decides_the_vertex():
+    # Both rows tie in the first ratio test (2/2 == 1/1); Bland's rule lets
+    # the row of the smaller basic index (slack 3) leave.  Both (0, 0, 2) and
+    # (1/2, 0, 2) are optimal, and the other leaving row ends at the second.
+    rows = [
+        ({1: Fr(2), 2: Fr(1)}, "<=", Fr(2)),
+        ({0: Fr(2), 1: Fr(1)}, "<=", Fr(1)),
+    ]
+    status, x, value = solve_lp(3, rows, {1: Fr(1), 2: Fr(1)})
+    assert (status, x, value) == (OPTIMAL, [Fr(0), Fr(0), Fr(2)], Fr(2))
+
+
+def _counted(fn, columns, ties=None):
+    """Wrap a pivot function to record each pivot's column and, given a
+    Fraction tableau, each pivot whose column ties for the minimum ratio."""
+
+    def pivot(tableau, basis, r, c):
+        columns.append(c)
+        if ties is not None:
+            ratios = [row[-1] / row[c] for row in tableau if row[c] > 0]
+            if ratios and ratios.count(min(ratios)) > 1:
+                ties.append(c)
+        return fn(tableau, basis, r, c)
+
+    return pivot
+
+
+def _assert_same_as_oracle(monkeypatch, num_vars, rows, objective, maximize, ties=None):
+    fast, slow = [], []
+    monkeypatch.setattr(simplex, "_pivot", _counted(simplex._pivot, fast))
+    monkeypatch.setattr(
+        helpers, "_fraction_pivot", _counted(helpers._fraction_pivot, slow, ties)
+    )
+    got = solve_lp(num_vars, rows, objective, maximize)
+    want = fraction_solve_lp(num_vars, rows, objective, maximize)
+    monkeypatch.undo()
+    assert got == want
+    assert fast == slow  # the same entering column on every pivot
+    return got[0]
+
+
+def _random_lp(rng):
+    n = rng.randint(1, 6)
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        coeffs = {
+            j: Fr(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 6]))
+            for j in range(n)
+            if rng.random() < 0.7
+        }
+        rel = rng.choice(["<=", "<=", ">=", "=="])
+        rhs = Fr(rng.randint(-2, 5), rng.choice([1, 2, 3])) if rng.random() < 0.7 else Fr(0)
+        rows.append((coeffs, rel, rhs))
+    if rng.random() < 0.5:
+        rows.append(({j: Fr(1) for j in range(n)}, "<=", Fr(rng.randint(1, 6))))
+    objective = {
+        j: Fr(rng.randint(-3, 3), rng.choice([1, 2])) for j in range(n) if rng.random() < 0.8
+    }
+    return n, rows, objective, rng.random() < 0.6
+
+
+def test_integer_tableau_matches_fraction_oracle_on_random_lps(monkeypatch):
+    rng = random.Random(2024)
+    statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    ties = []
+    for _ in range(2000):
+        statuses[_assert_same_as_oracle(monkeypatch, *_random_lp(rng), ties=ties)] += 1
+    assert min(statuses.values()) >= 200, statuses
+    assert len(ties) >= 100  # degenerate pivots where Bland's tie-break decides
+
+
+def test_integer_tableau_matches_fraction_oracle_on_flow_lps(monkeypatch):
+    lps = []
+
+    def recording(num_vars, rows, objective, maximize=True):
+        lps.append((num_vars, rows, objective, maximize))
+        return fraction_solve_lp(num_vars, rows, objective, maximize)
+
+    rng = random.Random(77)
+    for _ in range(16):
+        mdp, valuation = ring_mdp(rng, rng.randint(10, 14))
+        rewards = {
+            x: {s: Fr(int(x in valuation[k])) for k, s in enumerate(mdp.states)}
+            for x in ("a", "b")
+        }
+
+        def bound(x):
+            cmp = rng.choice([">=", ">"])
+            return MpBound(cmp, Fr(rng.randint(0, 5), rng.choice([4, 5, 10])), rewards[x])
+
+        cond = GbmpCondition(
+            mp_inf=tuple(bound(rng.choice("ab")) for _ in range(rng.randint(0, 2))),
+            mp_sup=tuple(bound(rng.choice("ab")) for _ in range(rng.randint(0, 2))),
+        )
+        monkeypatch.setattr(simplex, "solve_lp", recording)
+        accepting_mec(mdp, cond)
+        monkeypatch.undo()
+    assert len(lps) >= 16
+    assert any(len(rows) >= 28 for _, rows, _, _ in lps)
+    for lp in lps:
+        _assert_same_as_oracle(monkeypatch, *lp)
