@@ -12,7 +12,6 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .boolfn import BoolFn
 from .formula import (
     AND,
     AP,
@@ -72,15 +71,6 @@ class Lasso:
 
     def positions(self) -> int:
         return len(self.stem) + len(self.loop)
-
-
-def shift(w: Lasso, n: int) -> Lasso:
-    """The suffix word starting at position n, again as a lasso."""
-    s, l = len(w.stem), len(w.loop)
-    if n <= s:
-        return Lasso(w.stem[n:], w.loop)
-    k = (n - s) % l
-    return Lasso((), w.loop[k:] + w.loop[:k])
 
 
 def letter_to_str(letter: Letter) -> str:
@@ -218,22 +208,6 @@ class _Eval:
 def models(w: Lasso, phi: Formula) -> bool:
     """Exact truth of the formula on the infinite word."""
     return _Eval(w).holds(phi, 0)
-
-
-def models_at(w: Lasso, phi: Formula, n: int) -> bool:
-    """Truth of the formula on the suffix starting at position n."""
-    ev = _Eval(w)
-    return ev.holds(phi, ev.fold(n))
-
-
-def models_boolfn(w: Lasso, f: BoolFn, n: int = 0) -> bool:
-    """Truth of a Boolean function over non-Boolean formulas on a suffix."""
-    ev = _Eval(w)
-    pos = ev.fold(n)
-    true_vars = frozenset(
-        uid for uid in f.variables() if ev.holds(Formula.by_uid(uid), pos)
-    )
-    return f.holds_under(true_vars)
 
 
 def freq_on_lasso(w: Lasso, xi: Formula) -> Fraction:

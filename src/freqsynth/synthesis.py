@@ -8,6 +8,7 @@ LP solution that accepts a component is kept as the flows of its witness.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,56 +106,100 @@ def winning_union(product: Mdp, lifted: list) -> tuple[frozenset, list]:
     return frozenset(w_states), outcomes
 
 
-def _gauss_solve(rows: list, rhs: list) -> list:
-    """Exact Gaussian elimination; the callers only pass regular systems."""
+def _sparse_solve(rows: list, rhs: list) -> list:
+    """Exact elimination in natural order over ``{column: value}`` rows.
+
+    The callers pass ``I - P`` over states that reach the target, whose
+    leading principal blocks are nonsingular M-matrices, so no pivoting is
+    needed.  Each pivot touches only the later rows with an entry in its
+    column; cancelled entries are dropped.
+    """
     n = len(rows)
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
+    below = [set() for _ in range(n)]  # column -> later rows with an entry
+    for r, row in enumerate(rows):
+        for c in row:
+            if c < r:
+                below[c].add(r)
+    for k in range(n):
+        pivot_row = rows[k]
+        pivot = pivot_row.get(k)
+        if not pivot:
             raise MdpError("singular linear system in reachability analysis")
-        a[col], a[piv] = a[piv], a[col]
-        inv = _ONE / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+        for r in below[k]:
+            row = rows[r]
+            f = row.pop(k) / pivot
+            for c, v in pivot_row.items():
+                if c == k:
+                    continue
+                x = row.get(c, _ZERO) - f * v
+                if x:
+                    row[c] = x
+                    if c < r:
+                        below[c].add(r)
+                else:
+                    del row[c]
+                    below[c].discard(r)
+            rhs[r] -= f * rhs[k]
+    solved = [_ZERO] * n
+    for k in reversed(range(n)):
+        row = rows[k]
+        rest = sum(v * solved[c] for c, v in row.items() if c != k)
+        solved[k] = (rhs[k] - rest) / row[k]
+    return solved
 
 
 def _evaluate_policy(mdp: Mdp, policy: list, target: set) -> list:
     """Exact reach probabilities of a memoryless deterministic policy."""
-    n = len(mdp)
     variables = sorted(can_reach(mdp, target, set(policy)) - target)
     pos = {s: i for i, s in enumerate(variables)}
     rows = []
     rhs = []
     for s in variables:
-        row = [_ZERO] * len(variables)
-        row[pos[s]] = _ONE
+        row = {pos[s]: _ONE}
         b = _ZERO
         for t, p in mdp.actions[policy[s]].dist:
             if t in target:
                 b += p
             elif t in pos:
-                row[pos[t]] -= p
+                row[pos[t]] = row.get(pos[t], _ZERO) - p
         rows.append(row)
         rhs.append(b)
-    solved = _gauss_solve(rows, rhs) if variables else []
-    values = [_ZERO] * n
+    values = [_ZERO] * len(mdp)
     for s in target:
         values[s] = _ONE
-    for s, i in pos.items():
-        values[s] = solved[i]
+    for s, v in zip(variables, _sparse_solve(rows, rhs)):
+        values[s] = v
     return values
+
+
+def _check_selector(mdp: Mdp, selector: list, values: list, target: set) -> None:
+    """Raise unless ``values`` are the selector's own reach probabilities:
+    1 on the target, the Bellman equation of the selected action on the
+    other states that reach the target under it, and 0 elsewhere.  That
+    system is regular, so this equals comparing with a full evaluation."""
+    reach = can_reach(mdp, target, set(selector))
+    for s, value in enumerate(values):
+        if s in target:
+            expected = _ONE
+        elif s in reach:
+            expected = sum(p * values[t] for t, p in mdp.actions[selector[s]].dist)
+        else:
+            expected = _ZERO
+        if value != expected:
+            raise MdpError("extracted selector does not realize the optimal values")
 
 
 def max_reach(mdp: Mdp, target_names: Iterable) -> tuple[dict, dict]:
     """Exact maximal reachability probabilities plus an optimal selector.
 
-    Policy iteration with exact policy evaluation; after the zero states are
-    pinned, any policy-improvement fixpoint is the unique Bellman solution.
+    Policy iteration with exact sparse policy evaluation; after the zero
+    states are pinned, any policy-improvement fixpoint is the unique Bellman
+    solution.  The selector keeps ``act[s][0]`` on target and zero states.
+    Every other state takes an optimal action that moves strictly closer to
+    the target: the states join in index-order passes, each once an optimal
+    action has a successor that joined before it, and takes the first such
+    action.  The passes are replayed from ``Mdp.pre`` with a heap, and a
+    linear certificate checks that the selector realizes the values.
     """
     n = len(mdp)
     target = {mdp.state_index[s] for s in target_names}
@@ -184,32 +229,36 @@ def max_reach(mdp: Mdp, target_names: Iterable) -> tuple[dict, dict]:
     else:
         raise MdpError("policy iteration failed to converge")
 
-    # Proper selector: among value-optimal actions, move strictly closer to
-    # the target inside the optimal subgraph.
+    optimal = [
+        a.source not in target
+        and a.source not in zero
+        and sum(p * values[t] for t, p in a.dist) == values[a.source]
+        for a in mdp.actions
+    ]
     selector = list(policy)
-    assigned = set(target) | zero
-    while True:
-        added = False
-        for s in range(n):
-            if s in assigned:
-                continue
-            for ai in mdp.act[s]:
-                action = mdp.actions[ai]
-                backup = sum(p * values[t] for t, p in action.dist)
-                if backup == values[s] and any(
-                    t in assigned and (t in target or values[t] > 0)
-                    for t, _ in action.dist
-                ):
-                    selector[s] = ai
-                    assigned.add(s)
-                    added = True
-                    break
-        if not added:
-            break
-    if len(assigned) != n:
+    joined: dict = {}  # state -> (pass, index) it joined at; targets pass 0
+    heap = [(0, t) for t in sorted(target)]
+    while heap:
+        key = heapq.heappop(heap)
+        k, t = key
+        if t in joined:
+            continue
+        if k:
+            selector[t] = next(
+                ai for ai in mdp.act[t] if optimal[ai] and any(
+                    joined.get(v, key) < key for v, _ in mdp.actions[ai].dist
+                )
+            )
+        joined[t] = key
+        # A later index joins in this pass, an earlier one in the next; a
+        # target's predecessors join from pass 1.
+        for ai in mdp.pre[t]:
+            u = mdp.actions[ai].source
+            if optimal[ai] and u not in joined:
+                heapq.heappush(heap, (k + (k == 0 or u < t), u))
+    if len(joined) + len(zero) != n:
         raise MdpError("failed to extract a proper optimal selector")
-    if _evaluate_policy(mdp, selector, target) != values:
-        raise MdpError("extracted selector does not realize the optimal values")
+    _check_selector(mdp, selector, values, target)
 
     value_map = {mdp.states[s]: values[s] for s in range(n)}
     selector_map = {

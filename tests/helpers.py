@@ -8,9 +8,12 @@ exceptions are differential oracles that keep replaced implementations:
 ``rescan_mec_decomposition``, ``rescan_restrict`` and
 ``rescan_attractor_policy`` are the full-rescan fixpoints that the graph
 toolkit in ``freqsynth.mdp`` replaced, ``fraction_solve_lp`` is the simplex
-over a tableau of Fractions that the integer-row tableau replaced, and
+over a tableau of Fractions that the integer-row tableau replaced,
 ``rescan_build_lp`` is the flow-system builder that scanned every action
-distribution once per state.
+distribution once per state, and ``dense_max_reach`` is maximal reachability
+by dense solves (``gauss_solve``) and the rescan selector loop, which the
+sparse solve and the replayed selector replaced.  ``shift``, ``models_at`` and
+``models_boolfn`` are lasso helpers that only the tests use.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import random
 from fractions import Fraction
 
 from freqsynth.formula import (
+    Formula,
     FreqBound,
     atom,
     always,
@@ -32,10 +36,19 @@ from freqsynth.formula import (
     parse_formula,
     until,
 )
+from freqsynth.lasso import Lasso, _Eval
 from freqsynth.lts import StateCapExceeded
 from freqsynth.dgrma import build_dgrma
 from freqsynth.formula import GT
-from freqsynth.mdp import EndComponent, Mdp, MdpAction, _sccs, mec_decomposition
+from freqsynth.mdp import (
+    EndComponent,
+    Mdp,
+    MdpAction,
+    MdpError,
+    _sccs,
+    can_reach,
+    mec_decomposition,
+)
 from freqsynth.mecanalysis import LinearSystem, LpSolution, build_lp, lp_feasible
 from freqsynth.simplex import (
     EQ,
@@ -671,3 +684,129 @@ def rescan_build_lp(mdp, cond):
             rows.append((reward_row(i, cond.mp_sup[i]), ">=", Fraction(cond.mp_sup[i].bound)))
     objective = {slack_var: _ONE} if strict_rows else {}
     return LinearSystem(mdp, cond, n_flows, num_vars, rows, objective, slack_var, strict_rows)
+
+
+def _dense_evaluate_policy(mdp, policy, target):
+    """Reach probabilities of an MD policy from one dense exact solve."""
+    variables = sorted(can_reach(mdp, target, set(policy)) - target)
+    pos = {s: i for i, s in enumerate(variables)}
+    rows = []
+    rhs = []
+    for s in variables:
+        row = [_ZERO] * len(variables)
+        row[pos[s]] = _ONE
+        b = _ZERO
+        for t, p in mdp.actions[policy[s]].dist:
+            if t in target:
+                b += p
+            elif t in pos:
+                row[pos[t]] -= p
+        rows.append(row)
+        rhs.append(b)
+    solved = gauss_solve(rows, rhs) if variables else []
+    values = [_ZERO] * len(mdp)
+    for s in target:
+        values[s] = _ONE
+    for s, i in pos.items():
+        values[s] = solved[i]
+    return values
+
+
+def dense_max_reach(mdp, target_names):
+    """Maximal reachability as ``freqsynth.synthesis.max_reach`` computed it
+    before the sparse engine: policy iteration over dense solves, then
+    index-order rescans until every state has a selector action, then a
+    full evaluation of the selector."""
+    n = len(mdp)
+    target = {mdp.state_index[s] for s in target_names}
+    zero = set(range(n)) - can_reach(mdp, target, range(len(mdp.actions)))
+
+    policy = [mdp.act[s][0] for s in range(n)]
+    values = _dense_evaluate_policy(mdp, policy, target)
+    for _ in range(64 + 4 * n * max(len(a) for a in mdp.act)):
+        improved = False
+        for s in range(n):
+            if s in target or s in zero:
+                continue
+            best_val = values[s]
+            best_ai = None
+            for ai in mdp.act[s]:
+                backup = sum(p * values[t] for t, p in mdp.actions[ai].dist)
+                if backup > best_val:
+                    best_val = backup
+                    best_ai = ai
+            if best_ai is not None:
+                policy[s] = best_ai
+                improved = True
+        if not improved:
+            break
+        values = _dense_evaluate_policy(mdp, policy, target)
+    else:
+        raise MdpError("policy iteration failed to converge")
+
+    selector = list(policy)
+    assigned = set(target) | zero
+    while True:
+        added = False
+        for s in range(n):
+            if s in assigned:
+                continue
+            for ai in mdp.act[s]:
+                action = mdp.actions[ai]
+                backup = sum(p * values[t] for t, p in action.dist)
+                if backup == values[s] and any(
+                    t in assigned and (t in target or values[t] > 0)
+                    for t, _ in action.dist
+                ):
+                    selector[s] = ai
+                    assigned.add(s)
+                    added = True
+                    break
+        if not added:
+            break
+    if len(assigned) != n:
+        raise MdpError("failed to extract a proper optimal selector")
+    if _dense_evaluate_policy(mdp, selector, target) != values:
+        raise MdpError("extracted selector does not realize the optimal values")
+    value_map = {mdp.states[s]: values[s] for s in range(n)}
+    selector_map = {mdp.states[s]: mdp.actions[selector[s]].name for s in range(n)}
+    return value_map, selector_map
+
+
+def ruin_mdp(n, p, reflecting):
+    """Gambler's-ruin line shaped like the benchmark's reach workload: x0 is
+    broke (absorbing, or bouncing to x1 when reflecting), x{n-1} is the goal,
+    and each interior state bets timidly (+-1) or boldly (+-2), winning with
+    probability p."""
+    last = n - 1
+    actions = [MdpAction("bounce" if reflecting else "stay0", 0, ((1 if reflecting else 0, _ONE),))]
+    for k in range(1, last):
+        actions.append(MdpAction(f"timid{k}", k, ((k + 1, p), (k - 1, 1 - p))))
+        actions.append(MdpAction(f"bold{k}", k, ((min(k + 2, last), p), (max(k - 2, 0), 1 - p))))
+    actions.append(MdpAction(f"stay{last}", last, ((last, _ONE),)))
+    return Mdp([f"x{k}" for k in range(n)], actions, n // 2)
+
+
+def shift(w, n):
+    """The suffix word starting at position n, again as a lasso."""
+    s, l = len(w.stem), len(w.loop)
+    if n <= s:
+        return Lasso(w.stem[n:], w.loop)
+    k = (n - s) % l
+    return Lasso((), w.loop[k:] + w.loop[:k])
+
+
+def models_at(w, phi, n):
+    """Truth of the formula on the suffix starting at position n."""
+    ev = _Eval(w)
+    return ev.holds(phi, ev.fold(n))
+
+
+def models_boolfn(w, f, n=0):
+    """Truth of a Boolean function over non-Boolean formulas on a suffix."""
+    ev = _Eval(w)
+    pos = ev.fold(n)
+    true_vars = frozenset(
+        uid for uid in f.variables() if ev.holds(Formula.by_uid(uid), pos)
+    )
+    return f.holds_under(true_vars)

@@ -18,7 +18,6 @@ from freqsynth.formula import always, eventually, parse_formula, tt
 from freqsynth.lasso import (
     freq_on_lasso,
     models,
-    models_boolfn,
     random_lasso,
     rec_truth,
 )
@@ -47,6 +46,7 @@ from helpers import (
     decide_then_maximize_margin,
     enumerate_md_strategies,
     md_strategy_satisfies,
+    models_boolfn,
     random_fragment_formula,
     random_markov_chain,
     random_strongly_connected_mdp,

@@ -1,7 +1,16 @@
+import io
+import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from freqsynth import cli
+from freqsynth.formula import parse_formula
 
 MODEL = """\
 mdp
@@ -133,3 +142,94 @@ def test_byte_identical_reruns(model_file, tmp_path):
     s2 = run_cli("simulate", "--model", model_file, "--formula", "G b",
                  "--steps", "5000", "--seed", "3", "--episodes", "3")
     assert s1.stdout == s2.stdout
+
+
+def main_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_error_line(code, err):
+    assert code == 2
+    assert err.startswith("error: ") and err.endswith("\n"), err
+    assert err.count("\n") == 1, err
+
+
+FORMULA_TOKENS = (
+    "a", "b", "(", ")", "!", "&", "|", "U", "->", "X", "F", "G", "{", "}",
+    ">=", ">", ",", "inf", "sup", "1/2", "0.5", "2", "/", "0", "tt", "ff",
+    "$", "\u00b2", "\u0663", ".", "\n",
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(FORMULA_TOKENS), max_size=12).map(" ".join),
+        st.text(max_size=12),
+    )
+)
+def test_fuzzed_malformed_formula_gives_one_error_line(text):
+    try:
+        parse_formula(text)
+    except ValueError:
+        pass
+    else:
+        assume(False)  # well-formed formulas are not this test's subject
+    code, _, err = main_in_process(["automaton", "--formula=" + text])
+    assert_one_error_line(code, err)
+
+
+MODEL_LINES = (
+    "mdp", "states s t", "states s s", "states", "init s", "init u", "init",
+    "label s a", "label u a", "label", "action s go : t 1",
+    "action s go : t 1/2 , s 1/2", "action t stay : t 1",
+    "action s x : t 1/3", "action s y : u 1", "action s z : t 0 , s 1",
+    "action s w t 1", "action s v : t 1 , t 0", "action s q : t x",
+    "action : t 1", "action s r : t 1/0", "bogus", "# note",
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(MODEL_LINES), st.text(max_size=8)), max_size=8
+    ).map("\n".join)
+)
+def test_fuzzed_model_is_parsed_or_gives_one_error_line(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.mdp")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code, out, err = main_in_process(["mec", "--model", path])
+    if code == 0:
+        assert out.startswith("mecs: ") and err == ""
+    else:
+        assert_one_error_line(code, err)
+
+
+LETTER_TOKENS = (
+    "{", "}", "{}", "{a}", "{a b}", ";", "a", " ", "{1}", "{a-b}", "{_x}",
+    "{ }", "}{", "{{}}", "\n",
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(LETTER_TOKENS), max_size=8).map("".join),
+        st.text(max_size=12),
+    ),
+    st.booleans(),
+)
+def test_fuzzed_letters_are_parsed_or_give_one_error_line(text, as_loop):
+    stem, loop = ("{}", text) if as_loop else (text, "{a}")
+    code, out, err = main_in_process(
+        ["check-word", "--formula=a", "--stem=" + stem, "--loop=" + loop]
+    )
+    if code == 2:
+        assert_one_error_line(code, err)
+    else:
+        assert code == 0 and out.endswith("MATCH\n") and err == ""

@@ -10,15 +10,13 @@ from freqsynth.lasso import (
     freq_on_lasso,
     lasso_to_str,
     models,
-    models_at,
     parse_lasso,
     parse_letters,
     random_lasso,
     rec_truth,
-    shift,
 )
 
-from helpers import random_fragment_formula
+from helpers import models_at, random_fragment_formula, shift
 
 
 A = frozenset("a")

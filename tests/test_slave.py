@@ -4,7 +4,7 @@ from fractions import Fraction
 from freqsynth.boolfn import FALSE, TRUE, formula_to_boolfn, rank
 from freqsynth.dgrma import run_cycle
 from freqsynth.formula import always, atom, eventually, parse_formula
-from freqsynth.lasso import freq_on_lasso, models, models_at, random_lasso, rec_truth
+from freqsynth.lasso import freq_on_lasso, models, random_lasso, rec_truth
 from freqsynth.slave import (
     buchi_accepting_sets,
     build_count_lts,
@@ -15,7 +15,7 @@ from freqsynth.slave import (
 )
 from freqsynth.dgrma import rec_set
 
-from helpers import random_ufree_formula
+from helpers import models_at, random_ufree_formula
 
 
 def _letter(*atoms):

@@ -6,10 +6,11 @@ import pytest
 from freqsynth import simplex
 from freqsynth.dgrma import build_dgrma
 from freqsynth.formula import parse_formula
-from freqsynth.mdp import mec_decomposition, parse_mdp, product_mdp, restrict
+from freqsynth.mdp import MdpError, mec_decomposition, parse_mdp, product_mdp, restrict
 from freqsynth.mecanalysis import GbmpCondition, MpBound
 from freqsynth.synthesis import (
     SynthesisError,
+    _check_selector,
     lift_pair,
     max_reach,
     simulate_global,
@@ -20,8 +21,11 @@ from freqsynth.synthesis import (
 from helpers import (
     chain_pipeline_probability,
     corpus_formulas,
+    dense_max_reach,
     random_markov_chain,
+    random_mdp,
     random_strongly_connected_mdp,
+    ruin_mdp,
 )
 
 LEAKY = """\
@@ -56,6 +60,75 @@ def test_max_reach_coin_flip():
     values, selector = max_reach(mdp, {"win"})
     assert values["s"] == Fr(1, 2)
     assert selector["s"] == "flip"
+
+
+def _assert_matches_dense_oracle(mdp, target):
+    values, selector = max_reach(mdp, target)
+    dense_values, dense_selector = dense_max_reach(mdp, target)
+    assert list(values.items()) == list(dense_values.items())
+    assert list(selector.items()) == list(dense_selector.items())
+
+
+def test_max_reach_matches_dense_oracle_on_random_mdps():
+    rng = random.Random(4242)
+    for _ in range(2000):
+        mdp = random_mdp(rng, 7, 3)
+        k = rng.randint(1, len(mdp))
+        _assert_matches_dense_oracle(
+            mdp, {mdp.states[s] for s in rng.sample(range(len(mdp)), k)}
+        )
+
+
+@pytest.mark.parametrize("reflecting", [False, True])
+def test_max_reach_matches_dense_oracle_on_ruin_lines(reflecting):
+    for n in (9, 16, 26):
+        for p in (Fr(2, 5), Fr(9, 20), Fr(1, 2)):
+            mdp = ruin_mdp(n, p, reflecting)
+            _assert_matches_dense_oracle(mdp, {f"x{n - 1}"})
+            _assert_matches_dense_oracle(mdp, {"x2", f"x{n - 1}"})
+
+
+def test_selector_skips_an_optimal_self_loop():
+    # State s (index 1) lists a self-loop first: it is optimal (its backup
+    # is s's value 1) but never reaches the target {t}, so the selector
+    # must take the second action.
+    mdp, _ = parse_mdp(
+        "mdp\nstates t s\ninit s\n"
+        "action t stay : t 1\n"
+        "action s loop : s 1\n"
+        "action s go : t 1\n"
+    )
+    values, selector = max_reach(mdp, {"t"})
+    assert values == {"t": 1, "s": 1}
+    assert selector["s"] == "go"
+
+
+def test_check_selector_rejects_tampered_certificates():
+    mdp = ruin_mdp(12, Fr(2, 5), False)
+    goal = {len(mdp) - 1}
+    value_map, selector_map = max_reach(mdp, {mdp.states[s] for s in goal})
+    values = [value_map[s] for s in mdp.states]
+    selector = [mdp.action_index[selector_map[s]] for s in mdp.states]
+    _check_selector(mdp, selector, values, goal)
+
+    def rejects(selector, values):
+        with pytest.raises(MdpError, match="does not realize"):
+            _check_selector(mdp, selector, values, goal)
+
+    broke = 0  # absorbing, value 0
+    rejects(selector, [Fr(1, 2) if s in goal else v for s, v in enumerate(values)])
+    rejects(selector, [Fr(1, 3) if s == broke else v for s, v in enumerate(values)])
+    mid = len(mdp) // 2
+    rejects(selector, [v + Fr(1, 1000) if s == mid else v for s, v in enumerate(values)])
+    worse = next(
+        (s, ai)
+        for s in range(len(mdp))
+        for ai in mdp.act[s]
+        if sum(p * values[t] for t, p in mdp.actions[ai].dist) < values[s]
+    )
+    swapped = list(selector)
+    swapped[worse[0]] = worse[1]
+    rejects(swapped, values)
 
 
 def test_synthesize_probability_one_loop():
