@@ -261,6 +261,25 @@ def step(f: BoolFn, letter: frozenset) -> BoolFn:
     return substitute(f, image)
 
 
+def step_row(f: BoolFn, alphabet) -> list[BoolFn]:
+    """``[step(f, letter) for letter in alphabet]``, stepping once per
+    distinct restriction of a letter to the atoms that f's literals read."""
+    read = frozenset(
+        v.name
+        for v in map(Formula.by_uid, f.variables())
+        if v.kind in (AP, NAP)
+    )
+    by_read: dict = {}
+    row = []
+    for letter in alphabet:
+        seen = letter & read
+        nxt = by_read.get(seen)
+        if nxt is None:
+            nxt = by_read[seen] = step(f, seen)
+        row.append(nxt)
+    return row
+
+
 def formula_rank(phi: Formula) -> int:
     """Steps before the formula is insensitive to letters: literals rank 1,
     X adds one, fixed operators (U, F, G, frequency-G) rank 0."""

@@ -127,13 +127,14 @@ def build_dgrma(
             components.append(build_token_lts(slave, cap))
 
     parts = [master] + components
+    # Every part reads the same alphabet, so a product row zips part rows.
+    deltas = [p.delta for p in parts]
 
-    def successor(payload, letter):
-        li = master.letter_index[letter]
-        return tuple(parts[i].delta[payload[i]][li] for i in range(len(parts)))
+    def successors(payload, alphabet):
+        return list(zip(*[d[s] for d, s in zip(deltas, payload)]))
 
     lts = build_lts(
-        tuple(p.init for p in parts), successor, atoms, cap, what="product automaton"
+        tuple(p.init for p in parts), successors, atoms, cap, what="product automaton"
     )
 
     pairs = _build_pairs(lts, master, rec, slaves, components)
@@ -142,9 +143,15 @@ def build_dgrma(
 
 def _build_pairs(lts, master, rec, slaves, components) -> list[GrmpPair]:
     n = len(rec)
+    # comp_of[0][q] is product state q's master state, comp_of[i + 1][q] its
+    # state of components[i].
+    comp_of = list(zip(*lts.states))
     all_states = frozenset(range(len(lts)))
     # Substituted-token conjunctions are shared across masks via this cache.
     token_conj_cache: dict = {}
+    # Product states grouped by (master state, G-member component states),
+    # per set of assumed G-members.
+    groups_by_g: dict = {}
     pairs = []
     for mask in range(1 << n):
         chosen = [i for i in range(n) if mask >> i & 1]
@@ -164,53 +171,46 @@ def _build_pairs(lts, master, rec, slaves, components) -> list[GrmpPair]:
                 token_conj_cache[key] = got
             return got
 
+        def proved(key) -> bool:
+            conj = base
+            for i, comp_state in zip(g_members, key[1:]):
+                conj = bf_and(conj, token_conj(i, comp_state))
+            goal = master.states[key[0]]
+            return all(goal.holds_under(m) for m in conj.models)
+
         # Master part: eventually prohibit states whose master formula is not
         # provable from the assumptions plus the substituted G-slave tokens.
+        groups = groups_by_g.get(tuple(g_members))
+        if groups is None:
+            groups = groups_by_g[tuple(g_members)] = {}
+            keys = zip(comp_of[0], *[comp_of[i + 1] for i in g_members])
+            for q, key in enumerate(keys):
+                groups.setdefault(key, []).append(q)
         fin = set()
-        proved_cache: dict = {}
-        for q, payload in enumerate(lts.states):
-            key = (payload[0],) + tuple(payload[i + 1] for i in g_members)
-            proved = proved_cache.get(key)
-            if proved is None:
-                conj = base
-                for i in g_members:
-                    conj = bf_and(conj, token_conj(i, payload[i + 1]))
-                goal = master.states[payload[0]]
-                proved = all(goal.holds_under(m) for m in conj.models)
-                proved_cache[key] = proved
-            if not proved:
-                fin.add(q)
+        for key, members in groups.items():
+            if not proved(key):
+                fin.update(members)
 
         infs = []
         mps = []
         degenerate = False
         for i in chosen:
             rho = rec[i]
+            col = comp_of[i + 1]
             if rho.kind == EVENTUALLY:
                 good = buchi_accepting_sets(slaves[i], components[i], assumed)
-                lifted = frozenset(
-                    q for q, payload in enumerate(lts.states) if payload[i + 1] in good
-                )
+                lifted = frozenset(q for q, s in enumerate(col) if s in good)
                 if not lifted:
                     degenerate = True
                     break
                 infs.append(lifted)
             elif rho.kind == ALWAYS:
                 bad = cobuchi_rejecting_sets(slaves[i], components[i], assumed)
-                fin.update(
-                    q for q, payload in enumerate(lts.states) if payload[i + 1] in bad
-                )
+                fin.update(q for q, s in enumerate(col) if s in bad)
             else:
                 rewards = mp_reward(slaves[i], components[i], assumed)
                 cmp, p, ext = rho.bound
-                mps.append(
-                    MpAtom(
-                        ext,
-                        cmp,
-                        p,
-                        tuple(rewards[payload[i + 1]] for payload in lts.states),
-                    )
-                )
+                mps.append(MpAtom(ext, cmp, p, tuple(map(rewards.__getitem__, col))))
         if degenerate or frozenset(fin) == all_states:
             continue
         pairs.append(GrmpPair(assumed, frozenset(fin), tuple(infs), tuple(mps)))

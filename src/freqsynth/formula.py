@@ -7,6 +7,7 @@ order on subformulas used by the Boolean-function layer.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
@@ -503,9 +504,22 @@ def _parse_primary(lx: _Lexer) -> Formula:
     raise FormulaSyntaxError(f"expected a formula, found {value!r}", pos)
 
 
+_RATIONAL_LITERAL = re.compile(r"[0-9]+(/[0-9]+|\.[0-9]+)?")
+
+
+def rational_literal(text: str) -> Fraction:
+    """Exact value of an ``INT``, ``INT/INT`` or decimal (``INT.DIGITS``)
+    literal.  Anything else, signs and exponent notation included, raises
+    ValueError before any digits are converted; a zero denominator raises
+    ZeroDivisionError."""
+    if _RATIONAL_LITERAL.fullmatch(text) is None:
+        raise ValueError("expected INT, INT/INT or a decimal")
+    return Fraction(text)
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or a decimal literal into an exact rational."""
+    """Parse 'p/q', an integer or a decimal literal into an exact rational."""
     try:
-        return Fraction(text.strip())
+        return rational_literal(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise FormulaError(f"bad rational {text!r}: {exc}") from None

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Iterable, Optional
 
 from .lasso import Letter, letter_to_str
@@ -71,7 +70,7 @@ class Lts:
 
 def build_lts(
     init_payload,
-    successor: Callable,
+    successors: Callable,
     atoms: Iterable[str],
     cap: int,
     is_terminal: Callable = None,
@@ -79,31 +78,33 @@ def build_lts(
 ) -> Lts:
     """Breadth-first construction of the reachable deterministic LTS.
 
-    ``successor(payload, letter)`` yields the next payload; states where
-    ``is_terminal`` holds get no outgoing transitions.
+    ``successors(payload, alphabet)`` returns the whole row: the list of next
+    payloads, one per letter of ``alphabet`` in its order.  The row's new
+    payloads are numbered in order of first appearance, each checked against
+    the cap as it is added, so the numbering is that of a letter-by-letter
+    breadth-first search.  States where ``is_terminal`` holds get no
+    outgoing transitions.
     """
     alphabet = powerset_alphabet(atoms)
     states = [init_payload]
     index = {init_payload: 0}
     delta: list = [None]
-    queue = deque([0])
-    while queue:
-        q = queue.popleft()
+    q = 0
+    while q < len(states):
         payload = states[q]
-        if is_terminal is not None and is_terminal(payload):
-            continue
-        row = []
-        for letter in alphabet:
-            nxt = successor(payload, letter)
-            target = index.get(nxt)
-            if target is None:
-                if len(states) >= cap:
-                    raise StateCapExceeded(what, cap)
-                target = len(states)
-                index[nxt] = target
-                states.append(nxt)
-                delta.append(None)
-                queue.append(target)
-            row.append(target)
-        delta[q] = row
+        if is_terminal is None or not is_terminal(payload):
+            succ = successors(payload, alphabet)
+            local = dict.fromkeys(succ)
+            for nxt in local:
+                target = index.get(nxt)
+                if target is None:
+                    if len(states) >= cap:
+                        raise StateCapExceeded(what, cap)
+                    target = len(states)
+                    index[nxt] = target
+                    states.append(nxt)
+                    delta.append(None)
+                local[nxt] = target
+            delta[q] = list(map(local.__getitem__, succ))
+        q += 1
     return Lts(atoms, alphabet, states, index, 0, delta)

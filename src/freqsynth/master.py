@@ -4,16 +4,11 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .boolfn import BoolFn, formula_to_boolfn, step, unfold
+from .boolfn import formula_to_boolfn, step_row, unfold
 from .formula import Formula, FormulaError, atoms_of, in_fragment
 from .lts import Lts, build_lts
 
 DEFAULT_STATE_CAP = 100_000
-
-
-def master_successor(state: BoolFn, letter: frozenset) -> BoolFn:
-    """One master move: expand every obligation, then take the step."""
-    return step(unfold(state), letter)
 
 
 def build_master(
@@ -21,7 +16,9 @@ def build_master(
 ) -> Lts:
     """Reachable master LTS over the powerset of the given atoms.
 
-    States are canonical Boolean functions; tt and ff are absorbing.
+    States are canonical Boolean functions; tt and ff are absorbing.  A
+    master move expands every obligation once per state, then steps the
+    expansion under each letter.
     """
     if not in_fragment(phi):
         raise FormulaError(f"{phi} has an until inside a globally operator")
@@ -30,7 +27,7 @@ def build_master(
         atoms |= set(ap)
     return build_lts(
         formula_to_boolfn(phi),
-        master_successor,
+        lambda state, alphabet: step_row(unfold(state), alphabet),
         atoms,
         cap,
         what="master LTS",

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .formula import rational_literal
 from .lts import Lts, StateCapExceeded
 
 
@@ -154,7 +154,7 @@ def parse_mdp(text: str) -> tuple[Mdp, Valuation]:
                 raise MdpError(f"line {lineno}: duplicate target {target!r}")
             seen_targets.add(target)
             try:
-                prob = Fraction(prob_text)
+                prob = rational_literal(prob_text)
             except (ValueError, ZeroDivisionError):
                 raise MdpError(f"line {lineno}: bad probability {prob_text!r}") from None
             entries.append((index[target], prob))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .boolfn import BoolFn, formula_to_boolfn, proves, rank, step
+from .boolfn import BoolFn, formula_to_boolfn, proves, rank, step_row
 from .formula import Formula, FormulaError
 from .lts import Lts, build_lts
 
@@ -53,7 +53,7 @@ def build_slave_lts(
     init = formula_to_boolfn(xi)
     lts = build_lts(
         init,
-        step,
+        step_row,
         atoms,
         cap,
         is_terminal=lambda f: rank(f) == 0,
@@ -70,20 +70,33 @@ def build_slave_lts(
     return SlaveLts(lts, sinks)
 
 
+def _live_columns(slave: SlaveLts, tokens) -> list:
+    """Transition rows of the token positions outside the sinks, plus one
+    constant column that spawns the fresh token at the initial state."""
+    inner = slave.lts
+    cols = [inner.delta[q] for q in tokens if q not in slave.sinks]
+    cols.append([inner.init] * len(inner.alphabet))
+    return cols
+
+
 def build_token_lts(slave: SlaveLts, cap: int = DEFAULT_STATE_CAP) -> Lts:
     """Subset construction: spawn a token at the initial state every step,
     advance the survivors, drop the ones already resting in a sink."""
     inner = slave.lts
 
-    def successor(tokens: TokenSet, letter) -> TokenSet:
-        li = inner.letter_index[letter]
-        moved = {inner.delta[q][li] for q in tokens if q not in slave.sinks}
-        moved.add(inner.init)
-        return frozenset(moved)
+    def successors(tokens: TokenSet, alphabet) -> list[TokenSet]:
+        by_targets: dict = {}
+        row = []
+        for targets in zip(*_live_columns(slave, tokens)):
+            nxt = by_targets.get(targets)
+            if nxt is None:
+                nxt = by_targets[targets] = frozenset(targets)
+            row.append(nxt)
+        return row
 
     return build_lts(
         frozenset([inner.init]),
-        successor,
+        successors,
         inner.atoms,
         cap,
         what="token LTS",
@@ -115,19 +128,25 @@ def build_count_lts(slave: SlaveLts, cap: int = DEFAULT_STATE_CAP) -> Lts:
     size = len(inner)
     bound = size  # acyclicity keeps at most one token per rank level alive
 
-    def successor(counts: TokenCounts, letter) -> TokenCounts:
-        li = inner.letter_index[letter]
-        nxt = [0] * size
-        for q, c in enumerate(counts):
-            if c and q not in slave.sinks:
-                nxt[inner.delta[q][li]] += c
-        nxt[inner.init] += 1
-        if max(nxt) > bound:
-            raise FormulaError("token count exceeded the slave size bound")
-        return tuple(nxt)
+    def successors(counts: TokenCounts, alphabet) -> list[TokenCounts]:
+        live = [q for q, c in enumerate(counts) if c and q not in slave.sinks]
+        weights = [counts[q] for q in live] + [1]
+        by_targets: dict = {}
+        row = []
+        for targets in zip(*_live_columns(slave, live)):
+            nxt = by_targets.get(targets)
+            if nxt is None:
+                acc = [0] * size
+                for t, c in zip(targets, weights):
+                    acc[t] += c
+                if max(acc) > bound:
+                    raise FormulaError("token count exceeded the slave size bound")
+                nxt = by_targets[targets] = tuple(acc)
+            row.append(nxt)
+        return row
 
     init = tuple(1 if q == inner.init else 0 for q in range(size))
-    return build_lts(init, successor, inner.atoms, cap, what="counting LTS")
+    return build_lts(init, successors, inner.atoms, cap, what="counting LTS")
 
 
 def mp_reward(

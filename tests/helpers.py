@@ -12,15 +12,32 @@ over a tableau of Fractions that the integer-row tableau replaced,
 ``rescan_build_lp`` is the flow-system builder that scanned every action
 distribution once per state, and ``dense_max_reach`` is maximal reachability
 by dense solves (``gauss_solve``) and the rescan selector loop, which the
-sparse solve and the replayed selector replaced.  ``shift``, ``models_at`` and
-``models_boolfn`` are lasso helpers that only the tests use.
+sparse solve and the replayed selector replaced.  ``letterwise_build_lts`` is
+the transition-system builder that called its successor once per letter, and
+``letterwise_build_dgrma`` builds the master, slave, token, counting and
+product automata with it, one successor call per (state, letter), and the
+acceptance pairs by walking every product state's payload per assumption set
+(``letterwise_build_pairs``); row-at-a-time translation replaced both.
+``shift``, ``models_at`` and ``models_boolfn`` are lasso helpers that only the
+tests use.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
+
+from freqsynth.boolfn import (
+    bf_and,
+    bf_and_many,
+    formula_to_boolfn,
+    rank,
+    step,
+    substitute_ff,
+    unfold,
+)
 
 from freqsynth.formula import (
     Formula,
@@ -37,9 +54,15 @@ from freqsynth.formula import (
     until,
 )
 from freqsynth.lasso import Lasso, _Eval
-from freqsynth.lts import StateCapExceeded
-from freqsynth.dgrma import build_dgrma
-from freqsynth.formula import GT
+from freqsynth.lts import Lts, StateCapExceeded, powerset_alphabet
+from freqsynth.dgrma import Dgrma, GrmpPair, MpAtom, build_dgrma, rec_set
+from freqsynth.formula import ALWAYS, EVENTUALLY, FREQ, GT, FormulaError, atoms_of
+from freqsynth.slave import (
+    SlaveLts,
+    buchi_accepting_sets,
+    cobuchi_rejecting_sets,
+    mp_reward,
+)
 from freqsynth.mdp import (
     EndComponent,
     Mdp,
@@ -810,3 +833,187 @@ def models_boolfn(w, f, n=0):
         uid for uid in f.variables() if ev.holds(Formula.by_uid(uid), pos)
     )
     return f.holds_under(true_vars)
+
+
+def letterwise_build_lts(
+    init_payload, successor, atoms, cap, is_terminal=None, what="transition system"
+):
+    """Breadth-first LTS construction with ``successor(payload, letter)``
+    called once per letter of each row."""
+    alphabet = powerset_alphabet(atoms)
+    states = [init_payload]
+    index = {init_payload: 0}
+    delta: list = [None]
+    queue = deque([0])
+    while queue:
+        q = queue.popleft()
+        payload = states[q]
+        if is_terminal is not None and is_terminal(payload):
+            continue
+        row = []
+        for letter in alphabet:
+            nxt = successor(payload, letter)
+            target = index.get(nxt)
+            if target is None:
+                if len(states) >= cap:
+                    raise StateCapExceeded(what, cap)
+                target = len(states)
+                index[nxt] = target
+                states.append(nxt)
+                delta.append(None)
+                queue.append(target)
+            row.append(target)
+        delta[q] = row
+    return Lts(atoms, alphabet, states, index, 0, delta)
+
+
+def _letterwise_token_lts(slave, cap):
+    inner = slave.lts
+
+    def successor(tokens, letter):
+        li = inner.letter_index[letter]
+        moved = {inner.delta[q][li] for q in tokens if q not in slave.sinks}
+        moved.add(inner.init)
+        return frozenset(moved)
+
+    return letterwise_build_lts(
+        frozenset([inner.init]), successor, inner.atoms, cap, what="token LTS"
+    )
+
+
+def _letterwise_count_lts(slave, cap):
+    inner = slave.lts
+    size = len(inner)
+
+    def successor(counts, letter):
+        li = inner.letter_index[letter]
+        nxt = [0] * size
+        for q, c in enumerate(counts):
+            if c and q not in slave.sinks:
+                nxt[inner.delta[q][li]] += c
+        nxt[inner.init] += 1
+        if max(nxt) > size:
+            raise FormulaError("token count exceeded the slave size bound")
+        return tuple(nxt)
+
+    init = tuple(1 if q == inner.init else 0 for q in range(size))
+    return letterwise_build_lts(init, successor, inner.atoms, cap, what="counting LTS")
+
+
+def letterwise_build_dgrma(phi, ap=None, cap=100_000):
+    """``build_dgrma`` with one successor call per (state, letter) in every
+    automaton and the per-payload pair construction."""
+    atoms = set(atoms_of(phi)) | set(ap or ())
+    master = letterwise_build_lts(
+        formula_to_boolfn(phi),
+        lambda f, letter: step(unfold(f), letter),
+        atoms,
+        cap,
+        what="master LTS",
+    )
+    rec = rec_set(phi)
+    slaves = []
+    components = []
+    for rho in rec:
+        inner = letterwise_build_lts(
+            formula_to_boolfn(rho.children[0]),
+            step,
+            atoms,
+            cap,
+            is_terminal=lambda f: rank(f) == 0,
+            what="slave LTS",
+        )
+        sinks = frozenset(q for q, f in enumerate(inner.states) if rank(f) == 0)
+        slave = SlaveLts(inner, sinks)
+        slaves.append(slave)
+        if rho.kind == FREQ:
+            components.append(_letterwise_count_lts(slave, cap))
+        else:
+            components.append(_letterwise_token_lts(slave, cap))
+    parts = [master] + components
+
+    def successor(payload, letter):
+        li = master.letter_index[letter]
+        return tuple(parts[i].delta[payload[i]][li] for i in range(len(parts)))
+
+    lts = letterwise_build_lts(
+        tuple(p.init for p in parts), successor, atoms, cap, what="product automaton"
+    )
+    pairs = letterwise_build_pairs(lts, master, rec, slaves, components)
+    return Dgrma(phi, lts, master, rec, slaves, components, pairs)
+
+
+def letterwise_build_pairs(lts, master, rec, slaves, components):
+    """Acceptance pairs, deciding the master part state by state (memoized
+    per key) and lifting every set through each product payload."""
+    n = len(rec)
+    all_states = frozenset(range(len(lts)))
+    token_conj_cache: dict = {}
+    pairs = []
+    for mask in range(1 << n):
+        chosen = [i for i in range(n) if mask >> i & 1]
+        assumed = tuple(rec[i] for i in chosen)
+        dropped = [rec[i] for i in range(n) if not mask >> i & 1]
+        base = bf_and_many(formula_to_boolfn(rho) for rho in assumed)
+        g_members = [i for i in chosen if rec[i].kind == ALWAYS]
+
+        def token_conj(i, comp_state):
+            key = (mask, i, comp_state)
+            got = token_conj_cache.get(key)
+            if got is None:
+                tokens = components[i].states[comp_state]
+                got = bf_and_many(
+                    substitute_ff(slaves[i].state(q), dropped) for q in sorted(tokens)
+                )
+                token_conj_cache[key] = got
+            return got
+
+        fin = set()
+        proved_cache: dict = {}
+        for q, payload in enumerate(lts.states):
+            key = (payload[0],) + tuple(payload[i + 1] for i in g_members)
+            proved = proved_cache.get(key)
+            if proved is None:
+                conj = base
+                for i in g_members:
+                    conj = bf_and(conj, token_conj(i, payload[i + 1]))
+                goal = master.states[payload[0]]
+                proved = all(goal.holds_under(m) for m in conj.models)
+                proved_cache[key] = proved
+            if not proved:
+                fin.add(q)
+
+        infs = []
+        mps = []
+        degenerate = False
+        for i in chosen:
+            rho = rec[i]
+            if rho.kind == EVENTUALLY:
+                good = buchi_accepting_sets(slaves[i], components[i], assumed)
+                lifted = frozenset(
+                    q for q, payload in enumerate(lts.states) if payload[i + 1] in good
+                )
+                if not lifted:
+                    degenerate = True
+                    break
+                infs.append(lifted)
+            elif rho.kind == ALWAYS:
+                bad = cobuchi_rejecting_sets(slaves[i], components[i], assumed)
+                fin.update(
+                    q for q, payload in enumerate(lts.states) if payload[i + 1] in bad
+                )
+            else:
+                rewards = mp_reward(slaves[i], components[i], assumed)
+                cmp, p, ext = rho.bound
+                mps.append(
+                    MpAtom(
+                        ext,
+                        cmp,
+                        p,
+                        tuple(rewards[payload[i + 1]] for payload in lts.states),
+                    )
+                )
+        if degenerate or frozenset(fin) == all_states:
+            continue
+        pairs.append(GrmpPair(assumed, frozenset(fin), tuple(infs), tuple(mps)))
+    return pairs

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -233,3 +234,36 @@ def test_fuzzed_letters_are_parsed_or_give_one_error_line(text, as_loop):
         assert_one_error_line(code, err)
     else:
         assert code == 0 and out.endswith("MATCH\n") and err == ""
+
+
+NOT_LITERALS = ("1e-10000000", "1E5", "-1/2", "+1", ".5", "0x10", "1_0", "inf")
+
+
+@pytest.mark.parametrize("token", NOT_LITERALS)
+def test_probability_outside_the_literal_grammar_is_a_model_error(tmp_path, token):
+    path = tmp_path / "m.mdp"
+    path.write_text(MODEL.replace("s1 1/2", f"s1 {token}"))
+    start = time.perf_counter()
+    code, _, err = main_in_process(["mec", "--model", str(path)])
+    assert time.perf_counter() - start < 0.1
+    assert_one_error_line(code, err)
+    assert f"line 6: bad probability {token!r}" in err
+
+
+@pytest.mark.parametrize("token", NOT_LITERALS)
+def test_threshold_outside_the_literal_grammar_is_rejected(model_file, token):
+    start = time.perf_counter()
+    code, _, err = main_in_process(
+        ["synth", "--model", model_file, "--formula", "F a", "--threshold=" + token]
+    )
+    assert time.perf_counter() - start < 0.1
+    assert_one_error_line(code, err)
+    assert f"bad rational {token!r}" in err
+
+
+def test_integer_fraction_and_decimal_literals_are_accepted(model_file):
+    for token in ("1", "1/2", "0.5", "0.50"):
+        code, out, _ = main_in_process(
+            ["synth", "--model", model_file, "--formula", "F a", "--threshold", token]
+        )
+        assert code == 0 and "threshold_met: yes" in out, token

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from freqsynth.boolfn import TRUE
+import freqsynth.dgrma
+from freqsynth.boolfn import TRUE, step, step_row, unfold
 from freqsynth.dgrma import (
     acceptance_dump,
     accepts_lasso,
@@ -16,7 +17,7 @@ from freqsynth.formula import parse_formula
 from freqsynth.lasso import Lasso, models, random_lasso
 from freqsynth.lts import StateCapExceeded
 
-from helpers import random_fragment_formula
+from helpers import letterwise_build_dgrma, random_fragment_formula
 
 A = frozenset("a")
 E = frozenset()
@@ -159,3 +160,79 @@ def test_acceptance_dump_and_dot():
 def test_state_cap_exceeded():
     with pytest.raises(StateCapExceeded):
         build_dgrma(parse_formula("G F (a & X b & X X c)"), cap=4)
+
+
+WIDE_FORMULA = (
+    "((l U b) -> G{>=0.99,inf}(r -> X(f & F c)))"
+    " & ((l U w) -> G{>=0.85,inf}(r -> (X p | X X p)))"
+)
+
+
+def _translate(build, phi, extra, cap):
+    try:
+        return build(phi, extra, cap)
+    except StateCapExceeded as exc:
+        return str(exc)
+
+
+def test_row_translation_matches_letterwise_oracle():
+    # Row-at-a-time translation must number the same states in the same
+    # order, with the same rows and acceptance, as one call per letter; a
+    # small cap must stop both in the same automaton.
+    rng = random.Random(8)
+    built = capped = 0
+    for _ in range(300):
+        phi = random_fragment_formula(rng, rng.randint(2, 12), ["a", "b", "c"])
+        extra = ["x", "y"][: rng.randint(0, 2)]
+        for cap in (10_000, rng.randint(1, 12)):
+            aut = _translate(build_dgrma, phi, extra, cap)
+            ref = _translate(letterwise_build_dgrma, phi, extra, cap)
+            if isinstance(ref, str):
+                assert aut == ref, phi
+                capped += 1
+                continue
+            built += 1
+            got = [aut.lts, aut.master] + [s.lts for s in aut.slaves] + aut.components
+            want = [ref.lts, ref.master] + [s.lts for s in ref.slaves] + ref.components
+            for g, w in zip(got, want, strict=True):
+                assert g.alphabet == w.alphabet, phi
+                assert g.states == w.states, phi
+                assert g.delta == w.delta, phi
+            assert acceptance_dump(aut) == acceptance_dump(ref), phi
+            alphabet = aut.lts.alphabet
+            stepped = [g for f in aut.master.states for g in (f, unfold(f))]
+            for slave in aut.slaves:
+                stepped += [f for q, f in enumerate(slave.lts.states) if q not in slave.sinks]
+            for f in stepped:
+                assert step_row(f, alphabet) == [step(f, l) for l in alphabet], phi
+    assert built >= 300 and capped >= 100
+
+
+def test_translation_goes_through_the_traced_builders(monkeypatch):
+    # The benchmark times translation layers by wrapping these names in
+    # freqsynth.dgrma; each must stay on build_dgrma's call path.
+    calls = {}
+    names = (
+        "build_lts",
+        "build_master",
+        "build_slave_lts",
+        "build_token_lts",
+        "build_count_lts",
+    )
+    for name in names:
+        original = getattr(freqsynth.dgrma, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(freqsynth.dgrma, name, counted)
+    aut = build_dgrma(parse_formula(WIDE_FORMULA), "lbrfcwpx")
+    assert calls == {
+        "build_lts": 1,
+        "build_master": 1,
+        "build_slave_lts": len(aut.rec),
+        "build_token_lts": 3,
+        "build_count_lts": 2,
+    }
+    assert (len(aut), len(aut.lts.alphabet)) == (925, 256)

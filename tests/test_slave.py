@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from freqsynth.boolfn import FALSE, TRUE, formula_to_boolfn, rank
 from freqsynth.dgrma import run_cycle
-from freqsynth.formula import always, atom, eventually, parse_formula
+from freqsynth.formula import FormulaError, always, atom, eventually, parse_formula
 from freqsynth.lasso import freq_on_lasso, models, random_lasso, rec_truth
+from freqsynth.lts import Lts, powerset_alphabet
 from freqsynth.slave import (
+    SlaveLts,
     buchi_accepting_sets,
     build_count_lts,
     build_slave_lts,
@@ -128,6 +132,15 @@ def test_count_depth_bound():
     count = build_count_lts(slave)
     for state in count.states:
         assert max(state) <= len(slave)
+
+
+def test_count_bound_rejects_a_cyclic_slave():
+    # A slave whose non-sink state loops keeps every token alive, so the
+    # count outgrows the slave size; build_slave_lts never returns one.
+    alphabet = powerset_alphabet(["a"])
+    looping = Lts(["a"], alphabet, ["s"], {"s": 0}, 0, [[0, 0]])
+    with pytest.raises(FormulaError, match="token count exceeded"):
+        build_count_lts(SlaveLts(looping, frozenset()))
 
 
 def test_mp_reward_values():
