@@ -184,8 +184,7 @@ def cmd_automaton(args) -> int:
 def cmd_check_word(args) -> int:
     phi = _load_formula(args)
     word = parse_lasso(args.stem, args.loop)
-    aut = build_dgrma(phi, ap=frozenset().union(*word.stem, *word.loop),
-                      cap=args.max_states)
+    aut = build_dgrma(phi, cap=args.max_states)
     oracle = models(word, phi)
     automaton = accepts_lasso(aut, word)
     print(f"oracle: {'accept' if oracle else 'reject'}")
@@ -211,9 +210,11 @@ def cmd_simulate(args) -> int:
         raise SynthesisError("steps must be at least 1")
     if args.episodes < 1:
         raise SynthesisError("episodes must be at least 1")
+    if args.epoch_cap is not None and args.epoch_cap < 1:
+        raise SynthesisError("epoch cap must be at least 1")
     phi = _load_formula(args)
     mdp, valuation = _load_model(args)
-    schedule = EpochSchedule(cap=args.epoch_cap) if args.epoch_cap else None
+    schedule = None if args.epoch_cap is None else EpochSchedule(cap=args.epoch_cap)
     report = synthesize(
         mdp,
         valuation,

@@ -177,10 +177,6 @@ def product_mdp(mdp: Mdp, valuation: Valuation, lts: Lts, cap: int = 100_000):
     already read the initial state's label.  Raises ``StateCapExceeded`` as
     soon as the product would have more than ``cap`` states.
     """
-    for letters in valuation:
-        if (frozenset(letters) & lts.atoms) not in lts.letter_index:
-            raise MdpError("valuation letter outside the automaton alphabet")
-
     if cap < 1:
         raise StateCapExceeded("product MDP", cap)
     init_q = lts.successor(lts.init, valuation[mdp.init])

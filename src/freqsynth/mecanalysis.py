@@ -288,9 +288,14 @@ class EpochSchedule:
     ratio: int = 32
     cap: Optional[int] = None
 
+    def __post_init__(self):
+        # A length below 1 plans an empty epoch, and the runner would loop.
+        if self.base < 1 or self.ratio < 1 or (self.cap is not None and self.cap < 1):
+            raise ValueError("epoch base, ratio and cap must be at least 1")
+
     def length(self, t: int) -> int:
         raw = self.base * self.ratio**t
-        return min(raw, self.cap) if self.cap else raw
+        return raw if self.cap is None else min(raw, self.cap)
 
 
 @dataclass(frozen=True)

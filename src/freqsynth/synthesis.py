@@ -338,10 +338,7 @@ def synthesize(
         raise SynthesisError(f"threshold {threshold} outside [0,1]")
     if not in_fragment(phi):
         raise SynthesisError(f"{phi} is outside the supported fragment")
-    atoms = set()
-    for letters in valuation:
-        atoms |= set(letters)
-    aut = automaton or build_dgrma(phi, ap=atoms, cap=max_states)
+    aut = automaton or build_dgrma(phi, cap=max_states)
     product, _, automaton_component = product_mdp(mdp, valuation, aut.lts, max_states)
 
     lifted = [lift_pair(pair, product, automaton_component) for pair in aut.pairs]

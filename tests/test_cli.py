@@ -1,5 +1,6 @@
 import io
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -32,11 +33,12 @@ def model_file(tmp_path):
     return str(path)
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "freqsynth.cli", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -76,6 +78,23 @@ def test_automaton_command(tmp_path):
     assert with_slaves.returncode == 0
     assert dot.exists()
     assert (tmp_path / "aut.dot.slave0").exists()
+
+
+def test_synth_dot_is_the_automaton_dot(model_file, tmp_path):
+    # The model labels b, which "F a" never reads: the product automaton is
+    # over the formula's atoms alone, as in the automaton command.
+    synth_dot, aut_dot = tmp_path / "synth.dot", tmp_path / "aut.dot"
+    synth = run_cli("synth", "--model", model_file, "--formula", "F a",
+                    "--threshold", "1/2", "--dot", str(synth_dot))
+    aut = run_cli("automaton", "--formula", "F a", "--dot", str(aut_dot))
+    assert synth.returncode == 0 and aut.returncode == 0
+    assert synth_dot.read_bytes() == aut_dot.read_bytes()
+    letters = {
+        line.split('label="')[1].split('"')[0]
+        for line in aut_dot.read_text().splitlines()
+        if "-> q" in line and "label" in line
+    }
+    assert letters == {"{}", "{a}"}
 
 
 def test_automaton_state_cap():
@@ -126,6 +145,20 @@ def test_simulate_command(model_file):
     bad_steps = run_cli("simulate", "--model", model_file, "--formula", "G b",
                         "--steps", "0", "--seed", "11")
     assert bad_steps.returncode == 2
+
+
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_simulate_rejects_an_epoch_cap_below_one(model_file, cap):
+    # A cap below 1 once planned empty epochs, and the runner looped forever;
+    # the timeout turns such a regression into a failure.
+    out = run_cli("simulate", "--model", model_file, "--formula", "G b",
+                  "--steps", "5", "--epoch-cap", cap, timeout=30)
+    assert out.returncode == 2
+    assert out.stderr == "error: epoch cap must be at least 1\n"
+    capped = run_cli("simulate", "--model", model_file, "--formula", "G b",
+                     "--steps", "5", "--epoch-cap", "1", timeout=30)
+    assert capped.returncode == 0
+    assert "entered_winning_union: 1" in capped.stdout
 
 
 def test_byte_identical_reruns(model_file, tmp_path):
@@ -234,6 +267,42 @@ def test_fuzzed_letters_are_parsed_or_give_one_error_line(text, as_loop):
         assert_one_error_line(code, err)
     else:
         assert code == 0 and out.endswith("MATCH\n") and err == ""
+
+
+SMALL_INTS = st.integers(min_value=-3, max_value=3)
+
+
+class Hung(Exception):
+    """Not an OSError or ValueError, so cli.main cannot turn it into exit 2."""
+
+
+def _hung(signum, frame):
+    raise Hung("simulate did not finish within 30 s")
+
+
+@settings(max_examples=100, deadline=None)
+@given(SMALL_INTS, SMALL_INTS, st.one_of(st.none(), SMALL_INTS))
+def test_fuzzed_simulate_counts_run_or_give_one_error_line(steps, episodes, cap):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.mdp")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(MODEL)
+        argv = ["simulate", "--model", path, "--formula", "G b",
+                f"--steps={steps}", f"--episodes={episodes}"]
+        if cap is not None:
+            argv.append(f"--epoch-cap={cap}")
+        # A call that loops forever fails the example instead of the suite.
+        previous = signal.signal(signal.SIGALRM, _hung)
+        signal.alarm(30)
+        try:
+            code, out, err = main_in_process(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+    if code == 2:
+        assert_one_error_line(code, err)
+    else:
+        assert code == 0 and err == "" and f"episodes: {episodes}\n" in out
 
 
 NOT_LITERALS = ("1e-10000000", "1E5", "-1/2", "+1", ".5", "0x10", "1_0", "inf")

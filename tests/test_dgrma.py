@@ -13,11 +13,11 @@ from freqsynth.dgrma import (
     rec_set,
     run_cycle,
 )
-from freqsynth.formula import parse_formula
+from freqsynth.formula import atoms_of, parse_formula
 from freqsynth.lasso import Lasso, models, random_lasso
 from freqsynth.lts import StateCapExceeded
 
-from helpers import letterwise_build_dgrma, random_fragment_formula
+from helpers import corpus_formulas, letterwise_build_dgrma, random_fragment_formula
 
 A = frozenset("a")
 E = frozenset()
@@ -236,3 +236,37 @@ def test_translation_goes_through_the_traced_builders(monkeypatch):
         "build_count_lts": 2,
     }
     assert (len(aut), len(aut.lts.alphabet)) == (925, 256)
+    narrow = build_dgrma(parse_formula(WIDE_FORMULA))
+    assert (len(narrow), len(narrow.lts.alphabet)) == (925, 128)
+    assert narrow.lts.states == aut.lts.states
+
+
+def test_extra_atoms_only_widen_rows():
+    # An atom the formula never reads changes no transition: translating over
+    # extra atoms that sort before ("0"), between ("aa") and after ("zz") the
+    # formula's atoms must number the same states with the same acceptance,
+    # and each wide row must read the narrow row at the projected letter.
+    rng = random.Random(909)
+    formulas = corpus_formulas()
+    formulas += [
+        random_fragment_formula(rng, rng.randint(2, 10), ["a", "b", "c"])
+        for _ in range(60)
+    ]
+    extras = (["0"], ["aa"], ["zz"], ["0", "aa", "zz"])
+    cases = 0
+    for phi in formulas:
+        atoms = frozenset(atoms_of(phi))
+        narrow = build_dgrma(phi, cap=50_000)
+        assert narrow.lts.atoms == atoms, phi
+        for extra in extras:
+            wide = build_dgrma(phi, ap=extra, cap=50_000)
+            assert wide.lts.atoms == atoms.union(extra), (phi, extra)
+            assert wide.lts.states == narrow.lts.states, (phi, extra)
+            assert acceptance_dump(wide) == acceptance_dump(narrow), (phi, extra)
+            index = narrow.lts.letter_index
+            projected = [index[letter & atoms] for letter in wide.lts.alphabet]
+            for q, row in enumerate(wide.lts.delta):
+                narrow_row = narrow.lts.delta[q]
+                assert row == [narrow_row[j] for j in projected], (phi, extra, q)
+            cases += 1
+    assert cases == 4 * len(formulas) >= 360

@@ -264,6 +264,10 @@ def test_simulation_determinism():
 def test_schedule_cap():
     sched = EpochSchedule(base=10, ratio=2, cap=25)
     assert [sched.length(t) for t in range(4)] == [10, 20, 25, 25]
+    assert EpochSchedule(base=1, ratio=1, cap=1).length(3) == 1
+    for bad in ({"base": 0}, {"ratio": 0}, {"cap": 0}, {"cap": -1}):
+        with pytest.raises(ValueError):
+            EpochSchedule(**bad)
     with pytest.raises(ValueError):
         mdp = _single_loop()
         cond = GbmpCondition(mp_inf=(MpBound(">=", Fr(1), {"s": Fr(1)}),))

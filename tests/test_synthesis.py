@@ -23,6 +23,7 @@ from helpers import (
     corpus_formulas,
     dense_max_reach,
     random_markov_chain,
+    random_fragment_formula,
     random_mdp,
     random_strongly_connected_mdp,
     ruin_mdp,
@@ -250,6 +251,46 @@ def test_one_lp_solve_per_mec_that_meets_the_inf_sets(monkeypatch):
     assert len(report.strategy.winners) == 1
     assert mecs > expected >= 2
     assert len(calls) == expected
+
+
+def test_unused_model_atoms_do_not_change_synthesis():
+    # synthesize translates over the formula's atoms alone; the automaton over
+    # every atom of the model's labels must give the same report, winning
+    # states, witnesses and simulation.
+    rng = random.Random(4242)
+    fixed = [parse_formula(t) for t in ("G{>=1/2,inf} a | F b", "G F a & F G !b")]
+    formulas = fixed + [
+        random_fragment_formula(rng, rng.randint(2, 7), ["a", "b"]) for _ in range(28)
+    ]
+    winners = 0
+    for k, phi in enumerate(formulas):
+        mdp = random_mdp(rng, 5, 2)
+        valuation = [
+            frozenset(x for x in ("0", "a", "b", "x") if rng.random() < 0.5)
+            | ({"x"} if s == 0 else set())
+            for s in range(len(mdp))
+        ]
+        model_atoms = frozenset().union(*valuation)
+        threshold = Fr(rng.randint(0, 4), 4)
+        narrow = synthesize(mdp, valuation, phi, threshold)
+        wide = synthesize(
+            mdp, valuation, phi, threshold, automaton=build_dgrma(phi, ap=model_atoms)
+        )
+        assert narrow.automaton.lts.atoms < wide.automaton.lts.atoms, phi
+        assert narrow.to_text() == wide.to_text(), phi
+        assert narrow.winning_states == wide.winning_states, phi
+        if narrow.strategy is None:
+            assert wide.strategy is None, phi
+            continue
+        got, want = narrow.strategy, wide.strategy
+        assert got.reach == want.reach and got.state_to_winner == want.state_to_winner
+        assert [(w.ec, w.pair_index, w.strategy) for w in got.winners] == [
+            (w.ec, w.pair_index, w.strategy) for w in want.winners
+        ], phi
+        sims = [simulate_global(r.product, r.strategy, 2, 50, seed=k) for r in (narrow, wide)]
+        assert sims[0].to_text() == sims[1].to_text(), phi
+        winners += len(got.winners)
+    assert winners >= 10
 
 
 def test_global_strategy_enters_winning_union():
