@@ -210,8 +210,6 @@ def cmd_simulate(args) -> int:
         raise SynthesisError("steps must be at least 1")
     if args.episodes < 1:
         raise SynthesisError("episodes must be at least 1")
-    if args.epoch_cap is not None and args.epoch_cap < 1:
-        raise SynthesisError("epoch cap must be at least 1")
     phi = _load_formula(args)
     mdp, valuation = _load_model(args)
     schedule = None if args.epoch_cap is None else EpochSchedule(cap=args.epoch_cap)

@@ -152,17 +152,6 @@ def _build_pairs(lts, master, rec, slaves, components) -> list[GrmpPair]:
     # state of components[i].
     comp_of = list(zip(*lts.states))
     all_states = frozenset(range(len(lts)))
-    # inverses[i][s] lists the product states whose components[i] state is s.
-    inverses: dict = {}
-
-    def lift(i: int, comp_states) -> list:
-        inverse = inverses.get(i)
-        if inverse is None:
-            inverse = inverses[i] = [[] for _ in components[i].states]
-            for q, s in enumerate(comp_of[i + 1]):
-                inverse[s].append(q)
-        return [q for s in comp_states for q in inverse[s]]
-
     # Substituted-token conjunctions are shared across masks via this cache.
     token_conj_cache: dict = {}
     # Product states grouped by (master state, G-member component states),
@@ -212,20 +201,20 @@ def _build_pairs(lts, master, rec, slaves, components) -> list[GrmpPair]:
         degenerate = False
         for i in chosen:
             rho = rec[i]
+            col = comp_of[i + 1]
             if rho.kind == EVENTUALLY:
                 good = buchi_accepting_sets(slaves[i], components[i], assumed)
-                lifted = frozenset(lift(i, good))
+                lifted = frozenset(q for q, s in enumerate(col) if s in good)
                 if not lifted:
                     degenerate = True
                     break
                 infs.append(lifted)
             elif rho.kind == ALWAYS:
                 bad = cobuchi_rejecting_sets(slaves[i], components[i], assumed)
-                fin.update(lift(i, bad))
+                fin.update(q for q, s in enumerate(col) if s in bad)
             else:
                 rewards = mp_reward(slaves[i], components[i], assumed)
                 cmp, p, ext = rho.bound
-                col = comp_of[i + 1]
                 mps.append(MpAtom(ext, cmp, p, tuple(map(rewards.__getitem__, col))))
         if degenerate or frozenset(fin) == all_states:
             continue

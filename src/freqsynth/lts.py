@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .lasso import Letter, letter_to_str
@@ -17,19 +16,11 @@ class StateCapExceeded(Exception):
 
 def powerset_alphabet(atoms: Iterable[str]) -> tuple[Letter, ...]:
     """All subsets of the atom set, in binary counting order."""
-    return _powerset(frozenset(atoms))[0]
-
-
-@lru_cache(maxsize=64)
-def _powerset(atoms: frozenset) -> tuple:
-    """The alphabet over ``atoms`` and its letter -> position map, built once
-    per atom set and shared by every LTS over it (neither is mutated)."""
-    names = sorted(atoms)
-    alphabet = tuple(
-        frozenset(names[i] for i in range(len(names)) if mask >> i & 1)
-        for mask in range(1 << len(names))
-    )
-    return alphabet, {l: i for i, l in enumerate(alphabet)}
+    names = sorted(set(atoms))
+    out = []
+    for mask in range(1 << len(names)):
+        out.append(frozenset(names[i] for i in range(len(names)) if mask >> i & 1))
+    return tuple(out)
 
 
 class Lts:
@@ -39,12 +30,10 @@ class Lts:
     sinks); otherwise it lists one successor index per alphabet letter.
     """
 
-    def __init__(self, atoms, alphabet, states, index, init, delta, letter_index=None):
+    def __init__(self, atoms, alphabet, states, index, init, delta):
         self.atoms = frozenset(atoms)
         self.alphabet = alphabet
-        if letter_index is None:
-            letter_index = {l: i for i, l in enumerate(alphabet)}
-        self.letter_index = letter_index
+        self.letter_index = {l: i for i, l in enumerate(alphabet)}
         self.states = states
         self.index = index
         self.init = init
@@ -96,8 +85,7 @@ def build_lts(
     breadth-first search.  States where ``is_terminal`` holds get no
     outgoing transitions.
     """
-    atoms = frozenset(atoms)
-    alphabet, letter_index = _powerset(atoms)
+    alphabet = powerset_alphabet(atoms)
     states = [init_payload]
     index = {init_payload: 0}
     delta: list = [None]
@@ -119,4 +107,4 @@ def build_lts(
                 local[nxt] = target
             delta[q] = list(map(local.__getitem__, succ))
         q += 1
-    return Lts(atoms, alphabet, states, index, 0, delta, letter_index)
+    return Lts(atoms, alphabet, states, index, 0, delta)

@@ -290,8 +290,9 @@ class EpochSchedule:
 
     def __post_init__(self):
         # A length below 1 plans an empty epoch, and the runner would loop.
-        if self.base < 1 or self.ratio < 1 or (self.cap is not None and self.cap < 1):
-            raise ValueError("epoch base, ratio and cap must be at least 1")
+        for name, value in (("base", self.base), ("ratio", self.ratio), ("cap", self.cap)):
+            if value is not None and value < 1:
+                raise ValueError(f"epoch {name} must be at least 1")
 
     def length(self, t: int) -> int:
         raw = self.base * self.ratio**t

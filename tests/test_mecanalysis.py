@@ -266,7 +266,8 @@ def test_schedule_cap():
     assert [sched.length(t) for t in range(4)] == [10, 20, 25, 25]
     assert EpochSchedule(base=1, ratio=1, cap=1).length(3) == 1
     for bad in ({"base": 0}, {"ratio": 0}, {"cap": 0}, {"cap": -1}):
-        with pytest.raises(ValueError):
+        (name,) = bad
+        with pytest.raises(ValueError, match=f"epoch {name} must be at least 1"):
             EpochSchedule(**bad)
     with pytest.raises(ValueError):
         mdp = _single_loop()
