@@ -49,7 +49,6 @@ from .mecanalysis import (
     accepting_mec,
     build_lp,
     build_witness_strategy,
-    lp_feasible,
     simulate_strategy,
 )
 from .synthesis import (

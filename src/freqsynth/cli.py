@@ -7,9 +7,9 @@ import sys
 from fractions import Fraction
 
 from .dgrma import accepts_lasso, acceptance_dump, build_dgrma, dgrma_to_dot
-from .formula import Formula, FormulaError, in_fragment, parse_formula, parse_rational
+from .formula import FREQ, Formula, FormulaError, in_fragment, parse_formula, parse_rational
 from .lasso import LassoError, models, parse_lasso
-from .lts import StateCapExceeded
+from .lts import DEFAULT_STATE_CAP, StateCapExceeded
 from .mdp import MdpError, mec_decomposition, parse_mdp
 from .mecanalysis import EpochSchedule
 from .simplex import SimplexError
@@ -51,8 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-states",
             type=int,
-            default=100_000,
-            help="state cap for automata and products (default 100000)",
+            default=DEFAULT_STATE_CAP,
+            help=f"state cap for automata and products (default {DEFAULT_STATE_CAP})",
         )
 
     p = sub.add_parser("synth", help="decide the synthesis problem for a model")
@@ -123,14 +123,11 @@ def _load_model(args):
 def cmd_synth(args) -> int:
     phi = _load_formula(args)
     mdp, valuation = _load_model(args)
-    threshold = parse_rational(args.threshold)
-    if not 0 <= threshold <= 1:
-        raise SynthesisError(f"threshold {threshold} outside [0,1]")
     report = synthesize(
         mdp,
         valuation,
         phi,
-        threshold,
+        parse_rational(args.threshold),
         strict=args.strict,
         max_states=args.max_states,
     )
@@ -164,7 +161,7 @@ def cmd_automaton(args) -> int:
             slave = aut.slaves[i]
             label = (
                 partial(token_counts_str, slave)
-                if rho.kind == "Gf"
+                if rho.kind == FREQ
                 else partial(token_set_str, slave)
             )
             exports = [

@@ -25,8 +25,8 @@ from .formula import (
     nb_subformulas,
 )
 from .lasso import Lasso, letter_to_str
-from .lts import Lts, StateCapExceeded, build_lts
-from .master import DEFAULT_STATE_CAP, build_master
+from .lts import DEFAULT_STATE_CAP, Lts, StateCapExceeded, build_lts
+from .master import build_master
 from .slave import (
     SlaveLts,
     buchi_accepting_sets,

@@ -6,6 +6,8 @@ from typing import Callable, Iterable, Optional
 
 from .lasso import Letter, letter_to_str
 
+DEFAULT_STATE_CAP = 100_000
+
 
 class StateCapExceeded(Exception):
     """Raised when a construction would exceed the configured state cap."""

@@ -6,9 +6,7 @@ from typing import Iterable, Optional
 
 from .boolfn import formula_to_boolfn, step_row, unfold
 from .formula import Formula, FormulaError, atoms_of, in_fragment
-from .lts import Lts, build_lts
-
-DEFAULT_STATE_CAP = 100_000
+from .lts import DEFAULT_STATE_CAP, Lts, build_lts
 
 
 def build_master(

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .formula import rational_literal
-from .lts import Lts, StateCapExceeded
+from .lts import DEFAULT_STATE_CAP, Lts, StateCapExceeded
 
 
 class MdpError(ValueError):
@@ -168,7 +168,7 @@ def parse_mdp(text: str) -> tuple[Mdp, Valuation]:
     return mdp, valuation
 
 
-def product_mdp(mdp: Mdp, valuation: Valuation, lts: Lts, cap: int = 100_000):
+def product_mdp(mdp: Mdp, valuation: Valuation, lts: Lts, cap: int = DEFAULT_STATE_CAP):
     """Synchronous product with a deterministic LTS reading state labels.
 
     Returns the product MDP, the map (state idx, lts state) -> product idx,

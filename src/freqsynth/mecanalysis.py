@@ -3,13 +3,14 @@ Buchi mean-payoff conditions, with witness-strategy construction.
 
 Feasibility of the per-flow linear constraints decides whether the maximal
 satisfaction probability is 1 or 0.  Each limit-superior bound gets its own
-flow block; limit-inferior bounds are replicated into every block.  The LP
-solution that accepts a component is also its witness's flows: that of the
-LP maximizing one margin shared by every mean-payoff row, or, when there are
-no bounds or strict bounds leave that margin at 0, that of the LP putting
-slack on the strict rows alone.  The witness strategy cycles through one
-randomized mode per flow with steeply growing epochs and starts every epoch
-with a pilgrimage through the Inf sets.
+flow block; limit-inferior bounds are replicated into every block.  One
+builder makes the system with one extra column ``t`` on its bound rows: on
+every bound row for the margin LP, which maximizes one margin shared by all
+of them, or on the strict rows alone for the slack LP.  The margin LP
+decides and gives the witness's flows; the slack LP runs only when there
+are no bounds or strict bounds leave the margin at 0.  The witness strategy
+cycles through one randomized mode per flow with steeply growing epochs and
+starts every epoch with a pilgrimage through the Inf sets.
 """
 
 from __future__ import annotations
@@ -49,43 +50,20 @@ class GbmpCondition:
     def num_flows(self) -> int:
         return max(len(self.mp_sup), 1)
 
+    def strict(self) -> bool:
+        return any(b.cmp == GT for b in self.mp_inf + self.mp_sup)
+
 
 @dataclass
 class LinearSystem:
-    """The flow constraints for one strongly connected MDP and condition."""
+    """The flow constraints for one strongly connected MDP and condition;
+    the column after the flows, when there is one, is ``t``."""
 
     mdp: Mdp
     cond: GbmpCondition
     num_flows: int
     num_vars: int
     rows: list
-    objective: dict
-    slack_var: Optional[int]
-    strict: bool
-
-    def var(self, flow: int, action_idx: int) -> int:
-        return flow * len(self.mdp.actions) + action_idx
-
-    def var_name(self, j: int) -> str:
-        if self.slack_var is not None and j == self.slack_var:
-            return "slack"
-        flow, ai = divmod(j, len(self.mdp.actions))
-        return f"x[{flow + 1},{self.mdp.actions[ai].name}]"
-
-    def dump(self) -> str:
-        lines = []
-        for coeffs, rel, rhs in self.rows:
-            terms = " + ".join(
-                (f"{c}*{self.var_name(j)}" if c != 1 else self.var_name(j))
-                for j, c in sorted(coeffs.items())
-            )
-            rel_text = {"==": "=", ">=": ">=", "<=": "<="}[rel]
-            lines.append(f"{terms or '0'} {rel_text} {rhs}")
-        for j in range(self.num_vars):
-            lines.append(f"{self.var_name(j)} >= 0")
-        if self.strict:
-            lines.append("maximize slack; strict rows need slack > 0")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -99,16 +77,15 @@ class LpSolution:
         return self.x.get((i, action_name), _ZERO)
 
 
-def build_lp(mdp: Mdp, cond: GbmpCondition) -> LinearSystem:
+def build_lp(mdp: Mdp, cond: GbmpCondition, margin: bool = True) -> LinearSystem:
     """Assemble the per-flow constraint system (no Inf rows: those are a
-    separate nonempty-intersection check)."""
+    separate nonempty-intersection check).  Every bound row with ``margin``,
+    else every strict one, reads ``reward - t >= bound``; ``t`` is left out
+    when no row has it."""
     n_flows = cond.num_flows()
     n_actions = len(mdp.actions)
-    strict_rows = any(b.cmp == GT for b in cond.mp_inf) or any(
-        b.cmp == GT for b in cond.mp_sup
-    )
-    num_vars = n_flows * n_actions + (1 if strict_rows else 0)
-    slack_var = n_flows * n_actions if strict_rows else None
+    t = n_flows * n_actions
+    has_t = bool(cond.mp_inf or cond.mp_sup) if margin else cond.strict()
 
     def reward_row(flow: int, bound: MpBound) -> dict:
         coeffs: dict[int, Fraction] = {}
@@ -116,8 +93,8 @@ def build_lp(mdp: Mdp, cond: GbmpCondition) -> LinearSystem:
             r = bound.reward[mdp.states[action.source]]
             if r:
                 coeffs[flow * n_actions + ai] = Fraction(r)
-        if bound.cmp == GT:
-            coeffs[slack_var] = Fraction(-1)
+        if margin or bound.cmp == GT:
+            coeffs[t] = Fraction(-1)
         return coeffs
 
     # Balance at each state, inflow minus outflow, keyed by action index in
@@ -125,8 +102,8 @@ def build_lp(mdp: Mdp, cond: GbmpCondition) -> LinearSystem:
     # the source can cancel (a sure self-loop); that entry is dropped.
     balance: list[dict[int, Fraction]] = [{} for _ in mdp.states]
     for ai, action in enumerate(mdp.actions):
-        for t, prob in action.dist:
-            balance[t][ai] = balance[t].get(ai, _ZERO) + prob
+        for s, prob in action.dist:
+            balance[s][ai] = balance[s].get(ai, _ZERO) + prob
         src = balance[action.source]
         src[ai] = src.get(ai, _ZERO) - 1
         if not src[ai]:
@@ -146,16 +123,21 @@ def build_lp(mdp: Mdp, cond: GbmpCondition) -> LinearSystem:
             rows.append(
                 (reward_row(i, cond.mp_sup[i]), ">=", Fraction(cond.mp_sup[i].bound))
             )
-    objective = {slack_var: Fraction(1)} if strict_rows else {}
-    return LinearSystem(
-        mdp, cond, n_flows, num_vars, rows, objective, slack_var, strict_rows
-    )
+    return LinearSystem(mdp, cond, n_flows, t + 1 if has_t else t, rows)
 
 
-def lp_feasible(system: LinearSystem) -> Optional[LpSolution]:
-    """Exact feasibility; strict bounds require a positive maximized slack."""
+def maximize_margin(system: LinearSystem) -> Optional[LpSolution]:
+    """Solve the system maximizing ``t`` (plain feasibility without it);
+    None when it is infeasible.
+
+    ``t`` comes back as ``slack``.  The solution is checked against every
+    bound unless a bound is strict and ``t`` is 0.
+    """
+    n_actions = len(system.mdp.actions)
+    t = system.num_flows * n_actions
+    objective = {t: Fraction(1)} if system.num_vars > t else {}
     status, values, _ = simplex.solve_lp(
-        system.num_vars, system.rows, system.objective, maximize=True
+        system.num_vars, system.rows, objective, maximize=True
     )
     if status == simplex.INFEASIBLE:
         return None
@@ -163,54 +145,16 @@ def lp_feasible(system: LinearSystem) -> Optional[LpSolution]:
         raise simplex.SimplexError(
             f"flow system unexpectedly {status} (the flows are bounded by 1)"
         )
-    slack = values[system.slack_var] if system.slack_var is not None else _ZERO
-    if system.strict and slack <= 0:
-        return None
-    sol = _solution_from_values(system, values, slack)
-    _verify_solution(system, sol)
-    return sol
-
-
-def maximize_margin(system: LinearSystem) -> Optional[LpSolution]:
-    """Solve with one margin shared by every mean-payoff row and maximized
-    (strictness ignored); None when even the non-strict rows are infeasible.
-
-    The margin comes back as ``slack``.  The solution meets every bound, and
-    is checked against them, unless a bound is strict and the margin is 0.
-    """
-    n_actions = len(system.mdp.actions)
-    margin_var = system.num_flows * n_actions
-    rows = []
-    for coeffs, rel, rhs in system.rows:
-        coeffs = {j: c for j, c in coeffs.items() if j != system.slack_var}
-        if rel == ">=":
-            coeffs[margin_var] = Fraction(-1)
-        rows.append((coeffs, rel, rhs))
-    status, values, _ = simplex.solve_lp(
-        margin_var + 1, rows, {margin_var: Fraction(1)}, maximize=True
-    )
-    if status == simplex.INFEASIBLE:
-        return None
-    if status != simplex.OPTIMAL:
-        raise simplex.SimplexError(
-            f"margin system unexpectedly {status} (the flows are bounded by 1)"
-        )
-    sol = _solution_from_values(system, values, values[margin_var])
-    if not system.strict or sol.slack > 0:
+    x = {
+        (i, system.mdp.actions[ai].name): values[i * n_actions + ai]
+        for i in range(system.num_flows)
+        for ai in range(n_actions)
+        if values[i * n_actions + ai]
+    }
+    sol = LpSolution(x, values[t] if objective else _ZERO)
+    if not system.cond.strict() or sol.slack > 0:
         _verify_solution(system, sol)
     return sol
-
-
-def _solution_from_values(system, values, slack) -> LpSolution:
-    mdp = system.mdp
-    n_actions = len(mdp.actions)
-    x = {}
-    for i in range(system.num_flows):
-        for ai in range(n_actions):
-            v = values[i * n_actions + ai]
-            if v:
-                x[(i, mdp.actions[ai].name)] = v
-    return LpSolution(x, slack)
 
 
 def _verify_solution(system: LinearSystem, sol: LpSolution):
@@ -256,24 +200,25 @@ def accepting_mec(mdp: Mdp, cond: GbmpCondition):
     mean-payoff bounds the margin LP decides: infeasible rejects, and an
     optimum accepts with that solution as the witness when every bound is
     non-strict or the margin is positive.  Only when strict bounds leave the
-    best margin at 0 does a second LP run, with slack on the strict rows
-    alone (``>= 1/2`` with ``> 1/3`` on one reward can have margin 0 but
-    slack 1/6).  Without bounds the margin is unbounded, so that slack LP
+    best margin at 0 does the slack LP run (``>= 1/2`` with ``> 1/3`` on one
+    reward can have margin 0 but slack 1/6), and strict bounds then need
+    positive slack.  Without bounds the margin is unbounded, so the slack LP
     is the only one.
     """
     states = frozenset(mdp.states)
     for inf_set in cond.inf_sets:
         if not (frozenset(inf_set) & states):
             return False, None
-    system = build_lp(mdp, cond)
     if cond.mp_inf or cond.mp_sup:
-        sol = maximize_margin(system)
+        sol = maximize_margin(build_lp(mdp, cond))
         if sol is None:
             return False, None
-        if not system.strict or sol.slack > 0:
+        if not cond.strict() or sol.slack > 0:
             return True, sol
-    sol = lp_feasible(system)
-    return sol is not None, sol
+    sol = maximize_margin(build_lp(mdp, cond, margin=False))
+    if sol is None or (cond.strict() and sol.slack == 0):
+        return False, None
+    return True, sol
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,7 @@ from typing import Iterable, Optional
 
 from .boolfn import BoolFn, formula_to_boolfn, proves, rank, step_row
 from .formula import Formula, FormulaError
-from .lts import Lts, build_lts
-
-DEFAULT_STATE_CAP = 100_000
+from .lts import DEFAULT_STATE_CAP, Lts, build_lts
 
 TokenSet = frozenset  # of slave state indices
 TokenCounts = tuple  # count per slave state index

@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Optional
 
 from .dgrma import Dgrma, GrmpPair, build_dgrma
 from .formula import Formula, in_fragment
+from .lts import DEFAULT_STATE_CAP
 from .mdp import (
     EndComponent,
     Mdp,
@@ -328,7 +329,7 @@ def synthesize(
     phi: Formula,
     threshold: Fraction,
     strict: bool = False,
-    max_states: int = 100_000,
+    max_states: int = DEFAULT_STATE_CAP,
     schedule: Optional[EpochSchedule] = None,
     want_strategy: bool = True,
     automaton: Optional[Dgrma] = None,

@@ -4,12 +4,14 @@ The oracles here (Markov-chain BSCC classification, deterministic-memoryless
 strategy enumeration with exact stationary distributions) deliberately avoid
 the package's LP/MEC analysis path so cross-validation is meaningful.  The
 exceptions are differential oracles that keep replaced implementations:
-``decide_then_maximize_margin`` is the earlier two-LP witness rule, and
+``decide_then_maximize_margin`` is the earlier two-LP witness rule,
+``margin_rewrite`` is the row rewrite that derived the margin system from
+the slack system before ``build_lp`` built both, and
 ``rescan_mec_decomposition``, ``rescan_restrict`` and
 ``rescan_attractor_policy`` are the full-rescan fixpoints that the graph
 toolkit in ``freqsynth.mdp`` replaced, ``fraction_solve_lp`` is the simplex
 over a tableau of Fractions that the integer-row tableau replaced,
-``rescan_build_lp`` is the flow-system builder that scanned every action
+``rescan_build_lp`` is the slack flow-system builder that scanned every action
 distribution once per state, and ``dense_max_reach`` is maximal reachability
 by dense solves (``gauss_solve``) and the rescan selector loop, which the
 sparse solve and the replayed selector replaced.  ``letterwise_build_lts`` is
@@ -72,7 +74,7 @@ from freqsynth.mdp import (
     can_reach,
     mec_decomposition,
 )
-from freqsynth.mecanalysis import LinearSystem, LpSolution, build_lp, lp_feasible
+from freqsynth.mecanalysis import LinearSystem, LpSolution, build_lp, maximize_margin
 from freqsynth.simplex import (
     EQ,
     GEQ,
@@ -375,6 +377,23 @@ def chain_pipeline_probability(product, lifted_pairs):
     return values[product.init]
 
 
+def margin_rewrite(system):
+    """The margin system as it was once derived from the slack system: drop
+    the slack column, then put ``-t`` on every bound row, with ``t`` the
+    column after the flows.  ``t`` is left out when no row is a bound row
+    (such a system was never solved)."""
+    t = system.num_flows * len(system.mdp.actions)
+    rows = []
+    for coeffs, rel, rhs in system.rows:
+        coeffs = {j: c for j, c in coeffs.items() if j != t}
+        if rel == ">=":
+            coeffs[t] = -_ONE
+        rows.append((coeffs, rel, rhs))
+    has_t = any(rel == ">=" for _, rel, _ in rows)
+    num_vars = t + 1 if has_t else t
+    return LinearSystem(system.mdp, system.cond, system.num_flows, num_vars, rows)
+
+
 def decide_then_maximize_margin(mdp, cond):
     """The earlier witness rule as (accepted, witness): the slack LP decides,
     then a second LP maximizing one margin shared by every mean-payoff row
@@ -382,20 +401,17 @@ def decide_then_maximize_margin(mdp, cond):
     names = set(mdp.states)
     if any(not (set(inf) & names) for inf in cond.inf_sets):
         return False, None
-    system = build_lp(mdp, cond)
-    sol = lp_feasible(system)
-    if sol is None:
+    system = build_lp(mdp, cond, margin=False)
+    sol = maximize_margin(system)
+    if sol is None or (cond.strict() and sol.slack == 0):
         return False, None
+    if not (cond.mp_inf or cond.mp_sup):
+        return True, sol  # the margin is unbounded
+    margin = margin_rewrite(system)
     n_actions = len(mdp.actions)
-    margin_var = system.num_flows * n_actions
-    rows = []
-    for coeffs, rel, rhs in system.rows:
-        coeffs = {j: c for j, c in coeffs.items() if j != system.slack_var}
-        if rel == ">=":
-            coeffs[margin_var] = -_ONE
-        rows.append((coeffs, rel, rhs))
-    status, values, _ = solve_lp(margin_var + 1, rows, {margin_var: _ONE})
-    if status != OPTIMAL or (system.strict and values[margin_var] <= 0):
+    t = system.num_flows * n_actions
+    status, values, _ = solve_lp(margin.num_vars, margin.rows, {t: _ONE})
+    if status != OPTIMAL or (cond.strict() and values[t] <= 0):
         return True, sol
     x = {
         (i, a.name): values[i * n_actions + ai]
@@ -403,7 +419,7 @@ def decide_then_maximize_margin(mdp, cond):
         for ai, a in enumerate(mdp.actions)
         if values[i * n_actions + ai]
     }
-    return True, LpSolution(x, values[margin_var])
+    return True, LpSolution(x, values[t])
 
 
 def rescan_mec_decomposition(mdp, states=None, actions=None):
@@ -667,8 +683,9 @@ def _fraction_pivot(tableau, basis, r, c):
 
 
 def rescan_build_lp(mdp, cond):
-    """The flow system built with one scan over every action distribution
-    per state and flow; rows and keys in the order of ``build_lp``."""
+    """The slack flow system built with one scan over every action
+    distribution per state and flow; rows and keys in the order of
+    ``build_lp(..., margin=False)``."""
     n_flows = cond.num_flows()
     n_actions = len(mdp.actions)
     strict_rows = any(b.cmp == GT for b in cond.mp_inf + cond.mp_sup)
@@ -705,8 +722,7 @@ def rescan_build_lp(mdp, cond):
             rows.append((reward_row(i, bound), ">=", Fraction(bound.bound)))
         if cond.mp_sup:
             rows.append((reward_row(i, cond.mp_sup[i]), ">=", Fraction(cond.mp_sup[i].bound)))
-    objective = {slack_var: _ONE} if strict_rows else {}
-    return LinearSystem(mdp, cond, n_flows, num_vars, rows, objective, slack_var, strict_rows)
+    return LinearSystem(mdp, cond, n_flows, num_vars, rows)
 
 
 def _dense_evaluate_policy(mdp, policy, target):

@@ -61,10 +61,32 @@ def test_synth_errors(model_file):
     bad_threshold = run_cli("synth", "--model", model_file, "--formula", "F a",
                             "--threshold", "3/2")
     assert bad_threshold.returncode == 2
+    assert bad_threshold.stderr == "error: threshold 3/2 outside [0,1]\n"
     fragment = run_cli("synth", "--model", model_file, "--formula", "G(a U b)",
                        "--threshold", "1/2")
     assert fragment.returncode == 2
     assert "fragment" in fragment.stderr
+
+
+def test_every_state_cap_defaults_to_the_one_constant():
+    import inspect
+
+    from freqsynth import dgrma, lts, master, mdp, slave, synthesis
+
+    def default(fn, name="cap"):
+        return inspect.signature(fn).parameters[name].default
+
+    defaults = [
+        default(master.build_master),
+        default(slave.build_slave_lts),
+        default(slave.build_token_lts),
+        default(slave.build_count_lts),
+        default(dgrma.build_dgrma),
+        default(mdp.product_mdp),
+        default(synthesis.synthesize, "max_states"),
+        cli._build_parser().parse_args(["automaton", "--formula", "a"]).max_states,
+    ]
+    assert defaults == [lts.DEFAULT_STATE_CAP] * len(defaults)
 
 
 def test_automaton_command(tmp_path):

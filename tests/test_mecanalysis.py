@@ -13,7 +13,6 @@ from freqsynth.mecanalysis import (
     accepting_mec,
     build_lp,
     build_witness_strategy,
-    lp_feasible,
     maximize_margin,
     simulate_strategy,
 )
@@ -21,6 +20,7 @@ from freqsynth.simplex import SimplexError
 
 from helpers import (
     enumerate_md_strategies,
+    margin_rewrite,
     md_strategy_satisfies,
     random_mdp,
     random_strongly_connected_mdp,
@@ -44,17 +44,18 @@ def _alternating():
 def test_forced_self_loop_feasibility():
     mdp = _single_loop()
     feasible = GbmpCondition(mp_inf=(MpBound(">=", Fr(1), {"s": Fr(1)}),))
-    sol = lp_feasible(build_lp(mdp, feasible))
+    sol = maximize_margin(build_lp(mdp, feasible, margin=False))
     assert sol is not None and sol.flow(0, "alpha") == 1
     impossible = GbmpCondition(mp_inf=(MpBound(">=", Fr(2), {"s": Fr(1)}),))
-    assert lp_feasible(build_lp(mdp, impossible)) is None
+    assert maximize_margin(build_lp(mdp, impossible, margin=False)) is None
+    assert maximize_margin(build_lp(mdp, impossible)) is None
 
 
 def test_alternating_cycle_flow():
     mdp = _alternating()
     q = {"s": Fr(1), "t": Fr(0)}
     cond = GbmpCondition(mp_sup=(MpBound(">=", Fr(1, 2), q),))
-    sol = lp_feasible(build_lp(mdp, cond))
+    sol = maximize_margin(build_lp(mdp, cond, margin=False))
     assert sol is not None
     assert sol.flow(0, "a_st") == Fr(1, 2)
     assert sol.flow(0, "b_ts") == Fr(1, 2)
@@ -68,12 +69,16 @@ def test_flow_block_shapes():
         mp_inf=(MpBound(">=", Fr(0), q),),
         mp_sup=(MpBound(">=", Fr(0), q), MpBound(">=", Fr(1, 2), q)),
     )
-    system = build_lp(mdp, cond)
+    system = build_lp(mdp, cond, margin=False)
     assert system.num_flows == 2
     assert system.num_vars == 2 * len(mdp.actions)
     # Per flow: one normalization row, one balance row per state, one row per
     # inferior bound, and exactly one superior row.
     assert len(system.rows) == 2 * (1 + len(mdp) + 1 + 1)
+    # The margin system adds one column, shared by every bound row.
+    margin = build_lp(mdp, cond)
+    assert margin.num_vars == 2 * len(mdp.actions) + 1
+    assert len(margin.rows) == len(system.rows)
     degenerate = build_lp(mdp, GbmpCondition(mp_inf=(MpBound(">=", Fr(0), q),)))
     assert degenerate.num_flows == 1
 
@@ -82,10 +87,37 @@ def test_strict_bounds_need_positive_slack():
     mdp = _alternating()
     q = {"s": Fr(1), "t": Fr(0)}
     boundary = GbmpCondition(mp_sup=(MpBound(">", Fr(1, 2), q),))
-    assert lp_feasible(build_lp(mdp, boundary)) is None
+    assert maximize_margin(build_lp(mdp, boundary, margin=False)).slack == 0
+    assert accepting_mec(mdp, boundary) == (False, None)
     below = GbmpCondition(mp_sup=(MpBound(">", Fr(1, 3), q),))
-    sol = lp_feasible(build_lp(mdp, below))
+    sol = maximize_margin(build_lp(mdp, below, margin=False))
     assert sol is not None and sol.slack > 0
+    ok, sol = accepting_mec(mdp, below)
+    assert ok and sol.slack > 0
+
+
+def test_build_lp_puts_t_on_bound_rows():
+    # t, the column after the flows, is on every bound row of the margin
+    # system and on the strict rows alone of the slack system; it is left
+    # out when no row has it.
+    mdp = _alternating()
+    q = {"s": Fr(1), "t": Fr(0)}
+    t = len(mdp.actions)
+    mixed = GbmpCondition(mp_inf=(MpBound(">=", Fr(1, 2), q), MpBound(">", Fr(1, 3), q)))
+    plain = GbmpCondition(mp_inf=(MpBound(">=", Fr(1, 2), q),))
+    assert mixed.strict() and not plain.strict()
+
+    def t_coeffs(system):
+        return [c.get(t) for c, rel, _ in system.rows if rel == ">="]
+
+    margin, slack = build_lp(mdp, mixed), build_lp(mdp, mixed, margin=False)
+    assert t_coeffs(margin) == [-1, -1] and margin.num_vars == t + 1
+    assert t_coeffs(slack) == [None, -1] and slack.num_vars == t + 1
+    assert all(t not in c for c, rel, _ in margin.rows + slack.rows if rel == "==")
+    assert build_lp(mdp, plain).num_vars == t + 1
+    assert build_lp(mdp, plain, margin=False).num_vars == t
+    assert build_lp(mdp, GbmpCondition()).num_vars == t
+    assert maximize_margin(build_lp(mdp, GbmpCondition())).slack == 0
 
 
 def test_mixed_strict_bounds_fall_back_to_slack_lp():
@@ -109,13 +141,6 @@ def test_accepting_mec_inf_set_check():
         mdp, GbmpCondition(inf_sets=(frozenset({"t"}),))
     )
     assert ok and sol is not None
-
-
-def test_lp_dump_is_readable():
-    mdp = _single_loop()
-    cond = GbmpCondition(mp_inf=(MpBound(">=", Fr(1), {"s": Fr(1)}),))
-    text = build_lp(mdp, cond).dump()
-    assert "x[1,alpha]" in text and ">= 1" in text
 
 
 def test_lp_independent_of_initial_state():
@@ -167,21 +192,26 @@ def _random_condition(rng, mdp):
     return GbmpCondition(inf_sets, mp_inf, mp_sup)
 
 
+def _typed_rows(system):
+    return [(repr(list(c.items())), rel, rhs) for c, rel, rhs in system.rows]
+
+
 def test_build_lp_matches_rescan_builder():
     rng = random.Random(303)
     cancelled = 0
     for _ in range(300):
         mdp = random_mdp(rng, 6, 3)
         cond = _random_condition(rng, mdp)
-        got, want = build_lp(mdp, cond), rescan_build_lp(mdp, cond)
-        # Same rows with the same key order and value types, so same dumps.
-        assert [(repr(list(c.items())), rel, rhs) for c, rel, rhs in got.rows] == [
-            (repr(list(c.items())), rel, rhs) for c, rel, rhs in want.rows
-        ]
-        assert got.dump() == want.dump()
-        assert (got.num_vars, got.objective, got.slack_var) == (
-            want.num_vars, want.objective, want.slack_var
-        )
+        # Same rows with the same key order and value types, and the same
+        # columns: the slack system against the rescan builder, the margin
+        # system against the rewrite of the slack system it replaced.
+        slack = rescan_build_lp(mdp, cond)
+        for got, want in (
+            (build_lp(mdp, cond, margin=False), slack),
+            (build_lp(mdp, cond), margin_rewrite(slack)),
+        ):
+            assert _typed_rows(got) == _typed_rows(want)
+            assert (got.num_flows, got.num_vars) == (want.num_flows, want.num_vars)
         cancelled += any(a.dist == ((a.source, 1),) for a in mdp.actions)
     assert cancelled >= 30  # sure self-loops, whose balance entry cancels
 
@@ -194,7 +224,7 @@ def test_verify_solution_rejects_tampered_solutions():
     q = {"s": Fr(1), "t": Fr(0)}
     inf_system = build_lp(mdp, GbmpCondition(mp_inf=(MpBound(">=", Fr(1, 2), q),)))
     sup_system = build_lp(mdp, GbmpCondition(mp_sup=(MpBound(">=", Fr(1, 2), q),)))
-    sol = lp_feasible(inf_system)
+    sol = maximize_margin(inf_system)
     assert sol is not None
     _verify_solution(sup_system, sol)
     doubled = LpSolution({k: 2 * v for k, v in sol.x.items()}, sol.slack)
