@@ -7,7 +7,7 @@ propositional equivalence, which makes them usable as automaton states.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .formula import (
     AND,

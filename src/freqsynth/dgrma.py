@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
 
 from .boolfn import BoolFn, bf_and, bf_and_many, formula_to_boolfn, substitute_ff
 from .formula import (
@@ -24,8 +23,8 @@ from .formula import (
     in_fragment,
     nb_subformulas,
 )
-from .lasso import Lasso, letter_to_str
-from .lts import DEFAULT_STATE_CAP, Lts, StateCapExceeded, build_lts
+from .lasso import Lasso
+from .lts import DEFAULT_STATE_CAP, Lts, build_lts
 from .master import build_master
 from .slave import (
     SlaveLts,
@@ -72,8 +71,7 @@ class GrmpPair:
 class Dgrma:
     """Product automaton with its acceptance pairs and building blocks."""
 
-    def __init__(self, phi, lts, master, rec, slaves, components, pairs):
-        self.phi = phi
+    def __init__(self, lts, master, rec, slaves, components, pairs):
         self.lts = lts
         self.master = master
         self.rec = rec
@@ -102,24 +100,18 @@ def rec_set(phi: Formula) -> list[Formula]:
     return sorted(out, key=lambda f: f.uid)
 
 
-def build_dgrma(
-    phi: Formula,
-    ap: Optional[Iterable[str]] = None,
-    cap: int = DEFAULT_STATE_CAP,
-) -> Dgrma:
+def build_dgrma(phi: Formula, cap: int = DEFAULT_STATE_CAP) -> Dgrma:
     """Translate a fragment formula into an equivalent DGRMA.
 
-    The alphabet is 2^atoms: the formula's atoms plus ``ap``.  An atom the
-    formula never reads changes no transition, so ``ap`` only widens each
-    row; ``Lts.successor`` projects any letter onto the alphabet's atoms.
+    The alphabet is 2^atoms of the formula.  An atom the formula never reads
+    changes no transition, so ``Lts.successor`` projects any letter onto the
+    alphabet's atoms.
     """
     if not in_fragment(phi):
         raise FormulaError(f"{phi} has an until inside a globally operator")
     atoms = set(atoms_of(phi))
-    if ap is not None:
-        atoms |= set(ap)
 
-    master = build_master(phi, atoms, cap)
+    master = build_master(phi, cap)
     rec = rec_set(phi)
     slaves: list[SlaveLts] = []
     components: list[Lts] = []
@@ -143,7 +135,7 @@ def build_dgrma(
     )
 
     pairs = _build_pairs(lts, master, rec, slaves, components)
-    return Dgrma(phi, lts, master, rec, slaves, components, pairs)
+    return Dgrma(lts, master, rec, slaves, components, pairs)
 
 
 def _build_pairs(lts, master, rec, slaves, components) -> list[GrmpPair]:

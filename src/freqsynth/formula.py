@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 # Node kinds.
 TT = "tt"

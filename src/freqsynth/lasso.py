@@ -138,11 +138,6 @@ class _Eval:
     def succ(self, pos: int) -> int:
         return pos + 1 if pos + 1 < self.n else self.s
 
-    def fold(self, n: int) -> int:
-        if n < self.s:
-            return n
-        return self.s + (n - self.s) % len(self.w.loop)
-
     def reachable(self, pos: int) -> range:
         # From a stem position everything onward; from the loop, the whole loop.
         if pos < self.s:

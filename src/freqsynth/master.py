@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from .boolfn import formula_to_boolfn, step_row, unfold
 from .formula import Formula, FormulaError, atoms_of, in_fragment
 from .lts import DEFAULT_STATE_CAP, Lts, build_lts
 
 
-def build_master(
-    phi: Formula, ap: Optional[Iterable[str]] = None, cap: int = DEFAULT_STATE_CAP
-) -> Lts:
-    """Reachable master LTS over the powerset of the given atoms.
+def build_master(phi: Formula, cap: int = DEFAULT_STATE_CAP) -> Lts:
+    """Reachable master LTS over the powerset of the formula's atoms.
 
     States are canonical Boolean functions; tt and ff are absorbing.  A
     master move expands every obligation once per state, then steps the
@@ -20,13 +16,10 @@ def build_master(
     """
     if not in_fragment(phi):
         raise FormulaError(f"{phi} has an until inside a globally operator")
-    atoms = set(atoms_of(phi))
-    if ap is not None:
-        atoms |= set(ap)
     return build_lts(
         formula_to_boolfn(phi),
         lambda state, alphabet: step_row(unfold(state), alphabet),
-        atoms,
+        atoms_of(phi),
         cap,
         what="master LTS",
     )

@@ -171,11 +171,11 @@ def parse_mdp(text: str) -> tuple[Mdp, Valuation]:
 def product_mdp(mdp: Mdp, valuation: Valuation, lts: Lts, cap: int = DEFAULT_STATE_CAP):
     """Synchronous product with a deterministic LTS reading state labels.
 
-    Returns the product MDP, the map (state idx, lts state) -> product idx,
-    and the automaton component per product state.  The automaton advances on
-    the label of the state being entered; the initial automaton component has
-    already read the initial state's label.  Raises ``StateCapExceeded`` as
-    soon as the product would have more than ``cap`` states.
+    Returns the product MDP and the automaton component per product state.
+    The automaton advances on the label of the state being entered; the
+    initial automaton component has already read the initial state's label.
+    Raises ``StateCapExceeded`` as soon as the product would have more than
+    ``cap`` states.
     """
     if cap < 1:
         raise StateCapExceeded("product MDP", cap)
@@ -209,7 +209,7 @@ def product_mdp(mdp: Mdp, valuation: Valuation, lts: Lts, cap: int = DEFAULT_STA
     names = [f"{mdp.states[s]}@{q}" for s, q in order]
     product = Mdp(names, actions, 0)
     automaton_component = [q for _, q in order]
-    return product, index, automaton_component
+    return product, automaton_component
 
 
 def _sccs(nodes: list[int], edges: dict[int, list[int]]) -> list[list[int]]:
@@ -351,20 +351,10 @@ def attractor_policy(mdp: Mdp, targets: Iterable[int]) -> dict:
     return policy
 
 
-def mec_decomposition(
-    mdp: Mdp,
-    states: Optional[Iterable[int]] = None,
-    actions: Optional[Iterable[int]] = None,
-) -> list[EndComponent]:
-    """Maximal end components of the (sub-)MDP: split the closed part into
-    SCCs, and split again every SCC whose closed part loses an action."""
-    work = [
-        closed_part(
-            mdp,
-            range(len(mdp)) if states is None else states,
-            range(len(mdp.actions)) if actions is None else actions,
-        )
-    ]
+def mec_decomposition(mdp: Mdp) -> list[EndComponent]:
+    """Maximal end components of the MDP: split the closed part into SCCs,
+    and split again every SCC whose closed part loses an action."""
+    work = [closed_part(mdp, range(len(mdp)), range(len(mdp.actions)))]
     mecs = []
     while work:
         cur_states, cur_actions = work.pop()

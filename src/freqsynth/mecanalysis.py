@@ -136,9 +136,7 @@ def maximize_margin(system: LinearSystem) -> Optional[LpSolution]:
     n_actions = len(system.mdp.actions)
     t = system.num_flows * n_actions
     objective = {t: Fraction(1)} if system.num_vars > t else {}
-    status, values, _ = simplex.solve_lp(
-        system.num_vars, system.rows, objective, maximize=True
-    )
+    status, values, _ = simplex.solve_lp(system.num_vars, system.rows, objective)
     if status == simplex.INFEASIBLE:
         return None
     if status != simplex.OPTIMAL:
@@ -221,26 +219,27 @@ def accepting_mec(mdp: Mdp, cond: GbmpCondition):
     return True, sol
 
 
+EPOCH_BASE = 100
+EPOCH_RATIO = 32
+
+
 @dataclass(frozen=True)
 class EpochSchedule:
-    """Epoch t runs for base*ratio^t steps (optionally capped).
+    """Epoch t runs for EPOCH_BASE*EPOCH_RATIO^t steps (optionally capped).
 
     The steep growth makes the newest epoch dominate the whole history, which
     is what realizes limit-superior bounds in finite simulations.
     """
 
-    base: int = 100
-    ratio: int = 32
     cap: Optional[int] = None
 
     def __post_init__(self):
         # A length below 1 plans an empty epoch, and the runner would loop.
-        for name, value in (("base", self.base), ("ratio", self.ratio), ("cap", self.cap)):
-            if value is not None and value < 1:
-                raise ValueError(f"epoch {name} must be at least 1")
+        if self.cap is not None and self.cap < 1:
+            raise ValueError("epoch cap must be at least 1")
 
     def length(self, t: int) -> int:
-        raw = self.base * self.ratio**t
+        raw = EPOCH_BASE * EPOCH_RATIO**t
         return raw if self.cap is None else min(raw, self.cap)
 
 
@@ -421,14 +420,13 @@ def simulate_strategy(
     strategy: Strategy,
     steps: int,
     seed: int,
-    start: Optional[int] = None,
 ) -> SimulationStats:
     """Run the witness for the given number of steps from a fixed seed."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
     rng = random.Random(seed)
     runner = StrategyRunner(mdp, strategy, rng)
-    state = mdp.init if start is None else start
+    state = mdp.init
     cond = strategy.cond
 
     bounds = [("inf", i, b) for i, b in enumerate(cond.mp_inf)] + [

@@ -1,6 +1,6 @@
 """Two-phase simplex over exact rationals with Bland's anti-cycling rule.
 
-Problem form: optimize a linear objective subject to rows ``coeffs rel rhs``
+Problem form: maximize a linear objective subject to rows ``coeffs rel rhs``
 with rel in {<=, >=, ==} and all variables non-negative.  Each row of the
 dense tableau, and the cost row, is a list of int numerators over one positive
 int denominator, reduced by their gcd after every update: exact, without a
@@ -32,15 +32,12 @@ def solve_lp(
     num_vars: int,
     rows: Sequence[tuple[Mapping[int, Fraction], str, Fraction]],
     objective: Mapping[int, Fraction],
-    maximize: bool = True,
 ):
-    """Solve the LP; returns (status, values, objective value).
+    """Maximize the objective; returns (status, values, objective value).
 
     ``values`` has one Fraction per original variable when status is optimal,
     otherwise None.
     """
-    sense = 1 if maximize else -1
-
     # Normalize to equality form with slack/surplus columns and b >= 0.  A
     # row is [numerators, denominator]; cell j stands for nums[j] / den.
     n_slack = sum(1 for _, rel, _ in rows if rel in (LEQ, GEQ))
@@ -101,7 +98,7 @@ def solve_lp(
                     continue  # redundant row stays with a zero artificial
                 _pivot(tableau, basis, i, pivot_col)
 
-    cost = list(_int_row({j: sense * Fraction(c) for j, c in objective.items()}, _ZERO, width))
+    cost = list(_int_row(objective, _ZERO, width))
     for j in art_cols:
         cost[0][j] = 0
     _reduce_cost(cost, tableau, basis)
@@ -115,7 +112,7 @@ def solve_lp(
             nums, den = tableau[i]
             values[b] = Fraction(nums[-1], den)
     # The maintained z-row holds the negated objective of the current basis.
-    return OPTIMAL, values, Fraction(-sense * cost[0][-1], cost[1])
+    return OPTIMAL, values, Fraction(-cost[0][-1], cost[1])
 
 
 def _int_row(coeffs, rhs, size):

@@ -331,16 +331,14 @@ def synthesize(
     strict: bool = False,
     max_states: int = DEFAULT_STATE_CAP,
     schedule: Optional[EpochSchedule] = None,
-    want_strategy: bool = True,
-    automaton: Optional[Dgrma] = None,
 ) -> SynthesisReport:
     """Decide the controller synthesis problem and build the witness."""
     if not 0 <= threshold <= 1:
         raise SynthesisError(f"threshold {threshold} outside [0,1]")
     if not in_fragment(phi):
         raise SynthesisError(f"{phi} is outside the supported fragment")
-    aut = automaton or build_dgrma(phi, cap=max_states)
-    product, _, automaton_component = product_mdp(mdp, valuation, aut.lts, max_states)
+    aut = build_dgrma(phi, cap=max_states)
+    product, automaton_component = product_mdp(mdp, valuation, aut.lts, max_states)
 
     lifted = [lift_pair(pair, product, automaton_component) for pair in aut.pairs]
     w_states, outcomes = winning_union(product, lifted)
@@ -353,7 +351,7 @@ def synthesize(
         probability = _ZERO
 
     strategy = None
-    if want_strategy and w_states:
+    if w_states:
         strategy = _assemble_strategy(lifted, outcomes, selector, schedule)
 
     met = probability > threshold if strict else probability >= threshold
@@ -393,19 +391,11 @@ def _assemble_strategy(lifted, outcomes, selector, schedule):
 
 
 @dataclass
-class EpisodeStats:
-    entered: bool
-    entry_step: Optional[int]
-    winner_index: Optional[int]
-
-
-@dataclass
 class GlobalSimulation:
     episodes: int
     steps_per_episode: int
     seed: int
     entered: int
-    episode_stats: list
     mp_pooled: list  # (winner idx, label, pooled average over in-component steps)
 
     def to_text(self) -> str:
@@ -431,15 +421,13 @@ def simulate_global(
     """Seeded episodic run of the assembled strategy on the product MDP."""
     rng = random.Random(seed)
     entered = 0
-    stats = []
     pooled_sums: dict = {}
     pooled_steps: dict = {}
     for _ in range(episodes):
         state = product.init
         runner = None
         winner_idx = None
-        entry_step = None
-        for step_no in range(steps_per_episode):
+        for _ in range(steps_per_episode):
             name = product.states[state]
             if runner is None and name in strategy.state_to_winner:
                 winner_idx = strategy.state_to_winner[name]
@@ -447,7 +435,6 @@ def simulate_global(
                 runner = StrategyRunner(
                     winner.component, winner.strategy, rng
                 )
-                entry_step = step_no
                 entered += 1
             if runner is None:
                 action_name = strategy.reach[name]
@@ -467,7 +454,6 @@ def simulate_global(
                 local_action = local.actions[ai]
                 action = product.actions[product.action_index[local_action.name]]
             state = sample(action.dist, rng)
-        stats.append(EpisodeStats(runner is not None, entry_step, winner_idx))
 
     mp_pooled = []
     for (w_idx, bi), total in sorted(pooled_sums.items()):
@@ -478,6 +464,4 @@ def simulate_global(
         bound = bounds[bi]
         label = f"{kind}:{bound.cmp}{bound.bound}"
         mp_pooled.append((w_idx, label, total / pooled_steps[(w_idx, bi)]))
-    return GlobalSimulation(
-        episodes, steps_per_episode, seed, entered, stats, mp_pooled
-    )
+    return GlobalSimulation(episodes, steps_per_episode, seed, entered, mp_pooled)

@@ -422,13 +422,12 @@ def decide_then_maximize_margin(mdp, cond):
     return True, LpSolution(x, values[t])
 
 
-def rescan_mec_decomposition(mdp, states=None, actions=None):
+def rescan_mec_decomposition(mdp, states=None):
     """MECs by iterated SCC pruning that rescans every state and action."""
     cur_states = set(range(len(mdp))) if states is None else set(states)
-    cur_actions = set(range(len(mdp.actions))) if actions is None else set(actions)
     cur_actions = {
         ai
-        for ai in cur_actions
+        for ai in range(len(mdp.actions))
         if mdp.actions[ai].source in cur_states
         and all(t in cur_states for t, _ in mdp.actions[ai].dist)
     }
@@ -545,10 +544,9 @@ def ring_mdp(rng, n):
     return Mdp([f"s{k}" for k in range(n)], actions, 0), valuation
 
 
-def fraction_solve_lp(num_vars, rows, objective, maximize=True):
+def fraction_solve_lp(num_vars, rows, objective):
     """Two-phase Bland simplex on a dense tableau of Fractions, with the same
     pivot rules and results as ``freqsynth.simplex.solve_lp``."""
-    sense = _ONE if maximize else -_ONE
     n_slack = sum(1 for _, rel, _ in rows if rel in (LEQ, GEQ))
     total = num_vars + n_slack
     tableau = []
@@ -612,7 +610,7 @@ def fraction_solve_lp(num_vars, rows, objective, maximize=True):
 
     cost = [_ZERO] * width
     for j, c in objective.items():
-        cost[j] = sense * Fraction(c)
+        cost[j] = Fraction(c)
     for j in art_cols:
         cost[j] = _ZERO
     _fraction_reduce_cost(cost, tableau, basis)
@@ -623,7 +621,7 @@ def fraction_solve_lp(num_vars, rows, objective, maximize=True):
     for i, b in enumerate(basis):
         if b < num_vars:
             values[b] = tableau[i][-1]
-    return OPTIMAL, values, -sense * cost[-1]
+    return OPTIMAL, values, -cost[-1]
 
 
 def _fraction_reduce_cost(cost, tableau, basis):
@@ -835,16 +833,21 @@ def shift(w, n):
     return Lasso((), w.loop[k:] + w.loop[:k])
 
 
+def _fold(w, n):
+    """The folded position (stem positions plus one loop copy) of letter n."""
+    s = len(w.stem)
+    return n if n < s else s + (n - s) % len(w.loop)
+
+
 def models_at(w, phi, n):
     """Truth of the formula on the suffix starting at position n."""
-    ev = _Eval(w)
-    return ev.holds(phi, ev.fold(n))
+    return _Eval(w).holds(phi, _fold(w, n))
 
 
 def models_boolfn(w, f, n=0):
     """Truth of a Boolean function over non-Boolean formulas on a suffix."""
     ev = _Eval(w)
-    pos = ev.fold(n)
+    pos = _fold(w, n)
     true_vars = frozenset(
         uid for uid in f.variables() if ev.holds(Formula.by_uid(uid), pos)
     )
@@ -956,7 +959,7 @@ def letterwise_build_dgrma(phi, ap=None, cap=100_000):
         tuple(p.init for p in parts), successor, atoms, cap, what="product automaton"
     )
     pairs = letterwise_build_pairs(lts, master, rec, slaves, components)
-    return Dgrma(phi, lts, master, rec, slaves, components, pairs)
+    return Dgrma(lts, master, rec, slaves, components, pairs)
 
 
 def letterwise_build_pairs(lts, master, rec, slaves, components):

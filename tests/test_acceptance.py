@@ -101,10 +101,10 @@ def test_criterion_3_master_local_correctness():
     failures = 0
     checks = 0
     for k, phi in enumerate(corpus_formulas()):
-        master = build_master(phi, ap={"a", "b", "c"})
+        master = build_master(phi)
         rng = random.Random(330_000 + k)
         for _ in range(60):
-            w = random_lasso(rng, 6, 6, sorted(master.atoms) or ["a"])
+            w = random_lasso(rng, 6, 6, sorted(master.atoms | {"a", "b", "c"}))
             expected = models(w, phi)
             q = master.init
             for n in range(len(w.stem) + 3 * len(w.loop) + 1):
@@ -252,8 +252,8 @@ def test_criterion_7_markov_chain_cross_validation():
         chain, valuation = random_markov_chain(rng, 6)
         for phi in formulas:
             combos += 1
-            report = synthesize(chain, valuation, phi, Fr(1, 2), want_strategy=False)
-            product, _, comp = product_mdp(chain, valuation, report.automaton.lts)
+            report = synthesize(chain, valuation, phi, Fr(1, 2))
+            product, comp = product_mdp(chain, valuation, report.automaton.lts)
             lifted = [lift_pair(p, product, comp) for p in report.automaton.pairs]
             if report.probability != chain_pipeline_probability(product, lifted):
                 mismatches += 1
@@ -280,8 +280,8 @@ def test_criterion_8_qualitative_dichotomy():
         for init in range(len(mdp)):
             shifted = Mdp(mdp.states, mdp.actions, init)
             valuation = [frozenset() for _ in mdp.states]
-            aut = build_dgrma(tt(), ap=set())
-            product, _, comp = product_mdp(shifted, valuation, aut.lts)
+            aut = build_dgrma(tt())
+            product, comp = product_mdp(shifted, valuation, aut.lts)
             lifted_cond = GbmpCondition(
                 inf_sets=tuple(
                     frozenset(f"{s}@{comp[0]}" for s in inf) for inf in cond.inf_sets

@@ -43,12 +43,12 @@ def _to_boolfn(expr, variables):
     return bf_and(left, right) if op == "and" else bf_or(left, right)
 
 
-_exprs = st.deferred(
-    lambda: st.one_of(
-        st.tuples(st.just("var"), st.integers(0, 5)),
-        st.tuples(st.just("and"), _exprs, _exprs),
-        st.tuples(st.just("or"), _exprs, _exprs),
-    )
+# Bounded by leaf count: unbounded, two subexpressions per branch draw huge
+# expressions whose canonical forms would dominate the run time.
+_exprs = st.recursive(
+    st.tuples(st.just("var"), st.integers(0, 5)),
+    lambda sub: st.tuples(st.sampled_from(["and", "or"]), sub, sub),
+    max_leaves=32,
 )
 
 

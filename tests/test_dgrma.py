@@ -60,7 +60,7 @@ def test_eventually_pair_structure():
 
 
 def test_trivial_formula_accepts_everything():
-    aut = build_dgrma(parse_formula("tt"), ap={"a"})
+    aut = build_dgrma(parse_formula("tt"))
     assert len(aut.pairs) == 1
     rng = random.Random(1)
     for _ in range(20):
@@ -168,9 +168,9 @@ WIDE_FORMULA = (
 )
 
 
-def _translate(build, phi, extra, cap):
+def _translate(build, phi, cap):
     try:
-        return build(phi, extra, cap)
+        return build(phi, cap=cap)
     except StateCapExceeded as exc:
         return str(exc)
 
@@ -183,10 +183,9 @@ def test_row_translation_matches_letterwise_oracle():
     built = capped = 0
     for _ in range(300):
         phi = random_fragment_formula(rng, rng.randint(2, 12), ["a", "b", "c"])
-        extra = ["x", "y"][: rng.randint(0, 2)]
         for cap in (10_000, rng.randint(1, 12)):
-            aut = _translate(build_dgrma, phi, extra, cap)
-            ref = _translate(letterwise_build_dgrma, phi, extra, cap)
+            aut = _translate(build_dgrma, phi, cap)
+            ref = _translate(letterwise_build_dgrma, phi, cap)
             if isinstance(ref, str):
                 assert aut == ref, phi
                 capped += 1
@@ -227,7 +226,7 @@ def test_translation_goes_through_the_traced_builders(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(freqsynth.dgrma, name, counted)
-    aut = build_dgrma(parse_formula(WIDE_FORMULA), "lbrfcwpx")
+    aut = build_dgrma(parse_formula(WIDE_FORMULA))
     assert calls == {
         "build_lts": 1,
         "build_master": 1,
@@ -235,17 +234,15 @@ def test_translation_goes_through_the_traced_builders(monkeypatch):
         "build_token_lts": 3,
         "build_count_lts": 2,
     }
-    assert (len(aut), len(aut.lts.alphabet)) == (925, 256)
-    narrow = build_dgrma(parse_formula(WIDE_FORMULA))
-    assert (len(narrow), len(narrow.lts.alphabet)) == (925, 128)
-    assert narrow.lts.states == aut.lts.states
+    assert (len(aut), len(aut.lts.alphabet)) == (925, 128)
 
 
 def test_extra_atoms_only_widen_rows():
-    # An atom the formula never reads changes no transition: translating over
-    # extra atoms that sort before ("0"), between ("aa") and after ("zz") the
-    # formula's atoms must number the same states with the same acceptance,
-    # and each wide row must read the narrow row at the projected letter.
+    # An atom the formula never reads changes no transition: the letterwise
+    # oracle over extra atoms that sort before ("0"), between ("aa") and after
+    # ("zz") the formula's atoms must number the same states with the same
+    # acceptance as the translation, and each wide row must read the narrow
+    # row at the projected letter.
     rng = random.Random(909)
     formulas = corpus_formulas()
     formulas += [
@@ -259,7 +256,7 @@ def test_extra_atoms_only_widen_rows():
         narrow = build_dgrma(phi, cap=50_000)
         assert narrow.lts.atoms == atoms, phi
         for extra in extras:
-            wide = build_dgrma(phi, ap=extra, cap=50_000)
+            wide = letterwise_build_dgrma(phi, ap=extra, cap=50_000)
             assert wide.lts.atoms == atoms.union(extra), (phi, extra)
             assert wide.lts.states == narrow.lts.states, (phi, extra)
             assert acceptance_dump(wide) == acceptance_dump(narrow), (phi, extra)

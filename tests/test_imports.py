@@ -1,0 +1,35 @@
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "freqsynth"
+
+# (module, name) pairs imported without a use in the module itself.
+ALLOWED = {
+    # bench/spans.py wraps synthesis.maximize_margin in that namespace.
+    ("synthesis", "maximize_margin"),
+}
+
+
+def test_every_import_is_used():
+    # __init__.py imports to re-export, so only the other modules are scanned.
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in sorted(bound.items())
+            if name not in used and (path.stem, name) not in ALLOWED
+        ]
+    assert not unused, unused

@@ -31,7 +31,7 @@ def test_worked_example_transitions():
 
 
 def test_trivial_formula_single_state():
-    m = build_master(parse_formula("tt"), ap={"a"})
+    m = build_master(parse_formula("tt"))
     assert len(m) == 1
     assert m.successor(0, _letter("a")) == 0
 
@@ -45,10 +45,10 @@ def test_nested_globally_example():
 
 
 def test_constants_absorbing():
-    m = build_master(parse_formula("F a"), ap={"a", "b"})
+    m = build_master(parse_formula("F a"))
     for q, state in enumerate(m.states):
         if state in (TRUE, FALSE):
-            for letter in m.alphabet:
+            for letter in (_letter(), _letter("a"), _letter("b"), _letter("a", "b")):
                 assert m.successor(q, letter) == q
 
 

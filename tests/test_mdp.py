@@ -90,7 +90,7 @@ def test_product_with_master():
         "mdp\nstates s\ninit s\nlabel s a\naction s loop : s 1\n"
     )
     master = build_master(parse_formula("F a"))
-    product, index, comp = product_mdp(mdp, valuation, master)
+    product, comp = product_mdp(mdp, valuation, master)
     # The automaton reads the initial label immediately, so the single
     # reachable product state already sits in the accepting master state.
     assert len(product) == 1
@@ -99,8 +99,8 @@ def test_product_with_master():
 
 def test_product_unit_automaton_isomorphic():
     mdp, valuation = parse_mdp(EXAMPLE)
-    master = build_master(parse_formula("tt"), ap={"a", "b"})
-    product, _, _ = product_mdp(mdp, valuation, master)
+    master = build_master(parse_formula("tt"))
+    product, _ = product_mdp(mdp, valuation, master)
     assert len(product) == len(mdp)
     assert len(product.actions) == len(mdp.actions)
     for a, pa in zip(sorted(x.name for x in mdp.actions),
@@ -110,8 +110,8 @@ def test_product_unit_automaton_isomorphic():
 
 def test_product_preserves_distributions():
     mdp, valuation = parse_mdp(EXAMPLE)
-    master = build_master(parse_formula("G F a"), ap={"a", "b"})
-    product, _, _ = product_mdp(mdp, valuation, master)
+    master = build_master(parse_formula("G F a"))
+    product, _ = product_mdp(mdp, valuation, master)
     for action in product.actions:
         assert sum(p for _, p in action.dist) == 1
 
@@ -168,7 +168,7 @@ def test_restrict_can_split_mecs():
 
 def test_product_enforces_the_state_cap():
     mdp, valuation = parse_mdp(EXAMPLE)
-    master = build_master(parse_formula("G F a"), ap={"a", "b"})
+    master = build_master(parse_formula("G F a"))
     size = len(product_mdp(mdp, valuation, master)[0])
     assert len(product_mdp(mdp, valuation, master, size)[0]) == size
     with pytest.raises(StateCapExceeded, match=f"product MDP exceeds the state cap of {size - 1} "):
@@ -182,7 +182,9 @@ def test_graph_toolkit_matches_rescan_oracles():
         n = len(mdp)
         assert mec_decomposition(mdp) == rescan_mec_decomposition(mdp)
         states = rng.sample(range(n), rng.randint(1, n))
-        assert mec_decomposition(mdp, states) == rescan_mec_decomposition(mdp, states)
+        sub = restrict(mdp, [mdp.states[s] for s in range(n) if s not in states])
+        mecs = [] if sub is None else mec_decomposition(sub)
+        assert mecs == rescan_mec_decomposition(mdp, states)
         removed = rng.sample(mdp.states, rng.randint(0, n))
         cut, oracle = restrict(mdp, removed), rescan_restrict(mdp, removed)
         if oracle is None:
@@ -210,8 +212,8 @@ def test_product_lift_matches_automaton_run():
     import random
 
     mdp, valuation = parse_mdp(EXAMPLE)
-    master = build_master(parse_formula("G F a"), ap={"a", "b"})
-    product, index, comp = product_mdp(mdp, valuation, master)
+    master = build_master(parse_formula("G F a"))
+    product, comp = product_mdp(mdp, valuation, master)
     rng = random.Random(51)
     for _ in range(30):
         p_state = product.init

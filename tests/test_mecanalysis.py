@@ -292,13 +292,13 @@ def test_simulation_determinism():
 
 
 def test_schedule_cap():
-    sched = EpochSchedule(base=10, ratio=2, cap=25)
-    assert [sched.length(t) for t in range(4)] == [10, 20, 25, 25]
-    assert EpochSchedule(base=1, ratio=1, cap=1).length(3) == 1
-    for bad in ({"base": 0}, {"ratio": 0}, {"cap": 0}, {"cap": -1}):
-        (name,) = bad
-        with pytest.raises(ValueError, match=f"epoch {name} must be at least 1"):
-            EpochSchedule(**bad)
+    sched = EpochSchedule(cap=5_000)
+    assert [sched.length(t) for t in range(4)] == [100, 3_200, 5_000, 5_000]
+    assert [EpochSchedule().length(t) for t in range(3)] == [100, 3_200, 102_400]
+    assert EpochSchedule(cap=1).length(3) == 1
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="epoch cap must be at least 1"):
+            EpochSchedule(cap=cap)
     with pytest.raises(ValueError):
         mdp = _single_loop()
         cond = GbmpCondition(mp_inf=(MpBound(">=", Fr(1), {"s": Fr(1)}),))

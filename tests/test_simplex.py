@@ -29,16 +29,16 @@ def test_infeasible_and_unbounded():
 
 
 def test_equalities_and_minimization():
+    # Minimizing x0 + x1 is maximizing its negation.
     status, x, value = solve_lp(
         2,
         [
             ({0: Fr(1), 1: Fr(1)}, "==", Fr(3)),
             ({0: Fr(1), 1: Fr(-1)}, ">=", Fr(1)),
         ],
-        {0: Fr(1), 1: Fr(1)},
-        maximize=False,
+        {0: Fr(-1), 1: Fr(-1)},
     )
-    assert status == OPTIMAL and value == Fr(3)
+    assert status == OPTIMAL and value == Fr(-3)
 
 
 def test_beale_cycling_example_terminates():
@@ -82,9 +82,7 @@ def test_solutions_satisfy_constraints_exactly():
 
 
 def test_negative_rhs_normalization():
-    status, x, _ = solve_lp(
-        1, [({0: Fr(-1)}, "<=", Fr(-2))], {0: Fr(1)}, maximize=False
-    )
+    status, x, _ = solve_lp(1, [({0: Fr(-1)}, "<=", Fr(-2))], {0: Fr(-1)})
     assert status == OPTIMAL and x[0] == Fr(2)
 
 
@@ -115,14 +113,14 @@ def _counted(fn, columns, ties=None):
     return pivot
 
 
-def _assert_same_as_oracle(monkeypatch, num_vars, rows, objective, maximize, ties=None):
+def _assert_same_as_oracle(monkeypatch, num_vars, rows, objective, ties=None):
     fast, slow = [], []
     monkeypatch.setattr(simplex, "_pivot", _counted(simplex._pivot, fast))
     monkeypatch.setattr(
         helpers, "_fraction_pivot", _counted(helpers._fraction_pivot, slow, ties)
     )
-    got = solve_lp(num_vars, rows, objective, maximize)
-    want = fraction_solve_lp(num_vars, rows, objective, maximize)
+    got = solve_lp(num_vars, rows, objective)
+    want = fraction_solve_lp(num_vars, rows, objective)
     monkeypatch.undo()
     assert got == want
     assert fast == slow  # the same entering column on every pivot
@@ -146,7 +144,9 @@ def _random_lp(rng):
     objective = {
         j: Fr(rng.randint(-3, 3), rng.choice([1, 2])) for j in range(n) if rng.random() < 0.8
     }
-    return n, rows, objective, rng.random() < 0.6
+    if rng.random() >= 0.6:  # a minimization: maximize the negated objective
+        objective = {j: -c for j, c in objective.items()}
+    return n, rows, objective
 
 
 def test_integer_tableau_matches_fraction_oracle_on_random_lps(monkeypatch):
@@ -162,9 +162,9 @@ def test_integer_tableau_matches_fraction_oracle_on_random_lps(monkeypatch):
 def test_integer_tableau_matches_fraction_oracle_on_flow_lps(monkeypatch):
     lps = []
 
-    def recording(num_vars, rows, objective, maximize=True):
-        lps.append((num_vars, rows, objective, maximize))
-        return fraction_solve_lp(num_vars, rows, objective, maximize)
+    def recording(num_vars, rows, objective):
+        lps.append((num_vars, rows, objective))
+        return fraction_solve_lp(num_vars, rows, objective)
 
     rng = random.Random(77)
     for _ in range(16):
@@ -186,6 +186,6 @@ def test_integer_tableau_matches_fraction_oracle_on_flow_lps(monkeypatch):
         accepting_mec(mdp, cond)
         monkeypatch.undo()
     assert len(lps) >= 16
-    assert any(len(rows) >= 28 for _, rows, _, _ in lps)
+    assert any(len(rows) >= 28 for _, rows, _ in lps)
     for lp in lps:
         _assert_same_as_oracle(monkeypatch, *lp)

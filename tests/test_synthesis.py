@@ -3,6 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+import freqsynth.synthesis
 from freqsynth import simplex
 from freqsynth.dgrma import build_dgrma
 from freqsynth.formula import parse_formula
@@ -22,6 +23,7 @@ from helpers import (
     chain_pipeline_probability,
     corpus_formulas,
     dense_max_reach,
+    letterwise_build_dgrma,
     random_markov_chain,
     random_fragment_formula,
     random_mdp,
@@ -177,9 +179,9 @@ def test_markov_chain_cross_validation_small():
         for phi in formulas:
             if not phi.children and phi.kind in ("tt", "ff"):
                 continue
-            report = synthesize(chain, valuation, phi, Fr(1, 2), want_strategy=False)
+            report = synthesize(chain, valuation, phi, Fr(1, 2))
             aut = report.automaton
-            product, _, comp = product_mdp(chain, valuation, aut.lts)
+            product, comp = product_mdp(chain, valuation, aut.lts)
             lifted = [lift_pair(p, product, comp) for p in aut.pairs]
             expected = chain_pipeline_probability(product, lifted)
             assert report.probability == expected, (phi, chain.states)
@@ -227,8 +229,8 @@ def test_one_lp_solve_per_mec_that_meets_the_inf_sets(monkeypatch):
         "action u uu : u 1/2 , w 1/2\naction w wu : u 1\naction x xx : x 1\n"
     )
     phi = parse_formula("G{>=3/4,inf} a & G F b")
-    aut = build_dgrma(phi, ap={"a", "b"})
-    product, _, comp = product_mdp(mdp, valuation, aut.lts)
+    aut = build_dgrma(phi)
+    product, comp = product_mdp(mdp, valuation, aut.lts)
     expected = mecs = 0
     for pair in aut.pairs:
         fin, cond = lift_pair(pair, product, comp)
@@ -246,17 +248,17 @@ def test_one_lp_solve_per_mec_that_meets_the_inf_sets(monkeypatch):
         return solve_lp(*args, **kwargs)
 
     monkeypatch.setattr(simplex, "solve_lp", counting_solve_lp)
-    report = synthesize(mdp, valuation, phi, Fr(1), automaton=aut)
+    report = synthesize(mdp, valuation, phi, Fr(1))
     assert report.probability == 1
     assert len(report.strategy.winners) == 1
     assert mecs > expected >= 2
     assert len(calls) == expected
 
 
-def test_unused_model_atoms_do_not_change_synthesis():
-    # synthesize translates over the formula's atoms alone; the automaton over
-    # every atom of the model's labels must give the same report, winning
-    # states, witnesses and simulation.
+def test_unused_model_atoms_do_not_change_synthesis(monkeypatch):
+    # synthesize translates over the formula's atoms alone; the letterwise
+    # oracle's automaton over every atom of the model's labels must give the
+    # same report, winning states, witnesses and simulation.
     rng = random.Random(4242)
     fixed = [parse_formula(t) for t in ("G{>=1/2,inf} a | F b", "G F a & F G !b")]
     formulas = fixed + [
@@ -273,9 +275,13 @@ def test_unused_model_atoms_do_not_change_synthesis():
         model_atoms = frozenset().union(*valuation)
         threshold = Fr(rng.randint(0, 4), 4)
         narrow = synthesize(mdp, valuation, phi, threshold)
-        wide = synthesize(
-            mdp, valuation, phi, threshold, automaton=build_dgrma(phi, ap=model_atoms)
-        )
+        with monkeypatch.context() as m:
+            m.setattr(
+                freqsynth.synthesis,
+                "build_dgrma",
+                lambda f, cap: letterwise_build_dgrma(f, ap=model_atoms, cap=cap),
+            )
+            wide = synthesize(mdp, valuation, phi, threshold)
         assert narrow.automaton.lts.atoms < wide.automaton.lts.atoms, phi
         assert narrow.to_text() == wide.to_text(), phi
         assert narrow.winning_states == wide.winning_states, phi
@@ -334,8 +340,8 @@ def test_chain_probabilities_complement_exactly():
         if not in_fragment(neg):
             continue
         chain, valuation = random_markov_chain(rng, 4)
-        p = synthesize(chain, valuation, phi, Fr(1, 2), want_strategy=False)
-        q = synthesize(chain, valuation, neg, Fr(1, 2), want_strategy=False)
+        p = synthesize(chain, valuation, phi, Fr(1, 2))
+        q = synthesize(chain, valuation, neg, Fr(1, 2))
         checked += 1
         assert p.probability + q.probability == 1, (phi, neg)
 
