@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 from .dgrma import accepts_lasso, acceptance_dump, build_dgrma, dgrma_to_dot
-from .formula import FREQ, Formula, FormulaError, in_fragment, parse_formula, parse_rational
+from .formula import FREQ, Formula, FormulaError, parse_formula, parse_rational
 from .lasso import LassoError, models, parse_lasso
 from .lts import DEFAULT_STATE_CAP, StateCapExceeded
 from .mdp import MdpError, mec_decomposition, parse_mdp
@@ -106,13 +106,7 @@ def _load_formula(args) -> Formula:
         text = args.formula
     else:
         raise FormulaError("a formula is required (--formula or --formula-file)")
-    phi = parse_formula(text)
-    if not in_fragment(phi):
-        raise FormulaError(
-            f"{phi} is outside the supported fragment "
-            "(no until inside a globally operator)"
-        )
-    return phi
+    return parse_formula(text)
 
 
 def _load_model(args):
@@ -209,21 +203,14 @@ def cmd_simulate(args) -> int:
         raise SynthesisError("episodes must be at least 1")
     phi = _load_formula(args)
     mdp, valuation = _load_model(args)
-    schedule = None if args.epoch_cap is None else EpochSchedule(cap=args.epoch_cap)
-    report = synthesize(
-        mdp,
-        valuation,
-        phi,
-        Fraction(0),
-        max_states=args.max_states,
-        schedule=schedule,
-    )
+    schedule = EpochSchedule(cap=args.epoch_cap)
+    report = synthesize(mdp, valuation, phi, Fraction(0), max_states=args.max_states)
     if report.strategy is None or not report.strategy.winners:
         raise SynthesisError(
             "no strategy available: the maximal probability is 0 everywhere"
         )
     stats = simulate_global(
-        report.product, report.strategy, args.episodes, args.steps, args.seed
+        report.product, report.strategy, args.episodes, args.steps, args.seed, schedule
     )
     sys.stdout.write(f"max_probability: {report.probability} "
                      f"(~{float(report.probability):.6f})\n")

@@ -108,7 +108,10 @@ def build_dgrma(phi: Formula, cap: int = DEFAULT_STATE_CAP) -> Dgrma:
     alphabet's atoms.
     """
     if not in_fragment(phi):
-        raise FormulaError(f"{phi} has an until inside a globally operator")
+        raise FormulaError(
+            f"{phi} is outside the supported fragment "
+            "(no until inside a globally operator)"
+        )
     atoms = set(atoms_of(phi))
 
     master = build_master(phi, cap)

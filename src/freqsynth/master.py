@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .boolfn import formula_to_boolfn, step_row, unfold
-from .formula import Formula, FormulaError, atoms_of, in_fragment
+from .formula import Formula, atoms_of
 from .lts import DEFAULT_STATE_CAP, Lts, build_lts
 
 
@@ -14,8 +14,6 @@ def build_master(phi: Formula, cap: int = DEFAULT_STATE_CAP) -> Lts:
     master move expands every obligation once per state, then steps the
     expansion under each letter.
     """
-    if not in_fragment(phi):
-        raise FormulaError(f"{phi} has an until inside a globally operator")
     return build_lts(
         formula_to_boolfn(phi),
         lambda state, alphabet: step_row(unfold(state), alphabet),

@@ -254,18 +254,12 @@ class ModeClass:
 
 
 @dataclass(frozen=True)
-class StrategyMode:
-    classes: tuple
-
-
-@dataclass(frozen=True)
 class Strategy:
     """Witness strategy: per-flow randomized modes, visited in epochs."""
 
-    modes: tuple
+    modes: tuple  # per flow, a tuple of its ModeClass
     pilgrimage: tuple  # target state indices, one per Inf set
     pilgrimage_policies: tuple  # matching attractor policies
-    schedule: EpochSchedule
     cond: GbmpCondition
 
 
@@ -308,21 +302,14 @@ def _support_classes(mdp: Mdp, sol: LpSolution, flow: int) -> list[ModeClass]:
     return classes
 
 
-def build_witness_strategy(
-    mdp: Mdp,
-    sol: LpSolution,
-    cond: GbmpCondition,
-    schedule: Optional[EpochSchedule] = None,
-) -> Strategy:
+def build_witness_strategy(mdp: Mdp, sol: LpSolution, cond: GbmpCondition) -> Strategy:
     """Assemble the epoch-switching witness from the flow solution."""
-    if schedule is None:
-        schedule = EpochSchedule()
     modes = []
     for i in range(cond.num_flows()):
         classes = _support_classes(mdp, sol, i)
         if not classes:
             raise MdpError(f"flow {i} has empty support")
-        modes.append(StrategyMode(tuple(classes)))
+        modes.append(tuple(classes))
     pilgrimage = []
     policies = []
     for inf_set in cond.inf_sets:
@@ -331,28 +318,28 @@ def build_witness_strategy(
             raise MdpError("Inf set does not intersect the component")
         pilgrimage.append(members[0])
         policies.append(attractor_policy(mdp, {members[0]}))
-    return Strategy(tuple(modes), tuple(pilgrimage), tuple(policies), schedule, cond)
+    return Strategy(tuple(modes), tuple(pilgrimage), tuple(policies), cond)
 
 
 class StrategyRunner:
-    """Mutable cursor executing a witness strategy step by step."""
+    """Mutable cursor executing a witness strategy under an epoch schedule."""
 
-    def __init__(self, mdp: Mdp, strategy: Strategy, rng: random.Random):
-        self.mdp = mdp
+    def __init__(self, strategy: Strategy, schedule: EpochSchedule, rng: random.Random):
         self.strategy = strategy
+        self.schedule = schedule
         self.rng = rng
         self.epoch = -1
         self.plan: list = []  # remaining (kind, payload) tasks of this epoch
 
     def begin_epoch(self):
         self.epoch += 1
-        planned = self.strategy.schedule.length(self.epoch)
+        planned = self.schedule.length(self.epoch)
         mode = self.strategy.modes[self.epoch % len(self.strategy.modes)]
         self.plan = [("visit", i) for i in range(len(self.strategy.pilgrimage))]
-        total_weight = sum(c.weight for c in mode.classes)
-        shares = [int(planned * c.weight / total_weight) for c in mode.classes]
+        total_weight = sum(c.weight for c in mode)
+        shares = [int(planned * c.weight / total_weight) for c in mode]
         shares[0] += planned - sum(shares)
-        for cls, share in zip(mode.classes, shares):
+        for cls, share in zip(mode, shares):
             if share > 0:
                 self.plan.append(("play", (cls, share)))
 
@@ -425,7 +412,7 @@ def simulate_strategy(
     if steps < 1:
         raise ValueError("steps must be at least 1")
     rng = random.Random(seed)
-    runner = StrategyRunner(mdp, strategy, rng)
+    runner = StrategyRunner(strategy, EpochSchedule(), rng)
     state = mdp.init
     cond = strategy.cond
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from .dgrma import Dgrma, GrmpPair, build_dgrma
-from .formula import Formula, in_fragment
+from .formula import Formula
 from .lts import DEFAULT_STATE_CAP
 from .mdp import (
     EndComponent,
@@ -297,16 +297,15 @@ class SynthesisReport:
     winning_states: frozenset
     outcomes: list
     strategy: Optional[GlobalStrategy]
-    sizes: dict
-    automaton: Optional[Dgrma] = None
-    product: Optional[Mdp] = None
+    automaton: Dgrma
+    product: Mdp
 
     def to_text(self) -> str:
         lines = [
             f"formula: {self.formula}",
-            f"automaton_states: {self.sizes['automaton_states']}",
-            f"automaton_pairs: {self.sizes['automaton_pairs']}",
-            f"product_states: {self.sizes['product_states']}",
+            f"automaton_states: {len(self.automaton)}",
+            f"automaton_pairs: {len(self.automaton.pairs)}",
+            f"product_states: {len(self.product)}",
             f"winning_states: {len(self.winning_states)}",
         ]
         for outcome in self.outcomes:
@@ -330,29 +329,21 @@ def synthesize(
     threshold: Fraction,
     strict: bool = False,
     max_states: int = DEFAULT_STATE_CAP,
-    schedule: Optional[EpochSchedule] = None,
 ) -> SynthesisReport:
     """Decide the controller synthesis problem and build the witness."""
     if not 0 <= threshold <= 1:
         raise SynthesisError(f"threshold {threshold} outside [0,1]")
-    if not in_fragment(phi):
-        raise SynthesisError(f"{phi} is outside the supported fragment")
     aut = build_dgrma(phi, cap=max_states)
     product, automaton_component = product_mdp(mdp, valuation, aut.lts, max_states)
 
     lifted = [lift_pair(pair, product, automaton_component) for pair in aut.pairs]
     w_states, outcomes = winning_union(product, lifted)
+    probability = _ZERO
+    strategy = None
     if w_states:
         values, selector = max_reach(product, w_states)
         probability = values[product.states[product.init]]
-    else:
-        values = {s: _ZERO for s in product.states}
-        selector = {s: product.actions[product.act[i][0]].name for i, s in enumerate(product.states)}
-        probability = _ZERO
-
-    strategy = None
-    if w_states:
-        strategy = _assemble_strategy(lifted, outcomes, selector, schedule)
+        strategy = _assemble_strategy(lifted, outcomes, selector)
 
     met = probability > threshold if strict else probability >= threshold
     return SynthesisReport(
@@ -364,17 +355,12 @@ def synthesize(
         winning_states=w_states,
         outcomes=outcomes,
         strategy=strategy,
-        sizes={
-            "automaton_states": len(aut),
-            "automaton_pairs": len(aut.pairs),
-            "product_states": len(product),
-        },
         automaton=aut,
         product=product,
     )
 
 
-def _assemble_strategy(lifted, outcomes, selector, schedule):
+def _assemble_strategy(lifted, outcomes, selector):
     winners: list[McWinner] = []
     state_to_winner: dict = {}
     for outcome in outcomes:
@@ -382,7 +368,7 @@ def _assemble_strategy(lifted, outcomes, selector, schedule):
         for ec, component, sol in outcome.winners:
             if all(s in state_to_winner for s in ec.states):
                 continue
-            strategy = build_witness_strategy(component, sol, cond, schedule)
+            strategy = build_witness_strategy(component, sol, cond)
             idx = len(winners)
             winners.append(McWinner(ec, outcome.pair_index, component, strategy))
             for s in ec.states:
@@ -417,51 +403,57 @@ def simulate_global(
     episodes: int,
     steps_per_episode: int,
     seed: int,
+    schedule: EpochSchedule = EpochSchedule(),
 ) -> GlobalSimulation:
-    """Seeded episodic run of the assembled strategy on the product MDP."""
+    """Seeded episodic run of the assembled strategy on the product MDP.
+
+    An episode follows the reachability selector until it meets a winner's
+    state, then runs that winner's witness on the winner's component.  The
+    component is closed under the witness's actions and keeps the order of
+    each distribution, so every draw picks what it would in the product.
+    """
     rng = random.Random(seed)
+    rewards = [  # per winner, one float vector over its component per bound
+        [
+            [float(bound.reward[s]) for s in w.component.states]
+            for bound in w.strategy.cond.mp_inf + w.strategy.cond.mp_sup
+        ]
+        for w in strategy.winners
+    ]
+    pooled_sums = [[0.0] * len(vecs) for vecs in rewards]
+    pooled_steps = [0] * len(rewards)
     entered = 0
-    pooled_sums: dict = {}
-    pooled_steps: dict = {}
     for _ in range(episodes):
         state = product.init
-        runner = None
-        winner_idx = None
-        for _ in range(steps_per_episode):
-            name = product.states[state]
-            if runner is None and name in strategy.state_to_winner:
-                winner_idx = strategy.state_to_winner[name]
-                winner = strategy.winners[winner_idx]
-                runner = StrategyRunner(
-                    winner.component, winner.strategy, rng
-                )
-                entered += 1
-            if runner is None:
-                action_name = strategy.reach[name]
-                action = product.actions[product.action_index[action_name]]
-            else:
-                winner = strategy.winners[winner_idx]
-                local = winner.component
-                li = local.state_index[name]
-                cond = winner.strategy.cond
-                for bi, bound in enumerate(list(cond.mp_inf) + list(cond.mp_sup)):
-                    key = (winner_idx, bi)
-                    pooled_sums[key] = pooled_sums.get(key, 0.0) + float(
-                        bound.reward[name]
-                    )
-                    pooled_steps[key] = pooled_steps.get(key, 0) + 1
-                ai = runner.next_action(li)
-                local_action = local.actions[ai]
-                action = product.actions[product.action_index[local_action.name]]
+        name = product.states[state]
+        steps = steps_per_episode
+        while steps and name not in strategy.state_to_winner:
+            action = product.actions[product.action_index[strategy.reach[name]]]
             state = sample(action.dist, rng)
+            name = product.states[state]
+            steps -= 1
+        if not steps:
+            continue
+        entered += 1
+        w_idx = strategy.state_to_winner[name]
+        winner = strategy.winners[w_idx]
+        component = winner.component
+        runner = StrategyRunner(winner.strategy, schedule, rng)
+        sums, vecs = pooled_sums[w_idx], rewards[w_idx]
+        pooled_steps[w_idx] += steps
+        state = component.state_index[name]
+        for _ in range(steps):
+            for k, vec in enumerate(vecs):
+                sums[k] += vec[state]
+            state = sample(component.actions[runner.next_action(state)].dist, rng)
 
     mp_pooled = []
-    for (w_idx, bi), total in sorted(pooled_sums.items()):
-        winner = strategy.winners[w_idx]
+    for w_idx, winner in enumerate(strategy.winners):
+        if not pooled_steps[w_idx]:
+            continue
         cond = winner.strategy.cond
-        bounds = list(cond.mp_inf) + list(cond.mp_sup)
-        kind = "inf" if bi < len(cond.mp_inf) else "sup"
-        bound = bounds[bi]
-        label = f"{kind}:{bound.cmp}{bound.bound}"
-        mp_pooled.append((w_idx, label, total / pooled_steps[(w_idx, bi)]))
+        for bi, bound in enumerate(cond.mp_inf + cond.mp_sup):
+            kind = "inf" if bi < len(cond.mp_inf) else "sup"
+            avg = pooled_sums[w_idx][bi] / pooled_steps[w_idx]
+            mp_pooled.append((w_idx, f"{kind}:{bound.cmp}{bound.bound}", avg))
     return GlobalSimulation(episodes, steps_per_episode, seed, entered, mp_pooled)

@@ -20,6 +20,9 @@ the transition-system builder that called its successor once per letter, and
 product automata with it, one successor call per (state, letter), and the
 acceptance pairs by walking every product state's payload per assumption set
 (``letterwise_build_pairs``); row-at-a-time translation replaced both.
+``named_simulate_global`` is the global simulation loop that looked every
+step up by product state and action name; ``simulate_global`` now maps the
+entry state to its component once per episode.
 ``shift``, ``models_at`` and ``models_boolfn`` are lasso helpers that only the
 tests use.
 """
@@ -74,7 +77,15 @@ from freqsynth.mdp import (
     can_reach,
     mec_decomposition,
 )
-from freqsynth.mecanalysis import LinearSystem, LpSolution, build_lp, maximize_margin
+from freqsynth.mecanalysis import (
+    LinearSystem,
+    LpSolution,
+    StrategyRunner,
+    build_lp,
+    maximize_margin,
+    sample,
+)
+from freqsynth.synthesis import GlobalSimulation
 from freqsynth.simplex import (
     EQ,
     GEQ,
@@ -1036,3 +1047,53 @@ def letterwise_build_pairs(lts, master, rec, slaves, components):
             continue
         pairs.append(GrmpPair(assumed, frozenset(fin), tuple(infs), tuple(mps)))
     return pairs
+
+
+def named_simulate_global(product, strategy, episodes, steps_per_episode, seed, schedule):
+    """``simulate_global`` stepping the product by names: every step looks up
+    the state's name, the winner's local index and the product action of the
+    witness's choice, and the pooled sums are keyed by (winner, bound)."""
+    rng = random.Random(seed)
+    entered = 0
+    pooled_sums: dict = {}
+    pooled_steps: dict = {}
+    for _ in range(episodes):
+        state = product.init
+        runner = None
+        winner_idx = None
+        for _ in range(steps_per_episode):
+            name = product.states[state]
+            if runner is None and name in strategy.state_to_winner:
+                winner_idx = strategy.state_to_winner[name]
+                winner = strategy.winners[winner_idx]
+                runner = StrategyRunner(winner.strategy, schedule, rng)
+                entered += 1
+            if runner is None:
+                action_name = strategy.reach[name]
+                action = product.actions[product.action_index[action_name]]
+            else:
+                winner = strategy.winners[winner_idx]
+                local = winner.component
+                li = local.state_index[name]
+                cond = winner.strategy.cond
+                for bi, bound in enumerate(list(cond.mp_inf) + list(cond.mp_sup)):
+                    key = (winner_idx, bi)
+                    pooled_sums[key] = pooled_sums.get(key, 0.0) + float(
+                        bound.reward[name]
+                    )
+                    pooled_steps[key] = pooled_steps.get(key, 0) + 1
+                ai = runner.next_action(li)
+                local_action = local.actions[ai]
+                action = product.actions[product.action_index[local_action.name]]
+            state = sample(action.dist, rng)
+
+    mp_pooled = []
+    for (w_idx, bi), total in sorted(pooled_sums.items()):
+        winner = strategy.winners[w_idx]
+        cond = winner.strategy.cond
+        bounds = list(cond.mp_inf) + list(cond.mp_sup)
+        kind = "inf" if bi < len(cond.mp_inf) else "sup"
+        bound = bounds[bi]
+        label = f"{kind}:{bound.cmp}{bound.bound}"
+        mp_pooled.append((w_idx, label, total / pooled_steps[(w_idx, bi)]))
+    return GlobalSimulation(episodes, steps_per_episode, seed, entered, mp_pooled)

@@ -62,10 +62,19 @@ def test_synth_errors(model_file):
                             "--threshold", "3/2")
     assert bad_threshold.returncode == 2
     assert bad_threshold.stderr == "error: threshold 3/2 outside [0,1]\n"
-    fragment = run_cli("synth", "--model", model_file, "--formula", "G(a U b)",
-                       "--threshold", "1/2")
-    assert fragment.returncode == 2
-    assert "fragment" in fragment.stderr
+    # Every command that translates reports the fragment error in one line.
+    formula = ["--formula", "G(a U b)"]
+    fragment = [
+        run_cli("synth", "--model", model_file, *formula, "--threshold", "1/2"),
+        run_cli("automaton", *formula),
+        run_cli("check-word", *formula, "--loop", "{a}"),
+        run_cli("simulate", "--model", model_file, *formula, "--steps", "5"),
+    ]
+    assert [r.returncode for r in fragment] == [2] * 4
+    assert [r.stderr for r in fragment] == [
+        "error: G (a U b) is outside the supported fragment "
+        "(no until inside a globally operator)\n"
+    ] * 4
 
 
 def test_every_state_cap_defaults_to_the_one_constant():

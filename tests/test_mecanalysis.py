@@ -252,7 +252,7 @@ def test_witness_single_action_deterministic():
     ok, sol = accepting_mec(mdp, cond)
     strat = build_witness_strategy(mdp, sol, cond)
     assert len(strat.modes) == 1
-    classes = strat.modes[0].classes
+    classes = strat.modes[0]
     assert len(classes) == 1
     ((ai, p),) = classes[0].choices[0]
     assert p == 1

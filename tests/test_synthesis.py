@@ -6,9 +6,9 @@ import pytest
 import freqsynth.synthesis
 from freqsynth import simplex
 from freqsynth.dgrma import build_dgrma
-from freqsynth.formula import parse_formula
+from freqsynth.formula import FormulaError, parse_formula
 from freqsynth.mdp import MdpError, mec_decomposition, parse_mdp, product_mdp, restrict
-from freqsynth.mecanalysis import GbmpCondition, MpBound
+from freqsynth.mecanalysis import EpochSchedule, GbmpCondition, MpBound
 from freqsynth.synthesis import (
     SynthesisError,
     _check_selector,
@@ -24,6 +24,7 @@ from helpers import (
     corpus_formulas,
     dense_max_reach,
     letterwise_build_dgrma,
+    named_simulate_global,
     random_markov_chain,
     random_fragment_formula,
     random_mdp,
@@ -323,6 +324,79 @@ def test_global_strategy_entry_frequency_matches_probability():
     # In-component reward averages respect the winning pair's bounds.
     for _idx, label, avg in sim.mp_pooled:
         assert avg >= -1e9  # labels exist; detailed bound checks live below
+
+
+def _fork_model(rng):
+    """A lead-in chain of 1-3 states that forks at random into two rings of
+    1-3 states with random labels, or into a dead end."""
+    lead = rng.randint(1, 3)
+    rings = [[f"r{j}_{i}" for i in range(rng.randint(1, 3))] for j in range(2)]
+    states = [f"x{i}" for i in range(lead)] + rings[0] + rings[1] + ["d"]
+    lines = ["mdp", "states " + " ".join(states), "init x0"]
+    for s in states[:-1]:
+        labels = [a for a in "ab" if rng.random() < 0.5]
+        if labels:
+            lines.append(f"label {s} " + " ".join(labels))
+    for i in range(lead - 1):
+        lines.append(f"action x{i} go{i} : x{i + 1} 1")
+    w = [rng.randint(1, 3) for _ in range(3)]
+    t = sum(w)
+    lines.append(
+        f"action x{lead - 1} fork : r0_0 {w[0]}/{t} , r1_0 {w[1]}/{t} , d {w[2]}/{t}"
+    )
+    for ring in rings:
+        for i, s in enumerate(ring):
+            nxt = ring[(i + 1) % len(ring)]
+            lines.append(f"action {s} m{s} : {nxt} 1")
+            if nxt != s:
+                lines.append(f"action {s} h{s} : {s} 1/2 , {nxt} 1/2")
+    lines.append("action d dd : d 1")
+    return parse_mdp("\n".join(lines) + "\n")
+
+
+def test_simulation_matches_the_name_keyed_oracle():
+    # Episodes that end in the lead-in, that fall into the dead end, and that
+    # enter either of two winners, under the default and two capped schedules;
+    # the two-sup formula switches modes at every epoch.
+    rng = random.Random(8080)
+    formulas = [
+        parse_formula(t)
+        for t in (
+            "G{>=1/2,inf} a | G{>=1/2,sup} b",
+            "G{>=1/3,inf} a & G F b",
+            "F G{>1/3,inf} a | G{>=2/3,sup} b",
+            "G{>=1/3,sup} a & G{>=1/3,sup} b",
+        )
+    ]
+    schedules = (EpochSchedule(), EpochSchedule(cap=1), EpochSchedule(cap=7))
+    before = never = two_winners = capped_differs = 0
+    for k in range(32):
+        mdp, valuation = _fork_model(rng)
+        report = synthesize(mdp, valuation, formulas[k % 4], Fr(0))
+        if report.strategy is None:
+            continue
+        for steps in (1, 2, 3, 200):
+            texts = []
+            for schedule in schedules:
+                args = (report.product, report.strategy, 8, steps, k, schedule)
+                got = simulate_global(*args)
+                assert got.to_text() == named_simulate_global(*args).to_text()
+                texts.append(got.to_text())
+                before += got.entered == 0
+                never += steps == 200 and 0 < got.entered < 8
+                two_winners += len({w for w, _, _ in got.mp_pooled}) >= 2
+            capped_differs += texts[0] != texts[1]
+    assert min(before, never, two_winners) >= 10
+    assert capped_differs >= 5  # the schedule reaches the witness
+
+
+def test_out_of_fragment_formula_is_a_formula_error():
+    mdp, valuation = parse_mdp(LEAKY)
+    phi = parse_formula("G(a U b)")
+    with pytest.raises(FormulaError, match="outside the supported fragment"):
+        build_dgrma(phi)
+    with pytest.raises(FormulaError, match="outside the supported fragment"):
+        synthesize(mdp, valuation, phi, Fr(1, 2))
 
 
 def test_chain_probabilities_complement_exactly():
