@@ -30,16 +30,7 @@ from .slave import (
     mp_reward,
 )
 from .dgrma import Dgrma, GrmpPair, MpAtom, accepts_lasso, build_dgrma, rec_set
-from .mdp import (
-    EndComponent,
-    Mdp,
-    MdpError,
-    mec_decomposition,
-    parse_mdp,
-    product_mdp,
-    restrict,
-    sub_mdp,
-)
+from .mdp import Mdp, MdpError, mec_decomposition, parse_mdp, product_mdp, restrict
 from .mecanalysis import (
     EpochSchedule,
     GbmpCondition,

@@ -191,7 +191,7 @@ def cmd_mec(args) -> int:
     print(f"mecs: {len(mecs)}")
     for k, ec in enumerate(mecs):
         states = ",".join(sorted(ec.states))
-        actions = ",".join(sorted(ec.actions))
+        actions = ",".join(sorted(a.name for a in ec.actions))
         print(f"mec {k}: states={{{states}}} actions={{{actions}}}")
     return 0
 

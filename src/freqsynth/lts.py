@@ -84,9 +84,12 @@ def build_lts(
     payloads, one per letter of ``alphabet`` in its order.  The row's new
     payloads are numbered in order of first appearance, each checked against
     the cap as it is added, so the numbering is that of a letter-by-letter
-    breadth-first search.  States where ``is_terminal`` holds get no
-    outgoing transitions.
+    breadth-first search.  The initial state counts too: a cap below 1
+    raises at once.  States where ``is_terminal`` holds get no outgoing
+    transitions.
     """
+    if cap < 1:
+        raise StateCapExceeded(what, cap)
     alphabet = powerset_alphabet(atoms)
     states = [init_payload]
     index = {init_payload: 0}

@@ -22,14 +22,6 @@ class MdpAction:
     dist: tuple  # of (target state index, Fraction > 0), summing to 1
 
 
-@dataclass(frozen=True)
-class EndComponent:
-    """Closed, internally connected sub-MDP given by state and action names."""
-
-    states: frozenset
-    actions: frozenset
-
-
 class Mdp:
     """Finite MDP; states and actions carry unique names for stable reporting."""
 
@@ -64,12 +56,6 @@ class Mdp:
 
     def __len__(self):
         return len(self.states)
-
-    def action_names(self, indices: Iterable[int]) -> frozenset:
-        return frozenset(self.actions[i].name for i in indices)
-
-    def state_names(self, indices: Iterable[int]) -> frozenset:
-        return frozenset(self.states[i] for i in indices)
 
 
 Valuation = list  # frozenset of atoms per state index
@@ -351,9 +337,11 @@ def attractor_policy(mdp: Mdp, targets: Iterable[int]) -> dict:
     return policy
 
 
-def mec_decomposition(mdp: Mdp) -> list[EndComponent]:
-    """Maximal end components of the MDP: split the closed part into SCCs,
-    and split again every SCC whose closed part loses an action."""
+def mec_decomposition(mdp: Mdp) -> list[Mdp]:
+    """Maximal end components of the MDP, each as its own sub-MDP: states in
+    index order, actions in name order, the first state initial; sorted by
+    least state name.  Split the closed part into SCCs, and split again
+    every SCC whose closed part loses an action."""
     work = [closed_part(mdp, range(len(mdp)), range(len(mdp.actions)))]
     mecs = []
     while work:
@@ -362,9 +350,9 @@ def mec_decomposition(mdp: Mdp) -> list[EndComponent]:
             enabled = [ai for s in comp for ai in mdp.act[s] if ai in cur_actions]
             part = closed_part(mdp, comp, enabled)
             if len(part[1]) == len(enabled):
-                mecs.append(
-                    EndComponent(mdp.state_names(comp), mdp.action_names(enabled))
-                )
+                states = sorted(comp)
+                enabled.sort(key=lambda ai: mdp.actions[ai].name)
+                mecs.append(induced(mdp, states, enabled, states[0]))
             elif part[0]:
                 work.append(part)
     mecs.sort(key=lambda ec: min(ec.states))
@@ -382,9 +370,3 @@ def restrict(mdp: Mdp, removed: Iterable[str]) -> Optional[Mdp]:
         return None
     return induced(mdp, sorted(states), sorted(actions), mdp.init)
 
-
-def sub_mdp(mdp: Mdp, ec: EndComponent) -> Mdp:
-    """The end component viewed as a standalone (strongly connected) MDP."""
-    states = sorted(mdp.state_index[s] for s in ec.states)
-    actions = [mdp.action_index[name] for name in sorted(ec.actions)]
-    return induced(mdp, states, actions, states[0])

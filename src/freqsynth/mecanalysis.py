@@ -68,13 +68,10 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Non-negative flow values, keyed by (flow index, action name)."""
+    """Non-negative flow values: ``flows[i][ai]`` is flow i on action ai."""
 
-    x: Mapping
+    flows: tuple
     slack: Fraction
-
-    def flow(self, i: int, action_name: str) -> Fraction:
-        return self.x.get((i, action_name), _ZERO)
 
 
 def build_lp(mdp: Mdp, cond: GbmpCondition, margin: bool = True) -> LinearSystem:
@@ -143,13 +140,11 @@ def maximize_margin(system: LinearSystem) -> Optional[LpSolution]:
         raise simplex.SimplexError(
             f"flow system unexpectedly {status} (the flows are bounded by 1)"
         )
-    x = {
-        (i, system.mdp.actions[ai].name): values[i * n_actions + ai]
+    flows = tuple(
+        tuple(values[i * n_actions : (i + 1) * n_actions])
         for i in range(system.num_flows)
-        for ai in range(n_actions)
-        if values[i * n_actions + ai]
-    }
-    sol = LpSolution(x, values[t] if objective else _ZERO)
+    )
+    sol = LpSolution(flows, values[t] if objective else _ZERO)
     if not system.cond.strict() or sol.slack > 0:
         _verify_solution(system, sol)
     return sol
@@ -159,10 +154,7 @@ def _verify_solution(system: LinearSystem, sol: LpSolution):
     """Evaluate the system's flow-sum and balance rows at the solution, then
     check every mean-payoff bound (strict ones strictly) with ``MpBound.check``."""
     mdp, cond = system.mdp, system.cond
-    n_actions = len(mdp.actions)
-    x = [_ZERO] * system.num_vars
-    for (i, name), v in sol.x.items():
-        x[i * n_actions + mdp.action_index[name]] = v
+    x = [v for flow in sol.flows for v in flow]
     block = len(system.rows) // system.num_flows  # sum, balance, bound rows
     for r, (coeffs, rel, rhs) in enumerate(system.rows):
         if rel != "==":
@@ -173,21 +165,18 @@ def _verify_solution(system: LinearSystem, sol: LpSolution):
             if k == 0:
                 raise simplex.SimplexError(f"flow {i} sums to {value}")
             raise simplex.SimplexError(f"flow {i} unbalanced at {mdp.states[k - 1]}")
-    for i in range(system.num_flows):
+    for i, flow in enumerate(sol.flows):
         for bound in cond.mp_inf:
-            if not bound.check(_flow_reward(mdp, sol, i, bound)):
+            if not bound.check(_flow_reward(mdp, flow, bound)):
                 raise simplex.SimplexError("inferior bound violated by the solution")
         if cond.mp_sup and not cond.mp_sup[i].check(
-            _flow_reward(mdp, sol, i, cond.mp_sup[i])
+            _flow_reward(mdp, flow, cond.mp_sup[i])
         ):
             raise simplex.SimplexError("superior bound violated by the solution")
 
 
-def _flow_reward(mdp: Mdp, sol: LpSolution, flow: int, bound: MpBound) -> Fraction:
-    return sum(
-        sol.flow(flow, a.name) * bound.reward[mdp.states[a.source]]
-        for a in mdp.actions
-    )
+def _flow_reward(mdp: Mdp, flow: tuple, bound: MpBound) -> Fraction:
+    return sum(v * bound.reward[mdp.states[a.source]] for v, a in zip(flow, mdp.actions))
 
 
 def accepting_mec(mdp: Mdp, cond: GbmpCondition):
@@ -263,10 +252,8 @@ class Strategy:
     cond: GbmpCondition
 
 
-def _support_classes(mdp: Mdp, sol: LpSolution, flow: int) -> list[ModeClass]:
-    support_actions = [
-        ai for ai, a in enumerate(mdp.actions) if sol.flow(flow, a.name) > 0
-    ]
+def _support_classes(mdp: Mdp, flow: tuple) -> list[ModeClass]:
+    support_actions = [ai for ai, v in enumerate(flow) if v > 0]
     support_states = sorted({mdp.actions[ai].source for ai in support_actions})
     classes = []
     for comp in _sccs(support_states, successor_edges(mdp, support_actions)):
@@ -274,16 +261,10 @@ def _support_classes(mdp: Mdp, sol: LpSolution, flow: int) -> list[ModeClass]:
         weight = _ZERO
         choices = {}
         for si in comp:
-            enabled = [
-                ai
-                for ai in mdp.act[si]
-                if ai in support_actions
-            ]
-            mass = sum(sol.flow(flow, mdp.actions[ai].name) for ai in enabled)
+            enabled = [ai for ai in mdp.act[si] if flow[ai] > 0]
+            mass = sum(flow[ai] for ai in enabled)
             weight += mass
-            choices[si] = tuple(
-                (ai, sol.flow(flow, mdp.actions[ai].name) / mass) for ai in enabled
-            )
+            choices[si] = tuple((ai, flow[ai] / mass) for ai in enabled)
         classes.append(
             ModeClass(
                 comp_set,
@@ -305,8 +286,8 @@ def _support_classes(mdp: Mdp, sol: LpSolution, flow: int) -> list[ModeClass]:
 def build_witness_strategy(mdp: Mdp, sol: LpSolution, cond: GbmpCondition) -> Strategy:
     """Assemble the epoch-switching witness from the flow solution."""
     modes = []
-    for i in range(cond.num_flows()):
-        classes = _support_classes(mdp, sol, i)
+    for i, flow in enumerate(sol.flows):
+        classes = _support_classes(mdp, flow)
         if not classes:
             raise MdpError(f"flow {i} has empty support")
         modes.append(tuple(classes))

@@ -17,16 +17,7 @@ from typing import Iterable, Mapping, Optional
 from .dgrma import Dgrma, GrmpPair, build_dgrma
 from .formula import Formula
 from .lts import DEFAULT_STATE_CAP
-from .mdp import (
-    EndComponent,
-    Mdp,
-    MdpError,
-    can_reach,
-    mec_decomposition,
-    product_mdp,
-    restrict,
-    sub_mdp,
-)
+from .mdp import Mdp, MdpError, can_reach, mec_decomposition, product_mdp, restrict
 from .mecanalysis import (
     EpochSchedule,
     GbmpCondition,
@@ -79,31 +70,23 @@ def lift_pair(
     return fin, GbmpCondition(infs, tuple(infs_mp), tuple(sups))
 
 
-@dataclass
-class PairOutcome:
-    pair_index: int
-    winners: list  # (EndComponent, its sub-MDP, accepting LpSolution)
-
-
 def winning_union(product: Mdp, lifted: list) -> tuple[frozenset, list]:
     """Union of accepting end components over all pairs.
 
     ``lifted`` holds (fin set, condition) per pair; returns the winning
-    states and the per-pair outcomes with their winner components.
+    states and, per pair, its winners as (component, accepting LpSolution).
     """
     w_states: set = set()
     outcomes = []
-    for k, (fin, cond) in enumerate(lifted):
-        outcome = PairOutcome(k, [])
+    for fin, cond in lifted:
+        winners = []
         sub = restrict(product, fin)
-        if sub is not None:
-            for ec in mec_decomposition(sub):
-                component = sub_mdp(product, ec)
-                ok, sol = accepting_mec(component, cond)
-                if ok:
-                    outcome.winners.append((ec, component, sol))
-                    w_states |= ec.states
-        outcomes.append(outcome)
+        for component in mec_decomposition(sub) if sub is not None else ():
+            ok, sol = accepting_mec(component, cond)
+            if ok:
+                winners.append((component, sol))
+                w_states.update(component.states)
+        outcomes.append(winners)
     return frozenset(w_states), outcomes
 
 
@@ -272,8 +255,6 @@ def max_reach(mdp: Mdp, target_names: Iterable) -> tuple[dict, dict]:
 class McWinner:
     """A winning end component with its executable witness."""
 
-    ec: EndComponent
-    pair_index: int
     component: Mdp
     strategy: Strategy
 
@@ -295,7 +276,7 @@ class SynthesisReport:
     strict: bool
     threshold_met: bool
     winning_states: frozenset
-    outcomes: list
+    outcomes: list  # per pair, its winners as (component, LpSolution)
     strategy: Optional[GlobalStrategy]
     automaton: Dgrma
     product: Mdp
@@ -308,11 +289,9 @@ class SynthesisReport:
             f"product_states: {len(self.product)}",
             f"winning_states: {len(self.winning_states)}",
         ]
-        for outcome in self.outcomes:
-            mecs = "; ".join(
-                "{" + ",".join(sorted(ec.states)) + "}" for ec, _, _ in outcome.winners
-            )
-            lines.append(f"pair_{outcome.pair_index}_winning_mecs: {mecs or '-'}")
+        for k, winners in enumerate(self.outcomes):
+            mecs = "; ".join("{" + ",".join(sorted(c.states)) + "}" for c, _ in winners)
+            lines.append(f"pair_{k}_winning_mecs: {mecs or '-'}")
         lines.append(
             f"max_probability: {self.probability} (~{float(self.probability):.6f})"
         )
@@ -363,16 +342,14 @@ def synthesize(
 def _assemble_strategy(lifted, outcomes, selector):
     winners: list[McWinner] = []
     state_to_winner: dict = {}
-    for outcome in outcomes:
-        _fin, cond = lifted[outcome.pair_index]
-        for ec, component, sol in outcome.winners:
-            if all(s in state_to_winner for s in ec.states):
+    for (_fin, cond), pair_winners in zip(lifted, outcomes):
+        for component, sol in pair_winners:
+            if all(s in state_to_winner for s in component.states):
                 continue
             strategy = build_witness_strategy(component, sol, cond)
-            idx = len(winners)
-            winners.append(McWinner(ec, outcome.pair_index, component, strategy))
-            for s in ec.states:
-                state_to_winner.setdefault(s, idx)
+            for s in component.states:
+                state_to_winner.setdefault(s, len(winners))
+            winners.append(McWinner(component, strategy))
     return GlobalStrategy(selector, winners, state_to_winner)
 
 

@@ -69,7 +69,6 @@ from freqsynth.slave import (
     mp_reward,
 )
 from freqsynth.mdp import (
-    EndComponent,
     Mdp,
     MdpAction,
     MdpError,
@@ -424,17 +423,22 @@ def decide_then_maximize_margin(mdp, cond):
     status, values, _ = solve_lp(margin.num_vars, margin.rows, {t: _ONE})
     if status != OPTIMAL or (cond.strict() and values[t] <= 0):
         return True, sol
-    x = {
-        (i, a.name): values[i * n_actions + ai]
+    flows = tuple(
+        tuple(values[i * n_actions : (i + 1) * n_actions])
         for i in range(system.num_flows)
-        for ai, a in enumerate(mdp.actions)
-        if values[i * n_actions + ai]
-    }
-    return True, LpSolution(x, values[t])
+    )
+    return True, LpSolution(flows, values[t])
+
+
+def component_names(component):
+    """A MEC sub-MDP as (state names, action names), both in its own order."""
+    return tuple(component.states), tuple(a.name for a in component.actions)
 
 
 def rescan_mec_decomposition(mdp, states=None):
-    """MECs by iterated SCC pruning that rescans every state and action."""
+    """MECs by iterated SCC pruning that rescans every state and action, in
+    the ``component_names`` form of ``mec_decomposition``'s components:
+    states in index order, actions in name order, MECs by least state name."""
     cur_states = set(range(len(mdp))) if states is None else set(states)
     cur_actions = {
         ai
@@ -477,8 +481,13 @@ def rescan_mec_decomposition(mdp, states=None):
         comp_set = set(comp)
         internal = [ai for ai in cur_actions if mdp.actions[ai].source in comp_set]
         if internal:
-            mecs.append(EndComponent(mdp.state_names(comp_set), mdp.action_names(internal)))
-    mecs.sort(key=lambda ec: min(ec.states))
+            mecs.append(
+                (
+                    tuple(mdp.states[s] for s in sorted(comp_set)),
+                    tuple(sorted(mdp.actions[ai].name for ai in internal)),
+                )
+            )
+    mecs.sort(key=lambda ec: min(ec[0]))
     return mecs
 
 

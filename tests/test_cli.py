@@ -134,6 +134,12 @@ def test_automaton_state_cap():
     assert "cap" in out.stderr
 
 
+def test_a_zero_state_cap_admits_not_even_the_initial_state():
+    out = run_cli("automaton", "--formula", "tt", "--max-states", "0")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: master LTS exceeds the state cap of 0 states\n"
+
+
 def test_deeply_nested_formula_is_a_syntax_error():
     out = run_cli("automaton", "--formula", "X " * 400 + "a")
     assert out.returncode == 2

@@ -15,10 +15,10 @@ from freqsynth.mdp import (
     parse_mdp,
     product_mdp,
     restrict,
-    sub_mdp,
 )
 
 from helpers import (
+    component_names,
     random_mdp,
     rescan_attractor_policy,
     rescan_mec_decomposition,
@@ -121,9 +121,7 @@ def test_mec_strongly_connected():
         "mdp\nstates s t\ninit s\naction s a : t 1\naction t b : s 1\n"
     )
     mecs = mec_decomposition(mdp)
-    assert len(mecs) == 1
-    assert mecs[0].states == frozenset({"s", "t"})
-    assert mecs[0].actions == frozenset({"a", "b"})
+    assert [component_names(ec) for ec in mecs] == [(("s", "t"), ("a", "b"))]
 
 
 def test_mec_transient_dag():
@@ -132,8 +130,7 @@ def test_mec_transient_dag():
         "action s a : t 1/2 , u 1/2\naction t b : u 1\naction u c : u 1\n"
     )
     mecs = mec_decomposition(mdp)
-    assert len(mecs) == 1
-    assert mecs[0].states == frozenset({"u"})
+    assert [ec.states for ec in mecs] == [["u"]]
 
 
 def test_mec_two_disjoint_loops():
@@ -142,8 +139,7 @@ def test_mec_two_disjoint_loops():
         "action s a : t 1/2 , u 1/2\naction t b : t 1\naction u c : u 1\n"
     )
     mecs = mec_decomposition(mdp)
-    assert len(mecs) == 2
-    assert {ec.states for ec in mecs} == {frozenset({"t"}), frozenset({"u"})}
+    assert [ec.states for ec in mecs] == [["t"], ["u"]]
 
 
 def test_restrict_identity_and_cascade():
@@ -163,7 +159,30 @@ def test_restrict_can_split_mecs():
     assert len(mec_decomposition(mdp)) == 1
     cut = restrict(mdp, ["u"])
     mecs = mec_decomposition(cut)
-    assert {ec.states for ec in mecs} == {frozenset({"t"}), frozenset({"v"})}
+    assert [ec.states for ec in mecs] == [["t"], ["v"]]
+
+
+def test_mec_components_keep_index_order_and_sort_actions_by_name():
+    # The LP's pivots follow the component's action order, so the order is
+    # part of the contract: states in index order, actions in name order,
+    # the first state initial, and the MECs ordered by least state name.
+    mdp, _ = parse_mdp(
+        "mdp\nstates x q p c b\ninit x\n"
+        "action x go : q 1/2 , c 1/2\n"
+        "action q zeta : p 1\naction p alpha : q 1\naction p mid : p 1\n"
+        "action c c1 : b 1\naction b b1 : c 1\n"
+    )
+    mecs = mec_decomposition(mdp)
+    assert [component_names(ec) for ec in mecs] == [
+        (("c", "b"), ("b1", "c1")),
+        (("q", "p"), ("alpha", "mid", "zeta")),
+    ]
+    assert [ec.init for ec in mecs] == [0, 0]
+    assert [(a.source, a.dist) for a in mecs[1].actions] == [
+        (1, ((0, 1),)),
+        (1, ((1, 1),)),
+        (0, ((1, 1),)),
+    ]
 
 
 def test_product_enforces_the_state_cap():
@@ -180,10 +199,11 @@ def test_graph_toolkit_matches_rescan_oracles():
     for _ in range(300):
         mdp = random_mdp(rng, 10, 3)
         n = len(mdp)
-        assert mec_decomposition(mdp) == rescan_mec_decomposition(mdp)
+        mecs = [component_names(ec) for ec in mec_decomposition(mdp)]
+        assert mecs == rescan_mec_decomposition(mdp)
         states = rng.sample(range(n), rng.randint(1, n))
         sub = restrict(mdp, [mdp.states[s] for s in range(n) if s not in states])
-        mecs = [] if sub is None else mec_decomposition(sub)
+        mecs = [] if sub is None else [component_names(ec) for ec in mec_decomposition(sub)]
         assert mecs == rescan_mec_decomposition(mdp, states)
         removed = rng.sample(mdp.states, rng.randint(0, n))
         cut, oracle = restrict(mdp, removed), rescan_restrict(mdp, removed)
@@ -199,11 +219,8 @@ def test_graph_toolkit_matches_rescan_oracles():
 def test_mec_idempotent_on_own_component():
     mdp, _ = parse_mdp(EXAMPLE)
     for ec in mec_decomposition(mdp):
-        inner = sub_mdp(mdp, ec)
-        again = mec_decomposition(inner)
-        assert len(again) == 1
-        assert again[0].states == ec.states
-        assert again[0].actions == ec.actions
+        again = mec_decomposition(ec)
+        assert [component_names(inner) for inner in again] == [component_names(ec)]
 
 
 def test_product_lift_matches_automaton_run():

@@ -45,7 +45,7 @@ def test_forced_self_loop_feasibility():
     mdp = _single_loop()
     feasible = GbmpCondition(mp_inf=(MpBound(">=", Fr(1), {"s": Fr(1)}),))
     sol = maximize_margin(build_lp(mdp, feasible, margin=False))
-    assert sol is not None and sol.flow(0, "alpha") == 1
+    assert sol is not None and sol.flows == ((1,),)
     impossible = GbmpCondition(mp_inf=(MpBound(">=", Fr(2), {"s": Fr(1)}),))
     assert maximize_margin(build_lp(mdp, impossible, margin=False)) is None
     assert maximize_margin(build_lp(mdp, impossible)) is None
@@ -57,9 +57,8 @@ def test_alternating_cycle_flow():
     cond = GbmpCondition(mp_sup=(MpBound(">=", Fr(1, 2), q),))
     sol = maximize_margin(build_lp(mdp, cond, margin=False))
     assert sol is not None
-    assert sol.flow(0, "a_st") == Fr(1, 2)
-    assert sol.flow(0, "b_ts") == Fr(1, 2)
-    assert sol.flow(0, "b_tt") == 0
+    # One flow over the actions a_st, b_ts, b_tt, in that order.
+    assert sol.flows == ((Fr(1, 2), Fr(1, 2), 0),)
 
 
 def test_flow_block_shapes():
@@ -130,7 +129,7 @@ def test_mixed_strict_bounds_fall_back_to_slack_lp():
     ok, sol = accepting_mec(mdp, cond)
     assert ok
     assert sol.slack == Fr(1, 6)
-    assert sol.flow(0, "a_st") == Fr(1, 2)
+    assert sol.flows[0][mdp.action_index["a_st"]] == Fr(1, 2)
 
 
 def test_accepting_mec_inf_set_check():
@@ -227,19 +226,20 @@ def test_verify_solution_rejects_tampered_solutions():
     sol = maximize_margin(inf_system)
     assert sol is not None
     _verify_solution(sup_system, sol)
-    doubled = LpSolution({k: 2 * v for k, v in sol.x.items()}, sol.slack)
+    doubled = LpSolution(tuple(tuple(2 * v for v in f) for f in sol.flows), sol.slack)
     with pytest.raises(SimplexError, match="sums to 2"):
         _verify_solution(inf_system, doubled)
-    leaking = LpSolution({(0, "ss"): Fr(1, 2), (0, "st"): Fr(1, 2)}, Fr(0))
+    # Flows over the actions ss, st, tt, ts, in that order.
+    leaking = LpSolution(((Fr(1, 2), Fr(1, 2), 0, 0),), Fr(0))
     with pytest.raises(SimplexError, match="unbalanced at s"):
         _verify_solution(inf_system, leaking)
-    stuck_in_t = LpSolution({(0, "tt"): Fr(1)}, Fr(0))
+    stuck_in_t = LpSolution(((0, 0, Fr(1), 0),), Fr(0))
     with pytest.raises(SimplexError, match="inferior bound"):
         _verify_solution(inf_system, stuck_in_t)
     with pytest.raises(SimplexError, match="superior bound"):
         _verify_solution(sup_system, stuck_in_t)
     # Strict bounds are checked strictly: frequency 1/2 of s misses "> 1/2".
-    cycling = LpSolution({(0, "st"): Fr(1, 2), (0, "ts"): Fr(1, 2)}, Fr(0))
+    cycling = LpSolution(((0, Fr(1, 2), 0, Fr(1, 2)),), Fr(0))
     _verify_solution(inf_system, cycling)
     strict = build_lp(mdp, GbmpCondition(mp_inf=(MpBound(">", Fr(1, 2), q),)))
     with pytest.raises(SimplexError, match="inferior bound"):
