@@ -1,8 +1,11 @@
-"""Markov decision processes with exact rational transition probabilities."""
+"""Markov decision processes with exact rational transition probabilities,
+and the exact sampler that simulations draw their successors with."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .formula import rational_literal
@@ -20,6 +23,35 @@ class MdpAction:
     name: str
     source: int
     dist: tuple  # of (target state index, Fraction > 0), summing to 1
+
+    @cached_property
+    def table(self) -> tuple:
+        """``draw_table(self.dist)``, built at the first draw."""
+        return draw_table(self.dist)
+
+
+def draw_table(pairs: tuple) -> tuple:
+    """Sampling table of (value, Fraction probability) pairs for ``draw``.
+
+    ``random()`` returns ``k / 2**53`` for an integer ``k``, so ``u < acc``
+    holds exactly when ``k < ceil(acc * 2**53)``.  The table holds the
+    values, with the last one repeated as the fallback, and those ceilings
+    of the cumulative sums.
+    """
+    thresholds = []
+    acc = 0
+    for _, p in pairs:
+        acc += p
+        thresholds.append(-((-acc.numerator << 53) // acc.denominator))
+    values = tuple(v for v, _ in pairs)
+    return values + values[-1:], tuple(thresholds)
+
+
+def draw(table: tuple, rng) -> object:
+    """One value from a ``draw_table``, with one ``rng.random()``: the first
+    whose cumulative probability exceeds the draw, compared exactly."""
+    values, thresholds = table
+    return values[bisect_right(thresholds, int(rng.random() * 2.0**53))]
 
 
 class Mdp:

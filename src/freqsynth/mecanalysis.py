@@ -18,11 +18,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional
 
 from . import simplex
 from .formula import GEQ, GT
-from .mdp import Mdp, MdpError, _sccs, attractor_policy, successor_edges
+from .mdp import (
+    Mdp,
+    MdpError,
+    _sccs,
+    attractor_policy,
+    draw,
+    draw_table,
+    successor_edges,
+)
 
 _ZERO = Fraction(0)
 
@@ -241,6 +250,11 @@ class ModeClass:
     choices: Mapping  # state idx -> tuple of (action idx, Fraction prob)
     entry_policy: Mapping  # state idx -> action idx steering into the class
 
+    @cached_property
+    def tables(self) -> dict:
+        """Per state, ``draw_table`` of its choices, built at the first draw."""
+        return {s: draw_table(pairs) for s, pairs in self.choices.items()}
+
 
 @dataclass(frozen=True)
 class Strategy:
@@ -347,7 +361,7 @@ class StrategyRunner:
             choices = cls.choices[state]
             if len(choices) == 1:
                 return choices[0][0]
-            return sample(choices, self.rng)
+            return draw(cls.tables[state], self.rng)
 
 
 @dataclass
@@ -437,7 +451,7 @@ def simulate_strategy(
         for k, idx in enumerate(inf_sets_idx):
             if state in idx:
                 visits[k][-1] += 1
-        state = sample(action.dist, rng)
+        state = draw(action.table, rng)
 
     labels = [
         f"{kind}{i}:{b.cmp}{b.bound}" for kind, i, b in bounds
@@ -461,14 +475,3 @@ def simulate_strategy(
             if bounds[k][0] == "inf"
         ],
     )
-
-
-def sample(pairs: tuple, rng: random.Random):
-    """Draw a value from (value, probability) pairs with one random number."""
-    u = rng.random()
-    acc = _ZERO
-    for value, p in pairs:
-        acc += p
-        if u < acc:
-            return value
-    return pairs[-1][0]

@@ -17,7 +17,15 @@ from typing import Iterable, Mapping, Optional
 from .dgrma import Dgrma, GrmpPair, build_dgrma
 from .formula import Formula
 from .lts import DEFAULT_STATE_CAP
-from .mdp import Mdp, MdpError, can_reach, mec_decomposition, product_mdp, restrict
+from .mdp import (
+    Mdp,
+    MdpError,
+    can_reach,
+    draw,
+    mec_decomposition,
+    product_mdp,
+    restrict,
+)
 from .mecanalysis import (
     EpochSchedule,
     GbmpCondition,
@@ -27,7 +35,6 @@ from .mecanalysis import (
     accepting_mec,
     build_witness_strategy,
     maximize_margin,  # not called here; bench/spans.py hooks this name
-    sample,
 )
 
 _ZERO = Fraction(0)
@@ -390,6 +397,8 @@ def simulate_global(
     each distribution, so every draw picks what it would in the product.
     """
     rng = random.Random(seed)
+    winner_at = [strategy.state_to_winner.get(name) for name in product.states]
+    reach_tables: dict = {}  # product state -> draw table of its selected action
     rewards = [  # per winner, one float vector over its component per bound
         [
             [float(bound.reward[s]) for s in w.component.states]
@@ -402,27 +411,28 @@ def simulate_global(
     entered = 0
     for _ in range(episodes):
         state = product.init
-        name = product.states[state]
         steps = steps_per_episode
-        while steps and name not in strategy.state_to_winner:
-            action = product.actions[product.action_index[strategy.reach[name]]]
-            state = sample(action.dist, rng)
-            name = product.states[state]
+        while steps and winner_at[state] is None:
+            table = reach_tables.get(state)
+            if table is None:
+                ai = product.action_index[strategy.reach[product.states[state]]]
+                table = reach_tables[state] = product.actions[ai].table
+            state = draw(table, rng)
             steps -= 1
         if not steps:
             continue
         entered += 1
-        w_idx = strategy.state_to_winner[name]
+        w_idx = winner_at[state]
         winner = strategy.winners[w_idx]
         component = winner.component
         runner = StrategyRunner(winner.strategy, schedule, rng)
         sums, vecs = pooled_sums[w_idx], rewards[w_idx]
         pooled_steps[w_idx] += steps
-        state = component.state_index[name]
+        state = component.state_index[product.states[state]]
         for _ in range(steps):
             for k, vec in enumerate(vecs):
                 sums[k] += vec[state]
-            state = sample(component.actions[runner.next_action(state)].dist, rng)
+            state = draw(component.actions[runner.next_action(state)].table, rng)
 
     mp_pooled = []
     for w_idx, winner in enumerate(strategy.winners):

@@ -22,7 +22,10 @@ acceptance pairs by walking every product state's payload per assumption set
 (``letterwise_build_pairs``); row-at-a-time translation replaced both.
 ``named_simulate_global`` is the global simulation loop that looked every
 step up by product state and action name; ``simulate_global`` now maps the
-entry state to its component once per episode.
+entry state to its component once per episode.  ``fraction_sample`` is the
+sampler that compared exact ``Fraction`` sums with the float draw, which the
+integer tables of ``freqsynth.mdp.draw`` replaced; ``named_simulate_global``
+draws with it.
 ``shift``, ``models_at`` and ``models_boolfn`` are lasso helpers that only the
 tests use.
 """
@@ -82,7 +85,6 @@ from freqsynth.mecanalysis import (
     StrategyRunner,
     build_lp,
     maximize_margin,
-    sample,
 )
 from freqsynth.synthesis import GlobalSimulation
 from freqsynth.simplex import (
@@ -1058,10 +1060,23 @@ def letterwise_build_pairs(lts, master, rec, slaves, components):
     return pairs
 
 
+def fraction_sample(pairs, rng):
+    """Draw a value from (value, Fraction probability) pairs with one random
+    number, comparing each exact cumulative sum with the float draw."""
+    u = rng.random()
+    acc = _ZERO
+    for value, p in pairs:
+        acc += p
+        if u < acc:
+            return value
+    return pairs[-1][0]
+
+
 def named_simulate_global(product, strategy, episodes, steps_per_episode, seed, schedule):
     """``simulate_global`` stepping the product by names: every step looks up
     the state's name, the winner's local index and the product action of the
-    witness's choice, and the pooled sums are keyed by (winner, bound)."""
+    witness's choice, draws the successor with ``fraction_sample``, and the
+    pooled sums are keyed by (winner, bound)."""
     rng = random.Random(seed)
     entered = 0
     pooled_sums: dict = {}
@@ -1094,7 +1109,7 @@ def named_simulate_global(product, strategy, episodes, steps_per_episode, seed, 
                 ai = runner.next_action(li)
                 local_action = local.actions[ai]
                 action = product.actions[product.action_index[local_action.name]]
-            state = sample(action.dist, rng)
+            state = fraction_sample(action.dist, rng)
 
     mp_pooled = []
     for (w_idx, bi), total in sorted(pooled_sums.items()):

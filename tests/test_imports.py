@@ -33,3 +33,14 @@ def test_every_import_is_used():
             if name not in used and (path.stem, name) not in ALLOWED
         ]
     assert not unused, unused
+
+
+def test_no_assert_statements():
+    # Invariants raise real errors: `python -O` strips `assert` statements.
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found

@@ -194,26 +194,46 @@ def test_product_enforces_the_state_cap():
         product_mdp(mdp, valuation, master, size - 1)
 
 
+def _shuffle_names(rng, mdp):
+    """The same MDP with its state names and its action names each permuted,
+    so that name order and index order differ."""
+    states = list(mdp.states)
+    names = [a.name for a in mdp.actions]
+    rng.shuffle(states)
+    rng.shuffle(names)
+    actions = [MdpAction(name, a.source, a.dist) for name, a in zip(names, mdp.actions)]
+    return Mdp(states, actions, mdp.init)
+
+
+def _check_graph_toolkit(rng, mdp):
+    n = len(mdp)
+    mecs = [component_names(ec) for ec in mec_decomposition(mdp)]
+    assert mecs == rescan_mec_decomposition(mdp)
+    states = rng.sample(range(n), rng.randint(1, n))
+    sub = restrict(mdp, [mdp.states[s] for s in range(n) if s not in states])
+    mecs = [] if sub is None else [component_names(ec) for ec in mec_decomposition(sub)]
+    assert mecs == rescan_mec_decomposition(mdp, states)
+    removed = rng.sample(mdp.states, rng.randint(0, n))
+    cut, oracle = restrict(mdp, removed), rescan_restrict(mdp, removed)
+    if oracle is None:
+        assert cut is None
+    else:
+        assert (cut.states, cut.actions, cut.init) == (oracle.states, oracle.actions, oracle.init)
+    targets = rng.sample(range(n), rng.randint(1, n))
+    policy = attractor_policy(mdp, targets)
+    assert list(policy.items()) == list(rescan_attractor_policy(mdp, targets).items())
+
+
 def test_graph_toolkit_matches_rescan_oracles():
     rng = random.Random(20260)
     for _ in range(300):
-        mdp = random_mdp(rng, 10, 3)
-        n = len(mdp)
-        mecs = [component_names(ec) for ec in mec_decomposition(mdp)]
-        assert mecs == rescan_mec_decomposition(mdp)
-        states = rng.sample(range(n), rng.randint(1, n))
-        sub = restrict(mdp, [mdp.states[s] for s in range(n) if s not in states])
-        mecs = [] if sub is None else [component_names(ec) for ec in mec_decomposition(sub)]
-        assert mecs == rescan_mec_decomposition(mdp, states)
-        removed = rng.sample(mdp.states, rng.randint(0, n))
-        cut, oracle = restrict(mdp, removed), rescan_restrict(mdp, removed)
-        if oracle is None:
-            assert cut is None
-        else:
-            assert (cut.states, cut.actions, cut.init) == (oracle.states, oracle.actions, oracle.init)
-        targets = rng.sample(range(n), rng.randint(1, n))
-        policy = attractor_policy(mdp, targets)
-        assert list(policy.items()) == list(rescan_attractor_policy(mdp, targets).items())
+        _check_graph_toolkit(rng, random_mdp(rng, 10, 3))
+    # Names that sort apart from their indices: more than ten states, and
+    # permuted names.
+    rng = random.Random(20261)
+    for _ in range(100):
+        _check_graph_toolkit(rng, random_mdp(rng, 14, 3))
+        _check_graph_toolkit(rng, _shuffle_names(rng, random_mdp(rng, 10, 3)))
 
 
 def test_mec_idempotent_on_own_component():

@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction as Fr
 
 import pytest
 
-from freqsynth.mdp import parse_mdp
+from freqsynth.mdp import draw, draw_table, parse_mdp
 from freqsynth.mecanalysis import (
     EpochSchedule,
     GbmpCondition,
@@ -20,6 +21,7 @@ from freqsynth.simplex import SimplexError
 
 from helpers import (
     enumerate_md_strategies,
+    fraction_sample,
     margin_rewrite,
     md_strategy_satisfies,
     random_mdp,
@@ -291,6 +293,31 @@ def test_simulation_determinism():
     assert a != c
 
 
+def test_witness_choice_draws_keep_the_fraction_sampler_output():
+    # The hub must split its visits between x and y, so the witness draws
+    # between hx and hy there (43/136 and 93/136); the dump is the one the
+    # Fraction sampler gave.
+    mdp, _ = parse_mdp(
+        "mdp\nstates h x y\ninit h\n"
+        "action h hx : x 1\naction h hy : y 1/3 , h 2/3\n"
+        "action x xh : h 1\naction y yh : h 1\n"
+    )
+    zero = {"h": Fr(0), "x": Fr(0), "y": Fr(0)}
+    cond = GbmpCondition(mp_inf=(
+        MpBound(">=", Fr(1, 5), {**zero, "x": Fr(1)}),
+        MpBound(">=", Fr(1, 7), {**zero, "y": Fr(1)}),
+    ))
+    _, sol = accepting_mec(mdp, cond)
+    strat = build_witness_strategy(mdp, sol, cond)
+    assert strat.modes[0][0].choices[0] == ((0, Fr(43, 136)), (1, Fr(93, 136)))
+    assert simulate_strategy(mdp, strat, 5_000, seed=11).to_text() == (
+        "steps: 5000\nseed: 11\nepochs: 3\nepoch_steps: 100,3200,1700\n"
+        "avg[inf0:>=1/5]: 0.200600\navg[inf1:>=1/7]: 0.151000\n"
+        "min_late_avg[inf0:>=1/5]: 0.190087\nmin_late_avg[inf1:>=1/7]: 0.148295\n"
+        "action[hx]: 1004\naction[hy]: 2238\naction[xh]: 1003\naction[yh]: 755\n"
+    )
+
+
 def test_schedule_cap():
     sched = EpochSchedule(cap=5_000)
     assert [sched.length(t) for t in range(4)] == [100, 3_200, 5_000, 5_000]
@@ -304,3 +331,57 @@ def test_schedule_cap():
         cond = GbmpCondition(mp_inf=(MpBound(">=", Fr(1), {"s": Fr(1)}),))
         _, sol = accepting_mec(mdp, cond)
         simulate_strategy(mdp, build_witness_strategy(mdp, sol, cond), 0, seed=1)
+
+
+class _FixedDraw:
+    """An rng whose ``random()`` always returns one chosen float."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def _random_pairs(rng):
+    """(value, probability) pairs with small, huge or power-of-two
+    denominators; one in eight sums to less than 1, so the last-value
+    fallback runs."""
+    n = rng.randint(1, 5)
+    kind = rng.randrange(3)
+    if kind == 0:
+        weights = [rng.randint(1, 7) for _ in range(n)]
+    elif kind == 1:
+        weights = [rng.randint(1, 10**20) for _ in range(n)]
+    else:
+        weights = [2 ** rng.randint(0, 60) for _ in range(n)]
+    total = sum(weights)
+    if kind == 2:
+        total = 1 << total.bit_length()  # cumulative sums land on k / 2**53 or finer
+        weights[-1] += total - sum(weights)
+    if rng.randrange(8) == 0:
+        total += rng.randint(1, total)
+    return tuple((v, Fr(w, total)) for v, w in enumerate(weights))
+
+
+def test_integer_sampler_matches_fraction_oracle():
+    rng = random.Random(5309)
+    fixed = [((0, Fr(1, 2)), (1, Fr(1, 2))), ((0, Fr(1, 4)), (1, Fr(1, 4)), (2, Fr(1, 2)))]
+    for case in range(400):
+        pairs = fixed[case] if case < len(fixed) else _random_pairs(rng)
+        table = draw_table(pairs)
+        seed = rng.randrange(2**32)
+        ours, oracle = random.Random(seed), random.Random(seed)
+        for _ in range(100):
+            assert draw(table, ours) == fraction_sample(pairs, oracle)
+            assert ours.random() == oracle.random()
+        # Draws next to each cumulative sum's threshold, on it when the sum
+        # is a multiple of 2**-53.
+        acc = Fr(0)
+        for _, p in pairs:
+            acc += p
+            edge = acc * 2**53
+            for k in {math.floor(edge) - 1, math.floor(edge), math.ceil(edge), math.ceil(edge) + 1}:
+                if 0 <= k < 2**53:
+                    u = k / 2**53
+                    assert draw(table, _FixedDraw(u)) == fraction_sample(pairs, _FixedDraw(u))
