@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .dgrma import accepts_lasso, acceptance_dump, build_dgrma, dgrma_to_dot
 from .formula import FREQ, Formula, FormulaError, parse_formula, parse_rational
@@ -13,6 +14,7 @@ from .lts import DEFAULT_STATE_CAP, StateCapExceeded
 from .mdp import MdpError, mec_decomposition, parse_mdp
 from .mecanalysis import EpochSchedule
 from .simplex import SimplexError
+from .slave import token_counts_str, token_set_str
 from .synthesis import SynthesisError, simulate_global, synthesize
 
 _ERRORS = (
@@ -147,10 +149,6 @@ def cmd_automaton(args) -> int:
     else:
         sys.stdout.write(dot)
     if args.export_slaves:
-        from functools import partial
-
-        from .slave import token_counts_str, token_set_str
-
         for i, rho in enumerate(aut.rec):
             slave = aut.slaves[i]
             label = (
@@ -197,10 +195,6 @@ def cmd_mec(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.steps < 1:
-        raise SynthesisError("steps must be at least 1")
-    if args.episodes < 1:
-        raise SynthesisError("episodes must be at least 1")
     phi = _load_formula(args)
     mdp, valuation = _load_model(args)
     schedule = EpochSchedule(cap=args.epoch_cap)

@@ -82,8 +82,7 @@ class Dgrma:
     def __len__(self):
         return len(self.lts)
 
-    def state_label(self, q: int) -> str:
-        payload = self.lts.states[q]
+    def state_label(self, payload) -> str:
         parts = [str(self.master.states[payload[0]])]
         for i, rho in enumerate(self.rec):
             comp_state = self.components[i].states[payload[i + 1]]
@@ -292,8 +291,4 @@ def dgrma_to_dot(aut: Dgrma) -> str:
                 notes.append(f"{k}:" + "+".join(marks))
         return " ".join(notes)
 
-    return aut.lts.to_dot(label=lambda p: _payload_label(aut, p), annotate=annotate)
-
-
-def _payload_label(aut: Dgrma, payload) -> str:
-    return aut.state_label(aut.lts.index[payload])
+    return aut.lts.to_dot(label=aut.state_label, annotate=annotate)

@@ -19,7 +19,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Optional
+from itertools import count, islice
+from typing import Iterator, Mapping, Optional
 
 from . import simplex
 from .formula import GEQ, GT
@@ -232,7 +233,7 @@ class EpochSchedule:
     cap: Optional[int] = None
 
     def __post_init__(self):
-        # A length below 1 plans an empty epoch, and the runner would loop.
+        # A length below 1 plans an empty epoch, and the walk would loop.
         if self.cap is not None and self.cap < 1:
             raise ValueError("epoch cap must be at least 1")
 
@@ -261,8 +262,7 @@ class Strategy:
     """Witness strategy: per-flow randomized modes, visited in epochs."""
 
     modes: tuple  # per flow, a tuple of its ModeClass
-    pilgrimage: tuple  # target state indices, one per Inf set
-    pilgrimage_policies: tuple  # matching attractor policies
+    pilgrimage: tuple  # per Inf set, (target state index, attractor policy)
     cond: GbmpCondition
 
 
@@ -306,62 +306,51 @@ def build_witness_strategy(mdp: Mdp, sol: LpSolution, cond: GbmpCondition) -> St
             raise MdpError(f"flow {i} has empty support")
         modes.append(tuple(classes))
     pilgrimage = []
-    policies = []
     for inf_set in cond.inf_sets:
         members = sorted(mdp.state_index[s] for s in inf_set if s in mdp.state_index)
         if not members:
             raise MdpError("Inf set does not intersect the component")
-        pilgrimage.append(members[0])
-        policies.append(attractor_policy(mdp, {members[0]}))
-    return Strategy(tuple(modes), tuple(pilgrimage), tuple(policies), cond)
+        pilgrimage.append((members[0], attractor_policy(mdp, {members[0]})))
+    return Strategy(tuple(modes), tuple(pilgrimage), cond)
 
 
-class StrategyRunner:
-    """Mutable cursor executing a witness strategy under an epoch schedule."""
+def witness_walk(
+    mdp: Mdp,
+    strategy: Strategy,
+    schedule: EpochSchedule,
+    rng: random.Random,
+    state: int,
+) -> Iterator[tuple]:
+    """Run the witness from ``state`` forever, yielding (epoch, state, action
+    index) per step.
 
-    def __init__(self, strategy: Strategy, schedule: EpochSchedule, rng: random.Random):
-        self.strategy = strategy
-        self.schedule = schedule
-        self.rng = rng
-        self.epoch = -1
-        self.plan: list = []  # remaining (kind, payload) tasks of this epoch
-
-    def begin_epoch(self):
-        self.epoch += 1
-        planned = self.schedule.length(self.epoch)
-        mode = self.strategy.modes[self.epoch % len(self.strategy.modes)]
-        self.plan = [("visit", i) for i in range(len(self.strategy.pilgrimage))]
+    Epoch t walks to each pilgrimage target in turn, then plays each class
+    of mode ``t % len(modes)`` for its share of ``schedule.length(t)`` steps
+    (the rounding remainder goes to the first class).  Each step draws its
+    successor before it is yielded, so a caller that stops after n steps
+    has used exactly n steps' draws.
+    """
+    for epoch in count():
+        mode = strategy.modes[epoch % len(strategy.modes)]
+        planned = schedule.length(epoch)
         total_weight = sum(c.weight for c in mode)
         shares = [int(planned * c.weight / total_weight) for c in mode]
         shares[0] += planned - sum(shares)
+        for target, policy in strategy.pilgrimage:
+            while state != target:
+                ai = policy[state]
+                at, state = state, draw(mdp.actions[ai].table, rng)
+                yield epoch, at, ai
         for cls, share in zip(mode, shares):
-            if share > 0:
-                self.plan.append(("play", (cls, share)))
-
-    def next_action(self, state: int) -> int:
-        """Pick the action at the current state; advances internal phase."""
-        while True:
-            if not self.plan:
-                self.begin_epoch()
-                continue
-            kind, payload = self.plan[0]
-            if kind == "visit":
-                target = self.strategy.pilgrimage[payload]
-                if state == target:
-                    self.plan.pop(0)
-                    continue
-                return self.strategy.pilgrimage_policies[payload][state]
-            cls, share = payload
-            if share <= 0:
-                self.plan.pop(0)
-                continue
-            self.plan[0] = (kind, (cls, share - 1))
-            if state not in cls.states:
-                return cls.entry_policy[state]
-            choices = cls.choices[state]
-            if len(choices) == 1:
-                return choices[0][0]
-            return draw(cls.tables[state], self.rng)
+            for _ in range(share):
+                if state not in cls.states:
+                    ai = cls.entry_policy[state]
+                elif len(cls.choices[state]) == 1:
+                    ai = cls.choices[state][0][0]
+                else:
+                    ai = draw(cls.tables[state], rng)
+                at, state = state, draw(mdp.actions[ai].table, rng)
+                yield epoch, at, ai
 
 
 @dataclass
@@ -406,9 +395,6 @@ def simulate_strategy(
     """Run the witness for the given number of steps from a fixed seed."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    rng = random.Random(seed)
-    runner = StrategyRunner(strategy, EpochSchedule(), rng)
-    state = mdp.init
     cond = strategy.cond
 
     bounds = [("inf", i, b) for i, b in enumerate(cond.mp_inf)] + [
@@ -429,17 +415,14 @@ def simulate_strategy(
     visits: list[list[int]] = [[] for _ in inf_sets_idx]
     epoch_steps: list[int] = []
 
-    prev_epoch = -1
-    for step_no in range(steps):
-        ai = runner.next_action(state)
-        if runner.epoch != prev_epoch:
-            prev_epoch = runner.epoch
+    walk = witness_walk(mdp, strategy, EpochSchedule(), random.Random(seed), mdp.init)
+    for step_no, (epoch, state, ai) in enumerate(islice(walk, steps)):
+        if epoch == len(epoch_steps):
             epoch_steps.append(0)
             for v in visits:
                 v.append(0)
         epoch_steps[-1] += 1
-        action = mdp.actions[ai]
-        name = action.name
+        name = mdp.actions[ai].name
         action_counts[name] = action_counts.get(name, 0) + 1
         for k, vec in enumerate(reward_vecs):
             sums[k] += vec[state]
@@ -451,7 +434,6 @@ def simulate_strategy(
         for k, idx in enumerate(inf_sets_idx):
             if state in idx:
                 visits[k][-1] += 1
-        state = draw(action.table, rng)
 
     labels = [
         f"{kind}{i}:{b.cmp}{b.bound}" for kind, i, b in bounds
@@ -460,7 +442,7 @@ def simulate_strategy(
         steps=steps,
         seed=seed,
         action_counts=action_counts,
-        epochs=runner.epoch + 1,
+        epochs=len(epoch_steps),
         epoch_steps=epoch_steps,
         inf_visits_per_epoch=visits,
         mp_final=[(l, sums[k] / steps) for k, l in enumerate(labels)],

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .boolfn import BoolFn, formula_to_boolfn, proves, rank, step_row
-from .formula import Formula, FormulaError
+from .formula import Formula, FormulaError, atoms_of
 from .lts import DEFAULT_STATE_CAP, Lts, build_lts
 
 TokenSet = frozenset  # of slave state indices
@@ -43,8 +43,6 @@ def build_slave_lts(
     xi: Formula, ap: Optional[Iterable[str]] = None, cap: int = DEFAULT_STATE_CAP
 ) -> SlaveLts:
     """Reachable slave LTS for the operand of a G/F/frequency subformula."""
-    from .formula import atoms_of
-
     atoms = set(atoms_of(xi))
     if ap is not None:
         atoms |= set(ap)

@@ -12,6 +12,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Mapping, Optional
 
 from .dgrma import Dgrma, GrmpPair, build_dgrma
@@ -31,10 +32,10 @@ from .mecanalysis import (
     GbmpCondition,
     MpBound,
     Strategy,
-    StrategyRunner,
     accepting_mec,
     build_witness_strategy,
     maximize_margin,  # not called here; bench/spans.py hooks this name
+    witness_walk,
 )
 
 _ZERO = Fraction(0)
@@ -396,6 +397,10 @@ def simulate_global(
     component is closed under the witness's actions and keeps the order of
     each distribution, so every draw picks what it would in the product.
     """
+    if steps_per_episode < 1:
+        raise ValueError("steps must be at least 1")
+    if episodes < 1:
+        raise ValueError("episodes must be at least 1")
     rng = random.Random(seed)
     winner_at = [strategy.state_to_winner.get(name) for name in product.states]
     reach_tables: dict = {}  # product state -> draw table of its selected action
@@ -425,14 +430,13 @@ def simulate_global(
         w_idx = winner_at[state]
         winner = strategy.winners[w_idx]
         component = winner.component
-        runner = StrategyRunner(winner.strategy, schedule, rng)
         sums, vecs = pooled_sums[w_idx], rewards[w_idx]
         pooled_steps[w_idx] += steps
-        state = component.state_index[product.states[state]]
-        for _ in range(steps):
+        start = component.state_index[product.states[state]]
+        walk = witness_walk(component, winner.strategy, schedule, rng, start)
+        for _, state, _ in islice(walk, steps):
             for k, vec in enumerate(vecs):
                 sums[k] += vec[state]
-            state = draw(component.actions[runner.next_action(state)].table, rng)
 
     mp_pooled = []
     for w_idx, winner in enumerate(strategy.winners):

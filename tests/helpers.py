@@ -25,7 +25,10 @@ step up by product state and action name; ``simulate_global`` now maps the
 entry state to its component once per episode.  ``fraction_sample`` is the
 sampler that compared exact ``Fraction`` sums with the float draw, which the
 integer tables of ``freqsynth.mdp.draw`` replaced; ``named_simulate_global``
-draws with it.
+draws with it.  ``StrategyRunner`` is the task-list interpreter of the
+witness that ``freqsynth.mecanalysis.witness_walk`` replaced; it picks
+choices with ``fraction_sample``, and ``named_simulate_global`` steps it.
+``time_limit`` fails a call that does not return within a number of seconds.
 ``shift``, ``models_at`` and ``models_boolfn`` are lasso helpers that only the
 tests use.
 """
@@ -34,7 +37,9 @@ from __future__ import annotations
 
 import itertools
 import random
+import signal
 from collections import deque
+from contextlib import contextmanager
 from fractions import Fraction
 
 from freqsynth.boolfn import (
@@ -82,7 +87,6 @@ from freqsynth.mdp import (
 from freqsynth.mecanalysis import (
     LinearSystem,
     LpSolution,
-    StrategyRunner,
     build_lp,
     maximize_margin,
 )
@@ -1072,6 +1076,54 @@ def fraction_sample(pairs, rng):
     return pairs[-1][0]
 
 
+class StrategyRunner:
+    """Mutable cursor executing a witness strategy under an epoch schedule."""
+
+    def __init__(self, strategy, schedule, rng):
+        self.strategy = strategy
+        self.schedule = schedule
+        self.rng = rng
+        self.epoch = -1
+        self.plan: list = []  # remaining (kind, payload) tasks of this epoch
+
+    def begin_epoch(self):
+        self.epoch += 1
+        planned = self.schedule.length(self.epoch)
+        mode = self.strategy.modes[self.epoch % len(self.strategy.modes)]
+        self.plan = [("visit", i) for i in range(len(self.strategy.pilgrimage))]
+        total_weight = sum(c.weight for c in mode)
+        shares = [int(planned * c.weight / total_weight) for c in mode]
+        shares[0] += planned - sum(shares)
+        for cls, share in zip(mode, shares):
+            if share > 0:
+                self.plan.append(("play", (cls, share)))
+
+    def next_action(self, state: int) -> int:
+        """Pick the action at the current state; advances internal phase."""
+        while True:
+            if not self.plan:
+                self.begin_epoch()
+                continue
+            kind, payload = self.plan[0]
+            if kind == "visit":
+                target, policy = self.strategy.pilgrimage[payload]
+                if state == target:
+                    self.plan.pop(0)
+                    continue
+                return policy[state]
+            cls, share = payload
+            if share <= 0:
+                self.plan.pop(0)
+                continue
+            self.plan[0] = (kind, (cls, share - 1))
+            if state not in cls.states:
+                return cls.entry_policy[state]
+            choices = cls.choices[state]
+            if len(choices) == 1:
+                return choices[0][0]
+            return fraction_sample(choices, self.rng)
+
+
 def named_simulate_global(product, strategy, episodes, steps_per_episode, seed, schedule):
     """``simulate_global`` stepping the product by names: every step looks up
     the state's name, the winner's local index and the product action of the
@@ -1121,3 +1173,24 @@ def named_simulate_global(product, strategy, episodes, steps_per_episode, seed, 
         label = f"{kind}:{bound.cmp}{bound.bound}"
         mp_pooled.append((w_idx, label, total / pooled_steps[(w_idx, bi)]))
     return GlobalSimulation(episodes, steps_per_episode, seed, entered, mp_pooled)
+
+
+class Hung(Exception):
+    """Not an OSError or ValueError, so cli.main cannot turn it into exit 2."""
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Raise ``Hung`` in the block once it has run for ``seconds``, so a
+    call that loops forever fails its test instead of the suite."""
+
+    def hung(signum, frame):
+        raise Hung(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

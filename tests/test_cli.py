@@ -1,6 +1,5 @@
 import io
 import os
-import signal
 import subprocess
 import sys
 import tempfile
@@ -13,6 +12,8 @@ from hypothesis import strategies as st
 
 from freqsynth import cli
 from freqsynth.formula import parse_formula
+
+from helpers import time_limit
 
 MODEL = """\
 mdp
@@ -309,14 +310,6 @@ def test_fuzzed_letters_are_parsed_or_give_one_error_line(text, as_loop):
 SMALL_INTS = st.integers(min_value=-3, max_value=3)
 
 
-class Hung(Exception):
-    """Not an OSError or ValueError, so cli.main cannot turn it into exit 2."""
-
-
-def _hung(signum, frame):
-    raise Hung("simulate did not finish within 30 s")
-
-
 @settings(max_examples=100, deadline=None)
 @given(SMALL_INTS, SMALL_INTS, st.one_of(st.none(), SMALL_INTS))
 def test_fuzzed_simulate_counts_run_or_give_one_error_line(steps, episodes, cap):
@@ -328,14 +321,8 @@ def test_fuzzed_simulate_counts_run_or_give_one_error_line(steps, episodes, cap)
                 f"--steps={steps}", f"--episodes={episodes}"]
         if cap is not None:
             argv.append(f"--epoch-cap={cap}")
-        # A call that loops forever fails the example instead of the suite.
-        previous = signal.signal(signal.SIGALRM, _hung)
-        signal.alarm(30)
-        try:
+        with time_limit(30):
             code, out, err = main_in_process(argv)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
     if code == 2:
         assert_one_error_line(code, err)
     else:

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as Fr
+from itertools import islice
 
 import pytest
 
@@ -16,10 +17,12 @@ from freqsynth.mecanalysis import (
     build_witness_strategy,
     maximize_margin,
     simulate_strategy,
+    witness_walk,
 )
 from freqsynth.simplex import SimplexError
 
 from helpers import (
+    StrategyRunner,
     enumerate_md_strategies,
     fraction_sample,
     margin_rewrite,
@@ -293,10 +296,9 @@ def test_simulation_determinism():
     assert a != c
 
 
-def test_witness_choice_draws_keep_the_fraction_sampler_output():
-    # The hub must split its visits between x and y, so the witness draws
-    # between hx and hy there (43/136 and 93/136); the dump is the one the
-    # Fraction sampler gave.
+def _hub_witness():
+    """The hub must split its visits between x and y, so the witness draws
+    between hx and hy there."""
     mdp, _ = parse_mdp(
         "mdp\nstates h x y\ninit h\n"
         "action h hx : x 1\naction h hy : y 1/3 , h 2/3\n"
@@ -308,7 +310,13 @@ def test_witness_choice_draws_keep_the_fraction_sampler_output():
         MpBound(">=", Fr(1, 7), {**zero, "y": Fr(1)}),
     ))
     _, sol = accepting_mec(mdp, cond)
-    strat = build_witness_strategy(mdp, sol, cond)
+    return mdp, build_witness_strategy(mdp, sol, cond)
+
+
+def test_witness_choice_draws_keep_the_fraction_sampler_output():
+    # The hub's choices are hx and hy with 43/136 and 93/136; the dump is
+    # the one the Fraction sampler gave.
+    mdp, strat = _hub_witness()
     assert strat.modes[0][0].choices[0] == ((0, Fr(43, 136)), (1, Fr(93, 136)))
     assert simulate_strategy(mdp, strat, 5_000, seed=11).to_text() == (
         "steps: 5000\nseed: 11\nepochs: 3\nepoch_steps: 100,3200,1700\n"
@@ -316,6 +324,55 @@ def test_witness_choice_draws_keep_the_fraction_sampler_output():
         "min_late_avg[inf0:>=1/5]: 0.190087\nmin_late_avg[inf1:>=1/7]: 0.148295\n"
         "action[hx]: 1004\naction[hy]: 2238\naction[xh]: 1003\naction[yh]: 755\n"
     )
+
+
+class _CountingRandom(random.Random):
+    """A ``random.Random`` that counts its ``random()`` calls."""
+
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+
+def test_witness_walk_matches_the_runner_oracle():
+    # The walk takes the task-list runner's steps, with the runner drawing
+    # choices and successors by Fraction sums, and leaves its RNG where the
+    # runner's is: one draw per successor plus one per choice draw.
+    # Most random witnesses are one deterministic mode; keep those that
+    # draw choices or switch modes.
+    rng = random.Random(1515)
+    cases = [_hub_witness() + (0,)]
+    while len(cases) < 17:
+        mdp = random_strongly_connected_mdp(rng, 5, 3)
+        cond = _random_condition(rng, mdp)
+        ok, sol = accepting_mec(mdp, cond)
+        if not ok:
+            continue
+        strat = build_witness_strategy(mdp, sol, cond)
+        choices = [c for mode in strat.modes for cls in mode for c in cls.choices.values()]
+        if len(strat.modes) >= 2 or max(map(len, choices)) >= 2:
+            cases.append((mdp, strat, rng.randrange(len(mdp))))
+    steps = 2000
+    choice_draws = two_modes = pilgrimages = 0
+    for k, (mdp, strat, start) in enumerate(cases):
+        for schedule in (EpochSchedule(), EpochSchedule(cap=1), EpochSchedule(cap=7)):
+            ours, oracle = random.Random(k), _CountingRandom(k)
+            runner = StrategyRunner(strat, schedule, oracle)
+            walk = witness_walk(mdp, strat, schedule, ours, start)
+            state = start
+            visited = False
+            for got in islice(walk, steps):
+                ai = runner.next_action(state)
+                visited |= runner.plan[0][0] == "visit"
+                assert got == (runner.epoch, state, ai), (k, schedule)
+                state = fraction_sample(mdp.actions[ai].dist, oracle)
+            assert ours.random() == oracle.random(), (k, schedule)
+            choice_draws += oracle.calls > steps + 1
+            two_modes += len(strat.modes) >= 2 and runner.epoch >= 1
+            pilgrimages += visited
+    assert min(choice_draws, two_modes, pilgrimages) >= 10
 
 
 def test_schedule_cap():

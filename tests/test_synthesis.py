@@ -31,6 +31,7 @@ from helpers import (
     random_mdp,
     random_strongly_connected_mdp,
     ruin_mdp,
+    time_limit,
 )
 
 LEAKY = """\
@@ -397,6 +398,24 @@ def test_simulation_matches_the_name_keyed_oracle():
             capped_differs += texts[0] != texts[1]
     assert min(before, never, two_winners) >= 10
     assert capped_differs >= 5  # the schedule reaches the witness
+
+
+def test_simulate_global_rejects_counts_below_one():
+    # Half the episodes fall into the dead end d, outside the winning union;
+    # a negative step count must not count down past 0 there.
+    mdp, valuation = parse_mdp(
+        "mdp\nstates s w d\ninit s\nlabel w a\n"
+        "action s go : w 1/2 , d 1/2\naction w ww : w 1\naction d dd : d 1\n"
+    )
+    report = synthesize(mdp, valuation, parse_formula("G F a"), Fr(0))
+    assert report.probability == Fr(1, 2)
+    with time_limit(30):
+        for steps in (-1, 0):
+            with pytest.raises(ValueError, match="steps must be at least 1"):
+                simulate_global(report.product, report.strategy, 4, steps, seed=1)
+        for episodes in (-1, 0):
+            with pytest.raises(ValueError, match="episodes must be at least 1"):
+                simulate_global(report.product, report.strategy, episodes, 10, seed=1)
 
 
 def test_out_of_fragment_formula_is_a_formula_error():
