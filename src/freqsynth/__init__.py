@@ -17,7 +17,7 @@ from .formula import (
     push_negation,
 )
 from .boolfn import BoolFn, proves, step, substitute_ff, unfold
-from .lasso import Lasso, freq_on_lasso, models, parse_lasso, random_lasso, rec_truth
+from .lasso import Lasso, models, parse_lasso
 from .lts import Lts, StateCapExceeded
 from .master import build_master
 from .slave import (

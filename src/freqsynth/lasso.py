@@ -8,9 +8,8 @@ nothing with the automaton pipeline.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .formula import (
     AND,
@@ -27,8 +26,6 @@ from .formula import (
     UNTIL,
     Formula,
     FormulaError,
-    always,
-    eventually,
 )
 
 Letter = frozenset
@@ -108,24 +105,6 @@ def parse_lasso(stem_text: str, loop_text: str) -> Lasso:
     return Lasso(parse_letters(stem_text), parse_letters(loop_text))
 
 
-def random_lasso(seed, max_stem: int, max_loop: int, ap: Iterable[str]) -> Lasso:
-    """Seed-deterministic random lasso with the given shape bounds."""
-    if max_loop < 1:
-        raise LassoError("max_loop must be at least 1")
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    names = sorted(ap)
-    stem_len = rng.randint(0, max_stem)
-    loop_len = rng.randint(1, max_loop)
-
-    def rand_letter():
-        return frozenset(a for a in names if rng.random() < 0.5)
-
-    return Lasso(
-        [rand_letter() for _ in range(stem_len)],
-        [rand_letter() for _ in range(loop_len)],
-    )
-
-
 class _Eval:
     """Memoized evaluation of subformulas at folded positions."""
 
@@ -203,27 +182,3 @@ class _Eval:
 def models(w: Lasso, phi: Formula) -> bool:
     """Exact truth of the formula on the infinite word."""
     return _Eval(w).holds(phi, 0)
-
-
-def freq_on_lasso(w: Lasso, xi: Formula) -> Fraction:
-    """Exact limit frequency of positions satisfying the formula."""
-    return _Eval(w)._loop_freq(xi)
-
-
-def rec_truth(w: Lasso, rec: Iterable[Formula]) -> set[Formula]:
-    """The recurrent formulas eventually always satisfied on the word:
-    F-members with GF truth, G-members with FG truth, frequency members
-    holding outright."""
-    out = set()
-    for phi in rec:
-        if phi.kind == EVENTUALLY:
-            holds = models(w, always(phi))
-        elif phi.kind == ALWAYS:
-            holds = models(w, eventually(phi))
-        elif phi.kind == FREQ:
-            holds = models(w, phi)
-        else:
-            raise FormulaError(f"{phi} is not a recurrent-class formula")
-        if holds:
-            out.add(phi)
-    return out

@@ -6,6 +6,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .formula import rational_literal
@@ -28,6 +29,14 @@ class MdpAction:
     def table(self) -> tuple:
         """``draw_table(self.dist)``, built at the first draw."""
         return draw_table(self.dist)
+
+    @cached_property
+    def weights(self) -> tuple:
+        """``(den, ((t, w), ...))``: the distribution as integer weights
+        ``w = p * den`` over the least common denominator of its
+        probabilities, built at first use."""
+        den = lcm(*(p.denominator for _, p in self.dist))
+        return den, tuple((t, p.numerator * (den // p.denominator)) for t, p in self.dist)
 
 
 def draw_table(pairs: tuple) -> tuple:
@@ -175,6 +184,8 @@ def parse_mdp(text: str) -> tuple[Mdp, Valuation]:
                 prob = rational_literal(prob_text)
             except (ValueError, ZeroDivisionError):
                 raise MdpError(f"line {lineno}: bad probability {prob_text!r}") from None
+            if not prob:
+                raise MdpError(f"line {lineno}: probability of {target!r} must be positive")
             entries.append((index[target], prob))
         total = sum(p for _, p in entries)
         if total != 1:

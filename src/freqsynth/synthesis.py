@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 from typing import Iterable, Mapping, Optional
 
 from .dgrma import Dgrma, GrmpPair, build_dgrma
@@ -39,7 +40,6 @@ from .mecanalysis import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class SynthesisError(Exception):
@@ -98,13 +98,17 @@ def winning_union(product: Mdp, lifted: list) -> tuple[frozenset, list]:
     return frozenset(w_states), outcomes
 
 
-def _sparse_solve(rows: list, rhs: list) -> list:
-    """Exact elimination in natural order over ``{column: value}`` rows.
+def _sparse_solve(rows: list, rhs: list) -> tuple[list, int]:
+    """Fraction-free elimination in natural order over integer
+    ``{column: value}`` rows; returns the solution as integer numerators
+    over one common denominator, the least one.
 
-    The callers pass ``I - P`` over states that reach the target, whose
-    leading principal blocks are nonsingular M-matrices, so no pivoting is
-    needed.  Each pivot touches only the later rows with an entry in its
-    column; cancelled entries are dropped.
+    The callers pass ``I - P`` over states that reach the target, scaled to
+    integers, whose leading principal blocks are nonsingular M-matrices, so
+    no pivoting is needed and every pivot stays positive.  Each pivot
+    touches only the later rows with an entry in its column: such a row
+    becomes ``pivot * row - f * pivot_row`` and is divided by the gcd of its
+    entries and its right-hand side; cancelled entries are dropped.
     """
     n = len(rows)
     below = [set() for _ in range(n)]  # column -> later rows with an entry
@@ -119,11 +123,16 @@ def _sparse_solve(rows: list, rhs: list) -> list:
             raise MdpError("singular linear system in reachability analysis")
         for r in below[k]:
             row = rows[r]
-            f = row.pop(k) / pivot
+            f = row.pop(k)
+            g = gcd(pivot, f)
+            a, f = pivot // g, f // g
+            if a != 1:
+                for c in row:
+                    row[c] *= a
             for c, v in pivot_row.items():
                 if c == k:
                     continue
-                x = row.get(c, _ZERO) - f * v
+                x = row.get(c, 0) - f * v
                 if x:
                     row[c] = x
                     if c < r:
@@ -131,53 +140,74 @@ def _sparse_solve(rows: list, rhs: list) -> list:
                 else:
                     del row[c]
                     below[c].discard(r)
-            rhs[r] -= f * rhs[k]
-    solved = [_ZERO] * n
+            b = a * rhs[r] - f * rhs[k]
+            g = gcd(b, *row.values())
+            if g > 1:
+                for c in row:
+                    row[c] //= g
+                b //= g
+            rhs[r] = b
+    solved = [0] * n
+    scale = 1
     for k in reversed(range(n)):
         row = rows[k]
-        rest = sum(v * solved[c] for c, v in row.items() if c != k)
-        solved[k] = (rhs[k] - rest) / row[k]
-    return solved
+        # pivot * x_k * scale == numerator, with the later x already over scale
+        numerator = rhs[k] * scale - sum(v * solved[c] for c, v in row.items() if c != k)
+        g = gcd(numerator, row[k])
+        m = row[k] // g
+        if m != 1:
+            scale *= m
+            for c in range(k + 1, n):
+                solved[c] *= m
+        solved[k] = numerator // g
+    return solved, scale
 
 
-def _evaluate_policy(mdp: Mdp, policy: list, target: set) -> list:
-    """Exact reach probabilities of a memoryless deterministic policy."""
+def _evaluate_policy(mdp: Mdp, policy: list, target: set) -> tuple[list, int]:
+    """Exact reach probabilities of a memoryless deterministic policy, as
+    integer numerators over one common denominator."""
     variables = sorted(can_reach(mdp, target, set(policy)) - target)
     pos = {s: i for i, s in enumerate(variables)}
     rows = []
     rhs = []
     for s in variables:
-        row = {pos[s]: _ONE}
-        b = _ZERO
-        for t, p in mdp.actions[policy[s]].dist:
+        den, pairs = mdp.actions[policy[s]].weights
+        row = {pos[s]: den}
+        b = 0
+        for t, w in pairs:
             if t in target:
-                b += p
+                b += w
             elif t in pos:
-                row[pos[t]] = row.get(pos[t], _ZERO) - p
+                row[pos[t]] = row.get(pos[t], 0) - w
         rows.append(row)
         rhs.append(b)
-    values = [_ZERO] * len(mdp)
+    solved, scale = _sparse_solve(rows, rhs)
+    values = [0] * len(mdp)
     for s in target:
-        values[s] = _ONE
-    for s, v in zip(variables, _sparse_solve(rows, rhs)):
+        values[s] = scale
+    for s, v in zip(variables, solved):
         values[s] = v
-    return values
+    return values, scale
 
 
-def _check_selector(mdp: Mdp, selector: list, values: list, target: set) -> None:
-    """Raise unless ``values`` are the selector's own reach probabilities:
-    1 on the target, the Bellman equation of the selected action on the
-    other states that reach the target under it, and 0 elsewhere.  That
-    system is regular, so this equals comparing with a full evaluation."""
+def _check_selector(
+    mdp: Mdp, selector: list, values: list, scale: int, target: set
+) -> None:
+    """Raise unless ``values``, numerators over ``scale``, are the selector's
+    own reach probabilities: 1 on the target, the Bellman equation of the
+    selected action on the other states that reach the target under it, and
+    0 elsewhere.  That system is regular, so this equals comparing with a
+    full evaluation."""
     reach = can_reach(mdp, target, set(selector))
     for s, value in enumerate(values):
         if s in target:
-            expected = _ONE
+            holds = value == scale
         elif s in reach:
-            expected = sum(p * values[t] for t, p in mdp.actions[selector[s]].dist)
+            den, pairs = mdp.actions[selector[s]].weights
+            holds = sum(w * values[t] for t, w in pairs) == den * value
         else:
-            expected = _ZERO
-        if value != expected:
+            holds = value == 0
+        if not holds:
             raise MdpError("extracted selector does not realize the optimal values")
 
 
@@ -186,12 +216,16 @@ def max_reach(mdp: Mdp, target_names: Iterable) -> tuple[dict, dict]:
 
     Policy iteration with exact sparse policy evaluation; after the zero
     states are pinned, any policy-improvement fixpoint is the unique Bellman
-    solution.  The selector keeps ``act[s][0]`` on target and zero states.
-    Every other state takes an optimal action that moves strictly closer to
-    the target: the states join in index-order passes, each once an optimal
-    action has a successor that joined before it, and takes the first such
-    action.  The passes are replayed from ``Mdp.pre`` with a heap, and a
-    linear certificate checks that the selector realizes the values.
+    solution.  Values are integer numerators over the evaluation's common
+    denominator, and a backup ``sum(w * values[t]) / den`` over an action's
+    integer weights is compared by cross-multiplying, so every comparison is
+    exact and the values become ``Fraction`` only in the result.  The
+    selector keeps ``act[s][0]`` on target and zero states.  Every other
+    state takes an optimal action that moves strictly closer to the target:
+    the states join in index-order passes, each once an optimal action has a
+    successor that joined before it, and takes the first such action.  The
+    passes are replayed from ``Mdp.pre`` with a heap, and a linear
+    certificate checks that the selector realizes the values.
     """
     n = len(mdp)
     target = {mdp.state_index[s] for s in target_names}
@@ -199,33 +233,34 @@ def max_reach(mdp: Mdp, target_names: Iterable) -> tuple[dict, dict]:
     zero = set(range(n)) - can_reach(mdp, target, range(len(mdp.actions)))
 
     policy = [mdp.act[s][0] for s in range(n)]
-    values = _evaluate_policy(mdp, policy, target)
+    values, scale = _evaluate_policy(mdp, policy, target)
     for _ in range(64 + 4 * n * max(len(a) for a in mdp.act)):
         improved = False
         for s in range(n):
             if s in target or s in zero:
                 continue
-            best_val = values[s]
+            best_num, best_den = values[s], 1  # best backup is best_num / best_den
             best_ai = None
             for ai in mdp.act[s]:
-                backup = sum(p * values[t] for t, p in mdp.actions[ai].dist)
-                if backup > best_val:
-                    best_val = backup
+                den, pairs = mdp.actions[ai].weights
+                num = sum(w * values[t] for t, w in pairs)
+                if num * best_den > best_num * den:
+                    best_num, best_den = num, den
                     best_ai = ai
             if best_ai is not None:
                 policy[s] = best_ai
                 improved = True
         if not improved:
             break
-        values = _evaluate_policy(mdp, policy, target)
+        values, scale = _evaluate_policy(mdp, policy, target)
     else:
         raise MdpError("policy iteration failed to converge")
 
     optimal = [
-        a.source not in target
-        and a.source not in zero
-        and sum(p * values[t] for t, p in a.dist) == values[a.source]
-        for a in mdp.actions
+        s not in target
+        and s not in zero
+        and sum(w * values[t] for t, w in pairs) == den * values[s]
+        for s, (den, pairs) in ((a.source, a.weights) for a in mdp.actions)
     ]
     selector = list(policy)
     joined: dict = {}  # state -> (pass, index) it joined at; targets pass 0
@@ -250,9 +285,9 @@ def max_reach(mdp: Mdp, target_names: Iterable) -> tuple[dict, dict]:
                 heapq.heappush(heap, (k + (k == 0 or u < t), u))
     if len(joined) + len(zero) != n:
         raise MdpError("failed to extract a proper optimal selector")
-    _check_selector(mdp, selector, values, target)
+    _check_selector(mdp, selector, values, scale, target)
 
-    value_map = {mdp.states[s]: values[s] for s in range(n)}
+    value_map = {mdp.states[s]: Fraction(values[s], scale) for s in range(n)}
     selector_map = {
         mdp.states[s]: mdp.actions[selector[s]].name for s in range(n)
     }

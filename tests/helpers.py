@@ -66,7 +66,7 @@ from freqsynth.formula import (
     parse_formula,
     until,
 )
-from freqsynth.lasso import Lasso, _Eval
+from freqsynth.lasso import Lasso, LassoError, _Eval, models
 from freqsynth.lts import Lts, StateCapExceeded, powerset_alphabet
 from freqsynth.dgrma import Dgrma, GrmpPair, MpAtom, build_dgrma, rec_set
 from freqsynth.formula import ALWAYS, EVENTUALLY, FREQ, GT, FormulaError, atoms_of
@@ -848,6 +848,48 @@ def ruin_mdp(n, p, reflecting):
         actions.append(MdpAction(f"bold{k}", k, ((min(k + 2, last), p), (max(k - 2, 0), 1 - p))))
     actions.append(MdpAction(f"stay{last}", last, ((last, _ONE),)))
     return Mdp([f"x{k}" for k in range(n)], actions, n // 2)
+
+
+def random_lasso(seed, max_stem, max_loop, ap):
+    """Seed-deterministic random lasso with the given shape bounds."""
+    if max_loop < 1:
+        raise LassoError("max_loop must be at least 1")
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    names = sorted(ap)
+    stem_len = rng.randint(0, max_stem)
+    loop_len = rng.randint(1, max_loop)
+
+    def rand_letter():
+        return frozenset(a for a in names if rng.random() < 0.5)
+
+    return Lasso(
+        [rand_letter() for _ in range(stem_len)],
+        [rand_letter() for _ in range(loop_len)],
+    )
+
+
+def freq_on_lasso(w, xi):
+    """Exact limit frequency of positions satisfying the formula."""
+    return _Eval(w)._loop_freq(xi)
+
+
+def rec_truth(w, rec):
+    """The recurrent formulas eventually always satisfied on the word:
+    F-members with GF truth, G-members with FG truth, frequency members
+    holding outright."""
+    out = set()
+    for phi in rec:
+        if phi.kind == EVENTUALLY:
+            holds = models(w, always(phi))
+        elif phi.kind == ALWAYS:
+            holds = models(w, eventually(phi))
+        elif phi.kind == FREQ:
+            holds = models(w, phi)
+        else:
+            raise FormulaError(f"{phi} is not a recurrent-class formula")
+        if holds:
+            out.add(phi)
+    return out
 
 
 def shift(w, n):

@@ -15,12 +15,7 @@ import pytest
 from freqsynth.boolfn import step, unfold
 from freqsynth.dgrma import accepts_lasso, build_dgrma, rec_set, run_cycle
 from freqsynth.formula import always, eventually, parse_formula, tt
-from freqsynth.lasso import (
-    freq_on_lasso,
-    models,
-    random_lasso,
-    rec_truth,
-)
+from freqsynth.lasso import models
 from freqsynth.master import build_master
 from freqsynth.mdp import Mdp, parse_mdp, product_mdp
 from freqsynth.mecanalysis import (
@@ -45,12 +40,15 @@ from helpers import (
     corpus_formulas,
     decide_then_maximize_margin,
     enumerate_md_strategies,
+    freq_on_lasso,
     md_strategy_satisfies,
     models_boolfn,
     random_fragment_formula,
+    random_lasso,
     random_markov_chain,
     random_strongly_connected_mdp,
     random_ufree_formula,
+    rec_truth,
 )
 
 

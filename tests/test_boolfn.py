@@ -18,9 +18,9 @@ from freqsynth.boolfn import (
     var,
 )
 from freqsynth.formula import atom, eventually, always, parse_formula
-from freqsynth.lasso import models, random_lasso
+from freqsynth.lasso import models
 
-from helpers import models_boolfn, random_fragment_formula
+from helpers import models_boolfn, random_fragment_formula, random_lasso
 
 
 # A tiny expression language over 6 opaque variables, used to compare the

@@ -343,6 +343,15 @@ def test_probability_outside_the_literal_grammar_is_a_model_error(tmp_path, toke
     assert f"line 6: bad probability {token!r}" in err
 
 
+def test_zero_probability_is_a_line_numbered_model_error(tmp_path):
+    # 's1 0' passes the sum check; it must not reach Mdp's unnumbered check.
+    path = tmp_path / "m.mdp"
+    path.write_text("mdp\nstates s t\ninit s\naction s a : s 1 , t 0\naction t b : t 1\n")
+    code, _, err = main_in_process(["mec", "--model", str(path)])
+    assert_one_error_line(code, err)
+    assert err == "error: line 4: probability of 't' must be positive\n"
+
+
 @pytest.mark.parametrize("token", NOT_LITERALS)
 def test_threshold_outside_the_literal_grammar_is_rejected(model_file, token):
     start = time.perf_counter()

@@ -14,10 +14,15 @@ from freqsynth.dgrma import (
     run_cycle,
 )
 from freqsynth.formula import atoms_of, parse_formula
-from freqsynth.lasso import Lasso, models, random_lasso
+from freqsynth.lasso import Lasso, models
 from freqsynth.lts import StateCapExceeded
 
-from helpers import corpus_formulas, letterwise_build_dgrma, random_fragment_formula
+from helpers import (
+    corpus_formulas,
+    letterwise_build_dgrma,
+    random_fragment_formula,
+    random_lasso,
+)
 
 A = frozenset("a")
 E = frozenset()

@@ -20,9 +20,9 @@ from freqsynth.formula import (
     negation,
     until,
 )
-from freqsynth.lasso import models, random_lasso
+from freqsynth.lasso import models
 
-from helpers import random_fragment_formula
+from helpers import random_fragment_formula, random_lasso
 
 
 def test_parse_motivating_formula():

@@ -7,16 +7,20 @@ from freqsynth.formula import always, atom, eventually, next_, parse_formula
 from freqsynth.lasso import (
     Lasso,
     LassoError,
-    freq_on_lasso,
     lasso_to_str,
     models,
     parse_lasso,
     parse_letters,
-    random_lasso,
-    rec_truth,
 )
 
-from helpers import models_at, random_fragment_formula, shift
+from helpers import (
+    freq_on_lasso,
+    models_at,
+    random_fragment_formula,
+    random_lasso,
+    rec_truth,
+    shift,
+)
 
 
 A = frozenset("a")

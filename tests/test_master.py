@@ -4,11 +4,11 @@ import pytest
 
 from freqsynth.boolfn import FALSE, TRUE, formula_to_boolfn
 from freqsynth.formula import parse_formula
-from freqsynth.lasso import models, random_lasso
+from freqsynth.lasso import models
 from freqsynth.lts import StateCapExceeded
 from freqsynth.master import build_master
 
-from helpers import models_boolfn, random_fragment_formula
+from helpers import models_boolfn, random_fragment_formula, random_lasso
 
 
 def _letter(*atoms):

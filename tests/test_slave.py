@@ -6,7 +6,7 @@ import pytest
 from freqsynth.boolfn import FALSE, TRUE, formula_to_boolfn, rank
 from freqsynth.dgrma import run_cycle
 from freqsynth.formula import FormulaError, always, atom, eventually, parse_formula
-from freqsynth.lasso import freq_on_lasso, models, random_lasso, rec_truth
+from freqsynth.lasso import models
 from freqsynth.lts import Lts, powerset_alphabet
 from freqsynth.slave import (
     SlaveLts,
@@ -19,7 +19,7 @@ from freqsynth.slave import (
 )
 from freqsynth.dgrma import rec_set
 
-from helpers import models_at, random_ufree_formula
+from helpers import freq_on_lasso, models_at, random_lasso, random_ufree_formula, rec_truth
 
 
 def _letter(*atoms):

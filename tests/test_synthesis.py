@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Fr
+from math import lcm
 
 import pytest
 
@@ -7,7 +8,15 @@ import freqsynth.synthesis
 from freqsynth import simplex
 from freqsynth.dgrma import build_dgrma
 from freqsynth.formula import FormulaError, parse_formula
-from freqsynth.mdp import MdpError, mec_decomposition, parse_mdp, product_mdp, restrict
+from freqsynth.mdp import (
+    Mdp,
+    MdpAction,
+    MdpError,
+    mec_decomposition,
+    parse_mdp,
+    product_mdp,
+    restrict,
+)
 from freqsynth.mecanalysis import EpochSchedule, GbmpCondition, MpBound
 from freqsynth.synthesis import (
     SynthesisError,
@@ -87,7 +96,7 @@ def test_max_reach_matches_dense_oracle_on_random_mdps():
 
 @pytest.mark.parametrize("reflecting", [False, True])
 def test_max_reach_matches_dense_oracle_on_ruin_lines(reflecting):
-    for n in (9, 16, 26):
+    for n in (9, 16, 26, 37, 48):  # up to the benchmark's sizes
         for p in (Fr(2, 5), Fr(9, 20), Fr(1, 2)):
             mdp = ruin_mdp(n, p, reflecting)
             _assert_matches_dense_oracle(mdp, {f"x{n - 1}"})
@@ -109,17 +118,27 @@ def test_selector_skips_an_optimal_self_loop():
     assert selector["s"] == "go"
 
 
+def _over_one_denominator(values):
+    """Fractions as integer numerators over their least common denominator,
+    the representation ``max_reach`` computes in."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def test_check_selector_rejects_tampered_certificates():
     mdp = ruin_mdp(12, Fr(2, 5), False)
     goal = {len(mdp) - 1}
     value_map, selector_map = max_reach(mdp, {mdp.states[s] for s in goal})
     values = [value_map[s] for s in mdp.states]
     selector = [mdp.action_index[selector_map[s]] for s in mdp.states]
-    _check_selector(mdp, selector, values, goal)
+    numerators, scale = _over_one_denominator(values)
+    _check_selector(mdp, selector, numerators, scale, goal)
+    # Any common denominator will do, not only the least one.
+    _check_selector(mdp, selector, [3 * v for v in numerators], 3 * scale, goal)
 
     def rejects(selector, values):
         with pytest.raises(MdpError, match="does not realize"):
-            _check_selector(mdp, selector, values, goal)
+            _check_selector(mdp, selector, *_over_one_denominator(values), goal)
 
     broke = 0  # absorbing, value 0
     rejects(selector, [Fr(1, 2) if s in goal else v for s, v in enumerate(values)])
@@ -135,6 +154,123 @@ def test_check_selector_rejects_tampered_certificates():
     swapped = list(selector)
     swapped[worse[0]] = worse[1]
     rejects(swapped, values)
+    # The numerators read over a wrong denominator.
+    with pytest.raises(MdpError, match="does not realize"):
+        _check_selector(mdp, selector, numerators, scale + 1, goal)
+
+
+PRIMES = (89, 97, 101, 103)
+
+
+def _coprime_mdp(rng, max_states, max_actions):
+    """Random MDP whose probabilities have large coprime denominators: each
+    entry but the last takes k/d of what is left, d one of ``PRIMES``.  A
+    state's first action only moves down and its second moves up by at most
+    two, so from the default policy improvements climb the line one round
+    at a time."""
+    n = rng.randint(2, max_states)
+    actions = []
+    for s in range(n):
+        for k in range(rng.randint(1, max_actions)):
+            if k == 0:
+                pool = range(s + 1)
+            elif k == 1:
+                pool = range(s, min(n, s + 3))
+            else:
+                pool = range(n)
+            targets = sorted(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+            rest, dist = Fr(1), []
+            for t in targets[:-1]:
+                d = rng.choice(PRIMES)
+                p = rest * Fr(rng.randint(1, d - 1), d)
+                dist.append((t, p))
+                rest -= p
+            dist.append((targets[-1], rest))
+            actions.append(MdpAction(f"a{s}_{k}", s, tuple(dist)))
+    return Mdp([f"s{i}" for i in range(n)], actions, 0)
+
+
+def test_integer_engine_matches_dense_oracle_on_coprime_denominators(monkeypatch):
+    evaluations = []
+    evaluate = freqsynth.synthesis._evaluate_policy
+
+    def counting_evaluate(*args):
+        evaluations.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(freqsynth.synthesis, "_evaluate_policy", counting_evaluate)
+    rng = random.Random(1697)
+    three_rounds = zero_states = everything = 0
+    for _ in range(400):
+        mdp = _coprime_mdp(rng, 9, 3)
+        roll = rng.random()
+        if roll < 0.1:
+            target = set(mdp.states)
+        elif roll < 0.55:
+            target = {mdp.states[-1]}
+        else:
+            target = set(rng.sample(mdp.states, rng.randint(1, len(mdp) - 1)))
+        evaluations.clear()
+        values, selector = max_reach(mdp, target)
+        assert (values, selector) == dense_max_reach(mdp, target)
+        assert list(values) == list(selector) == mdp.states
+        three_rounds += len(evaluations) >= 4  # the first evaluation, then one per round
+        zero_states += 0 in values.values()
+        everything += len(target) == len(mdp)
+    assert min(three_rounds, zero_states, everything) >= 20
+
+
+def test_max_reach_does_no_fraction_arithmetic(monkeypatch):
+    # Values are integers until the result map, whose entries are built
+    # with the Fraction constructor alone.
+    rng = random.Random(1698)
+    instances = [_coprime_mdp(rng, 8, 4) for _ in range(40)]
+    instances += [
+        ruin_mdp(26, p, reflecting) for p in (Fr(2, 5), Fr(1, 2)) for reflecting in (False, True)
+    ]
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic inside max_reach")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__eq__", "__lt__", "__le__", "__gt__",
+                 "__ge__", "__bool__", "__neg__"):
+        monkeypatch.setattr(Fr, name, forbidden)
+    results = [max_reach(mdp, {mdp.states[-1]}) for mdp in instances]
+    monkeypatch.undo()
+    for mdp, result in zip(instances, results):
+        assert result == dense_max_reach(mdp, {mdp.states[-1]})
+
+
+def _ruin_value_iteration(n, p):
+    """Float Gauss-Seidel value iteration on the absorbing ruin line, sweeping
+    down from the goal until a sweep changes no value by 1e-15."""
+    last = n - 1
+    v = [0.0] * n
+    v[last] = 1.0
+    for _ in range(100_000):
+        delta = 0.0
+        for k in reversed(range(1, last)):
+            best = max(
+                p * v[k + 1] + (1 - p) * v[k - 1],
+                p * v[min(k + 2, last)] + (1 - p) * v[max(k - 2, 0)],
+            )
+            delta = max(delta, best - v[k])
+            v[k] = best
+        if delta < 1e-15:
+            return v
+    raise ArithmeticError("value iteration did not converge")
+
+
+def test_400_state_ruin_lines():
+    n = 400
+    for p in (Fr(2, 5), Fr(9, 20)):
+        values, _ = max_reach(ruin_mdp(n, p, False), {f"x{n - 1}"})
+        floats = _ruin_value_iteration(n, float(p))
+        assert max(abs(float(values[f"x{k}"]) - floats[k]) for k in range(n)) <= 1e-9
+        assert values["x0"] == 0 and 0 < values[f"x{n - 2}"] < 1
+    values, _ = max_reach(ruin_mdp(n, Fr(2, 5), True), {f"x{n - 1}"})
+    assert set(values.values()) == {1}
 
 
 def test_synthesize_probability_one_loop():
