@@ -40,7 +40,6 @@ from .mecanalysis import (
     accepting_mec,
     build_lp,
     build_witness_strategy,
-    simulate_strategy,
 )
 from .synthesis import (
     GlobalStrategy,

@@ -64,9 +64,29 @@ def draw(table: tuple, rng) -> object:
 
 
 class Mdp:
-    """Finite MDP; states and actions carry unique names for stable reporting."""
+    """Finite MDP; states and actions carry unique names for stable reporting.
+
+    ``Mdp(...)`` validates its input in full.  ``Mdp._trusted(...)`` runs
+    only the structural build, for MDPs whose distributions were checked
+    already: the parsed model, the product and every sub-MDP.
+    """
 
     def __init__(self, states: Sequence[str], actions: Sequence[MdpAction], init: Optional[int]):
+        self._build(states, actions, init)
+        _check_distributions(self.actions)
+
+    @classmethod
+    def _trusted(
+        cls, states: Sequence[str], actions: Sequence[MdpAction], init: Optional[int]
+    ) -> Mdp:
+        mdp = cls.__new__(cls)
+        mdp._build(states, actions, init)
+        return mdp
+
+    def _build(self, states, actions, init) -> None:
+        """Index maps, enabled actions ``act`` and entering actions ``pre``;
+        raises on duplicate names, targets outside the states and states
+        without an action."""
         self.states = list(states)
         self.state_index = {s: i for i, s in enumerate(self.states)}
         if len(self.state_index) != len(self.states):
@@ -87,16 +107,20 @@ class Mdp:
         for si, enabled in enumerate(self.act):
             if not enabled:
                 raise MdpError(f"state {self.states[si]!r} has no enabled action")
-        for a in self.actions:
-            total = sum(p for _, p in a.dist)
-            if total != 1:
-                raise MdpError(f"action {a.name!r} distribution sums to {total}, not 1")
-            if any(p <= 0 for _, p in a.dist):
-                raise MdpError(f"action {a.name!r} has a non-positive probability")
         self.init = init
 
     def __len__(self):
         return len(self.states)
+
+
+def _check_distributions(actions: Iterable[MdpAction]) -> None:
+    """Raise unless every distribution is positive and sums to 1."""
+    for a in actions:
+        total = sum(p for _, p in a.dist)
+        if total != 1:
+            raise MdpError(f"action {a.name!r} distribution sums to {total}, not 1")
+        if any(p <= 0 for _, p in a.dist):
+            raise MdpError(f"action {a.name!r} has a non-positive probability")
 
 
 Valuation = list  # frozenset of atoms per state index
@@ -162,6 +186,7 @@ def parse_mdp(text: str) -> tuple[Mdp, Valuation]:
 
     actions: list[MdpAction] = []
     seen_names = set()
+    probs: dict = {}  # probability text -> its value, converted once per call
     for lineno, state, name, dist_part in raw_actions:
         if state not in index:
             raise MdpError(f"line {lineno}: unknown state {state!r}")
@@ -180,19 +205,22 @@ def parse_mdp(text: str) -> tuple[Mdp, Valuation]:
             if target in seen_targets:
                 raise MdpError(f"line {lineno}: duplicate target {target!r}")
             seen_targets.add(target)
-            try:
-                prob = rational_literal(prob_text)
-            except (ValueError, ZeroDivisionError):
-                raise MdpError(f"line {lineno}: bad probability {prob_text!r}") from None
-            if not prob:
-                raise MdpError(f"line {lineno}: probability of {target!r} must be positive")
+            prob = probs.get(prob_text)
+            if prob is None:
+                try:
+                    prob = rational_literal(prob_text)
+                except (ValueError, ZeroDivisionError):
+                    raise MdpError(f"line {lineno}: bad probability {prob_text!r}") from None
+                if not prob:
+                    raise MdpError(f"line {lineno}: probability of {target!r} must be positive")
+                probs[prob_text] = prob
             entries.append((index[target], prob))
         total = sum(p for _, p in entries)
         if total != 1:
             raise MdpError(f"line {lineno}: distribution sums to {total}, not 1")
         actions.append(MdpAction(name, index[state], tuple(entries)))
 
-    mdp = Mdp(state_names, actions, index[init_name])
+    mdp = Mdp._trusted(state_names, actions, index[init_name])
     valuation = [labels.get(s, frozenset()) for s in state_names]
     return mdp, valuation
 
@@ -236,7 +264,7 @@ def product_mdp(mdp: Mdp, valuation: Valuation, lts: Lts, cap: int = DEFAULT_STA
             )
 
     names = [f"{mdp.states[s]}@{q}" for s, q in order]
-    product = Mdp(names, actions, 0)
+    product = Mdp._trusted(names, actions, 0)
     automaton_component = [q for _, q in order]
     return product, automaton_component
 
@@ -337,7 +365,7 @@ def induced(
         MdpAction(a.name, remap[a.source], tuple((remap[t], p) for t, p in a.dist))
         for a in (mdp.actions[ai] for ai in actions)
     ]
-    return Mdp([mdp.states[s] for s in states], renamed, remap.get(init))
+    return Mdp._trusted([mdp.states[s] for s in states], renamed, remap.get(init))
 
 
 def can_reach(mdp: Mdp, targets: Iterable[int], actions) -> set:

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, islice
+from itertools import count
 from typing import Iterator, Mapping, Optional
 
 from . import simplex
@@ -351,109 +351,3 @@ def witness_walk(
                     ai = draw(cls.tables[state], rng)
                 at, state = state, draw(mdp.actions[ai].table, rng)
                 yield epoch, at, ai
-
-
-@dataclass
-class SimulationStats:
-    """Seed-deterministic statistics of one witness simulation."""
-
-    steps: int
-    seed: int
-    action_counts: dict
-    epochs: int
-    epoch_steps: list  # steps actually spent in each epoch
-    inf_visits_per_epoch: list  # one list per Inf set: visits in each epoch
-    mp_final: list  # (label, final average)
-    mp_max_prefix: list  # (label, max prefix average), for sup bounds
-    mp_min_late: list  # (label, min prefix average over the final 80%)
-
-    def to_text(self) -> str:
-        lines = [f"steps: {self.steps}", f"seed: {self.seed}", f"epochs: {self.epochs}"]
-        lines.append("epoch_steps: " + ",".join(str(v) for v in self.epoch_steps))
-        for k, visits in enumerate(self.inf_visits_per_epoch):
-            lines.append(
-                f"inf_set_{k}_visits_per_epoch: "
-                + ",".join(str(v) for v in visits)
-            )
-        for label, value in self.mp_final:
-            lines.append(f"avg[{label}]: {value:.6f}")
-        for label, value in self.mp_max_prefix:
-            lines.append(f"max_prefix_avg[{label}]: {value:.6f}")
-        for label, value in self.mp_min_late:
-            lines.append(f"min_late_avg[{label}]: {value:.6f}")
-        for name in sorted(self.action_counts):
-            lines.append(f"action[{name}]: {self.action_counts[name]}")
-        return "\n".join(lines) + "\n"
-
-
-def simulate_strategy(
-    mdp: Mdp,
-    strategy: Strategy,
-    steps: int,
-    seed: int,
-) -> SimulationStats:
-    """Run the witness for the given number of steps from a fixed seed."""
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    cond = strategy.cond
-
-    bounds = [("inf", i, b) for i, b in enumerate(cond.mp_inf)] + [
-        ("sup", i, b) for i, b in enumerate(cond.mp_sup)
-    ]
-    reward_vecs = []
-    for _, _, b in bounds:
-        reward_vecs.append([float(b.reward[s]) for s in mdp.states])
-    sums = [0.0] * len(bounds)
-    max_prefix = [float("-inf")] * len(bounds)
-    min_late = [float("inf")] * len(bounds)
-    late_from = int(0.2 * steps)
-    action_counts: dict[str, int] = {}
-    inf_sets_idx = [
-        {mdp.state_index[s] for s in inf_set if s in mdp.state_index}
-        for inf_set in cond.inf_sets
-    ]
-    visits: list[list[int]] = [[] for _ in inf_sets_idx]
-    epoch_steps: list[int] = []
-
-    walk = witness_walk(mdp, strategy, EpochSchedule(), random.Random(seed), mdp.init)
-    for step_no, (epoch, state, ai) in enumerate(islice(walk, steps)):
-        if epoch == len(epoch_steps):
-            epoch_steps.append(0)
-            for v in visits:
-                v.append(0)
-        epoch_steps[-1] += 1
-        name = mdp.actions[ai].name
-        action_counts[name] = action_counts.get(name, 0) + 1
-        for k, vec in enumerate(reward_vecs):
-            sums[k] += vec[state]
-            avg = sums[k] / (step_no + 1)
-            if avg > max_prefix[k]:
-                max_prefix[k] = avg
-            if step_no >= late_from and avg < min_late[k]:
-                min_late[k] = avg
-        for k, idx in enumerate(inf_sets_idx):
-            if state in idx:
-                visits[k][-1] += 1
-
-    labels = [
-        f"{kind}{i}:{b.cmp}{b.bound}" for kind, i, b in bounds
-    ]
-    return SimulationStats(
-        steps=steps,
-        seed=seed,
-        action_counts=action_counts,
-        epochs=len(epoch_steps),
-        epoch_steps=epoch_steps,
-        inf_visits_per_epoch=visits,
-        mp_final=[(l, sums[k] / steps) for k, l in enumerate(labels)],
-        mp_max_prefix=[
-            (l, max_prefix[k])
-            for k, l in enumerate(labels)
-            if bounds[k][0] == "sup"
-        ],
-        mp_min_late=[
-            (l, min_late[k])
-            for k, l in enumerate(labels)
-            if bounds[k][0] == "inf"
-        ],
-    )

@@ -83,13 +83,18 @@ def winning_union(product: Mdp, lifted: list) -> tuple[frozenset, list]:
 
     ``lifted`` holds (fin set, condition) per pair; returns the winning
     states and, per pair, its winners as (component, accepting LpSolution).
+    Pairs that share a Fin set share its restriction and its components.
     """
     w_states: set = set()
     outcomes = []
+    components_of: dict = {}  # fin set -> MECs of the product without it
     for fin, cond in lifted:
         winners = []
-        sub = restrict(product, fin)
-        for component in mec_decomposition(sub) if sub is not None else ():
+        components = components_of.get(fin)
+        if components is None:
+            sub = restrict(product, fin)
+            components = components_of[fin] = [] if sub is None else mec_decomposition(sub)
+        for component in components:
             ok, sol = accepting_mec(component, cond)
             if ok:
                 winners.append((component, sol))

@@ -28,6 +28,10 @@ integer tables of ``freqsynth.mdp.draw`` replaced; ``named_simulate_global``
 draws with it.  ``StrategyRunner`` is the task-list interpreter of the
 witness that ``freqsynth.mecanalysis.witness_walk`` replaced; it picks
 choices with ``fraction_sample``, and ``named_simulate_global`` steps it.
+``simulate_strategy`` runs one witness alone from its component's initial
+state and returns ``SimulationStats`` (epoch lengths, Inf-set visits, prefix
+averages); it is an instrument for the witness tests, which the CLI's
+``simulate`` (``freqsynth.synthesis.simulate_global``) does not use.
 ``time_limit`` fails a call that does not return within a number of seconds.
 ``shift``, ``models_at`` and ``models_boolfn`` are lasso helpers that only the
 tests use.
@@ -40,7 +44,9 @@ import random
 import signal
 from collections import deque
 from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from freqsynth.boolfn import (
     bf_and,
@@ -85,10 +91,13 @@ from freqsynth.mdp import (
     mec_decomposition,
 )
 from freqsynth.mecanalysis import (
+    EpochSchedule,
     LinearSystem,
     LpSolution,
+    Strategy,
     build_lp,
     maximize_margin,
+    witness_walk,
 )
 from freqsynth.synthesis import GlobalSimulation
 from freqsynth.simplex import (
@@ -850,6 +859,31 @@ def ruin_mdp(n, p, reflecting):
     return Mdp([f"x{k}" for k in range(n)], actions, n // 2)
 
 
+def ruin_valuation(mdp):
+    """Labels of a ``ruin_mdp`` line as in the benchmark: x0 is ``broke``
+    and the last state is ``goal``."""
+    last = len(mdp) - 1
+    return [
+        frozenset({"broke"} if k == 0 else {"goal"} if k == last else ())
+        for k in range(len(mdp))
+    ]
+
+
+def model_text(mdp, valuation):
+    """The model file of an MDP and its labels, which ``parse_mdp`` reads back
+    to the same states, actions and distributions."""
+    lines = ["mdp", "states " + " ".join(mdp.states), f"init {mdp.states[mdp.init]}"]
+    lines += [
+        f"label {name} {' '.join(sorted(atoms))}"
+        for name, atoms in zip(mdp.states, valuation)
+        if atoms
+    ]
+    for a in mdp.actions:
+        dist = " , ".join(f"{mdp.states[t]} {p}" for t, p in a.dist)
+        lines.append(f"action {mdp.states[a.source]} {a.name} : {dist}")
+    return "\n".join(lines) + "\n"
+
+
 def random_lasso(seed, max_stem, max_loop, ap):
     """Seed-deterministic random lasso with the given shape bounds."""
     if max_loop < 1:
@@ -1215,6 +1249,112 @@ def named_simulate_global(product, strategy, episodes, steps_per_episode, seed, 
         label = f"{kind}:{bound.cmp}{bound.bound}"
         mp_pooled.append((w_idx, label, total / pooled_steps[(w_idx, bi)]))
     return GlobalSimulation(episodes, steps_per_episode, seed, entered, mp_pooled)
+
+
+@dataclass
+class SimulationStats:
+    """Seed-deterministic statistics of one witness simulation."""
+
+    steps: int
+    seed: int
+    action_counts: dict
+    epochs: int
+    epoch_steps: list  # steps actually spent in each epoch
+    inf_visits_per_epoch: list  # one list per Inf set: visits in each epoch
+    mp_final: list  # (label, final average)
+    mp_max_prefix: list  # (label, max prefix average), for sup bounds
+    mp_min_late: list  # (label, min prefix average over the final 80%)
+
+    def to_text(self) -> str:
+        lines = [f"steps: {self.steps}", f"seed: {self.seed}", f"epochs: {self.epochs}"]
+        lines.append("epoch_steps: " + ",".join(str(v) for v in self.epoch_steps))
+        for k, visits in enumerate(self.inf_visits_per_epoch):
+            lines.append(
+                f"inf_set_{k}_visits_per_epoch: "
+                + ",".join(str(v) for v in visits)
+            )
+        for label, value in self.mp_final:
+            lines.append(f"avg[{label}]: {value:.6f}")
+        for label, value in self.mp_max_prefix:
+            lines.append(f"max_prefix_avg[{label}]: {value:.6f}")
+        for label, value in self.mp_min_late:
+            lines.append(f"min_late_avg[{label}]: {value:.6f}")
+        for name in sorted(self.action_counts):
+            lines.append(f"action[{name}]: {self.action_counts[name]}")
+        return "\n".join(lines) + "\n"
+
+
+def simulate_strategy(
+    mdp: Mdp,
+    strategy: Strategy,
+    steps: int,
+    seed: int,
+) -> SimulationStats:
+    """Run the witness for the given number of steps from a fixed seed."""
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    cond = strategy.cond
+
+    bounds = [("inf", i, b) for i, b in enumerate(cond.mp_inf)] + [
+        ("sup", i, b) for i, b in enumerate(cond.mp_sup)
+    ]
+    reward_vecs = []
+    for _, _, b in bounds:
+        reward_vecs.append([float(b.reward[s]) for s in mdp.states])
+    sums = [0.0] * len(bounds)
+    max_prefix = [float("-inf")] * len(bounds)
+    min_late = [float("inf")] * len(bounds)
+    late_from = int(0.2 * steps)
+    action_counts: dict[str, int] = {}
+    inf_sets_idx = [
+        {mdp.state_index[s] for s in inf_set if s in mdp.state_index}
+        for inf_set in cond.inf_sets
+    ]
+    visits: list[list[int]] = [[] for _ in inf_sets_idx]
+    epoch_steps: list[int] = []
+
+    walk = witness_walk(mdp, strategy, EpochSchedule(), random.Random(seed), mdp.init)
+    for step_no, (epoch, state, ai) in enumerate(islice(walk, steps)):
+        if epoch == len(epoch_steps):
+            epoch_steps.append(0)
+            for v in visits:
+                v.append(0)
+        epoch_steps[-1] += 1
+        name = mdp.actions[ai].name
+        action_counts[name] = action_counts.get(name, 0) + 1
+        for k, vec in enumerate(reward_vecs):
+            sums[k] += vec[state]
+            avg = sums[k] / (step_no + 1)
+            if avg > max_prefix[k]:
+                max_prefix[k] = avg
+            if step_no >= late_from and avg < min_late[k]:
+                min_late[k] = avg
+        for k, idx in enumerate(inf_sets_idx):
+            if state in idx:
+                visits[k][-1] += 1
+
+    labels = [
+        f"{kind}{i}:{b.cmp}{b.bound}" for kind, i, b in bounds
+    ]
+    return SimulationStats(
+        steps=steps,
+        seed=seed,
+        action_counts=action_counts,
+        epochs=len(epoch_steps),
+        epoch_steps=epoch_steps,
+        inf_visits_per_epoch=visits,
+        mp_final=[(l, sums[k] / steps) for k, l in enumerate(labels)],
+        mp_max_prefix=[
+            (l, max_prefix[k])
+            for k, l in enumerate(labels)
+            if bounds[k][0] == "sup"
+        ],
+        mp_min_late=[
+            (l, min_late[k])
+            for k, l in enumerate(labels)
+            if bounds[k][0] == "inf"
+        ],
+    )
 
 
 class Hung(Exception):

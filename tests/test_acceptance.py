@@ -23,7 +23,6 @@ from freqsynth.mecanalysis import (
     MpBound,
     accepting_mec,
     build_witness_strategy,
-    simulate_strategy,
 )
 from freqsynth.slave import (
     buchi_accepting_sets,
@@ -49,6 +48,7 @@ from helpers import (
     random_strongly_connected_mdp,
     random_ufree_formula,
     rec_truth,
+    simulate_strategy,
 )
 
 

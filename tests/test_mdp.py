@@ -66,6 +66,29 @@ def test_parse_rejects_bad_sum():
         parse_mdp(text)
 
 
+def test_public_constructor_checks_every_distribution():
+    # parse_mdp and the derived MDPs skip this check; Mdp(...) keeps it.
+    half = Fraction(1, 2)
+    for dist, message in (
+        (((0, Fraction(3, 10)), (1, Fraction(3, 10)), (2, Fraction(3, 10))), "sums to 9/10"),
+        (((0, Fraction(1)), (1, Fraction(0))), "non-positive probability"),
+        (((0, Fraction(3, 2)), (1, -half)), "non-positive probability"),
+    ):
+        actions = [MdpAction("a", 0, dist), MdpAction("b", 1, ((1, half), (2, half)))]
+        actions.append(MdpAction("c", 2, ((2, Fraction(1)),)))
+        with pytest.raises(MdpError, match=message):
+            Mdp(["s", "t", "u"], actions, 0)
+
+
+def test_parse_reports_a_bad_probability_text_at_its_first_line():
+    # parse_mdp converts each distinct probability text once per call.
+    base = "mdp\nstates s t\ninit s\naction s a : s 1/2 , t 1/2\n"
+    for bad, message in (("1/0", "bad probability '1/0'"), ("0", "probability of 's' must be positive")):
+        text = base + f"action t b : t 1 , s {bad}\naction t c : t 1 , s {bad}\n"
+        with pytest.raises(MdpError, match=f"^line 5: {message}$"):
+            parse_mdp(text)
+
+
 def test_parse_requires_init_and_actions():
     with pytest.raises(MdpError, match="init"):
         parse_mdp("mdp\nstates s\naction s a : s 1\n")

@@ -16,7 +16,6 @@ from freqsynth.mecanalysis import (
     build_lp,
     build_witness_strategy,
     maximize_margin,
-    simulate_strategy,
     witness_walk,
 )
 from freqsynth.simplex import SimplexError
@@ -30,6 +29,7 @@ from helpers import (
     random_mdp,
     random_strongly_connected_mdp,
     rescan_build_lp,
+    simulate_strategy,
 )
 
 

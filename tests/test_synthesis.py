@@ -4,6 +4,7 @@ from math import lcm
 
 import pytest
 
+import freqsynth.mdp
 import freqsynth.synthesis
 from freqsynth import simplex
 from freqsynth.dgrma import build_dgrma
@@ -34,12 +35,15 @@ from helpers import (
     corpus_formulas,
     dense_max_reach,
     letterwise_build_dgrma,
+    model_text,
     named_simulate_global,
     random_markov_chain,
     random_fragment_formula,
     random_mdp,
     random_strongly_connected_mdp,
+    ring_mdp,
     ruin_mdp,
+    ruin_valuation,
     time_limit,
 )
 
@@ -552,6 +556,121 @@ def test_simulate_global_rejects_counts_below_one():
         for episodes in (-1, 0):
             with pytest.raises(ValueError, match="episodes must be at least 1"):
                 simulate_global(report.product, report.strategy, episodes, 10, seed=1)
+
+
+RING_FORMULAS = ("G{>1/3,sup} a & G{>=1/4,inf} b", "G F a & G{>=2/5,inf} b")
+RUIN_FORMULAS = ("F goal", "F G !broke")
+
+
+def _derived_mdps(mdp, valuation, phi):
+    """The parsed model, the product, and each pair's restriction and MEC
+    sub-MDPs, as ``synthesize`` builds them."""
+    parsed, valuation = parse_mdp(model_text(mdp, valuation))
+    aut = build_dgrma(phi)
+    product, automaton_component = product_mdp(parsed, valuation, aut.lts)
+    derived = [parsed, product]
+    for pair in aut.pairs:
+        fin, _ = lift_pair(pair, product, automaton_component)
+        sub = restrict(product, fin)
+        if sub is not None:
+            derived += [sub, *mec_decomposition(sub)]
+    return derived
+
+
+def test_validating_constructor_accepts_every_derived_mdp():
+    # parse_mdp, product_mdp and induced skip the distribution check; the
+    # public constructor must accept each MDP they build and index it alike.
+    rng = random.Random(1717)
+    instances = []
+    for _ in range(40):
+        mdp = random_mdp(rng, 7, 3)
+        valuation = [frozenset(x for x in "ab" if rng.random() < 0.5) for _ in range(len(mdp))]
+        instances.append((mdp, valuation, random_fragment_formula(rng, rng.randint(2, 6), ["a", "b"])))
+    for n in range(26, 50, 2):
+        mdp = ruin_mdp(n, (Fr(2, 5), Fr(9, 20), Fr(1, 2))[n % 3], n % 4 == 0)
+        instances.append((mdp, ruin_valuation(mdp), parse_formula(RUIN_FORMULAS[n % 2])))
+    for n in (10, 12, 14):
+        mdp, valuation = ring_mdp(rng, n)
+        instances += [(mdp, valuation, parse_formula(f)) for f in RING_FORMULAS]
+    derived = 0
+    for mdp, valuation, phi in instances:
+        for sub in _derived_mdps(mdp, valuation, phi):
+            again = Mdp(sub.states, sub.actions, sub.init)
+            assert (again.act, again.pre) == (sub.act, sub.pre), phi
+            assert (again.state_index, again.action_index) == (sub.state_index, sub.action_index)
+            derived += 1
+    assert derived >= 300
+
+
+def test_synthesis_checks_no_distribution_twice(monkeypatch):
+    # parse_mdp checks each distribution with line numbers; the product,
+    # each restriction and each MEC sub-MDP copy checked distributions.
+    ruin = ruin_mdp(48, Fr(2, 5), False)
+    ring, ring_valuation = ring_mdp(random.Random(1718), 12)
+    cases = [(model_text(ruin, ruin_valuation(ruin)), f) for f in RUIN_FORMULAS]
+    cases += [(model_text(ring, ring_valuation), f) for f in RING_FORMULAS]
+    calls = []
+    check = freqsynth.mdp._check_distributions
+    monkeypatch.setattr(
+        freqsynth.mdp, "_check_distributions", lambda actions: calls.append(1) or check(actions)
+    )
+    winners = 0
+    for text, formula in cases:
+        mdp, valuation = parse_mdp(text)
+        report = synthesize(mdp, valuation, parse_formula(formula), Fr(1, 2))
+        winners += sum(len(pair_winners) for pair_winners in report.outcomes)
+    assert winners >= len(cases)  # every case built MEC sub-MDPs
+    assert calls == []
+    Mdp(mdp.states, mdp.actions, mdp.init)
+    assert calls == [1]
+
+
+def test_winning_union_decomposes_each_fin_set_once(monkeypatch):
+    # 20 pairs over 2 distinct Fin sets: one restriction and decomposition
+    # per Fin set, one decision per (pair, component) in pair order, and
+    # the winner lists of a decomposition per pair.
+    phi = parse_formula("(F G a -> G{>=1/2,inf} b) & (G F b -> G{>1/3,sup} a)")
+    aut = build_dgrma(phi)
+    restrict_calls, decisions = [], []
+    real_restrict = freqsynth.synthesis.restrict
+    real_decide = freqsynth.synthesis.accepting_mec
+    monkeypatch.setattr(
+        freqsynth.synthesis, "restrict", lambda p, fin: restrict_calls.append(fin) or real_restrict(p, fin)
+    )
+    monkeypatch.setattr(
+        freqsynth.synthesis,
+        "accepting_mec",
+        lambda c, cond: decisions.append((cond, component_names(c))) or real_decide(c, cond),
+    )
+    rng = random.Random(1719)
+    winners = 0
+    for _ in range(12):
+        mdp, valuation = ring_mdp(rng, rng.randint(4, 8))
+        product, automaton_component = product_mdp(mdp, valuation, aut.lts)
+        lifted = [lift_pair(pair, product, automaton_component) for pair in aut.pairs]
+        restrict_calls.clear()
+        decisions.clear()
+        w_states, outcomes = winning_union(product, lifted)
+        fins = {fin for fin, _ in lifted}
+        assert len(fins) < len(lifted)
+        assert sorted(restrict_calls, key=sorted) == sorted(fins, key=sorted)
+        want_decisions, want_outcomes = [], []
+        for fin, cond in lifted:
+            sub = real_restrict(product, fin)
+            pair_winners = []
+            for component in mec_decomposition(sub) if sub is not None else ():
+                want_decisions.append((cond, component_names(component)))
+                ok, sol = real_decide(component, cond)
+                if ok:
+                    pair_winners.append((component_names(component), sol))
+            want_outcomes.append(pair_winners)
+        assert decisions == want_decisions
+        assert [[(component_names(c), sol) for c, sol in w] for w in outcomes] == want_outcomes
+        assert w_states == frozenset(
+            s for w in outcomes for c, _ in w for s in c.states
+        )
+        winners += sum(map(len, outcomes))
+    assert winners >= 10
 
 
 def test_out_of_fragment_formula_is_a_formula_error():
