@@ -17,11 +17,11 @@ class StateCapExceeded(Exception):
 
 
 def powerset_alphabet(atoms: Iterable[str]) -> tuple[Letter, ...]:
-    """All subsets of the atom set, in binary counting order."""
-    names = sorted(set(atoms))
-    out = []
-    for mask in range(1 << len(names)):
-        out.append(frozenset(names[i] for i in range(len(names)) if mask >> i & 1))
+    """All subsets of the atom set, in binary counting order: each sorted
+    atom doubles the list, adding itself to every letter so far."""
+    out = [frozenset()]
+    for name in sorted(set(atoms)):
+        out += [letter | {name} for letter in out]
     return tuple(out)
 
 
@@ -81,12 +81,13 @@ def build_lts(
     """Breadth-first construction of the reachable deterministic LTS.
 
     ``successors(payload, alphabet)`` returns the whole row: the list of next
-    payloads, one per letter of ``alphabet`` in its order.  The row's new
-    payloads are numbered in order of first appearance, each checked against
-    the cap as it is added, so the numbering is that of a letter-by-letter
-    breadth-first search.  The initial state counts too: a cap below 1
-    raises at once.  States where ``is_terminal`` holds get no outgoing
-    transitions.
+    payloads, one per letter of ``alphabet`` in its order.  One lookup pass
+    maps the row to known indices; only a row with unseen payloads is walked
+    again, in letter order, numbering each new payload at its first letter
+    and checking the cap as it is added, so the numbering is that of a
+    letter-by-letter breadth-first search.  The initial state counts too: a
+    cap below 1 raises at once.  States where ``is_terminal`` holds get no
+    outgoing transitions.
     """
     if cap < 1:
         raise StateCapExceeded(what, cap)
@@ -99,17 +100,20 @@ def build_lts(
         payload = states[q]
         if is_terminal is None or not is_terminal(payload):
             succ = successors(payload, alphabet)
-            local = dict.fromkeys(succ)
-            for nxt in local:
-                target = index.get(nxt)
-                if target is None:
-                    if len(states) >= cap:
-                        raise StateCapExceeded(what, cap)
-                    target = len(states)
-                    index[nxt] = target
-                    states.append(nxt)
-                    delta.append(None)
-                local[nxt] = target
-            delta[q] = list(map(local.__getitem__, succ))
+            row = list(map(index.get, succ))
+            if None in row:
+                for li, target in enumerate(row):
+                    if target is None:
+                        nxt = succ[li]
+                        target = index.get(nxt)
+                        if target is None:
+                            if len(states) >= cap:
+                                raise StateCapExceeded(what, cap)
+                            target = len(states)
+                            index[nxt] = target
+                            states.append(nxt)
+                            delta.append(None)
+                        row[li] = target
+            delta[q] = row
         q += 1
     return Lts(atoms, alphabet, states, index, 0, delta)

@@ -84,10 +84,15 @@ def winning_union(product: Mdp, lifted: list) -> tuple[frozenset, list]:
     ``lifted`` holds (fin set, condition) per pair; returns the winning
     states and, per pair, its winners as (component, accepting LpSolution).
     Pairs that share a Fin set share its restriction and its components.
+    A decision reads only the component and the condition restricted to it
+    (whether every Inf set meets it, and each bound's comparison, bound and
+    rewards on its states), so each distinct such key is decided once per
+    call and its answer reused.
     """
     w_states: set = set()
     outcomes = []
     components_of: dict = {}  # fin set -> MECs of the product without it
+    decided: dict = {}  # decision key -> (accepted, LpSolution or None)
     for fin, cond in lifted:
         winners = []
         components = components_of.get(fin)
@@ -95,12 +100,35 @@ def winning_union(product: Mdp, lifted: list) -> tuple[frozenset, list]:
             sub = restrict(product, fin)
             components = components_of[fin] = [] if sub is None else mec_decomposition(sub)
         for component in components:
-            ok, sol = accepting_mec(component, cond)
+            key = _decision_key(component, cond)
+            verdict = decided.get(key)
+            if verdict is None:
+                verdict = decided[key] = accepting_mec(component, cond)
+            ok, sol = verdict
             if ok:
                 winners.append((component, sol))
                 w_states.update(component.states)
         outcomes.append(winners)
     return frozenset(w_states), outcomes
+
+
+def _decision_key(component: Mdp, cond: GbmpCondition) -> tuple:
+    """Everything ``accepting_mec`` reads of (component, condition)."""
+    states = component.states
+    names = frozenset(states)
+
+    def restricted(bounds):
+        return tuple(
+            (b.cmp, b.bound, tuple(map(b.reward.__getitem__, states))) for b in bounds
+        )
+
+    return (
+        tuple(states),
+        tuple(a.name for a in component.actions),
+        all(not names.isdisjoint(inf_set) for inf_set in cond.inf_sets),
+        restricted(cond.mp_inf),
+        restricted(cond.mp_sup),
+    )
 
 
 def _sparse_solve(rows: list, rhs: list) -> tuple[list, int]:

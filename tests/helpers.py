@@ -12,7 +12,9 @@ the slack system before ``build_lp`` built both, and
 toolkit in ``freqsynth.mdp`` replaced, ``fraction_solve_lp`` is the simplex
 over a tableau of Fractions that the integer-row tableau replaced,
 ``rescan_build_lp`` is the slack flow-system builder that scanned every action
-distribution once per state, and ``dense_max_reach`` is maximal reachability
+distribution once per state, ``pairwise_winning_union`` is the winning union
+that decided every (pair, component) afresh, before decisions were shared
+by equal restricted conditions, and ``dense_max_reach`` is maximal reachability
 by dense solves (``gauss_solve``) and the rescan selector loop, which the
 sparse solve and the replayed selector replaced.  ``letterwise_build_lts`` is
 the transition-system builder that called its successor once per letter, and
@@ -89,12 +91,14 @@ from freqsynth.mdp import (
     _sccs,
     can_reach,
     mec_decomposition,
+    restrict,
 )
 from freqsynth.mecanalysis import (
     EpochSchedule,
     LinearSystem,
     LpSolution,
     Strategy,
+    accepting_mec,
     build_lp,
     maximize_margin,
     witness_walk,
@@ -147,6 +151,12 @@ def random_fragment_formula(rng, size, atoms, under_g=False):
 
 def random_ufree_formula(rng, size, atoms):
     return random_fragment_formula(rng, size, atoms, under_g=True)
+
+
+WIDE_FORMULA = (
+    "((l U b) -> G{>=0.99,inf}(r -> X(f & F c)))"
+    " & ((l U w) -> G{>=0.85,inf}(r -> (X p | X X p)))"
+)
 
 
 def corpus_formulas():
@@ -448,6 +458,28 @@ def decide_then_maximize_margin(mdp, cond):
 def component_names(component):
     """A MEC sub-MDP as (state names, action names), both in its own order."""
     return tuple(component.states), tuple(a.name for a in component.actions)
+
+
+def pairwise_winning_union(product, lifted):
+    """``winning_union`` deciding every (pair, component) afresh: one
+    restriction and decomposition per distinct Fin set, one
+    ``accepting_mec`` call per pair and component of that decomposition."""
+    w_states: set = set()
+    outcomes = []
+    components_of: dict = {}
+    for fin, cond in lifted:
+        winners = []
+        components = components_of.get(fin)
+        if components is None:
+            sub = restrict(product, fin)
+            components = components_of[fin] = [] if sub is None else mec_decomposition(sub)
+        for component in components:
+            ok, sol = accepting_mec(component, cond)
+            if ok:
+                winners.append((component, sol))
+                w_states.update(component.states)
+        outcomes.append(winners)
+    return frozenset(w_states), outcomes
 
 
 def rescan_mec_decomposition(mdp, states=None):

@@ -18,6 +18,7 @@ from freqsynth.lasso import Lasso, models
 from freqsynth.lts import StateCapExceeded
 
 from helpers import (
+    WIDE_FORMULA,
     corpus_formulas,
     letterwise_build_dgrma,
     random_fragment_formula,
@@ -165,12 +166,6 @@ def test_acceptance_dump_and_dot():
 def test_state_cap_exceeded():
     with pytest.raises(StateCapExceeded):
         build_dgrma(parse_formula("G F (a & X b & X X c)"), cap=4)
-
-
-WIDE_FORMULA = (
-    "((l U b) -> G{>=0.99,inf}(r -> X(f & F c)))"
-    " & ((l U w) -> G{>=0.85,inf}(r -> (X p | X X p)))"
-)
 
 
 def _translate(build, phi, cap):

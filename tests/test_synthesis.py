@@ -37,6 +37,7 @@ from helpers import (
     letterwise_build_dgrma,
     model_text,
     named_simulate_global,
+    pairwise_winning_union,
     random_markov_chain,
     random_fragment_formula,
     random_mdp,
@@ -45,6 +46,7 @@ from helpers import (
     ruin_mdp,
     ruin_valuation,
     time_limit,
+    WIDE_FORMULA,
 )
 
 LEAKY = """\
@@ -577,9 +579,10 @@ def _derived_mdps(mdp, valuation, phi):
     return derived
 
 
-def test_validating_constructor_accepts_every_derived_mdp():
-    # parse_mdp, product_mdp and induced skip the distribution check; the
-    # public constructor must accept each MDP they build and index it alike.
+def _pool():
+    """(model, valuation, formula): 40 random models with random fragment
+    formulas, 12 ruin lines of 26-48 states, and 10-14-state rings with two
+    mean-payoff formulas each."""
     rng = random.Random(1717)
     instances = []
     for _ in range(40):
@@ -592,8 +595,14 @@ def test_validating_constructor_accepts_every_derived_mdp():
     for n in (10, 12, 14):
         mdp, valuation = ring_mdp(rng, n)
         instances += [(mdp, valuation, parse_formula(f)) for f in RING_FORMULAS]
+    return instances
+
+
+def test_validating_constructor_accepts_every_derived_mdp():
+    # parse_mdp, product_mdp and induced skip the distribution check; the
+    # public constructor must accept each MDP they build and index it alike.
     derived = 0
-    for mdp, valuation, phi in instances:
+    for mdp, valuation, phi in _pool():
         for sub in _derived_mdps(mdp, valuation, phi):
             again = Mdp(sub.states, sub.actions, sub.init)
             assert (again.act, again.pre) == (sub.act, sub.pre), phi
@@ -625,52 +634,205 @@ def test_synthesis_checks_no_distribution_twice(monkeypatch):
     assert calls == [1]
 
 
+def _restricted_condition(component, cond):
+    """What deciding a component reads: its names, whether it meets every
+    Inf set, and each inf then sup bound's comparison, bound and rewards on
+    its states."""
+    states = component.states
+
+    def on_component(bounds):
+        return tuple((b.cmp, b.bound, tuple(b.reward[s] for s in states)) for b in bounds)
+
+    return (
+        component_names(component),
+        all(set(states) & set(inf) for inf in cond.inf_sets),
+        on_component(cond.mp_inf),
+        on_component(cond.mp_sup),
+    )
+
+
+def _named(outcomes):
+    return [[(component_names(c), sol) for c, sol in winners] for winners in outcomes]
+
+
+def _lifted(mdp, valuation, phi):
+    aut = build_dgrma(phi)
+    product, automaton_component = product_mdp(mdp, valuation, aut.lts)
+    return product, [lift_pair(pair, product, automaton_component) for pair in aut.pairs]
+
+
+TWO_ASSUMPTIONS = "(F G a -> G{>=1/2,inf} b) & (G F b -> G{>1/3,sup} a)"
+
+
 def test_winning_union_decomposes_each_fin_set_once(monkeypatch):
     # 20 pairs over 2 distinct Fin sets: one restriction and decomposition
-    # per Fin set, one decision per (pair, component) in pair order, and
-    # the winner lists of a decomposition per pair.
-    phi = parse_formula("(F G a -> G{>=1/2,inf} b) & (G F b -> G{>1/3,sup} a)")
-    aut = build_dgrma(phi)
-    restrict_calls, decisions = [], []
+    # per Fin set, one decision per distinct restricted condition in order
+    # of first occurrence, and the outcomes of deciding every (pair,
+    # component), each winner being the pair's own component object.
+    phi = parse_formula(TWO_ASSUMPTIONS)
+    restrict_calls, decisions, decomposed = [], [], {}
     real_restrict = freqsynth.synthesis.restrict
+    real_mecs = freqsynth.synthesis.mec_decomposition
     real_decide = freqsynth.synthesis.accepting_mec
     monkeypatch.setattr(
         freqsynth.synthesis, "restrict", lambda p, fin: restrict_calls.append(fin) or real_restrict(p, fin)
     )
+
+    def mecs(sub):
+        out = real_mecs(sub)
+        decomposed[restrict_calls[-1]] = out
+        return out
+
+    monkeypatch.setattr(freqsynth.synthesis, "mec_decomposition", mecs)
     monkeypatch.setattr(
         freqsynth.synthesis,
         "accepting_mec",
-        lambda c, cond: decisions.append((cond, component_names(c))) or real_decide(c, cond),
+        lambda c, cond: decisions.append(_restricted_condition(c, cond)) or real_decide(c, cond),
     )
     rng = random.Random(1719)
-    winners = 0
+    winners = shared = 0
     for _ in range(12):
-        mdp, valuation = ring_mdp(rng, rng.randint(4, 8))
-        product, automaton_component = product_mdp(mdp, valuation, aut.lts)
-        lifted = [lift_pair(pair, product, automaton_component) for pair in aut.pairs]
+        product, lifted = _lifted(*ring_mdp(rng, rng.randint(4, 8)), phi)
         restrict_calls.clear()
         decisions.clear()
+        decomposed.clear()
         w_states, outcomes = winning_union(product, lifted)
         fins = {fin for fin, _ in lifted}
         assert len(fins) < len(lifted)
         assert sorted(restrict_calls, key=sorted) == sorted(fins, key=sorted)
-        want_decisions, want_outcomes = [], []
+        keys = []
         for fin, cond in lifted:
             sub = real_restrict(product, fin)
-            pair_winners = []
             for component in mec_decomposition(sub) if sub is not None else ():
-                want_decisions.append((cond, component_names(component)))
-                ok, sol = real_decide(component, cond)
-                if ok:
-                    pair_winners.append((component_names(component), sol))
-            want_outcomes.append(pair_winners)
-        assert decisions == want_decisions
-        assert [[(component_names(c), sol) for c, sol in w] for w in outcomes] == want_outcomes
-        assert w_states == frozenset(
-            s for w in outcomes for c, _ in w for s in c.states
-        )
+                keys.append(_restricted_condition(component, cond))
+        assert decisions == list(dict.fromkeys(keys))
+        shared += len(keys) - len(decisions)
+        want_states, want_outcomes = pairwise_winning_union(product, lifted)
+        assert w_states == want_states
+        assert _named(outcomes) == _named(want_outcomes)
+        for (fin, _), pair_winners in zip(lifted, outcomes):
+            for component, _ in pair_winners:
+                assert any(component is c for c in decomposed[fin])
         winners += sum(map(len, outcomes))
     assert winners >= 10
+    assert shared >= 10
+
+
+def _wide_pool():
+    """Rings of 3-5 states labelled over the two-bound formula's atoms with
+    that formula, and 4-8-state rings with a two-assumption formula: the
+    shapes where pairs repeat a decision."""
+    rng = random.Random(1720)
+    wide = parse_formula(WIDE_FORMULA)
+    instances = []
+    for n in (3, 3, 4, 4, 5):
+        mdp, _ = ring_mdp(rng, n)
+        valuation = [frozenset(x for x in "lbrfcwp" if rng.random() < 0.35) for _ in range(n)]
+        instances.append((mdp, valuation, wide))
+    two = parse_formula(TWO_ASSUMPTIONS)
+    instances += [(*ring_mdp(rng, rng.randint(4, 8)), two) for _ in range(6)]
+    return instances
+
+
+def test_winning_union_matches_the_pairwise_oracle(monkeypatch):
+    # Sharing decisions by restricted condition must leave every outcome,
+    # report and simulation as deciding each (pair, component) afresh, and
+    # decide each distinct restricted condition exactly once.
+    decisions = []
+    real_decide = freqsynth.synthesis.accepting_mec
+    monkeypatch.setattr(
+        freqsynth.synthesis,
+        "accepting_mec",
+        lambda c, cond: decisions.append(_restricted_condition(c, cond)) or real_decide(c, cond),
+    )
+    pairwise = distinct = reports = 0
+    for mdp, valuation, phi in _pool() + _wide_pool():
+        product, lifted = _lifted(mdp, valuation, phi)
+        decisions.clear()
+        w_states, outcomes = winning_union(product, lifted)
+        assert len(decisions) == len(set(decisions)), phi
+        want_states, want_outcomes = pairwise_winning_union(product, lifted)
+        assert w_states == want_states, phi
+        assert _named(outcomes) == _named(want_outcomes), phi
+        keys = set()
+        for fin, cond in lifted:
+            sub = restrict(product, fin)
+            for component in mec_decomposition(sub) if sub is not None else ():
+                keys.add(_restricted_condition(component, cond))
+                pairwise += 1
+        assert set(decisions) == keys, phi
+        distinct += len(keys)
+
+        got = synthesize(mdp, valuation, phi, Fr(1, 2))
+        with monkeypatch.context() as m:
+            m.setattr(freqsynth.synthesis, "winning_union", pairwise_winning_union)
+            want = synthesize(mdp, valuation, phi, Fr(1, 2))
+        assert got.to_text() == want.to_text(), phi
+        if got.strategy is not None:
+            sims = [simulate_global(r.product, r.strategy, 2, 200, seed=5) for r in (got, want)]
+            assert sims[0].to_text() == sims[1].to_text(), phi
+            reports += 1
+    assert pairwise - distinct >= 40  # decisions shared
+    assert reports >= 40
+
+
+def test_decisions_are_not_shared_across_calls(monkeypatch):
+    # The decision memo lives for one synthesize call: the same call twice
+    # makes the same decisions twice.
+    counts = []
+    real_decide = freqsynth.synthesis.accepting_mec
+    monkeypatch.setattr(
+        freqsynth.synthesis, "accepting_mec", lambda c, cond: counts.append(1) or real_decide(c, cond)
+    )
+    mdp, valuation, phi = _wide_pool()[0]
+    per_call = []
+    for _ in range(2):
+        counts.clear()
+        synthesize(mdp, valuation, phi, Fr(1, 2))
+        per_call.append(len(counts))
+    assert per_call[0] == per_call[1] > 0
+
+
+DECISION_MODEL = """\
+mdp
+states s0 s1 s2
+init s0
+action s0 go : s1 1
+action s0 out : s2 1
+action s1 back : s0 1
+action s2 stay : s2 1
+"""
+
+
+def test_conditions_differing_on_the_component_are_decided_apart(monkeypatch):
+    # On the MEC {s0, s1} the reward 1, 0 averages exactly 1/2: ">= 1/2"
+    # accepts and "> 1/2" rejects, and raising s1's reward to 1 accepts
+    # "> 1/2".  A reward that differs only off a component (on s2) leaves
+    # that component's decision shared.
+    mdp, _ = parse_mdp(DECISION_MODEL)
+    calls = []
+    real_decide = freqsynth.synthesis.accepting_mec
+    monkeypatch.setattr(
+        freqsynth.synthesis,
+        "accepting_mec",
+        lambda c, cond: calls.append(tuple(c.states)) or real_decide(c, cond),
+    )
+
+    def pair(cmp, rewards):
+        reward = dict(zip(("s0", "s1", "s2"), map(Fr, rewards)))
+        return frozenset(), GbmpCondition(mp_inf=(MpBound(cmp, Fr(1, 2), reward),))
+
+    cases = [
+        ([pair(">=", (1, 0, 0)), pair(">", (1, 0, 0))], [["s0", "s1"], []], 2, 2),
+        ([pair(">", (1, 0, 0)), pair(">", (1, 1, 0))], [[], ["s0", "s1"]], 2, 1),
+        ([pair(">", (1, 0, 0)), pair(">", (1, 0, 1))], [[], ["s2"]], 1, 2),
+    ]
+    for lifted, want, ring_decisions, loop_decisions in cases:
+        calls.clear()
+        _, outcomes = winning_union(mdp, lifted)
+        assert [sorted(s for c, _ in w for s in c.states) for w in outcomes] == want
+        assert _named(outcomes) == _named(pairwise_winning_union(mdp, lifted)[1])
+        assert sorted(calls) == [("s0", "s1")] * ring_decisions + [("s2",)] * loop_decisions
 
 
 def test_out_of_fragment_formula_is_a_formula_error():
