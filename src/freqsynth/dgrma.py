@@ -146,8 +146,6 @@ def _build_pairs(lts, master, rec, slaves, components) -> list[GrmpPair]:
     # state of components[i].
     comp_of = list(zip(*lts.states))
     all_states = frozenset(range(len(lts)))
-    # Substituted-token conjunctions are shared across masks via this cache.
-    token_conj_cache: dict = {}
     # Product states grouped by (master state, G-member component states),
     # per set of assumed G-members.
     groups_by_g: dict = {}
@@ -158,9 +156,12 @@ def _build_pairs(lts, master, rec, slaves, components) -> list[GrmpPair]:
         dropped = [rec[i] for i in range(n) if not mask >> i & 1]
         base = bf_and_many(formula_to_boolfn(rho) for rho in assumed)
         g_members = [i for i in chosen if rec[i].kind == ALWAYS]
+        # Substituted-token conjunctions per (member, component state); one
+        # memo per mask, because the substitution reads ``dropped``.
+        token_conj_cache: dict = {}
 
         def token_conj(i: int, comp_state: int) -> BoolFn:
-            key = (mask, i, comp_state)
+            key = (i, comp_state)
             got = token_conj_cache.get(key)
             if got is None:
                 tokens = components[i].states[comp_state]

@@ -61,7 +61,7 @@ class Formula:
     order within a process).
     """
 
-    __slots__ = ("kind", "name", "bound", "children", "uid", "__weakref__")
+    __slots__ = ("kind", "name", "bound", "children", "uid")
 
     _table: dict = {}
     _by_uid: list = []

@@ -7,10 +7,10 @@ flow block; limit-inferior bounds are replicated into every block.  One
 builder makes the system with one extra column ``t`` on its bound rows: on
 every bound row for the margin LP, which maximizes one margin shared by all
 of them, or on the strict rows alone for the slack LP.  The margin LP
-decides and gives the witness's flows; the slack LP runs only when there
-are no bounds or strict bounds leave the margin at 0.  The witness strategy
-cycles through one randomized mode per flow with steeply growing epochs and
-starts every epoch with a pilgrimage through the Inf sets.
+decides and gives the witness's flows; the slack LP runs only when strict
+bounds leave the margin at 0.  The witness strategy cycles through one
+randomized mode per flow with steeply growing epochs and starts every epoch
+with a pilgrimage through the Inf sets.
 """
 
 from __future__ import annotations
@@ -193,27 +193,25 @@ def accepting_mec(mdp: Mdp, cond: GbmpCondition):
     """Decide whether the condition holds with probability 1 in the strongly
     connected MDP (0 otherwise); returns (answer, witness flows or None).
 
-    The component is rejected at once when it misses an Inf set.  With
-    mean-payoff bounds the margin LP decides: infeasible rejects, and an
-    optimum accepts with that solution as the witness when every bound is
-    non-strict or the margin is positive.  Only when strict bounds leave the
-    best margin at 0 does the slack LP run (``>= 1/2`` with ``> 1/3`` on one
-    reward can have margin 0 but slack 1/6), and strict bounds then need
-    positive slack.  Without bounds the margin is unbounded, so the slack LP
-    is the only one.
+    The component is rejected at once when it misses an Inf set.  Then the
+    margin LP decides (without bounds it is the plain flow system):
+    infeasible rejects, and an optimum accepts with that solution as the
+    witness when every bound is non-strict or the margin is positive.  Only
+    when strict bounds leave the best margin at 0 does the slack LP run
+    (``>= 1/2`` with ``> 1/3`` on one reward can have margin 0 but slack
+    1/6), and strict bounds then need positive slack.
     """
     states = frozenset(mdp.states)
     for inf_set in cond.inf_sets:
         if not (frozenset(inf_set) & states):
             return False, None
-    if cond.mp_inf or cond.mp_sup:
-        sol = maximize_margin(build_lp(mdp, cond))
-        if sol is None:
-            return False, None
-        if not cond.strict() or sol.slack > 0:
-            return True, sol
+    sol = maximize_margin(build_lp(mdp, cond))
+    if sol is None:
+        return False, None
+    if not cond.strict() or sol.slack > 0:
+        return True, sol
     sol = maximize_margin(build_lp(mdp, cond, margin=False))
-    if sol is None or (cond.strict() and sol.slack == 0):
+    if sol is None or sol.slack == 0:
         return False, None
     return True, sol
 

@@ -1,10 +1,12 @@
 """Two-phase simplex over exact rationals with Bland's anti-cycling rule.
 
 Problem form: maximize a linear objective subject to rows ``coeffs rel rhs``
-with rel in {<=, >=, ==} and all variables non-negative.  Each row of the
-dense tableau, and the cost row, is a list of int numerators over one positive
-int denominator, reduced by their gcd after every update: exact, without a
-Fraction object per cell and pivot.  Only the returned values are Fractions.
+with rel in {<=, >=, ==} and all variables non-negative.  Every row starts
+basic on its own artificial column; phase two runs on the real columns of
+the rows that are left.  Each row of the dense tableau, and the cost row, is
+a list of int numerators over one positive int denominator, reduced by their
+gcd after every update: exact, without a Fraction object per cell and pivot.
+Only the returned values are Fractions.
 """
 
 from __future__ import annotations
@@ -61,48 +63,34 @@ def solve_lp(
             nums = [-v for v in nums]
         tableau.append([nums, den])
 
+    # Phase one: row i starts basic on artificial column total + i, and
+    # maximizing minus their sum drives them to zero.
     m = len(tableau)
-    basis = [-1] * m
-    # A slack column with +1 and zero rhs contribution can start basic.
-    for i, row in enumerate(tableau):
-        for j in range(num_vars, total):
-            if row[0][j] == row[1] and all(t[0][j] == 0 for t in tableau if t is not row):
-                basis[i] = j
-                break
-
-    n_art = sum(1 for b in basis if b < 0)
-    width = total + n_art + 1
-    art_cols = []
-    next_art = total
+    for i, (nums, den) in enumerate(tableau):
+        nums[total:total] = [0] * m
+        nums[total + i] = den
+    basis = list(range(total, total + m))
+    cost = list(_int_row({j: -1 for j in basis}, _ZERO, total + m + 1))
+    _reduce_cost(cost, tableau, basis)
+    _iterate(tableau, basis, cost)
+    if cost[0][-1] != 0:
+        return INFEASIBLE, None, None
     for i in range(m):
-        nums, den = tableau[i]
-        nums[total:total] = [0] * n_art
-        if basis[i] < 0:
-            nums[next_art] = den
-            basis[i] = next_art
-            art_cols.append(next_art)
-            next_art += 1
-
-    if art_cols:
-        # Phase one: drive the artificial variables to zero.
-        cost = list(_int_row({j: -1 for j in art_cols}, _ZERO, width))
-        _reduce_cost(cost, tableau, basis)
-        _iterate(tableau, basis, cost, restrict=None)
-        if cost[0][-1] != 0:
-            return INFEASIBLE, None, None
-        for i in range(m):
-            if basis[i] in art_cols:
-                nums = tableau[i][0]
-                pivot_col = next((j for j in range(total) if nums[j] != 0), None)
-                if pivot_col is None:
-                    continue  # redundant row stays with a zero artificial
+        if basis[i] >= total:
+            nums = tableau[i][0]
+            pivot_col = next((j for j in range(total) if nums[j] != 0), None)
+            if pivot_col is not None:
                 _pivot(tableau, basis, i, pivot_col)
 
-    cost = list(_int_row(objective, _ZERO, width))
-    for j in art_cols:
-        cost[0][j] = 0
+    # Phase two on the real columns.  A row still basic on an artificial is
+    # zero in every real column (redundant), so it goes.
+    for nums, _ in tableau:
+        del nums[total:-1]
+    tableau = [row for row, b in zip(tableau, basis) if b < total]
+    basis = [b for b in basis if b < total]
+    cost = list(_int_row(objective, _ZERO, total + 1))
     _reduce_cost(cost, tableau, basis)
-    status = _iterate(tableau, basis, cost, restrict=set(art_cols))
+    status = _iterate(tableau, basis, cost)
     if status == UNBOUNDED:
         return UNBOUNDED, None, None
 
@@ -151,14 +139,12 @@ def _reduce_cost(cost, tableau, basis):
             _eliminate(cost, tableau[i], b, range(len(cost[0])))
 
 
-def _iterate(tableau, basis, cost, restrict):
+def _iterate(tableau, basis, cost):
     total = len(cost[0]) - 1
     while True:
         cost_nums = cost[0]
         entering = None
         for j in range(total):
-            if restrict and j in restrict:
-                continue
             if cost_nums[j] > 0:
                 entering = j
                 break

@@ -611,6 +611,15 @@ def ring_mdp(rng, n):
     return Mdp([f"s{k}" for k in range(n)], actions, 0), valuation
 
 
+def assert_flow_row_form(mdp, cond):
+    """Every row of both flow systems is ``==``, or ``>=`` with rhs >= 0: no
+    row is flipped and no slack column has coefficient +1, so each row's own
+    artificial is the only start ``solve_lp`` could take."""
+    for system in (build_lp(mdp, cond), build_lp(mdp, cond, margin=False)):
+        for _, rel, rhs in system.rows:
+            assert rel == EQ or (rel == GEQ and rhs >= 0), (rel, rhs)
+
+
 def fraction_solve_lp(num_vars, rows, objective):
     """Two-phase Bland simplex on a dense tableau of Fractions, with the same
     pivot rules and results as ``freqsynth.simplex.solve_lp``."""
@@ -640,48 +649,30 @@ def fraction_solve_lp(num_vars, rows, objective):
         tableau.append(row)
 
     m = len(tableau)
-    basis = [-1] * m
     for i, row in enumerate(tableau):
-        for j in range(num_vars, total):
-            if row[j] == _ONE and all(tableau[k][j] == 0 for k in range(m) if k != i):
-                basis[i] = j
-                break
-
-    n_art = sum(1 for b in basis if b < 0)
-    width = total + n_art + 1
-    art_cols = []
-    next_art = total
+        row[total:total] = [_ZERO] * m
+        row[total + i] = _ONE
+    basis = list(range(total, total + m))
+    cost = [_ZERO] * (total + m + 1)
+    for j in basis:
+        cost[j] = -_ONE
+    _fraction_reduce_cost(cost, tableau, basis)
+    _fraction_iterate(tableau, basis, cost)
+    if cost[-1] != 0:
+        return INFEASIBLE, None, None
     for i in range(m):
-        row = tableau[i]
-        row[total:total] = [_ZERO] * n_art
-        if basis[i] < 0:
-            row[next_art] = _ONE
-            basis[i] = next_art
-            art_cols.append(next_art)
-            next_art += 1
-
-    if art_cols:
-        cost = [_ZERO] * width
-        for j in art_cols:
-            cost[j] = -_ONE
-        _fraction_reduce_cost(cost, tableau, basis)
-        _fraction_iterate(tableau, basis, cost, restrict=None)
-        if cost[-1] != 0:
-            return INFEASIBLE, None, None
-        for i in range(m):
-            if basis[i] in art_cols:
-                pivot_col = next((j for j in range(total) if tableau[i][j] != 0), None)
-                if pivot_col is None:
-                    continue
+        if basis[i] >= total:
+            pivot_col = next((j for j in range(total) if tableau[i][j] != 0), None)
+            if pivot_col is not None:
                 _fraction_pivot(tableau, basis, i, pivot_col)
 
-    cost = [_ZERO] * width
+    tableau = [row[:total] + row[-1:] for row, b in zip(tableau, basis) if b < total]
+    basis = [b for b in basis if b < total]
+    cost = [_ZERO] * (total + 1)
     for j, c in objective.items():
         cost[j] = Fraction(c)
-    for j in art_cols:
-        cost[j] = _ZERO
     _fraction_reduce_cost(cost, tableau, basis)
-    status = _fraction_iterate(tableau, basis, cost, restrict=set(art_cols))
+    status = _fraction_iterate(tableau, basis, cost)
     if status == UNBOUNDED:
         return UNBOUNDED, None, None
     values = [_ZERO] * num_vars
@@ -700,13 +691,11 @@ def _fraction_reduce_cost(cost, tableau, basis):
                 cost[j] -= f * row[j]
 
 
-def _fraction_iterate(tableau, basis, cost, restrict):
+def _fraction_iterate(tableau, basis, cost):
     total = len(cost) - 1
     while True:
         entering = None
         for j in range(total):
-            if restrict and j in restrict:
-                continue
             if cost[j] > 0:
                 entering = j
                 break

@@ -5,6 +5,7 @@ from itertools import islice
 
 import pytest
 
+from freqsynth import simplex
 from freqsynth.mdp import draw, draw_table, parse_mdp
 from freqsynth.mecanalysis import (
     EpochSchedule,
@@ -22,6 +23,7 @@ from freqsynth.simplex import SimplexError
 
 from helpers import (
     StrategyRunner,
+    assert_flow_row_form,
     enumerate_md_strategies,
     fraction_sample,
     margin_rewrite,
@@ -216,8 +218,52 @@ def test_build_lp_matches_rescan_builder():
         ):
             assert _typed_rows(got) == _typed_rows(want)
             assert (got.num_flows, got.num_vars) == (want.num_flows, want.num_vars)
+        assert_flow_row_form(mdp, cond)
         cancelled += any(a.dist == ((a.source, 1),) for a in mdp.actions)
     assert cancelled >= 30  # sure self-loops, whose balance entry cancels
+
+
+def test_no_bounds_condition_is_one_plain_solve(monkeypatch):
+    # Without bounds the margin system has no t column: it is the plain
+    # flow system, solved once.
+    calls = []
+    real_solve = simplex.solve_lp
+    monkeypatch.setattr(
+        simplex, "solve_lp", lambda *args: calls.append(args) or real_solve(*args)
+    )
+    rng = random.Random(404)
+    for _ in range(40):
+        mdp = random_strongly_connected_mdp(rng, 5, 3)
+        cond = GbmpCondition(inf_sets=(frozenset(rng.sample(mdp.states, 1)),))
+        calls.clear()
+        ok, sol = accepting_mec(mdp, cond)
+        plain = build_lp(mdp, cond, margin=False)
+        assert calls == [(plain.num_vars, plain.rows, {})]
+        assert (ok, sol) == (True, maximize_margin(plain))
+
+
+def test_strongly_connected_mec_drops_a_dependent_balance_row(monkeypatch):
+    # The balance rows of a strongly connected MDP sum to zero, so one row
+    # is always redundant; phase two runs without it and the MEC is still
+    # accepted with a verified solution.
+    sizes = []
+    real_iterate = simplex._iterate
+    monkeypatch.setattr(
+        simplex, "_iterate", lambda t, b, c: sizes.append(len(t)) or real_iterate(t, b, c)
+    )
+    mdp = _alternating()
+    cond = GbmpCondition(mp_inf=(MpBound(">=", Fr(1, 2), {"s": Fr(1), "t": Fr(0)}),))
+    system = build_lp(mdp, cond)
+    balance = system.rows[1 : 1 + len(mdp.states)]
+    total = {}
+    for coeffs, _, _ in balance:
+        for j, c in coeffs.items():
+            total[j] = total.get(j, 0) + c
+    assert not any(total.values())
+    ok, sol = accepting_mec(mdp, cond)
+    assert ok
+    _verify_solution(system, sol)
+    assert sizes[1] < sizes[0] == len(system.rows)
 
 
 def test_verify_solution_rejects_tampered_solutions():

@@ -5,7 +5,7 @@ import helpers
 from freqsynth import simplex
 from freqsynth.mecanalysis import GbmpCondition, MpBound, accepting_mec
 from freqsynth.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
-from helpers import fraction_solve_lp, ring_mdp
+from helpers import assert_flow_row_form, fraction_solve_lp, ring_mdp
 
 
 def test_basic_maximization():
@@ -87,15 +87,43 @@ def test_negative_rhs_normalization():
 
 
 def test_bland_tie_break_decides_the_vertex():
-    # Both rows tie in the first ratio test (2/2 == 1/1); Bland's rule lets
-    # the row of the smaller basic index (slack 3) leave.  Both (0, 0, 2) and
-    # (1/2, 0, 2) are optimal, and the other leaving row ends at the second.
+    # The flow LPs' row form: == rows and >= rows with rhs >= 0.  Phase one
+    # enters x0, and both rows tie in its ratio test (1/2 == 1/2); Bland's
+    # rule lets the row of the smaller basic index (row 0's artificial)
+    # leave.  Both (0, 0, 1) and (0, 1, 0) are optimal, and the other
+    # leaving row ends at the second.
     rows = [
-        ({1: Fr(2), 2: Fr(1)}, "<=", Fr(2)),
-        ({0: Fr(2), 1: Fr(1)}, "<=", Fr(1)),
+        ({0: Fr(2), 1: Fr(1), 2: Fr(1)}, "==", Fr(1)),
+        ({0: Fr(2), 1: Fr(2), 2: Fr(1)}, ">=", Fr(1)),
     ]
-    status, x, value = solve_lp(3, rows, {1: Fr(1), 2: Fr(1)})
-    assert (status, x, value) == (OPTIMAL, [Fr(0), Fr(0), Fr(2)], Fr(2))
+    status, x, value = solve_lp(3, rows, {0: Fr(-1)})
+    assert (status, x, value) == (OPTIMAL, [Fr(0), Fr(0), Fr(1)], Fr(0))
+
+
+def test_redundant_rows_leave_before_phase_two(monkeypatch):
+    # A duplicated == row keeps its artificial basic at 0 through phase one
+    # and is zero in every real column; phase two runs without it.
+    sizes = []
+    real_iterate = simplex._iterate
+    monkeypatch.setattr(
+        simplex, "_iterate", lambda t, b, c: sizes.append(len(t)) or real_iterate(t, b, c)
+    )
+    rng = random.Random(19)
+    dropped = 0
+    for _ in range(200):
+        n, rows, objective = _random_lp(rng)
+        eqs = [row for row in rows if row[1] == "=="]
+        if not eqs:
+            continue
+        want = solve_lp(n, rows, objective)
+        doubled = rows + [rng.choice(eqs)]
+        sizes.clear()
+        got = solve_lp(n, doubled, objective)
+        assert got == want == fraction_solve_lp(n, doubled, objective)
+        if got[0] != INFEASIBLE:
+            assert sizes[1] < sizes[0] == len(rows) + 1
+            dropped += 1
+    assert dropped >= 30
 
 
 def _counted(fn, columns, ties=None):
@@ -189,3 +217,24 @@ def test_integer_tableau_matches_fraction_oracle_on_flow_lps(monkeypatch):
     assert any(len(rows) >= 28 for _, rows, _ in lps)
     for lp in lps:
         _assert_same_as_oracle(monkeypatch, *lp)
+
+
+def test_flow_lp_rows_start_on_their_own_artificials():
+    # The rings and conditions of the flow-LP oracle test above.
+    rng = random.Random(77)
+    for _ in range(16):
+        mdp, valuation = ring_mdp(rng, rng.randint(10, 14))
+        rewards = {
+            x: {s: Fr(int(x in valuation[k])) for k, s in enumerate(mdp.states)}
+            for x in ("a", "b")
+        }
+
+        def bound(x):
+            cmp = rng.choice([">=", ">"])
+            return MpBound(cmp, Fr(rng.randint(0, 5), rng.choice([4, 5, 10])), rewards[x])
+
+        cond = GbmpCondition(
+            mp_inf=tuple(bound(rng.choice("ab")) for _ in range(rng.randint(0, 2))),
+            mp_sup=tuple(bound(rng.choice("ab")) for _ in range(rng.randint(0, 2))),
+        )
+        assert_flow_row_form(mdp, cond)

@@ -30,6 +30,7 @@ from freqsynth.synthesis import (
 )
 
 from helpers import (
+    assert_flow_row_form,
     chain_pipeline_probability,
     component_names,
     corpus_formulas,
@@ -737,7 +738,9 @@ def _wide_pool():
 def test_winning_union_matches_the_pairwise_oracle(monkeypatch):
     # Sharing decisions by restricted condition must leave every outcome,
     # report and simulation as deciding each (pair, component) afresh, and
-    # decide each distinct restricted condition exactly once.
+    # decide each distinct restricted condition exactly once.  Every
+    # component's flow LPs have the row form that starts each row on its
+    # own artificial.
     decisions = []
     real_decide = freqsynth.synthesis.accepting_mec
     monkeypatch.setattr(
@@ -759,6 +762,7 @@ def test_winning_union_matches_the_pairwise_oracle(monkeypatch):
             sub = restrict(product, fin)
             for component in mec_decomposition(sub) if sub is not None else ():
                 keys.add(_restricted_condition(component, cond))
+                assert_flow_row_form(component, cond)
                 pairwise += 1
         assert set(decisions) == keys, phi
         distinct += len(keys)
