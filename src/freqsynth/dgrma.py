@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import add
 
 from .boolfn import BoolFn, bf_and, bf_and_many, formula_to_boolfn, substitute_ff
 from .formula import (
@@ -126,25 +128,55 @@ def build_dgrma(phi: Formula, cap: int = DEFAULT_STATE_CAP) -> Dgrma:
             components.append(build_token_lts(slave, cap))
 
     parts = [master] + components
-    # Every part reads the same alphabet, so a product row zips part rows.
-    deltas = [p.delta for p in parts]
+    delta, states = _tree_product(parts, atoms, cap)
+    index = dict(zip(states, range(len(states))))
+    lts = Lts(atoms, master.alphabet, states, index, 0, delta)
 
-    def successors(payload, alphabet):
-        return list(zip(*[d[s] for d, s in zip(deltas, payload)]))
-
-    lts = build_lts(
-        tuple(p.init for p in parts), successors, atoms, cap, what="product automaton"
-    )
-
-    pairs = _build_pairs(lts, master, rec, slaves, components)
+    pairs = _build_pairs(lts, parts, rec, slaves)
     return Dgrma(lts, master, rec, slaves, components, pairs)
 
 
-def _build_pairs(lts, master, rec, slaves, components) -> list[GrmpPair]:
+def _tree_product(parts: list[Lts], atoms, cap: int) -> tuple[list, list]:
+    """Rows and payloads of the reachable product of ``parts``.
+
+    A payload is the tuple of part state indices.  The product of each half
+    is built first, then the pair product numbers each state by the code
+    ``a * len(B) + b``, so one row is one add per letter.  Every part is
+    total over the same alphabet, so a half's reachable states are the
+    projections of the whole product's, the breadth-first numbering is that
+    of the product over payload tuples, and no half outgrows the whole: the
+    cap raises exactly when the whole exceeds it.
+    """
+    if len(parts) == 1:
+        return parts[0].delta, [(q,) for q in range(len(parts[0]))]
+    mid = (len(parts) + 1) // 2
+    delta_a, states_a = _tree_product(parts[:mid], atoms, cap)
+    delta_b, states_b = _tree_product(parts[mid:], atoms, cap)
+    width = len(states_b)
+    scaled = [[t * width for t in row] for row in delta_a]
+
+    def successors(code, alphabet):
+        a, b = divmod(code, width)
+        return list(map(add, scaled[a], delta_b[b]))
+
+    lts = build_lts(0, successors, atoms, cap, what="product automaton")
+    states = [states_a[c // width] + states_b[c % width] for c in lts.states]
+    return lts.delta, states
+
+
+def _build_pairs(lts, parts, rec, slaves) -> list[GrmpPair]:
+    master, components = parts[0], parts[1:]
     n = len(rec)
     # comp_of[0][q] is product state q's master state, comp_of[i + 1][q] its
-    # state of components[i].
+    # state of components[i]; holders[i][s] lists the product states whose
+    # components[i] state is s, so a component set lifts as a union of lists.
     comp_of = list(zip(*lts.states))
+    holders = []
+    for part, col in zip(components, comp_of[1:]):
+        by_state = [[] for _ in range(len(part))]
+        for q, s in enumerate(col):
+            by_state[s].append(q)
+        holders.append(by_state)
     all_states = frozenset(range(len(lts)))
     # Product states grouped by (master state, G-member component states),
     # per set of assumed G-members.
@@ -156,9 +188,11 @@ def _build_pairs(lts, master, rec, slaves, components) -> list[GrmpPair]:
         dropped = [rec[i] for i in range(n) if not mask >> i & 1]
         base = bf_and_many(formula_to_boolfn(rho) for rho in assumed)
         g_members = [i for i in chosen if rec[i].kind == ALWAYS]
-        # Substituted-token conjunctions per (member, component state); one
-        # memo per mask, because the substitution reads ``dropped``.
+        # Substituted-token conjunctions per (member, component state), and
+        # their conjunction with ``base`` per G-state tuple; one memo each
+        # per mask, because the substitution reads ``dropped``.
         token_conj_cache: dict = {}
+        conj_cache: dict = {}
 
         def token_conj(i: int, comp_state: int) -> BoolFn:
             key = (i, comp_state)
@@ -172,9 +206,13 @@ def _build_pairs(lts, master, rec, slaves, components) -> list[GrmpPair]:
             return got
 
         def proved(key) -> bool:
-            conj = base
-            for i, comp_state in zip(g_members, key[1:]):
-                conj = bf_and(conj, token_conj(i, comp_state))
+            g_states = key[1:]
+            conj = conj_cache.get(g_states)
+            if conj is None:
+                conj = base
+                for i, comp_state in zip(g_members, g_states):
+                    conj = bf_and(conj, token_conj(i, comp_state))
+                conj_cache[g_states] = conj
             goal = master.states[key[0]]
             return all(goal.holds_under(m) for m in conj.models)
 
@@ -196,20 +234,21 @@ def _build_pairs(lts, master, rec, slaves, components) -> list[GrmpPair]:
         degenerate = False
         for i in chosen:
             rho = rec[i]
-            col = comp_of[i + 1]
+            by_state = holders[i]
             if rho.kind == EVENTUALLY:
                 good = buchi_accepting_sets(slaves[i], components[i], assumed)
-                lifted = frozenset(q for q, s in enumerate(col) if s in good)
+                lifted = frozenset(chain.from_iterable(by_state[s] for s in good))
                 if not lifted:
                     degenerate = True
                     break
                 infs.append(lifted)
             elif rho.kind == ALWAYS:
                 bad = cobuchi_rejecting_sets(slaves[i], components[i], assumed)
-                fin.update(q for q, s in enumerate(col) if s in bad)
+                fin.update(chain.from_iterable(by_state[s] for s in bad))
             else:
                 rewards = mp_reward(slaves[i], components[i], assumed)
                 cmp, p, ext = rho.bound
+                col = comp_of[i + 1]
                 mps.append(MpAtom(ext, cmp, p, tuple(map(rewards.__getitem__, col))))
         if degenerate or frozenset(fin) == all_states:
             continue

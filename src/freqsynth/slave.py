@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .boolfn import BoolFn, formula_to_boolfn, proves, rank, step_row
+from .boolfn import BoolFn, bf_and_many, formula_to_boolfn, rank, step_row
 from .formula import Formula, FormulaError, atoms_of
 from .lts import DEFAULT_STATE_CAP, Lts, build_lts
 
@@ -35,8 +35,12 @@ class SlaveLts:
 
     def accepting_sinks(self, assumptions: Iterable[Formula]) -> frozenset[int]:
         """Sinks provable from the assumption set."""
-        bfs = [formula_to_boolfn(a) for a in assumptions]
-        return frozenset(q for q in self.sinks if proves(bfs, self.state(q)))
+        conj = bf_and_many(formula_to_boolfn(a) for a in assumptions)
+        return frozenset(
+            q
+            for q in self.sinks
+            if all(self.state(q).holds_under(m) for m in conj.models)
+        )
 
 
 def build_slave_lts(
@@ -55,13 +59,11 @@ def build_slave_lts(
         is_terminal=lambda f: rank(f) == 0,
         what="slave LTS",
     )
-    sinks = frozenset(q for q, f in enumerate(lts.states) if rank(f) == 0)
+    ranks = [rank(f) for f in lts.states]
+    sinks = frozenset(q for q, r in enumerate(ranks) if r == 0)
     # Acyclicity: the letter-sensitivity rank strictly drops along every edge.
-    for q, row in enumerate(lts.delta):
-        if row is None:
-            continue
-        r = rank(lts.states[q])
-        if any(rank(lts.states[target]) >= r for target in row):
+    for r, row in zip(ranks, lts.delta):
+        if row is not None and any(ranks[target] >= r for target in row):
             raise FormulaError(f"slave LTS of {xi} is not acyclic")
     return SlaveLts(lts, sinks)
 

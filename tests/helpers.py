@@ -22,6 +22,10 @@ the transition-system builder that called its successor once per letter, and
 product automata with it, one successor call per (state, letter), and the
 acceptance pairs by walking every product state's payload per assumption set
 (``letterwise_build_pairs``); row-at-a-time translation replaced both.
+``zip_build_dgrma`` is that row-at-a-time translation with its product over
+payload tuples, each row zipped from the part rows, and its acceptance sets
+lifted by scanning every product state (``zip_build_pairs``); the tree of
+integer-coded pair products and the lift by column replaced both.
 ``named_simulate_global`` is the global simulation loop that looked every
 step up by product state and action name; ``simulate_global`` now maps the
 entry state to its component once per episode.  ``fraction_sample`` is the
@@ -75,12 +79,16 @@ from freqsynth.formula import (
     until,
 )
 from freqsynth.lasso import Lasso, LassoError, _Eval, models
-from freqsynth.lts import Lts, StateCapExceeded, powerset_alphabet
+from freqsynth.lts import Lts, StateCapExceeded, build_lts, powerset_alphabet
+from freqsynth.master import build_master
 from freqsynth.dgrma import Dgrma, GrmpPair, MpAtom, build_dgrma, rec_set
 from freqsynth.formula import ALWAYS, EVENTUALLY, FREQ, GT, FormulaError, atoms_of
 from freqsynth.slave import (
     SlaveLts,
     buchi_accepting_sets,
+    build_count_lts,
+    build_slave_lts,
+    build_token_lts,
     cobuchi_rejecting_sets,
     mp_reward,
 )
@@ -1155,6 +1163,95 @@ def letterwise_build_pairs(lts, master, rec, slaves, components):
                         tuple(rewards[payload[i + 1]] for payload in lts.states),
                     )
                 )
+        if degenerate or frozenset(fin) == all_states:
+            continue
+        pairs.append(GrmpPair(assumed, frozenset(fin), tuple(infs), tuple(mps)))
+    return pairs
+
+
+def zip_build_dgrma(phi, cap=100_000):
+    """``build_dgrma`` with the product over payload tuples, each row the zip
+    of the part rows, and every acceptance set lifted by a scan of each
+    product state's component (``zip_build_pairs``)."""
+    atoms = set(atoms_of(phi))
+    master = build_master(phi, cap)
+    rec = rec_set(phi)
+    slaves = []
+    components = []
+    for rho in rec:
+        slave = build_slave_lts(rho.children[0], atoms, cap)
+        slaves.append(slave)
+        if rho.kind == FREQ:
+            components.append(build_count_lts(slave, cap))
+        else:
+            components.append(build_token_lts(slave, cap))
+    parts = [master] + components
+    deltas = [p.delta for p in parts]
+
+    def successors(payload, alphabet):
+        return list(zip(*[d[s] for d, s in zip(deltas, payload)]))
+
+    lts = build_lts(
+        tuple(p.init for p in parts), successors, atoms, cap, what="product automaton"
+    )
+    pairs = zip_build_pairs(lts, master, rec, slaves, components)
+    return Dgrma(lts, master, rec, slaves, components, pairs)
+
+
+def zip_build_pairs(lts, master, rec, slaves, components):
+    """Acceptance pairs with the master part decided per (master state,
+    G-member states) group and every component set lifted by scanning the
+    product states' column."""
+    n = len(rec)
+    comp_of = list(zip(*lts.states))
+    all_states = frozenset(range(len(lts)))
+    pairs = []
+    for mask in range(1 << n):
+        chosen = [i for i in range(n) if mask >> i & 1]
+        assumed = tuple(rec[i] for i in chosen)
+        dropped = [rec[i] for i in range(n) if not mask >> i & 1]
+        base = bf_and_many(formula_to_boolfn(rho) for rho in assumed)
+        g_members = [i for i in chosen if rec[i].kind == ALWAYS]
+        groups: dict = {}
+        keys = zip(comp_of[0], *[comp_of[i + 1] for i in g_members])
+        for q, key in enumerate(keys):
+            groups.setdefault(key, []).append(q)
+        fin = set()
+        for key, members in groups.items():
+            conj = base
+            for i, comp_state in zip(g_members, key[1:]):
+                tokens = components[i].states[comp_state]
+                conj = bf_and(
+                    conj,
+                    bf_and_many(
+                        substitute_ff(slaves[i].state(q), dropped)
+                        for q in sorted(tokens)
+                    ),
+                )
+            goal = master.states[key[0]]
+            if not all(goal.holds_under(m) for m in conj.models):
+                fin.update(members)
+
+        infs = []
+        mps = []
+        degenerate = False
+        for i in chosen:
+            rho = rec[i]
+            col = comp_of[i + 1]
+            if rho.kind == EVENTUALLY:
+                good = buchi_accepting_sets(slaves[i], components[i], assumed)
+                lifted = frozenset(q for q, s in enumerate(col) if s in good)
+                if not lifted:
+                    degenerate = True
+                    break
+                infs.append(lifted)
+            elif rho.kind == ALWAYS:
+                bad = cobuchi_rejecting_sets(slaves[i], components[i], assumed)
+                fin.update(q for q, s in enumerate(col) if s in bad)
+            else:
+                rewards = mp_reward(slaves[i], components[i], assumed)
+                cmp, p, ext = rho.bound
+                mps.append(MpAtom(ext, cmp, p, tuple(rewards[s] for s in col)))
         if degenerate or frozenset(fin) == all_states:
             continue
         pairs.append(GrmpPair(assumed, frozenset(fin), tuple(infs), tuple(mps)))

@@ -23,6 +23,7 @@ from helpers import (
     letterwise_build_dgrma,
     random_fragment_formula,
     random_lasso,
+    zip_build_dgrma,
 )
 
 A = frozenset("a")
@@ -207,6 +208,36 @@ def test_row_translation_matches_letterwise_oracle():
     assert built >= 300 and capped >= 100
 
 
+def test_tree_product_matches_zip_oracle():
+    # The tree of integer-coded pair products and the lift by column must
+    # number the same states with the same rows and acceptance as the zip of
+    # the part rows over payload tuples; a cap of one state under each
+    # product's size must stop both with the same error.
+    rng = random.Random(2020)
+    formulas = corpus_formulas()
+    corpus = len(formulas)
+    formulas += [
+        random_fragment_formula(rng, rng.randint(2, 12), ["a", "b", "c"])
+        for _ in range(120)
+    ]
+    compared = 0
+    for phi in formulas:
+        ref = _translate(zip_build_dgrma, phi, 20_000)
+        aut = _translate(build_dgrma, phi, 20_000)
+        if isinstance(ref, str):
+            assert aut == ref, phi
+            continue
+        assert aut.lts.states == ref.lts.states, phi
+        assert aut.lts.delta == ref.lts.delta, phi
+        assert aut.lts.index == ref.lts.index, phi
+        assert acceptance_dump(aut) == acceptance_dump(ref), phi
+        compared += 1
+        want = _translate(zip_build_dgrma, phi, len(ref) - 1)
+        assert isinstance(want, str), phi
+        assert _translate(build_dgrma, phi, len(ref) - 1) == want, phi
+    assert compared >= corpus + 100
+
+
 def test_translation_goes_through_the_traced_builders(monkeypatch):
     # The benchmark times translation layers by wrapping these names in
     # freqsynth.dgrma; each must stay on build_dgrma's call path.
@@ -227,14 +258,21 @@ def test_translation_goes_through_the_traced_builders(monkeypatch):
 
         monkeypatch.setattr(freqsynth.dgrma, name, counted)
     aut = build_dgrma(parse_formula(WIDE_FORMULA))
+    # The product is a tree of pair products, one build_lts call per pair
+    # product: one fewer than its len(rec) + 1 parts.
     assert calls == {
-        "build_lts": 1,
+        "build_lts": len(aut.rec),
         "build_master": 1,
         "build_slave_lts": len(aut.rec),
         "build_token_lts": 3,
         "build_count_lts": 2,
     }
     assert (len(aut), len(aut.lts.alphabet)) == (925, 128)
+    # Without recurrent subformulas the product is the master itself.
+    calls.clear()
+    plain = build_dgrma(parse_formula("a U (b U c)"))
+    assert calls == {"build_master": 1}
+    assert plain.lts.states == [(q,) for q in range(len(plain.master))]
 
 
 def test_extra_atoms_only_widen_rows():
