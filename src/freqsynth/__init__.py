@@ -22,6 +22,7 @@ from .lts import Lts, StateCapExceeded
 from .master import build_master
 from .slave import (
     SlaveLts,
+    assumption_conj,
     buchi_accepting_sets,
     build_count_lts,
     build_slave_lts,

@@ -3,17 +3,20 @@
 The automaton is the product of the master LTS with one token automaton per
 recurrent subformula (subset-tracking for F- and G-members, token-counting
 for frequency members).  Acceptance is one pair per assumption subset of the
-recurrent formulas, already normalized to a single Fin set per pair.
+recurrent formulas, already normalized to a single Fin set per pair, and
+decided on the payload columns: each set and reward vector is a view over a
+column of the product's part states, not a set written out per state.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from operator import add
+from itertools import compress, count, repeat
+from operator import add, mul
 
-from .boolfn import BoolFn, bf_and, bf_and_many, formula_to_boolfn, substitute_ff
+from .boolfn import bf_and, bf_and_many, substitute_ff
 from .formula import (
     ALWAYS,
     EVENTUALLY,
@@ -30,6 +33,7 @@ from .lts import DEFAULT_STATE_CAP, Lts, build_lts
 from .master import build_master
 from .slave import (
     SlaveLts,
+    assumption_conj,
     buchi_accepting_sets,
     build_count_lts,
     build_slave_lts,
@@ -41,6 +45,59 @@ from .slave import (
 )
 
 
+class ColumnSet(Set):
+    """Automaton states whose column entry is in ``members``: ``q`` is in
+    the set iff ``column[q] in members``.  Membership reads one entry;
+    iteration (in state order), size and the set operators read them all,
+    and their results are frozensets."""
+
+    __slots__ = ("column", "members")
+
+    def __init__(self, column, members: frozenset):
+        self.column = column
+        self.members = members
+
+    def __contains__(self, q: int) -> bool:
+        return self.column[q] in self.members
+
+    def __iter__(self):
+        return compress(count(), map(self.members.__contains__, self.column))
+
+    def __len__(self) -> int:
+        return sum(map(self.members.__contains__, self.column))
+
+    def lift(self, names, qs) -> frozenset:
+        """``names[k]`` for each state ``qs[k]`` in the set."""
+        column, members = self.column, self.members
+        return frozenset([name for name, q in zip(names, qs) if column[q] in members])
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+
+class ColumnMap:
+    """Per automaton state, the value of its column entry:
+    ``self[q] == values[column[q]]``."""
+
+    __slots__ = ("column", "values")
+
+    def __init__(self, column, values: tuple):
+        self.column = column
+        self.values = values
+
+    def __getitem__(self, q: int):
+        return self.values[self.column[q]]
+
+    def __iter__(self):
+        return map(self.values.__getitem__, self.column)
+
+    def lift(self, names, qs) -> dict:
+        """``names[k]`` -> the value of state ``qs[k]``, for each ``k``."""
+        column, values = self.column, self.values
+        return {name: values[column[q]] for name, q in zip(names, qs)}
+
+
 @dataclass(frozen=True)
 class MpAtom:
     """Mean-payoff acceptance atom: limit average of rewards versus a bound."""
@@ -48,7 +105,7 @@ class MpAtom:
     ext: str  # "inf" or "sup"
     cmp: str  # ">=" or ">"
     bound: Fraction
-    rewards: tuple  # Fraction per automaton state
+    rewards: ColumnMap  # Fraction per automaton state
 
     def check(self, average: Fraction) -> bool:
         return average >= self.bound if self.cmp == GEQ else average > self.bound
@@ -61,17 +118,27 @@ class GrmpPair:
     A run satisfies the pair iff it visits ``fin`` finitely often, every
     member of ``infs`` infinitely often, and every mean-payoff atom holds.
     ``fin`` is the union of the master prohibition and one set per assumed
-    G-formula; avoiding every part equals avoiding the union.
+    G-formula; avoiding every part equals avoiding the union.  ``fin`` and
+    each Inf set are ``ColumnSet`` views over a payload column (Fin's column
+    codes the master and G-member states), and each reward vector is a
+    ``ColumnMap``: membership and reward of one automaton state are one
+    lookup, and only ``acceptance_dump``, ``dgrma_to_dot`` and the tests
+    read them over all states.
     """
 
     assumptions: tuple  # the recurrent formulas assumed by this pair
-    fin: frozenset
-    infs: tuple  # of frozenset
+    fin: ColumnSet
+    infs: tuple  # of ColumnSet
     mps: tuple  # of MpAtom
 
 
 class Dgrma:
-    """Product automaton with its acceptance pairs and building blocks."""
+    """Product automaton with its acceptance pairs and building blocks.
+
+    A product state's payload is its tuple of part states: the master
+    state, then one state per recurrent subformula's token or counting
+    automaton.  Each pair's sets and rewards are views over these columns.
+    """
 
     def __init__(self, lts, master, rec, slaves, components, pairs):
         self.lts = lts
@@ -165,94 +232,87 @@ def _tree_product(parts: list[Lts], atoms, cap: int) -> tuple[list, list]:
 
 
 def _build_pairs(lts, parts, rec, slaves) -> list[GrmpPair]:
+    """One pair per assumption subset, decided on payload columns.
+
+    Fin is a union of groups keyed by the master state and the states of
+    the assumed G-members: a key is bad when one of those states holds a
+    sink that the assumptions do not prove, or when the master obligation
+    is not provable from the assumptions plus the G-members' substituted
+    tokens.  Each distinct key of the product is decided once per pair.
+    Inf sets and rewards read one component column.  Every part is total,
+    so every state of a part occurs in its column: an Inf set is empty iff
+    it has no good component state.
+    """
     master, components = parts[0], parts[1:]
+    columns = list(zip(*lts.states))  # columns[k][q]: product state q's part k
     n = len(rec)
-    # comp_of[0][q] is product state q's master state, comp_of[i + 1][q] its
-    # state of components[i]; holders[i][s] lists the product states whose
-    # components[i] state is s, so a component set lifts as a union of lists.
-    comp_of = list(zip(*lts.states))
-    holders = []
-    for part, col in zip(components, comp_of[1:]):
-        by_state = [[] for _ in range(len(part))]
-        for q, s in enumerate(col):
-            by_state[s].append(q)
-        holders.append(by_state)
-    all_states = frozenset(range(len(lts)))
-    # Product states grouped by (master state, G-member component states),
-    # per set of assumed G-members.
-    groups_by_g: dict = {}
+    keys_by_g: dict = {}  # G-members -> (key column, {key code: key})
     pairs = []
     for mask in range(1 << n):
         chosen = [i for i in range(n) if mask >> i & 1]
         assumed = tuple(rec[i] for i in chosen)
         dropped = [rec[i] for i in range(n) if not mask >> i & 1]
-        base = bf_and_many(formula_to_boolfn(rho) for rho in assumed)
-        g_members = [i for i in chosen if rec[i].kind == ALWAYS]
-        # Substituted-token conjunctions per (member, component state), and
-        # their conjunction with ``base`` per G-state tuple; one memo each
-        # per mask, because the substitution reads ``dropped``.
-        token_conj_cache: dict = {}
-        conj_cache: dict = {}
-
-        def token_conj(i: int, comp_state: int) -> BoolFn:
-            key = (i, comp_state)
-            got = token_conj_cache.get(key)
-            if got is None:
-                tokens = components[i].states[comp_state]
-                got = bf_and_many(
-                    substitute_ff(slaves[i].state(q), dropped) for q in sorted(tokens)
-                )
-                token_conj_cache[key] = got
-            return got
-
-        def proved(key) -> bool:
-            g_states = key[1:]
-            conj = conj_cache.get(g_states)
-            if conj is None:
-                conj = base
-                for i, comp_state in zip(g_members, g_states):
-                    conj = bf_and(conj, token_conj(i, comp_state))
-                conj_cache[g_states] = conj
-            goal = master.states[key[0]]
-            return all(goal.holds_under(m) for m in conj.models)
-
-        # Master part: eventually prohibit states whose master formula is not
-        # provable from the assumptions plus the substituted G-slave tokens.
-        groups = groups_by_g.get(tuple(g_members))
-        if groups is None:
-            groups = groups_by_g[tuple(g_members)] = {}
-            keys = zip(comp_of[0], *[comp_of[i + 1] for i in g_members])
-            for q, key in enumerate(keys):
-                groups.setdefault(key, []).append(q)
-        fin = set()
-        for key, members in groups.items():
-            if not proved(key):
-                fin.update(members)
-
+        base = assumption_conj(assumed)
         infs = []
         mps = []
+        rejecting = {}  # G-member -> its states holding an unproved sink
         degenerate = False
         for i in chosen:
             rho = rec[i]
-            by_state = holders[i]
             if rho.kind == EVENTUALLY:
-                good = buchi_accepting_sets(slaves[i], components[i], assumed)
-                lifted = frozenset(chain.from_iterable(by_state[s] for s in good))
-                if not lifted:
+                good = buchi_accepting_sets(slaves[i], components[i], base)
+                if not good:
                     degenerate = True
                     break
-                infs.append(lifted)
+                infs.append(ColumnSet(columns[i + 1], good))
             elif rho.kind == ALWAYS:
-                bad = cobuchi_rejecting_sets(slaves[i], components[i], assumed)
-                fin.update(chain.from_iterable(by_state[s] for s in bad))
+                rejecting[i] = cobuchi_rejecting_sets(slaves[i], components[i], base)
             else:
-                rewards = mp_reward(slaves[i], components[i], assumed)
                 cmp, p, ext = rho.bound
-                col = comp_of[i + 1]
-                mps.append(MpAtom(ext, cmp, p, tuple(map(rewards.__getitem__, col))))
-        if degenerate or frozenset(fin) == all_states:
+                rewards = mp_reward(slaves[i], components[i], base)
+                mps.append(MpAtom(ext, cmp, p, ColumnMap(columns[i + 1], rewards)))
+        if degenerate:
             continue
-        pairs.append(GrmpPair(assumed, frozenset(fin), tuple(infs), tuple(mps)))
+
+        g_members = tuple(rejecting)
+        got = keys_by_g.get(g_members)
+        if got is None:
+            # A key codes (master state, one state per G-member) in mixed
+            # radix over the parts' sizes, as _tree_product codes states.
+            column = columns[0]
+            for i in g_members:
+                scaled = map(mul, column, repeat(len(components[i])))
+                column = list(map(add, scaled, columns[i + 1]))
+            decoded = zip(columns[0], *[columns[i + 1] for i in g_members])
+            got = keys_by_g[g_members] = (column, dict(zip(column, decoded)))
+        column, keys = got
+        token_conj: dict = {}  # (member, state) -> its substituted tokens
+        conj_of: dict = {}  # G-member states -> their tokens and ``base``
+        bad = set()
+        for code, key in keys.items():
+            m, g_states = key[0], key[1:]
+            if any(s in rejecting[i] for i, s in zip(g_members, g_states)):
+                bad.add(code)
+                continue
+            conj = conj_of.get(g_states)
+            if conj is None:
+                conj = base
+                for i, s in zip(g_members, g_states):
+                    tokens = token_conj.get((i, s))
+                    if tokens is None:
+                        tokens = token_conj[(i, s)] = bf_and_many(
+                            substitute_ff(slaves[i].state(t), dropped)
+                            for t in sorted(components[i].states[s])
+                        )
+                    conj = bf_and(conj, tokens)
+                conj_of[g_states] = conj
+            goal = master.states[m]
+            if not all(goal.holds_under(model) for model in conj.models):
+                bad.add(code)
+        if len(bad) == len(keys):
+            continue  # Fin holds every state
+        fin = ColumnSet(column, frozenset(bad))
+        pairs.append(GrmpPair(assumed, fin, tuple(infs), tuple(mps)))
     return pairs
 
 
@@ -280,10 +340,9 @@ def run_cycle(lts: Lts, w: Lasso) -> tuple[list[int], list[int]]:
 
 
 def pair_accepts_cycle(pair: GrmpPair, cycle: list[int]) -> bool:
-    states = frozenset(cycle)
-    if states & pair.fin:
+    if any(q in pair.fin for q in cycle):
         return False
-    if any(not (states & s) for s in pair.infs):
+    if not all(any(q in s for q in cycle) for s in pair.infs):
         return False
     for mp in pair.mps:
         avg = Fraction(sum(mp.rewards[q] for q in cycle), len(cycle))

@@ -33,14 +33,19 @@ class SlaveLts:
     def state(self, q: int) -> BoolFn:
         return self.lts.states[q]
 
-    def accepting_sinks(self, assumptions: Iterable[Formula]) -> frozenset[int]:
-        """Sinks provable from the assumption set."""
-        conj = bf_and_many(formula_to_boolfn(a) for a in assumptions)
+    def accepting_sinks(self, conj: BoolFn) -> frozenset[int]:
+        """Sinks provable from ``conj``, the conjunction of an assumption set
+        (``assumption_conj``)."""
         return frozenset(
             q
             for q in self.sinks
             if all(self.state(q).holds_under(m) for m in conj.models)
         )
+
+
+def assumption_conj(assumptions: Iterable[Formula]) -> BoolFn:
+    """Conjunction of an assumption set: the premise of every sink proof."""
+    return bf_and_many(formula_to_boolfn(a) for a in assumptions)
 
 
 def build_slave_lts(
@@ -102,20 +107,20 @@ def build_token_lts(slave: SlaveLts, cap: int = DEFAULT_STATE_CAP) -> Lts:
 
 
 def buchi_accepting_sets(
-    slave: SlaveLts, token_lts: Lts, assumptions: Iterable[Formula]
+    slave: SlaveLts, token_lts: Lts, conj: BoolFn
 ) -> frozenset[int]:
-    """Token-LTS states containing a sink provable from the assumptions."""
-    good = slave.accepting_sinks(assumptions)
+    """Token-LTS states containing a sink provable from ``conj``."""
+    good = slave.accepting_sinks(conj)
     return frozenset(
         i for i, tokens in enumerate(token_lts.states) if tokens & good
     )
 
 
 def cobuchi_rejecting_sets(
-    slave: SlaveLts, token_lts: Lts, assumptions: Iterable[Formula]
+    slave: SlaveLts, token_lts: Lts, conj: BoolFn
 ) -> frozenset[int]:
-    """Token-LTS states containing a sink NOT provable from the assumptions."""
-    good = slave.accepting_sinks(assumptions)
+    """Token-LTS states containing a sink NOT provable from ``conj``."""
+    good = slave.accepting_sinks(conj)
     bad = slave.sinks - good
     return frozenset(i for i, tokens in enumerate(token_lts.states) if tokens & bad)
 
@@ -148,10 +153,11 @@ def build_count_lts(slave: SlaveLts, cap: int = DEFAULT_STATE_CAP) -> Lts:
 
 
 def mp_reward(
-    slave: SlaveLts, count_lts: Lts, assumptions: Iterable[Formula]
+    slave: SlaveLts, count_lts: Lts, conj: BoolFn
 ) -> tuple[Fraction, ...]:
-    """Per counting-state reward: tokens currently resting in accepting sinks."""
-    good = slave.accepting_sinks(assumptions)
+    """Per counting-state reward: tokens currently resting in sinks provable
+    from ``conj``."""
+    good = slave.accepting_sinks(conj)
     return tuple(
         Fraction(sum(counts[q] for q in good)) for counts in count_lts.states
     )

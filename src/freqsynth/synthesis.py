@@ -49,28 +49,15 @@ class SynthesisError(Exception):
 def lift_pair(
     pair: GrmpPair, product: Mdp, automaton_component: list
 ) -> tuple[frozenset, GbmpCondition]:
-    """Express one acceptance pair over product-MDP state names."""
-    fin = frozenset(
-        product.states[p]
-        for p in range(len(product))
-        if automaton_component[p] in pair.fin
-    )
-    infs = tuple(
-        frozenset(
-            product.states[p]
-            for p in range(len(product))
-            if automaton_component[p] in s
-        )
-        for s in pair.infs
-    )
+    """Express one acceptance pair over product-MDP state names, reading
+    each set and reward at the automaton states the product reaches."""
+    names = product.states
+    fin = pair.fin.lift(names, automaton_component)
+    infs = tuple(s.lift(names, automaton_component) for s in pair.infs)
     sups = []
     infs_mp = []
     for mp in pair.mps:
-        reward = {
-            product.states[p]: mp.rewards[automaton_component[p]]
-            for p in range(len(product))
-        }
-        bound = MpBound(mp.cmp, mp.bound, reward)
+        bound = MpBound(mp.cmp, mp.bound, mp.rewards.lift(names, automaton_component))
         if mp.ext == "sup":
             sups.append(bound)
         else:

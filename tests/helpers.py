@@ -24,8 +24,12 @@ acceptance pairs by walking every product state's payload per assumption set
 (``letterwise_build_pairs``); row-at-a-time translation replaced both.
 ``zip_build_dgrma`` is that row-at-a-time translation with its product over
 payload tuples, each row zipped from the part rows, and its acceptance sets
-lifted by scanning every product state (``zip_build_pairs``); the tree of
-integer-coded pair products and the lift by column replaced both.
+written out by scanning every product state (``zip_build_pairs``); the tree
+of integer-coded pair products and the pairs decided on payload columns
+(views over the columns, not sets) replaced both.  Both oracles wrap their
+written-out sets in views over the identity column (``written_out_pair``),
+so the pipeline reads them as it reads ``build_dgrma``'s pairs, and
+``scan_lift_pair`` is ``lift_pair`` as a scan of every product state.
 ``named_simulate_global`` is the global simulation loop that looked every
 step up by product state and action name; ``simulate_global`` now maps the
 entry state to its component once per episode.  ``fraction_sample`` is the
@@ -81,7 +85,15 @@ from freqsynth.formula import (
 from freqsynth.lasso import Lasso, LassoError, _Eval, models
 from freqsynth.lts import Lts, StateCapExceeded, build_lts, powerset_alphabet
 from freqsynth.master import build_master
-from freqsynth.dgrma import Dgrma, GrmpPair, MpAtom, build_dgrma, rec_set
+from freqsynth.dgrma import (
+    ColumnMap,
+    ColumnSet,
+    Dgrma,
+    GrmpPair,
+    MpAtom,
+    build_dgrma,
+    rec_set,
+)
 from freqsynth.formula import ALWAYS, EVENTUALLY, FREQ, GT, FormulaError, atoms_of
 from freqsynth.slave import (
     SlaveLts,
@@ -103,8 +115,10 @@ from freqsynth.mdp import (
 )
 from freqsynth.mecanalysis import (
     EpochSchedule,
+    GbmpCondition,
     LinearSystem,
     LpSolution,
+    MpBound,
     Strategy,
     accepting_mec,
     build_lp,
@@ -1139,7 +1153,7 @@ def letterwise_build_pairs(lts, master, rec, slaves, components):
         for i in chosen:
             rho = rec[i]
             if rho.kind == EVENTUALLY:
-                good = buchi_accepting_sets(slaves[i], components[i], assumed)
+                good = buchi_accepting_sets(slaves[i], components[i], base)
                 lifted = frozenset(
                     q for q, payload in enumerate(lts.states) if payload[i + 1] in good
                 )
@@ -1148,12 +1162,12 @@ def letterwise_build_pairs(lts, master, rec, slaves, components):
                     break
                 infs.append(lifted)
             elif rho.kind == ALWAYS:
-                bad = cobuchi_rejecting_sets(slaves[i], components[i], assumed)
+                bad = cobuchi_rejecting_sets(slaves[i], components[i], base)
                 fin.update(
                     q for q, payload in enumerate(lts.states) if payload[i + 1] in bad
                 )
             else:
-                rewards = mp_reward(slaves[i], components[i], assumed)
+                rewards = mp_reward(slaves[i], components[i], base)
                 cmp, p, ext = rho.bound
                 mps.append(
                     MpAtom(
@@ -1165,8 +1179,23 @@ def letterwise_build_pairs(lts, master, rec, slaves, components):
                 )
         if degenerate or frozenset(fin) == all_states:
             continue
-        pairs.append(GrmpPair(assumed, frozenset(fin), tuple(infs), tuple(mps)))
+        pairs.append(written_out_pair(len(lts), assumed, fin, infs, mps))
     return pairs
+
+
+def written_out_pair(n, assumed, fin, infs, mps):
+    """A pair whose sets and reward tuples are written out over ``n``
+    automaton states, each viewed through the identity column so that the
+    pipeline reads it as it reads ``build_dgrma``'s pairs."""
+    ids = range(n)
+    return GrmpPair(
+        assumed,
+        ColumnSet(ids, frozenset(fin)),
+        tuple(ColumnSet(ids, s) for s in infs),
+        tuple(
+            MpAtom(mp.ext, mp.cmp, mp.bound, ColumnMap(ids, mp.rewards)) for mp in mps
+        ),
+    )
 
 
 def zip_build_dgrma(phi, cap=100_000):
@@ -1239,23 +1268,51 @@ def zip_build_pairs(lts, master, rec, slaves, components):
             rho = rec[i]
             col = comp_of[i + 1]
             if rho.kind == EVENTUALLY:
-                good = buchi_accepting_sets(slaves[i], components[i], assumed)
+                good = buchi_accepting_sets(slaves[i], components[i], base)
                 lifted = frozenset(q for q, s in enumerate(col) if s in good)
                 if not lifted:
                     degenerate = True
                     break
                 infs.append(lifted)
             elif rho.kind == ALWAYS:
-                bad = cobuchi_rejecting_sets(slaves[i], components[i], assumed)
+                bad = cobuchi_rejecting_sets(slaves[i], components[i], base)
                 fin.update(q for q, s in enumerate(col) if s in bad)
             else:
-                rewards = mp_reward(slaves[i], components[i], assumed)
+                rewards = mp_reward(slaves[i], components[i], base)
                 cmp, p, ext = rho.bound
                 mps.append(MpAtom(ext, cmp, p, tuple(rewards[s] for s in col)))
         if degenerate or frozenset(fin) == all_states:
             continue
-        pairs.append(GrmpPair(assumed, frozenset(fin), tuple(infs), tuple(mps)))
+        pairs.append(written_out_pair(len(lts), assumed, fin, infs, mps))
     return pairs
+
+
+def scan_lift_pair(pair, product, automaton_component):
+    """``lift_pair`` that lifts every set and reward by scanning each
+    product state's automaton component."""
+    fin = frozenset(
+        product.states[p]
+        for p in range(len(product))
+        if automaton_component[p] in pair.fin
+    )
+    infs = tuple(
+        frozenset(
+            product.states[p]
+            for p in range(len(product))
+            if automaton_component[p] in s
+        )
+        for s in pair.infs
+    )
+    sups = []
+    infs_mp = []
+    for mp in pair.mps:
+        reward = {
+            product.states[p]: mp.rewards[automaton_component[p]]
+            for p in range(len(product))
+        }
+        bound = MpBound(mp.cmp, mp.bound, reward)
+        (sups if mp.ext == "sup" else infs_mp).append(bound)
+    return fin, GbmpCondition(infs, tuple(infs_mp), tuple(sups))
 
 
 def fraction_sample(pairs, rng):

@@ -25,6 +25,7 @@ from freqsynth.mecanalysis import (
     build_witness_strategy,
 )
 from freqsynth.slave import (
+    assumption_conj,
     buchi_accepting_sets,
     build_count_lts,
     build_slave_lts,
@@ -129,7 +130,7 @@ def test_criterion_4_slave_correctness():
         rec = rec_set(xi)
         for _ in range(4):
             w = random_lasso(rng, 5, 5, ["a", "b"])
-            R = rec_truth(w, rec)
+            R = assumption_conj(rec_truth(w, rec))
             trials += 1
             _, tcycle = run_cycle(token, w)
             buchi = bool(frozenset(tcycle) & buchi_accepting_sets(slave, token, R))

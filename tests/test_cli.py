@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from freqsynth import cli
 from freqsynth.formula import parse_formula
 
-from helpers import time_limit
+from helpers import WIDE_FORMULA, time_limit
 
 MODEL = """\
 mdp
@@ -97,6 +98,28 @@ def test_every_state_cap_defaults_to_the_one_constant():
         cli._build_parser().parse_args(["automaton", "--formula", "a"]).max_states,
     ]
     assert defaults == [lts.DEFAULT_STATE_CAP] * len(defaults)
+
+
+# SHA-256 of `automaton` stdout (sizes, acceptance dump and DOT) for the
+# two-bound formula of the translation benchmark and three corpus formulas.
+# Each runs in a fresh process: formulas print in their interning order.
+AUTOMATON_DIGESTS = {
+    WIDE_FORMULA: "b1516b8134c557c4d08385fc594f930786d65557795887e491828b48ea8a3fc5",
+    "G(X a | G X b)": (
+        "98f807eeda3cde7b7f93c19c89fd626ccebb989b7f056892fb1e0b3b0c2efc10"
+    ),
+    "G(a -> F b)": "ef45af7260e0729389130fb3998da3a2a3f443cfebc563e8abc1041723269592",
+    "(a U b) & G{>=1/2,inf} c": (
+        "1f17f1a7b462ff0ed32022462636cd701c5c1924ab1a3ce9d1a8c85e3821f066"
+    ),
+}
+
+
+def test_automaton_output_bytes_are_pinned():
+    for formula, digest in AUTOMATON_DIGESTS.items():
+        out = run_cli("automaton", "--formula", formula)
+        assert out.returncode == 0, out.stderr
+        assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest, formula
 
 
 def test_automaton_command(tmp_path):

@@ -16,6 +16,8 @@ from freqsynth.dgrma import (
 from freqsynth.formula import atoms_of, parse_formula
 from freqsynth.lasso import Lasso, models
 from freqsynth.lts import StateCapExceeded
+from freqsynth.mdp import product_mdp
+from freqsynth.synthesis import lift_pair
 
 from helpers import (
     WIDE_FORMULA,
@@ -23,7 +25,10 @@ from helpers import (
     letterwise_build_dgrma,
     random_fragment_formula,
     random_lasso,
+    random_mdp,
+    scan_lift_pair,
     zip_build_dgrma,
+    zip_build_pairs,
 )
 
 A = frozenset("a")
@@ -305,3 +310,68 @@ def test_extra_atoms_only_widen_rows():
                 assert row == [narrow_row[j] for j in projected], (phi, extra, q)
             cases += 1
     assert cases == 4 * len(formulas) >= 360
+
+
+def _column_corpus(seed):
+    """The corpus and 120 random fragment formulas, translated."""
+    rng = random.Random(seed)
+    formulas = corpus_formulas()
+    formulas += [
+        random_fragment_formula(rng, rng.randint(2, 12), ["a", "b", "c"])
+        for _ in range(120)
+    ]
+    for phi in formulas:
+        aut = _translate(build_dgrma, phi, 20_000)
+        if not isinstance(aut, str):
+            yield phi, aut
+
+
+def _written_out(pair):
+    return (
+        pair.assumptions,
+        frozenset(pair.fin),
+        tuple(frozenset(s) for s in pair.infs),
+        tuple((mp.ext, mp.cmp, mp.bound, tuple(mp.rewards)) for mp in pair.mps),
+    )
+
+
+def test_column_pairs_match_written_out_oracle():
+    # Pairs decided on payload columns must keep the oracle's assumption
+    # subsets in its order, with equal Fin and Inf sets and rewards over
+    # every automaton state, and lift_pair must lift them onto random
+    # products as the written-out sets lift.
+    rng = random.Random(2121)
+    compared = lifted = 0
+    for phi, aut in _column_corpus(2121):
+        ref = zip_build_pairs(aut.lts, aut.master, aut.rec, aut.slaves, aut.components)
+        assert list(map(_written_out, aut.pairs)) == list(map(_written_out, ref)), phi
+        compared += 1
+        atoms = sorted(aut.lts.atoms)
+        for _ in range(2):
+            mdp = random_mdp(rng, 6, 2)
+            valuation = [
+                frozenset(x for x in atoms if rng.random() < 0.5) for _ in mdp.states
+            ]
+            product, comp = product_mdp(mdp, valuation, aut.lts)
+            for pair, want in zip(aut.pairs, ref):
+                assert lift_pair(pair, product, comp) == scan_lift_pair(
+                    want, product, comp
+                ), phi
+                lifted += 1
+    assert compared >= 140 and lifted >= 1000
+
+
+def test_every_part_state_occurs_in_its_column():
+    # Every part is total over one alphabet, so each of its states occurs in
+    # its column of the product's payloads.  _build_pairs decides Inf
+    # emptiness on component states, and _tree_product's cap argument
+    # rests on the same projection.
+    checked = 0
+    for phi, aut in _column_corpus(2122):
+        parts = [aut.master] + aut.components
+        columns = list(zip(*aut.lts.states))
+        assert len(columns) == len(parts), phi
+        for part, column in zip(parts, columns):
+            assert set(column) == set(range(len(part))), phi
+        checked += 1
+    assert checked >= 130

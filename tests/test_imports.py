@@ -1,7 +1,9 @@
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "freqsynth"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "freqsynth"
 
 # (module, name) pairs imported without a use in the module itself.
 ALLOWED = {
@@ -57,3 +59,19 @@ def test_imports_are_at_module_top():
         if isinstance(inner, (ast.Import, ast.ImportFrom))
     ]
     assert not found, found
+
+
+def test_benchmark_hooks_resolve():
+    # bench/spans.py wraps each HOOKS name in its module when it traces a
+    # run; a renamed function must fail here too.  The file is executed from
+    # its source text, so nothing is written next to it.
+    path = ROOT / "bench" / "spans.py"
+    namespace = {"__name__": "spans"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
+    hooks = namespace["HOOKS"]
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _, _ in hooks
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert hooks and not missing, missing

@@ -10,6 +10,7 @@ from freqsynth.lasso import models
 from freqsynth.lts import Lts, powerset_alphabet
 from freqsynth.slave import (
     SlaveLts,
+    assumption_conj,
     buchi_accepting_sets,
     build_count_lts,
     build_slave_lts,
@@ -97,17 +98,18 @@ def test_buchi_and_cobuchi_sets_depend_on_assumptions():
     gfa = parse_formula("G F a")
     slave = build_slave_lts(xi)
     token = build_token_lts(slave)
-    with_assumption = slave.accepting_sinks([gfa])
-    without = slave.accepting_sinks([])
+    assumed, nothing = assumption_conj([gfa]), assumption_conj([])
+    with_assumption = slave.accepting_sinks(assumed)
+    without = slave.accepting_sinks(nothing)
     names_with = {str(slave.state(q)) for q in with_assumption}
     names_without = {str(slave.state(q)) for q in without}
     assert names_with == {"tt", "(G F a)"}
     assert names_without == {"tt"}
-    assert buchi_accepting_sets(slave, token, [gfa]) >= buchi_accepting_sets(
-        slave, token, []
+    assert buchi_accepting_sets(slave, token, assumed) >= buchi_accepting_sets(
+        slave, token, nothing
     )
     # Rejecting token sets contain some sink not provable from the assumptions.
-    rej = cobuchi_rejecting_sets(slave, token, [gfa])
+    rej = cobuchi_rejecting_sets(slave, token, assumed)
     ff_idx = slave.lts.index[FALSE]
     for i in rej:
         assert token.states[i] & (slave.sinks - with_assumption)
@@ -146,7 +148,7 @@ def test_count_bound_rejects_a_cyclic_slave():
 def test_mp_reward_values():
     slave = build_slave_lts(atom("a"))
     count = build_count_lts(slave)
-    rewards = mp_reward(slave, count, [])
+    rewards = mp_reward(slave, count, assumption_conj([]))
     tt_idx = slave.lts.index[TRUE]
     for q, state in enumerate(count.states):
         assert rewards[q] == state[tt_idx]
@@ -164,9 +166,10 @@ def test_lts_structure_independent_of_assumptions():
     count_snapshot = [None if row is None else list(row) for row in count.delta]
     sets = []
     for assumptions in ([], [gfa]):
-        buchi_accepting_sets(slave, token, assumptions)
-        sets.append(cobuchi_rejecting_sets(slave, token, assumptions))
-        mp_reward(slave, count, assumptions)
+        conj = assumption_conj(assumptions)
+        buchi_accepting_sets(slave, token, conj)
+        sets.append(cobuchi_rejecting_sets(slave, token, conj))
+        mp_reward(slave, count, conj)
     assert sets[0] != sets[1]  # the acceptance differs...
     assert [None if r is None else list(r) for r in token.delta] == token_snapshot
     assert [None if r is None else list(r) for r in count.delta] == count_snapshot
@@ -184,7 +187,7 @@ def test_slave_positions_decide_recurrence():
         slave = build_slave_lts(xi, ap={"a", "b"})
         w = random_lasso(rng, 3, 3, ["a", "b"])
         R = rec_truth(w, rec_set(xi))
-        good = slave.accepting_sinks(R)
+        good = slave.accepting_sinks(assumption_conj(R))
 
         def token_accepted(start):
             q = slave.lts.init
