@@ -16,7 +16,7 @@ from .formula import (
     parse_formula,
     push_negation,
 )
-from .boolfn import BoolFn, proves, step, substitute_ff, unfold
+from .boolfn import BoolFn, step, substitute_ff, unfold
 from .lasso import Lasso, models, parse_lasso
 from .lts import Lts, StateCapExceeded
 from .master import build_master

@@ -7,6 +7,7 @@ propositional equivalence, which makes them usable as automaton states.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Iterable
 
 from .formula import (
@@ -162,80 +163,49 @@ def substitute_ff(f: BoolFn, killed: Iterable[Formula]) -> BoolFn:
     )
 
 
-def proves(assumptions: Iterable, goal) -> bool:
-    """Propositional entailment over non-Boolean formulas.
-
-    ``assumptions`` may mix Formula and BoolFn values; the conjunction of all
-    of them must entail ``goal`` under every assignment, which for monotone
-    functions reduces to checking the minimal models of the conjunction.
-    """
-    conj = bf_and_many(_as_boolfn(a) for a in assumptions)
-    g = _as_boolfn(goal)
-    return all(g.holds_under(m) for m in conj.models)
-
-
-def _as_boolfn(x) -> BoolFn:
-    return x if isinstance(x, BoolFn) else formula_to_boolfn(x)
-
-
-_FORMULA_CACHE: dict[int, BoolFn] = {}
-_UNFOLD_CACHE: dict[int, BoolFn] = {}
-_RANK_CACHE: dict[int, int] = {}
-
-
+@cache
 def formula_to_boolfn(phi: Formula) -> BoolFn:
     """View a formula as a Boolean function over its non-Boolean parts."""
-    cached = _FORMULA_CACHE.get(phi.uid)
-    if cached is not None:
-        return cached
     k = phi.kind
     if k == TT:
-        out = TRUE
-    elif k == FF:
-        out = FALSE
-    elif k == AND:
-        out = bf_and_many(formula_to_boolfn(c) for c in phi.children)
-    elif k == OR:
-        out = bf_or_many(formula_to_boolfn(c) for c in phi.children)
-    elif k == NOT:
+        return TRUE
+    if k == FF:
+        return FALSE
+    if k == AND:
+        return bf_and_many(formula_to_boolfn(c) for c in phi.children)
+    if k == OR:
+        return bf_or_many(formula_to_boolfn(c) for c in phi.children)
+    if k == NOT:
         raise FormulaError("negation nodes must be rewritten before automaton use")
-    else:
-        out = var(phi)
-    _FORMULA_CACHE[phi.uid] = out
-    return out
+    return var(phi)
 
 
+@cache
 def unfold_formula(phi: Formula) -> BoolFn:
     """One-step expansion of a single formula into literals and X-obligations."""
-    cached = _UNFOLD_CACHE.get(phi.uid)
-    if cached is not None:
-        return cached
     k = phi.kind
     if k == TT:
-        out = TRUE
-    elif k == FF:
-        out = FALSE
-    elif k == AND:
-        out = bf_and_many(unfold_formula(c) for c in phi.children)
-    elif k == OR:
-        out = bf_or_many(unfold_formula(c) for c in phi.children)
-    elif k == EVENTUALLY:
-        out = bf_or(unfold_formula(phi.children[0]), var(next_(phi)))
-    elif k == ALWAYS:
-        out = bf_and(unfold_formula(phi.children[0]), var(next_(phi)))
-    elif k == UNTIL:
+        return TRUE
+    if k == FF:
+        return FALSE
+    if k == AND:
+        return bf_and_many(unfold_formula(c) for c in phi.children)
+    if k == OR:
+        return bf_or_many(unfold_formula(c) for c in phi.children)
+    if k == EVENTUALLY:
+        return bf_or(unfold_formula(phi.children[0]), var(next_(phi)))
+    if k == ALWAYS:
+        return bf_and(unfold_formula(phi.children[0]), var(next_(phi)))
+    if k == UNTIL:
         left, right = phi.children
-        out = bf_or(
+        return bf_or(
             unfold_formula(right), bf_and(unfold_formula(left), var(next_(phi)))
         )
-    elif k == FREQ:
-        out = var(next_(phi))
-    elif k in (AP, NAP, NEXT):
-        out = var(phi)
-    else:
-        raise FormulaError(f"cannot unfold {phi}")
-    _UNFOLD_CACHE[phi.uid] = out
-    return out
+    if k == FREQ:
+        return var(next_(phi))
+    if k in (AP, NAP, NEXT):
+        return var(phi)
+    raise FormulaError(f"cannot unfold {phi}")
 
 
 def unfold(f) -> BoolFn:
@@ -280,25 +250,20 @@ def step_row(f: BoolFn, alphabet) -> list[BoolFn]:
     return row
 
 
+@cache
 def formula_rank(phi: Formula) -> int:
     """Steps before the formula is insensitive to letters: literals rank 1,
     X adds one, fixed operators (U, F, G, frequency-G) rank 0."""
-    cached = _RANK_CACHE.get(phi.uid)
-    if cached is not None:
-        return cached
     k = phi.kind
     if k in (AP, NAP):
-        out = 1
-    elif k == NEXT:
-        out = 1 + formula_rank(phi.children[0])
-    elif k in (AND, OR):
-        out = max(formula_rank(c) for c in phi.children)
-    elif k in (TT, FF, UNTIL, EVENTUALLY, ALWAYS, FREQ):
-        out = 0
-    else:
-        raise FormulaError(f"cannot rank {phi}")
-    _RANK_CACHE[phi.uid] = out
-    return out
+        return 1
+    if k == NEXT:
+        return 1 + formula_rank(phi.children[0])
+    if k in (AND, OR):
+        return max(formula_rank(c) for c in phi.children)
+    if k in (TT, FF, UNTIL, EVENTUALLY, ALWAYS, FREQ):
+        return 0
+    raise FormulaError(f"cannot rank {phi}")
 
 
 def rank(f: BoolFn) -> int:

@@ -5,16 +5,15 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from functools import partial
 
 from .dgrma import accepts_lasso, acceptance_dump, build_dgrma, dgrma_to_dot
-from .formula import FREQ, Formula, FormulaError, parse_formula, parse_rational
+from .formula import Formula, FormulaError, parse_formula, parse_rational
 from .lasso import LassoError, models, parse_lasso
 from .lts import DEFAULT_STATE_CAP, StateCapExceeded
 from .mdp import MdpError, mec_decomposition, parse_mdp
 from .mecanalysis import EpochSchedule
 from .simplex import SimplexError
-from .slave import token_counts_str, token_set_str
+from .slave import token_str
 from .synthesis import SynthesisError, simulate_global, synthesize
 
 _ERRORS = (
@@ -150,15 +149,13 @@ def cmd_automaton(args) -> int:
         sys.stdout.write(dot)
     if args.export_slaves:
         for i, rho in enumerate(aut.rec):
-            slave = aut.slaves[i]
-            label = (
-                partial(token_counts_str, slave)
-                if rho.kind == FREQ
-                else partial(token_set_str, slave)
-            )
+            slave, states = aut.slaves[i], aut.components[i].states
             exports = [
                 (f"slave{i}", slave.lts.to_dot()),
-                (f"slave{i}.tokens", aut.components[i].to_dot(label=label)),
+                (
+                    f"slave{i}.tokens",
+                    aut.components[i].to_dot(lambda q: token_str(slave, states[q])),
+                ),
             ]
             for suffix, text in exports:
                 if args.dot:

@@ -4,7 +4,7 @@ The automaton is the product of the master LTS with one token automaton per
 recurrent subformula (subset-tracking for F- and G-members, token-counting
 for frequency members).  Acceptance is one pair per assumption subset of the
 recurrent formulas, already normalized to a single Fin set per pair, and
-decided on the payload columns: each set and reward vector is a view over a
+decided on the part columns: each set and reward vector is a view over a
 column of the product's part states, not a set written out per state.
 """
 
@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, repeat
-from operator import add, mul
+from itertools import compress, count
+from operator import add
 
 from .boolfn import bf_and, bf_and_many, substitute_ff
 from .formula import (
@@ -40,8 +40,7 @@ from .slave import (
     build_token_lts,
     cobuchi_rejecting_sets,
     mp_reward,
-    token_counts_str,
-    token_set_str,
+    token_str,
 )
 
 
@@ -119,8 +118,8 @@ class GrmpPair:
     member of ``infs`` infinitely often, and every mean-payoff atom holds.
     ``fin`` is the union of the master prohibition and one set per assumed
     G-formula; avoiding every part equals avoiding the union.  ``fin`` and
-    each Inf set are ``ColumnSet`` views over a payload column (Fin's column
-    codes the master and G-member states), and each reward vector is a
+    each Inf set are ``ColumnSet`` views over a part column (Fin's column
+    numbers the master and G-member states), and each reward vector is a
     ``ColumnMap``: membership and reward of one automaton state are one
     lookup, and only ``acceptance_dump``, ``dgrma_to_dot`` and the tests
     read them over all states.
@@ -135,30 +134,28 @@ class GrmpPair:
 class Dgrma:
     """Product automaton with its acceptance pairs and building blocks.
 
-    A product state's payload is its tuple of part states: the master
-    state, then one state per recurrent subformula's token or counting
-    automaton.  Each pair's sets and rewards are views over these columns.
+    ``columns[k][q]`` is product state ``q``'s state in part ``k``: the
+    master (part 0), then one token or counting automaton per recurrent
+    subformula.  Each pair's sets and rewards are views over these columns.
     """
 
-    def __init__(self, lts, master, rec, slaves, components, pairs):
+    def __init__(self, lts, master, rec, slaves, components, columns, pairs):
         self.lts = lts
         self.master = master
         self.rec = rec
         self.slaves = slaves
         self.components = components
+        self.columns = columns
         self.pairs = pairs
 
     def __len__(self):
         return len(self.lts)
 
-    def state_label(self, payload) -> str:
-        parts = [str(self.master.states[payload[0]])]
-        for i, rho in enumerate(self.rec):
-            comp_state = self.components[i].states[payload[i + 1]]
-            if rho.kind == FREQ:
-                parts.append(token_counts_str(self.slaves[i], comp_state))
-            else:
-                parts.append(token_set_str(self.slaves[i], comp_state))
+    def state_label(self, q: int) -> str:
+        m, *comp_states = (column[q] for column in self.columns)
+        parts = [str(self.master.states[m])]
+        for slave, component, s in zip(self.slaves, self.components, comp_states):
+            parts.append(token_str(slave, component.states[s]))
         return " | ".join(parts)
 
 
@@ -195,58 +192,59 @@ def build_dgrma(phi: Formula, cap: int = DEFAULT_STATE_CAP) -> Dgrma:
             components.append(build_token_lts(slave, cap))
 
     parts = [master] + components
-    delta, states = _tree_product(parts, atoms, cap)
-    index = dict(zip(states, range(len(states))))
-    lts = Lts(atoms, master.alphabet, states, index, 0, delta)
-
-    pairs = _build_pairs(lts, parts, rec, slaves)
-    return Dgrma(lts, master, rec, slaves, components, pairs)
+    lts, columns = _tree_product(parts, atoms, cap)
+    pairs = _build_pairs(parts, columns, rec, slaves)
+    return Dgrma(lts, master, rec, slaves, components, columns, pairs)
 
 
-def _tree_product(parts: list[Lts], atoms, cap: int) -> tuple[list, list]:
-    """Rows and payloads of the reachable product of ``parts``.
+def _tree_product(parts: list[Lts], atoms, cap: int) -> tuple[Lts, list]:
+    """The reachable product of ``parts`` and one column per part.
 
-    A payload is the tuple of part state indices.  The product of each half
-    is built first, then the pair product numbers each state by the code
-    ``a * len(B) + b``, so one row is one add per letter.  Every part is
-    total over the same alphabet, so a half's reachable states are the
+    The product of each half is built first, then the pair product codes
+    each state as ``a * len(B) + b``, so one row is one add per letter, and
+    its columns are the halves' columns read at ``a`` and ``b``.  Every part
+    is total over the same alphabet, so a half's reachable states are the
     projections of the whole product's, the breadth-first numbering is that
-    of the product over payload tuples, and no half outgrows the whole: the
-    cap raises exactly when the whole exceeds it.
+    of the product over tuples of part states, and no half outgrows the
+    whole: the cap raises exactly when the whole exceeds it.  A single part
+    is its own product.
     """
     if len(parts) == 1:
-        return parts[0].delta, [(q,) for q in range(len(parts[0]))]
+        return parts[0], [list(range(len(parts[0])))]
     mid = (len(parts) + 1) // 2
-    delta_a, states_a = _tree_product(parts[:mid], atoms, cap)
-    delta_b, states_b = _tree_product(parts[mid:], atoms, cap)
-    width = len(states_b)
-    scaled = [[t * width for t in row] for row in delta_a]
+    lts_a, columns_a = _tree_product(parts[:mid], atoms, cap)
+    lts_b, columns_b = _tree_product(parts[mid:], atoms, cap)
+    width = len(lts_b)
+    scaled = [[t * width for t in row] for row in lts_a.delta]
+    delta_b = lts_b.delta
 
     def successors(code, alphabet):
         a, b = divmod(code, width)
         return list(map(add, scaled[a], delta_b[b]))
 
     lts = build_lts(0, successors, atoms, cap, what="product automaton")
-    states = [states_a[c // width] + states_b[c % width] for c in lts.states]
-    return lts.delta, states
+    high = [c // width for c in lts.states]
+    low = [c % width for c in lts.states]
+    columns = [list(map(column.__getitem__, high)) for column in columns_a]
+    columns += [list(map(column.__getitem__, low)) for column in columns_b]
+    return lts, columns
 
 
-def _build_pairs(lts, parts, rec, slaves) -> list[GrmpPair]:
-    """One pair per assumption subset, decided on payload columns.
+def _build_pairs(parts, columns, rec, slaves) -> list[GrmpPair]:
+    """One pair per assumption subset, decided on the part columns.
 
     Fin is a union of groups keyed by the master state and the states of
     the assumed G-members: a key is bad when one of those states holds a
     sink that the assumptions do not prove, or when the master obligation
     is not provable from the assumptions plus the G-members' substituted
-    tokens.  Each distinct key of the product is decided once per pair.
-    Inf sets and rewards read one component column.  Every part is total,
-    so every state of a part occurs in its column: an Inf set is empty iff
-    it has no good component state.
+    tokens.  Keys are numbered in first-seen order, and each distinct key
+    of the product is decided once per pair.  Inf sets and rewards read one
+    component column.  Every part is total, so every state of a part occurs
+    in its column: an Inf set is empty iff it has no good component state.
     """
     master, components = parts[0], parts[1:]
-    columns = list(zip(*lts.states))  # columns[k][q]: product state q's part k
     n = len(rec)
-    keys_by_g: dict = {}  # G-members -> (key column, {key code: key})
+    keys_by_g: dict = {}  # G-members -> (key number column, keys in order)
     pairs = []
     for mask in range(1 << n):
         chosen = [i for i in range(n) if mask >> i & 1]
@@ -277,22 +275,18 @@ def _build_pairs(lts, parts, rec, slaves) -> list[GrmpPair]:
         g_members = tuple(rejecting)
         got = keys_by_g.get(g_members)
         if got is None:
-            # A key codes (master state, one state per G-member) in mixed
-            # radix over the parts' sizes, as _tree_product codes states.
-            column = columns[0]
-            for i in g_members:
-                scaled = map(mul, column, repeat(len(components[i])))
-                column = list(map(add, scaled, columns[i + 1]))
-            decoded = zip(columns[0], *[columns[i + 1] for i in g_members])
-            got = keys_by_g[g_members] = (column, dict(zip(column, decoded)))
+            ids: dict = {}  # (master state, one state per G-member) -> number
+            keyed = zip(columns[0], *[columns[i + 1] for i in g_members])
+            column = [ids.setdefault(key, len(ids)) for key in keyed]
+            got = keys_by_g[g_members] = (column, list(ids))
         column, keys = got
         token_conj: dict = {}  # (member, state) -> its substituted tokens
         conj_of: dict = {}  # G-member states -> their tokens and ``base``
         bad = set()
-        for code, key in keys.items():
+        for k, key in enumerate(keys):
             m, g_states = key[0], key[1:]
             if any(s in rejecting[i] for i, s in zip(g_members, g_states)):
-                bad.add(code)
+                bad.add(k)
                 continue
             conj = conj_of.get(g_states)
             if conj is None:
@@ -308,7 +302,7 @@ def _build_pairs(lts, parts, rec, slaves) -> list[GrmpPair]:
                 conj_of[g_states] = conj
             goal = master.states[m]
             if not all(goal.holds_under(model) for model in conj.models):
-                bad.add(code)
+                bad.add(k)
         if len(bad) == len(keys):
             continue  # Fin holds every state
         fin = ColumnSet(column, frozenset(bad))

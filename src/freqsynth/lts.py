@@ -50,10 +50,13 @@ class Lts:
             return None
         return row[self.letter_index[frozenset(letter) & self.atoms]]
 
-    def to_dot(self, label: Callable = str, annotate: Callable = None) -> str:
+    def to_dot(self, label: Callable = None, annotate: Callable = None) -> str:
+        """DOT rendering; ``label(q)`` names state ``q`` (by default the
+        text of its payload) and ``annotate(q)`` adds a second line."""
         lines = ["digraph lts {", "  rankdir=LR;", '  __init [shape=point, label=""];']
         for q, payload in enumerate(self.states):
-            text = label(payload).replace("\\", "\\\\").replace('"', '\\"')
+            text = label(q) if label else str(payload)
+            text = text.replace("\\", "\\\\").replace('"', '\\"')
             extra = f"\\n{annotate(q)}" if annotate else ""
             lines.append(f'  q{q} [shape=box, style=rounded, label="{text}{extra}"];')
         lines.append(f"  __init -> q{self.init};")

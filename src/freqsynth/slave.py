@@ -163,13 +163,11 @@ def mp_reward(
     )
 
 
-def token_set_str(slave: SlaveLts, tokens: TokenSet) -> str:
-    parts = [str(slave.state(q)) for q in sorted(tokens)]
-    return "{" + "; ".join(parts) + "}"
-
-
-def token_counts_str(slave: SlaveLts, counts: TokenCounts) -> str:
-    parts = [
-        f"{slave.state(q)}:{c}" for q, c in enumerate(counts) if c
-    ]
+def token_str(slave: SlaveLts, state: TokenSet | TokenCounts) -> str:
+    """A token set, or a count vector as ``slave state:count`` per occupied
+    slave state."""
+    if isinstance(state, TokenSet):
+        parts = [str(slave.state(q)) for q in sorted(state)]
+    else:
+        parts = [f"{slave.state(q)}:{c}" for q, c in enumerate(state) if c]
     return "{" + "; ".join(parts) + "}"

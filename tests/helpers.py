@@ -19,17 +19,17 @@ by dense solves (``gauss_solve``) and the rescan selector loop, which the
 sparse solve and the replayed selector replaced.  ``letterwise_build_lts`` is
 the transition-system builder that called its successor once per letter, and
 ``letterwise_build_dgrma`` builds the master, slave, token, counting and
-product automata with it, one successor call per (state, letter), and the
-acceptance pairs by walking every product state's payload per assumption set
-(``letterwise_build_pairs``); row-at-a-time translation replaced both.
-``zip_build_dgrma`` is that row-at-a-time translation with its product over
-payload tuples, each row zipped from the part rows, and its acceptance sets
-written out by scanning every product state (``zip_build_pairs``); the tree
-of integer-coded pair products and the pairs decided on payload columns
-(views over the columns, not sets) replaced both.  Both oracles wrap their
-written-out sets in views over the identity column (``written_out_pair``),
-so the pipeline reads them as it reads ``build_dgrma``'s pairs, and
-``scan_lift_pair`` is ``lift_pair`` as a scan of every product state.
+product automata with it, one successor call per (state, letter), with the
+product over tuples of part states, and the acceptance pairs by walking
+every product state's parts per assumption set (``letterwise_build_pairs``);
+row-at-a-time translation, the tree of integer-coded pair products and the
+pairs decided once per distinct key on the part columns (views over the
+columns, not sets) replaced them.  The oracle wraps its written-out sets in
+views over the identity column (``written_out_pair``), so the pipeline reads
+them as it reads ``build_dgrma``'s pairs, and ``scan_lift_pair`` is
+``lift_pair`` as a scan of every product state.  ``proves`` is propositional
+entailment over formulas and Boolean functions, which the proof-obligation
+tests state their claims with.
 ``named_simulate_global`` is the global simulation loop that looked every
 step up by product state and action name; ``simulate_global`` now maps the
 entry state to its component once per episode.  ``fraction_sample`` is the
@@ -59,6 +59,7 @@ from fractions import Fraction
 from itertools import islice
 
 from freqsynth.boolfn import (
+    BoolFn,
     bf_and,
     bf_and_many,
     formula_to_boolfn,
@@ -83,8 +84,7 @@ from freqsynth.formula import (
     until,
 )
 from freqsynth.lasso import Lasso, LassoError, _Eval, models
-from freqsynth.lts import Lts, StateCapExceeded, build_lts, powerset_alphabet
-from freqsynth.master import build_master
+from freqsynth.lts import Lts, StateCapExceeded, powerset_alphabet
 from freqsynth.dgrma import (
     ColumnMap,
     ColumnSet,
@@ -98,9 +98,6 @@ from freqsynth.formula import ALWAYS, EVENTUALLY, FREQ, GT, FormulaError, atoms_
 from freqsynth.slave import (
     SlaveLts,
     buchi_accepting_sets,
-    build_count_lts,
-    build_slave_lts,
-    build_token_lts,
     cobuchi_rejecting_sets,
     mp_reward,
 )
@@ -1003,7 +1000,10 @@ def letterwise_build_lts(
     init_payload, successor, atoms, cap, is_terminal=None, what="transition system"
 ):
     """Breadth-first LTS construction with ``successor(payload, letter)``
-    called once per letter of each row."""
+    called once per letter of each row; the initial state counts against
+    the cap."""
+    if cap < 1:
+        raise StateCapExceeded(what, cap)
     alphabet = powerset_alphabet(atoms)
     states = [init_payload]
     index = {init_payload: 0}
@@ -1103,15 +1103,18 @@ def letterwise_build_dgrma(phi, ap=None, cap=100_000):
     lts = letterwise_build_lts(
         tuple(p.init for p in parts), successor, atoms, cap, what="product automaton"
     )
-    pairs = letterwise_build_pairs(lts, master, rec, slaves, components)
-    return Dgrma(lts, master, rec, slaves, components, pairs)
+    columns = [list(column) for column in zip(*lts.states)]
+    pairs = letterwise_build_pairs(columns, master, rec, slaves, components)
+    return Dgrma(lts, master, rec, slaves, components, columns, pairs)
 
 
-def letterwise_build_pairs(lts, master, rec, slaves, components):
+def letterwise_build_pairs(columns, master, rec, slaves, components):
     """Acceptance pairs, deciding the master part state by state (memoized
-    per key) and lifting every set through each product payload."""
+    per key) and lifting every set through each product state's column
+    entry; ``columns[k][q]`` is product state ``q``'s state in part ``k``."""
     n = len(rec)
-    all_states = frozenset(range(len(lts)))
+    size = len(columns[0])
+    all_states = frozenset(range(size))
     token_conj_cache: dict = {}
     pairs = []
     for mask in range(1 << n):
@@ -1134,14 +1137,15 @@ def letterwise_build_pairs(lts, master, rec, slaves, components):
 
         fin = set()
         proved_cache: dict = {}
-        for q, payload in enumerate(lts.states):
-            key = (payload[0],) + tuple(payload[i + 1] for i in g_members)
+        key_columns = [columns[0]] + [columns[i + 1] for i in g_members]
+        for q in range(size):
+            key = tuple(column[q] for column in key_columns)
             proved = proved_cache.get(key)
             if proved is None:
                 conj = base
                 for i in g_members:
-                    conj = bf_and(conj, token_conj(i, payload[i + 1]))
-                goal = master.states[payload[0]]
+                    conj = bf_and(conj, token_conj(i, columns[i + 1][q]))
+                goal = master.states[columns[0][q]]
                 proved = all(goal.holds_under(m) for m in conj.models)
                 proved_cache[key] = proved
             if not proved:
@@ -1152,34 +1156,24 @@ def letterwise_build_pairs(lts, master, rec, slaves, components):
         degenerate = False
         for i in chosen:
             rho = rec[i]
+            column = columns[i + 1]
             if rho.kind == EVENTUALLY:
                 good = buchi_accepting_sets(slaves[i], components[i], base)
-                lifted = frozenset(
-                    q for q, payload in enumerate(lts.states) if payload[i + 1] in good
-                )
+                lifted = frozenset(q for q, s in enumerate(column) if s in good)
                 if not lifted:
                     degenerate = True
                     break
                 infs.append(lifted)
             elif rho.kind == ALWAYS:
                 bad = cobuchi_rejecting_sets(slaves[i], components[i], base)
-                fin.update(
-                    q for q, payload in enumerate(lts.states) if payload[i + 1] in bad
-                )
+                fin.update(q for q, s in enumerate(column) if s in bad)
             else:
                 rewards = mp_reward(slaves[i], components[i], base)
                 cmp, p, ext = rho.bound
-                mps.append(
-                    MpAtom(
-                        ext,
-                        cmp,
-                        p,
-                        tuple(rewards[payload[i + 1]] for payload in lts.states),
-                    )
-                )
+                mps.append(MpAtom(ext, cmp, p, tuple(rewards[s] for s in column)))
         if degenerate or frozenset(fin) == all_states:
             continue
-        pairs.append(written_out_pair(len(lts), assumed, fin, infs, mps))
+        pairs.append(written_out_pair(size, assumed, fin, infs, mps))
     return pairs
 
 
@@ -1198,93 +1192,20 @@ def written_out_pair(n, assumed, fin, infs, mps):
     )
 
 
-def zip_build_dgrma(phi, cap=100_000):
-    """``build_dgrma`` with the product over payload tuples, each row the zip
-    of the part rows, and every acceptance set lifted by a scan of each
-    product state's component (``zip_build_pairs``)."""
-    atoms = set(atoms_of(phi))
-    master = build_master(phi, cap)
-    rec = rec_set(phi)
-    slaves = []
-    components = []
-    for rho in rec:
-        slave = build_slave_lts(rho.children[0], atoms, cap)
-        slaves.append(slave)
-        if rho.kind == FREQ:
-            components.append(build_count_lts(slave, cap))
-        else:
-            components.append(build_token_lts(slave, cap))
-    parts = [master] + components
-    deltas = [p.delta for p in parts]
+def proves(assumptions, goal) -> bool:
+    """Propositional entailment over non-Boolean formulas.
 
-    def successors(payload, alphabet):
-        return list(zip(*[d[s] for d, s in zip(deltas, payload)]))
-
-    lts = build_lts(
-        tuple(p.init for p in parts), successors, atoms, cap, what="product automaton"
-    )
-    pairs = zip_build_pairs(lts, master, rec, slaves, components)
-    return Dgrma(lts, master, rec, slaves, components, pairs)
+    ``assumptions`` may mix Formula and BoolFn values; the conjunction of all
+    of them must entail ``goal`` under every assignment, which for monotone
+    functions reduces to checking the minimal models of the conjunction.
+    """
+    conj = bf_and_many(_as_boolfn(a) for a in assumptions)
+    g = _as_boolfn(goal)
+    return all(g.holds_under(m) for m in conj.models)
 
 
-def zip_build_pairs(lts, master, rec, slaves, components):
-    """Acceptance pairs with the master part decided per (master state,
-    G-member states) group and every component set lifted by scanning the
-    product states' column."""
-    n = len(rec)
-    comp_of = list(zip(*lts.states))
-    all_states = frozenset(range(len(lts)))
-    pairs = []
-    for mask in range(1 << n):
-        chosen = [i for i in range(n) if mask >> i & 1]
-        assumed = tuple(rec[i] for i in chosen)
-        dropped = [rec[i] for i in range(n) if not mask >> i & 1]
-        base = bf_and_many(formula_to_boolfn(rho) for rho in assumed)
-        g_members = [i for i in chosen if rec[i].kind == ALWAYS]
-        groups: dict = {}
-        keys = zip(comp_of[0], *[comp_of[i + 1] for i in g_members])
-        for q, key in enumerate(keys):
-            groups.setdefault(key, []).append(q)
-        fin = set()
-        for key, members in groups.items():
-            conj = base
-            for i, comp_state in zip(g_members, key[1:]):
-                tokens = components[i].states[comp_state]
-                conj = bf_and(
-                    conj,
-                    bf_and_many(
-                        substitute_ff(slaves[i].state(q), dropped)
-                        for q in sorted(tokens)
-                    ),
-                )
-            goal = master.states[key[0]]
-            if not all(goal.holds_under(m) for m in conj.models):
-                fin.update(members)
-
-        infs = []
-        mps = []
-        degenerate = False
-        for i in chosen:
-            rho = rec[i]
-            col = comp_of[i + 1]
-            if rho.kind == EVENTUALLY:
-                good = buchi_accepting_sets(slaves[i], components[i], base)
-                lifted = frozenset(q for q, s in enumerate(col) if s in good)
-                if not lifted:
-                    degenerate = True
-                    break
-                infs.append(lifted)
-            elif rho.kind == ALWAYS:
-                bad = cobuchi_rejecting_sets(slaves[i], components[i], base)
-                fin.update(q for q, s in enumerate(col) if s in bad)
-            else:
-                rewards = mp_reward(slaves[i], components[i], base)
-                cmp, p, ext = rho.bound
-                mps.append(MpAtom(ext, cmp, p, tuple(rewards[s] for s in col)))
-        if degenerate or frozenset(fin) == all_states:
-            continue
-        pairs.append(written_out_pair(len(lts), assumed, fin, infs, mps))
-    return pairs
+def _as_boolfn(x) -> BoolFn:
+    return x if isinstance(x, BoolFn) else formula_to_boolfn(x)
 
 
 def scan_lift_pair(pair, product, automaton_component):

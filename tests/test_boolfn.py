@@ -10,7 +10,6 @@ from freqsynth.boolfn import (
     bf_and,
     bf_or,
     formula_to_boolfn,
-    proves,
     rank,
     step,
     substitute_ff,
@@ -20,7 +19,7 @@ from freqsynth.boolfn import (
 from freqsynth.formula import atom, eventually, always, parse_formula
 from freqsynth.lasso import models
 
-from helpers import models_boolfn, random_fragment_formula, random_lasso
+from helpers import models_boolfn, proves, random_fragment_formula, random_lasso
 
 
 # A tiny expression language over 6 opaque variables, used to compare the

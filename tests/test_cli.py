@@ -4,13 +4,13 @@ import os
 import subprocess
 import sys
 import tempfile
-import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import freqsynth.formula
 from freqsynth import cli
 from freqsynth.formula import parse_formula
 
@@ -118,6 +118,27 @@ AUTOMATON_DIGESTS = {
 def test_automaton_output_bytes_are_pinned():
     for formula, digest in AUTOMATON_DIGESTS.items():
         out = run_cli("automaton", "--formula", formula)
+        assert out.returncode == 0, out.stderr
+        assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest, formula
+
+
+# SHA-256 of `automaton --export-slaves` stdout, which adds every slave and
+# its token or counting automaton with their state labels.
+EXPORT_SLAVES_DIGESTS = {
+    WIDE_FORMULA: "b0e7d6f6317ec47f22e71354253a5a4c9bc825470c469e8b2bb54c71c70907fa",
+    "G(a -> F b)": "1dc1cd9ebbace12f4356cb55d09f3b49b8cc1babb92815bd7943450d21bf4d58",
+    "(a U b) & G{>=1/2,inf} c": (
+        "df447c24d3ed2f152095c5a229540c62501271e1d5e8bb74b3b2e64c4568c701"
+    ),
+    "G(X a | G X b)": (
+        "aaa3a547af0bf46c592dacc1e38507a7da438ffd32c7370ca5a604251fa1383b"
+    ),
+}
+
+
+def test_exported_slave_bytes_are_pinned():
+    for formula, digest in EXPORT_SLAVES_DIGESTS.items():
+        out = run_cli("automaton", "--formula", formula, "--export-slaves")
         assert out.returncode == 0, out.stderr
         assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest, formula
 
@@ -355,13 +376,32 @@ def test_fuzzed_simulate_counts_run_or_give_one_error_line(steps, episodes, cap)
 NOT_LITERALS = ("1e-10000000", "1E5", "-1/2", "+1", ".5", "0x10", "1_0", "inf")
 
 
+@pytest.fixture()
+def fraction_calls(monkeypatch):
+    """The argument tuples of every call of ``Fraction`` in
+    ``freqsynth.formula``, where all rational literals are converted.
+    ``Fraction('1e-10000000')`` alone runs for seconds, so a rejected
+    literal must be rejected before it gets there."""
+    calls = []
+    real = freqsynth.formula.Fraction
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(freqsynth.formula, "Fraction", recording)
+    return calls
+
+
 @pytest.mark.parametrize("token", NOT_LITERALS)
-def test_probability_outside_the_literal_grammar_is_a_model_error(tmp_path, token):
+def test_probability_outside_the_literal_grammar_is_a_model_error(
+    tmp_path, fraction_calls, token
+):
     path = tmp_path / "m.mdp"
     path.write_text(MODEL.replace("s1 1/2", f"s1 {token}"))
-    start = time.perf_counter()
-    code, _, err = main_in_process(["mec", "--model", str(path)])
-    assert time.perf_counter() - start < 0.1
+    with time_limit(30):
+        code, _, err = main_in_process(["mec", "--model", str(path)])
+    assert fraction_calls and not any(token in args for args in fraction_calls)
     assert_one_error_line(code, err)
     assert f"line 6: bad probability {token!r}" in err
 
@@ -376,12 +416,14 @@ def test_zero_probability_is_a_line_numbered_model_error(tmp_path):
 
 
 @pytest.mark.parametrize("token", NOT_LITERALS)
-def test_threshold_outside_the_literal_grammar_is_rejected(model_file, token):
-    start = time.perf_counter()
-    code, _, err = main_in_process(
-        ["synth", "--model", model_file, "--formula", "F a", "--threshold=" + token]
-    )
-    assert time.perf_counter() - start < 0.1
+def test_threshold_outside_the_literal_grammar_is_rejected(
+    model_file, fraction_calls, token
+):
+    with time_limit(30):
+        code, _, err = main_in_process(
+            ["synth", "--model", model_file, "--formula", "F a", "--threshold=" + token]
+        )
+    assert fraction_calls and not any(token in args for args in fraction_calls)
     assert_one_error_line(code, err)
     assert f"bad rational {token!r}" in err
 

@@ -23,12 +23,12 @@ from helpers import (
     WIDE_FORMULA,
     corpus_formulas,
     letterwise_build_dgrma,
+    letterwise_build_pairs,
+    proves,
     random_fragment_formula,
     random_lasso,
     random_mdp,
     scan_lift_pair,
-    zip_build_dgrma,
-    zip_build_pairs,
 )
 
 A = frozenset("a")
@@ -61,9 +61,7 @@ def test_eventually_pair_structure():
     assert empty.assumptions == ()
     assert not empty.infs and not empty.mps
     tt_states = {
-        q
-        for q, payload in enumerate(aut.lts.states)
-        if aut.master.states[payload[0]] == TRUE
+        q for q, m in enumerate(aut.columns[0]) if aut.master.states[m] == TRUE
     }
     assert frozenset(range(len(aut.lts))) - empty.fin == tt_states
     assert len(full.infs) == 1 and not full.mps
@@ -135,14 +133,14 @@ def test_fin_normalization_preserves_acceptance():
 
 
 def test_proof_obligations_monotone_in_assumptions():
-    from freqsynth.boolfn import proves, substitute_ff, formula_to_boolfn
+    from freqsynth.boolfn import substitute_ff, formula_to_boolfn
 
     phi = parse_formula("G(X a | G X b)")
     aut = build_dgrma(phi)
     rec = aut.rec
     rng = random.Random(9)
-    for q, payload in enumerate(aut.lts.states):
-        goal = aut.master.states[payload[0]]
+    for q in range(len(aut)):
+        goal = aut.master.states[aut.columns[0][q]]
         for _ in range(4):
             mask = rng.randrange(1 << len(rec))
             chosen = [rec[i] for i in range(len(rec)) if mask >> i & 1]
@@ -150,7 +148,7 @@ def test_proof_obligations_monotone_in_assumptions():
             assumptions = list(chosen)
             for i, rho in enumerate(rec):
                 if rho.kind == "G" and rho in chosen:
-                    tokens = aut.components[i].states[payload[i + 1]]
+                    tokens = aut.components[i].states[aut.columns[i + 1][q]]
                     assumptions.extend(
                         substitute_ff(aut.slaves[i].state(t), dropped)
                         for t in tokens
@@ -182,13 +180,20 @@ def _translate(build, phi, cap):
 
 
 def test_row_translation_matches_letterwise_oracle():
-    # Row-at-a-time translation must number the same states in the same
-    # order, with the same rows and acceptance, as one call per letter; a
-    # small cap must stop both in the same automaton.
+    # Row-at-a-time translation through the tree of integer-coded pair
+    # products must number the same states in the same order, with the same
+    # part columns, rows and acceptance, as one call per letter over tuples
+    # of part states; a small cap, and a cap of one state under the
+    # product's size, must stop both with the same error.
     rng = random.Random(8)
+    formulas = corpus_formulas()
+    corpus = len(formulas)
+    formulas += [
+        random_fragment_formula(rng, rng.randint(2, 12), ["a", "b", "c"])
+        for _ in range(300)
+    ]
     built = capped = 0
-    for _ in range(300):
-        phi = random_fragment_formula(rng, rng.randint(2, 12), ["a", "b", "c"])
+    for phi in formulas:
         for cap in (10_000, rng.randint(1, 12)):
             aut = _translate(build_dgrma, phi, cap)
             ref = _translate(letterwise_build_dgrma, phi, cap)
@@ -197,12 +202,18 @@ def test_row_translation_matches_letterwise_oracle():
                 capped += 1
                 continue
             built += 1
-            got = [aut.lts, aut.master] + [s.lts for s in aut.slaves] + aut.components
-            want = [ref.lts, ref.master] + [s.lts for s in ref.slaves] + ref.components
+            assert aut.columns == ref.columns, phi
+            # The column entries of a state, read together, are its tuple of
+            # part states: distinct per state and numbered as the oracle's.
+            assert dict(zip(zip(*aut.columns), range(len(aut)))) == ref.lts.index, phi
+            got = [aut.master] + [s.lts for s in aut.slaves] + aut.components
+            want = [ref.master] + [s.lts for s in ref.slaves] + ref.components
             for g, w in zip(got, want, strict=True):
                 assert g.alphabet == w.alphabet, phi
                 assert g.states == w.states, phi
                 assert g.delta == w.delta, phi
+            assert aut.lts.alphabet == ref.lts.alphabet, phi
+            assert aut.lts.delta == ref.lts.delta, phi
             assert acceptance_dump(aut) == acceptance_dump(ref), phi
             alphabet = aut.lts.alphabet
             stepped = [g for f in aut.master.states for g in (f, unfold(f))]
@@ -210,37 +221,11 @@ def test_row_translation_matches_letterwise_oracle():
                 stepped += [f for q, f in enumerate(slave.lts.states) if q not in slave.sinks]
             for f in stepped:
                 assert step_row(f, alphabet) == [step(f, l) for l in alphabet], phi
-    assert built >= 300 and capped >= 100
-
-
-def test_tree_product_matches_zip_oracle():
-    # The tree of integer-coded pair products and the lift by column must
-    # number the same states with the same rows and acceptance as the zip of
-    # the part rows over payload tuples; a cap of one state under each
-    # product's size must stop both with the same error.
-    rng = random.Random(2020)
-    formulas = corpus_formulas()
-    corpus = len(formulas)
-    formulas += [
-        random_fragment_formula(rng, rng.randint(2, 12), ["a", "b", "c"])
-        for _ in range(120)
-    ]
-    compared = 0
-    for phi in formulas:
-        ref = _translate(zip_build_dgrma, phi, 20_000)
-        aut = _translate(build_dgrma, phi, 20_000)
-        if isinstance(ref, str):
-            assert aut == ref, phi
-            continue
-        assert aut.lts.states == ref.lts.states, phi
-        assert aut.lts.delta == ref.lts.delta, phi
-        assert aut.lts.index == ref.lts.index, phi
-        assert acceptance_dump(aut) == acceptance_dump(ref), phi
-        compared += 1
-        want = _translate(zip_build_dgrma, phi, len(ref) - 1)
-        assert isinstance(want, str), phi
-        assert _translate(build_dgrma, phi, len(ref) - 1) == want, phi
-    assert compared >= corpus + 100
+            if cap == 10_000:
+                want = _translate(letterwise_build_dgrma, phi, len(ref) - 1)
+                assert isinstance(want, str), phi
+                assert _translate(build_dgrma, phi, len(ref) - 1) == want, phi
+    assert built >= corpus + 300 and capped >= 100
 
 
 def test_translation_goes_through_the_traced_builders(monkeypatch):
@@ -277,7 +262,8 @@ def test_translation_goes_through_the_traced_builders(monkeypatch):
     calls.clear()
     plain = build_dgrma(parse_formula("a U (b U c)"))
     assert calls == {"build_master": 1}
-    assert plain.lts.states == [(q,) for q in range(len(plain.master))]
+    assert plain.lts is plain.master
+    assert plain.columns == [list(range(len(plain.master)))]
 
 
 def test_extra_atoms_only_widen_rows():
@@ -301,7 +287,7 @@ def test_extra_atoms_only_widen_rows():
         for extra in extras:
             wide = letterwise_build_dgrma(phi, ap=extra, cap=50_000)
             assert wide.lts.atoms == atoms.union(extra), (phi, extra)
-            assert wide.lts.states == narrow.lts.states, (phi, extra)
+            assert wide.columns == narrow.columns, (phi, extra)
             assert acceptance_dump(wide) == acceptance_dump(narrow), (phi, extra)
             index = narrow.lts.letter_index
             projected = [index[letter & atoms] for letter in wide.lts.alphabet]
@@ -336,14 +322,16 @@ def _written_out(pair):
 
 
 def test_column_pairs_match_written_out_oracle():
-    # Pairs decided on payload columns must keep the oracle's assumption
+    # Pairs decided on part columns must keep the oracle's assumption
     # subsets in its order, with equal Fin and Inf sets and rewards over
     # every automaton state, and lift_pair must lift them onto random
     # products as the written-out sets lift.
     rng = random.Random(2121)
     compared = lifted = 0
     for phi, aut in _column_corpus(2121):
-        ref = zip_build_pairs(aut.lts, aut.master, aut.rec, aut.slaves, aut.components)
+        ref = letterwise_build_pairs(
+            aut.columns, aut.master, aut.rec, aut.slaves, aut.components
+        )
         assert list(map(_written_out, aut.pairs)) == list(map(_written_out, ref)), phi
         compared += 1
         atoms = sorted(aut.lts.atoms)
@@ -363,15 +351,14 @@ def test_column_pairs_match_written_out_oracle():
 
 def test_every_part_state_occurs_in_its_column():
     # Every part is total over one alphabet, so each of its states occurs in
-    # its column of the product's payloads.  _build_pairs decides Inf
-    # emptiness on component states, and _tree_product's cap argument
-    # rests on the same projection.
+    # its column of the product.  _build_pairs decides Inf emptiness on
+    # component states, and _tree_product's cap argument rests on the same
+    # projection.
     checked = 0
     for phi, aut in _column_corpus(2122):
         parts = [aut.master] + aut.components
-        columns = list(zip(*aut.lts.states))
-        assert len(columns) == len(parts), phi
-        for part, column in zip(parts, columns):
+        assert len(aut.columns) == len(parts), phi
+        for part, column in zip(parts, aut.columns):
             assert set(column) == set(range(len(part))), phi
         checked += 1
     assert checked >= 130
