@@ -180,20 +180,13 @@ def _translate(build, phi, cap):
 
 
 def test_row_translation_matches_letterwise_oracle():
-    # Row-at-a-time translation through the tree of integer-coded pair
-    # products must number the same states in the same order, with the same
-    # part columns, rows and acceptance, as one call per letter over tuples
-    # of part states; a small cap, and a cap of one state under the
-    # product's size, must stop both with the same error.
+    # Row-at-a-time translation must number the same states in the same
+    # order, with the same part columns, rows and acceptance, as one call per
+    # letter; a small cap must stop both in the same automaton.
     rng = random.Random(8)
-    formulas = corpus_formulas()
-    corpus = len(formulas)
-    formulas += [
-        random_fragment_formula(rng, rng.randint(2, 12), ["a", "b", "c"])
-        for _ in range(300)
-    ]
     built = capped = 0
-    for phi in formulas:
+    for _ in range(300):
+        phi = random_fragment_formula(rng, rng.randint(2, 12), ["a", "b", "c"])
         for cap in (10_000, rng.randint(1, 12)):
             aut = _translate(build_dgrma, phi, cap)
             ref = _translate(letterwise_build_dgrma, phi, cap)
@@ -203,9 +196,6 @@ def test_row_translation_matches_letterwise_oracle():
                 continue
             built += 1
             assert aut.columns == ref.columns, phi
-            # The column entries of a state, read together, are its tuple of
-            # part states: distinct per state and numbered as the oracle's.
-            assert dict(zip(zip(*aut.columns), range(len(aut)))) == ref.lts.index, phi
             got = [aut.master] + [s.lts for s in aut.slaves] + aut.components
             want = [ref.master] + [s.lts for s in ref.slaves] + ref.components
             for g, w in zip(got, want, strict=True):
@@ -221,11 +211,39 @@ def test_row_translation_matches_letterwise_oracle():
                 stepped += [f for q, f in enumerate(slave.lts.states) if q not in slave.sinks]
             for f in stepped:
                 assert step_row(f, alphabet) == [step(f, l) for l in alphabet], phi
-            if cap == 10_000:
-                want = _translate(letterwise_build_dgrma, phi, len(ref) - 1)
-                assert isinstance(want, str), phi
-                assert _translate(build_dgrma, phi, len(ref) - 1) == want, phi
-    assert built >= corpus + 300 and capped >= 100
+    assert built >= 300 and capped >= 100
+
+
+def test_tree_product_matches_zip_oracle():
+    # The tree of integer-coded pair products and its level-by-level part
+    # columns must number the same states with the same rows and acceptance
+    # as the oracle's product over tuples of part states; a cap of one state
+    # under the product's size must stop both with the same error.
+    rng = random.Random(2020)
+    formulas = corpus_formulas()
+    corpus = len(formulas)
+    formulas += [
+        random_fragment_formula(rng, rng.randint(2, 12), ["a", "b", "c"])
+        for _ in range(120)
+    ]
+    compared = 0
+    for phi in formulas:
+        ref = _translate(letterwise_build_dgrma, phi, 20_000)
+        aut = _translate(build_dgrma, phi, 20_000)
+        if isinstance(ref, str):
+            assert aut == ref, phi
+            continue
+        assert aut.columns == ref.columns, phi
+        # The column entries of a state, read together, are its tuple of
+        # part states: distinct per state and numbered as the oracle's.
+        assert dict(zip(zip(*aut.columns), range(len(aut)))) == ref.lts.index, phi
+        assert aut.lts.delta == ref.lts.delta, phi
+        assert acceptance_dump(aut) == acceptance_dump(ref), phi
+        compared += 1
+        want = _translate(letterwise_build_dgrma, phi, len(ref) - 1)
+        assert isinstance(want, str), phi
+        assert _translate(build_dgrma, phi, len(ref) - 1) == want, phi
+    assert compared >= corpus + 100
 
 
 def test_translation_goes_through_the_traced_builders(monkeypatch):
