@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .dgrma import accepts_lasso, acceptance_dump, build_dgrma, dgrma_to_dot
 from .formula import Formula, FormulaError, parse_formula, parse_rational
@@ -38,7 +39,10 @@ def main(argv=None) -> int:
         return 2
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built at the first ``main`` call.
+    Each ``parse_args`` fills a new namespace, so calls share nothing else."""
     parser = argparse.ArgumentParser(
         prog="freqsynth",
         description="Controller synthesis for MDPs against frequency-LTL "

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress, count
 from operator import add
 
@@ -165,12 +166,20 @@ def rec_set(phi: Formula) -> list[Formula]:
     return sorted(out, key=lambda f: f.uid)
 
 
+@lru_cache(maxsize=1)
 def build_dgrma(phi: Formula, cap: int = DEFAULT_STATE_CAP) -> Dgrma:
     """Translate a fragment formula into an equivalent DGRMA.
 
     The alphabet is 2^atoms of the formula.  An atom the formula never reads
     changes no transition, so ``Lts.successor`` projects any letter onto the
     alphabet's atoms.
+
+    The automaton depends only on the arguments, so the last one built is
+    kept and returned to the next call that passes the same arguments the
+    same way; errors are raised, never kept.  Formulas are interned, so the
+    key compares by identity.  One entry keeps no more than the automaton a
+    caller already holds, and nothing writes to a ``Dgrma`` after it is
+    built, so callers share it.  ``build_dgrma.cache_clear()`` drops it.
     """
     if not in_fragment(phi):
         raise FormulaError(

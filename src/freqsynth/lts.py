@@ -32,12 +32,11 @@ class Lts:
     sinks); otherwise it lists one successor index per alphabet letter.
     """
 
-    def __init__(self, atoms, alphabet, states, index, init, delta):
+    def __init__(self, atoms, alphabet, states, init, delta):
         self.atoms = frozenset(atoms)
         self.alphabet = alphabet
         self.letter_index = {l: i for i, l in enumerate(alphabet)}
         self.states = states
-        self.index = index
         self.init = init
         self.delta = delta
 
@@ -119,4 +118,4 @@ def build_lts(
                         row[li] = target
             delta[q] = row
         q += 1
-    return Lts(atoms, alphabet, states, index, 0, delta)
+    return Lts(atoms, alphabet, states, 0, delta)

@@ -1028,7 +1028,7 @@ def letterwise_build_lts(
                 queue.append(target)
             row.append(target)
         delta[q] = row
-    return Lts(atoms, alphabet, states, index, 0, delta)
+    return Lts(atoms, alphabet, states, 0, delta)
 
 
 def _letterwise_token_lts(slave, cap):

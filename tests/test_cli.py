@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import io
 import os
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 
 import freqsynth.formula
 from freqsynth import cli
+from freqsynth.dgrma import acceptance_dump, build_dgrma
 from freqsynth.formula import parse_formula
+from freqsynth.lts import DEFAULT_STATE_CAP
 
 from helpers import WIDE_FORMULA, time_limit
 
@@ -434,3 +437,82 @@ def test_integer_fraction_and_decimal_literals_are_accepted(model_file):
             ["synth", "--model", model_file, "--formula", "F a", "--threshold", token]
         )
         assert code == 0 and "threshold_met: yes" in out, token
+
+
+def test_in_process_calls_share_no_options(model_file, tmp_path):
+    # The parser is built once per process; each call's options come from
+    # its own argv alone, also after a usage error.  "F a" holds with
+    # probability 1 here, so only --strict makes threshold 1 unmet.
+    synth = ["synth", "--model", model_file, "--formula", "F a", "--threshold", "1"]
+    dot = tmp_path / "aut.dot"
+    plain = main_in_process(synth)
+    assert plain[0] == 0 and "threshold: >= 1\n" in plain[1]
+    code, out, _ = main_in_process(synth + ["--strict", "--dot", str(dot)])
+    assert code == 1 and "threshold: > 1\n" in out and dot.exists()
+    dot.unlink()
+    assert main_in_process(synth) == plain and not dot.exists()
+    capped = main_in_process(synth + ["--max-states", "1"])
+    assert capped[0] == 2 and "state cap of 1 states" in capped[2]
+    assert main_in_process(synth) == plain
+    with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+        cli.main(["synth", "--model", model_file, "--strict"])
+    assert exc.value.code == 2
+    assert main_in_process(synth) == plain
+
+
+def _kept_runs(model_file):
+    """synth, automaton, check-word and simulate on one formula, then on
+    another: each command after the first of a formula reuses its
+    automaton."""
+    runs = []
+    for formula in (WIDE_FORMULA, "G{>=1/2,inf} a | F b"):
+        opts = ["--formula", formula]
+        runs += [
+            ["synth", "--model", model_file, *opts, "--threshold", "1/3"],
+            ["automaton", *opts],
+            ["check-word", *opts, "--stem", "{b}", "--loop", "{a};{}"],
+            ["simulate", "--model", model_file, *opts, "--steps", "300", "--seed", "5"],
+        ]
+    return runs
+
+
+def test_a_kept_automaton_gives_the_bytes_of_a_fresh_one(model_file):
+    # Formulas parsed in between must not change what a rebuilt automaton
+    # prints, so keeping it is invisible in reports, DOT and simulations.
+    runs = _kept_runs(model_file)
+    build_dgrma.cache_clear()
+    kept = [main_in_process(argv) for argv in runs]
+    assert build_dgrma.cache_info()[:2] == (6, 2)  # hits, misses
+    for text in ("X G !b & p", "G{>=1/2,inf} (X p | r) | F c", "!w U (!l & X X !w)"):
+        parse_formula(text)
+    fresh = []
+    for argv in runs:
+        build_dgrma.cache_clear()
+        fresh.append(main_in_process(argv))
+    assert [code for code, _, _ in kept] == [0] * len(runs)
+    assert fresh == kept
+
+
+def test_commands_leave_the_kept_automaton_unchanged(model_file):
+    phi = parse_formula(WIDE_FORMULA)
+    build_dgrma.cache_clear()
+    aut = build_dgrma(phi, cap=DEFAULT_STATE_CAP)
+    before = copy.deepcopy((acceptance_dump(aut), aut.lts.delta, aut.columns))
+    for argv in _kept_runs(model_file)[:4]:
+        assert main_in_process(argv)[0] == 0, argv
+        assert build_dgrma(phi, cap=DEFAULT_STATE_CAP) is aut
+    assert (acceptance_dump(aut), aut.lts.delta, aut.columns) == before
+
+
+def test_a_kept_automaton_does_not_bypass_a_lower_cap(model_file):
+    # The cap is part of the key: the two-bound formula's 925 states
+    # exceed a cap of 924 whatever was built before.
+    synth = ["synth", "--model", model_file, "--formula", WIDE_FORMULA, "--threshold", "1/2"]
+    build_dgrma.cache_clear()
+    assert main_in_process(synth)[0] == 0
+    assert main_in_process(synth + ["--max-states", "924"]) == (
+        2,
+        "",
+        "error: product automaton exceeds the state cap of 924 states\n",
+    )
+    assert main_in_process(synth + ["--max-states", "925"])[0] == 0

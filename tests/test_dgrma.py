@@ -13,7 +13,7 @@ from freqsynth.dgrma import (
     rec_set,
     run_cycle,
 )
-from freqsynth.formula import atoms_of, parse_formula
+from freqsynth.formula import FormulaError, atoms_of, parse_formula
 from freqsynth.lasso import Lasso, models
 from freqsynth.lts import StateCapExceeded
 from freqsynth.mdp import product_mdp
@@ -236,7 +236,7 @@ def test_tree_product_matches_zip_oracle():
         assert aut.columns == ref.columns, phi
         # The column entries of a state, read together, are its tuple of
         # part states: distinct per state and numbered as the oracle's.
-        assert dict(zip(zip(*aut.columns), range(len(aut)))) == ref.lts.index, phi
+        assert list(zip(*aut.columns)) == ref.lts.states, phi
         assert aut.lts.delta == ref.lts.delta, phi
         assert acceptance_dump(aut) == acceptance_dump(ref), phi
         compared += 1
@@ -248,7 +248,8 @@ def test_tree_product_matches_zip_oracle():
 
 def test_translation_goes_through_the_traced_builders(monkeypatch):
     # The benchmark times translation layers by wrapping these names in
-    # freqsynth.dgrma; each must stay on build_dgrma's call path.
+    # freqsynth.dgrma; each must stay on build_dgrma's call path.  A kept
+    # automaton would skip them, so the cache is cleared before counting.
     calls = {}
     names = (
         "build_lts",
@@ -265,6 +266,7 @@ def test_translation_goes_through_the_traced_builders(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(freqsynth.dgrma, name, counted)
+    build_dgrma.cache_clear()
     aut = build_dgrma(parse_formula(WIDE_FORMULA))
     # The product is a tree of pair products, one build_lts call per pair
     # product: one fewer than its len(rec) + 1 parts.
@@ -278,10 +280,32 @@ def test_translation_goes_through_the_traced_builders(monkeypatch):
     assert (len(aut), len(aut.lts.alphabet)) == (925, 128)
     # Without recurrent subformulas the product is the master itself.
     calls.clear()
+    build_dgrma.cache_clear()
     plain = build_dgrma(parse_formula("a U (b U c)"))
     assert calls == {"build_master": 1}
     assert plain.lts is plain.master
     assert plain.columns == [list(range(len(plain.master)))]
+
+
+def test_the_last_automaton_is_kept():
+    # One entry: a repeated call returns the same object until another
+    # formula or cap is translated; errors are raised every time and do
+    # not evict it.
+    wide = parse_formula(WIDE_FORMULA)
+    build_dgrma.cache_clear()
+    aut = build_dgrma(wide)
+    assert build_dgrma(wide) is aut
+    for _ in range(2):
+        with pytest.raises(FormulaError, match="outside the supported fragment"):
+            build_dgrma(parse_formula("G(a U b)"))
+        with pytest.raises(StateCapExceeded, match="product automaton"):
+            build_dgrma(wide, 924)
+    assert build_dgrma(wide) is aut
+    other = build_dgrma(parse_formula("F a"))
+    assert build_dgrma(parse_formula("F a")) is other
+    again = build_dgrma(wide)
+    assert again is not aut and acceptance_dump(again) == acceptance_dump(aut)
+    assert build_dgrma.cache_info().currsize == 1
 
 
 def test_extra_atoms_only_widen_rows():

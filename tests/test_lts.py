@@ -44,7 +44,6 @@ def test_row_numbers_new_payloads_at_their_first_letter():
     lts = build_lts("x", successors, ["a", "b"], cap=4)
     assert lts.states == ["x", "z", "y", "w"]
     assert lts.delta == [[1, 2, 1, 2], [1, 1, 1, 1], [3, 2, 3, 1], [3, 3, 3, 3]]
-    assert lts.index == {"x": 0, "z": 1, "y": 2, "w": 3}
     for cap, rows_built in ((3, ["x", "z", "y"]), (2, ["x"]), (1, ["x"])):
         called.clear()
         with pytest.raises(StateCapExceeded) as exc:

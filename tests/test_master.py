@@ -24,7 +24,7 @@ def test_worked_example_transitions():
     assert m.states[m.successor(init, _letter("a"))] == bua
     assert m.states[m.successor(init, _letter("b"))] == FALSE
     assert m.states[m.successor(init, _letter("a", "b"))] == bua
-    q = m.index[bua]
+    q = m.states.index(bua)
     assert m.states[m.successor(q, _letter("b"))] == bua
     assert m.states[m.successor(q, _letter("a"))] == TRUE
     assert m.states[m.successor(q, _letter())] == FALSE

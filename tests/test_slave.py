@@ -35,7 +35,7 @@ def test_worked_slave_example():
     b_gfa = formula_to_boolfn(parse_formula("b & G F a"))
     assert lts.states[lts.successor(lts.init, _letter())] == b_gfa
     assert lts.states[lts.successor(lts.init, _letter("a"))] == TRUE
-    q = lts.index[b_gfa]
+    q = lts.states.index(b_gfa)
     assert lts.states[lts.successor(q, _letter("b"))] == gfa
     assert lts.states[lts.successor(q, _letter())] == FALSE
     sink_states = {str(slave.state(s)) for s in slave.sinks}
@@ -75,10 +75,10 @@ def test_token_lts_transitions():
     init_tokens = token.states[token.init]
     assert init_tokens == frozenset({slave.lts.init})
     after_empty = token.states[token.successor(token.init, _letter())]
-    b_gfa = slave.lts.index[formula_to_boolfn(parse_formula("b & G F a"))]
+    b_gfa = slave.lts.states.index(formula_to_boolfn(parse_formula("b & G F a")))
     assert after_empty == frozenset({slave.lts.init, b_gfa})
     after_a = token.states[token.successor(token.init, _letter("a"))]
-    tt_idx = slave.lts.index[TRUE]
+    tt_idx = slave.lts.states.index(TRUE)
     assert after_a == frozenset({slave.lts.init, tt_idx})
     # The sink-resident token disappears one step later.
     q = token.successor(token.init, _letter("a"))
@@ -110,7 +110,7 @@ def test_buchi_and_cobuchi_sets_depend_on_assumptions():
     )
     # Rejecting token sets contain some sink not provable from the assumptions.
     rej = cobuchi_rejecting_sets(slave, token, assumed)
-    ff_idx = slave.lts.index[FALSE]
+    ff_idx = slave.lts.states.index(FALSE)
     for i in rej:
         assert token.states[i] & (slave.sinks - with_assumption)
     assert all(ff_idx in token.states[i] for i in rej)
@@ -119,7 +119,7 @@ def test_buchi_and_cobuchi_sets_depend_on_assumptions():
 def test_count_lts_worked_example():
     slave = build_slave_lts(atom("a"))
     count = build_count_lts(slave)
-    a_idx, tt_idx = slave.lts.init, slave.lts.index[TRUE]
+    a_idx, tt_idx = slave.lts.init, slave.lts.states.index(TRUE)
     init = count.states[count.init]
     assert init[a_idx] == 1 and sum(init) == 1
     q = count.successor(count.init, _letter("a"))
@@ -140,7 +140,7 @@ def test_count_bound_rejects_a_cyclic_slave():
     # A slave whose non-sink state loops keeps every token alive, so the
     # count outgrows the slave size; build_slave_lts never returns one.
     alphabet = powerset_alphabet(["a"])
-    looping = Lts(["a"], alphabet, ["s"], {"s": 0}, 0, [[0, 0]])
+    looping = Lts(["a"], alphabet, ["s"], 0, [[0, 0]])
     with pytest.raises(FormulaError, match="token count exceeded"):
         build_count_lts(SlaveLts(looping, frozenset()))
 
@@ -149,7 +149,7 @@ def test_mp_reward_values():
     slave = build_slave_lts(atom("a"))
     count = build_count_lts(slave)
     rewards = mp_reward(slave, count, assumption_conj([]))
-    tt_idx = slave.lts.index[TRUE]
+    tt_idx = slave.lts.states.index(TRUE)
     for q, state in enumerate(count.states):
         assert rewards[q] == state[tt_idx]
 
