@@ -166,7 +166,6 @@ def rec_set(phi: Formula) -> list[Formula]:
     return sorted(out, key=lambda f: f.uid)
 
 
-@lru_cache(maxsize=1)
 def build_dgrma(phi: Formula, cap: int = DEFAULT_STATE_CAP) -> Dgrma:
     """Translate a fragment formula into an equivalent DGRMA.
 
@@ -174,13 +173,24 @@ def build_dgrma(phi: Formula, cap: int = DEFAULT_STATE_CAP) -> Dgrma:
     changes no transition, so ``Lts.successor`` projects any letter onto the
     alphabet's atoms.
 
-    The automaton depends only on the arguments, so the last one built is
-    kept and returned to the next call that passes the same arguments the
-    same way; errors are raised, never kept.  Formulas are interned, so the
-    key compares by identity.  One entry keeps no more than the automaton a
-    caller already holds, and nothing writes to a ``Dgrma`` after it is
-    built, so callers share it.  ``build_dgrma.cache_clear()`` drops it.
+    The automaton depends only on the formula, the cap and the builders it
+    is made with, so the last one built stays alive in this process, also
+    between calls, until another is translated or
+    ``build_dgrma.cache_clear()`` drops it; a call with the same formula and
+    cap returns it.  The builders are looked up in this module at each call
+    and are part of the key, so a wrapper or test double put in place of one
+    is called, never bypassed.  Formulas are interned, so the key compares
+    by identity.  Errors are raised, never kept.  Nothing writes to a
+    ``Dgrma`` after it is built, so callers share it.
     """
+    builders = (build_master, build_slave_lts, build_token_lts, build_count_lts, build_lts)
+    return _translate(phi, cap, builders)
+
+
+@lru_cache(maxsize=1)
+def _translate(phi: Formula, cap: int, builders: tuple) -> Dgrma:
+    """``build_dgrma``'s body and its one kept entry; ``builders`` only
+    keys the entry (the body calls the same names)."""
     if not in_fragment(phi):
         raise FormulaError(
             f"{phi} is outside the supported fragment "
@@ -204,6 +214,10 @@ def build_dgrma(phi: Formula, cap: int = DEFAULT_STATE_CAP) -> Dgrma:
     lts, columns = _tree_product(parts, atoms, cap)
     pairs = _build_pairs(parts, columns, rec, slaves)
     return Dgrma(lts, master, rec, slaves, components, columns, pairs)
+
+
+build_dgrma.cache_clear = _translate.cache_clear
+build_dgrma.cache_info = _translate.cache_info
 
 
 def _tree_product(parts: list[Lts], atoms, cap: int) -> tuple[Lts, list]:

@@ -15,7 +15,7 @@ from freqsynth.dgrma import (
 )
 from freqsynth.formula import FormulaError, atoms_of, parse_formula
 from freqsynth.lasso import Lasso, models
-from freqsynth.lts import StateCapExceeded
+from freqsynth.lts import DEFAULT_STATE_CAP, StateCapExceeded
 from freqsynth.mdp import product_mdp
 from freqsynth.synthesis import lift_pair
 
@@ -248,8 +248,9 @@ def test_tree_product_matches_zip_oracle():
 
 def test_translation_goes_through_the_traced_builders(monkeypatch):
     # The benchmark times translation layers by wrapping these names in
-    # freqsynth.dgrma; each must stay on build_dgrma's call path.  A kept
-    # automaton would skip them, so the cache is cleared before counting.
+    # freqsynth.dgrma; each must stay on build_dgrma's call path, also when
+    # the formula's automaton was kept before the wrappers went in.
+    build_dgrma(parse_formula(WIDE_FORMULA))
     calls = {}
     names = (
         "build_lts",
@@ -266,7 +267,6 @@ def test_translation_goes_through_the_traced_builders(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(freqsynth.dgrma, name, counted)
-    build_dgrma.cache_clear()
     aut = build_dgrma(parse_formula(WIDE_FORMULA))
     # The product is a tree of pair products, one build_lts call per pair
     # product: one fewer than its len(rec) + 1 parts.
@@ -280,7 +280,6 @@ def test_translation_goes_through_the_traced_builders(monkeypatch):
     assert (len(aut), len(aut.lts.alphabet)) == (925, 128)
     # Without recurrent subformulas the product is the master itself.
     calls.clear()
-    build_dgrma.cache_clear()
     plain = build_dgrma(parse_formula("a U (b U c)"))
     assert calls == {"build_master": 1}
     assert plain.lts is plain.master
@@ -289,12 +288,14 @@ def test_translation_goes_through_the_traced_builders(monkeypatch):
 
 def test_the_last_automaton_is_kept():
     # One entry: a repeated call returns the same object until another
-    # formula or cap is translated; errors are raised every time and do
-    # not evict it.
+    # formula or cap is translated, however the cap is passed; errors are
+    # raised every time and do not evict it.
     wide = parse_formula(WIDE_FORMULA)
     build_dgrma.cache_clear()
     aut = build_dgrma(wide)
-    assert build_dgrma(wide) is aut
+    assert build_dgrma(wide, DEFAULT_STATE_CAP) is aut
+    assert build_dgrma(wide, cap=DEFAULT_STATE_CAP) is aut
+    assert build_dgrma.cache_info()[:2] == (2, 1)  # hits, misses
     for _ in range(2):
         with pytest.raises(FormulaError, match="outside the supported fragment"):
             build_dgrma(parse_formula("G(a U b)"))
