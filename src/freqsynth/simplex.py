@@ -4,9 +4,12 @@ Problem form: maximize a linear objective subject to rows ``coeffs rel rhs``
 with rel in {<=, >=, ==} and all variables non-negative.  Every row starts
 basic on its own artificial column; phase two runs on the real columns of
 the rows that are left.  Each row of the dense tableau, and the cost row, is
-a list of int numerators over one positive int denominator, reduced by their
-gcd after every update: exact, without a Fraction object per cell and pivot.
-Only the returned values are Fractions.
+a list of int numerators over one positive int denominator: exact, without a
+Fraction object per cell and pivot.  The pivot row is divided by its gcd on
+every pivot; any other row only once its denominator outgrows
+``_REDUCE_BITS``.  Every decision reads signs, zero tests and ratios within
+one row, none of which a positive common factor changes, so the pivots are
+those of a fully reduced tableau.  Only the returned values are Fractions.
 """
 
 from __future__ import annotations
@@ -25,6 +28,15 @@ EQ = "=="
 
 _ZERO = Fraction(0)
 
+# An updated row is divided by its gcd only when its denominator is longer
+# than this many bits.  A gcd pass after every update (a bound of 0) made the
+# benchmark's flow LPs 40-60 % slower; with no pass at all the numerators grow
+# with every pivot, and an 80-state ring's margin LP took 1.9 s against 1.4 s
+# at 128 bits.  Bounds of 64 to 256 bits were within 10 % of each other on
+# the benchmark's LPs, and 256 took 1.2 s on the ring (2-vCPU x86, Python
+# 3.11).
+_REDUCE_BITS = 128
+
 
 class SimplexError(Exception):
     """Internal solver failure (malformed input or a broken invariant)."""
@@ -32,13 +44,15 @@ class SimplexError(Exception):
 
 def solve_lp(
     num_vars: int,
-    rows: Sequence[tuple[Mapping[int, Fraction], str, Fraction]],
-    objective: Mapping[int, Fraction],
+    rows: Sequence[tuple[Mapping[int, int | Fraction], str, int | Fraction]],
+    objective: Mapping[int, int | Fraction],
 ):
     """Maximize the objective; returns (status, values, objective value).
 
-    ``values`` has one Fraction per original variable when status is optimal,
-    otherwise None.
+    Coefficients, right-hand sides and objective weights are ``int`` or
+    ``Fraction``: they are read through ``.numerator`` and ``.denominator``,
+    so a float is rejected.  ``values`` has one Fraction per original
+    variable when status is optimal, otherwise None.
     """
     # Normalize to equality form with slack/surplus columns and b >= 0.  A
     # row is [numerators, denominator]; cell j stands for nums[j] / den.
@@ -50,7 +64,7 @@ def solve_lp(
         for j in coeffs:
             if not 0 <= j < num_vars:
                 raise SimplexError(f"variable index {j} out of range")
-        nums, den = _int_row(coeffs, Fraction(rhs), total + 1)
+        nums, den = _int_row(coeffs, rhs, total + 1)
         if rel == LEQ:
             nums[slack_idx] = den
             slack_idx += 1
@@ -70,7 +84,7 @@ def solve_lp(
         nums[total:total] = [0] * m
         nums[total + i] = den
     basis = list(range(total, total + m))
-    cost = list(_int_row({j: -1 for j in basis}, _ZERO, total + m + 1))
+    cost = list(_int_row({j: -1 for j in basis}, 0, total + m + 1))
     _reduce_cost(cost, tableau, basis)
     _iterate(tableau, basis, cost)
     if cost[0][-1] != 0:
@@ -88,7 +102,7 @@ def solve_lp(
         del nums[total:-1]
     tableau = [row for row, b in zip(tableau, basis) if b < total]
     basis = [b for b in basis if b < total]
-    cost = list(_int_row(objective, _ZERO, total + 1))
+    cost = list(_int_row(objective, 0, total + 1))
     _reduce_cost(cost, tableau, basis)
     status = _iterate(tableau, basis, cost)
     if status == UNBOUNDED:
@@ -105,7 +119,6 @@ def solve_lp(
 
 def _int_row(coeffs, rhs, size):
     """Coefficients plus rhs (last cell) over their least common denominator."""
-    coeffs = {j: Fraction(c) for j, c in coeffs.items()}
     den = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
     nums = [0] * size
     for j, c in coeffs.items():
@@ -116,7 +129,9 @@ def _int_row(coeffs, rhs, size):
 
 def _eliminate(row, pivot_row, c, support):
     """row -= row[c] * pivot_row in place, where pivot_row[c] is 1 and
-    support holds (at least) the pivot row's nonzero columns."""
+    support holds (at least) the pivot row's nonzero columns.  The result is
+    reduced by its gcd only when its denominator is longer than
+    ``_REDUCE_BITS``."""
     nums, den = row
     pivot_nums, p = pivot_row
     f = nums[c]
@@ -125,7 +140,10 @@ def _eliminate(row, pivot_row, c, support):
     nums = [a * p for a in nums] if p != 1 else nums[:]
     for j in support:
         nums[j] -= f * pivot_nums[j]
-    row[:] = _reduced(nums, den * p)
+    den *= p
+    if den.bit_length() > _REDUCE_BITS:
+        nums, den = _reduced(nums, den)
+    row[:] = nums, den
 
 
 def _reduced(nums, den):
@@ -174,7 +192,8 @@ def _pivot(tableau, basis, r, c):
     piv = nums[c]
     if piv == 0:
         raise SimplexError("zero pivot")
-    # Dividing by the pivot cell cancels the row's denominator.
+    # Dividing by the pivot cell cancels the row's denominator.  This row is
+    # multiplied into every other row, so it is always reduced.
     if piv < 0:
         nums, piv = [-v for v in nums], -piv
     row[:] = _reduced(nums, piv)

@@ -1,9 +1,12 @@
+import functools
 import random
 from fractions import Fraction as Fr
 
+import pytest
+
 import helpers
 from freqsynth import simplex
-from freqsynth.mecanalysis import GbmpCondition, MpBound, accepting_mec
+from freqsynth.mecanalysis import GbmpCondition, MpBound, accepting_mec, build_lp
 from freqsynth.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from helpers import assert_flow_row_form, fraction_solve_lp, ring_mdp
 
@@ -67,6 +70,12 @@ def test_solutions_satisfy_constraints_exactly():
         rows.append(({j: Fr(1) for j in range(n)}, "<=", Fr(10)))  # keep bounded
         objective = {j: Fr(rng.randint(-2, 2)) for j in range(n)}
         status, x, value = solve_lp(n, rows, objective)
+        # The same rows and objective as ints give the same result.
+        int_rows = [
+            ({j: int(c) for j, c in coeffs.items()}, rel, int(rhs)) for coeffs, rel, rhs in rows
+        ]
+        int_objective = {j: int(c) for j, c in objective.items()}
+        assert solve_lp(n, int_rows, int_objective) == (status, x, value)
         if status != OPTIMAL:
             continue
         assert all(v >= 0 for v in x)
@@ -141,15 +150,13 @@ def _counted(fn, columns, ties=None):
     return pivot
 
 
-def _assert_same_as_oracle(monkeypatch, num_vars, rows, objective, ties=None):
+def _assert_same_as_oracle(num_vars, rows, objective, ties=None):
     fast, slow = [], []
-    monkeypatch.setattr(simplex, "_pivot", _counted(simplex._pivot, fast))
-    monkeypatch.setattr(
-        helpers, "_fraction_pivot", _counted(helpers._fraction_pivot, slow, ties)
-    )
-    got = solve_lp(num_vars, rows, objective)
-    want = fraction_solve_lp(num_vars, rows, objective)
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_pivot", _counted(simplex._pivot, fast))
+        mp.setattr(helpers, "_fraction_pivot", _counted(helpers._fraction_pivot, slow, ties))
+        got = solve_lp(num_vars, rows, objective)
+        want = fraction_solve_lp(num_vars, rows, objective)
     assert got == want
     assert fast == slow  # the same entering column on every pivot
     return got[0]
@@ -177,17 +184,41 @@ def _random_lp(rng):
     return n, rows, objective
 
 
-def test_integer_tableau_matches_fraction_oracle_on_random_lps(monkeypatch):
+# Row reduction bounds for the oracle tests: the module's own, 0 (every
+# updated row is reduced) and a length no denominator reaches (no updated row
+# is reduced).  The two extra bounds run on every fourth LP.
+REDUCE_BOUNDS = pytest.mark.parametrize(
+    "bits, step",
+    [
+        pytest.param(None, 1, id="default"),
+        pytest.param(0, 4, id="reduce-always"),
+        pytest.param(1 << 20, 4, id="reduce-never"),
+    ],
+)
+
+
+def _set_reduce_bits(monkeypatch, bits):
+    if bits is not None:
+        monkeypatch.setattr(simplex, "_REDUCE_BITS", bits)
+
+
+@REDUCE_BOUNDS
+def test_integer_tableau_matches_fraction_oracle_on_random_lps(monkeypatch, bits, step):
+    _set_reduce_bits(monkeypatch, bits)
     rng = random.Random(2024)
     statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
     ties = []
-    for _ in range(2000):
-        statuses[_assert_same_as_oracle(monkeypatch, *_random_lp(rng), ties=ties)] += 1
-    assert min(statuses.values()) >= 200, statuses
-    assert len(ties) >= 100  # degenerate pivots where Bland's tie-break decides
+    for i in range(2000):
+        lp = _random_lp(rng)
+        if i % step == 0:
+            statuses[_assert_same_as_oracle(*lp, ties=ties)] += 1
+    assert min(statuses.values()) >= 200 // step, statuses
+    assert len(ties) >= 100 // step  # degenerate pivots where Bland's tie-break decides
 
 
-def test_integer_tableau_matches_fraction_oracle_on_flow_lps(monkeypatch):
+@functools.cache
+def _ring_flow_lps():
+    """Every LP that accepting_mec solves on 16 seeded 10-14-state rings."""
     lps = []
 
     def recording(num_vars, rows, objective):
@@ -210,13 +241,57 @@ def test_integer_tableau_matches_fraction_oracle_on_flow_lps(monkeypatch):
             mp_inf=tuple(bound(rng.choice("ab")) for _ in range(rng.randint(0, 2))),
             mp_sup=tuple(bound(rng.choice("ab")) for _ in range(rng.randint(0, 2))),
         )
-        monkeypatch.setattr(simplex, "solve_lp", recording)
-        accepting_mec(mdp, cond)
-        monkeypatch.undo()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simplex, "solve_lp", recording)
+            accepting_mec(mdp, cond)
+    return lps
+
+
+@REDUCE_BOUNDS
+def test_integer_tableau_matches_fraction_oracle_on_flow_lps(monkeypatch, bits, step):
+    lps = _ring_flow_lps()
     assert len(lps) >= 16
     assert any(len(rows) >= 28 for _, rows, _ in lps)
-    for lp in lps:
-        _assert_same_as_oracle(monkeypatch, *lp)
+    _set_reduce_bits(monkeypatch, bits)
+    for lp in lps[::step]:
+        _assert_same_as_oracle(*lp)
+
+
+def test_a_large_flow_lp_reduces_rows_as_they_grow(monkeypatch):
+    # The margin LP of a 40-state ring outgrows the default bound by itself,
+    # so _eliminate reduces updated rows; pivots and result stay the oracle's.
+    mdp, valuation = ring_mdp(random.Random(0), 40)
+    rewards = {
+        x: {s: Fr(int(x in valuation[k])) for k, s in enumerate(mdp.states)} for x in "ab"
+    }
+    cond = GbmpCondition(
+        mp_inf=(MpBound(">=", Fr(1, 2), rewards["a"]),),
+        mp_sup=(MpBound(">", Fr(1, 3), rewards["b"]),),
+    )
+    system = build_lp(mdp, cond)
+    margin = system.num_vars - 1  # the margin t is the last variable
+
+    reductions = []
+    eliminating = []
+    real_eliminate, real_reduced = simplex._eliminate, simplex._reduced
+
+    def eliminate(*args):
+        eliminating.append(True)
+        try:
+            return real_eliminate(*args)
+        finally:
+            eliminating.pop()
+
+    def reduced(nums, den):
+        if eliminating:
+            reductions.append(den.bit_length())
+        return real_reduced(nums, den)
+
+    monkeypatch.setattr(simplex, "_eliminate", eliminate)
+    monkeypatch.setattr(simplex, "_reduced", reduced)
+    _assert_same_as_oracle(system.num_vars, system.rows, {margin: Fr(1)})
+    assert reductions
+    assert min(reductions) > simplex._REDUCE_BITS
 
 
 def test_flow_lp_rows_start_on_their_own_artificials():
