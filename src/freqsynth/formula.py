@@ -313,56 +313,42 @@ def _to_str(phi: Formula, level: int) -> str:
 
 
 # Parser: recursive descent over the published grammar, "->" as sugar.
-class _Lexer:
-    _PUNCT = ("->", ">=", ">", "(", ")", "{", "}", ",", "/", "&", "|", "!")
+# One token per match: a number (ASCII digits, an optional ".DIGITS"), a word,
+# a punctuation mark, any other character (an error), or the end of the text.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<number>[0-9]+(?:\.[0-9]+)?)|(?P<word>\w+)"
+    r"|(?P<punct>->|>=|[>(){},/&|!])|(?P<bad>.)|(?P<eof>\Z))",
+    re.DOTALL,
+)
+_KEYWORDS = frozenset(("X", "F", "G", "U", "tt", "ff"))
+_WORD = re.compile(r"\w+")
 
+
+def is_atom_name(text: str) -> bool:
+    """True for a letter or ``_`` followed by letters, digits or ``_``."""
+    return _WORD.fullmatch(text) is not None and (text[0].isalpha() or text[0] == "_")
+
+
+class _Lexer:
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []
-        self._scan()
+        for m in _TOKEN.finditer(text):
+            kind, pos = m.lastgroup, m.start(m.lastgroup)
+            value = m.group(kind)
+            if kind == "word":
+                if value in _KEYWORDS:
+                    kind = "keyword"
+                elif is_atom_name(value):
+                    kind = "ident"
+                else:
+                    kind = "bad"
+            if kind == "bad":
+                raise FormulaSyntaxError(f"unexpected character {value[0]!r}", pos)
+            self.tokens.append((kind, value, pos))
+            if kind == "eof":
+                break
         self.idx = 0
         self.depth = 0
-
-    def _scan(self):
-        text, n = self.text, len(self.text)
-        i = 0
-        while i < n:
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            matched = False
-            for p in self._PUNCT:
-                if text.startswith(p, i):
-                    self.tokens.append(("punct", p, i))
-                    i += len(p)
-                    matched = True
-                    break
-            if matched:
-                continue
-            if c.isdigit():
-                j = i + 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                    j += 2
-                    while j < n and text[j].isdigit():
-                        j += 1
-                self.tokens.append(("number", text[i:j], i))
-                i = j
-                continue
-            if c.isalpha() or c == "_":
-                j = i + 1
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                kind = "keyword" if word in ("X", "F", "G", "U", "tt", "ff") else "ident"
-                self.tokens.append((kind, word, i))
-                i = j
-                continue
-            raise FormulaSyntaxError(f"unexpected character {c!r}", i)
-        self.tokens.append(("eof", "", n))
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.idx]
@@ -471,22 +457,19 @@ def _parse_freq_bound(lx: _Lexer) -> FreqBound:
 
 
 def _parse_rational(lx: _Lexer) -> Fraction:
+    """The ``INT``, ``INT/INT`` or ``INT.DIGITS`` literal at the cursor;
+    spaces may surround the ``/``."""
     tok = lx.next()
     if tok[0] != "number":
         raise FormulaSyntaxError(f"expected a number, found {tok[1]!r}", tok[2])
-    if "." in tok[1]:
-        return Fraction(tok[1])
-    num = int(tok[1])
+    literal = tok[1]
     if lx.peek()[1] == "/":
         lx.next()
-        den_tok = lx.next()
-        if den_tok[0] != "number" or "." in den_tok[1]:
-            raise FormulaSyntaxError("expected an integer denominator", den_tok[2])
-        den = int(den_tok[1])
-        if den == 0:
-            raise FormulaSyntaxError("zero denominator", den_tok[2])
-        return Fraction(num, den)
-    return Fraction(num)
+        literal += "/" + lx.next()[1]
+    try:
+        return rational_literal(literal)
+    except ValueError as exc:
+        raise FormulaSyntaxError(f"bad rational {literal!r}: {exc}", tok[2]) from None
 
 
 def _parse_primary(lx: _Lexer) -> Formula:
@@ -510,16 +493,18 @@ _RATIONAL_LITERAL = re.compile(r"[0-9]+(/[0-9]+|\.[0-9]+)?")
 def rational_literal(text: str) -> Fraction:
     """Exact value of an ``INT``, ``INT/INT`` or decimal (``INT.DIGITS``)
     literal.  Anything else, signs and exponent notation included, raises
-    ValueError before any digits are converted; a zero denominator raises
-    ZeroDivisionError."""
+    ValueError before any digits are converted; so does a zero denominator."""
     if _RATIONAL_LITERAL.fullmatch(text) is None:
         raise ValueError("expected INT, INT/INT or a decimal")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q', an integer or a decimal literal into an exact rational."""
     try:
         return rational_literal(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise FormulaError(f"bad rational {text!r}: {exc}") from None

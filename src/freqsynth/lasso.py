@@ -26,6 +26,7 @@ from .formula import (
     UNTIL,
     Formula,
     FormulaError,
+    is_atom_name,
 )
 
 Letter = frozenset
@@ -93,9 +94,7 @@ def parse_letters(text: str) -> tuple[Letter, ...]:
         inner = part[1:-1].strip()
         atoms = inner.split() if inner else []
         for a in atoms:
-            if not (a[0].isalpha() or a[0] == "_") or not all(
-                c.isalnum() or c == "_" for c in a
-            ):
+            if not is_atom_name(a):
                 raise LassoError(f"bad atom name {a!r}")
         out.append(frozenset(atoms))
     return tuple(out)
@@ -123,9 +122,6 @@ class _Eval:
             return range(pos, self.n)
         return range(self.s, self.n)
 
-    def letter(self, pos: int) -> Letter:
-        return self.w.stem[pos] if pos < self.s else self.w.loop[pos - self.s]
-
     def holds(self, phi: Formula, pos: int) -> bool:
         key = (phi.uid, pos)
         cached = self.memo.get(key)
@@ -142,9 +138,9 @@ class _Eval:
         if k == FF:
             return False
         if k == AP:
-            return phi.name in self.letter(pos)
+            return phi.name in self.w.letter(pos)
         if k == NAP:
-            return phi.name not in self.letter(pos)
+            return phi.name not in self.w.letter(pos)
         if k == AND:
             return all(self.holds(c, pos) for c in phi.children)
         if k == OR:

@@ -209,7 +209,7 @@ def parse_mdp(text: str) -> tuple[Mdp, Valuation]:
             if prob is None:
                 try:
                     prob = rational_literal(prob_text)
-                except (ValueError, ZeroDivisionError):
+                except ValueError:
                     raise MdpError(f"line {lineno}: bad probability {prob_text!r}") from None
                 if not prob:
                     raise MdpError(f"line {lineno}: probability of {target!r} must be positive")

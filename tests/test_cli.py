@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -431,6 +432,14 @@ def test_threshold_outside_the_literal_grammar_is_rejected(
     assert f"bad rational {token!r}" in err
 
 
+def test_zero_denominator_threshold_says_so(model_file):
+    code, _, err = main_in_process(
+        ["synth", "--model", model_file, "--formula", "F a", "--threshold", "1/0"]
+    )
+    assert_one_error_line(code, err)
+    assert err == "error: bad rational '1/0': zero denominator\n"
+
+
 def test_integer_fraction_and_decimal_literals_are_accepted(model_file):
     for token in ("1", "1/2", "0.5", "0.50"):
         code, out, _ = main_in_process(
@@ -516,3 +525,42 @@ def test_a_kept_automaton_does_not_bypass_a_lower_cap(model_file):
         "error: product automaton exceeds the state cap of 924 states\n",
     )
     assert main_in_process(synth + ["--max-states", "925"])[0] == 0
+
+
+# Two lim-inf bounds that only a mixture of the s0 and s1 loops meets.
+MIXING_MODEL = """\
+mdp
+states s0 s1 s2
+init s0
+label s0 b
+label s1 a
+action s0 go : s0 1/2 , s1 1/2
+action s0 stay0 : s0 1
+action s1 stay1 : s1 1
+action s1 leave : s0 4/7 , s2 3/7
+action s2 mix : s0 1/4 , s1 1/2 , s2 1/4
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the witness plays a mode's recurrent classes in one "
+    "block each per epoch, so each running average ends near the worst class's value",
+)
+def test_mixing_witness_meets_its_liminf_bounds(tmp_path):
+    path = tmp_path / "mix.mdp"
+    path.write_text(MIXING_MODEL)
+    code, out, _ = main_in_process(
+        ["simulate", "--model", str(path), "--formula",
+         "G{>=1/2,inf} a & G{>=2/5,inf} b", "--steps", "400000", "--seed", "7"]
+    )
+    assert code == 0 and "max_probability: 1 " in out
+    averages = {}
+    for line in out.splitlines():
+        if line.startswith("pooled_avg["):
+            label, value = line.split(": ")
+            averages[label.split(">=")[1].rstrip("]")] = float(value)
+    assert sorted(averages) == ["1/2", "2/5"]
+    for bound, value in averages.items():
+        # Within 0.05 below the bound at worst; above it is fine.
+        assert value >= float(Fraction(bound)) - 0.05, (bound, value)

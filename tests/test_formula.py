@@ -1,16 +1,23 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqsynth.boolfn import formula_rank
 from freqsynth.formula import (
+    GEQ,
+    INF,
     MAX_DEPTH,
+    FormulaError,
     FormulaSyntaxError,
     FreqBound,
     atom,
     always,
     conj,
     eventually,
+    freq_always,
     in_fragment,
     nb_subformulas,
     neg_atom,
@@ -66,8 +73,59 @@ def test_syntax_errors_carry_position():
         parse_formula("a @ b")
     with pytest.raises(FormulaSyntaxError):
         parse_formula("G{>=3/2,inf} a")  # frequency bound outside [0,1]
-    with pytest.raises(FormulaSyntaxError):
-        parse_formula("G{>=1/0,inf} a")
+    with pytest.raises(FormulaSyntaxError, match="zero denominator") as err:
+        parse_formula("G{>=1 / 0,inf} a")
+    assert err.value.pos == 4  # the literal's first digit
+
+
+@pytest.mark.parametrize("text", ["G{>=\u00b2,inf} a", "G{>=\u0661/\u0662,inf} a"])
+def test_bounds_take_ascii_digits_only(text):
+    # Superscript two and Arabic-Indic 1/2: digits to str.isdigit, but not
+    # the INT of the rational literal that model probabilities and
+    # --threshold also use.
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula(text)
+    assert err.value.pos == 4
+
+
+@pytest.mark.parametrize(
+    "text, p",
+    [
+        ("G{>=1 / 2,inf} a", Fraction(1, 2)),
+        ("G{>=1/2,inf} a", Fraction(1, 2)),
+        ("G{>=0.5,inf} a", Fraction(1, 2)),
+        ("G{>=1,inf} a", Fraction(1)),
+        ("G{>=0,inf} a", Fraction(0)),
+    ],
+)
+def test_bound_literals(text, p):
+    assert parse_formula(text) is freq_always(FreqBound(GEQ, p, INF), atom("a"))
+
+
+def test_atom_names():
+    assert parse_formula("_x1") is atom("_x1")
+    assert parse_formula("\u00e91 & a\u00b2") is conj(atom("\u00e91"), atom("a\u00b2"))
+    assert parse_formula("X1a") is atom("X1a")  # a keyword prefix is a name
+    for text in ("\u00b2a", "1a", "a.b"):
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula(text)
+
+
+# Short text of any characters, and bounds whose literal is made of digits of
+# every script (str.isdigit and str.isnumeric accept more than ASCII).
+NUMERALS = st.text(
+    st.one_of(st.characters(categories=("Nd", "No", "Nl")), st.sampled_from("0123456789/. ")),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=12), NUMERALS.map(lambda t: f"G{{>={t},inf}} a")))
+def test_parse_returns_or_raises_a_formula_error(text):
+    try:
+        parse_formula(text)
+    except FormulaError:
+        pass
 
 
 @pytest.mark.parametrize(

@@ -34,6 +34,11 @@ def test_letter_parsing():
         parse_letters("a;b")
     with pytest.raises(LassoError):
         parse_letters("{1bad}")
+    # Atom names follow the formula grammar's rule.
+    assert parse_letters("{_x1 \u00e91 a\u00b2}") == (frozenset({"_x1", "\u00e91", "a\u00b2"}),)
+    for name in ("\u00b2a", "\u0661", "a.b", "a-b"):
+        with pytest.raises(LassoError):
+            parse_letters("{" + name + "}")
     with pytest.raises(LassoError):
         Lasso((), ())
 
