@@ -21,7 +21,7 @@ from .lasso import Lasso, models, parse_lasso
 from .lts import Lts, StateCapExceeded
 from .master import build_master
 from .slave import (
-    SlaveLts,
+    accepting_sinks,
     assumption_conj,
     buchi_accepting_sets,
     build_count_lts,

@@ -83,6 +83,12 @@ class BoolFn:
         """Evaluate under the assignment making exactly ``true_uids`` true."""
         return any(m <= true_uids for m in self.models)
 
+    def implies(self, other: BoolFn) -> bool:
+        """Whether every assignment satisfying this function satisfies
+        ``other``; both are monotone, so this function's minimal models
+        decide it."""
+        return all(other.holds_under(m) for m in self.models)
+
 
 def _var_str(uid: int) -> str:
     f = Formula.by_uid(uid)

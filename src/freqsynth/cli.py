@@ -155,7 +155,7 @@ def cmd_automaton(args) -> int:
         for i, rho in enumerate(aut.rec):
             slave, states = aut.slaves[i], aut.components[i].states
             exports = [
-                (f"slave{i}", slave.lts.to_dot()),
+                (f"slave{i}", slave.to_dot()),
                 (
                     f"slave{i}.tokens",
                     aut.components[i].to_dot(lambda q: token_str(slave, states[q])),

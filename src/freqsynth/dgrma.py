@@ -33,7 +33,6 @@ from .lasso import Lasso
 from .lts import DEFAULT_STATE_CAP, Lts, build_lts
 from .master import build_master
 from .slave import (
-    SlaveLts,
     assumption_conj,
     buchi_accepting_sets,
     build_count_lts,
@@ -200,7 +199,7 @@ def _translate(phi: Formula, cap: int, builders: tuple) -> Dgrma:
 
     master = build_master(phi, cap)
     rec = rec_set(phi)
-    slaves: list[SlaveLts] = []
+    slaves: list[Lts] = []
     components: list[Lts] = []
     for rho in rec:
         slave = build_slave_lts(rho.children[0], atoms, cap)
@@ -318,13 +317,13 @@ def _build_pairs(parts, columns, rec, slaves) -> list[GrmpPair]:
                     tokens = token_conj.get((i, s))
                     if tokens is None:
                         tokens = token_conj[(i, s)] = bf_and_many(
-                            substitute_ff(slaves[i].state(t), dropped)
+                            substitute_ff(slaves[i].states[t], dropped)
                             for t in sorted(components[i].states[s])
                         )
                     conj = bf_and(conj, tokens)
                 conj_of[g_states] = conj
             goal = master.states[m]
-            if not all(goal.holds_under(model) for model in conj.models):
+            if not conj.implies(goal):
                 bad.add(k)
         if len(bad) == len(keys):
             continue  # Fin holds every state

@@ -77,19 +77,18 @@ def build_lts(
     successors: Callable,
     atoms: Iterable[str],
     cap: int,
-    is_terminal: Callable = None,
     what: str = "transition system",
 ) -> Lts:
     """Breadth-first construction of the reachable deterministic LTS.
 
     ``successors(payload, alphabet)`` returns the whole row: the list of next
-    payloads, one per letter of ``alphabet`` in its order.  One lookup pass
-    maps the row to known indices; only a row with unseen payloads is walked
-    again, in letter order, numbering each new payload at its first letter
+    payloads, one per letter of ``alphabet`` in its order, or None for a
+    state without outgoing transitions.  One lookup pass maps the row to
+    known indices; only a row with unseen payloads is walked again, in
+    letter order, numbering each new payload at its first letter
     and checking the cap as it is added, so the numbering is that of a
     letter-by-letter breadth-first search.  The initial state counts too: a
-    cap below 1 raises at once.  States where ``is_terminal`` holds get no
-    outgoing transitions.
+    cap below 1 raises at once.
     """
     if cap < 1:
         raise StateCapExceeded(what, cap)
@@ -99,9 +98,8 @@ def build_lts(
     delta: list = [None]
     q = 0
     while q < len(states):
-        payload = states[q]
-        if is_terminal is None or not is_terminal(payload):
-            succ = successors(payload, alphabet)
+        succ = successors(states[q], alphabet)
+        if succ is not None:
             row = list(map(index.get, succ))
             if None in row:
                 for li, target in enumerate(row):

@@ -9,7 +9,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .formula import rational_literal
+from .formula import is_atom_name, rational_literal
 from .lts import DEFAULT_STATE_CAP, Lts, StateCapExceeded
 
 
@@ -159,6 +159,9 @@ def parse_mdp(text: str) -> tuple[Mdp, Valuation]:
                 raise MdpError(f"line {lineno}: label line needs a state")
             if parts[0] in labels:
                 raise MdpError(f"line {lineno}: duplicate 'label' line for {parts[0]!r}")
+            for name in parts[1:]:
+                if not is_atom_name(name):
+                    raise MdpError(f"line {lineno}: bad atom name {name!r}")
             labels[parts[0]] = frozenset(parts[1:])
         elif head == "action":
             name_part, sep, dist_part = rest.partition(":")

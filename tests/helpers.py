@@ -96,7 +96,6 @@ from freqsynth.dgrma import (
 )
 from freqsynth.formula import ALWAYS, EVENTUALLY, FREQ, GT, FormulaError, atoms_of
 from freqsynth.slave import (
-    SlaveLts,
     buchi_accepting_sets,
     cobuchi_rejecting_sets,
     mp_reward,
@@ -1032,36 +1031,33 @@ def letterwise_build_lts(
 
 
 def _letterwise_token_lts(slave, cap):
-    inner = slave.lts
-
     def successor(tokens, letter):
-        li = inner.letter_index[letter]
-        moved = {inner.delta[q][li] for q in tokens if q not in slave.sinks}
-        moved.add(inner.init)
+        li = slave.letter_index[letter]
+        moved = {slave.delta[q][li] for q in tokens if slave.delta[q] is not None}
+        moved.add(slave.init)
         return frozenset(moved)
 
     return letterwise_build_lts(
-        frozenset([inner.init]), successor, inner.atoms, cap, what="token LTS"
+        frozenset([slave.init]), successor, slave.atoms, cap, what="token LTS"
     )
 
 
 def _letterwise_count_lts(slave, cap):
-    inner = slave.lts
-    size = len(inner)
+    size = len(slave)
 
     def successor(counts, letter):
-        li = inner.letter_index[letter]
+        li = slave.letter_index[letter]
         nxt = [0] * size
         for q, c in enumerate(counts):
-            if c and q not in slave.sinks:
-                nxt[inner.delta[q][li]] += c
-        nxt[inner.init] += 1
+            if c and slave.delta[q] is not None:
+                nxt[slave.delta[q][li]] += c
+        nxt[slave.init] += 1
         if max(nxt) > size:
             raise FormulaError("token count exceeded the slave size bound")
         return tuple(nxt)
 
-    init = tuple(1 if q == inner.init else 0 for q in range(size))
-    return letterwise_build_lts(init, successor, inner.atoms, cap, what="counting LTS")
+    init = tuple(1 if q == slave.init else 0 for q in range(size))
+    return letterwise_build_lts(init, successor, slave.atoms, cap, what="counting LTS")
 
 
 def letterwise_build_dgrma(phi, ap=None, cap=100_000):
@@ -1079,7 +1075,7 @@ def letterwise_build_dgrma(phi, ap=None, cap=100_000):
     slaves = []
     components = []
     for rho in rec:
-        inner = letterwise_build_lts(
+        slave = letterwise_build_lts(
             formula_to_boolfn(rho.children[0]),
             step,
             atoms,
@@ -1087,8 +1083,6 @@ def letterwise_build_dgrma(phi, ap=None, cap=100_000):
             is_terminal=lambda f: rank(f) == 0,
             what="slave LTS",
         )
-        sinks = frozenset(q for q, f in enumerate(inner.states) if rank(f) == 0)
-        slave = SlaveLts(inner, sinks)
         slaves.append(slave)
         if rho.kind == FREQ:
             components.append(_letterwise_count_lts(slave, cap))
@@ -1130,7 +1124,7 @@ def letterwise_build_pairs(columns, master, rec, slaves, components):
             if got is None:
                 tokens = components[i].states[comp_state]
                 got = bf_and_many(
-                    substitute_ff(slaves[i].state(q), dropped) for q in sorted(tokens)
+                    substitute_ff(slaves[i].states[q], dropped) for q in sorted(tokens)
                 )
                 token_conj_cache[key] = got
             return got

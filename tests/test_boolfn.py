@@ -74,6 +74,21 @@ def test_holds_under_matches_direct_evaluation(expr, mask):
     assert f.holds_under(uids) == _eval_expr(expr, assignment)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_exprs, _exprs)
+def test_implies_matches_brute_force_entailment(e1, e2):
+    variables = [atom(f"v{i}") for i in range(6)]
+    f, g = _to_boolfn(e1, variables), _to_boolfn(e2, variables)
+    read = f.variables() | g.variables()
+    free = [i for i in range(6) if variables[i].uid in read]
+    assignments = (
+        {i for k, i in enumerate(free) if mask >> k & 1}
+        for mask in range(1 << len(free))
+    )
+    entailed = all(not _eval_expr(e1, a) or _eval_expr(e2, a) for a in assignments)
+    assert f.implies(g) == entailed
+
+
 def test_antichain_invariant():
     rng = random.Random(3)
     variables = [atom(f"v{i}") for i in range(6)]

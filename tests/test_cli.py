@@ -177,6 +177,15 @@ def test_synth_dot_is_the_automaton_dot(model_file, tmp_path):
     assert letters == {"{}", "{a}"}
 
 
+def test_synth_rejects_a_label_that_is_not_an_atom_name(tmp_path):
+    path = tmp_path / "bad.mdp"
+    path.write_text(MODEL.replace("label s1 b", "label s1 1bad a.b \u00b2"))
+    out = run_cli("synth", "--model", str(path), "--formula", "F a",
+                  "--threshold", "1/2")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: line 5: bad atom name '1bad'\n"
+
+
 def test_automaton_state_cap():
     out = run_cli("automaton", "--formula", "G F a", "--max-states", "2")
     assert out.returncode == 2

@@ -150,7 +150,7 @@ def test_proof_obligations_monotone_in_assumptions():
                 if rho.kind == "G" and rho in chosen:
                     tokens = aut.components[i].states[aut.columns[i + 1][q]]
                     assumptions.extend(
-                        substitute_ff(aut.slaves[i].state(t), dropped)
+                        substitute_ff(aut.slaves[i].states[t], dropped)
                         for t in tokens
                     )
             if proves(assumptions, goal):
@@ -196,8 +196,8 @@ def test_row_translation_matches_letterwise_oracle():
                 continue
             built += 1
             assert aut.columns == ref.columns, phi
-            got = [aut.master] + [s.lts for s in aut.slaves] + aut.components
-            want = [ref.master] + [s.lts for s in ref.slaves] + ref.components
+            got = [aut.master] + aut.slaves + aut.components
+            want = [ref.master] + ref.slaves + ref.components
             for g, w in zip(got, want, strict=True):
                 assert g.alphabet == w.alphabet, phi
                 assert g.states == w.states, phi
@@ -208,7 +208,7 @@ def test_row_translation_matches_letterwise_oracle():
             alphabet = aut.lts.alphabet
             stepped = [g for f in aut.master.states for g in (f, unfold(f))]
             for slave in aut.slaves:
-                stepped += [f for q, f in enumerate(slave.lts.states) if q not in slave.sinks]
+                stepped += [f for f, row in zip(slave.states, slave.delta) if row is not None]
             for f in stepped:
                 assert step_row(f, alphabet) == [step(f, l) for l in alphabet], phi
     assert built >= 300 and capped >= 100

@@ -61,6 +61,19 @@ def test_imports_are_at_module_top():
     assert not found, found
 
 
+def test_boolfn_models_are_read_only_in_boolfn():
+    # Other modules ask ``BoolFn.implies``, so the minimal-model form can be
+    # replaced (say, by a BDD) in boolfn.py alone.
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno} {node.attr}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "boolfn.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("models", "holds_under")
+    ]
+    assert not found, found
+
+
 def test_benchmark_hooks_resolve():
     # bench/spans.py wraps each HOOKS name in its module when it traces a
     # run; a renamed function must fail here too.  The file is executed from

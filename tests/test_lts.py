@@ -27,12 +27,13 @@ def test_powerset_alphabet_counts_in_binary():
 
 def test_row_numbers_new_payloads_at_their_first_letter():
     # Over 4 letters, "x" reaches "z" at letters 0 and 2 and "y" at 1 and 3:
-    # each is numbered once, "z" first; "w" is first seen in "y"'s row.
+    # each is numbered once, "z" first; "w" is first seen in "y"'s row, and
+    # its row function returns None, so it has no transitions.
     rows = {
         "x": ["z", "y", "z", "y"],
         "z": ["z"] * 4,
         "y": ["w", "y", "w", "z"],
-        "w": ["w"] * 4,
+        "w": None,
     }
     called = []
 
@@ -43,7 +44,9 @@ def test_row_numbers_new_payloads_at_their_first_letter():
 
     lts = build_lts("x", successors, ["a", "b"], cap=4)
     assert lts.states == ["x", "z", "y", "w"]
-    assert lts.delta == [[1, 2, 1, 2], [1, 1, 1, 1], [3, 2, 3, 1], [3, 3, 3, 3]]
+    assert lts.delta == [[1, 2, 1, 2], [1, 1, 1, 1], [3, 2, 3, 1], None]
+    assert called == ["x", "z", "y", "w"]
+    assert [lts.successor(3, letter) for letter in lts.alphabet] == [None] * 4
     for cap, rows_built in ((3, ["x", "z", "y"]), (2, ["x"]), (1, ["x"])):
         called.clear()
         with pytest.raises(StateCapExceeded) as exc:
@@ -78,7 +81,7 @@ def _corpus_builds():
         for rho in rec_set(phi):
             operand = rho.children[0]
             slave = build_slave_lts(operand, atoms)
-            yield "slave LTS", lambda cap, o=operand, a=atoms: build_slave_lts(o, a, cap).lts
+            yield "slave LTS", lambda cap, o=operand, a=atoms: build_slave_lts(o, a, cap)
             if rho.kind == FREQ:
                 yield "counting LTS", lambda cap, s=slave: build_count_lts(s, cap)
             else:
@@ -98,7 +101,7 @@ def test_state_cap_stops_every_builder_at_its_last_state():
         assert (again.lts if what == "product automaton" else again).delta == lts.delta
         repeats[what] = repeats.get(what, 0) + _repeated_new_payload_rows(lts)
         if what == "product automaton" and any(
-            len(part) == n for part in [full.master] + [s.lts for s in full.slaves] + full.components
+            len(part) == n for part in [full.master] + full.slaves + full.components
         ):
             continue  # a part of the same size overflows first
         with pytest.raises(StateCapExceeded) as exc:

@@ -108,6 +108,16 @@ def test_parse_rejects_repeated_directives():
             parse_mdp(base + extra)
 
 
+def test_parse_rejects_label_names_that_are_not_atom_names():
+    # Labels follow the atom-name rule of formulas and lasso letters.
+    text = "mdp\nstates s\ninit s\nlabel s a {}\naction s loop : s 1\n"
+    assert parse_mdp(text.format("_b c9"))[1] == [frozenset({"a", "_b", "c9"})]
+    for name in ("1bad", "a.b", "a-b", "\u00b2"):
+        with pytest.raises(MdpError) as exc:
+            parse_mdp(text.format(name))
+        assert str(exc.value) == f"line 4: bad atom name {name!r}"
+
+
 def test_product_with_master():
     mdp, valuation = parse_mdp(
         "mdp\nstates s\ninit s\nlabel s a\naction s loop : s 1\n"

@@ -9,7 +9,7 @@ from freqsynth.formula import FormulaError, always, atom, eventually, parse_form
 from freqsynth.lasso import models
 from freqsynth.lts import Lts, powerset_alphabet
 from freqsynth.slave import (
-    SlaveLts,
+    accepting_sinks,
     assumption_conj,
     buchi_accepting_sets,
     build_count_lts,
@@ -17,6 +17,7 @@ from freqsynth.slave import (
     build_token_lts,
     cobuchi_rejecting_sets,
     mp_reward,
+    sinks,
 )
 from freqsynth.dgrma import rec_set
 
@@ -30,30 +31,28 @@ def _letter(*atoms):
 def test_worked_slave_example():
     xi = parse_formula("a | b | X(b & G F a)")
     slave = build_slave_lts(xi)
-    lts = slave.lts
     gfa = formula_to_boolfn(parse_formula("G F a"))
     b_gfa = formula_to_boolfn(parse_formula("b & G F a"))
-    assert lts.states[lts.successor(lts.init, _letter())] == b_gfa
-    assert lts.states[lts.successor(lts.init, _letter("a"))] == TRUE
-    q = lts.states.index(b_gfa)
-    assert lts.states[lts.successor(q, _letter("b"))] == gfa
-    assert lts.states[lts.successor(q, _letter())] == FALSE
-    sink_states = {str(slave.state(s)) for s in slave.sinks}
+    assert slave.states[slave.successor(slave.init, _letter())] == b_gfa
+    assert slave.states[slave.successor(slave.init, _letter("a"))] == TRUE
+    q = slave.states.index(b_gfa)
+    assert slave.states[slave.successor(q, _letter("b"))] == gfa
+    assert slave.states[slave.successor(q, _letter())] == FALSE
+    sink_states = {str(slave.states[s]) for s in sinks(slave)}
     assert sink_states == {"tt", "ff", "(G F a)"}
 
 
 def test_single_atom_slave():
     slave = build_slave_lts(atom("a"))
-    lts = slave.lts
-    assert lts.init not in slave.sinks
-    assert lts.states[lts.successor(lts.init, _letter("a"))] == TRUE
-    assert lts.states[lts.successor(lts.init, _letter())] == FALSE
+    assert slave.init not in sinks(slave)
+    assert slave.states[slave.successor(slave.init, _letter("a"))] == TRUE
+    assert slave.states[slave.successor(slave.init, _letter())] == FALSE
 
 
 def test_globally_formula_is_immediate_sink():
     slave = build_slave_lts(parse_formula("G F a"))
     assert len(slave) == 1
-    assert slave.lts.init in slave.sinks
+    assert slave.init in sinks(slave)
 
 
 def test_acyclicity_rank_order():
@@ -61,11 +60,11 @@ def test_acyclicity_rank_order():
     for _ in range(100):
         xi = random_ufree_formula(rng, rng.randint(1, 7), ["a", "b"])
         slave = build_slave_lts(xi)
-        for q, row in enumerate(slave.lts.delta):
+        for q, row in enumerate(slave.delta):
             if row is None:
                 continue
             for target in row:
-                assert rank(slave.lts.states[target]) < rank(slave.lts.states[q])
+                assert rank(slave.states[target]) < rank(slave.states[q])
 
 
 def test_token_lts_transitions():
@@ -73,17 +72,17 @@ def test_token_lts_transitions():
     slave = build_slave_lts(xi)
     token = build_token_lts(slave)
     init_tokens = token.states[token.init]
-    assert init_tokens == frozenset({slave.lts.init})
+    assert init_tokens == frozenset({slave.init})
     after_empty = token.states[token.successor(token.init, _letter())]
-    b_gfa = slave.lts.states.index(formula_to_boolfn(parse_formula("b & G F a")))
-    assert after_empty == frozenset({slave.lts.init, b_gfa})
+    b_gfa = slave.states.index(formula_to_boolfn(parse_formula("b & G F a")))
+    assert after_empty == frozenset({slave.init, b_gfa})
     after_a = token.states[token.successor(token.init, _letter("a"))]
-    tt_idx = slave.lts.states.index(TRUE)
-    assert after_a == frozenset({slave.lts.init, tt_idx})
+    tt_idx = slave.states.index(TRUE)
+    assert after_a == frozenset({slave.init, tt_idx})
     # The sink-resident token disappears one step later.
     q = token.successor(token.init, _letter("a"))
     again = token.states[token.successor(q, _letter("a"))]
-    assert again == frozenset({slave.lts.init, tt_idx})
+    assert again == frozenset({slave.init, tt_idx})
 
 
 def test_single_state_token_loop():
@@ -99,10 +98,10 @@ def test_buchi_and_cobuchi_sets_depend_on_assumptions():
     slave = build_slave_lts(xi)
     token = build_token_lts(slave)
     assumed, nothing = assumption_conj([gfa]), assumption_conj([])
-    with_assumption = slave.accepting_sinks(assumed)
-    without = slave.accepting_sinks(nothing)
-    names_with = {str(slave.state(q)) for q in with_assumption}
-    names_without = {str(slave.state(q)) for q in without}
+    with_assumption = accepting_sinks(slave, assumed)
+    without = accepting_sinks(slave, nothing)
+    names_with = {str(slave.states[q]) for q in with_assumption}
+    names_without = {str(slave.states[q]) for q in without}
     assert names_with == {"tt", "(G F a)"}
     assert names_without == {"tt"}
     assert buchi_accepting_sets(slave, token, assumed) >= buchi_accepting_sets(
@@ -110,16 +109,16 @@ def test_buchi_and_cobuchi_sets_depend_on_assumptions():
     )
     # Rejecting token sets contain some sink not provable from the assumptions.
     rej = cobuchi_rejecting_sets(slave, token, assumed)
-    ff_idx = slave.lts.states.index(FALSE)
+    ff_idx = slave.states.index(FALSE)
     for i in rej:
-        assert token.states[i] & (slave.sinks - with_assumption)
+        assert token.states[i] & (sinks(slave) - with_assumption)
     assert all(ff_idx in token.states[i] for i in rej)
 
 
 def test_count_lts_worked_example():
     slave = build_slave_lts(atom("a"))
     count = build_count_lts(slave)
-    a_idx, tt_idx = slave.lts.init, slave.lts.states.index(TRUE)
+    a_idx, tt_idx = slave.init, slave.states.index(TRUE)
     init = count.states[count.init]
     assert init[a_idx] == 1 and sum(init) == 1
     q = count.successor(count.init, _letter("a"))
@@ -142,14 +141,14 @@ def test_count_bound_rejects_a_cyclic_slave():
     alphabet = powerset_alphabet(["a"])
     looping = Lts(["a"], alphabet, ["s"], 0, [[0, 0]])
     with pytest.raises(FormulaError, match="token count exceeded"):
-        build_count_lts(SlaveLts(looping, frozenset()))
+        build_count_lts(looping)
 
 
 def test_mp_reward_values():
     slave = build_slave_lts(atom("a"))
     count = build_count_lts(slave)
     rewards = mp_reward(slave, count, assumption_conj([]))
-    tt_idx = slave.lts.states.index(TRUE)
+    tt_idx = slave.states.index(TRUE)
     for q, state in enumerate(count.states):
         assert rewards[q] == state[tt_idx]
 
@@ -187,13 +186,13 @@ def test_slave_positions_decide_recurrence():
         slave = build_slave_lts(xi, ap={"a", "b"})
         w = random_lasso(rng, 3, 3, ["a", "b"])
         R = rec_truth(w, rec_set(xi))
-        good = slave.accepting_sinks(assumption_conj(R))
+        good = accepting_sinks(slave, assumption_conj(R))
 
         def token_accepted(start):
-            q = slave.lts.init
+            q = slave.init
             n = start
-            while q not in slave.sinks:
-                q = slave.lts.successor(q, w.letter(n))
+            while q not in sinks(slave):
+                q = slave.successor(q, w.letter(n))
                 n += 1
             return q in good
 
