@@ -325,8 +325,13 @@ _WORD = re.compile(r"\w+")
 
 
 def is_atom_name(text: str) -> bool:
-    """True for a letter or ``_`` followed by letters, digits or ``_``."""
-    return _WORD.fullmatch(text) is not None and (text[0].isalpha() or text[0] == "_")
+    """True for a letter or ``_`` followed by letters, digits or ``_``, but
+    not a keyword (``X F G U tt ff``), which no formula can name as an atom."""
+    return (
+        _WORD.fullmatch(text) is not None
+        and (text[0].isalpha() or text[0] == "_")
+        and text not in _KEYWORDS
+    )
 
 
 class _Lexer:

@@ -129,18 +129,20 @@ def _int_row(coeffs, rhs, size):
 
 def _eliminate(row, pivot_row, c, support):
     """row -= row[c] * pivot_row in place, where pivot_row[c] is 1 and
-    support holds (at least) the pivot row's nonzero columns.  The result is
-    reduced by its gcd only when its denominator is longer than
-    ``_REDUCE_BITS``."""
+    support holds (at least) the pivot row's nonzero columns.  When the
+    reduced factor of the pivot row's denominator is 1, the row's own list
+    is updated over the support alone.  The result is reduced by its gcd only
+    when its denominator is longer than ``_REDUCE_BITS``."""
     nums, den = row
     pivot_nums, p = pivot_row
     f = nums[c]
     g = gcd(f, p)
     f, p = f // g, p // g
-    nums = [a * p for a in nums] if p != 1 else nums[:]
+    if p != 1:
+        nums = [a * p for a in nums]
+        den *= p
     for j in support:
         nums[j] -= f * pivot_nums[j]
-    den *= p
     if den.bit_length() > _REDUCE_BITS:
         nums, den = _reduced(nums, den)
     row[:] = nums, den

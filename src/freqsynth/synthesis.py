@@ -75,11 +75,20 @@ def winning_union(product: Mdp, lifted: list) -> tuple[frozenset, list]:
     (whether every Inf set meets it, and each bound's comparison, bound and
     rewards on its states), so each distinct such key is decided once per
     call and its answer reused.
+
+    A flow rejection (a rejected component that meets every Inf set) also
+    settles, without a solve, every later decision on a sub-component whose
+    condition contains each of its bounds restricted to that sub-component.
+    A witness there would be one for the rejected decision too: the flows
+    of an end component inside another, extended by zero, are flows of the
+    larger one with the same rewards, and each keeps meeting the bounds it
+    met, strict ones strictly.
     """
     w_states: set = set()
     outcomes = []
     components_of: dict = {}  # fin set -> MECs of the product without it
     decided: dict = {}  # decision key -> (accepted, LpSolution or None)
+    rejections: list = []  # (state names, action names, condition) of each flow rejection
     for fin, cond in lifted:
         winners = []
         components = components_of.get(fin)
@@ -90,7 +99,14 @@ def winning_union(product: Mdp, lifted: list) -> tuple[frozenset, list]:
             key = _decision_key(component, cond)
             verdict = decided.get(key)
             if verdict is None:
-                verdict = decided[key] = accepting_mec(component, cond)
+                meets_infs = key[2]
+                if meets_infs and _refuted(key, rejections):
+                    verdict = (False, None)
+                else:
+                    verdict = accepting_mec(component, cond)
+                    if meets_infs and not verdict[0]:
+                        rejections.append((frozenset(key[0]), frozenset(key[1]), cond))
+                decided[key] = verdict
             ok, sol = verdict
             if ok:
                 winners.append((component, sol))
@@ -103,18 +119,31 @@ def _decision_key(component: Mdp, cond: GbmpCondition) -> tuple:
     """Everything ``accepting_mec`` reads of (component, condition)."""
     states = component.states
     names = frozenset(states)
-
-    def restricted(bounds):
-        return tuple(
-            (b.cmp, b.bound, tuple(map(b.reward.__getitem__, states))) for b in bounds
-        )
-
     return (
         tuple(states),
         tuple(a.name for a in component.actions),
         all(not names.isdisjoint(inf_set) for inf_set in cond.inf_sets),
-        restricted(cond.mp_inf),
-        restricted(cond.mp_sup),
+        _restricted(cond.mp_inf, states),
+        _restricted(cond.mp_sup, states),
+    )
+
+
+def _restricted(bounds: tuple, states: list) -> tuple:
+    """Each bound as (comparison, bound, its rewards on ``states``)."""
+    return tuple((b.cmp, b.bound, tuple(map(b.reward.__getitem__, states))) for b in bounds)
+
+
+def _refuted(key: tuple, rejections: list) -> bool:
+    """Whether a flow rejection implies the decision ``key``'s: its
+    component holds the key's states and actions, and each of its bounds,
+    restricted to the key's states, is one of the key's own."""
+    states, actions, _, mp_inf, mp_sup = key
+    return any(
+        rejected_states.issuperset(states)
+        and rejected_actions.issuperset(actions)
+        and set(_restricted(cond.mp_inf, states)).issubset(mp_inf)
+        and set(_restricted(cond.mp_sup, states)).issubset(mp_sup)
+        for rejected_states, rejected_actions, cond in rejections
     )
 
 

@@ -186,6 +186,18 @@ def test_synth_rejects_a_label_that_is_not_an_atom_name(tmp_path):
     assert out.stderr == "error: line 5: bad atom name '1bad'\n"
 
 
+def test_keyword_labels_and_letters_are_errors(tmp_path):
+    path = tmp_path / "keyword.mdp"
+    path.write_text(MODEL.replace("label s1 b", "label s1 G tt"))
+    out = run_cli("synth", "--model", str(path), "--formula", "F a",
+                  "--threshold", "1/2")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: line 5: bad atom name 'G'\n"
+    word = run_cli("check-word", "--formula", "F a", "--loop", "{a F}")
+    assert (word.returncode, word.stdout) == (2, "")
+    assert "bad atom name 'F'" in word.stderr
+
+
 def test_automaton_state_cap():
     out = run_cli("automaton", "--formula", "G F a", "--max-states", "2")
     assert out.returncode == 2

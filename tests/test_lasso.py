@@ -39,6 +39,11 @@ def test_letter_parsing():
     for name in ("\u00b2a", "\u0661", "a.b", "a-b"):
         with pytest.raises(LassoError):
             parse_letters("{" + name + "}")
+    # Keywords are not atom names; names that start with one are.
+    for name in ("X", "F", "G", "U", "tt", "ff"):
+        with pytest.raises(LassoError, match=f"bad atom name {name!r}"):
+            parse_letters("{a " + name + "}")
+    assert parse_letters("{Xa ff0}") == (frozenset({"Xa", "ff0"}),)
     with pytest.raises(LassoError):
         Lasso((), ())
 

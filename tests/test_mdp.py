@@ -118,6 +118,17 @@ def test_parse_rejects_label_names_that_are_not_atom_names():
         assert str(exc.value) == f"line 4: bad atom name {name!r}"
 
 
+def test_parse_rejects_keyword_labels():
+    # No formula can name a keyword as an atom, so no label may be one; a
+    # name that only starts with a keyword is an atom name.
+    text = "mdp\nstates s\ninit s\nlabel s a {}\naction s loop : s 1\n"
+    for name in ("X", "F", "G", "U", "tt", "ff"):
+        with pytest.raises(MdpError) as exc:
+            parse_mdp(text.format(name))
+        assert str(exc.value) == f"line 4: bad atom name {name!r}"
+    assert parse_mdp(text.format("Gx tt1 FF"))[1] == [frozenset({"a", "Gx", "tt1", "FF"})]
+
+
 def test_product_with_master():
     mdp, valuation = parse_mdp(
         "mdp\nstates s\ninit s\nlabel s a\naction s loop : s 1\n"

@@ -18,7 +18,14 @@ from freqsynth.mdp import (
     product_mdp,
     restrict,
 )
-from freqsynth.mecanalysis import EpochSchedule, GbmpCondition, MpBound
+from freqsynth.mecanalysis import (
+    EpochSchedule,
+    GbmpCondition,
+    MpBound,
+    accepting_mec,
+    build_lp,
+    maximize_margin,
+)
 from freqsynth.synthesis import (
     SynthesisError,
     _check_selector,
@@ -736,9 +743,10 @@ def _wide_pool():
 
 
 def test_winning_union_matches_the_pairwise_oracle(monkeypatch):
-    # Sharing decisions by restricted condition must leave every outcome,
-    # report and simulation as deciding each (pair, component) afresh, and
-    # decide each distinct restricted condition exactly once.  Every
+    # Sharing decisions by restricted condition, and refuting those a flow
+    # rejection implies, must leave every outcome, report and simulation as
+    # deciding each (pair, component) afresh, and decide each distinct
+    # restricted condition at most once; the pools refute some.  Every
     # component's flow LPs have the row form that starts each row on its
     # own artificial.
     decisions = []
@@ -748,7 +756,7 @@ def test_winning_union_matches_the_pairwise_oracle(monkeypatch):
         "accepting_mec",
         lambda c, cond: decisions.append(_restricted_condition(c, cond)) or real_decide(c, cond),
     )
-    pairwise = distinct = reports = 0
+    pairwise = distinct = refuted = reports = 0
     for mdp, valuation, phi in _pool() + _wide_pool():
         product, lifted = _lifted(mdp, valuation, phi)
         decisions.clear()
@@ -764,8 +772,9 @@ def test_winning_union_matches_the_pairwise_oracle(monkeypatch):
                 keys.add(_restricted_condition(component, cond))
                 assert_flow_row_form(component, cond)
                 pairwise += 1
-        assert set(decisions) == keys, phi
+        assert set(decisions) <= keys, phi
         distinct += len(keys)
+        refuted += len(keys) - len(decisions)
 
         got = synthesize(mdp, valuation, phi, Fr(1, 2))
         with monkeypatch.context() as m:
@@ -777,6 +786,7 @@ def test_winning_union_matches_the_pairwise_oracle(monkeypatch):
             assert sims[0].to_text() == sims[1].to_text(), phi
             reports += 1
     assert pairwise - distinct >= 40  # decisions shared
+    assert refuted >= 1
     assert reports >= 40
 
 
@@ -837,6 +847,92 @@ def test_conditions_differing_on_the_component_are_decided_apart(monkeypatch):
         assert [sorted(s for c, _ in w for s in c.states) for w in outcomes] == want
         assert _named(outcomes) == _named(pairwise_winning_union(mdp, lifted)[1])
         assert sorted(calls) == [("s0", "s1")] * ring_decisions + [("s2",)] * loop_decisions
+
+
+NESTED_MODEL = """\
+mdp
+states u v w
+init u
+action u uv : v 1
+action v vu : u 1
+action v vw : w 1
+action w wv : v 1
+"""
+
+
+def test_a_flow_rejection_refutes_only_its_sub_components(monkeypatch):
+    # Removing w leaves the MEC {u,v}, removing u leaves {v,w}, and nothing
+    # removed leaves {u,v,w}.  The reward 0 on u and 1 on v and w averages
+    # 1/2 on {u,v}, so "at least 3/4" rejects it, while {v,w} and {u,v,w}
+    # accept it: neither is inside {u,v}, though the bound restricted to
+    # {v,w} reads the same rewards there.  A bound above 1 rejects {u,v,w},
+    # and that settles {u,v}, which it contains, without a solve, but not
+    # {v,w} under "at least 3/4", which lacks that bound.
+    mdp, _ = parse_mdp(NESTED_MODEL)
+    calls = []
+    real_decide = freqsynth.synthesis.accepting_mec
+    monkeypatch.setattr(
+        freqsynth.synthesis,
+        "accepting_mec",
+        lambda c, cond: calls.append(tuple(c.states)) or real_decide(c, cond),
+    )
+    reward = {"u": Fr(0), "v": Fr(1), "w": Fr(1)}
+    three_quarters = GbmpCondition(mp_inf=(MpBound(">=", Fr(3, 4), reward),))
+    above_one = GbmpCondition(mp_sup=(MpBound(">", Fr(1), reward),))
+    without = {name: frozenset({name}) for name in "uvw"}
+    cases = [
+        ([(without["w"], three_quarters), (without["u"], three_quarters)], [[], ["v", "w"]]),
+        ([(without["w"], three_quarters), (frozenset(), three_quarters)], [[], ["u", "v", "w"]]),
+    ]
+    for lifted, want in cases:
+        calls.clear()
+        _, outcomes = winning_union(mdp, lifted)
+        assert [sorted(s for c, _ in w for s in c.states) for w in outcomes] == want
+        assert _named(outcomes) == _named(pairwise_winning_union(mdp, lifted)[1])
+        assert len(calls) == 2
+    calls.clear()
+    lifted = [(frozenset(), above_one), (without["w"], above_one), (without["u"], three_quarters)]
+    _, outcomes = winning_union(mdp, lifted)
+    assert _named(outcomes) == _named(pairwise_winning_union(mdp, lifted)[1])
+    assert [sorted(s for c, _ in w for s in c.states) for w in outcomes] == [[], [], ["v", "w"]]
+    assert calls == [("u", "v", "w"), ("v", "w")]
+
+
+def test_a_flow_rejection_implies_rejection_on_sub_ecs_under_more_bounds():
+    # Flows of a sub-EC, extended by zero, are flows of the whole component
+    # with the same rewards.  So when (M, C) has no witness, neither M nor a
+    # sub-EC M' of it has one for a condition C' holding every bound of C
+    # (inf among its inf bounds, sup among its sup bounds), whether the
+    # margin LP is infeasible or strict bounds tie it at 0.
+    rng = random.Random(2727)
+    values = (Fr(0), Fr(1, 3), Fr(1, 2), Fr(2, 3), Fr(1))
+
+    def bound(names):
+        reward = {s: rng.choice((Fr(0), Fr(1), Fr(1, 2))) for s in names}
+        return MpBound(rng.choice((">=", ">")), rng.choice(values), reward)
+
+    rejected = ties = proper = 0
+    for _ in range(300):
+        mdp = random_strongly_connected_mdp(rng, 6, 3)
+        names = mdp.states
+        inf = [bound(names) for _ in range(rng.randint(0, 2))]
+        sup = [bound(names) for _ in range(rng.randint(0, 2))]
+        cond = GbmpCondition(mp_inf=tuple(inf), mp_sup=tuple(sup))
+        if accepting_mec(mdp, cond)[0]:
+            continue
+        rejected += 1
+        ties += maximize_margin(build_lp(mdp, cond)) is not None
+        inf += [bound(names) for _ in range(rng.randint(0, 1))]
+        sup += [bound(names) for _ in range(rng.randint(0, 1))]
+        rng.shuffle(inf)
+        rng.shuffle(sup)
+        stronger = GbmpCondition(mp_inf=tuple(inf), mp_sup=tuple(sup))
+        sub = restrict(mdp, rng.sample(names, rng.randint(1, max(1, len(names) - 1))))
+        sub_ecs = mec_decomposition(sub) if sub is not None else []
+        for ec in [mdp] + sub_ecs:
+            assert not accepting_mec(ec, stronger)[0]
+        proper += len(sub_ecs)
+    assert rejected >= 150 and ties >= 10 and proper >= 40
 
 
 def test_out_of_fragment_formula_is_a_formula_error():
