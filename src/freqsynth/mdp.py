@@ -116,11 +116,17 @@ class Mdp:
 def _check_distributions(actions: Iterable[MdpAction]) -> None:
     """Raise unless every distribution is positive and sums to 1."""
     for a in actions:
-        total = sum(p for _, p in a.dist)
-        if total != 1:
+        if not _sums_to_one(a.dist):
+            total = sum(p for _, p in a.dist)
             raise MdpError(f"action {a.name!r} distribution sums to {total}, not 1")
         if any(p <= 0 for _, p in a.dist):
             raise MdpError(f"action {a.name!r} has a non-positive probability")
+
+
+def _sums_to_one(dist) -> bool:
+    """Whether the probabilities sum to 1, in integers over their lcm."""
+    den = lcm(*(p.denominator for _, p in dist))
+    return sum(p.numerator * (den // p.denominator) for _, p in dist) == den
 
 
 Valuation = list  # frozenset of atoms per state index
@@ -218,8 +224,8 @@ def parse_mdp(text: str) -> tuple[Mdp, Valuation]:
                     raise MdpError(f"line {lineno}: probability of {target!r} must be positive")
                 probs[prob_text] = prob
             entries.append((index[target], prob))
-        total = sum(p for _, p in entries)
-        if total != 1:
+        if not _sums_to_one(entries):
+            total = sum(p for _, p in entries)
             raise MdpError(f"line {lineno}: distribution sums to {total}, not 1")
         actions.append(MdpAction(name, index[state], tuple(entries)))
 

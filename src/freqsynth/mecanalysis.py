@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
+from math import lcm
 from typing import Iterator, Mapping, Optional
 
 from . import simplex
@@ -88,48 +89,47 @@ def build_lp(mdp: Mdp, cond: GbmpCondition, margin: bool = True) -> LinearSystem
     """Assemble the per-flow constraint system (no Inf rows: those are a
     separate nonempty-intersection check).  Every bound row with ``margin``,
     else every strict one, reads ``reward - t >= bound``; ``t`` is left out
-    when no row has it."""
+    when no row has it.  Rows are ``solve_lp``'s ``(nums, rel, rhs, den)``:
+    the sum row over 1, a balance row over the lcm of its entering actions'
+    ``weights``, a bound row over the lcm of its bound and rewards."""
     n_flows = cond.num_flows()
     n_actions = len(mdp.actions)
     t = n_flows * n_actions
     has_t = bool(cond.mp_inf or cond.mp_sup) if margin else cond.strict()
 
-    def reward_row(flow: int, bound: MpBound) -> dict:
-        coeffs: dict[int, Fraction] = {}
-        for ai, action in enumerate(mdp.actions):
-            r = bound.reward[mdp.states[action.source]]
-            if r:
-                coeffs[flow * n_actions + ai] = Fraction(r)
+    def bound_row(base: int, bound: MpBound) -> tuple:
+        rewards = [bound.reward[name] for name in mdp.states]
+        den = lcm(bound.bound.denominator, *(r.denominator for r in rewards))
+        ints = [r.numerator * (den // r.denominator) for r in rewards]
+        nums = {base + ai: ints[a.source] for ai, a in enumerate(mdp.actions) if ints[a.source]}
         if margin or bound.cmp == GT:
-            coeffs[t] = Fraction(-1)
-        return coeffs
+            nums[t] = -den
+        return nums, ">=", bound.bound.numerator * (den // bound.bound.denominator), den
 
     # Balance at each state, inflow minus outflow, keyed by action index in
     # ascending order.  Probabilities are positive, so only the outflow at
     # the source can cancel (a sure self-loop); that entry is dropped.
-    balance: list[dict[int, Fraction]] = [{} for _ in mdp.states]
+    dens = [lcm(*(mdp.actions[ai].weights[0] for ai in entering)) for entering in mdp.pre]
+    balance: list[dict[int, int]] = [{} for _ in mdp.states]
     for ai, action in enumerate(mdp.actions):
-        for s, prob in action.dist:
-            balance[s][ai] = balance[s].get(ai, _ZERO) + prob
+        den, weights = action.weights
+        for s, w in weights:
+            balance[s][ai] = balance[s].get(ai, 0) + w * (dens[s] // den)
         src = balance[action.source]
-        src[ai] = src.get(ai, _ZERO) - 1
+        src[ai] = src.get(ai, 0) - dens[action.source]
         if not src[ai]:
             del src[ai]
 
     rows = []
     for i in range(n_flows):
         base = i * n_actions
-        rows.append(
-            ({base + ai: Fraction(1) for ai in range(n_actions)}, "==", Fraction(1))
-        )
-        for coeffs in balance:
-            rows.append(({base + ai: p for ai, p in coeffs.items()}, "==", _ZERO))
+        rows.append(({base + ai: 1 for ai in range(n_actions)}, "==", 1, 1))
+        for coeffs, den in zip(balance, dens):
+            rows.append(({base + ai: w for ai, w in coeffs.items()}, "==", 0, den))
         for bound in cond.mp_inf:
-            rows.append((reward_row(i, bound), ">=", Fraction(bound.bound)))
+            rows.append(bound_row(base, bound))
         if cond.mp_sup:
-            rows.append(
-                (reward_row(i, cond.mp_sup[i]), ">=", Fraction(cond.mp_sup[i].bound))
-            )
+            rows.append(bound_row(base, cond.mp_sup[i]))
     return LinearSystem(mdp, cond, n_flows, t + 1 if has_t else t, rows)
 
 
@@ -142,7 +142,7 @@ def maximize_margin(system: LinearSystem) -> Optional[LpSolution]:
     """
     n_actions = len(system.mdp.actions)
     t = system.num_flows * n_actions
-    objective = {t: Fraction(1)} if system.num_vars > t else {}
+    objective = {t: 1} if system.num_vars > t else {}
     status, values, _ = simplex.solve_lp(system.num_vars, system.rows, objective)
     if status == simplex.INFEASIBLE:
         return None
@@ -161,32 +161,28 @@ def maximize_margin(system: LinearSystem) -> Optional[LpSolution]:
 
 
 def _verify_solution(system: LinearSystem, sol: LpSolution):
-    """Evaluate the system's flow-sum and balance rows at the solution, then
-    check every mean-payoff bound (strict ones strictly) with ``MpBound.check``."""
+    """Evaluate every row of the system at the solution in integers, over
+    one common denominator of the flows: the flow-sum and balance rows must
+    hold exactly, and each bound row without its ``t`` must meet the bound,
+    strictly where the bound is strict.  A failure names its row."""
     mdp, cond = system.mdp, system.cond
     x = [v for flow in sol.flows for v in flow]
+    scale = lcm(*(v.denominator for v in x))
+    xs = [v.numerator * (scale // v.denominator) for v in x] + [0]  # t is not checked
     block = len(system.rows) // system.num_flows  # sum, balance, bound rows
-    for r, (coeffs, rel, rhs) in enumerate(system.rows):
-        if rel != "==":
-            continue
-        value = sum((c * x[j] for j, c in coeffs.items()), _ZERO)
-        if value != rhs:
-            i, k = divmod(r, block)
+    for r, (nums, _, rhs, _) in enumerate(system.rows):
+        lhs, want = sum(c * xs[j] for j, c in nums.items()), rhs * scale
+        i, k = divmod(r, block)
+        if k > len(mdp):
+            b = k - 1 - len(mdp)
+            bound = cond.mp_inf[b] if b < len(cond.mp_inf) else cond.mp_sup[i]
+            if lhs < want or (lhs == want and bound.cmp == GT):
+                kind = f"inferior bound {b}" if b < len(cond.mp_inf) else f"superior bound {i}"
+                raise simplex.SimplexError(f"flow {i} violates {kind}")
+        elif lhs != want:
             if k == 0:
-                raise simplex.SimplexError(f"flow {i} sums to {value}")
+                raise simplex.SimplexError(f"flow {i} sums to {Fraction(lhs, scale)}")
             raise simplex.SimplexError(f"flow {i} unbalanced at {mdp.states[k - 1]}")
-    for i, flow in enumerate(sol.flows):
-        for bound in cond.mp_inf:
-            if not bound.check(_flow_reward(mdp, flow, bound)):
-                raise simplex.SimplexError("inferior bound violated by the solution")
-        if cond.mp_sup and not cond.mp_sup[i].check(
-            _flow_reward(mdp, flow, cond.mp_sup[i])
-        ):
-            raise simplex.SimplexError("superior bound violated by the solution")
-
-
-def _flow_reward(mdp: Mdp, flow: tuple, bound: MpBound) -> Fraction:
-    return sum(v * bound.reward[mdp.states[a.source]] for v, a in zip(flow, mdp.actions))
 
 
 def accepting_mec(mdp: Mdp, cond: GbmpCondition):

@@ -1,15 +1,16 @@
 """Two-phase simplex over exact rationals with Bland's anti-cycling rule.
 
 Problem form: maximize a linear objective subject to rows ``coeffs rel rhs``
-with rel in {<=, >=, ==} and all variables non-negative.  Every row starts
-basic on its own artificial column; phase two runs on the real columns of
-the rows that are left.  Each row of the dense tableau, and the cost row, is
-a list of int numerators over one positive int denominator: exact, without a
-Fraction object per cell and pivot.  The pivot row is divided by its gcd on
-every pivot; any other row only once its denominator outgrows
-``_REDUCE_BITS``.  Every decision reads signs, zero tests and ratios within
-one row, none of which a positive common factor changes, so the pivots are
-those of a fully reduced tableau.  Only the returned values are Fractions.
+with rel in {<=, >=, ==} and all variables non-negative.  One row format
+runs from ``mecanalysis.build_lp`` through the tableau to ``_verify_solution``:
+int numerators over one positive int denominator, exact without a Fraction
+per cell and pivot.  Every row starts basic on its own artificial column;
+phase two runs on the real columns of the rows that are left.  The pivot
+row is divided by its gcd on every pivot; any other row, and the cost row,
+only once its denominator outgrows ``_REDUCE_BITS``.  Every decision reads
+signs, zero tests and ratios within one row, none of which a positive
+common factor changes, so the pivots are those of a fully reduced tableau.
+Only the returned values are Fractions.
 """
 
 from __future__ import annotations
@@ -44,48 +45,52 @@ class SimplexError(Exception):
 
 def solve_lp(
     num_vars: int,
-    rows: Sequence[tuple[Mapping[int, int | Fraction], str, int | Fraction]],
+    rows: Sequence[tuple[Mapping[int, int], str, int, int]],
     objective: Mapping[int, int | Fraction],
 ):
     """Maximize the objective; returns (status, values, objective value).
 
-    Coefficients, right-hand sides and objective weights are ``int`` or
-    ``Fraction``: they are read through ``.numerator`` and ``.denominator``,
-    so a float is rejected.  ``values`` has one Fraction per original
-    variable when status is optimal, otherwise None.
+    A row ``(nums, rel, rhs, den)`` reads ``sum(nums[j] * x[j]) / den rel
+    rhs / den``: int numerators and one positive int denominator.  Objective
+    weights are ``int`` or ``Fraction``.  ``values`` has one Fraction per
+    original variable when status is optimal, otherwise None.
     """
     # Normalize to equality form with slack/surplus columns and b >= 0.  A
     # row is [numerators, denominator]; cell j stands for nums[j] / den.
-    n_slack = sum(1 for _, rel, _ in rows if rel in (LEQ, GEQ))
+    # Row i starts basic on artificial column total + i, and phase one
+    # maximizes minus their sum: its reduced cost row is the sum of the
+    # normalized rows, built here over their lcm.
+    n_slack = sum(1 for row in rows if row[1] in (LEQ, GEQ))
     total = num_vars + n_slack
+    m = len(rows)
+    lcd = lcm(*(row[3] for row in rows))
+    cost_nums = [0] * (total + m + 1)
     tableau: list[list] = []
     slack_idx = num_vars
-    for coeffs, rel, rhs in rows:
-        for j in coeffs:
+    for i, (coeffs, rel, rhs, den) in enumerate(rows):
+        if den < 1:
+            raise SimplexError(f"row denominator {den} is not positive")
+        sign = -1 if rhs < 0 else 1
+        scale = sign * (lcd // den)
+        nums = [0] * (total + m + 1)
+        for j, c in coeffs.items():
             if not 0 <= j < num_vars:
                 raise SimplexError(f"variable index {j} out of range")
-        nums, den = _int_row(coeffs, rhs, total + 1)
-        if rel == LEQ:
-            nums[slack_idx] = den
-            slack_idx += 1
-        elif rel == GEQ:
-            nums[slack_idx] = -den
+            nums[j] = sign * c
+            cost_nums[j] += scale * c
+        if rel == LEQ or rel == GEQ:
+            nums[slack_idx] = sign * den if rel == LEQ else -sign * den
+            cost_nums[slack_idx] = nums[slack_idx] * (lcd // den)
             slack_idx += 1
         elif rel != EQ:
             raise SimplexError(f"unknown relation {rel!r}")
-        if nums[total] < 0:
-            nums = [-v for v in nums]
+        nums[total + i] = den
+        nums[-1] = sign * rhs
+        cost_nums[-1] += scale * rhs
         tableau.append([nums, den])
 
-    # Phase one: row i starts basic on artificial column total + i, and
-    # maximizing minus their sum drives them to zero.
-    m = len(tableau)
-    for i, (nums, den) in enumerate(tableau):
-        nums[total:total] = [0] * m
-        nums[total + i] = den
     basis = list(range(total, total + m))
-    cost = list(_int_row({j: -1 for j in basis}, 0, total + m + 1))
-    _reduce_cost(cost, tableau, basis)
+    cost = [cost_nums, lcd]
     _iterate(tableau, basis, cost)
     if cost[0][-1] != 0:
         return INFEASIBLE, None, None
@@ -102,7 +107,10 @@ def solve_lp(
         del nums[total:-1]
     tableau = [row for row, b in zip(tableau, basis) if b < total]
     basis = [b for b in basis if b < total]
-    cost = list(_int_row(objective, 0, total + 1))
+    den = lcm(*(c.denominator for c in objective.values()))
+    cost = [[0] * (total + 1), den]
+    for j, c in objective.items():
+        cost[0][j] = c.numerator * (den // c.denominator)
     _reduce_cost(cost, tableau, basis)
     status = _iterate(tableau, basis, cost)
     if status == UNBOUNDED:
@@ -115,16 +123,6 @@ def solve_lp(
             values[b] = Fraction(nums[-1], den)
     # The maintained z-row holds the negated objective of the current basis.
     return OPTIMAL, values, Fraction(-cost[0][-1], cost[1])
-
-
-def _int_row(coeffs, rhs, size):
-    """Coefficients plus rhs (last cell) over their least common denominator."""
-    den = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
-    nums = [0] * size
-    for j, c in coeffs.items():
-        nums[j] = c.numerator * (den // c.denominator)
-    nums[-1] = rhs.numerator * (den // rhs.denominator)
-    return nums, den
 
 
 def _eliminate(row, pivot_row, c, support):

@@ -42,6 +42,12 @@ choices with ``fraction_sample``, and ``named_simulate_global`` steps it.
 state and returns ``SimulationStats`` (epoch lengths, Inf-set visits, prefix
 averages); it is an instrument for the witness tests, which the CLI's
 ``simulate`` (``freqsynth.synthesis.simulate_global``) does not use.
+``hull_accepts`` decides a strongly connected MEC from the reward vectors of
+its MD-strategy BSCCs, one small margin LP per flow block solved with
+``fraction_solve_lp``; it shares no code with ``build_lp`` or the simplex.
+``int_rows`` turns Fraction rows ``(coeffs, rel, rhs)`` into ``solve_lp``'s
+integer rows ``(nums, rel, rhs, den)`` and ``fraction_rows`` turns them back,
+so the Fraction oracles are fed rows that ``build_lp`` did not make.
 ``time_limit`` fails a call that does not return within a number of seconds.
 ``shift``, ``models_at`` and ``models_boolfn`` are lasso helpers that only the
 tests use.
@@ -50,6 +56,7 @@ tests use.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import signal
 from collections import deque
@@ -460,10 +467,10 @@ def decide_then_maximize_margin(mdp, cond):
         return False, None
     if not (cond.mp_inf or cond.mp_sup):
         return True, sol  # the margin is unbounded
-    margin = margin_rewrite(system)
+    margin = margin_rewrite(rescan_build_lp(mdp, cond))
     n_actions = len(mdp.actions)
     t = system.num_flows * n_actions
-    status, values, _ = solve_lp(margin.num_vars, margin.rows, {t: _ONE})
+    status, values, _ = solve_lp(margin.num_vars, int_rows(margin.rows), {t: _ONE})
     if status != OPTIMAL or (cond.strict() and values[t] <= 0):
         return True, sol
     flows = tuple(
@@ -634,8 +641,72 @@ def assert_flow_row_form(mdp, cond):
     row is flipped and no slack column has coefficient +1, so each row's own
     artificial is the only start ``solve_lp`` could take."""
     for system in (build_lp(mdp, cond), build_lp(mdp, cond, margin=False)):
-        for _, rel, rhs in system.rows:
-            assert rel == EQ or (rel == GEQ and rhs >= 0), (rel, rhs)
+        for _, rel, rhs, den in system.rows:
+            assert den >= 1 and (rel == EQ or (rel == GEQ and rhs >= 0)), (rel, rhs, den)
+
+
+def int_rows(rows):
+    """Fraction rows ``(coeffs, rel, rhs)`` as ``solve_lp``'s rows ``(nums,
+    rel, rhs, den)``, each over the lcm of its own denominators."""
+    out = []
+    for coeffs, rel, rhs in rows:
+        values = [Fraction(c) for c in coeffs.values()] + [Fraction(rhs)]
+        den = math.lcm(*(v.denominator for v in values))
+        nums = {j: int(v * den) for j, v in zip(coeffs, values)}
+        out.append((nums, rel, int(values[-1] * den), den))
+    return out
+
+
+def fraction_rows(rows):
+    """``solve_lp``'s integer rows back as Fraction rows ``(coeffs, rel, rhs)``,
+    keys in their order."""
+    return [
+        ({j: Fraction(c, den) for j, c in nums.items()}, rel, Fraction(rhs, den))
+        for nums, rel, rhs, den in rows
+    ]
+
+
+def hull_accepts(mdp, cond):
+    """Whether the strongly connected MDP meets the condition with
+    probability 1, decided without the flow LP.
+
+    The vertices of the flow polytope are the stationary distributions of MD
+    strategies on one bottom class (Derman 1970), so the component is
+    accepted exactly when it meets every Inf set and, for each flow block
+    (every inf bound and sup bound i), some convex combination of the
+    MD-BSCC reward vectors meets the block's bounds, strictly where a bound
+    is strict.  Each block is one margin LP over the combination weights,
+    with the margin on the strict rows alone, solved by ``fraction_solve_lp``.
+    """
+    names = set(mdp.states)
+    if any(not (set(inf) & names) for inf in cond.inf_sets):
+        return False
+    bounds = list(cond.mp_inf) + list(cond.mp_sup)
+    vectors = set()
+    for policy in enumerate_md_strategies(mdp):
+        for bscc in chain_bsccs(mdp, policy):
+            pi = stationary_distribution(mdp, policy, bscc)
+            vectors.add(
+                tuple(sum(pi[s] * b.reward[mdp.states[s]] for s in bscc) for b in bounds)
+            )
+    vectors = sorted(vectors)
+    n = len(vectors)
+    blocks = [list(range(len(cond.mp_inf)))]
+    if cond.mp_sup:
+        blocks = [blocks[0] + [len(cond.mp_inf) + i] for i in range(len(cond.mp_sup))]
+    for block in blocks:
+        strict = any(bounds[k].cmp == GT for k in block)
+        rows = [({v: _ONE for v in range(n)}, EQ, _ONE)]
+        for k in block:
+            coeffs = {v: vec[k] for v, vec in enumerate(vectors) if vec[k]}
+            if bounds[k].cmp == GT:
+                coeffs[n] = -_ONE
+            rows.append((coeffs, GEQ, bounds[k].bound))
+        num_vars = n + 1 if strict else n
+        status, values, _ = fraction_solve_lp(num_vars, rows, {n: _ONE} if strict else {})
+        if status != OPTIMAL or (strict and values[n] == 0):
+            return False
+    return True
 
 
 def fraction_solve_lp(num_vars, rows, objective):

@@ -36,11 +36,13 @@ from freqsynth.slave import (
 from freqsynth.synthesis import lift_pair, max_reach, synthesize, winning_union
 
 from helpers import (
+    chain_bsccs,
     chain_pipeline_probability,
     corpus_formulas,
     decide_then_maximize_margin,
     enumerate_md_strategies,
     freq_on_lasso,
+    hull_accepts,
     md_strategy_satisfies,
     models_boolfn,
     random_fragment_formula,
@@ -50,6 +52,7 @@ from helpers import (
     random_ufree_formula,
     rec_truth,
     simulate_strategy,
+    stationary_distribution,
 )
 
 
@@ -185,23 +188,71 @@ def instance_pool():
     return _random_instances()
 
 
-def test_criterion_5_lp_vs_md_oracle(instance_pool):
-    counterexamples = 0
-    rejected = 0
-    for mdp, cond in instance_pool:
+def _mixing_instances():
+    """Strongly connected MDPs with one inf and two sup bounds, each on or
+    just below a mixture of the reward vectors of two MD-strategy BSCCs, so
+    that some are met only by mixing recurrent classes."""
+    rng = random.Random(551_000)
+    instances = []
+    for _ in range(200):
+        mdp = random_strongly_connected_mdp(rng, 4, 3)
+        rewards = [{s: Fr(rng.randint(0, 4), 4) for s in mdp.states} for _ in range(3)]
+        policies = list(enumerate_md_strategies(mdp))
+        vertices = []
+        for _ in range(2):
+            policy = rng.choice(policies)
+            bscc = rng.choice(chain_bsccs(mdp, policy))
+            pi = stationary_distribution(mdp, policy, bscc)
+            vertices.append([sum(pi[s] * r[mdp.states[s]] for s in bscc) for r in rewards])
+        weight = Fr(rng.randint(1, 3), 4)
+        bounds = [
+            MpBound(
+                rng.choice([">=", ">"]),
+                max(weight * u + (1 - weight) * v - Fr(rng.randint(0, 1), 20), Fr(0)),
+                r,
+            )
+            for u, v, r in zip(*vertices, rewards)
+        ]
+        instances.append((mdp, GbmpCondition((), tuple(bounds[:1]), tuple(bounds[1:]))))
+    return instances
+
+
+def _check_against_hull(instances):
+    """Assert that every verdict is the hull oracle's; returns the numbers
+    of rejections and of acceptances that no MD strategy witnesses."""
+    rejected = mixed = 0
+    for idx, (mdp, cond) in enumerate(instances):
         ok, _ = accepting_mec(mdp, cond)
-        if ok:
-            continue
-        rejected += 1
-        for policy in enumerate_md_strategies(mdp):
-            if md_strategy_satisfies(mdp, list(policy), cond):
-                counterexamples += 1
-                break
-    assert counterexamples == 0
+        assert ok == hull_accepts(mdp, cond), idx
+        rejected += not ok
+        mixed += ok and not any(
+            md_strategy_satisfies(mdp, list(policy), cond)
+            for policy in enumerate_md_strategies(mdp)
+        )
+    return rejected, mixed
+
+
+def test_criterion_5_lp_vs_md_oracle(instance_pool):
+    # The verdict equals the hull oracle's both ways, so no MD strategy
+    # satisfies a rejected condition.
+    rejected, mixed = _check_against_hull(instance_pool)
+    assert 0 < rejected < len(instance_pool)
     _report(
-        "criterion 5 (LP vs MD-strategy oracle)",
+        "criterion 5 (LP vs MD-BSCC hull oracle)",
         f"{len(instance_pool)} instances, {rejected} rejections, "
-        "0 counterexamples",
+        f"{mixed} acceptances without an MD witness, 0 mismatches",
+    )
+
+
+def test_criterion_5_hull_oracle_on_mixed_bounds():
+    pool = _mixing_instances()
+    rejected, mixed = _check_against_hull(pool)
+    assert 0 < rejected < len(pool)
+    assert mixed > 0
+    _report(
+        "criterion 5 (LP vs hull oracle, mixed bounds)",
+        f"{len(pool)} instances, {rejected} rejections, "
+        f"{mixed} acceptances without an MD witness, 0 mismatches",
     )
 
 

@@ -240,6 +240,14 @@ def test_mec_command(model_file):
     assert "states={s1}" in out.stdout
 
 
+def test_a_distribution_that_misses_1_is_a_model_error(tmp_path):
+    path = tmp_path / "off.mdp"
+    path.write_text(MODEL.replace("s0 1/2 , s1 1/2", "s0 1/2 , s1 49/100"))
+    out = run_cli("mec", "--model", str(path))
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: line 6: distribution sums to 99/100, not 1\n"
+
+
 def test_simulate_command(model_file):
     out = run_cli("simulate", "--model", model_file, "--formula", "G b",
                   "--steps", "2000", "--seed", "11")

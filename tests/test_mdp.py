@@ -66,6 +66,22 @@ def test_parse_rejects_bad_sum():
         parse_mdp(text)
 
 
+def test_distribution_sums_are_exact_over_mixed_denominators():
+    # The sum is taken in integers over the lcm of the denominators; a
+    # distribution off by 1/100 keeps the line-numbered Fraction message.
+    base = "mdp\nstates s t u\ninit s\naction t b : t 1\naction u c : u 1\n"
+    mdp, _ = parse_mdp(base + "action s a : s 1/3 , t 1/6 , u 1/2\n")
+    assert mdp.actions[2].weights == (6, ((0, 2), (1, 1), (2, 3)))
+    with pytest.raises(MdpError, match="^line 6: distribution sums to 99/100, not 1$"):
+        parse_mdp(base + "action s a : s 1/4 , t 0.24 , u 1/2\n")
+    third, sixth, half = Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)
+    tail = [MdpAction("b", 1, ((1, Fraction(1)),)), MdpAction("c", 2, ((2, Fraction(1)),))]
+    Mdp(["s", "t", "u"], [MdpAction("a", 0, ((0, third), (1, sixth), (2, half)))] + tail, 0)
+    with pytest.raises(MdpError, match="^action 'a' distribution sums to 99/100, not 1$"):
+        off = ((0, Fraction(1, 4)), (1, Fraction(6, 25)), (2, half))
+        Mdp(["s", "t", "u"], [MdpAction("a", 0, off)] + tail, 0)
+
+
 def test_public_constructor_checks_every_distribution():
     # parse_mdp and the derived MDPs skip this check; Mdp(...) keeps it.
     half = Fraction(1, 2)

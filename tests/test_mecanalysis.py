@@ -25,6 +25,7 @@ from helpers import (
     StrategyRunner,
     assert_flow_row_form,
     enumerate_md_strategies,
+    fraction_rows,
     fraction_sample,
     margin_rewrite,
     md_strategy_satisfies,
@@ -114,12 +115,12 @@ def test_build_lp_puts_t_on_bound_rows():
     assert mixed.strict() and not plain.strict()
 
     def t_coeffs(system):
-        return [c.get(t) for c, rel, _ in system.rows if rel == ">="]
+        return [c.get(t) for c, rel, _ in fraction_rows(system.rows) if rel == ">="]
 
     margin, slack = build_lp(mdp, mixed), build_lp(mdp, mixed, margin=False)
     assert t_coeffs(margin) == [-1, -1] and margin.num_vars == t + 1
     assert t_coeffs(slack) == [None, -1] and slack.num_vars == t + 1
-    assert all(t not in c for c, rel, _ in margin.rows + slack.rows if rel == "==")
+    assert all(t not in c for c, rel, *_ in margin.rows + slack.rows if rel == "==")
     assert build_lp(mdp, plain).num_vars == t + 1
     assert build_lp(mdp, plain, margin=False).num_vars == t
     assert build_lp(mdp, GbmpCondition()).num_vars == t
@@ -198,8 +199,8 @@ def _random_condition(rng, mdp):
     return GbmpCondition(inf_sets, mp_inf, mp_sup)
 
 
-def _typed_rows(system):
-    return [(repr(list(c.items())), rel, rhs) for c, rel, rhs in system.rows]
+def _typed_rows(rows):
+    return [(repr(list(c.items())), rel, rhs) for c, rel, rhs in rows]
 
 
 def test_build_lp_matches_rescan_builder():
@@ -208,15 +209,18 @@ def test_build_lp_matches_rescan_builder():
     for _ in range(300):
         mdp = random_mdp(rng, 6, 3)
         cond = _random_condition(rng, mdp)
-        # Same rows with the same key order and value types, and the same
-        # columns: the slack system against the rescan builder, the margin
-        # system against the rewrite of the slack system it replaced.
+        # Int rows over a positive int denominator whose values are the
+        # Fraction rows, with the same key order, and the same columns: the
+        # slack system against the rescan builder, the margin system against
+        # the rewrite of the slack system it replaced.
         slack = rescan_build_lp(mdp, cond)
         for got, want in (
             (build_lp(mdp, cond, margin=False), slack),
             (build_lp(mdp, cond), margin_rewrite(slack)),
         ):
-            assert _typed_rows(got) == _typed_rows(want)
+            for nums, _, rhs, den in got.rows:
+                assert all(type(v) is int for v in (*nums.values(), rhs, den)) and den >= 1
+            assert _typed_rows(fraction_rows(got.rows)) == _typed_rows(want.rows)
             assert (got.num_flows, got.num_vars) == (want.num_flows, want.num_vars)
         assert_flow_row_form(mdp, cond)
         cancelled += any(a.dist == ((a.source, 1),) for a in mdp.actions)
@@ -254,7 +258,7 @@ def test_strongly_connected_mec_drops_a_dependent_balance_row(monkeypatch):
     mdp = _alternating()
     cond = GbmpCondition(mp_inf=(MpBound(">=", Fr(1, 2), {"s": Fr(1), "t": Fr(0)}),))
     system = build_lp(mdp, cond)
-    balance = system.rows[1 : 1 + len(mdp.states)]
+    balance = fraction_rows(system.rows[1 : 1 + len(mdp.states)])
     total = {}
     for coeffs, _, _ in balance:
         for j, c in coeffs.items():
@@ -295,6 +299,39 @@ def test_verify_solution_rejects_tampered_solutions():
     strict = build_lp(mdp, GbmpCondition(mp_inf=(MpBound(">", Fr(1, 2), q),)))
     with pytest.raises(SimplexError, match="inferior bound"):
         _verify_solution(strict, cycling)
+
+
+def test_a_perturbed_vertex_fails_the_row_it_breaks(monkeypatch):
+    # maximize_margin checks whatever vertex the simplex returns.  Flow 1
+    # moved off balance, or onto a state that misses a bound, raises with
+    # the flow and the state or bound index of the row it breaks.
+    mdp, _ = parse_mdp(
+        "mdp\nstates s t\ninit s\naction s ss : s 1\naction s st : t 1\n"
+        "action t tt : t 1\naction t ts : s 1\n"
+    )
+    in_s, in_t = {"s": Fr(1), "t": Fr(0)}, {"s": Fr(0), "t": Fr(1)}
+    cond = GbmpCondition(
+        mp_inf=(MpBound(">=", Fr(0), in_s), MpBound(">=", Fr(1, 4), in_s)),
+        mp_sup=(MpBound(">=", Fr(1, 2), in_s), MpBound(">=", Fr(1, 2), in_t)),
+    )
+    system = build_lp(mdp, cond)
+    assert maximize_margin(system) is not None
+    real_solve = simplex.solve_lp
+    # Flow 1 over the actions ss, st, tt, ts, in that order; each sums to 1.
+    for flow1, message in (
+        ((Fr(1, 4), Fr(1, 2), Fr(1, 4), 0), "flow 1 unbalanced at s"),
+        ((0, 0, 1, 0), "flow 1 violates inferior bound 1"),
+        ((1, 0, 0, 0), "flow 1 violates superior bound 1"),
+    ):
+
+        def perturbed(*args, flow1=flow1):
+            status, values, value = real_solve(*args)
+            values[4:8] = map(Fr, flow1)
+            return status, values, value
+
+        monkeypatch.setattr(simplex, "solve_lp", perturbed)
+        with pytest.raises(SimplexError, match=f"^{message}$"):
+            maximize_margin(system)
 
 
 def test_witness_single_action_deterministic():

@@ -5,16 +5,23 @@ from fractions import Fraction as Fr
 import pytest
 
 import helpers
-from freqsynth import simplex
+from freqsynth import mecanalysis, simplex
 from freqsynth.mecanalysis import GbmpCondition, MpBound, accepting_mec, build_lp
 from freqsynth.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
-from helpers import assert_flow_row_form, fraction_solve_lp, ring_mdp
+from helpers import (
+    assert_flow_row_form,
+    fraction_solve_lp,
+    int_rows,
+    margin_rewrite,
+    rescan_build_lp,
+    ring_mdp,
+)
 
 
 def test_basic_maximization():
     status, x, value = solve_lp(
         2,
-        [({0: Fr(1), 1: Fr(2)}, "<=", Fr(4)), ({0: Fr(1)}, "<=", Fr(3))],
+        int_rows([({0: Fr(1), 1: Fr(2)}, "<=", Fr(4)), ({0: Fr(1)}, "<=", Fr(3))]),
         {0: Fr(1), 1: Fr(1)},
     )
     assert status == OPTIMAL
@@ -24,10 +31,10 @@ def test_basic_maximization():
 
 def test_infeasible_and_unbounded():
     status, _, _ = solve_lp(
-        1, [({0: Fr(1)}, ">=", Fr(2)), ({0: Fr(1)}, "<=", Fr(1))], {0: Fr(1)}
+        1, int_rows([({0: Fr(1)}, ">=", Fr(2)), ({0: Fr(1)}, "<=", Fr(1))]), {0: Fr(1)}
     )
     assert status == INFEASIBLE
-    status, _, _ = solve_lp(1, [({0: Fr(1)}, ">=", Fr(1))], {0: Fr(1)})
+    status, _, _ = solve_lp(1, int_rows([({0: Fr(1)}, ">=", Fr(1))]), {0: Fr(1)})
     assert status == UNBOUNDED
 
 
@@ -35,10 +42,12 @@ def test_equalities_and_minimization():
     # Minimizing x0 + x1 is maximizing its negation.
     status, x, value = solve_lp(
         2,
-        [
-            ({0: Fr(1), 1: Fr(1)}, "==", Fr(3)),
-            ({0: Fr(1), 1: Fr(-1)}, ">=", Fr(1)),
-        ],
+        int_rows(
+            [
+                ({0: Fr(1), 1: Fr(1)}, "==", Fr(3)),
+                ({0: Fr(1), 1: Fr(-1)}, ">=", Fr(1)),
+            ]
+        ),
         {0: Fr(-1), 1: Fr(-1)},
     )
     assert status == OPTIMAL and value == Fr(-3)
@@ -51,7 +60,7 @@ def test_beale_cycling_example_terminates():
         ({2: Fr(1)}, "<=", Fr(1)),
     ]
     status, _, value = solve_lp(
-        4, rows, {0: Fr(3, 4), 1: Fr(-150), 2: Fr(1, 50), 3: Fr(-6)}
+        4, int_rows(rows), {0: Fr(3, 4), 1: Fr(-150), 2: Fr(1, 50), 3: Fr(-6)}
     )
     assert status == OPTIMAL and value == Fr(1, 20)
 
@@ -69,13 +78,15 @@ def test_solutions_satisfy_constraints_exactly():
             rows.append((coeffs, rel, Fr(rng.randint(-2, 4))))
         rows.append(({j: Fr(1) for j in range(n)}, "<=", Fr(10)))  # keep bounded
         objective = {j: Fr(rng.randint(-2, 2)) for j in range(n)}
-        status, x, value = solve_lp(n, rows, objective)
-        # The same rows and objective as ints give the same result.
-        int_rows = [
-            ({j: int(c) for j, c in coeffs.items()}, rel, int(rhs)) for coeffs, rel, rhs in rows
+        status, x, value = solve_lp(n, int_rows(rows), objective)
+        # A row over a multiple of its denominator, and the objective as
+        # ints, give the same result.
+        scaled = [
+            ({j: 6 * c for j, c in nums.items()}, rel, 6 * rhs, 6 * den)
+            for nums, rel, rhs, den in int_rows(rows)
         ]
         int_objective = {j: int(c) for j, c in objective.items()}
-        assert solve_lp(n, int_rows, int_objective) == (status, x, value)
+        assert solve_lp(n, scaled, int_objective) == (status, x, value)
         if status != OPTIMAL:
             continue
         assert all(v >= 0 for v in x)
@@ -90,8 +101,19 @@ def test_solutions_satisfy_constraints_exactly():
         assert value == sum(c * x[j] for j, c in objective.items())
 
 
+def test_malformed_rows_raise():
+    for rows, message in (
+        ([({0: 1}, "<=", 1, 0)], "row denominator 0 is not positive"),
+        ([({0: 1}, "<=", 1, -2)], "row denominator -2 is not positive"),
+        ([({1: 1}, "<=", 1, 1)], "variable index 1 out of range"),
+        ([({0: 1}, "<", 1, 1)], "unknown relation '<'"),
+    ):
+        with pytest.raises(simplex.SimplexError, match=f"^{message}$"):
+            solve_lp(1, rows, {0: 1})
+
+
 def test_negative_rhs_normalization():
-    status, x, _ = solve_lp(1, [({0: Fr(-1)}, "<=", Fr(-2))], {0: Fr(-1)})
+    status, x, _ = solve_lp(1, int_rows([({0: Fr(-1)}, "<=", Fr(-2))]), {0: Fr(-1)})
     assert status == OPTIMAL and x[0] == Fr(2)
 
 
@@ -105,7 +127,7 @@ def test_bland_tie_break_decides_the_vertex():
         ({0: Fr(2), 1: Fr(1), 2: Fr(1)}, "==", Fr(1)),
         ({0: Fr(2), 1: Fr(2), 2: Fr(1)}, ">=", Fr(1)),
     ]
-    status, x, value = solve_lp(3, rows, {0: Fr(-1)})
+    status, x, value = solve_lp(3, int_rows(rows), {0: Fr(-1)})
     assert (status, x, value) == (OPTIMAL, [Fr(0), Fr(0), Fr(1)], Fr(0))
 
 
@@ -124,10 +146,10 @@ def test_redundant_rows_leave_before_phase_two(monkeypatch):
         eqs = [row for row in rows if row[1] == "=="]
         if not eqs:
             continue
-        want = solve_lp(n, rows, objective)
+        want = solve_lp(n, int_rows(rows), objective)
         doubled = rows + [rng.choice(eqs)]
         sizes.clear()
-        got = solve_lp(n, doubled, objective)
+        got = solve_lp(n, int_rows(doubled), objective)
         assert got == want == fraction_solve_lp(n, doubled, objective)
         if got[0] != INFEASIBLE:
             assert sizes[1] < sizes[0] == len(rows) + 1
@@ -150,12 +172,16 @@ def _counted(fn, columns, ties=None):
     return pivot
 
 
-def _assert_same_as_oracle(num_vars, rows, objective, ties=None):
+def _assert_same_as_oracle(num_vars, rows, objective, ties=None, int_form=None):
+    """``solve_lp`` on ``int_form`` (by default ``int_rows(rows)``) pivots as
+    the Fraction oracle does on the Fraction rows ``rows``."""
     fast, slow = [], []
+    if int_form is None:
+        int_form = int_rows(rows)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "_pivot", _counted(simplex._pivot, fast))
         mp.setattr(helpers, "_fraction_pivot", _counted(helpers._fraction_pivot, slow, ties))
-        got = solve_lp(num_vars, rows, objective)
+        got = solve_lp(num_vars, int_form, objective)
         want = fraction_solve_lp(num_vars, rows, objective)
     assert got == want
     assert fast == slow  # the same entering column on every pivot
@@ -216,14 +242,25 @@ def test_integer_tableau_matches_fraction_oracle_on_random_lps(monkeypatch, bits
     assert len(ties) >= 100 // step  # degenerate pivots where Bland's tie-break decides
 
 
+def _flow_lp(mdp, cond, margin=True):
+    """A flow system as ``maximize_margin`` solves it: (num_vars, the
+    independently built Fraction rows, objective, ``build_lp``'s rows)."""
+    system = build_lp(mdp, cond, margin)
+    slack = rescan_build_lp(mdp, cond)
+    oracle = margin_rewrite(slack) if margin else slack
+    t = system.num_flows * len(mdp.actions)
+    objective = {t: Fr(1)} if system.num_vars > t else {}
+    return system.num_vars, oracle.rows, objective, system.rows
+
+
 @functools.cache
 def _ring_flow_lps():
     """Every LP that accepting_mec solves on 16 seeded 10-14-state rings."""
     lps = []
 
-    def recording(num_vars, rows, objective):
-        lps.append((num_vars, rows, objective))
-        return fraction_solve_lp(num_vars, rows, objective)
+    def recording(mdp, cond, margin=True):
+        lps.append(_flow_lp(mdp, cond, margin))
+        return build_lp(mdp, cond, margin)
 
     rng = random.Random(77)
     for _ in range(16):
@@ -242,7 +279,7 @@ def _ring_flow_lps():
             mp_sup=tuple(bound(rng.choice("ab")) for _ in range(rng.randint(0, 2))),
         )
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simplex, "solve_lp", recording)
+            mp.setattr(mecanalysis, "build_lp", recording)
             accepting_mec(mdp, cond)
     return lps
 
@@ -251,10 +288,10 @@ def _ring_flow_lps():
 def test_integer_tableau_matches_fraction_oracle_on_flow_lps(monkeypatch, bits, step):
     lps = _ring_flow_lps()
     assert len(lps) >= 16
-    assert any(len(rows) >= 28 for _, rows, _ in lps)
+    assert any(len(rows) >= 28 for _, rows, _, _ in lps)
     _set_reduce_bits(monkeypatch, bits)
-    for lp in lps[::step]:
-        _assert_same_as_oracle(*lp)
+    for num_vars, rows, objective, int_form in lps[::step]:
+        _assert_same_as_oracle(num_vars, rows, objective, int_form=int_form)
 
 
 def test_a_large_flow_lp_reduces_rows_as_they_grow(monkeypatch):
@@ -268,8 +305,8 @@ def test_a_large_flow_lp_reduces_rows_as_they_grow(monkeypatch):
         mp_inf=(MpBound(">=", Fr(1, 2), rewards["a"]),),
         mp_sup=(MpBound(">", Fr(1, 3), rewards["b"]),),
     )
-    system = build_lp(mdp, cond)
-    margin = system.num_vars - 1  # the margin t is the last variable
+    lp = _flow_lp(mdp, cond)
+    assert lp[2] == {lp[0] - 1: 1}  # the margin t is the last variable
 
     reductions = []
     eliminating = []
@@ -289,7 +326,7 @@ def test_a_large_flow_lp_reduces_rows_as_they_grow(monkeypatch):
 
     monkeypatch.setattr(simplex, "_eliminate", eliminate)
     monkeypatch.setattr(simplex, "_reduced", reduced)
-    _assert_same_as_oracle(system.num_vars, system.rows, {margin: Fr(1)})
+    _assert_same_as_oracle(*lp[:3], int_form=lp[3])
     assert reductions
     assert min(reductions) > simplex._REDUCE_BITS
 
