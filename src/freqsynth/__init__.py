@@ -30,13 +30,11 @@ from .slave import (
     cobuchi_rejecting_sets,
     mp_reward,
 )
-from .dgrma import Dgrma, GrmpPair, MpAtom, accepts_lasso, build_dgrma, rec_set
+from .dgrma import Dgrma, GbmpCondition, GrmpPair, MpBound, accepts_lasso, build_dgrma, rec_set
 from .mdp import Mdp, MdpError, mec_decomposition, parse_mdp, product_mdp, restrict
 from .mecanalysis import (
     EpochSchedule,
-    GbmpCondition,
     LpSolution,
-    MpBound,
     Strategy,
     accepting_mec,
     build_lp,

@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count
 from operator import add
+from typing import Mapping
 
 from .boolfn import bf_and, bf_and_many, substitute_ff
 from .formula import (
@@ -23,6 +24,9 @@ from .formula import (
     EVENTUALLY,
     FREQ,
     GEQ,
+    GT,
+    INF,
+    SUP,
     Formula,
     FormulaError,
     atoms_of,
@@ -98,37 +102,55 @@ class ColumnMap:
 
 
 @dataclass(frozen=True)
-class MpAtom:
-    """Mean-payoff acceptance atom: limit average of rewards versus a bound."""
+class MpBound:
+    """Limit-average requirement: average reward compared against a bound."""
 
-    ext: str  # "inf" or "sup"
     cmp: str  # ">=" or ">"
     bound: Fraction
-    rewards: ColumnMap  # Fraction per automaton state
+    reward: Mapping  # state -> Fraction
 
-    def check(self, average: Fraction) -> bool:
-        return average >= self.bound if self.cmp == GEQ else average > self.bound
+    def check(self, value: Fraction) -> bool:
+        return value >= self.bound if self.cmp == GEQ else value > self.bound
+
+
+@dataclass(frozen=True)
+class GbmpCondition:
+    """Conjunction of Inf sets, limit-inferior and limit-superior bounds.
+
+    A pair's condition is over automaton states (``ColumnSet`` Inf sets,
+    ``ColumnMap`` rewards); ``synthesis.lift_pair`` lifts it onto product
+    state names, where ``mecanalysis`` decides it per end component.
+    """
+
+    inf_sets: tuple = ()
+    mp_inf: tuple = ()
+    mp_sup: tuple = ()
+
+    def num_flows(self) -> int:
+        return max(len(self.mp_sup), 1)
+
+    def strict(self) -> bool:
+        return any(b.cmp == GT for b in self.mp_inf + self.mp_sup)
 
 
 @dataclass(frozen=True)
 class GrmpPair:
     """One disjunct of the acceptance condition.
 
-    A run satisfies the pair iff it visits ``fin`` finitely often, every
-    member of ``infs`` infinitely often, and every mean-payoff atom holds.
-    ``fin`` is the union of the master prohibition and one set per assumed
-    G-formula; avoiding every part equals avoiding the union.  ``fin`` and
-    each Inf set are ``ColumnSet`` views over a part column (Fin's column
-    numbers the master and G-member states), and each reward vector is a
-    ``ColumnMap``: membership and reward of one automaton state are one
-    lookup, and only ``acceptance_dump``, ``dgrma_to_dot`` and the tests
-    read them over all states.
+    A run satisfies the pair iff it visits ``fin`` finitely often and meets
+    ``cond``.  ``fin`` is the union of the master prohibition and one set
+    per assumed G-formula; avoiding every part equals avoiding the union.
+    ``fin`` and each Inf set are ``ColumnSet`` views over a part column
+    (Fin's column numbers the master and G-member states), and each reward
+    vector is a ``ColumnMap``: membership and reward of one automaton state
+    are one lookup, and only ``acceptance_dump``, ``dgrma_to_dot`` and the
+    tests read them over all states.  Each bound group keeps the order of
+    its frequency formulas in ``assumptions``.
     """
 
     assumptions: tuple  # the recurrent formulas assumed by this pair
     fin: ColumnSet
-    infs: tuple  # of ColumnSet
-    mps: tuple  # of MpAtom
+    cond: GbmpCondition
 
 
 class Dgrma:
@@ -274,7 +296,7 @@ def _build_pairs(parts, columns, rec, slaves) -> list[GrmpPair]:
         dropped = [rec[i] for i in range(n) if not mask >> i & 1]
         base = assumption_conj(assumed)
         infs = []
-        mps = []
+        bounds: dict = {INF: [], SUP: []}
         rejecting = {}  # G-member -> its states holding an unproved sink
         degenerate = False
         for i in chosen:
@@ -290,7 +312,7 @@ def _build_pairs(parts, columns, rec, slaves) -> list[GrmpPair]:
             else:
                 cmp, p, ext = rho.bound
                 rewards = mp_reward(slaves[i], components[i], base)
-                mps.append(MpAtom(ext, cmp, p, ColumnMap(columns[i + 1], rewards)))
+                bounds[ext].append(MpBound(cmp, p, ColumnMap(columns[i + 1], rewards)))
         if degenerate:
             continue
 
@@ -328,7 +350,8 @@ def _build_pairs(parts, columns, rec, slaves) -> list[GrmpPair]:
         if len(bad) == len(keys):
             continue  # Fin holds every state
         fin = ColumnSet(column, frozenset(bad))
-        pairs.append(GrmpPair(assumed, fin, tuple(infs), tuple(mps)))
+        cond = GbmpCondition(tuple(infs), tuple(bounds[INF]), tuple(bounds[SUP]))
+        pairs.append(GrmpPair(assumed, fin, cond))
     return pairs
 
 
@@ -358,11 +381,11 @@ def run_cycle(lts: Lts, w: Lasso) -> tuple[list[int], list[int]]:
 def pair_accepts_cycle(pair: GrmpPair, cycle: list[int]) -> bool:
     if any(q in pair.fin for q in cycle):
         return False
-    if not all(any(q in s for q in cycle) for s in pair.infs):
+    cond = pair.cond
+    if not all(any(q in s for q in cycle) for s in cond.inf_sets):
         return False
-    for mp in pair.mps:
-        avg = Fraction(sum(mp.rewards[q] for q in cycle), len(cycle))
-        if not mp.check(avg):
+    for bound in cond.mp_inf + cond.mp_sup:
+        if not bound.check(Fraction(sum(bound.reward[q] for q in cycle), len(cycle))):
             return False
     return True
 
@@ -374,19 +397,20 @@ def accepts_lasso(aut: Dgrma, w: Lasso) -> bool:
 
 
 def acceptance_dump(aut: Dgrma) -> str:
-    """One line per pair: the assumption set, Fin set, Inf sets, MP atoms."""
+    """One line per pair: the assumption set, Fin set, Inf sets, and the
+    bounds in the order of their frequency formulas among the assumptions."""
     lines = []
     for k, pair in enumerate(aut.pairs):
         assumed = ",".join(str(a) for a in pair.assumptions) or "-"
         fin = ",".join(str(q) for q in sorted(pair.fin)) or "-"
         infs = ";".join(
-            "{" + ",".join(str(q) for q in sorted(s)) + "}" for s in pair.infs
+            "{" + ",".join(str(q) for q in sorted(s)) + "}" for s in pair.cond.inf_sets
         ) or "-"
+        groups = {INF: iter(pair.cond.mp_inf), SUP: iter(pair.cond.mp_sup)}
+        exts = [rho.bound.ext for rho in pair.assumptions if rho.kind == FREQ]
         mps = ";".join(
-            f"{mp.ext} {mp.cmp} {mp.bound} ["
-            + ",".join(str(r) for r in mp.rewards)
-            + "]"
-            for mp in pair.mps
+            f"{ext} {b.cmp} {b.bound} [" + ",".join(map(str, b.reward)) + "]"
+            for ext, b in ((ext, next(groups[ext])) for ext in exts)
         ) or "-"
         lines.append(f"pair {k}: R={{{assumed}}} FIN={{{fin}}} INF={infs} MP={mps}")
     return "\n".join(lines) + "\n"
@@ -401,7 +425,7 @@ def dgrma_to_dot(aut: Dgrma) -> str:
             marks = []
             if q in pair.fin:
                 marks.append("fin")
-            marks.extend(f"inf{j}" for j, s in enumerate(pair.infs) if q in s)
+            marks.extend(f"inf{j}" for j, s in enumerate(pair.cond.inf_sets) if q in s)
             if marks:
                 notes.append(f"{k}:" + "+".join(marks))
         return " ".join(notes)

@@ -16,7 +16,7 @@ with a pilgrimage through the Inf sets.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
@@ -24,7 +24,8 @@ from math import lcm
 from typing import Iterator, Mapping, Optional
 
 from . import simplex
-from .formula import GEQ, GT
+from .dgrma import GbmpCondition, MpBound
+from .formula import GT
 from .mdp import (
     Mdp,
     MdpError,
@@ -36,33 +37,6 @@ from .mdp import (
 )
 
 _ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class MpBound:
-    """Limit-average requirement: average reward compared against a bound."""
-
-    cmp: str  # ">=" or ">"
-    bound: Fraction
-    reward: Mapping  # state name -> Fraction
-
-    def check(self, value: Fraction) -> bool:
-        return value >= self.bound if self.cmp == GEQ else value > self.bound
-
-
-@dataclass(frozen=True)
-class GbmpCondition:
-    """Conjunction of Inf sets, limit-inferior and limit-superior bounds."""
-
-    inf_sets: tuple = ()
-    mp_inf: tuple = ()
-    mp_sup: tuple = ()
-
-    def num_flows(self) -> int:
-        return max(len(self.mp_sup), 1)
-
-    def strict(self) -> bool:
-        return any(b.cmp == GT for b in self.mp_inf + self.mp_sup)
 
 
 @dataclass
@@ -161,28 +135,38 @@ def maximize_margin(system: LinearSystem) -> Optional[LpSolution]:
 
 
 def _verify_solution(system: LinearSystem, sol: LpSolution):
-    """Evaluate every row of the system at the solution in integers, over
-    one common denominator of the flows: the flow-sum and balance rows must
-    hold exactly, and each bound row without its ``t`` must meet the bound,
-    strictly where the bound is strict.  A failure names its row."""
+    """Check the solution in integers, over one common denominator of the
+    flows: each flow's sum and balance rows must hold exactly, and each of
+    its bounds must be met, strictly where it is strict, by the flow's
+    reward read from the condition, not from a bound row (the bound and its
+    rewards over the lcm of their denominators).  A failure names its flow
+    and its state or bound."""
     mdp, cond = system.mdp, system.cond
     x = [v for flow in sol.flows for v in flow]
     scale = lcm(*(v.denominator for v in x))
-    xs = [v.numerator * (scale // v.denominator) for v in x] + [0]  # t is not checked
+    xs = [v.numerator * (scale // v.denominator) for v in x]
+    n_actions = len(mdp.actions)
     block = len(system.rows) // system.num_flows  # sum, balance, bound rows
-    for r, (nums, _, rhs, _) in enumerate(system.rows):
-        lhs, want = sum(c * xs[j] for j, c in nums.items()), rhs * scale
-        i, k = divmod(r, block)
-        if k > len(mdp):
-            b = k - 1 - len(mdp)
-            bound = cond.mp_inf[b] if b < len(cond.mp_inf) else cond.mp_sup[i]
+    for i in range(system.num_flows):
+        rows = system.rows[i * block : i * block + 1 + len(mdp)]
+        for k, (nums, _, rhs, _) in enumerate(rows):
+            lhs = sum(c * xs[j] for j, c in nums.items())
+            if lhs != rhs * scale:
+                if k == 0:
+                    raise simplex.SimplexError(f"flow {i} sums to {Fraction(lhs, scale)}")
+                raise simplex.SimplexError(f"flow {i} unbalanced at {mdp.states[k - 1]}")
+        flow = xs[i * n_actions : (i + 1) * n_actions]
+        bounds = [(f"inferior bound {b}", bound) for b, bound in enumerate(cond.mp_inf)]
+        if cond.mp_sup:
+            bounds.append((f"superior bound {i}", cond.mp_sup[i]))
+        for kind, bound in bounds:
+            rewards = [bound.reward[name] for name in mdp.states]
+            den = lcm(bound.bound.denominator, *(r.denominator for r in rewards))
+            ints = [r.numerator * (den // r.denominator) for r in rewards]
+            lhs = sum(v * ints[a.source] for v, a in zip(flow, mdp.actions))
+            want = bound.bound.numerator * (den // bound.bound.denominator) * scale
             if lhs < want or (lhs == want and bound.cmp == GT):
-                kind = f"inferior bound {b}" if b < len(cond.mp_inf) else f"superior bound {i}"
                 raise simplex.SimplexError(f"flow {i} violates {kind}")
-        elif lhs != want:
-            if k == 0:
-                raise simplex.SimplexError(f"flow {i} sums to {Fraction(lhs, scale)}")
-            raise simplex.SimplexError(f"flow {i} unbalanced at {mdp.states[k - 1]}")
 
 
 def accepting_mec(mdp: Mdp, cond: GbmpCondition):
@@ -253,11 +237,13 @@ class ModeClass:
 
 @dataclass(frozen=True)
 class Strategy:
-    """Witness strategy: per-flow randomized modes, visited in epochs."""
+    """Witness strategy: per-flow randomized modes, visited in epochs, on
+    ``mdp``, the component whose state and action indices it holds."""
 
     modes: tuple  # per flow, a tuple of its ModeClass
     pilgrimage: tuple  # per Inf set, (target state index, attractor policy)
     cond: GbmpCondition
+    mdp: Mdp = field(compare=False)
 
 
 def _support_classes(mdp: Mdp, flow: tuple) -> list[ModeClass]:
@@ -305,18 +291,14 @@ def build_witness_strategy(mdp: Mdp, sol: LpSolution, cond: GbmpCondition) -> St
         if not members:
             raise MdpError("Inf set does not intersect the component")
         pilgrimage.append((members[0], attractor_policy(mdp, {members[0]})))
-    return Strategy(tuple(modes), tuple(pilgrimage), cond)
+    return Strategy(tuple(modes), tuple(pilgrimage), cond, mdp)
 
 
 def witness_walk(
-    mdp: Mdp,
-    strategy: Strategy,
-    schedule: EpochSchedule,
-    rng: random.Random,
-    state: int,
+    strategy: Strategy, schedule: EpochSchedule, rng: random.Random, state: int
 ) -> Iterator[tuple]:
     """Run the witness from ``state`` forever, yielding (epoch, state, action
-    index) per step.
+    index) per step; states and actions are those of ``strategy.mdp``.
 
     Epoch t walks to each pilgrimage target in turn, then plays each class
     of mode ``t % len(modes)`` for its share of ``schedule.length(t)`` steps
@@ -324,6 +306,7 @@ def witness_walk(
     successor before it is yielded, so a caller that stops after n steps
     has used exactly n steps' draws.
     """
+    actions = strategy.mdp.actions
     for epoch in count():
         mode = strategy.modes[epoch % len(strategy.modes)]
         planned = schedule.length(epoch)
@@ -333,7 +316,7 @@ def witness_walk(
         for target, policy in strategy.pilgrimage:
             while state != target:
                 ai = policy[state]
-                at, state = state, draw(mdp.actions[ai].table, rng)
+                at, state = state, draw(actions[ai].table, rng)
                 yield epoch, at, ai
         for cls, share in zip(mode, shares):
             for _ in range(share):
@@ -343,5 +326,5 @@ def witness_walk(
                     ai = cls.choices[state][0][0]
                 else:
                     ai = draw(cls.tables[state], rng)
-                at, state = state, draw(mdp.actions[ai].table, rng)
+                at, state = state, draw(actions[ai].table, rng)
                 yield epoch, at, ai

@@ -16,7 +16,7 @@ from itertools import islice
 from math import gcd
 from typing import Iterable, Mapping, Optional
 
-from .dgrma import Dgrma, GrmpPair, build_dgrma
+from .dgrma import Dgrma, GbmpCondition, GrmpPair, MpBound, build_dgrma
 from .formula import Formula
 from .lts import DEFAULT_STATE_CAP
 from .mdp import (
@@ -30,9 +30,6 @@ from .mdp import (
 )
 from .mecanalysis import (
     EpochSchedule,
-    GbmpCondition,
-    MpBound,
-    Strategy,
     accepting_mec,
     build_witness_strategy,
     maximize_margin,  # not called here; bench/spans.py hooks this name
@@ -51,18 +48,13 @@ def lift_pair(
 ) -> tuple[frozenset, GbmpCondition]:
     """Express one acceptance pair over product-MDP state names, reading
     each set and reward at the automaton states the product reaches."""
-    names = product.states
-    fin = pair.fin.lift(names, automaton_component)
-    infs = tuple(s.lift(names, automaton_component) for s in pair.infs)
-    sups = []
-    infs_mp = []
-    for mp in pair.mps:
-        bound = MpBound(mp.cmp, mp.bound, mp.rewards.lift(names, automaton_component))
-        if mp.ext == "sup":
-            sups.append(bound)
-        else:
-            infs_mp.append(bound)
-    return fin, GbmpCondition(infs, tuple(infs_mp), tuple(sups))
+    names, qs, cond = product.states, automaton_component, pair.cond
+
+    def lift(bounds: tuple) -> tuple:
+        return tuple(MpBound(b.cmp, b.bound, b.reward.lift(names, qs)) for b in bounds)
+
+    infs = tuple(s.lift(names, qs) for s in cond.inf_sets)
+    return pair.fin.lift(names, qs), GbmpCondition(infs, lift(cond.mp_inf), lift(cond.mp_sup))
 
 
 def winning_union(product: Mdp, lifted: list) -> tuple[frozenset, list]:
@@ -344,19 +336,11 @@ def max_reach(mdp: Mdp, target_names: Iterable) -> tuple[dict, dict]:
 
 
 @dataclass
-class McWinner:
-    """A winning end component with its executable witness."""
-
-    component: Mdp
-    strategy: Strategy
-
-
-@dataclass
 class GlobalStrategy:
     """Reachability selector outside the winning union, witnesses inside."""
 
     reach: Mapping  # product state name -> action name
-    winners: list  # McWinner
+    winners: list  # Strategy, each on its winning component
     state_to_winner: Mapping  # product state name -> index into winners
 
 
@@ -432,16 +416,15 @@ def synthesize(
 
 
 def _assemble_strategy(lifted, outcomes, selector):
-    winners: list[McWinner] = []
+    winners = []
     state_to_winner: dict = {}
     for (_fin, cond), pair_winners in zip(lifted, outcomes):
         for component, sol in pair_winners:
             if all(s in state_to_winner for s in component.states):
                 continue
-            strategy = build_witness_strategy(component, sol, cond)
             for s in component.states:
                 state_to_winner.setdefault(s, len(winners))
-            winners.append(McWinner(component, strategy))
+            winners.append(build_witness_strategy(component, sol, cond))
     return GlobalStrategy(selector, winners, state_to_winner)
 
 
@@ -489,10 +472,7 @@ def simulate_global(
     winner_at = [strategy.state_to_winner.get(name) for name in product.states]
     reach_tables: dict = {}  # product state -> draw table of its selected action
     rewards = [  # per winner, one float vector over its component per bound
-        [
-            [float(bound.reward[s]) for s in w.component.states]
-            for bound in w.strategy.cond.mp_inf + w.strategy.cond.mp_sup
-        ]
+        [[float(b.reward[s]) for s in w.mdp.states] for b in w.cond.mp_inf + w.cond.mp_sup]
         for w in strategy.winners
     ]
     pooled_sums = [[0.0] * len(vecs) for vecs in rewards]
@@ -513,11 +493,10 @@ def simulate_global(
         entered += 1
         w_idx = winner_at[state]
         winner = strategy.winners[w_idx]
-        component = winner.component
         sums, vecs = pooled_sums[w_idx], rewards[w_idx]
         pooled_steps[w_idx] += steps
-        start = component.state_index[product.states[state]]
-        walk = witness_walk(component, winner.strategy, schedule, rng, start)
+        start = winner.mdp.state_index[product.states[state]]
+        walk = witness_walk(winner, schedule, rng, start)
         for _, state, _ in islice(walk, steps):
             for k, vec in enumerate(vecs):
                 sums[k] += vec[state]
@@ -526,7 +505,7 @@ def simulate_global(
     for w_idx, winner in enumerate(strategy.winners):
         if not pooled_steps[w_idx]:
             continue
-        cond = winner.strategy.cond
+        cond = winner.cond
         for bi, bound in enumerate(cond.mp_inf + cond.mp_sup):
             kind = "inf" if bi < len(cond.mp_inf) else "sup"
             avg = pooled_sums[w_idx][bi] / pooled_steps[w_idx]

@@ -96,8 +96,9 @@ from freqsynth.dgrma import (
     ColumnMap,
     ColumnSet,
     Dgrma,
+    GbmpCondition,
     GrmpPair,
-    MpAtom,
+    MpBound,
     build_dgrma,
     rec_set,
 )
@@ -118,10 +119,8 @@ from freqsynth.mdp import (
 )
 from freqsynth.mecanalysis import (
     EpochSchedule,
-    GbmpCondition,
     LinearSystem,
     LpSolution,
-    MpBound,
     Strategy,
     accepting_mec,
     build_lp,
@@ -332,7 +331,10 @@ def chain_bsccs(mdp, policy):
 
 
 def stationary_distribution(mdp, policy, bscc):
-    """Exact stationary distribution of the policy chain on one bottom SCC."""
+    """Exact stationary distribution of the policy chain on one bottom SCC.
+
+    ``policy[s]`` is an action index, or a randomized choice given as
+    (action index, probability) pairs, as in ``ModeClass.choices``."""
     pos = {s: i for i, s in enumerate(bscc)}
     k = len(bscc)
     rows = []
@@ -346,9 +348,11 @@ def stationary_distribution(mdp, policy, bscc):
         row = [_ZERO] * k
         row[pos[s]] -= 1
         for i, src in enumerate(bscc):
-            for t, p in mdp.actions[policy[src]].dist:
-                if t == s:
-                    row[i] += p
+            choice = policy[src]
+            for ai, q in ((choice, _ONE),) if isinstance(choice, int) else choice:
+                for t, p in mdp.actions[ai].dist:
+                    if t == s:
+                        row[i] += q * p
         rows.append(row)
         rhs.append(_ZERO)
     solved = gauss_solve(rows, rhs)
@@ -1217,7 +1221,7 @@ def letterwise_build_pairs(columns, master, rec, slaves, components):
                 fin.add(q)
 
         infs = []
-        mps = []
+        bounds: dict = {"inf": [], "sup": []}
         degenerate = False
         for i in chosen:
             rho = rec[i]
@@ -1235,24 +1239,31 @@ def letterwise_build_pairs(columns, master, rec, slaves, components):
             else:
                 rewards = mp_reward(slaves[i], components[i], base)
                 cmp, p, ext = rho.bound
-                mps.append(MpAtom(ext, cmp, p, tuple(rewards[s] for s in column)))
+                bounds[ext].append(MpBound(cmp, p, tuple(rewards[s] for s in column)))
         if degenerate or frozenset(fin) == all_states:
             continue
-        pairs.append(written_out_pair(size, assumed, fin, infs, mps))
+        cond = GbmpCondition(tuple(infs), tuple(bounds["inf"]), tuple(bounds["sup"]))
+        pairs.append(written_out_pair(size, assumed, fin, cond))
     return pairs
 
 
-def written_out_pair(n, assumed, fin, infs, mps):
-    """A pair whose sets and reward tuples are written out over ``n``
-    automaton states, each viewed through the identity column so that the
-    pipeline reads it as it reads ``build_dgrma``'s pairs."""
+def written_out_pair(n, assumed, fin, cond):
+    """A pair whose Fin set and condition's sets and reward tuples are
+    written out over ``n`` automaton states, each viewed through the
+    identity column so that the pipeline reads it as it reads
+    ``build_dgrma``'s pairs."""
     ids = range(n)
+
+    def view(bounds):
+        return tuple(MpBound(b.cmp, b.bound, ColumnMap(ids, b.reward)) for b in bounds)
+
     return GrmpPair(
         assumed,
         ColumnSet(ids, frozenset(fin)),
-        tuple(ColumnSet(ids, s) for s in infs),
-        tuple(
-            MpAtom(mp.ext, mp.cmp, mp.bound, ColumnMap(ids, mp.rewards)) for mp in mps
+        GbmpCondition(
+            tuple(ColumnSet(ids, s) for s in cond.inf_sets),
+            view(cond.mp_inf),
+            view(cond.mp_sup),
         ),
     )
 
@@ -1287,18 +1298,23 @@ def scan_lift_pair(pair, product, automaton_component):
             for p in range(len(product))
             if automaton_component[p] in s
         )
-        for s in pair.infs
+        for s in pair.cond.inf_sets
     )
-    sups = []
-    infs_mp = []
-    for mp in pair.mps:
-        reward = {
-            product.states[p]: mp.rewards[automaton_component[p]]
-            for p in range(len(product))
-        }
-        bound = MpBound(mp.cmp, mp.bound, reward)
-        (sups if mp.ext == "sup" else infs_mp).append(bound)
-    return fin, GbmpCondition(infs, tuple(infs_mp), tuple(sups))
+
+    def scan(bounds):
+        return tuple(
+            MpBound(
+                b.cmp,
+                b.bound,
+                {
+                    product.states[p]: b.reward[automaton_component[p]]
+                    for p in range(len(product))
+                },
+            )
+            for b in bounds
+        )
+
+    return fin, GbmpCondition(infs, scan(pair.cond.mp_inf), scan(pair.cond.mp_sup))
 
 
 def fraction_sample(pairs, rng):
@@ -1378,17 +1394,16 @@ def named_simulate_global(product, strategy, episodes, steps_per_episode, seed, 
             name = product.states[state]
             if runner is None and name in strategy.state_to_winner:
                 winner_idx = strategy.state_to_winner[name]
-                winner = strategy.winners[winner_idx]
-                runner = StrategyRunner(winner.strategy, schedule, rng)
+                runner = StrategyRunner(strategy.winners[winner_idx], schedule, rng)
                 entered += 1
             if runner is None:
                 action_name = strategy.reach[name]
                 action = product.actions[product.action_index[action_name]]
             else:
                 winner = strategy.winners[winner_idx]
-                local = winner.component
+                local = winner.mdp
                 li = local.state_index[name]
-                cond = winner.strategy.cond
+                cond = winner.cond
                 for bi, bound in enumerate(list(cond.mp_inf) + list(cond.mp_sup)):
                     key = (winner_idx, bi)
                     pooled_sums[key] = pooled_sums.get(key, 0.0) + float(
@@ -1402,8 +1417,7 @@ def named_simulate_global(product, strategy, episodes, steps_per_episode, seed, 
 
     mp_pooled = []
     for (w_idx, bi), total in sorted(pooled_sums.items()):
-        winner = strategy.winners[w_idx]
-        cond = winner.strategy.cond
+        cond = strategy.winners[w_idx].cond
         bounds = list(cond.mp_inf) + list(cond.mp_sup)
         kind = "inf" if bi < len(cond.mp_inf) else "sup"
         bound = bounds[bi]
@@ -1474,7 +1488,7 @@ def simulate_strategy(
     visits: list[list[int]] = [[] for _ in inf_sets_idx]
     epoch_steps: list[int] = []
 
-    walk = witness_walk(mdp, strategy, EpochSchedule(), random.Random(seed), mdp.init)
+    walk = witness_walk(strategy, EpochSchedule(), random.Random(seed), mdp.init)
     for step_no, (epoch, state, ai) in enumerate(islice(walk, steps)):
         if epoch == len(epoch_steps):
             epoch_steps.append(0)

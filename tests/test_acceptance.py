@@ -12,6 +12,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from freqsynth import mecanalysis
 from freqsynth.boolfn import step, unfold
 from freqsynth.dgrma import accepts_lasso, build_dgrma, rec_set, run_cycle
 from freqsynth.formula import always, eventually, parse_formula, tt
@@ -24,6 +25,7 @@ from freqsynth.mecanalysis import (
     accepting_mec,
     build_witness_strategy,
 )
+from freqsynth.simplex import SimplexError
 from freqsynth.slave import (
     assumption_conj,
     buchi_accepting_sets,
@@ -244,16 +246,73 @@ def test_criterion_5_lp_vs_md_oracle(instance_pool):
     )
 
 
-def test_criterion_5_hull_oracle_on_mixed_bounds():
-    pool = _mixing_instances()
-    rejected, mixed = _check_against_hull(pool)
-    assert 0 < rejected < len(pool)
+@pytest.fixture(scope="module")
+def mixing_pool():
+    return _mixing_instances()
+
+
+def test_criterion_5_hull_oracle_on_mixed_bounds(mixing_pool):
+    rejected, mixed = _check_against_hull(mixing_pool)
+    assert 0 < rejected < len(mixing_pool)
     assert mixed > 0
     _report(
         "criterion 5 (LP vs hull oracle, mixed bounds)",
-        f"{len(pool)} instances, {rejected} rejections, "
+        f"{len(mixing_pool)} instances, {rejected} rejections, "
         f"{mixed} acceptances without an MD witness, 0 mismatches",
     )
+
+
+def test_verify_solution_checks_bounds_against_the_condition(mixing_pool, monkeypatch):
+    # A build_lp that compares inf bounds with 0 in every flow block after
+    # the first lets flow 1 miss the inferior bound; the check reads the
+    # condition's rewards, not the faulty row, and names the flow and bound.
+    def mutant(mdp, cond, margin=True):
+        system = real_build_lp(mdp, cond, margin)
+        block = len(system.rows) // system.num_flows
+        for r in range(block, len(system.rows)):
+            if 0 <= r % block - 1 - len(mdp) < len(cond.mp_inf):
+                nums, rel, _, den = system.rows[r]
+                system.rows[r] = nums, rel, 0, den
+        return system
+
+    real_build_lp = mecanalysis.build_lp
+    monkeypatch.setattr(mecanalysis, "build_lp", mutant)
+    raised = 0
+    for mdp, cond in mixing_pool:
+        try:
+            accepting_mec(mdp, cond)
+        except SimplexError as exc:
+            assert str(exc) == "flow 1 violates inferior bound 0"
+            raised += 1
+    assert raised > 0
+
+
+def test_witness_classes_mix_to_the_flow_rewards(instance_pool, mixing_pool):
+    # Each mode's classes, weighted by their flow mass and read at their
+    # exact stationary distributions under ``choices``, give every bound
+    # the reward of the flow the mode was built from.
+    modes = 0
+    for idx, (mdp, cond) in enumerate(instance_pool + mixing_pool):
+        ok, sol = accepting_mec(mdp, cond)
+        if not ok:
+            continue
+        strat = build_witness_strategy(mdp, sol, cond)
+        for flow, mode in zip(sol.flows, strat.modes):
+            assert sum(cls.weight for cls in mode) == 1, idx
+            pis = [
+                stationary_distribution(mdp, cls.choices, sorted(cls.states))
+                for cls in mode
+            ]
+            for bound in cond.mp_inf + cond.mp_sup:
+                reward = [bound.reward[name] for name in mdp.states]
+                own = sum(v * reward[a.source] for v, a in zip(flow, mdp.actions))
+                mixed = sum(
+                    cls.weight * sum(p * reward[s] for s, p in pi.items())
+                    for cls, pi in zip(mode, pis)
+                )
+                assert mixed == own, idx
+            modes += 1
+    assert modes > 0
 
 
 def test_one_lp_witness_matches_decide_then_margin(instance_pool):

@@ -105,7 +105,8 @@ def test_every_state_cap_defaults_to_the_one_constant():
 
 
 # SHA-256 of `automaton` stdout (sizes, acceptance dump and DOT) for the
-# two-bound formula of the translation benchmark and three corpus formulas.
+# two-bound formula of the translation benchmark, three corpus formulas and
+# an `lp_mec` formula whose sup bound comes first.
 # Each runs in a fresh process: formulas print in their interning order.
 AUTOMATON_DIGESTS = {
     WIDE_FORMULA: "b1516b8134c557c4d08385fc594f930786d65557795887e491828b48ea8a3fc5",
@@ -115,6 +116,10 @@ AUTOMATON_DIGESTS = {
     "G(a -> F b)": "ef45af7260e0729389130fb3998da3a2a3f443cfebc563e8abc1041723269592",
     "(a U b) & G{>=1/2,inf} c": (
         "1f17f1a7b462ff0ed32022462636cd701c5c1924ab1a3ce9d1a8c85e3821f066"
+    ),
+    # A sup bound before an inf bound: the dump keeps the assumption order.
+    "G{>1/3,sup} a & G{>=1/4,inf} b": (
+        "0cdebc65e798c63f0ed227c722c80a7a3f5de7b746b3da887e18e867b9529ddc"
     ),
 }
 
@@ -136,6 +141,9 @@ EXPORT_SLAVES_DIGESTS = {
     ),
     "G(X a | G X b)": (
         "aaa3a547af0bf46c592dacc1e38507a7da438ffd32c7370ca5a604251fa1383b"
+    ),
+    "G{>1/3,sup} a & G{>=1/4,inf} b": (
+        "78d92801b7a971bba3e00b4dfd1b21653f197e645f40bd09a1f129de6f302b04"
     ),
 }
 

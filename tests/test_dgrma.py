@@ -5,6 +5,7 @@ import pytest
 import freqsynth.dgrma
 from freqsynth.boolfn import TRUE, step, step_row, unfold
 from freqsynth.dgrma import (
+    GbmpCondition,
     acceptance_dump,
     accepts_lasso,
     build_dgrma,
@@ -59,12 +60,12 @@ def test_eventually_pair_structure():
     assert len(aut.pairs) == 2
     empty, full = aut.pairs
     assert empty.assumptions == ()
-    assert not empty.infs and not empty.mps
+    assert empty.cond == GbmpCondition()
     tt_states = {
         q for q, m in enumerate(aut.columns[0]) if aut.master.states[m] == TRUE
     }
     assert frozenset(range(len(aut.lts))) - empty.fin == tt_states
-    assert len(full.infs) == 1 and not full.mps
+    assert len(full.cond.inf_sets) == 1 and not full.cond.mp_inf + full.cond.mp_sup
     assert accepts_lasso(aut, Lasso((), [E])) is False
     assert accepts_lasso(aut, Lasso([E, E, A], [E])) is True
 
@@ -359,8 +360,9 @@ def _written_out(pair):
     return (
         pair.assumptions,
         frozenset(pair.fin),
-        tuple(frozenset(s) for s in pair.infs),
-        tuple((mp.ext, mp.cmp, mp.bound, tuple(mp.rewards)) for mp in pair.mps),
+        tuple(frozenset(s) for s in pair.cond.inf_sets),
+        tuple((b.cmp, b.bound, tuple(b.reward)) for b in pair.cond.mp_inf),
+        tuple((b.cmp, b.bound, tuple(b.reward)) for b in pair.cond.mp_sup),
     )
 
 

@@ -443,7 +443,7 @@ def test_witness_walk_matches_the_runner_oracle():
         for schedule in (EpochSchedule(), EpochSchedule(cap=1), EpochSchedule(cap=7)):
             ours, oracle = random.Random(k), _CountingRandom(k)
             runner = StrategyRunner(strat, schedule, oracle)
-            walk = witness_walk(mdp, strat, schedule, ours, start)
+            walk = witness_walk(strat, schedule, ours, start)
             state = start
             visited = False
             for got in islice(walk, steps):

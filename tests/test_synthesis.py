@@ -443,8 +443,8 @@ def test_unused_model_atoms_do_not_change_synthesis(monkeypatch):
             continue
         got, want = narrow.strategy, wide.strategy
         assert got.reach == want.reach and got.state_to_winner == want.state_to_winner
-        assert [(component_names(w.component), w.strategy) for w in got.winners] == [
-            (component_names(w.component), w.strategy) for w in want.winners
+        assert [(component_names(w.mdp), w) for w in got.winners] == [
+            (component_names(w.mdp), w) for w in want.winners
         ], phi
         sims = [simulate_global(r.product, r.strategy, 2, 50, seed=k) for r in (narrow, wide)]
         assert sims[0].to_text() == sims[1].to_text(), phi
@@ -477,7 +477,7 @@ def test_global_strategy_entry_frequency_matches_probability():
     assert sim.entered / 200 >= float(report.probability) - 0.1
     assert sim.mp_pooled
     for idx, label, avg in sim.mp_pooled:
-        cond = report.strategy.winners[idx].strategy.cond
+        cond = report.strategy.winners[idx].cond
         bounds = {
             f"{kind}:{b.cmp}{b.bound}": b.bound
             for kind, group in (("inf", cond.mp_inf), ("sup", cond.mp_sup))
