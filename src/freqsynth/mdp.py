@@ -4,7 +4,7 @@ and the exact sampler that simulations draw their successors with."""
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 from typing import Iterable, Optional, Sequence
@@ -17,26 +17,40 @@ class MdpError(ValueError):
     """Malformed model file or inconsistent MDP data."""
 
 
-@dataclass(frozen=True)
+_setattr = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class MdpAction:
-    """An action, enabled in exactly one state, with its distribution."""
+    """An action, enabled in exactly one state, with its distribution.
+
+    ``weights`` is ``(den, ((t, w), ...))``: the distribution as integer
+    weights ``w = p * den`` over the least common denominator ``den`` of its
+    probabilities, computed here unless given.  A caller that renumbers the
+    targets of an action passes its weights on, renumbered the same way, so
+    nothing is recomputed.
+    """
 
     name: str
     source: int
     dist: tuple  # of (target state index, Fraction > 0), summing to 1
+    weights: tuple = field(repr=False, compare=False)
+
+    # Written out: a frozen dataclass's generated __init__ with a
+    # __post_init__ took about twice as long per action (timeit, Python 3.11).
+    def __init__(self, name: str, source: int, dist: tuple, weights: tuple | None = None):
+        if weights is None:
+            den = lcm(*(p.denominator for _, p in dist))
+            weights = den, tuple((t, p.numerator * (den // p.denominator)) for t, p in dist)
+        _setattr(self, "name", name)
+        _setattr(self, "source", source)
+        _setattr(self, "dist", dist)
+        _setattr(self, "weights", weights)
 
     @cached_property
     def table(self) -> tuple:
         """``draw_table(self.dist)``, built at the first draw."""
         return draw_table(self.dist)
-
-    @cached_property
-    def weights(self) -> tuple:
-        """``(den, ((t, w), ...))``: the distribution as integer weights
-        ``w = p * den`` over the least common denominator of its
-        probabilities, built at first use."""
-        den = lcm(*(p.denominator for _, p in self.dist))
-        return den, tuple((t, p.numerator * (den // p.denominator)) for t, p in self.dist)
 
 
 def draw_table(pairs: tuple) -> tuple:
@@ -116,17 +130,17 @@ class Mdp:
 def _check_distributions(actions: Iterable[MdpAction]) -> None:
     """Raise unless every distribution is positive and sums to 1."""
     for a in actions:
-        if not _sums_to_one(a.dist):
+        if not _sums_to_one(a):
             total = sum(p for _, p in a.dist)
             raise MdpError(f"action {a.name!r} distribution sums to {total}, not 1")
         if any(p <= 0 for _, p in a.dist):
             raise MdpError(f"action {a.name!r} has a non-positive probability")
 
 
-def _sums_to_one(dist) -> bool:
-    """Whether the probabilities sum to 1, in integers over their lcm."""
-    den = lcm(*(p.denominator for _, p in dist))
-    return sum(p.numerator * (den // p.denominator) for _, p in dist) == den
+def _sums_to_one(action: MdpAction) -> bool:
+    """Whether the probabilities sum to 1, in the action's integer weights."""
+    den, pairs = action.weights
+    return sum(w for _, w in pairs) == den
 
 
 Valuation = list  # frozenset of atoms per state index
@@ -224,10 +238,11 @@ def parse_mdp(text: str) -> tuple[Mdp, Valuation]:
                     raise MdpError(f"line {lineno}: probability of {target!r} must be positive")
                 probs[prob_text] = prob
             entries.append((index[target], prob))
-        if not _sums_to_one(entries):
+        action = MdpAction(name, index[state], tuple(entries))
+        if not _sums_to_one(action):
             total = sum(p for _, p in entries)
             raise MdpError(f"line {lineno}: distribution sums to {total}, not 1")
-        actions.append(MdpAction(name, index[state], tuple(entries)))
+        actions.append(action)
 
     mdp = Mdp._trusted(state_names, actions, index[init_name])
     valuation = [labels.get(s, frozenset()) for s in state_names]
@@ -255,8 +270,9 @@ def product_mdp(mdp: Mdp, valuation: Valuation, lts: Lts, cap: int = DEFAULT_STA
         s, q = queue.pop()
         for ai in mdp.act[s]:
             action = mdp.actions[ai]
-            entries = []
-            for target, prob in action.dist:
+            den, pairs = action.weights
+            entries, weighted = [], []
+            for (target, prob), (_, w) in zip(action.dist, pairs):
                 tq = lts.successor(q, valuation[target])
                 key = (target, tq)
                 ti = index.get(key)
@@ -268,8 +284,11 @@ def product_mdp(mdp: Mdp, valuation: Valuation, lts: Lts, cap: int = DEFAULT_STA
                     order.append(key)
                     queue.append(key)
                 entries.append((ti, prob))
+                weighted.append((ti, w))
             actions.append(
-                MdpAction(f"{action.name}@{q}", index[(s, q)], tuple(entries))
+                MdpAction(
+                    f"{action.name}@{q}", index[(s, q)], tuple(entries), (den, tuple(weighted))
+                )
             )
 
     names = [f"{mdp.states[s]}@{q}" for s, q in order]
@@ -371,7 +390,12 @@ def induced(
     orders; the old state ``init`` (if kept) becomes the initial state."""
     remap = {old: new for new, old in enumerate(states)}
     renamed = [
-        MdpAction(a.name, remap[a.source], tuple((remap[t], p) for t, p in a.dist))
+        MdpAction(
+            a.name,
+            remap[a.source],
+            tuple((remap[t], p) for t, p in a.dist),
+            (a.weights[0], tuple((remap[t], w) for t, w in a.weights[1])),
+        )
         for a in (mdp.actions[ai] for ai in actions)
     ]
     return Mdp._trusted([mdp.states[s] for s in states], renamed, remap.get(init))

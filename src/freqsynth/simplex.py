@@ -4,13 +4,15 @@ Problem form: maximize a linear objective subject to rows ``coeffs rel rhs``
 with rel in {<=, >=, ==} and all variables non-negative.  One row format
 runs from ``mecanalysis.build_lp`` through the tableau to ``_verify_solution``:
 int numerators over one positive int denominator, exact without a Fraction
-per cell and pivot.  Every row starts basic on its own artificial column;
-phase two runs on the real columns of the rows that are left.  The pivot
-row is divided by its gcd on every pivot; any other row, and the cost row,
-only once its denominator outgrows ``_REDUCE_BITS``.  Every decision reads
-signs, zero tests and ratios within one row, none of which a positive
-common factor changes, so the pivots are those of a fully reduced tableau.
-Only the returned values are Fractions.
+per cell and pivot.  Every row starts basic on its own artificial, a basis
+marker with no column: an artificial that leaves never re-enters, and phase
+one ends at the first basis where no real column prices positive.  Phase two
+runs on the rows that are left.  The pivot row is divided by its gcd on
+every pivot; any other row, and the cost row, only once its denominator
+outgrows ``_REDUCE_BITS``.  Every decision reads signs, zero tests and ratios
+within one row, none of which a positive common factor changes, so the
+pivots are those of a fully reduced tableau.  Only the returned values are
+Fractions.
 """
 
 from __future__ import annotations
@@ -57,22 +59,22 @@ def solve_lp(
     """
     # Normalize to equality form with slack/surplus columns and b >= 0.  A
     # row is [numerators, denominator]; cell j stands for nums[j] / den.
-    # Row i starts basic on artificial column total + i, and phase one
-    # maximizes minus their sum: its reduced cost row is the sum of the
-    # normalized rows, built here over their lcm.
+    # Row i starts basic on its artificial, marked total + i in the basis,
+    # and phase one maximizes minus their sum: its reduced cost row is the
+    # sum of the normalized rows, built here over their lcm.
     n_slack = sum(1 for row in rows if row[1] in (LEQ, GEQ))
     total = num_vars + n_slack
     m = len(rows)
     lcd = lcm(*(row[3] for row in rows))
-    cost_nums = [0] * (total + m + 1)
+    cost_nums = [0] * (total + 1)
     tableau: list[list] = []
     slack_idx = num_vars
-    for i, (coeffs, rel, rhs, den) in enumerate(rows):
+    for coeffs, rel, rhs, den in rows:
         if den < 1:
             raise SimplexError(f"row denominator {den} is not positive")
         sign = -1 if rhs < 0 else 1
         scale = sign * (lcd // den)
-        nums = [0] * (total + m + 1)
+        nums = [0] * (total + 1)
         for j, c in coeffs.items():
             if not 0 <= j < num_vars:
                 raise SimplexError(f"variable index {j} out of range")
@@ -84,13 +86,15 @@ def solve_lp(
             slack_idx += 1
         elif rel != EQ:
             raise SimplexError(f"unknown relation {rel!r}")
-        nums[total + i] = den
         nums[-1] = sign * rhs
         cost_nums[-1] += scale * rhs
         tableau.append([nums, den])
 
     basis = list(range(total, total + m))
     cost = [cost_nums, lcd]
+    # Phase one prices the real columns alone.  Where none prices positive,
+    # the cost row is a Farkas certificate: a nonzero objective there proves
+    # the rows infeasible.
     _iterate(tableau, basis, cost)
     if cost[0][-1] != 0:
         return INFEASIBLE, None, None
@@ -101,10 +105,8 @@ def solve_lp(
             if pivot_col is not None:
                 _pivot(tableau, basis, i, pivot_col)
 
-    # Phase two on the real columns.  A row still basic on an artificial is
-    # zero in every real column (redundant), so it goes.
-    for nums, _ in tableau:
-        del nums[total:-1]
+    # Phase two.  A row still basic on an artificial is zero in every real
+    # column (redundant), so it goes.
     tableau = [row for row, b in zip(tableau, basis) if b < total]
     basis = [b for b in basis if b < total]
     den = lcm(*(c.denominator for c in objective.values()))
@@ -181,12 +183,13 @@ def _iterate(tableau, basis, cost):
                     best_r, best_a, leaving = r, a, i
         if leaving is None:
             return UNBOUNDED
-        _pivot(tableau, basis, leaving, entering)
-        if cost_nums[entering] != 0:
-            _eliminate(cost, tableau[leaving], entering, range(total + 1))
+        # cost_nums[entering] is positive, so the cost row always changes.
+        support = _pivot(tableau, basis, leaving, entering)
+        _eliminate(cost, tableau[leaving], entering, support)
 
 
 def _pivot(tableau, basis, r, c):
+    """Pivot on cell (r, c); returns the pivot row's nonzero columns."""
     row = tableau[r]
     nums = row[0]
     piv = nums[c]
@@ -202,3 +205,4 @@ def _pivot(tableau, basis, r, c):
         if i != r and other[0][c] != 0:
             _eliminate(other, row, c, support)
     basis[r] = c
+    return support

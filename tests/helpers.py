@@ -10,7 +10,9 @@ the slack system before ``build_lp`` built both, and
 ``rescan_mec_decomposition``, ``rescan_restrict`` and
 ``rescan_attractor_policy`` are the full-rescan fixpoints that the graph
 toolkit in ``freqsynth.mdp`` replaced, ``fraction_solve_lp`` is the simplex
-over a tableau of Fractions that the integer-row tableau replaced,
+over a tableau of Fractions that the integer-row tableau replaced (it keeps
+the artificial columns that ``solve_lp`` dropped, and its ``reenter`` argument
+keeps the phase-one rule that let a left artificial re-enter),
 ``rescan_build_lp`` is the slack flow-system builder that scanned every action
 distribution once per state, ``pairwise_winning_union`` is the winning union
 that decided every (pair, component) afresh, before decisions were shared
@@ -642,8 +644,9 @@ def ring_mdp(rng, n):
 
 def assert_flow_row_form(mdp, cond):
     """Every row of both flow systems is ``==``, or ``>=`` with rhs >= 0: no
-    row is flipped and no slack column has coefficient +1, so each row's own
-    artificial is the only start ``solve_lp`` could take."""
+    row is flipped and no slack column has coefficient +1, so no slack could
+    start basic, and each row starts on its own artificial, the basis marker
+    with no column that ``solve_lp`` begins from."""
     for system in (build_lp(mdp, cond), build_lp(mdp, cond, margin=False)):
         for _, rel, rhs, den in system.rows:
             assert den >= 1 and (rel == EQ or (rel == GEQ and rhs >= 0)), (rel, rhs, den)
@@ -713,9 +716,15 @@ def hull_accepts(mdp, cond):
     return True
 
 
-def fraction_solve_lp(num_vars, rows, objective):
+def fraction_solve_lp(num_vars, rows, objective, reenter=False):
     """Two-phase Bland simplex on a dense tableau of Fractions, with the same
-    pivot rules and results as ``freqsynth.simplex.solve_lp``."""
+    pivot rules and results as ``freqsynth.simplex.solve_lp``.
+
+    The tableau keeps one artificial column per row, but phase one prices
+    only the real columns, so an artificial that leaves never re-enters.
+    ``reenter=True`` prices the artificial columns too: the textbook rule,
+    under which phase one ends only when no column of either kind prices
+    positive."""
     n_slack = sum(1 for _, rel, _ in rows if rel in (LEQ, GEQ))
     total = num_vars + n_slack
     tableau = []
@@ -750,7 +759,7 @@ def fraction_solve_lp(num_vars, rows, objective):
     for j in basis:
         cost[j] = -_ONE
     _fraction_reduce_cost(cost, tableau, basis)
-    _fraction_iterate(tableau, basis, cost)
+    _fraction_iterate(tableau, basis, cost, total + m if reenter else total)
     if cost[-1] != 0:
         return INFEASIBLE, None, None
     for i in range(m):
@@ -765,7 +774,7 @@ def fraction_solve_lp(num_vars, rows, objective):
     for j, c in objective.items():
         cost[j] = Fraction(c)
     _fraction_reduce_cost(cost, tableau, basis)
-    status = _fraction_iterate(tableau, basis, cost)
+    status = _fraction_iterate(tableau, basis, cost, total)
     if status == UNBOUNDED:
         return UNBOUNDED, None, None
     values = [_ZERO] * num_vars
@@ -784,11 +793,11 @@ def _fraction_reduce_cost(cost, tableau, basis):
                 cost[j] -= f * row[j]
 
 
-def _fraction_iterate(tableau, basis, cost):
-    total = len(cost) - 1
+def _fraction_iterate(tableau, basis, cost, limit):
+    """Bland's rule over the columns below ``limit``."""
     while True:
         entering = None
-        for j in range(total):
+        for j in range(limit):
             if cost[j] > 0:
                 entering = j
                 break

@@ -82,6 +82,37 @@ def test_distribution_sums_are_exact_over_mixed_denominators():
         Mdp(["s", "t", "u"], [MdpAction("a", 0, off)] + tail, 0)
 
 
+def test_derived_actions_carry_their_weights():
+    # weights is a plain attribute set at construction.  The product and the
+    # induced sub-MDPs pass each parent action's weights on, renumbered; the
+    # result is the weights a fresh action computes, and equality, hashing
+    # and repr read only name, source and distribution.
+    rng = random.Random(8)
+    master = build_master(parse_formula("G F a & F b"))
+    derived = 0
+    for _ in range(30):
+        mdp = random_mdp(rng, 6, 3)
+        valuation = [frozenset(x for x in "ab" if rng.random() < 0.5) for _ in mdp.states]
+        product, _ = product_mdp(mdp, valuation, master)
+        removed = [s for s in product.states if rng.random() < 0.2]
+        kept = restrict(product, removed)
+        subs = mec_decomposition(product) + ([kept] if kept is not None else [])
+        for m in [mdp, product] + subs:
+            for a in m.actions:
+                fresh = MdpAction(a.name, a.source, a.dist)
+                assert "weights" in vars(a) and a.weights == fresh.weights
+                assert a == fresh and hash(a) == hash(fresh)
+                shown = f"MdpAction(name={a.name!r}, source={a.source}, dist={a.dist!r})"
+                assert repr(a) == shown
+                derived += m is not mdp
+    assert derived >= 500
+    sixth = Fraction(1, 6)
+    # Passed weights are used as given, and equality ignores them.
+    weights = (12, ((0, 2), (1, 10)))
+    action = MdpAction("a", 0, ((0, sixth), (1, 1 - sixth)), weights)
+    assert action.weights == weights and action == MdpAction("a", 0, action.dist)
+
+
 def test_public_constructor_checks_every_distribution():
     # parse_mdp and the derived MDPs skip this check; Mdp(...) keeps it.
     half = Fraction(1, 2)

@@ -1,15 +1,22 @@
 import functools
+import importlib.util
 import random
+import sys
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
 import helpers
 from freqsynth import mecanalysis, simplex
+from freqsynth.formula import parse_formula, parse_rational
+from freqsynth.mdp import parse_mdp
 from freqsynth.mecanalysis import GbmpCondition, MpBound, accepting_mec, build_lp
 from freqsynth.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from freqsynth.synthesis import synthesize
 from helpers import (
     assert_flow_row_form,
+    fraction_rows,
     fraction_solve_lp,
     int_rows,
     margin_rewrite,
@@ -350,3 +357,105 @@ def test_flow_lp_rows_start_on_their_own_artificials():
             mp_sup=tuple(bound(rng.choice("ab")) for _ in range(rng.randint(0, 2))),
         )
         assert_flow_row_form(mdp, cond)
+
+
+def _reentry_rule(num_vars, rows, objective):
+    """The oracle under the rule that lets a left artificial re-enter: its
+    result, its pivot count, and whether an artificial re-entered (a pivot
+    column past the real ones, which only phase one has)."""
+    columns = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(helpers, "_fraction_pivot", _counted(helpers._fraction_pivot, columns))
+        got = fraction_solve_lp(num_vars, rows, objective, reenter=True)
+    total = num_vars + sum(1 for _, rel, _ in rows if rel != "==")
+    return got, len(columns), any(c >= total for c in columns)
+
+
+def _redundant_lps(rng, count):
+    """Random LPs with one more ``==`` row, an integer combination of two of
+    their ``==`` rows, as (num_vars, rows, objective, integer rows)."""
+    lps = []
+    while len(lps) < count:
+        n, rows, objective = _random_lp(rng)
+        eqs = [row for row in rows if row[1] == "=="]
+        if len(eqs) < 2:
+            continue
+        (ca, _, ra), (cb, _, rb) = rng.sample(eqs, 2)
+        ka, kb = rng.choice([-2, -1, 1, 2, 3]), rng.choice([-2, -1, 1, 2])
+        combined = {j: ka * ca.get(j, 0) + kb * cb.get(j, 0) for j in sorted({*ca, *cb})}
+        rows.append((combined, "==", ka * ra + kb * rb))
+        lps.append((n, rows, objective, int_rows(rows)))
+    return lps
+
+
+def test_artificials_that_never_reenter_change_no_result():
+    # Phase one prices only real columns.  Under the rule that prices the
+    # artificials too, one re-enters on some feasible LPs at phase-one
+    # objective 0 and on some infeasible ones; either way the result is
+    # the same.
+    rng = random.Random(2024)
+    pools = {
+        "random": [(*lp, int_rows(lp[1])) for lp in (_random_lp(rng) for _ in range(2000))],
+        "redundant": _redundant_lps(random.Random(5), 1000),
+        "flow": _ring_flow_lps(),
+    }
+    reentered = {"feasible": 0, "infeasible": 0}
+    for name, lps in pools.items():
+        for num_vars, rows, objective, int_form in lps:
+            want, _, reentry = _reentry_rule(num_vars, rows, objective)
+            assert solve_lp(num_vars, int_form, objective) == want, name
+            if reentry:
+                reentered["infeasible" if want[0] == INFEASIBLE else "feasible"] += 1
+    assert reentered["feasible"] >= 10 and reentered["infeasible"] >= 100, reentered
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@functools.cache
+def _corpus_lps():
+    """The distinct LPs that ``synthesize`` solves on the benchmark corpus:
+    every ``translate_wide`` instance, and two of the six initial states of
+    every ``lp_mec`` cell (``reach_ruin`` solves one LP with one pivot)."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses resolve annotations there
+    spec.loader.exec_module(workloads)
+    lps = {}
+    real_solve = simplex.solve_lp
+
+    def recording(num_vars, rows, objective):
+        key = (num_vars, repr(rows), repr(objective))
+        lps.setdefault(key, (num_vars, rows, objective))
+        return real_solve(num_vars, rows, objective)
+
+    instances = workloads.corpus("lp_mec")[::3] + workloads.corpus("translate_wide")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "solve_lp", recording)
+        for inst in instances:
+            mdp, valuation = parse_mdp(inst.model)
+            synthesize(mdp, valuation, parse_formula(inst.formula), parse_rational(inst.threshold))
+    return list(lps.values())
+
+
+def test_infeasible_corpus_solves_stop_earlier():
+    # On the flow LPs of the benchmark corpus an artificial re-enters only
+    # in a phase one that ends with a nonzero objective: never re-entering
+    # saves pivots on some infeasible solves, and on no solve costs one.
+    lps = _corpus_lps()
+    assert len(lps) >= 80
+    fewer = feasible = 0
+    for num_vars, rows, objective in lps:
+        columns = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simplex, "_pivot", _counted(simplex._pivot, columns))
+            got = solve_lp(num_vars, rows, objective)
+        want, pivots, _ = _reentry_rule(num_vars, fraction_rows(rows), objective)
+        assert got == want
+        if got[0] == INFEASIBLE:
+            assert len(columns) <= pivots
+            fewer += len(columns) < pivots
+        else:
+            assert len(columns) == pivots
+            feasible += 1
+    assert fewer >= 10 and feasible >= 30, (fewer, feasible)

@@ -747,8 +747,8 @@ def test_winning_union_matches_the_pairwise_oracle(monkeypatch):
     # rejection implies, must leave every outcome, report and simulation as
     # deciding each (pair, component) afresh, and decide each distinct
     # restricted condition at most once; the pools refute some.  Every
-    # component's flow LPs have the row form that starts each row on its
-    # own artificial.
+    # component's flow LPs have the row form in which no slack could start
+    # basic, so each row starts on its own artificial basis marker.
     decisions = []
     real_decide = freqsynth.synthesis.accepting_mec
     monkeypatch.setattr(
