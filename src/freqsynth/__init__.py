@@ -31,7 +31,7 @@ from .slave import (
     mp_reward,
 )
 from .dgrma import Dgrma, GbmpCondition, GrmpPair, MpBound, accepts_lasso, build_dgrma, rec_set
-from .mdp import Mdp, MdpError, mec_decomposition, parse_mdp, product_mdp, restrict
+from .mdp import Component, Mdp, MdpError, mec_decomposition, parse_mdp, product_mdp, restrict
 from .mecanalysis import (
     EpochSchedule,
     LpSolution,

@@ -189,8 +189,8 @@ def cmd_mec(args) -> int:
     mecs = mec_decomposition(mdp)
     print(f"mecs: {len(mecs)}")
     for k, ec in enumerate(mecs):
-        states = ",".join(sorted(ec.states))
-        actions = ",".join(sorted(a.name for a in ec.actions))
+        states = ",".join(sorted(mdp.states[s] for s in ec.states))
+        actions = ",".join(mdp.actions[ai].name for ai in ec.actions)
         print(f"mec {k}: states={{{states}}} actions={{{actions}}}")
     return 0
 

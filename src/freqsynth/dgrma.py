@@ -11,12 +11,13 @@ column of the product's part states, not a set written out per state.
 from __future__ import annotations
 
 from collections.abc import Set
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress, count
+from math import gcd, lcm
 from operator import add
-from typing import Mapping
+from typing import Optional, Sequence
 
 from .boolfn import bf_and, bf_and_many, substitute_ff
 from .formula import (
@@ -69,10 +70,10 @@ class ColumnSet(Set):
     def __len__(self) -> int:
         return sum(map(self.members.__contains__, self.column))
 
-    def lift(self, names, qs) -> frozenset:
-        """``names[k]`` for each state ``qs[k]`` in the set."""
-        column, members = self.column, self.members
-        return frozenset([name for name, q in zip(names, qs) if column[q] in members])
+    def lift(self, qs) -> frozenset:
+        """Each index ``k`` whose state ``qs[k]`` is in the set."""
+        inside = map(self.members.__contains__, map(self.column.__getitem__, qs))
+        return frozenset(compress(count(), inside))
 
     @classmethod
     def _from_iterable(cls, it):
@@ -95,11 +96,6 @@ class ColumnMap:
     def __iter__(self):
         return map(self.values.__getitem__, self.column)
 
-    def lift(self, names, qs) -> dict:
-        """``names[k]`` -> the value of state ``qs[k]``, for each ``k``."""
-        column, values = self.column, self.values
-        return {name: values[column[q]] for name, q in zip(names, qs)}
-
 
 @dataclass(frozen=True)
 class MpBound:
@@ -107,10 +103,22 @@ class MpBound:
 
     cmp: str  # ">=" or ">"
     bound: Fraction
-    reward: Mapping  # state -> Fraction
+    reward: Sequence  # per state its Fraction reward: a ColumnMap or a sequence
 
     def check(self, value: Fraction) -> bool:
         return value >= self.bound if self.cmp == GEQ else value > self.bound
+
+    @cached_property
+    def scaled(self) -> tuple:
+        """``(den, rhs, ints, column)``: the bound ``rhs / den`` and each state
+        ``q``'s reward ``ints[column[q]] / den`` over the lcm of their denominators,
+        once per translation (a pair's bounds are kept with its automaton)."""
+        reward = self.reward
+        if not isinstance(reward, ColumnMap):
+            reward = ColumnMap(range(len(reward)), reward)
+        den = lcm(self.bound.denominator, *(v.denominator for v in reward.values))
+        ints = [v.numerator * (den // v.denominator) for v in reward.values]
+        return den, self.bound.numerator * (den // self.bound.denominator), ints, reward.column
 
 
 @dataclass(frozen=True)
@@ -118,19 +126,37 @@ class GbmpCondition:
     """Conjunction of Inf sets, limit-inferior and limit-superior bounds.
 
     A pair's condition is over automaton states (``ColumnSet`` Inf sets,
-    ``ColumnMap`` rewards); ``synthesis.lift_pair`` lifts it onto product
-    state names, where ``mecanalysis`` decides it per end component.
+    ``ColumnMap`` rewards).  ``synthesis.lift_pair`` lifts it onto the
+    product for ``mecanalysis``: Inf sets of product state indices, and the
+    automaton's bounds read at ``at[s]`` for product state ``s`` (at ``s``
+    itself without ``at``).
     """
 
     inf_sets: tuple = ()
     mp_inf: tuple = ()
     mp_sup: tuple = ()
+    at: Optional[Sequence] = field(default=None, repr=False)
 
     def num_flows(self) -> int:
         return max(len(self.mp_sup), 1)
 
     def strict(self) -> bool:
         return any(b.cmp == GT for b in self.mp_inf + self.mp_sup)
+
+    def restricted(self, states: Sequence[int]) -> tuple:
+        """``(mp_inf, mp_sup)`` on ``states``: each bound as ``(cmp, den, rhs,
+        nums)``, with ``rhs / den`` the bound and ``nums[k] / den`` the reward of
+        ``states[k]`` over their least common ``den``, so equal on equal data."""
+        qs = states if self.at is None else [self.at[s] for s in states]
+        return tuple(_on(b, qs) for b in self.mp_inf), tuple(_on(b, qs) for b in self.mp_sup)
+
+
+def _on(bound: MpBound, qs: Sequence[int]) -> tuple:
+    """One bound at the states ``qs``, in ``GbmpCondition.restricted``'s form."""
+    den, rhs, ints, column = bound.scaled
+    nums = list(map(ints.__getitem__, map(column.__getitem__, qs)))
+    g = gcd(den, rhs, *nums)
+    return bound.cmp, den // g, rhs // g, tuple(v // g for v in nums)
 
 
 @dataclass(frozen=True)

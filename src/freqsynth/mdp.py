@@ -7,7 +7,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .formula import is_atom_name, rational_literal
 from .lts import DEFAULT_STATE_CAP, Lts, StateCapExceeded
@@ -27,8 +27,8 @@ class MdpAction:
     ``weights`` is ``(den, ((t, w), ...))``: the distribution as integer
     weights ``w = p * den`` over the least common denominator ``den`` of its
     probabilities, computed here unless given.  A caller that renumbers the
-    targets of an action passes its weights on, renumbered the same way, so
-    nothing is recomputed.
+    targets of an action (the product does) passes its weights on,
+    renumbered the same way, so nothing is recomputed.
     """
 
     name: str
@@ -82,7 +82,7 @@ class Mdp:
 
     ``Mdp(...)`` validates its input in full.  ``Mdp._trusted(...)`` runs
     only the structural build, for MDPs whose distributions were checked
-    already: the parsed model, the product and every sub-MDP.
+    already: the parsed model and the product, the only MDPs built.
     """
 
     def __init__(self, states: Sequence[str], actions: Sequence[MdpAction], init: Optional[int]):
@@ -383,24 +383,6 @@ def closed_part(
     return states, actions
 
 
-def induced(
-    mdp: Mdp, states: Sequence[int], actions: Iterable[int], init: Optional[int]
-) -> Mdp:
-    """The sub-MDP on the given states and actions, renumbered in the given
-    orders; the old state ``init`` (if kept) becomes the initial state."""
-    remap = {old: new for new, old in enumerate(states)}
-    renamed = [
-        MdpAction(
-            a.name,
-            remap[a.source],
-            tuple((remap[t], p) for t, p in a.dist),
-            (a.weights[0], tuple((remap[t], w) for t, w in a.weights[1])),
-        )
-        for a in (mdp.actions[ai] for ai in actions)
-    ]
-    return Mdp._trusted([mdp.states[s] for s in states], renamed, remap.get(init))
-
-
 def can_reach(mdp: Mdp, targets: Iterable[int], actions) -> set:
     """States with a path into the targets that uses only the given actions
     (a container): the pre-image closure of the targets."""
@@ -416,37 +398,46 @@ def can_reach(mdp: Mdp, targets: Iterable[int], actions) -> set:
     return reached
 
 
-def attractor_policy(mdp: Mdp, targets: Iterable[int]) -> dict:
-    """Distance-minimizing action choice steering into the target set.
+def attractor_policy(mdp: Mdp, targets: Iterable[int], actions: Sequence[int]) -> dict:
+    """Distance-minimizing action choice steering into the target set, with
+    the given actions only.
 
-    Layer by layer from the targets, each new state takes its first action
-    (in index order) that can enter the previous layer.  In a strongly
-    connected MDP every state gets a choice, and following it hits the
-    target set almost surely.
+    Layer by layer from the targets, each new state takes its first action,
+    in the order of ``actions``, that can enter the previous layer.  In a
+    strongly connected MDP, or end component, every state gets a choice,
+    and following it hits the target set almost surely.
     """
+    rank = {ai: k for k, ai in enumerate(actions)}
     frontier = set(targets)
     assigned = set(frontier)
     policy: dict[int, int] = {}
     while frontier:
-        layer: dict[int, int] = {}  # state -> its first action into frontier
+        layer: dict[int, int] = {}  # state -> rank of its first action into frontier
         for t in frontier:
             for ai in mdp.pre[t]:
-                source = mdp.actions[ai].source
-                if source not in assigned and ai < layer.get(source, ai + 1):
-                    layer[source] = ai
+                k, source = rank.get(ai), mdp.actions[ai].source
+                if k is not None and source not in assigned and k < layer.get(source, k + 1):
+                    layer[source] = k
         for s in sorted(layer):
-            policy[s] = layer[s]
+            policy[s] = actions[layer[s]]
         assigned.update(layer)
         frontier = layer
     return policy
 
 
-def mec_decomposition(mdp: Mdp) -> list[Mdp]:
-    """Maximal end components of the MDP, each as its own sub-MDP: states in
-    index order, actions in name order, the first state initial; sorted by
+class Component(NamedTuple):
+    """Index tuples into an MDP: states in index order, actions in name order."""
+
+    states: tuple
+    actions: tuple
+
+
+def mec_decomposition(mdp: Mdp, part: Optional[tuple] = None) -> list[Component]:
+    """Maximal end components of the MDP, or of a closed ``part`` of it (a
+    pair of state and action index sets, as ``restrict`` returns), sorted by
     least state name.  Split the closed part into SCCs, and split again
     every SCC whose closed part loses an action."""
-    work = [closed_part(mdp, range(len(mdp)), range(len(mdp.actions)))]
+    work = [part or closed_part(mdp, range(len(mdp)), range(len(mdp.actions)))]
     mecs = []
     while work:
         cur_states, cur_actions = work.pop()
@@ -454,23 +445,18 @@ def mec_decomposition(mdp: Mdp) -> list[Mdp]:
             enabled = [ai for s in comp for ai in mdp.act[s] if ai in cur_actions]
             part = closed_part(mdp, comp, enabled)
             if len(part[1]) == len(enabled):
-                states = sorted(comp)
                 enabled.sort(key=lambda ai: mdp.actions[ai].name)
-                mecs.append(induced(mdp, states, enabled, states[0]))
+                mecs.append(Component(tuple(sorted(comp)), tuple(enabled)))
             elif part[0]:
                 work.append(part)
-    mecs.sort(key=lambda ec: min(ec.states))
+    mecs.sort(key=lambda ec: min(mdp.states[s] for s in ec.states))
     return mecs
 
 
-def restrict(mdp: Mdp, removed: Iterable[str]) -> Optional[Mdp]:
-    """Remove states plus every action touching them; prune until every
-    surviving state has an action.  Returns None when nothing survives."""
-    gone = {mdp.state_index[s] for s in removed}
-    states, actions = closed_part(
-        mdp, (s for s in range(len(mdp)) if s not in gone), range(len(mdp.actions))
-    )
-    if not states:
-        return None
-    return induced(mdp, sorted(states), sorted(actions), mdp.init)
-
+def restrict(mdp: Mdp, removed: Iterable[int]) -> Optional[tuple[set, set]]:
+    """The closed part without the ``removed`` states, as index sets of its
+    states and actions (no copy): every action touching them goes, and
+    pruning continues until every surviving state has an action; None when
+    nothing survives."""
+    part = closed_part(mdp, set(range(len(mdp))).difference(removed), range(len(mdp.actions)))
+    return part if part[0] else None

@@ -1,5 +1,8 @@
-"""Qualitative analysis of strongly connected MDPs against generalized
-Buchi mean-payoff conditions, with witness-strategy construction.
+"""Qualitative analysis of end components against generalized Buchi
+mean-payoff conditions, with witness-strategy construction.
+
+A component is read through its index tuples into the MDP: its actions, in
+their order, are the LP's columns, and its states the balance rows.
 
 Feasibility of the per-flow linear constraints decides whether the maximal
 satisfaction probability is 1 or 0.  Each limit-superior bound gets its own
@@ -24,9 +27,10 @@ from math import lcm
 from typing import Iterator, Mapping, Optional
 
 from . import simplex
-from .dgrma import GbmpCondition, MpBound
+from .dgrma import GbmpCondition
 from .formula import GT
 from .mdp import (
+    Component,
     Mdp,
     MdpError,
     _sccs,
@@ -41,10 +45,11 @@ _ZERO = Fraction(0)
 
 @dataclass
 class LinearSystem:
-    """The flow constraints for one strongly connected MDP and condition;
-    the column after the flows, when there is one, is ``t``."""
+    """The flow constraints for one component and condition; the column
+    after the flows, when there is one, is ``t``."""
 
     mdp: Mdp
+    component: Component
     cond: GbmpCondition
     num_flows: int
     num_vars: int
@@ -53,58 +58,65 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Non-negative flow values: ``flows[i][ai]`` is flow i on action ai."""
+    """Non-negative flow values: ``flows[i][j]`` is flow i on action column j."""
 
     flows: tuple
     slack: Fraction
 
 
-def build_lp(mdp: Mdp, cond: GbmpCondition, margin: bool = True) -> LinearSystem:
+def build_lp(
+    mdp: Mdp, component: Component, cond: GbmpCondition, margin: bool = True
+) -> LinearSystem:
     """Assemble the per-flow constraint system (no Inf rows: those are a
     separate nonempty-intersection check).  Every bound row with ``margin``,
     else every strict one, reads ``reward - t >= bound``; ``t`` is left out
     when no row has it.  Rows are ``solve_lp``'s ``(nums, rel, rhs, den)``:
     the sum row over 1, a balance row over the lcm of its entering actions'
-    ``weights``, a bound row over the lcm of its bound and rewards."""
+    ``weights``, a bound row in ``GbmpCondition.restricted``'s form, read at
+    the source of each action (every state of a component is one)."""
+    states, actions = component
     n_flows = cond.num_flows()
-    n_actions = len(mdp.actions)
+    n_actions = len(actions)
     t = n_flows * n_actions
     has_t = bool(cond.mp_inf or cond.mp_sup) if margin else cond.strict()
+    mp_inf, mp_sup = cond.restricted([mdp.actions[ai].source for ai in actions])
 
-    def bound_row(base: int, bound: MpBound) -> tuple:
-        rewards = [bound.reward[name] for name in mdp.states]
-        den = lcm(bound.bound.denominator, *(r.denominator for r in rewards))
-        ints = [r.numerator * (den // r.denominator) for r in rewards]
-        nums = {base + ai: ints[a.source] for ai, a in enumerate(mdp.actions) if ints[a.source]}
-        if margin or bound.cmp == GT:
+    def bound_row(base: int, bound: tuple) -> tuple:
+        cmp, den, rhs, rewards = bound
+        nums = {base + j: r for j, r in enumerate(rewards) if r}
+        if margin or cmp == GT:
             nums[t] = -den
-        return nums, ">=", bound.bound.numerator * (den // bound.bound.denominator), den
+        return nums, ">=", rhs, den
 
-    # Balance at each state, inflow minus outflow, keyed by action index in
+    # Balance at each state, inflow minus outflow, keyed by action column in
     # ascending order.  Probabilities are positive, so only the outflow at
     # the source can cancel (a sure self-loop); that entry is dropped.
-    dens = [lcm(*(mdp.actions[ai].weights[0] for ai in entering)) for entering in mdp.pre]
-    balance: list[dict[int, int]] = [{} for _ in mdp.states]
-    for ai, action in enumerate(mdp.actions):
+    dens = dict.fromkeys(states, 1)
+    for ai in actions:
+        for s, _ in mdp.actions[ai].weights[1]:
+            dens[s] = lcm(dens[s], mdp.actions[ai].weights[0])
+    balance: dict[int, dict[int, int]] = {s: {} for s in states}
+    for j, ai in enumerate(actions):
+        action = mdp.actions[ai]
         den, weights = action.weights
         for s, w in weights:
-            balance[s][ai] = balance[s].get(ai, 0) + w * (dens[s] // den)
+            balance[s][j] = balance[s].get(j, 0) + w * (dens[s] // den)
         src = balance[action.source]
-        src[ai] = src.get(ai, 0) - dens[action.source]
-        if not src[ai]:
-            del src[ai]
+        src[j] = src.get(j, 0) - dens[action.source]
+        if not src[j]:
+            del src[j]
 
     rows = []
     for i in range(n_flows):
         base = i * n_actions
-        rows.append(({base + ai: 1 for ai in range(n_actions)}, "==", 1, 1))
-        for coeffs, den in zip(balance, dens):
-            rows.append(({base + ai: w for ai, w in coeffs.items()}, "==", 0, den))
-        for bound in cond.mp_inf:
+        rows.append(({base + j: 1 for j in range(n_actions)}, "==", 1, 1))
+        for s in states:
+            rows.append(({base + j: w for j, w in balance[s].items()}, "==", 0, dens[s]))
+        for bound in mp_inf:
             rows.append(bound_row(base, bound))
-        if cond.mp_sup:
-            rows.append(bound_row(base, cond.mp_sup[i]))
-    return LinearSystem(mdp, cond, n_flows, t + 1 if has_t else t, rows)
+        if mp_sup:
+            rows.append(bound_row(base, mp_sup[i]))
+    return LinearSystem(mdp, component, cond, n_flows, t + 1 if has_t else t, rows)
 
 
 def maximize_margin(system: LinearSystem) -> Optional[LpSolution]:
@@ -114,7 +126,7 @@ def maximize_margin(system: LinearSystem) -> Optional[LpSolution]:
     ``t`` comes back as ``slack``.  The solution is checked against every
     bound unless a bound is strict and ``t`` is 0.
     """
-    n_actions = len(system.mdp.actions)
+    n_actions = len(system.component.actions)
     t = system.num_flows * n_actions
     objective = {t: 1} if system.num_vars > t else {}
     status, values, _ = simplex.solve_lp(system.num_vars, system.rows, objective)
@@ -138,40 +150,36 @@ def _verify_solution(system: LinearSystem, sol: LpSolution):
     """Check the solution in integers, over one common denominator of the
     flows: each flow's sum and balance rows must hold exactly, and each of
     its bounds must be met, strictly where it is strict, by the flow's
-    reward read from the condition, not from a bound row (the bound and its
-    rewards over the lcm of their denominators).  A failure names its flow
-    and its state or bound."""
-    mdp, cond = system.mdp, system.cond
+    reward read from the condition, not from a bound row.  A failure names
+    its flow and its state or bound."""
+    mdp, (states, actions), cond = system.mdp, system.component, system.cond
     x = [v for flow in sol.flows for v in flow]
     scale = lcm(*(v.denominator for v in x))
     xs = [v.numerator * (scale // v.denominator) for v in x]
-    n_actions = len(mdp.actions)
+    n_actions = len(actions)
+    mp_inf, mp_sup = cond.restricted([mdp.actions[ai].source for ai in actions])
     block = len(system.rows) // system.num_flows  # sum, balance, bound rows
     for i in range(system.num_flows):
-        rows = system.rows[i * block : i * block + 1 + len(mdp)]
+        rows = system.rows[i * block : i * block + 1 + len(states)]
         for k, (nums, _, rhs, _) in enumerate(rows):
             lhs = sum(c * xs[j] for j, c in nums.items())
             if lhs != rhs * scale:
                 if k == 0:
                     raise simplex.SimplexError(f"flow {i} sums to {Fraction(lhs, scale)}")
-                raise simplex.SimplexError(f"flow {i} unbalanced at {mdp.states[k - 1]}")
+                raise simplex.SimplexError(f"flow {i} unbalanced at {mdp.states[states[k - 1]]}")
         flow = xs[i * n_actions : (i + 1) * n_actions]
-        bounds = [(f"inferior bound {b}", bound) for b, bound in enumerate(cond.mp_inf)]
-        if cond.mp_sup:
-            bounds.append((f"superior bound {i}", cond.mp_sup[i]))
-        for kind, bound in bounds:
-            rewards = [bound.reward[name] for name in mdp.states]
-            den = lcm(bound.bound.denominator, *(r.denominator for r in rewards))
-            ints = [r.numerator * (den // r.denominator) for r in rewards]
-            lhs = sum(v * ints[a.source] for v, a in zip(flow, mdp.actions))
-            want = bound.bound.numerator * (den // bound.bound.denominator) * scale
-            if lhs < want or (lhs == want and bound.cmp == GT):
+        bounds = [(f"inferior bound {b}", bound) for b, bound in enumerate(mp_inf)]
+        if mp_sup:
+            bounds.append((f"superior bound {i}", mp_sup[i]))
+        for kind, (cmp, _, rhs, rewards) in bounds:
+            lhs = sum(v * r for v, r in zip(flow, rewards))
+            if lhs < rhs * scale or (lhs == rhs * scale and cmp == GT):
                 raise simplex.SimplexError(f"flow {i} violates {kind}")
 
 
-def accepting_mec(mdp: Mdp, cond: GbmpCondition):
-    """Decide whether the condition holds with probability 1 in the strongly
-    connected MDP (0 otherwise); returns (answer, witness flows or None).
+def accepting_mec(mdp: Mdp, component: Component, cond: GbmpCondition):
+    """Decide whether the condition holds with probability 1 in the end
+    component (0 otherwise); returns (answer, witness flows or None).
 
     The component is rejected at once when it misses an Inf set.  Then the
     margin LP decides (without bounds it is the plain flow system):
@@ -181,16 +189,14 @@ def accepting_mec(mdp: Mdp, cond: GbmpCondition):
     (``>= 1/2`` with ``> 1/3`` on one reward can have margin 0 but slack
     1/6), and strict bounds then need positive slack.
     """
-    states = frozenset(mdp.states)
-    for inf_set in cond.inf_sets:
-        if not (frozenset(inf_set) & states):
-            return False, None
-    sol = maximize_margin(build_lp(mdp, cond))
+    if any(inf_set.isdisjoint(component.states) for inf_set in cond.inf_sets):
+        return False, None
+    sol = maximize_margin(build_lp(mdp, component, cond))
     if sol is None:
         return False, None
     if not cond.strict() or sol.slack > 0:
         return True, sol
-    sol = maximize_margin(build_lp(mdp, cond, margin=False))
+    sol = maximize_margin(build_lp(mdp, component, cond, margin=False))
     if sol is None or sol.slack == 0:
         return False, None
     return True, sol
@@ -222,7 +228,7 @@ class EpochSchedule:
 
 @dataclass(frozen=True)
 class ModeClass:
-    """One closed recurrent class of a flow's support."""
+    """One closed recurrent class of a flow's support; choices in component order."""
 
     states: frozenset
     weight: Fraction
@@ -238,35 +244,32 @@ class ModeClass:
 @dataclass(frozen=True)
 class Strategy:
     """Witness strategy: per-flow randomized modes, visited in epochs, on
-    ``mdp``, the component whose state and action indices it holds."""
+    ``component``; it steps ``mdp``, whose indices it holds."""
 
     modes: tuple  # per flow, a tuple of its ModeClass
     pilgrimage: tuple  # per Inf set, (target state index, attractor policy)
     cond: GbmpCondition
+    component: Component
     mdp: Mdp = field(compare=False)
 
 
-def _support_classes(mdp: Mdp, flow: tuple) -> list[ModeClass]:
-    support_actions = [ai for ai, v in enumerate(flow) if v > 0]
-    support_states = sorted({mdp.actions[ai].source for ai in support_actions})
+def _support_classes(mdp: Mdp, component: Component, flow: tuple) -> list[ModeClass]:
+    actions = component.actions
+    support = [(ai, v) for ai, v in zip(actions, flow) if v > 0]
+    enabled: dict = {}  # state -> its support actions and flows, in component order
+    for ai, v in support:
+        enabled.setdefault(mdp.actions[ai].source, []).append((ai, v))
     classes = []
-    for comp in _sccs(support_states, successor_edges(mdp, support_actions)):
+    for comp in _sccs(sorted(enabled), successor_edges(mdp, [ai for ai, _ in support])):
         comp_set = frozenset(comp)
         weight = _ZERO
         choices = {}
         for si in comp:
-            enabled = [ai for ai in mdp.act[si] if flow[ai] > 0]
-            mass = sum(flow[ai] for ai in enabled)
+            mass = sum(v for _, v in enabled[si])
             weight += mass
-            choices[si] = tuple((ai, flow[ai] / mass) for ai in enabled)
-        classes.append(
-            ModeClass(
-                comp_set,
-                weight,
-                choices,
-                attractor_policy(mdp, comp_set),
-            )
-        )
+            choices[si] = tuple((ai, v / mass) for ai, v in enabled[si])
+        entry = attractor_policy(mdp, comp_set, actions)
+        classes.append(ModeClass(comp_set, weight, choices, entry))
     # Flow conservation makes every support component closed; check it.
     for cls in classes:
         for si in cls.states:
@@ -277,28 +280,31 @@ def _support_classes(mdp: Mdp, flow: tuple) -> list[ModeClass]:
     return classes
 
 
-def build_witness_strategy(mdp: Mdp, sol: LpSolution, cond: GbmpCondition) -> Strategy:
+def build_witness_strategy(
+    mdp: Mdp, component: Component, sol: LpSolution, cond: GbmpCondition
+) -> Strategy:
     """Assemble the epoch-switching witness from the flow solution."""
     modes = []
     for i, flow in enumerate(sol.flows):
-        classes = _support_classes(mdp, flow)
+        classes = _support_classes(mdp, component, flow)
         if not classes:
             raise MdpError(f"flow {i} has empty support")
         modes.append(tuple(classes))
     pilgrimage = []
     for inf_set in cond.inf_sets:
-        members = sorted(mdp.state_index[s] for s in inf_set if s in mdp.state_index)
-        if not members:
+        target = next((s for s in component.states if s in inf_set), None)
+        if target is None:
             raise MdpError("Inf set does not intersect the component")
-        pilgrimage.append((members[0], attractor_policy(mdp, {members[0]})))
-    return Strategy(tuple(modes), tuple(pilgrimage), cond, mdp)
+        pilgrimage.append((target, attractor_policy(mdp, {target}, component.actions)))
+    return Strategy(tuple(modes), tuple(pilgrimage), cond, component, mdp)
 
 
 def witness_walk(
     strategy: Strategy, schedule: EpochSchedule, rng: random.Random, state: int
 ) -> Iterator[tuple]:
     """Run the witness from ``state`` forever, yielding (epoch, state, action
-    index) per step; states and actions are those of ``strategy.mdp``.
+    index) per step; states and actions are those of ``strategy.mdp``, and
+    ``state`` is in the strategy's component.
 
     Epoch t walks to each pilgrimage target in turn, then plays each class
     of mode ``t % len(modes)`` for its share of ``schedule.length(t)`` steps

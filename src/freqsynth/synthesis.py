@@ -1,9 +1,13 @@
 """Top-level synthesis pipeline: translate, product, analyze, assemble.
 
-The analysis removes each pair's Fin set, decomposes the rest into maximal
-end components, decides each component with the flow constraints, takes the
-union of the winners, and finishes with exact maximal reachability.  The
-LP solution that accepts a component is kept as the flows of its witness.
+The analysis lifts each pair onto the product, removes its Fin set,
+decomposes the rest into maximal end components, decides each component
+with the flow constraints, takes the union of the winners, and finishes
+with exact maximal reachability.  Parts and components are index sets of
+the product, never copies of it, and a decision is keyed by index tuples
+and integers; names appear only in the report and the simulation output.
+The LP solution that accepts a component is kept as the flows of its
+witness, which steps the product itself.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from itertools import islice
 from math import gcd
 from typing import Iterable, Mapping, Optional
 
-from .dgrma import Dgrma, GbmpCondition, GrmpPair, MpBound, build_dgrma
+from .dgrma import Dgrma, GbmpCondition, GrmpPair, build_dgrma
 from .formula import Formula
 from .lts import DEFAULT_STATE_CAP
 from .mdp import (
@@ -43,18 +47,13 @@ class SynthesisError(Exception):
     """Pipeline-level failure (propagated parse or resource errors)."""
 
 
-def lift_pair(
-    pair: GrmpPair, product: Mdp, automaton_component: list
-) -> tuple[frozenset, GbmpCondition]:
-    """Express one acceptance pair over product-MDP state names, reading
-    each set and reward at the automaton states the product reaches."""
-    names, qs, cond = product.states, automaton_component, pair.cond
-
-    def lift(bounds: tuple) -> tuple:
-        return tuple(MpBound(b.cmp, b.bound, b.reward.lift(names, qs)) for b in bounds)
-
-    infs = tuple(s.lift(names, qs) for s in cond.inf_sets)
-    return pair.fin.lift(names, qs), GbmpCondition(infs, lift(cond.mp_inf), lift(cond.mp_sup))
+def lift_pair(pair: GrmpPair, automaton_component: list) -> tuple[frozenset, GbmpCondition]:
+    """Express one acceptance pair over the product: Fin and each Inf set as
+    sets of product state indices, and the bounds read at each product
+    state's automaton state (``GbmpCondition.at``)."""
+    qs, cond = automaton_component, pair.cond
+    infs = tuple(s.lift(qs) for s in cond.inf_sets)
+    return pair.fin.lift(qs), GbmpCondition(infs, cond.mp_inf, cond.mp_sup, qs)
 
 
 def winning_union(product: Mdp, lifted: list) -> tuple[frozenset, list]:
@@ -64,9 +63,9 @@ def winning_union(product: Mdp, lifted: list) -> tuple[frozenset, list]:
     states and, per pair, its winners as (component, accepting LpSolution).
     Pairs that share a Fin set share its restriction and its components.
     A decision reads only the component and the condition restricted to it
-    (whether every Inf set meets it, and each bound's comparison, bound and
-    rewards on its states), so each distinct such key is decided once per
-    call and its answer reused.
+    (whether every Inf set meets it, and each bound on its states, in
+    ``GbmpCondition.restricted``'s integers), so each distinct such key of
+    index tuples and integers is decided once per call and reused.
 
     A flow rejection (a rejected component that meets every Inf set) also
     settles, without a solve, every later decision on a sub-component whose
@@ -80,49 +79,33 @@ def winning_union(product: Mdp, lifted: list) -> tuple[frozenset, list]:
     outcomes = []
     components_of: dict = {}  # fin set -> MECs of the product without it
     decided: dict = {}  # decision key -> (accepted, LpSolution or None)
-    rejections: list = []  # (state names, action names, condition) of each flow rejection
+    rejections: list = []  # (states, actions, condition) of each flow rejection
     for fin, cond in lifted:
         winners = []
         components = components_of.get(fin)
         if components is None:
-            sub = restrict(product, fin)
-            components = components_of[fin] = [] if sub is None else mec_decomposition(sub)
+            part = restrict(product, fin)
+            components = [] if part is None else mec_decomposition(product, part)
+            components_of[fin] = components
         for component in components:
-            key = _decision_key(component, cond)
+            states = component.states
+            meets_infs = all(not inf_set.isdisjoint(states) for inf_set in cond.inf_sets)
+            key = (states, component.actions, meets_infs, *cond.restricted(states))
             verdict = decided.get(key)
             if verdict is None:
-                meets_infs = key[2]
                 if meets_infs and _refuted(key, rejections):
                     verdict = (False, None)
                 else:
-                    verdict = accepting_mec(component, cond)
+                    verdict = accepting_mec(product, component, cond)
                     if meets_infs and not verdict[0]:
-                        rejections.append((frozenset(key[0]), frozenset(key[1]), cond))
+                        rejections.append((frozenset(states), frozenset(key[1]), cond))
                 decided[key] = verdict
             ok, sol = verdict
             if ok:
                 winners.append((component, sol))
-                w_states.update(component.states)
+                w_states.update(states)
         outcomes.append(winners)
     return frozenset(w_states), outcomes
-
-
-def _decision_key(component: Mdp, cond: GbmpCondition) -> tuple:
-    """Everything ``accepting_mec`` reads of (component, condition)."""
-    states = component.states
-    names = frozenset(states)
-    return (
-        tuple(states),
-        tuple(a.name for a in component.actions),
-        all(not names.isdisjoint(inf_set) for inf_set in cond.inf_sets),
-        _restricted(cond.mp_inf, states),
-        _restricted(cond.mp_sup, states),
-    )
-
-
-def _restricted(bounds: tuple, states: list) -> tuple:
-    """Each bound as (comparison, bound, its rewards on ``states``)."""
-    return tuple((b.cmp, b.bound, tuple(map(b.reward.__getitem__, states))) for b in bounds)
 
 
 def _refuted(key: tuple, rejections: list) -> bool:
@@ -130,13 +113,12 @@ def _refuted(key: tuple, rejections: list) -> bool:
     component holds the key's states and actions, and each of its bounds,
     restricted to the key's states, is one of the key's own."""
     states, actions, _, mp_inf, mp_sup = key
-    return any(
-        rejected_states.issuperset(states)
-        and rejected_actions.issuperset(actions)
-        and set(_restricted(cond.mp_inf, states)).issubset(mp_inf)
-        and set(_restricted(cond.mp_sup, states)).issubset(mp_sup)
-        for rejected_states, rejected_actions, cond in rejections
-    )
+    for rejected_states, rejected_actions, cond in rejections:
+        if rejected_states.issuperset(states) and rejected_actions.issuperset(actions):
+            inf, sup = cond.restricted(states)
+            if set(inf).issubset(mp_inf) and set(sup).issubset(mp_sup):
+                return True
+    return False
 
 
 def _sparse_solve(rows: list, rhs: list) -> tuple[list, int]:
@@ -252,8 +234,9 @@ def _check_selector(
             raise MdpError("extracted selector does not realize the optimal values")
 
 
-def max_reach(mdp: Mdp, target_names: Iterable) -> tuple[dict, dict]:
-    """Exact maximal reachability probabilities plus an optimal selector.
+def max_reach(mdp: Mdp, targets: Iterable[int]) -> tuple[dict, list]:
+    """Exact maximal reachability probabilities plus an optimal selector: per
+    state index, its value and its action index.
 
     Policy iteration with exact sparse policy evaluation; after the zero
     states are pinned, any policy-improvement fixpoint is the unique Bellman
@@ -269,7 +252,7 @@ def max_reach(mdp: Mdp, target_names: Iterable) -> tuple[dict, dict]:
     certificate checks that the selector realizes the values.
     """
     n = len(mdp)
-    target = {mdp.state_index[s] for s in target_names}
+    target = set(targets)
     # Qualitative pre-pass: states with maximal probability zero.
     zero = set(range(n)) - can_reach(mdp, target, range(len(mdp.actions)))
 
@@ -328,20 +311,16 @@ def max_reach(mdp: Mdp, target_names: Iterable) -> tuple[dict, dict]:
         raise MdpError("failed to extract a proper optimal selector")
     _check_selector(mdp, selector, values, scale, target)
 
-    value_map = {mdp.states[s]: Fraction(values[s], scale) for s in range(n)}
-    selector_map = {
-        mdp.states[s]: mdp.actions[selector[s]].name for s in range(n)
-    }
-    return value_map, selector_map
+    return {s: Fraction(v, scale) for s, v in enumerate(values)}, selector
 
 
 @dataclass
 class GlobalStrategy:
     """Reachability selector outside the winning union, witnesses inside."""
 
-    reach: Mapping  # product state name -> action name
+    reach: list  # product state index -> action index
     winners: list  # Strategy, each on its winning component
-    state_to_winner: Mapping  # product state name -> index into winners
+    state_to_winner: Mapping  # product state index -> index into winners
 
 
 @dataclass
@@ -366,7 +345,10 @@ class SynthesisReport:
             f"winning_states: {len(self.winning_states)}",
         ]
         for k, winners in enumerate(self.outcomes):
-            mecs = "; ".join("{" + ",".join(sorted(c.states)) + "}" for c, _ in winners)
+            mecs = "; ".join(
+                "{" + ",".join(sorted(self.product.states[s] for s in c.states)) + "}"
+                for c, _ in winners
+            )
             lines.append(f"pair_{k}_winning_mecs: {mecs or '-'}")
         lines.append(
             f"max_probability: {self.probability} (~{float(self.probability):.6f})"
@@ -391,14 +373,14 @@ def synthesize(
     aut = build_dgrma(phi, cap=max_states)
     product, automaton_component = product_mdp(mdp, valuation, aut.lts, max_states)
 
-    lifted = [lift_pair(pair, product, automaton_component) for pair in aut.pairs]
+    lifted = [lift_pair(pair, automaton_component) for pair in aut.pairs]
     w_states, outcomes = winning_union(product, lifted)
     probability = _ZERO
     strategy = None
     if w_states:
         values, selector = max_reach(product, w_states)
-        probability = values[product.states[product.init]]
-        strategy = _assemble_strategy(lifted, outcomes, selector)
+        probability = values[product.init]
+        strategy = _assemble_strategy(product, lifted, outcomes, selector)
 
     met = probability > threshold if strict else probability >= threshold
     return SynthesisReport(
@@ -415,7 +397,7 @@ def synthesize(
     )
 
 
-def _assemble_strategy(lifted, outcomes, selector):
+def _assemble_strategy(product, lifted, outcomes, selector):
     winners = []
     state_to_winner: dict = {}
     for (_fin, cond), pair_winners in zip(lifted, outcomes):
@@ -424,7 +406,7 @@ def _assemble_strategy(lifted, outcomes, selector):
                 continue
             for s in component.states:
                 state_to_winner.setdefault(s, len(winners))
-            winners.append(build_witness_strategy(component, sol, cond))
+            winners.append(build_witness_strategy(product, component, sol, cond))
     return GlobalStrategy(selector, winners, state_to_winner)
 
 
@@ -460,21 +442,21 @@ def simulate_global(
     """Seeded episodic run of the assembled strategy on the product MDP.
 
     An episode follows the reachability selector until it meets a winner's
-    state, then runs that winner's witness on the winner's component.  The
-    component is closed under the witness's actions and keeps the order of
-    each distribution, so every draw picks what it would in the product.
+    state, then runs that winner's witness, which steps the product inside
+    the winner's component.
     """
     if steps_per_episode < 1:
         raise ValueError("steps must be at least 1")
     if episodes < 1:
         raise ValueError("episodes must be at least 1")
     rng = random.Random(seed)
-    winner_at = [strategy.state_to_winner.get(name) for name in product.states]
-    reach_tables: dict = {}  # product state -> draw table of its selected action
-    rewards = [  # per winner, one float vector over its component per bound
-        [[float(b.reward[s]) for s in w.mdp.states] for b in w.cond.mp_inf + w.cond.mp_sup]
-        for w in strategy.winners
-    ]
+    winner_at = [strategy.state_to_winner.get(s) for s in range(len(product))]
+    reach_tables = [None] * len(product)  # draw table of each state's selected action
+    rewards = []  # per winner, per bound, the float reward of each component state
+    for w in strategy.winners:
+        states = w.component.states
+        bounds = sum(w.cond.restricted(states), ())
+        rewards.append([{s: n / den for s, n in zip(states, nums)} for _, den, _, nums in bounds])
     pooled_sums = [[0.0] * len(vecs) for vecs in rewards]
     pooled_steps = [0] * len(rewards)
     entered = 0
@@ -482,10 +464,9 @@ def simulate_global(
         state = product.init
         steps = steps_per_episode
         while steps and winner_at[state] is None:
-            table = reach_tables.get(state)
+            table = reach_tables[state]
             if table is None:
-                ai = product.action_index[strategy.reach[product.states[state]]]
-                table = reach_tables[state] = product.actions[ai].table
+                table = reach_tables[state] = product.actions[strategy.reach[state]].table
             state = draw(table, rng)
             steps -= 1
         if not steps:
@@ -495,8 +476,7 @@ def simulate_global(
         winner = strategy.winners[w_idx]
         sums, vecs = pooled_sums[w_idx], rewards[w_idx]
         pooled_steps[w_idx] += steps
-        start = winner.mdp.state_index[product.states[state]]
-        walk = witness_walk(winner, schedule, rng, start)
+        walk = witness_walk(winner, schedule, rng, state)
         for _, state, _ in islice(walk, steps):
             for k, vec in enumerate(vecs):
                 sums[k] += vec[state]

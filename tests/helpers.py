@@ -40,8 +40,8 @@ integer tables of ``freqsynth.mdp.draw`` replaced; ``named_simulate_global``
 draws with it.  ``StrategyRunner`` is the task-list interpreter of the
 witness that ``freqsynth.mecanalysis.witness_walk`` replaced; it picks
 choices with ``fraction_sample``, and ``named_simulate_global`` steps it.
-``simulate_strategy`` runs one witness alone from its component's initial
-state and returns ``SimulationStats`` (epoch lengths, Inf-set visits, prefix
+``simulate_strategy`` runs one witness alone from the first state of its
+component and returns ``SimulationStats`` (epoch lengths, Inf-set visits, prefix
 averages); it is an instrument for the witness tests, which the CLI's
 ``simulate`` (``freqsynth.synthesis.simulate_global``) does not use.
 ``hull_accepts`` decides a strongly connected MEC from the reward vectors of
@@ -52,7 +52,12 @@ integer rows ``(nums, rel, rhs, den)`` and ``fraction_rows`` turns them back,
 so the Fraction oracles are fed rows that ``build_lp`` did not make.
 ``time_limit`` fails a call that does not return within a number of seconds.
 ``shift``, ``models_at`` and ``models_boolfn`` are lasso helpers that only the
-tests use.
+tests use.  Conditions in the tests are over state indices, as the pipeline
+decides them: ``whole`` is a strongly connected MDP as one ``Component``,
+``reward_of`` reads a bound's reward at a state (through ``at`` when the
+condition has it), ``component_names`` names a component's states and
+actions, and ``named_max_reach`` and ``reach_by_name`` give ``max_reach``'s
+index-keyed result by names, as ``dense_max_reach`` gives it.
 """
 
 from __future__ import annotations
@@ -111,6 +116,7 @@ from freqsynth.slave import (
     mp_reward,
 )
 from freqsynth.mdp import (
+    Component,
     Mdp,
     MdpAction,
     MdpError,
@@ -129,7 +135,7 @@ from freqsynth.mecanalysis import (
     maximize_margin,
     witness_walk,
 )
-from freqsynth.synthesis import GlobalSimulation
+from freqsynth.synthesis import GlobalSimulation, max_reach
 from freqsynth.simplex import (
     EQ,
     GEQ,
@@ -366,19 +372,30 @@ def md_strategy_satisfies(mdp, policy, cond):
     some bottom class meets every conjunct (limits exist there and equal the
     stationary average)."""
     for bscc in chain_bsccs(mdp, policy):
-        names = {mdp.states[s] for s in bscc}
-        if any(not (set(inf) & names) for inf in cond.inf_sets):
+        if any(not (set(inf) & set(bscc)) for inf in cond.inf_sets):
             continue
         pi = stationary_distribution(mdp, policy, bscc)
         ok = True
         for bound in list(cond.mp_inf) + list(cond.mp_sup):
-            value = sum(pi[s] * bound.reward[mdp.states[s]] for s in bscc)
+            value = sum(pi[s] * reward_of(cond, bound, s) for s in bscc)
             if not bound.check(value):
                 ok = False
                 break
         if ok:
             return True
     return False
+
+
+def whole(mdp):
+    """A strongly connected MDP as one component: every state and every
+    action, in index order."""
+    return Component(tuple(range(len(mdp))), tuple(range(len(mdp.actions))))
+
+
+def reward_of(cond, bound, s):
+    """The bound's reward at state ``s``, read at ``cond.at[s]`` when the
+    condition has ``at``."""
+    return bound.reward[s if cond.at is None else cond.at[s]]
 
 
 def enumerate_md_strategies(mdp):
@@ -394,17 +411,17 @@ def chain_pipeline_probability(product, lifted_pairs):
     bsccs = chain_bsccs(product, policy)
     accepting = []
     for bscc in bsccs:
-        names = {product.states[s] for s in bscc}
+        members = set(bscc)
         pi = stationary_distribution(product, policy, bscc)
         good = False
         for fin, cond in lifted_pairs:
-            if set(fin) & names:
+            if set(fin) & members:
                 continue
-            if any(not (set(inf) & names) for inf in cond.inf_sets):
+            if any(not (set(inf) & members) for inf in cond.inf_sets):
                 continue
             ok = True
             for bound in list(cond.mp_inf) + list(cond.mp_sup):
-                value = sum(pi[s] * bound.reward[product.states[s]] for s in bscc)
+                value = sum(pi[s] * reward_of(cond, bound, s) for s in bscc)
                 if not bound.check(value):
                     ok = False
                     break
@@ -448,7 +465,7 @@ def margin_rewrite(system):
     the slack column, then put ``-t`` on every bound row, with ``t`` the
     column after the flows.  ``t`` is left out when no row is a bound row
     (such a system was never solved)."""
-    t = system.num_flows * len(system.mdp.actions)
+    t = system.num_flows * len(system.component.actions)
     rows = []
     for coeffs, rel, rhs in system.rows:
         coeffs = {j: c for j, c in coeffs.items() if j != t}
@@ -457,17 +474,19 @@ def margin_rewrite(system):
         rows.append((coeffs, rel, rhs))
     has_t = any(rel == ">=" for _, rel, _ in rows)
     num_vars = t + 1 if has_t else t
-    return LinearSystem(system.mdp, system.cond, system.num_flows, num_vars, rows)
+    return LinearSystem(
+        system.mdp, system.component, system.cond, system.num_flows, num_vars, rows
+    )
 
 
 def decide_then_maximize_margin(mdp, cond):
-    """The earlier witness rule as (accepted, witness): the slack LP decides,
-    then a second LP maximizing one margin shared by every mean-payoff row
-    replaces the witness when it is optimal and its margin meets strictness."""
-    names = set(mdp.states)
-    if any(not (set(inf) & names) for inf in cond.inf_sets):
+    """The earlier witness rule as (accepted, witness) on a strongly
+    connected MDP: the slack LP decides, then a second LP maximizing one
+    margin shared by every mean-payoff row replaces the witness when it is
+    optimal and its margin meets strictness."""
+    if any(not (set(inf) & set(range(len(mdp)))) for inf in cond.inf_sets):
         return False, None
-    system = build_lp(mdp, cond, margin=False)
+    system = build_lp(mdp, whole(mdp), cond, margin=False)
     sol = maximize_margin(system)
     if sol is None or (cond.strict() and sol.slack == 0):
         return False, None
@@ -486,9 +505,12 @@ def decide_then_maximize_margin(mdp, cond):
     return True, LpSolution(flows, values[t])
 
 
-def component_names(component):
-    """A MEC sub-MDP as (state names, action names), both in its own order."""
-    return tuple(component.states), tuple(a.name for a in component.actions)
+def component_names(mdp, component):
+    """A component as (state names, action names), both in its own order."""
+    return (
+        tuple(mdp.states[s] for s in component.states),
+        tuple(mdp.actions[ai].name for ai in component.actions),
+    )
 
 
 def pairwise_winning_union(product, lifted):
@@ -502,10 +524,11 @@ def pairwise_winning_union(product, lifted):
         winners = []
         components = components_of.get(fin)
         if components is None:
-            sub = restrict(product, fin)
-            components = components_of[fin] = [] if sub is None else mec_decomposition(sub)
+            part = restrict(product, fin)
+            components = [] if part is None else mec_decomposition(product, part)
+            components_of[fin] = components
         for component in components:
-            ok, sol = accepting_mec(component, cond)
+            ok, sol = accepting_mec(product, component, cond)
             if ok:
                 winners.append((component, sol))
                 w_states.update(component.states)
@@ -642,12 +665,13 @@ def ring_mdp(rng, n):
     return Mdp([f"s{k}" for k in range(n)], actions, 0), valuation
 
 
-def assert_flow_row_form(mdp, cond):
+def assert_flow_row_form(mdp, component, cond):
     """Every row of both flow systems is ``==``, or ``>=`` with rhs >= 0: no
     row is flipped and no slack column has coefficient +1, so no slack could
     start basic, and each row starts on its own artificial, the basis marker
     with no column that ``solve_lp`` begins from."""
-    for system in (build_lp(mdp, cond), build_lp(mdp, cond, margin=False)):
+    systems = build_lp(mdp, component, cond), build_lp(mdp, component, cond, margin=False)
+    for system in systems:
         for _, rel, rhs, den in system.rows:
             assert den >= 1 and (rel == EQ or (rel == GEQ and rhs >= 0)), (rel, rhs, den)
 
@@ -685,8 +709,7 @@ def hull_accepts(mdp, cond):
     is strict.  Each block is one margin LP over the combination weights,
     with the margin on the strict rows alone, solved by ``fraction_solve_lp``.
     """
-    names = set(mdp.states)
-    if any(not (set(inf) & names) for inf in cond.inf_sets):
+    if any(not (set(inf) & set(range(len(mdp)))) for inf in cond.inf_sets):
         return False
     bounds = list(cond.mp_inf) + list(cond.mp_sup)
     vectors = set()
@@ -694,7 +717,7 @@ def hull_accepts(mdp, cond):
         for bscc in chain_bsccs(mdp, policy):
             pi = stationary_distribution(mdp, policy, bscc)
             vectors.add(
-                tuple(sum(pi[s] * b.reward[mdp.states[s]] for s in bscc) for b in bounds)
+                tuple(sum(pi[s] * reward_of(cond, b, s) for s in bscc) for b in bounds)
             )
     vectors = sorted(vectors)
     n = len(vectors)
@@ -839,9 +862,9 @@ def _fraction_pivot(tableau, basis, r, c):
 
 
 def rescan_build_lp(mdp, cond):
-    """The slack flow system built with one scan over every action
-    distribution per state and flow; rows and keys in the order of
-    ``build_lp(..., margin=False)``."""
+    """The slack flow system of a strongly connected MDP built with one scan
+    over every action distribution per state and flow; rows and keys in the
+    order of ``build_lp(mdp, whole(mdp), cond, margin=False)``."""
     n_flows = cond.num_flows()
     n_actions = len(mdp.actions)
     strict_rows = any(b.cmp == GT for b in cond.mp_inf + cond.mp_sup)
@@ -851,7 +874,7 @@ def rescan_build_lp(mdp, cond):
     def reward_row(flow, bound):
         coeffs = {}
         for ai, action in enumerate(mdp.actions):
-            r = bound.reward[mdp.states[action.source]]
+            r = reward_of(cond, bound, action.source)
             if r:
                 coeffs[flow * n_actions + ai] = Fraction(r)
         if bound.cmp == GT:
@@ -878,7 +901,7 @@ def rescan_build_lp(mdp, cond):
             rows.append((reward_row(i, bound), ">=", Fraction(bound.bound)))
         if cond.mp_sup:
             rows.append((reward_row(i, cond.mp_sup[i]), ">=", Fraction(cond.mp_sup[i].bound)))
-    return LinearSystem(mdp, cond, n_flows, num_vars, rows)
+    return LinearSystem(mdp, whole(mdp), cond, n_flows, num_vars, rows)
 
 
 def _dense_evaluate_policy(mdp, policy, target):
@@ -966,6 +989,21 @@ def dense_max_reach(mdp, target_names):
     value_map = {mdp.states[s]: values[s] for s in range(n)}
     selector_map = {mdp.states[s]: mdp.actions[selector[s]].name for s in range(n)}
     return value_map, selector_map
+
+
+def reach_by_name(mdp, values, selector):
+    """``max_reach``'s values and selector, per state index, as maps from
+    state names to values and to action names, in state order."""
+    return (
+        {mdp.states[s]: values[s] for s in range(len(mdp))},
+        {mdp.states[s]: mdp.actions[ai].name for s, ai in enumerate(selector)},
+    )
+
+
+def named_max_reach(mdp, target_names):
+    """``max_reach`` with its target and its result named, as
+    ``dense_max_reach`` takes and returns them."""
+    return reach_by_name(mdp, *max_reach(mdp, {mdp.state_index[s] for s in target_names}))
 
 
 def ruin_mdp(n, p, reflecting):
@@ -1295,35 +1333,19 @@ def _as_boolfn(x) -> BoolFn:
 
 def scan_lift_pair(pair, product, automaton_component):
     """``lift_pair`` that lifts every set and reward by scanning each
-    product state's automaton component."""
-    fin = frozenset(
-        product.states[p]
-        for p in range(len(product))
-        if automaton_component[p] in pair.fin
-    )
+    product state's automaton component: the Fin set, the Inf sets and,
+    per inf then sup bound, each product state's reward."""
+    states = range(len(product))
+    fin = frozenset(p for p in states if automaton_component[p] in pair.fin)
     infs = tuple(
-        frozenset(
-            product.states[p]
-            for p in range(len(product))
-            if automaton_component[p] in s
-        )
+        frozenset(p for p in states if automaton_component[p] in s)
         for s in pair.cond.inf_sets
     )
-
-    def scan(bounds):
-        return tuple(
-            MpBound(
-                b.cmp,
-                b.bound,
-                {
-                    product.states[p]: b.reward[automaton_component[p]]
-                    for p in range(len(product))
-                },
-            )
-            for b in bounds
-        )
-
-    return fin, GbmpCondition(infs, scan(pair.cond.mp_inf), scan(pair.cond.mp_sup))
+    rewards = tuple(
+        tuple(b.reward[automaton_component[p]] for p in states)
+        for b in pair.cond.mp_inf + pair.cond.mp_sup
+    )
+    return fin, infs, rewards
 
 
 def fraction_sample(pairs, rng):
@@ -1387,9 +1409,9 @@ class StrategyRunner:
 
 
 def named_simulate_global(product, strategy, episodes, steps_per_episode, seed, schedule):
-    """``simulate_global`` stepping the product by names: every step looks up
-    the state's name, the winner's local index and the product action of the
-    witness's choice, draws the successor with ``fraction_sample``, and the
+    """``simulate_global`` stepping the product one state at a time: every
+    step looks the state up in ``state_to_winner``, reads each reward as a
+    ``Fraction``, draws the successor with ``fraction_sample``, and the
     pooled sums are keyed by (winner, bound)."""
     rng = random.Random(seed)
     entered = 0
@@ -1401,27 +1423,22 @@ def named_simulate_global(product, strategy, episodes, steps_per_episode, seed, 
         winner_idx = None
         for _ in range(steps_per_episode):
             name = product.states[state]
-            if runner is None and name in strategy.state_to_winner:
-                winner_idx = strategy.state_to_winner[name]
+            if runner is None and state in strategy.state_to_winner:
+                winner_idx = strategy.state_to_winner[state]
                 runner = StrategyRunner(strategy.winners[winner_idx], schedule, rng)
                 entered += 1
             if runner is None:
-                action_name = strategy.reach[name]
-                action = product.actions[product.action_index[action_name]]
+                action = product.actions[strategy.reach[state]]
             else:
                 winner = strategy.winners[winner_idx]
-                local = winner.mdp
-                li = local.state_index[name]
                 cond = winner.cond
                 for bi, bound in enumerate(list(cond.mp_inf) + list(cond.mp_sup)):
                     key = (winner_idx, bi)
                     pooled_sums[key] = pooled_sums.get(key, 0.0) + float(
-                        bound.reward[name]
+                        reward_of(cond, bound, state)
                     )
                     pooled_steps[key] = pooled_steps.get(key, 0) + 1
-                ai = runner.next_action(li)
-                local_action = local.actions[ai]
-                action = product.actions[product.action_index[local_action.name]]
+                action = winner.mdp.actions[runner.next_action(state)]
             state = fraction_sample(action.dist, rng)
 
     mp_pooled = []
@@ -1469,35 +1486,32 @@ class SimulationStats:
 
 
 def simulate_strategy(
-    mdp: Mdp,
     strategy: Strategy,
     steps: int,
     seed: int,
 ) -> SimulationStats:
-    """Run the witness for the given number of steps from a fixed seed."""
+    """Run the witness for the given number of steps from a fixed seed,
+    from the first state of its component."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    cond = strategy.cond
+    cond, mdp, states = strategy.cond, strategy.mdp, strategy.component.states
 
     bounds = [("inf", i, b) for i, b in enumerate(cond.mp_inf)] + [
         ("sup", i, b) for i, b in enumerate(cond.mp_sup)
     ]
     reward_vecs = []
     for _, _, b in bounds:
-        reward_vecs.append([float(b.reward[s]) for s in mdp.states])
+        reward_vecs.append({s: float(reward_of(cond, b, s)) for s in states})
     sums = [0.0] * len(bounds)
     max_prefix = [float("-inf")] * len(bounds)
     min_late = [float("inf")] * len(bounds)
     late_from = int(0.2 * steps)
     action_counts: dict[str, int] = {}
-    inf_sets_idx = [
-        {mdp.state_index[s] for s in inf_set if s in mdp.state_index}
-        for inf_set in cond.inf_sets
-    ]
+    inf_sets_idx = [set(inf_set) & set(states) for inf_set in cond.inf_sets]
     visits: list[list[int]] = [[] for _ in inf_sets_idx]
     epoch_steps: list[int] = []
 
-    walk = witness_walk(strategy, EpochSchedule(), random.Random(seed), mdp.init)
+    walk = witness_walk(strategy, EpochSchedule(), random.Random(seed), states[0])
     for step_no, (epoch, state, ai) in enumerate(islice(walk, steps)):
         if epoch == len(epoch_steps):
             epoch_steps.append(0)

@@ -14,17 +14,12 @@ import pytest
 
 from freqsynth import mecanalysis
 from freqsynth.boolfn import step, unfold
-from freqsynth.dgrma import accepts_lasso, build_dgrma, rec_set, run_cycle
+from freqsynth.dgrma import GbmpCondition, MpBound, accepts_lasso, build_dgrma, rec_set, run_cycle
 from freqsynth.formula import always, eventually, parse_formula, tt
 from freqsynth.lasso import models
 from freqsynth.master import build_master
 from freqsynth.mdp import Mdp, parse_mdp, product_mdp
-from freqsynth.mecanalysis import (
-    GbmpCondition,
-    MpBound,
-    accepting_mec,
-    build_witness_strategy,
-)
+from freqsynth.mecanalysis import accepting_mec, build_witness_strategy
 from freqsynth.simplex import SimplexError
 from freqsynth.slave import (
     assumption_conj,
@@ -55,6 +50,7 @@ from helpers import (
     rec_truth,
     simulate_strategy,
     stationary_distribution,
+    whole,
 )
 
 
@@ -166,7 +162,7 @@ def _random_instances():
         mdp = random_strongly_connected_mdp(rng, 4, 3)
 
         def reward():
-            return {s: Fr(rng.randint(0, 8), 8) for s in mdp.states}
+            return tuple(Fr(rng.randint(0, 8), 8) for _ in mdp.states)
 
         mp_inf = tuple(
             MpBound(rng.choice([">=", ">"]), Fr(rng.randint(0, 8), 8), reward())
@@ -179,7 +175,7 @@ def _random_instances():
         inf_sets = ()
         if rng.random() < 0.5:
             inf_sets = (
-                frozenset(rng.sample(mdp.states, rng.randint(1, len(mdp)))),
+                frozenset(rng.sample(range(len(mdp)), rng.randint(1, len(mdp)))),
             )
         instances.append((mdp, GbmpCondition(inf_sets, mp_inf, mp_sup)))
     return instances
@@ -198,14 +194,14 @@ def _mixing_instances():
     instances = []
     for _ in range(200):
         mdp = random_strongly_connected_mdp(rng, 4, 3)
-        rewards = [{s: Fr(rng.randint(0, 4), 4) for s in mdp.states} for _ in range(3)]
+        rewards = [tuple(Fr(rng.randint(0, 4), 4) for _ in mdp.states) for _ in range(3)]
         policies = list(enumerate_md_strategies(mdp))
         vertices = []
         for _ in range(2):
             policy = rng.choice(policies)
             bscc = rng.choice(chain_bsccs(mdp, policy))
             pi = stationary_distribution(mdp, policy, bscc)
-            vertices.append([sum(pi[s] * r[mdp.states[s]] for s in bscc) for r in rewards])
+            vertices.append([sum(pi[s] * r[s] for s in bscc) for r in rewards])
         weight = Fr(rng.randint(1, 3), 4)
         bounds = [
             MpBound(
@@ -224,7 +220,7 @@ def _check_against_hull(instances):
     of rejections and of acceptances that no MD strategy witnesses."""
     rejected = mixed = 0
     for idx, (mdp, cond) in enumerate(instances):
-        ok, _ = accepting_mec(mdp, cond)
+        ok, _ = accepting_mec(mdp, whole(mdp), cond)
         assert ok == hull_accepts(mdp, cond), idx
         rejected += not ok
         mixed += ok and not any(
@@ -266,8 +262,8 @@ def test_verify_solution_checks_bounds_against_the_condition(mixing_pool, monkey
     # A build_lp that compares inf bounds with 0 in every flow block after
     # the first lets flow 1 miss the inferior bound; the check reads the
     # condition's rewards, not the faulty row, and names the flow and bound.
-    def mutant(mdp, cond, margin=True):
-        system = real_build_lp(mdp, cond, margin)
+    def mutant(mdp, component, cond, margin=True):
+        system = real_build_lp(mdp, component, cond, margin)
         block = len(system.rows) // system.num_flows
         for r in range(block, len(system.rows)):
             if 0 <= r % block - 1 - len(mdp) < len(cond.mp_inf):
@@ -280,7 +276,7 @@ def test_verify_solution_checks_bounds_against_the_condition(mixing_pool, monkey
     raised = 0
     for mdp, cond in mixing_pool:
         try:
-            accepting_mec(mdp, cond)
+            accepting_mec(mdp, whole(mdp), cond)
         except SimplexError as exc:
             assert str(exc) == "flow 1 violates inferior bound 0"
             raised += 1
@@ -293,10 +289,10 @@ def test_witness_classes_mix_to_the_flow_rewards(instance_pool, mixing_pool):
     # the reward of the flow the mode was built from.
     modes = 0
     for idx, (mdp, cond) in enumerate(instance_pool + mixing_pool):
-        ok, sol = accepting_mec(mdp, cond)
+        ok, sol = accepting_mec(mdp, whole(mdp), cond)
         if not ok:
             continue
-        strat = build_witness_strategy(mdp, sol, cond)
+        strat = build_witness_strategy(mdp, whole(mdp), sol, cond)
         for flow, mode in zip(sol.flows, strat.modes):
             assert sum(cls.weight for cls in mode) == 1, idx
             pis = [
@@ -304,7 +300,7 @@ def test_witness_classes_mix_to_the_flow_rewards(instance_pool, mixing_pool):
                 for cls in mode
             ]
             for bound in cond.mp_inf + cond.mp_sup:
-                reward = [bound.reward[name] for name in mdp.states]
+                reward = bound.reward
                 own = sum(v * reward[a.source] for v, a in zip(flow, mdp.actions))
                 mixed = sum(
                     cls.weight * sum(p * reward[s] for s, p in pi.items())
@@ -322,7 +318,7 @@ def test_one_lp_witness_matches_decide_then_margin(instance_pool):
     accepted = 0
     for idx, (mdp, cond) in enumerate(instance_pool):
         expected = decide_then_maximize_margin(mdp, cond)
-        assert accepting_mec(mdp, cond) == expected, idx
+        assert accepting_mec(mdp, whole(mdp), cond) == expected, idx
         accepted += expected[0]
     assert 0 < accepted < len(instance_pool)
 
@@ -331,12 +327,12 @@ def test_criterion_6_witness_realization(instance_pool):
     tol = 0.05
     simulated = 0
     for idx, (mdp, cond) in enumerate(instance_pool):
-        ok, witness = accepting_mec(mdp, cond)
+        ok, witness = accepting_mec(mdp, whole(mdp), cond)
         if not ok:
             continue
         simulated += 1
-        strat = build_witness_strategy(mdp, witness, cond)
-        stats = simulate_strategy(mdp, strat, 100_000, seed=660_000 + idx)
+        strat = build_witness_strategy(mdp, whole(mdp), witness, cond)
+        stats = simulate_strategy(strat, 100_000, seed=660_000 + idx)
         for (label, value), bound in zip(stats.mp_min_late, cond.mp_inf):
             assert value >= float(bound.bound) - tol, (idx, label, value)
         for (label, value), bound in zip(stats.mp_max_prefix, cond.mp_sup):
@@ -363,7 +359,7 @@ def test_criterion_7_markov_chain_cross_validation():
             combos += 1
             report = synthesize(chain, valuation, phi, Fr(1, 2))
             product, comp = product_mdp(chain, valuation, report.automaton.lts)
-            lifted = [lift_pair(p, product, comp) for p in report.automaton.pairs]
+            lifted = [lift_pair(p, comp) for p in report.automaton.pairs]
             if report.probability != chain_pipeline_probability(product, lifted):
                 mismatches += 1
     assert mismatches == 0
@@ -378,9 +374,9 @@ def test_criterion_8_qualitative_dichotomy():
     checked = 0
     for _ in range(25):
         mdp = random_strongly_connected_mdp(rng, 4, 3)
-        reward = {s: Fr(rng.randint(0, 4), 4) for s in mdp.states}
+        reward = tuple(Fr(rng.randint(0, 4), 4) for _ in mdp.states)
         cond = GbmpCondition(
-            inf_sets=(frozenset({rng.choice(mdp.states)}),),
+            inf_sets=(frozenset({rng.choice(range(len(mdp)))}),),
             mp_inf=(
                 MpBound(rng.choice([">=", ">"]), Fr(rng.randint(0, 4), 4), reward),
             ),
@@ -391,23 +387,20 @@ def test_criterion_8_qualitative_dichotomy():
             valuation = [frozenset() for _ in mdp.states]
             aut = build_dgrma(tt())
             product, comp = product_mdp(shifted, valuation, aut.lts)
+            # The MDP state of each product state, where its rewards are read.
+            model_state = [mdp.state_index[name.split("@")[0]] for name in product.states]
             lifted_cond = GbmpCondition(
                 inf_sets=tuple(
-                    frozenset(f"{s}@{comp[0]}" for s in inf) for inf in cond.inf_sets
+                    frozenset(p for p, s in enumerate(model_state) if s in inf)
+                    for inf in cond.inf_sets
                 ),
-                mp_inf=tuple(
-                    MpBound(
-                        b.cmp,
-                        b.bound,
-                        {f"{s}@{comp[0]}": r for s, r in b.reward.items()},
-                    )
-                    for b in cond.mp_inf
-                ),
+                mp_inf=cond.mp_inf,
+                at=model_state,
             )
             w_states, _ = winning_union(product, [(frozenset(), lifted_cond)])
             if w_states:
                 values, _ = max_reach(product, w_states)
-                answers.add(values[product.states[product.init]])
+                answers.add(values[product.init])
             else:
                 answers.add(Fr(0))
         checked += 1

@@ -29,6 +29,7 @@ from helpers import (
     random_fragment_formula,
     random_lasso,
     random_mdp,
+    reward_of,
     scan_lift_pair,
 )
 
@@ -370,7 +371,9 @@ def test_column_pairs_match_written_out_oracle():
     # Pairs decided on part columns must keep the oracle's assumption
     # subsets in its order, with equal Fin and Inf sets and rewards over
     # every automaton state, and lift_pair must lift them onto random
-    # products as the written-out sets lift.
+    # products as the written-out sets lift: Fin and Inf as sets of product
+    # state indices, and each bound read at the product state's automaton
+    # state.
     rng = random.Random(2121)
     compared = lifted = 0
     for phi, aut in _column_corpus(2121):
@@ -387,9 +390,13 @@ def test_column_pairs_match_written_out_oracle():
             ]
             product, comp = product_mdp(mdp, valuation, aut.lts)
             for pair, want in zip(aut.pairs, ref):
-                assert lift_pair(pair, product, comp) == scan_lift_pair(
-                    want, product, comp
-                ), phi
+                fin, cond = lift_pair(pair, comp)
+                rewards = tuple(
+                    tuple(reward_of(cond, b, p) for p in range(len(product)))
+                    for b in cond.mp_inf + cond.mp_sup
+                )
+                assert (fin, cond.inf_sets, rewards) == scan_lift_pair(want, product, comp), phi
+                assert cond.at is comp
                 lifted += 1
     assert compared >= 140 and lifted >= 1000
 

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -76,15 +77,44 @@ def test_boolfn_models_are_read_only_in_boolfn():
 
 def test_benchmark_hooks_resolve():
     # bench/spans.py wraps each HOOKS name in its module when it traces a
-    # run; a renamed function must fail here too.  The file is executed from
-    # its source text, so nothing is written next to it.
+    # run; a renamed or removed function, or a name that no longer refers to
+    # a function of the package, must fail here and not only at hook install
+    # in the traced benchmark.  The file is executed from its source text,
+    # so nothing is written next to it.
     path = ROOT / "bench" / "spans.py"
     namespace = {"__name__": "spans"}
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
     hooks = namespace["HOOKS"]
-    missing = [
-        f"{module}.{attr}"
-        for module, attr, _, _ in hooks
-        if not hasattr(importlib.import_module(module), attr)
-    ]
-    assert hooks and not missing, missing
+    bad = []
+    for module, attr, _, _ in hooks:
+        fn = getattr(importlib.import_module(module), attr, None)
+        source = callable(fn) and inspect.getsourcefile(inspect.unwrap(fn))
+        if not source or not Path(source).resolve().is_relative_to(SRC):
+            bad.append(f"{module}.{attr}")
+    assert hooks and not bad, bad
+
+
+def _functions(tree):
+    """Each function definition with the name of the function it is in."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                yield node.name, inner
+
+
+def test_only_the_parser_and_the_product_build_mdps_unchecked():
+    # Parts and end components are index sets of the product, never copied
+    # sub-MDPs: ``Mdp._trusted`` skips the distribution check for the parsed
+    # model and the product alone, and no ``induced`` copy exists in src/.
+    callers, induced = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for outer, node in _functions(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_trusted":
+                if isinstance(node.ctx, ast.Load) and outer != "_trusted":
+                    callers.add(outer)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name == "induced":
+                    induced.append(f"{path.name}:{node.lineno}")
+    assert callers == {"parse_mdp", "product_mdp"}
+    assert not induced, induced

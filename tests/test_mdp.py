@@ -83,21 +83,18 @@ def test_distribution_sums_are_exact_over_mixed_denominators():
 
 
 def test_derived_actions_carry_their_weights():
-    # weights is a plain attribute set at construction.  The product and the
-    # induced sub-MDPs pass each parent action's weights on, renumbered; the
-    # result is the weights a fresh action computes, and equality, hashing
-    # and repr read only name, source and distribution.
+    # weights is a plain attribute set at construction.  The product passes
+    # each parent action's weights on, renumbered; the result is the weights
+    # a fresh action computes, and equality, hashing and repr read only
+    # name, source and distribution.
     rng = random.Random(8)
     master = build_master(parse_formula("G F a & F b"))
     derived = 0
-    for _ in range(30):
+    for _ in range(120):
         mdp = random_mdp(rng, 6, 3)
         valuation = [frozenset(x for x in "ab" if rng.random() < 0.5) for _ in mdp.states]
         product, _ = product_mdp(mdp, valuation, master)
-        removed = [s for s in product.states if rng.random() < 0.2]
-        kept = restrict(product, removed)
-        subs = mec_decomposition(product) + ([kept] if kept is not None else [])
-        for m in [mdp, product] + subs:
+        for m in [mdp, product]:
             for a in m.actions:
                 fresh = MdpAction(a.name, a.source, a.dist)
                 assert "weights" in vars(a) and a.weights == fresh.weights
@@ -212,7 +209,8 @@ def test_mec_strongly_connected():
         "mdp\nstates s t\ninit s\naction s a : t 1\naction t b : s 1\n"
     )
     mecs = mec_decomposition(mdp)
-    assert [component_names(ec) for ec in mecs] == [(("s", "t"), ("a", "b"))]
+    assert [component_names(mdp, ec) for ec in mecs] == [(("s", "t"), ("a", "b"))]
+    assert mecs == [((0, 1), (0, 1))]
 
 
 def test_mec_transient_dag():
@@ -221,7 +219,7 @@ def test_mec_transient_dag():
         "action s a : t 1/2 , u 1/2\naction t b : u 1\naction u c : u 1\n"
     )
     mecs = mec_decomposition(mdp)
-    assert [ec.states for ec in mecs] == [["u"]]
+    assert [ec.states for ec in mecs] == [(2,)]
 
 
 def test_mec_two_disjoint_loops():
@@ -230,15 +228,15 @@ def test_mec_two_disjoint_loops():
         "action s a : t 1/2 , u 1/2\naction t b : t 1\naction u c : u 1\n"
     )
     mecs = mec_decomposition(mdp)
-    assert [ec.states for ec in mecs] == [["t"], ["u"]]
+    assert [ec.states for ec in mecs] == [(1,), (2,)]
 
 
 def test_restrict_identity_and_cascade():
+    # The closed part comes back as index sets into the MDP, not a copy.
     mdp, _ = parse_mdp(EXAMPLE)
-    same = restrict(mdp, [])
-    assert same.states == mdp.states and len(same.actions) == len(mdp.actions)
+    assert restrict(mdp, []) == ({0, 1}, {0, 1, 2})
     # Removing s1 kills alpha and beta, which leaves s0 with no actions.
-    assert restrict(mdp, ["s1"]) is None
+    assert restrict(mdp, [1]) is None
 
 
 def test_restrict_can_split_mecs():
@@ -248,15 +246,15 @@ def test_restrict_can_split_mecs():
         "action t b2 : t 1\naction v d2 : v 1\n"
     )
     assert len(mec_decomposition(mdp)) == 1
-    cut = restrict(mdp, ["u"])
-    mecs = mec_decomposition(cut)
-    assert [ec.states for ec in mecs] == [["t"], ["v"]]
+    cut = restrict(mdp, [mdp.state_index["u"]])
+    mecs = mec_decomposition(mdp, cut)
+    assert [component_names(mdp, ec) for ec in mecs] == [(("t",), ("b2",)), (("v",), ("d2",))]
 
 
 def test_mec_components_keep_index_order_and_sort_actions_by_name():
     # The LP's pivots follow the component's action order, so the order is
     # part of the contract: states in index order, actions in name order,
-    # the first state initial, and the MECs ordered by least state name.
+    # and the MECs ordered by least state name, not least index.
     mdp, _ = parse_mdp(
         "mdp\nstates x q p c b\ninit x\n"
         "action x go : q 1/2 , c 1/2\n"
@@ -264,16 +262,11 @@ def test_mec_components_keep_index_order_and_sort_actions_by_name():
         "action c c1 : b 1\naction b b1 : c 1\n"
     )
     mecs = mec_decomposition(mdp)
-    assert [component_names(ec) for ec in mecs] == [
+    assert [component_names(mdp, ec) for ec in mecs] == [
         (("c", "b"), ("b1", "c1")),
         (("q", "p"), ("alpha", "mid", "zeta")),
     ]
-    assert [ec.init for ec in mecs] == [0, 0]
-    assert [(a.source, a.dist) for a in mecs[1].actions] == [
-        (1, ((0, 1),)),
-        (1, ((1, 1),)),
-        (0, ((1, 1),)),
-    ]
+    assert mecs == [((3, 4), (5, 4)), ((1, 2), (2, 3, 1))]
 
 
 def test_product_enforces_the_state_cap():
@@ -298,20 +291,25 @@ def _shuffle_names(rng, mdp):
 
 def _check_graph_toolkit(rng, mdp):
     n = len(mdp)
-    mecs = [component_names(ec) for ec in mec_decomposition(mdp)]
+    mecs = [component_names(mdp, ec) for ec in mec_decomposition(mdp)]
     assert mecs == rescan_mec_decomposition(mdp)
     states = rng.sample(range(n), rng.randint(1, n))
-    sub = restrict(mdp, [mdp.states[s] for s in range(n) if s not in states])
-    mecs = [] if sub is None else [component_names(ec) for ec in mec_decomposition(sub)]
-    assert mecs == rescan_mec_decomposition(mdp, states)
+    part = restrict(mdp, [s for s in range(n) if s not in states])
+    mecs = [] if part is None else mec_decomposition(mdp, part)
+    assert [component_names(mdp, ec) for ec in mecs] == rescan_mec_decomposition(mdp, states)
     removed = rng.sample(mdp.states, rng.randint(0, n))
-    cut, oracle = restrict(mdp, removed), rescan_restrict(mdp, removed)
+    cut = restrict(mdp, [mdp.state_index[s] for s in removed])
+    oracle = rescan_restrict(mdp, removed)
     if oracle is None:
         assert cut is None
     else:
-        assert (cut.states, cut.actions, cut.init) == (oracle.states, oracle.actions, oracle.init)
+        kept_states, kept_actions = cut
+        assert [mdp.states[s] for s in sorted(kept_states)] == oracle.states
+        assert [mdp.actions[ai].name for ai in sorted(kept_actions)] == [
+            a.name for a in oracle.actions
+        ]
     targets = rng.sample(range(n), rng.randint(1, n))
-    policy = attractor_policy(mdp, targets)
+    policy = attractor_policy(mdp, targets, range(len(mdp.actions)))
     assert list(policy.items()) == list(rescan_attractor_policy(mdp, targets).items())
 
 
@@ -330,8 +328,7 @@ def test_graph_toolkit_matches_rescan_oracles():
 def test_mec_idempotent_on_own_component():
     mdp, _ = parse_mdp(EXAMPLE)
     for ec in mec_decomposition(mdp):
-        again = mec_decomposition(ec)
-        assert [component_names(inner) for inner in again] == [component_names(ec)]
+        assert mec_decomposition(mdp, (set(ec.states), set(ec.actions))) == [ec]
 
 
 def test_product_lift_matches_automaton_run():

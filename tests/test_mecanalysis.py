@@ -6,12 +6,11 @@ from itertools import islice
 import pytest
 
 from freqsynth import simplex
-from freqsynth.mdp import draw, draw_table, parse_mdp
+from freqsynth.dgrma import GbmpCondition, MpBound
+from freqsynth.mdp import draw, draw_table, mec_decomposition, parse_mdp
 from freqsynth.mecanalysis import (
     EpochSchedule,
-    GbmpCondition,
     LpSolution,
-    MpBound,
     _verify_solution,
     accepting_mec,
     build_lp,
@@ -33,6 +32,7 @@ from helpers import (
     random_strongly_connected_mdp,
     rescan_build_lp,
     simulate_strategy,
+    whole,
 )
 
 
@@ -51,19 +51,19 @@ def _alternating():
 
 def test_forced_self_loop_feasibility():
     mdp = _single_loop()
-    feasible = GbmpCondition(mp_inf=(MpBound(">=", Fr(1), {"s": Fr(1)}),))
-    sol = maximize_margin(build_lp(mdp, feasible, margin=False))
+    feasible = GbmpCondition(mp_inf=(MpBound(">=", Fr(1), (Fr(1),)),))
+    sol = maximize_margin(build_lp(mdp, whole(mdp), feasible, margin=False))
     assert sol is not None and sol.flows == ((1,),)
-    impossible = GbmpCondition(mp_inf=(MpBound(">=", Fr(2), {"s": Fr(1)}),))
-    assert maximize_margin(build_lp(mdp, impossible, margin=False)) is None
-    assert maximize_margin(build_lp(mdp, impossible)) is None
+    impossible = GbmpCondition(mp_inf=(MpBound(">=", Fr(2), (Fr(1),)),))
+    assert maximize_margin(build_lp(mdp, whole(mdp), impossible, margin=False)) is None
+    assert maximize_margin(build_lp(mdp, whole(mdp), impossible)) is None
 
 
 def test_alternating_cycle_flow():
     mdp = _alternating()
-    q = {"s": Fr(1), "t": Fr(0)}
+    q = (Fr(1), Fr(0))
     cond = GbmpCondition(mp_sup=(MpBound(">=", Fr(1, 2), q),))
-    sol = maximize_margin(build_lp(mdp, cond, margin=False))
+    sol = maximize_margin(build_lp(mdp, whole(mdp), cond, margin=False))
     assert sol is not None
     # One flow over the actions a_st, b_ts, b_tt, in that order.
     assert sol.flows == ((Fr(1, 2), Fr(1, 2), 0),)
@@ -71,35 +71,35 @@ def test_alternating_cycle_flow():
 
 def test_flow_block_shapes():
     mdp = _alternating()
-    q = {"s": Fr(1), "t": Fr(0)}
+    q = (Fr(1), Fr(0))
     cond = GbmpCondition(
         mp_inf=(MpBound(">=", Fr(0), q),),
         mp_sup=(MpBound(">=", Fr(0), q), MpBound(">=", Fr(1, 2), q)),
     )
-    system = build_lp(mdp, cond, margin=False)
+    system = build_lp(mdp, whole(mdp), cond, margin=False)
     assert system.num_flows == 2
     assert system.num_vars == 2 * len(mdp.actions)
     # Per flow: one normalization row, one balance row per state, one row per
     # inferior bound, and exactly one superior row.
     assert len(system.rows) == 2 * (1 + len(mdp) + 1 + 1)
     # The margin system adds one column, shared by every bound row.
-    margin = build_lp(mdp, cond)
+    margin = build_lp(mdp, whole(mdp), cond)
     assert margin.num_vars == 2 * len(mdp.actions) + 1
     assert len(margin.rows) == len(system.rows)
-    degenerate = build_lp(mdp, GbmpCondition(mp_inf=(MpBound(">=", Fr(0), q),)))
+    degenerate = build_lp(mdp, whole(mdp), GbmpCondition(mp_inf=(MpBound(">=", Fr(0), q),)))
     assert degenerate.num_flows == 1
 
 
 def test_strict_bounds_need_positive_slack():
     mdp = _alternating()
-    q = {"s": Fr(1), "t": Fr(0)}
+    q = (Fr(1), Fr(0))
     boundary = GbmpCondition(mp_sup=(MpBound(">", Fr(1, 2), q),))
-    assert maximize_margin(build_lp(mdp, boundary, margin=False)).slack == 0
-    assert accepting_mec(mdp, boundary) == (False, None)
+    assert maximize_margin(build_lp(mdp, whole(mdp), boundary, margin=False)).slack == 0
+    assert accepting_mec(mdp, whole(mdp), boundary) == (False, None)
     below = GbmpCondition(mp_sup=(MpBound(">", Fr(1, 3), q),))
-    sol = maximize_margin(build_lp(mdp, below, margin=False))
+    sol = maximize_margin(build_lp(mdp, whole(mdp), below, margin=False))
     assert sol is not None and sol.slack > 0
-    ok, sol = accepting_mec(mdp, below)
+    ok, sol = accepting_mec(mdp, whole(mdp), below)
     assert ok and sol.slack > 0
 
 
@@ -108,7 +108,7 @@ def test_build_lp_puts_t_on_bound_rows():
     # system and on the strict rows alone of the slack system; it is left
     # out when no row has it.
     mdp = _alternating()
-    q = {"s": Fr(1), "t": Fr(0)}
+    q = (Fr(1), Fr(0))
     t = len(mdp.actions)
     mixed = GbmpCondition(mp_inf=(MpBound(">=", Fr(1, 2), q), MpBound(">", Fr(1, 3), q)))
     plain = GbmpCondition(mp_inf=(MpBound(">=", Fr(1, 2), q),))
@@ -117,24 +117,25 @@ def test_build_lp_puts_t_on_bound_rows():
     def t_coeffs(system):
         return [c.get(t) for c, rel, _ in fraction_rows(system.rows) if rel == ">="]
 
-    margin, slack = build_lp(mdp, mixed), build_lp(mdp, mixed, margin=False)
+    margin = build_lp(mdp, whole(mdp), mixed)
+    slack = build_lp(mdp, whole(mdp), mixed, margin=False)
     assert t_coeffs(margin) == [-1, -1] and margin.num_vars == t + 1
     assert t_coeffs(slack) == [None, -1] and slack.num_vars == t + 1
     assert all(t not in c for c, rel, *_ in margin.rows + slack.rows if rel == "==")
-    assert build_lp(mdp, plain).num_vars == t + 1
-    assert build_lp(mdp, plain, margin=False).num_vars == t
-    assert build_lp(mdp, GbmpCondition()).num_vars == t
-    assert maximize_margin(build_lp(mdp, GbmpCondition())).slack == 0
+    assert build_lp(mdp, whole(mdp), plain).num_vars == t + 1
+    assert build_lp(mdp, whole(mdp), plain, margin=False).num_vars == t
+    assert build_lp(mdp, whole(mdp), GbmpCondition()).num_vars == t
+    assert maximize_margin(build_lp(mdp, whole(mdp), GbmpCondition())).slack == 0
 
 
 def test_mixed_strict_bounds_fall_back_to_slack_lp():
     # ">= 1/2" caps the shared margin at 0, yet "> 1/3" holds with slack 1/6
     # when the frequency of s is exactly 1/2.
     mdp = _alternating()
-    q = {"s": Fr(1), "t": Fr(0)}
+    q = (Fr(1), Fr(0))
     cond = GbmpCondition(mp_inf=(MpBound(">=", Fr(1, 2), q), MpBound(">", Fr(1, 3), q)))
-    assert maximize_margin(build_lp(mdp, cond)).slack == 0
-    ok, sol = accepting_mec(mdp, cond)
+    assert maximize_margin(build_lp(mdp, whole(mdp), cond)).slack == 0
+    ok, sol = accepting_mec(mdp, whole(mdp), cond)
     assert ok
     assert sol.slack == Fr(1, 6)
     assert sol.flows[0][mdp.action_index["a_st"]] == Fr(1, 2)
@@ -142,11 +143,9 @@ def test_mixed_strict_bounds_fall_back_to_slack_lp():
 
 def test_accepting_mec_inf_set_check():
     mdp = _alternating()
-    cond = GbmpCondition(inf_sets=(frozenset({"nowhere"}),))
-    assert accepting_mec(mdp, cond) == (False, None)
-    ok, sol = accepting_mec(
-        mdp, GbmpCondition(inf_sets=(frozenset({"t"}),))
-    )
+    cond = GbmpCondition(inf_sets=(frozenset({2}),))  # no state of the MDP
+    assert accepting_mec(mdp, whole(mdp), cond) == (False, None)
+    ok, sol = accepting_mec(mdp, whole(mdp), GbmpCondition(inf_sets=(frozenset({1}),)))
     assert ok and sol is not None
 
 
@@ -154,10 +153,10 @@ def test_lp_independent_of_initial_state():
     from freqsynth.mdp import Mdp
 
     mdp = _alternating()
-    cond = GbmpCondition(mp_sup=(MpBound(">=", Fr(1, 2), {"s": Fr(1), "t": Fr(0)}),))
-    rows_from_s = build_lp(mdp, cond).rows
+    cond = GbmpCondition(mp_sup=(MpBound(">=", Fr(1, 2), (Fr(1), Fr(0))),))
+    rows_from_s = build_lp(mdp, whole(mdp), cond).rows
     shifted = Mdp(mdp.states, mdp.actions, 1)
-    rows_from_t = build_lp(shifted, cond).rows
+    rows_from_t = build_lp(shifted, whole(shifted), cond).rows
     assert rows_from_s == rows_from_t
 
 
@@ -169,7 +168,7 @@ def test_lp_vs_md_strategy_oracle_small():
     for _ in range(60):
         mdp = random_strongly_connected_mdp(rng, 4, 3)
         cond = _random_condition(rng, mdp)
-        ok, _ = accepting_mec(mdp, cond)
+        ok, _ = accepting_mec(mdp, whole(mdp), cond)
         if ok:
             continue
         checked += 1
@@ -180,7 +179,7 @@ def test_lp_vs_md_strategy_oracle_small():
 
 def _random_condition(rng, mdp):
     def reward():
-        return {s: Fr(rng.randint(0, 4), 4) for s in mdp.states}
+        return tuple(Fr(rng.randint(0, 4), 4) for _ in mdp.states)
 
     def bound():
         return Fr(rng.randint(0, 8), 8)
@@ -195,7 +194,7 @@ def _random_condition(rng, mdp):
     )
     inf_sets = ()
     if rng.random() < 0.5:
-        inf_sets = (frozenset(rng.sample(mdp.states, rng.randint(1, len(mdp)))),)
+        inf_sets = (frozenset(rng.sample(range(len(mdp)), rng.randint(1, len(mdp)))),)
     return GbmpCondition(inf_sets, mp_inf, mp_sup)
 
 
@@ -215,14 +214,14 @@ def test_build_lp_matches_rescan_builder():
         # the rewrite of the slack system it replaced.
         slack = rescan_build_lp(mdp, cond)
         for got, want in (
-            (build_lp(mdp, cond, margin=False), slack),
-            (build_lp(mdp, cond), margin_rewrite(slack)),
+            (build_lp(mdp, whole(mdp), cond, margin=False), slack),
+            (build_lp(mdp, whole(mdp), cond), margin_rewrite(slack)),
         ):
             for nums, _, rhs, den in got.rows:
                 assert all(type(v) is int for v in (*nums.values(), rhs, den)) and den >= 1
             assert _typed_rows(fraction_rows(got.rows)) == _typed_rows(want.rows)
             assert (got.num_flows, got.num_vars) == (want.num_flows, want.num_vars)
-        assert_flow_row_form(mdp, cond)
+        assert_flow_row_form(mdp, whole(mdp), cond)
         cancelled += any(a.dist == ((a.source, 1),) for a in mdp.actions)
     assert cancelled >= 30  # sure self-loops, whose balance entry cancels
 
@@ -238,10 +237,10 @@ def test_no_bounds_condition_is_one_plain_solve(monkeypatch):
     rng = random.Random(404)
     for _ in range(40):
         mdp = random_strongly_connected_mdp(rng, 5, 3)
-        cond = GbmpCondition(inf_sets=(frozenset(rng.sample(mdp.states, 1)),))
+        cond = GbmpCondition(inf_sets=(frozenset(rng.sample(range(len(mdp)), 1)),))
         calls.clear()
-        ok, sol = accepting_mec(mdp, cond)
-        plain = build_lp(mdp, cond, margin=False)
+        ok, sol = accepting_mec(mdp, whole(mdp), cond)
+        plain = build_lp(mdp, whole(mdp), cond, margin=False)
         assert calls == [(plain.num_vars, plain.rows, {})]
         assert (ok, sol) == (True, maximize_margin(plain))
 
@@ -256,15 +255,15 @@ def test_strongly_connected_mec_drops_a_dependent_balance_row(monkeypatch):
         simplex, "_iterate", lambda t, b, c: sizes.append(len(t)) or real_iterate(t, b, c)
     )
     mdp = _alternating()
-    cond = GbmpCondition(mp_inf=(MpBound(">=", Fr(1, 2), {"s": Fr(1), "t": Fr(0)}),))
-    system = build_lp(mdp, cond)
+    cond = GbmpCondition(mp_inf=(MpBound(">=", Fr(1, 2), (Fr(1), Fr(0))),))
+    system = build_lp(mdp, whole(mdp), cond)
     balance = fraction_rows(system.rows[1 : 1 + len(mdp.states)])
     total = {}
     for coeffs, _, _ in balance:
         for j, c in coeffs.items():
             total[j] = total.get(j, 0) + c
     assert not any(total.values())
-    ok, sol = accepting_mec(mdp, cond)
+    ok, sol = accepting_mec(mdp, whole(mdp), cond)
     assert ok
     _verify_solution(system, sol)
     assert sizes[1] < sizes[0] == len(system.rows)
@@ -275,9 +274,9 @@ def test_verify_solution_rejects_tampered_solutions():
         "mdp\nstates s t\ninit s\naction s ss : s 1\naction s st : t 1\n"
         "action t tt : t 1\naction t ts : s 1\n"
     )
-    q = {"s": Fr(1), "t": Fr(0)}
-    inf_system = build_lp(mdp, GbmpCondition(mp_inf=(MpBound(">=", Fr(1, 2), q),)))
-    sup_system = build_lp(mdp, GbmpCondition(mp_sup=(MpBound(">=", Fr(1, 2), q),)))
+    q = (Fr(1), Fr(0))
+    inf_system = build_lp(mdp, whole(mdp), GbmpCondition(mp_inf=(MpBound(">=", Fr(1, 2), q),)))
+    sup_system = build_lp(mdp, whole(mdp), GbmpCondition(mp_sup=(MpBound(">=", Fr(1, 2), q),)))
     sol = maximize_margin(inf_system)
     assert sol is not None
     _verify_solution(sup_system, sol)
@@ -296,7 +295,7 @@ def test_verify_solution_rejects_tampered_solutions():
     # Strict bounds are checked strictly: frequency 1/2 of s misses "> 1/2".
     cycling = LpSolution(((0, Fr(1, 2), 0, Fr(1, 2)),), Fr(0))
     _verify_solution(inf_system, cycling)
-    strict = build_lp(mdp, GbmpCondition(mp_inf=(MpBound(">", Fr(1, 2), q),)))
+    strict = build_lp(mdp, whole(mdp), GbmpCondition(mp_inf=(MpBound(">", Fr(1, 2), q),)))
     with pytest.raises(SimplexError, match="inferior bound"):
         _verify_solution(strict, cycling)
 
@@ -309,12 +308,12 @@ def test_a_perturbed_vertex_fails_the_row_it_breaks(monkeypatch):
         "mdp\nstates s t\ninit s\naction s ss : s 1\naction s st : t 1\n"
         "action t tt : t 1\naction t ts : s 1\n"
     )
-    in_s, in_t = {"s": Fr(1), "t": Fr(0)}, {"s": Fr(0), "t": Fr(1)}
+    in_s, in_t = (Fr(1), Fr(0)), (Fr(0), Fr(1))
     cond = GbmpCondition(
         mp_inf=(MpBound(">=", Fr(0), in_s), MpBound(">=", Fr(1, 4), in_s)),
         mp_sup=(MpBound(">=", Fr(1, 2), in_s), MpBound(">=", Fr(1, 2), in_t)),
     )
-    system = build_lp(mdp, cond)
+    system = build_lp(mdp, whole(mdp), cond)
     assert maximize_margin(system) is not None
     real_solve = simplex.solve_lp
     # Flow 1 over the actions ss, st, tt, ts, in that order; each sums to 1.
@@ -336,9 +335,9 @@ def test_a_perturbed_vertex_fails_the_row_it_breaks(monkeypatch):
 
 def test_witness_single_action_deterministic():
     mdp = _single_loop()
-    cond = GbmpCondition(mp_inf=(MpBound(">=", Fr(1), {"s": Fr(1)}),))
-    ok, sol = accepting_mec(mdp, cond)
-    strat = build_witness_strategy(mdp, sol, cond)
+    cond = GbmpCondition(mp_inf=(MpBound(">=", Fr(1), (Fr(1),)),))
+    ok, sol = accepting_mec(mdp, whole(mdp), cond)
+    strat = build_witness_strategy(mdp, whole(mdp), sol, cond)
     assert len(strat.modes) == 1
     classes = strat.modes[0]
     assert len(classes) == 1
@@ -348,15 +347,15 @@ def test_witness_single_action_deterministic():
 
 def test_witness_simulation_alternating():
     mdp = _alternating()
-    q = {"s": Fr(1), "t": Fr(0)}
+    q = (Fr(1), Fr(0))
     cond = GbmpCondition(
-        inf_sets=(frozenset({"t"}),),
+        inf_sets=(frozenset({1}),),
         mp_sup=(MpBound(">=", Fr(1, 2), q),),
     )
-    ok, sol = accepting_mec(mdp, cond)
+    ok, sol = accepting_mec(mdp, whole(mdp), cond)
     assert ok
-    strat = build_witness_strategy(mdp, sol, cond)
-    stats = simulate_strategy(mdp, strat, 100_000, seed=2024)
+    strat = build_witness_strategy(mdp, whole(mdp), sol, cond)
+    stats = simulate_strategy(strat, 100_000, seed=2024)
     label, max_prefix = stats.mp_max_prefix[0]
     assert max_prefix >= 0.5 - 0.05
     # Every epoch walks through the Inf set at least once.
@@ -369,31 +368,42 @@ def test_witness_simulation_alternating():
 
 def test_simulation_determinism():
     mdp = _alternating()
-    cond = GbmpCondition(mp_sup=(MpBound(">=", Fr(1, 2), {"s": Fr(1), "t": Fr(0)}),))
-    _, sol = accepting_mec(mdp, cond)
-    strat = build_witness_strategy(mdp, sol, cond)
-    a = simulate_strategy(mdp, strat, 5_000, seed=5).to_text()
-    b = simulate_strategy(mdp, strat, 5_000, seed=5).to_text()
+    cond = GbmpCondition(mp_sup=(MpBound(">=", Fr(1, 2), (Fr(1), Fr(0))),))
+    _, sol = accepting_mec(mdp, whole(mdp), cond)
+    strat = build_witness_strategy(mdp, whole(mdp), sol, cond)
+    a = simulate_strategy(strat, 5_000, seed=5).to_text()
+    b = simulate_strategy(strat, 5_000, seed=5).to_text()
     assert a == b
-    c = simulate_strategy(mdp, strat, 5_000, seed=6).to_text()
+    c = simulate_strategy(strat, 5_000, seed=6).to_text()
     assert a != c
 
 
-def _hub_witness():
+HUB = (
+    "mdp\nstates h x y\ninit h\n"
+    "action h hx : x 1\naction h hy : y 1/3 , h 2/3\n"
+    "action x xh : h 1\naction y yh : h 1\n"
+)
+
+HUB_DUMP = (
+    "steps: 5000\nseed: 11\nepochs: 3\nepoch_steps: 100,3200,1700\n"
+    "avg[inf0:>=1/5]: 0.200600\navg[inf1:>=1/7]: 0.151000\n"
+    "min_late_avg[inf0:>=1/5]: 0.190087\nmin_late_avg[inf1:>=1/7]: 0.148295\n"
+    "action[hx]: 1004\naction[hy]: 2238\naction[xh]: 1003\naction[yh]: 755\n"
+)
+
+
+def _hub_witness(text=HUB):
     """The hub must split its visits between x and y, so the witness draws
-    between hx and hy there."""
-    mdp, _ = parse_mdp(
-        "mdp\nstates h x y\ninit h\n"
-        "action h hx : x 1\naction h hy : y 1/3 , h 2/3\n"
-        "action x xh : h 1\naction y yh : h 1\n"
-    )
-    zero = {"h": Fr(0), "x": Fr(0), "y": Fr(0)}
+    between hx and hy there; the witness is built on the MEC that
+    ``mec_decomposition`` finds, whose actions are in name order."""
+    mdp, _ = parse_mdp(text)
+    (component,) = mec_decomposition(mdp)
     cond = GbmpCondition(mp_inf=(
-        MpBound(">=", Fr(1, 5), {**zero, "x": Fr(1)}),
-        MpBound(">=", Fr(1, 7), {**zero, "y": Fr(1)}),
+        MpBound(">=", Fr(1, 5), (Fr(0), Fr(1), Fr(0))),
+        MpBound(">=", Fr(1, 7), (Fr(0), Fr(0), Fr(1))),
     ))
-    _, sol = accepting_mec(mdp, cond)
-    return mdp, build_witness_strategy(mdp, sol, cond)
+    _, sol = accepting_mec(mdp, component, cond)
+    return mdp, build_witness_strategy(mdp, component, sol, cond)
 
 
 def test_witness_choice_draws_keep_the_fraction_sampler_output():
@@ -401,12 +411,21 @@ def test_witness_choice_draws_keep_the_fraction_sampler_output():
     # the one the Fraction sampler gave.
     mdp, strat = _hub_witness()
     assert strat.modes[0][0].choices[0] == ((0, Fr(43, 136)), (1, Fr(93, 136)))
-    assert simulate_strategy(mdp, strat, 5_000, seed=11).to_text() == (
-        "steps: 5000\nseed: 11\nepochs: 3\nepoch_steps: 100,3200,1700\n"
-        "avg[inf0:>=1/5]: 0.200600\navg[inf1:>=1/7]: 0.151000\n"
-        "min_late_avg[inf0:>=1/5]: 0.190087\nmin_late_avg[inf1:>=1/7]: 0.148295\n"
-        "action[hx]: 1004\naction[hy]: 2238\naction[xh]: 1003\naction[yh]: 755\n"
+    assert simulate_strategy(strat, 5_000, seed=11).to_text() == HUB_DUMP
+
+
+def test_witness_choices_follow_the_component_action_order():
+    # The same hub with its actions listed in another order: hx and hy are
+    # actions 3 and 1 of the MDP, but the component keeps name order, so the
+    # LP, the choices at h and every draw are the ones above.
+    mdp, strat = _hub_witness(
+        "mdp\nstates h x y\ninit h\n"
+        "action y yh : h 1\naction h hy : y 1/3 , h 2/3\n"
+        "action x xh : h 1\naction h hx : x 1\n"
     )
+    assert strat.component.actions == (3, 1, 2, 0)
+    assert strat.modes[0][0].choices[0] == ((3, Fr(43, 136)), (1, Fr(93, 136)))
+    assert simulate_strategy(strat, 5_000, seed=11).to_text() == HUB_DUMP
 
 
 class _CountingRandom(random.Random):
@@ -430,10 +449,10 @@ def test_witness_walk_matches_the_runner_oracle():
     while len(cases) < 17:
         mdp = random_strongly_connected_mdp(rng, 5, 3)
         cond = _random_condition(rng, mdp)
-        ok, sol = accepting_mec(mdp, cond)
+        ok, sol = accepting_mec(mdp, whole(mdp), cond)
         if not ok:
             continue
-        strat = build_witness_strategy(mdp, sol, cond)
+        strat = build_witness_strategy(mdp, whole(mdp), sol, cond)
         choices = [c for mode in strat.modes for cls in mode for c in cls.choices.values()]
         if len(strat.modes) >= 2 or max(map(len, choices)) >= 2:
             cases.append((mdp, strat, rng.randrange(len(mdp))))
@@ -468,9 +487,9 @@ def test_schedule_cap():
             EpochSchedule(cap=cap)
     with pytest.raises(ValueError):
         mdp = _single_loop()
-        cond = GbmpCondition(mp_inf=(MpBound(">=", Fr(1), {"s": Fr(1)}),))
-        _, sol = accepting_mec(mdp, cond)
-        simulate_strategy(mdp, build_witness_strategy(mdp, sol, cond), 0, seed=1)
+        cond = GbmpCondition(mp_inf=(MpBound(">=", Fr(1), (Fr(1),)),))
+        _, sol = accepting_mec(mdp, whole(mdp), cond)
+        simulate_strategy(build_witness_strategy(mdp, whole(mdp), sol, cond), 0, seed=1)
 
 
 class _FixedDraw:

@@ -11,7 +11,8 @@ import helpers
 from freqsynth import mecanalysis, simplex
 from freqsynth.formula import parse_formula, parse_rational
 from freqsynth.mdp import parse_mdp
-from freqsynth.mecanalysis import GbmpCondition, MpBound, accepting_mec, build_lp
+from freqsynth.dgrma import GbmpCondition, MpBound
+from freqsynth.mecanalysis import accepting_mec, build_lp
 from freqsynth.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from freqsynth.synthesis import synthesize
 from helpers import (
@@ -22,6 +23,7 @@ from helpers import (
     margin_rewrite,
     rescan_build_lp,
     ring_mdp,
+    whole,
 )
 
 
@@ -252,7 +254,7 @@ def test_integer_tableau_matches_fraction_oracle_on_random_lps(monkeypatch, bits
 def _flow_lp(mdp, cond, margin=True):
     """A flow system as ``maximize_margin`` solves it: (num_vars, the
     independently built Fraction rows, objective, ``build_lp``'s rows)."""
-    system = build_lp(mdp, cond, margin)
+    system = build_lp(mdp, whole(mdp), cond, margin)
     slack = rescan_build_lp(mdp, cond)
     oracle = margin_rewrite(slack) if margin else slack
     t = system.num_flows * len(mdp.actions)
@@ -265,15 +267,15 @@ def _ring_flow_lps():
     """Every LP that accepting_mec solves on 16 seeded 10-14-state rings."""
     lps = []
 
-    def recording(mdp, cond, margin=True):
+    def recording(mdp, component, cond, margin=True):
         lps.append(_flow_lp(mdp, cond, margin))
-        return build_lp(mdp, cond, margin)
+        return build_lp(mdp, component, cond, margin)
 
     rng = random.Random(77)
     for _ in range(16):
         mdp, valuation = ring_mdp(rng, rng.randint(10, 14))
         rewards = {
-            x: {s: Fr(int(x in valuation[k])) for k, s in enumerate(mdp.states)}
+            x: tuple(Fr(int(x in labels)) for labels in valuation)
             for x in ("a", "b")
         }
 
@@ -287,7 +289,7 @@ def _ring_flow_lps():
         )
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mecanalysis, "build_lp", recording)
-            accepting_mec(mdp, cond)
+            accepting_mec(mdp, whole(mdp), cond)
     return lps
 
 
@@ -306,7 +308,7 @@ def test_a_large_flow_lp_reduces_rows_as_they_grow(monkeypatch):
     # so _eliminate reduces updated rows; pivots and result stay the oracle's.
     mdp, valuation = ring_mdp(random.Random(0), 40)
     rewards = {
-        x: {s: Fr(int(x in valuation[k])) for k, s in enumerate(mdp.states)} for x in "ab"
+        x: tuple(Fr(int(x in labels)) for labels in valuation) for x in "ab"
     }
     cond = GbmpCondition(
         mp_inf=(MpBound(">=", Fr(1, 2), rewards["a"]),),
@@ -344,7 +346,7 @@ def test_flow_lp_rows_start_on_their_own_artificials():
     for _ in range(16):
         mdp, valuation = ring_mdp(rng, rng.randint(10, 14))
         rewards = {
-            x: {s: Fr(int(x in valuation[k])) for k, s in enumerate(mdp.states)}
+            x: tuple(Fr(int(x in labels)) for labels in valuation)
             for x in ("a", "b")
         }
 
@@ -356,7 +358,7 @@ def test_flow_lp_rows_start_on_their_own_artificials():
             mp_inf=tuple(bound(rng.choice("ab")) for _ in range(rng.randint(0, 2))),
             mp_sup=tuple(bound(rng.choice("ab")) for _ in range(rng.randint(0, 2))),
         )
-        assert_flow_row_form(mdp, cond)
+        assert_flow_row_form(mdp, whole(mdp), cond)
 
 
 def _reentry_rule(num_vars, rows, objective):

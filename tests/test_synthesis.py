@@ -7,7 +7,7 @@ import pytest
 import freqsynth.mdp
 import freqsynth.synthesis
 from freqsynth import simplex
-from freqsynth.dgrma import build_dgrma
+from freqsynth.dgrma import GbmpCondition, MpBound, build_dgrma
 from freqsynth.formula import FormulaError, parse_formula
 from freqsynth.mdp import (
     Mdp,
@@ -18,14 +18,7 @@ from freqsynth.mdp import (
     product_mdp,
     restrict,
 )
-from freqsynth.mecanalysis import (
-    EpochSchedule,
-    GbmpCondition,
-    MpBound,
-    accepting_mec,
-    build_lp,
-    maximize_margin,
-)
+from freqsynth.mecanalysis import EpochSchedule, accepting_mec, build_lp, maximize_margin
 from freqsynth.synthesis import (
     SynthesisError,
     _check_selector,
@@ -42,6 +35,8 @@ from helpers import (
     component_names,
     corpus_formulas,
     dense_max_reach,
+    named_max_reach,
+    reach_by_name,
     letterwise_build_dgrma,
     model_text,
     named_simulate_global,
@@ -52,8 +47,10 @@ from helpers import (
     random_strongly_connected_mdp,
     ring_mdp,
     ruin_mdp,
+    reward_of,
     ruin_valuation,
     time_limit,
+    whole,
     WIDE_FORMULA,
 )
 
@@ -69,14 +66,14 @@ action s1 stay : s1 1
 
 def test_max_reach_basics():
     mdp, _ = parse_mdp(LEAKY)
-    values, selector = max_reach(mdp, {"s0"})
+    values, selector = named_max_reach(mdp, {"s0"})
     assert values["s0"] == 1
-    values, _ = max_reach(mdp, {"s1"})
+    values, _ = named_max_reach(mdp, {"s1"})
     assert values["s0"] == 1  # falls into s1 almost surely
     unreachable, _ = parse_mdp(
         "mdp\nstates s t\ninit s\naction s a : s 1\naction t b : t 1\n"
     )
-    values, _ = max_reach(unreachable, {"t"})
+    values, _ = named_max_reach(unreachable, {"t"})
     assert values["s"] == 0
 
 
@@ -86,13 +83,13 @@ def test_max_reach_coin_flip():
         "action s flip : win 1/2 , lose 1/2\n"
         "action win w : win 1\naction lose l : lose 1\n"
     )
-    values, selector = max_reach(mdp, {"win"})
+    values, selector = named_max_reach(mdp, {"win"})
     assert values["s"] == Fr(1, 2)
     assert selector["s"] == "flip"
 
 
 def _assert_matches_dense_oracle(mdp, target):
-    values, selector = max_reach(mdp, target)
+    values, selector = named_max_reach(mdp, target)
     dense_values, dense_selector = dense_max_reach(mdp, target)
     assert list(values.items()) == list(dense_values.items())
     assert list(selector.items()) == list(dense_selector.items())
@@ -127,7 +124,7 @@ def test_selector_skips_an_optimal_self_loop():
         "action s loop : s 1\n"
         "action s go : t 1\n"
     )
-    values, selector = max_reach(mdp, {"t"})
+    values, selector = named_max_reach(mdp, {"t"})
     assert values == {"t": 1, "s": 1}
     assert selector["s"] == "go"
 
@@ -142,9 +139,8 @@ def _over_one_denominator(values):
 def test_check_selector_rejects_tampered_certificates():
     mdp = ruin_mdp(12, Fr(2, 5), False)
     goal = {len(mdp) - 1}
-    value_map, selector_map = max_reach(mdp, {mdp.states[s] for s in goal})
-    values = [value_map[s] for s in mdp.states]
-    selector = [mdp.action_index[selector_map[s]] for s in mdp.states]
+    value_map, selector = max_reach(mdp, goal)
+    values = [value_map[s] for s in range(len(mdp))]
     numerators, scale = _over_one_denominator(values)
     _check_selector(mdp, selector, numerators, scale, goal)
     # Any common denominator will do, not only the least one.
@@ -225,7 +221,7 @@ def test_integer_engine_matches_dense_oracle_on_coprime_denominators(monkeypatch
         else:
             target = set(rng.sample(mdp.states, rng.randint(1, len(mdp) - 1)))
         evaluations.clear()
-        values, selector = max_reach(mdp, target)
+        values, selector = named_max_reach(mdp, target)
         assert (values, selector) == dense_max_reach(mdp, target)
         assert list(values) == list(selector) == mdp.states
         three_rounds += len(evaluations) >= 4  # the first evaluation, then one per round
@@ -250,10 +246,10 @@ def test_max_reach_does_no_fraction_arithmetic(monkeypatch):
                  "__truediv__", "__rtruediv__", "__eq__", "__lt__", "__le__", "__gt__",
                  "__ge__", "__bool__", "__neg__"):
         monkeypatch.setattr(Fr, name, forbidden)
-    results = [max_reach(mdp, {mdp.states[-1]}) for mdp in instances]
+    results = [max_reach(mdp, {len(mdp) - 1}) for mdp in instances]
     monkeypatch.undo()
     for mdp, result in zip(instances, results):
-        assert result == dense_max_reach(mdp, {mdp.states[-1]})
+        assert reach_by_name(mdp, *result) == dense_max_reach(mdp, {mdp.states[-1]})
 
 
 def _ruin_value_iteration(n, p):
@@ -279,11 +275,11 @@ def _ruin_value_iteration(n, p):
 def test_400_state_ruin_lines():
     n = 400
     for p in (Fr(2, 5), Fr(9, 20)):
-        values, _ = max_reach(ruin_mdp(n, p, False), {f"x{n - 1}"})
+        values, _ = named_max_reach(ruin_mdp(n, p, False), {f"x{n - 1}"})
         floats = _ruin_value_iteration(n, float(p))
         assert max(abs(float(values[f"x{k}"]) - floats[k]) for k in range(n)) <= 1e-9
         assert values["x0"] == 0 and 0 < values[f"x{n - 2}"] < 1
-    values, _ = max_reach(ruin_mdp(n, Fr(2, 5), True), {f"x{n - 1}"})
+    values, _ = named_max_reach(ruin_mdp(n, Fr(2, 5), True), {f"x{n - 1}"})
     assert set(values.values()) == {1}
 
 
@@ -335,7 +331,7 @@ def test_markov_chain_cross_validation_small():
             report = synthesize(chain, valuation, phi, Fr(1, 2))
             aut = report.automaton
             product, comp = product_mdp(chain, valuation, aut.lts)
-            lifted = [lift_pair(p, product, comp) for p in aut.pairs]
+            lifted = [lift_pair(p, comp) for p in aut.pairs]
             expected = chain_pipeline_probability(product, lifted)
             assert report.probability == expected, (phi, chain.states)
 
@@ -344,9 +340,9 @@ def test_qualitative_dichotomy_small():
     rng = random.Random(3141)
     for _ in range(15):
         mdp = random_strongly_connected_mdp(rng, 4, 2)
-        reward = {s: Fr(rng.randint(0, 2), 2) for s in mdp.states}
+        reward = tuple(Fr(rng.randint(0, 2), 2) for _ in mdp.states)
         cond = GbmpCondition(
-            inf_sets=(frozenset({rng.choice(mdp.states)}),),
+            inf_sets=(frozenset({rng.choice(range(len(mdp)))}),),
             mp_inf=(MpBound(">=", Fr(rng.randint(0, 4), 4), reward),),
         )
         pair = (frozenset(), cond)
@@ -356,7 +352,7 @@ def test_qualitative_dichotomy_small():
             w_states, _ = winning_union(shifted, [pair])
             if w_states:
                 values, _ = max_reach(shifted, w_states)
-                answers.add(values[shifted.states[shifted.init]])
+                answers.add(values[shifted.init])
             else:
                 answers.add(Fr(0))
         assert len(answers) == 1
@@ -386,10 +382,10 @@ def test_one_lp_solve_per_mec_that_meets_the_inf_sets(monkeypatch):
     product, comp = product_mdp(mdp, valuation, aut.lts)
     expected = mecs = 0
     for pair in aut.pairs:
-        fin, cond = lift_pair(pair, product, comp)
+        fin, cond = lift_pair(pair, comp)
         assert all(b.cmp == ">=" for b in cond.mp_inf + cond.mp_sup)
-        sub = restrict(product, fin)
-        for ec in mec_decomposition(sub) if sub is not None else ():
+        part = restrict(product, fin)
+        for ec in mec_decomposition(product, part) if part is not None else ():
             mecs += 1
             expected += all(not inf.isdisjoint(ec.states) for inf in cond.inf_sets)
 
@@ -443,13 +439,24 @@ def test_unused_model_atoms_do_not_change_synthesis(monkeypatch):
             continue
         got, want = narrow.strategy, wide.strategy
         assert got.reach == want.reach and got.state_to_winner == want.state_to_winner
-        assert [(component_names(w.mdp), w) for w in got.winners] == [
-            (component_names(w.mdp), w) for w in want.winners
-        ], phi
+        assert list(map(_witness, got.winners)) == list(map(_witness, want.winners)), phi
         sims = [simulate_global(r.product, r.strategy, 2, 50, seed=k) for r in (narrow, wide)]
         assert sims[0].to_text() == sims[1].to_text(), phi
         winners += len(got.winners)
     assert winners >= 10
+
+
+def _witness(strategy):
+    """A witness as its component's names, its modes and pilgrimage, and its
+    condition's Inf sets and bounds on the component."""
+    component = strategy.component
+    return (
+        component_names(strategy.mdp, component),
+        strategy.modes,
+        strategy.pilgrimage,
+        strategy.cond.inf_sets,
+        strategy.cond.restricted(component.states),
+    )
 
 
 def test_global_strategy_enters_winning_union():
@@ -573,18 +580,11 @@ RUIN_FORMULAS = ("F goal", "F G !broke")
 
 
 def _derived_mdps(mdp, valuation, phi):
-    """The parsed model, the product, and each pair's restriction and MEC
-    sub-MDPs, as ``synthesize`` builds them."""
+    """The parsed model and the product, the only MDPs ``synthesize``
+    builds: parts and components are index sets of the product."""
     parsed, valuation = parse_mdp(model_text(mdp, valuation))
-    aut = build_dgrma(phi)
-    product, automaton_component = product_mdp(parsed, valuation, aut.lts)
-    derived = [parsed, product]
-    for pair in aut.pairs:
-        fin, _ = lift_pair(pair, product, automaton_component)
-        sub = restrict(product, fin)
-        if sub is not None:
-            derived += [sub, *mec_decomposition(sub)]
-    return derived
+    product, _ = product_mdp(parsed, valuation, build_dgrma(phi).lts)
+    return [parsed, product]
 
 
 def _pool():
@@ -607,21 +607,22 @@ def _pool():
 
 
 def test_validating_constructor_accepts_every_derived_mdp():
-    # parse_mdp, product_mdp and induced skip the distribution check; the
-    # public constructor must accept each MDP they build and index it alike.
+    # parse_mdp and product_mdp skip the distribution check; the public
+    # constructor must accept each MDP they build and index it alike.
     derived = 0
-    for mdp, valuation, phi in _pool():
+    pool = _pool()
+    for mdp, valuation, phi in pool:
         for sub in _derived_mdps(mdp, valuation, phi):
             again = Mdp(sub.states, sub.actions, sub.init)
             assert (again.act, again.pre) == (sub.act, sub.pre), phi
             assert (again.state_index, again.action_index) == (sub.state_index, sub.action_index)
             derived += 1
-    assert derived >= 300
+    assert derived == 2 * len(pool) >= 100
 
 
 def test_synthesis_checks_no_distribution_twice(monkeypatch):
-    # parse_mdp checks each distribution with line numbers; the product,
-    # each restriction and each MEC sub-MDP copy checked distributions.
+    # parse_mdp checks each distribution with line numbers; the product and
+    # the decisions on its parts and components check none again.
     ruin = ruin_mdp(48, Fr(2, 5), False)
     ring, ring_valuation = ring_mdp(random.Random(1718), 12)
     cases = [(model_text(ruin, ruin_valuation(ruin)), f) for f in RUIN_FORMULAS]
@@ -636,37 +637,44 @@ def test_synthesis_checks_no_distribution_twice(monkeypatch):
         mdp, valuation = parse_mdp(text)
         report = synthesize(mdp, valuation, parse_formula(formula), Fr(1, 2))
         winners += sum(len(pair_winners) for pair_winners in report.outcomes)
-    assert winners >= len(cases)  # every case built MEC sub-MDPs
+    assert winners >= len(cases)  # every case decided MECs
     assert calls == []
     Mdp(mdp.states, mdp.actions, mdp.init)
     assert calls == [1]
 
 
-def _restricted_condition(component, cond):
+def _restricted_condition(mdp, component, cond):
     """What deciding a component reads: its names, whether it meets every
     Inf set, and each inf then sup bound's comparison, bound and rewards on
     its states."""
     states = component.states
 
     def on_component(bounds):
-        return tuple((b.cmp, b.bound, tuple(b.reward[s] for s in states)) for b in bounds)
+        return tuple(
+            (b.cmp, b.bound, tuple(reward_of(cond, b, s) for s in states)) for b in bounds
+        )
 
     return (
-        component_names(component),
+        component_names(mdp, component),
         all(set(states) & set(inf) for inf in cond.inf_sets),
         on_component(cond.mp_inf),
         on_component(cond.mp_sup),
     )
 
 
-def _named(outcomes):
-    return [[(component_names(c), sol) for c, sol in winners] for winners in outcomes]
+def _named(mdp, outcomes):
+    return [[(component_names(mdp, c), sol) for c, sol in winners] for winners in outcomes]
+
+
+def _winning_names(mdp, outcomes):
+    """Per pair, the sorted names of its winners' states."""
+    return [sorted(mdp.states[s] for c, _ in w for s in c.states) for w in outcomes]
 
 
 def _lifted(mdp, valuation, phi):
     aut = build_dgrma(phi)
     product, automaton_component = product_mdp(mdp, valuation, aut.lts)
-    return product, [lift_pair(pair, product, automaton_component) for pair in aut.pairs]
+    return product, [lift_pair(pair, automaton_component) for pair in aut.pairs]
 
 
 TWO_ASSUMPTIONS = "(F G a -> G{>=1/2,inf} b) & (G F b -> G{>1/3,sup} a)"
@@ -686,8 +694,8 @@ def test_winning_union_decomposes_each_fin_set_once(monkeypatch):
         freqsynth.synthesis, "restrict", lambda p, fin: restrict_calls.append(fin) or real_restrict(p, fin)
     )
 
-    def mecs(sub):
-        out = real_mecs(sub)
+    def mecs(p, part):
+        out = real_mecs(p, part)
         decomposed[restrict_calls[-1]] = out
         return out
 
@@ -695,7 +703,8 @@ def test_winning_union_decomposes_each_fin_set_once(monkeypatch):
     monkeypatch.setattr(
         freqsynth.synthesis,
         "accepting_mec",
-        lambda c, cond: decisions.append(_restricted_condition(c, cond)) or real_decide(c, cond),
+        lambda m, c, cond: decisions.append(_restricted_condition(m, c, cond))
+        or real_decide(m, c, cond),
     )
     rng = random.Random(1719)
     winners = shared = 0
@@ -710,14 +719,14 @@ def test_winning_union_decomposes_each_fin_set_once(monkeypatch):
         assert sorted(restrict_calls, key=sorted) == sorted(fins, key=sorted)
         keys = []
         for fin, cond in lifted:
-            sub = real_restrict(product, fin)
-            for component in mec_decomposition(sub) if sub is not None else ():
-                keys.append(_restricted_condition(component, cond))
+            part = real_restrict(product, fin)
+            for component in mec_decomposition(product, part) if part is not None else ():
+                keys.append(_restricted_condition(product, component, cond))
         assert decisions == list(dict.fromkeys(keys))
         shared += len(keys) - len(decisions)
         want_states, want_outcomes = pairwise_winning_union(product, lifted)
         assert w_states == want_states
-        assert _named(outcomes) == _named(want_outcomes)
+        assert _named(product, outcomes) == _named(product, want_outcomes)
         for (fin, _), pair_winners in zip(lifted, outcomes):
             for component, _ in pair_winners:
                 assert any(component is c for c in decomposed[fin])
@@ -754,7 +763,8 @@ def test_winning_union_matches_the_pairwise_oracle(monkeypatch):
     monkeypatch.setattr(
         freqsynth.synthesis,
         "accepting_mec",
-        lambda c, cond: decisions.append(_restricted_condition(c, cond)) or real_decide(c, cond),
+        lambda m, c, cond: decisions.append(_restricted_condition(m, c, cond))
+        or real_decide(m, c, cond),
     )
     pairwise = distinct = refuted = reports = 0
     for mdp, valuation, phi in _pool() + _wide_pool():
@@ -764,13 +774,13 @@ def test_winning_union_matches_the_pairwise_oracle(monkeypatch):
         assert len(decisions) == len(set(decisions)), phi
         want_states, want_outcomes = pairwise_winning_union(product, lifted)
         assert w_states == want_states, phi
-        assert _named(outcomes) == _named(want_outcomes), phi
+        assert _named(product, outcomes) == _named(product, want_outcomes), phi
         keys = set()
         for fin, cond in lifted:
-            sub = restrict(product, fin)
-            for component in mec_decomposition(sub) if sub is not None else ():
-                keys.add(_restricted_condition(component, cond))
-                assert_flow_row_form(component, cond)
+            part = restrict(product, fin)
+            for component in mec_decomposition(product, part) if part is not None else ():
+                keys.add(_restricted_condition(product, component, cond))
+                assert_flow_row_form(product, component, cond)
                 pairwise += 1
         assert set(decisions) <= keys, phi
         distinct += len(keys)
@@ -796,7 +806,9 @@ def test_decisions_are_not_shared_across_calls(monkeypatch):
     counts = []
     real_decide = freqsynth.synthesis.accepting_mec
     monkeypatch.setattr(
-        freqsynth.synthesis, "accepting_mec", lambda c, cond: counts.append(1) or real_decide(c, cond)
+        freqsynth.synthesis,
+        "accepting_mec",
+        lambda m, c, cond: counts.append(1) or real_decide(m, c, cond),
     )
     mdp, valuation, phi = _wide_pool()[0]
     per_call = []
@@ -822,30 +834,34 @@ def test_conditions_differing_on_the_component_are_decided_apart(monkeypatch):
     # On the MEC {s0, s1} the reward 1, 0 averages exactly 1/2: ">= 1/2"
     # accepts and "> 1/2" rejects, and raising s1's reward to 1 accepts
     # "> 1/2".  A reward that differs only off a component (on s2) leaves
-    # that component's decision shared.
+    # that component's decision shared, also when it changes the lcm of the
+    # reward's denominators: the key reads the rewards on the component
+    # over their own least denominator.
     mdp, _ = parse_mdp(DECISION_MODEL)
     calls = []
     real_decide = freqsynth.synthesis.accepting_mec
     monkeypatch.setattr(
         freqsynth.synthesis,
         "accepting_mec",
-        lambda c, cond: calls.append(tuple(c.states)) or real_decide(c, cond),
+        lambda m, c, cond: calls.append(tuple(m.states[s] for s in c.states))
+        or real_decide(m, c, cond),
     )
 
     def pair(cmp, rewards):
-        reward = dict(zip(("s0", "s1", "s2"), map(Fr, rewards)))
+        reward = tuple(map(Fr, rewards))
         return frozenset(), GbmpCondition(mp_inf=(MpBound(cmp, Fr(1, 2), reward),))
 
     cases = [
         ([pair(">=", (1, 0, 0)), pair(">", (1, 0, 0))], [["s0", "s1"], []], 2, 2),
         ([pair(">", (1, 0, 0)), pair(">", (1, 1, 0))], [[], ["s0", "s1"]], 2, 1),
         ([pair(">", (1, 0, 0)), pair(">", (1, 0, 1))], [[], ["s2"]], 1, 2),
+        ([pair(">=", (1, 0, 0)), pair(">=", (1, 0, Fr(1, 3)))], [["s0", "s1"]] * 2, 1, 2),
     ]
     for lifted, want, ring_decisions, loop_decisions in cases:
         calls.clear()
         _, outcomes = winning_union(mdp, lifted)
-        assert [sorted(s for c, _ in w for s in c.states) for w in outcomes] == want
-        assert _named(outcomes) == _named(pairwise_winning_union(mdp, lifted)[1])
+        assert _winning_names(mdp, outcomes) == want
+        assert _named(mdp, outcomes) == _named(mdp, pairwise_winning_union(mdp, lifted)[1])
         assert sorted(calls) == [("s0", "s1")] * ring_decisions + [("s2",)] * loop_decisions
 
 
@@ -874,12 +890,13 @@ def test_a_flow_rejection_refutes_only_its_sub_components(monkeypatch):
     monkeypatch.setattr(
         freqsynth.synthesis,
         "accepting_mec",
-        lambda c, cond: calls.append(tuple(c.states)) or real_decide(c, cond),
+        lambda m, c, cond: calls.append(tuple(m.states[s] for s in c.states))
+        or real_decide(m, c, cond),
     )
-    reward = {"u": Fr(0), "v": Fr(1), "w": Fr(1)}
+    reward = (Fr(0), Fr(1), Fr(1))  # on u, v, w
     three_quarters = GbmpCondition(mp_inf=(MpBound(">=", Fr(3, 4), reward),))
     above_one = GbmpCondition(mp_sup=(MpBound(">", Fr(1), reward),))
-    without = {name: frozenset({name}) for name in "uvw"}
+    without = {name: frozenset({mdp.state_index[name]}) for name in "uvw"}
     cases = [
         ([(without["w"], three_quarters), (without["u"], three_quarters)], [[], ["v", "w"]]),
         ([(without["w"], three_quarters), (frozenset(), three_quarters)], [[], ["u", "v", "w"]]),
@@ -887,14 +904,14 @@ def test_a_flow_rejection_refutes_only_its_sub_components(monkeypatch):
     for lifted, want in cases:
         calls.clear()
         _, outcomes = winning_union(mdp, lifted)
-        assert [sorted(s for c, _ in w for s in c.states) for w in outcomes] == want
-        assert _named(outcomes) == _named(pairwise_winning_union(mdp, lifted)[1])
+        assert _winning_names(mdp, outcomes) == want
+        assert _named(mdp, outcomes) == _named(mdp, pairwise_winning_union(mdp, lifted)[1])
         assert len(calls) == 2
     calls.clear()
     lifted = [(frozenset(), above_one), (without["w"], above_one), (without["u"], three_quarters)]
     _, outcomes = winning_union(mdp, lifted)
-    assert _named(outcomes) == _named(pairwise_winning_union(mdp, lifted)[1])
-    assert [sorted(s for c, _ in w for s in c.states) for w in outcomes] == [[], [], ["v", "w"]]
+    assert _named(mdp, outcomes) == _named(mdp, pairwise_winning_union(mdp, lifted)[1])
+    assert _winning_names(mdp, outcomes) == [[], [], ["v", "w"]]
     assert calls == [("u", "v", "w"), ("v", "w")]
 
 
@@ -908,7 +925,7 @@ def test_a_flow_rejection_implies_rejection_on_sub_ecs_under_more_bounds():
     values = (Fr(0), Fr(1, 3), Fr(1, 2), Fr(2, 3), Fr(1))
 
     def bound(names):
-        reward = {s: rng.choice((Fr(0), Fr(1), Fr(1, 2))) for s in names}
+        reward = tuple(rng.choice((Fr(0), Fr(1), Fr(1, 2))) for _ in names)
         return MpBound(rng.choice((">=", ">")), rng.choice(values), reward)
 
     rejected = ties = proper = 0
@@ -918,19 +935,19 @@ def test_a_flow_rejection_implies_rejection_on_sub_ecs_under_more_bounds():
         inf = [bound(names) for _ in range(rng.randint(0, 2))]
         sup = [bound(names) for _ in range(rng.randint(0, 2))]
         cond = GbmpCondition(mp_inf=tuple(inf), mp_sup=tuple(sup))
-        if accepting_mec(mdp, cond)[0]:
+        if accepting_mec(mdp, whole(mdp), cond)[0]:
             continue
         rejected += 1
-        ties += maximize_margin(build_lp(mdp, cond)) is not None
+        ties += maximize_margin(build_lp(mdp, whole(mdp), cond)) is not None
         inf += [bound(names) for _ in range(rng.randint(0, 1))]
         sup += [bound(names) for _ in range(rng.randint(0, 1))]
         rng.shuffle(inf)
         rng.shuffle(sup)
         stronger = GbmpCondition(mp_inf=tuple(inf), mp_sup=tuple(sup))
-        sub = restrict(mdp, rng.sample(names, rng.randint(1, max(1, len(names) - 1))))
-        sub_ecs = mec_decomposition(sub) if sub is not None else []
-        for ec in [mdp] + sub_ecs:
-            assert not accepting_mec(ec, stronger)[0]
+        part = restrict(mdp, rng.sample(range(len(names)), rng.randint(1, max(1, len(names) - 1))))
+        sub_ecs = mec_decomposition(mdp, part) if part is not None else []
+        for ec in [whole(mdp)] + sub_ecs:
+            assert not accepting_mec(mdp, ec, stronger)[0]
         proper += len(sub_ecs)
     assert rejected >= 150 and ties >= 10 and proper >= 40
 
