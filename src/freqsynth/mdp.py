@@ -4,7 +4,8 @@ and the exact sampler that simulations draw their successors with."""
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -17,55 +18,45 @@ class MdpError(ValueError):
     """Malformed model file or inconsistent MDP data."""
 
 
-_setattr = object.__setattr__
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class MdpAction:
-    """An action, enabled in exactly one state, with its distribution.
-
-    ``weights`` is ``(den, ((t, w), ...))``: the distribution as integer
-    weights ``w = p * den`` over the least common denominator ``den`` of its
-    probabilities, computed here unless given.  A caller that renumbers the
-    targets of an action (the product does) passes its weights on,
-    renumbered the same way, so nothing is recomputed.
-    """
+    """An action, enabled in exactly one state, with its distribution as
+    ``weights``: ``(den, ((t, w), ...))``, integer weights ``w = p * den``
+    over the least common denominator ``den`` of its probabilities
+    (``weights_of`` converts ``Fraction`` probabilities)."""
 
     name: str
     source: int
-    dist: tuple  # of (target state index, Fraction > 0), summing to 1
-    weights: tuple = field(repr=False, compare=False)
-
-    # Written out: a frozen dataclass's generated __init__ with a
-    # __post_init__ took about twice as long per action (timeit, Python 3.11).
-    def __init__(self, name: str, source: int, dist: tuple, weights: tuple | None = None):
-        if weights is None:
-            den = lcm(*(p.denominator for _, p in dist))
-            weights = den, tuple((t, p.numerator * (den // p.denominator)) for t, p in dist)
-        _setattr(self, "name", name)
-        _setattr(self, "source", source)
-        _setattr(self, "dist", dist)
-        _setattr(self, "weights", weights)
+    weights: tuple
 
     @cached_property
     def table(self) -> tuple:
-        """``draw_table(self.dist)``, built at the first draw."""
-        return draw_table(self.dist)
+        """``draw_table(self.weights)``, built at the first draw."""
+        return draw_table(self.weights)
 
 
-def draw_table(pairs: tuple) -> tuple:
-    """Sampling table of (value, Fraction probability) pairs for ``draw``.
+def weights_of(pairs: Sequence) -> tuple:
+    """``(den, ((value, w), ...))`` for (value, Fraction probability) pairs:
+    each ``w = p * den`` over the least common denominator ``den``."""
+    den = lcm(*(p.denominator for _, p in pairs))
+    return den, tuple((v, p.numerator * (den // p.denominator)) for v, p in pairs)
 
-    ``random()`` returns ``k / 2**53`` for an integer ``k``, so ``u < acc``
-    holds exactly when ``k < ceil(acc * 2**53)``.  The table holds the
-    values, with the last one repeated as the fallback, and those ceilings
-    of the cumulative sums.
+
+def draw_table(weights: tuple) -> tuple:
+    """Sampling table of ``(den, ((value, w), ...))`` integer weights for
+    ``draw``.
+
+    ``random()`` returns ``k / 2**53`` for an integer ``k``, so ``u < cum /
+    den`` holds exactly when ``k < ceil(cum * 2**53 / den)``.  The table
+    holds the values, with the last one repeated as the fallback, and those
+    ceilings of the cumulative weights ``cum``.
     """
+    den, pairs = weights
     thresholds = []
-    acc = 0
-    for _, p in pairs:
-        acc += p
-        thresholds.append(-((-acc.numerator << 53) // acc.denominator))
+    cum = 0
+    for _, w in pairs:
+        cum += w
+        thresholds.append(-((-cum << 53) // den))
     values = tuple(v for v, _ in pairs)
     return values + values[-1:], tuple(thresholds)
 
@@ -98,22 +89,20 @@ class Mdp:
         return mdp
 
     def _build(self, states, actions, init) -> None:
-        """Index maps, enabled actions ``act`` and entering actions ``pre``;
-        raises on duplicate names, targets outside the states and states
-        without an action."""
+        """Enabled actions ``act`` and entering actions ``pre``; raises on
+        duplicate names, targets outside the states and states without an
+        action."""
         self.states = list(states)
-        self.state_index = {s: i for i, s in enumerate(self.states)}
-        if len(self.state_index) != len(self.states):
+        if len(set(self.states)) != len(self.states):
             raise MdpError("duplicate state name")
         self.actions = list(actions)
-        self.action_index = {a.name: i for i, a in enumerate(self.actions)}
-        if len(self.action_index) != len(self.actions):
+        if len({a.name for a in self.actions}) != len(self.actions):
             raise MdpError("duplicate action name")
         self.act: list[list[int]] = [[] for _ in self.states]
         self.pre: list[list[int]] = [[] for _ in self.states]  # entering actions
         for ai, a in enumerate(self.actions):
             self.act[a.source].append(ai)
-            for t, _ in a.dist:
+            for t, _ in a.weights[1]:
                 if not 0 <= t < len(self.states):
                     raise MdpError(f"action {a.name!r} has a target outside the states")
                 if not self.pre[t] or self.pre[t][-1] != ai:
@@ -128,19 +117,19 @@ class Mdp:
 
 
 def _check_distributions(actions: Iterable[MdpAction]) -> None:
-    """Raise unless every distribution is positive and sums to 1."""
+    """Raise unless every action's weights are over a positive denominator,
+    positive, sum to it and name each target once."""
     for a in actions:
-        if not _sums_to_one(a):
-            total = sum(p for _, p in a.dist)
-            raise MdpError(f"action {a.name!r} distribution sums to {total}, not 1")
-        if any(p <= 0 for _, p in a.dist):
+        den, pairs = a.weights
+        if den < 1:
+            raise MdpError(f"action {a.name!r} has a non-positive denominator")
+        total = sum(w for _, w in pairs)
+        if total != den:
+            raise MdpError(f"action {a.name!r} distribution sums to {Fraction(total, den)}, not 1")
+        if any(w <= 0 for _, w in pairs):
             raise MdpError(f"action {a.name!r} has a non-positive probability")
-
-
-def _sums_to_one(action: MdpAction) -> bool:
-    """Whether the probabilities sum to 1, in the action's integer weights."""
-    den, pairs = action.weights
-    return sum(w for _, w in pairs) == den
+        if len({t for t, _ in pairs}) != len(pairs):
+            raise MdpError(f"action {a.name!r} has a duplicate target")
 
 
 Valuation = list  # frozenset of atoms per state index
@@ -238,11 +227,13 @@ def parse_mdp(text: str) -> tuple[Mdp, Valuation]:
                     raise MdpError(f"line {lineno}: probability of {target!r} must be positive")
                 probs[prob_text] = prob
             entries.append((index[target], prob))
-        action = MdpAction(name, index[state], tuple(entries))
-        if not _sums_to_one(action):
-            total = sum(p for _, p in entries)
-            raise MdpError(f"line {lineno}: distribution sums to {total}, not 1")
-        actions.append(action)
+        weights = weights_of(entries)
+        total = sum(w for _, w in weights[1])
+        if total != weights[0]:
+            raise MdpError(
+                f"line {lineno}: distribution sums to {Fraction(total, weights[0])}, not 1"
+            )
+        actions.append(MdpAction(name, index[state], weights))
 
     mdp = Mdp._trusted(state_names, actions, index[init_name])
     valuation = [labels.get(s, frozenset()) for s in state_names]
@@ -271,8 +262,8 @@ def product_mdp(mdp: Mdp, valuation: Valuation, lts: Lts, cap: int = DEFAULT_STA
         for ai in mdp.act[s]:
             action = mdp.actions[ai]
             den, pairs = action.weights
-            entries, weighted = [], []
-            for (target, prob), (_, w) in zip(action.dist, pairs):
+            renumbered = []
+            for target, w in pairs:
                 tq = lts.successor(q, valuation[target])
                 key = (target, tq)
                 ti = index.get(key)
@@ -283,13 +274,9 @@ def product_mdp(mdp: Mdp, valuation: Valuation, lts: Lts, cap: int = DEFAULT_STA
                     index[key] = ti
                     order.append(key)
                     queue.append(key)
-                entries.append((ti, prob))
-                weighted.append((ti, w))
-            actions.append(
-                MdpAction(
-                    f"{action.name}@{q}", index[(s, q)], tuple(entries), (den, tuple(weighted))
-                )
-            )
+                renumbered.append((ti, w))
+            weights = den, tuple(renumbered)
+            actions.append(MdpAction(f"{action.name}@{q}", index[(s, q)], weights))
 
     names = [f"{mdp.states[s]}@{q}" for s, q in order]
     product = Mdp._trusted(names, actions, 0)
@@ -350,7 +337,7 @@ def successor_edges(mdp: Mdp, actions: Iterable[int]) -> dict[int, list[int]]:
     edges: dict[int, list[int]] = {}
     for ai in actions:
         a = mdp.actions[ai]
-        edges.setdefault(a.source, []).extend(t for t, _ in a.dist)
+        edges.setdefault(a.source, []).extend(t for t, _ in a.weights[1])
     return edges
 
 
@@ -364,7 +351,7 @@ def closed_part(
         ai
         for ai in actions
         if mdp.actions[ai].source in states
-        and all(t in states for t, _ in mdp.actions[ai].dist)
+        and all(t in states for t, _ in mdp.actions[ai].weights[1])
     }
     enabled = {s: 0 for s in states}
     for ai in actions:

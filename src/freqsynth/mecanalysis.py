@@ -38,6 +38,7 @@ from .mdp import (
     draw,
     draw_table,
     successor_edges,
+    weights_of,
 )
 
 _ZERO = Fraction(0)
@@ -46,7 +47,8 @@ _ZERO = Fraction(0)
 @dataclass
 class LinearSystem:
     """The flow constraints for one component and condition; the column
-    after the flows, when there is one, is ``t``."""
+    after the flows, when there is one, is ``t``.  ``bounds`` is
+    ``cond.restricted`` read at the source of each action."""
 
     mdp: Mdp
     component: Component
@@ -54,6 +56,7 @@ class LinearSystem:
     num_flows: int
     num_vars: int
     rows: list
+    bounds: tuple
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,8 @@ def build_lp(
     n_actions = len(actions)
     t = n_flows * n_actions
     has_t = bool(cond.mp_inf or cond.mp_sup) if margin else cond.strict()
-    mp_inf, mp_sup = cond.restricted([mdp.actions[ai].source for ai in actions])
+    bounds = cond.restricted([mdp.actions[ai].source for ai in actions])
+    mp_inf, mp_sup = bounds
 
     def bound_row(base: int, bound: tuple) -> tuple:
         cmp, den, rhs, rewards = bound
@@ -116,7 +120,7 @@ def build_lp(
             rows.append(bound_row(base, bound))
         if mp_sup:
             rows.append(bound_row(base, mp_sup[i]))
-    return LinearSystem(mdp, component, cond, n_flows, t + 1 if has_t else t, rows)
+    return LinearSystem(mdp, component, cond, n_flows, t + 1 if has_t else t, rows, bounds)
 
 
 def maximize_margin(system: LinearSystem) -> Optional[LpSolution]:
@@ -152,12 +156,12 @@ def _verify_solution(system: LinearSystem, sol: LpSolution):
     its bounds must be met, strictly where it is strict, by the flow's
     reward read from the condition, not from a bound row.  A failure names
     its flow and its state or bound."""
-    mdp, (states, actions), cond = system.mdp, system.component, system.cond
+    mdp, (states, actions) = system.mdp, system.component
     x = [v for flow in sol.flows for v in flow]
     scale = lcm(*(v.denominator for v in x))
     xs = [v.numerator * (scale // v.denominator) for v in x]
     n_actions = len(actions)
-    mp_inf, mp_sup = cond.restricted([mdp.actions[ai].source for ai in actions])
+    mp_inf, mp_sup = system.bounds
     block = len(system.rows) // system.num_flows  # sum, balance, bound rows
     for i in range(system.num_flows):
         rows = system.rows[i * block : i * block + 1 + len(states)]
@@ -237,8 +241,9 @@ class ModeClass:
 
     @cached_property
     def tables(self) -> dict:
-        """Per state, ``draw_table`` of its choices, built at the first draw."""
-        return {s: draw_table(pairs) for s, pairs in self.choices.items()}
+        """Per state, ``draw_table`` of its choices' weights, built at the
+        first draw."""
+        return {s: draw_table(weights_of(pairs)) for s, pairs in self.choices.items()}
 
 
 @dataclass(frozen=True)
@@ -274,7 +279,7 @@ def _support_classes(mdp: Mdp, component: Component, flow: tuple) -> list[ModeCl
     for cls in classes:
         for si in cls.states:
             for ai, _ in cls.choices[si]:
-                if any(t not in cls.states for t, _ in mdp.actions[ai].dist):
+                if any(t not in cls.states for t, _ in mdp.actions[ai].weights[1]):
                     raise MdpError("flow support component is not closed")
     classes.sort(key=lambda c: min(c.states))
     return classes

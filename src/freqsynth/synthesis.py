@@ -297,7 +297,7 @@ def max_reach(mdp: Mdp, targets: Iterable[int]) -> tuple[dict, list]:
         if k:
             selector[t] = next(
                 ai for ai in mdp.act[t] if optimal[ai] and any(
-                    joined.get(v, key) < key for v, _ in mdp.actions[ai].dist
+                    joined.get(v, key) < key for v, _ in mdp.actions[ai].weights[1]
                 )
             )
         joined[t] = key

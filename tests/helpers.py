@@ -57,7 +57,10 @@ decides them: ``whole`` is a strongly connected MDP as one ``Component``,
 ``reward_of`` reads a bound's reward at a state (through ``at`` when the
 condition has it), ``component_names`` names a component's states and
 actions, and ``named_max_reach`` and ``reach_by_name`` give ``max_reach``'s
-index-keyed result by names, as ``dense_max_reach`` gives it.
+index-keyed result by names, as ``dense_max_reach`` gives it.  An action
+holds its distribution only as integer weights; ``dist`` reads them back as
+(target, ``Fraction``) pairs, the view the oracles compute with, and
+``state_at`` and ``action_at`` look a state or an action up by name.
 """
 
 from __future__ import annotations
@@ -124,6 +127,7 @@ from freqsynth.mdp import (
     can_reach,
     mec_decomposition,
     restrict,
+    weights_of,
 )
 from freqsynth.mecanalysis import (
     EpochSchedule,
@@ -236,6 +240,23 @@ def random_distribution(rng, targets):
     return tuple((t, Fraction(w, total)) for t, w in zip(targets, weights))
 
 
+def dist(action):
+    """An action's distribution as (target, Fraction probability) pairs,
+    read from its integer weights."""
+    den, pairs = action.weights
+    return tuple((t, Fraction(w, den)) for t, w in pairs)
+
+
+def state_at(mdp, name):
+    """Index of the state called ``name``."""
+    return mdp.states.index(name)
+
+
+def action_at(mdp, name):
+    """Index of the action called ``name``."""
+    return next(ai for ai, a in enumerate(mdp.actions) if a.name == name)
+
+
 def random_mdp(rng, max_states, max_actions):
     n = rng.randint(1, max_states)
     actions = []
@@ -243,7 +264,8 @@ def random_mdp(rng, max_states, max_actions):
         for k in range(rng.randint(1, max_actions)):
             n_targets = rng.randint(1, min(3, n))
             targets = sorted(rng.sample(range(n), n_targets))
-            actions.append(MdpAction(f"a{s}_{k}", s, random_distribution(rng, targets)))
+            weights = weights_of(random_distribution(rng, targets))
+            actions.append(MdpAction(f"a{s}_{k}", s, weights))
     return Mdp([f"s{i}" for i in range(n)], actions, 0)
 
 
@@ -262,7 +284,7 @@ def random_markov_chain(rng, max_states, labels=("a", "b")):
     for s in range(n):
         n_targets = rng.randint(1, min(3, n))
         targets = sorted(rng.sample(range(n), n_targets))
-        actions.append(MdpAction(f"c{s}", s, random_distribution(rng, targets)))
+        actions.append(MdpAction(f"c{s}", s, weights_of(random_distribution(rng, targets))))
     valuation = [
         frozenset(a for a in labels if rng.random() < 0.5) for _ in range(n)
     ]
@@ -290,7 +312,7 @@ def chain_bsccs(mdp, policy):
     (one action index per state)."""
     n = len(mdp)
     succ = [
-        sorted({t for t, _ in mdp.actions[policy[s]].dist}) for s in range(n)
+        sorted({t for t, _ in dist(mdp.actions[policy[s]])}) for s in range(n)
     ]
     index, low, on_stack = {}, {}, set()
     stack, sccs, counter = [], [], 0
@@ -358,7 +380,7 @@ def stationary_distribution(mdp, policy, bscc):
         for i, src in enumerate(bscc):
             choice = policy[src]
             for ai, q in ((choice, _ONE),) if isinstance(choice, int) else choice:
-                for t, p in mdp.actions[ai].dist:
+                for t, p in dist(mdp.actions[ai]):
                     if t == s:
                         row[i] += q * p
         rows.append(row)
@@ -441,7 +463,7 @@ def chain_pipeline_probability(product, lifted_pairs):
         row = [_ZERO] * len(transient)
         row[pos[s]] = _ONE
         b = _ZERO
-        for t, p in product.actions[policy[s]].dist:
+        for t, p in dist(product.actions[policy[s]]):
             if t in absorbed:
                 b += p
             elif t in pos:
@@ -475,7 +497,7 @@ def margin_rewrite(system):
     has_t = any(rel == ">=" for _, rel, _ in rows)
     num_vars = t + 1 if has_t else t
     return LinearSystem(
-        system.mdp, system.component, system.cond, system.num_flows, num_vars, rows
+        system.mdp, system.component, system.cond, system.num_flows, num_vars, rows, system.bounds
     )
 
 
@@ -545,13 +567,13 @@ def rescan_mec_decomposition(mdp, states=None):
         ai
         for ai in range(len(mdp.actions))
         if mdp.actions[ai].source in cur_states
-        and all(t in cur_states for t, _ in mdp.actions[ai].dist)
+        and all(t in cur_states for t, _ in dist(mdp.actions[ai]))
     }
     while True:
         edges = {s: [] for s in cur_states}
         for ai in cur_actions:
             a = mdp.actions[ai]
-            edges[a.source].extend(t for t, _ in a.dist)
+            edges[a.source].extend(t for t, _ in dist(a))
         comps = _sccs(sorted(cur_states), edges)
         comp_of = {}
         for ci, comp in enumerate(comps):
@@ -560,7 +582,7 @@ def rescan_mec_decomposition(mdp, states=None):
         removed_actions = {
             ai
             for ai in cur_actions
-            if any(comp_of[t] != comp_of[mdp.actions[ai].source] for t, _ in mdp.actions[ai].dist)
+            if any(comp_of[t] != comp_of[mdp.actions[ai].source] for t, _ in dist(mdp.actions[ai]))
         }
         next_actions = cur_actions - removed_actions
         has_action = {mdp.actions[ai].source for ai in next_actions}
@@ -568,7 +590,7 @@ def rescan_mec_decomposition(mdp, states=None):
         next_actions = {
             ai
             for ai in next_actions
-            if all(t in next_states for t, _ in mdp.actions[ai].dist)
+            if all(t in next_states for t, _ in dist(mdp.actions[ai]))
         }
         if next_states == cur_states and next_actions == cur_actions:
             break
@@ -576,7 +598,7 @@ def rescan_mec_decomposition(mdp, states=None):
     edges = {s: [] for s in cur_states}
     for ai in cur_actions:
         a = mdp.actions[ai]
-        edges[a.source].extend(t for t, _ in a.dist)
+        edges[a.source].extend(t for t, _ in dist(a))
     mecs = []
     for comp in _sccs(sorted(cur_states), edges):
         comp_set = set(comp)
@@ -594,12 +616,12 @@ def rescan_mec_decomposition(mdp, states=None):
 
 def rescan_restrict(mdp, removed):
     """Remove states and the actions touching them, pruning by rescans."""
-    gone = {mdp.state_index[s] for s in removed}
+    gone = {state_at(mdp, s) for s in removed}
     keep_states = set(range(len(mdp))) - gone
     keep_actions = {
         ai
         for ai, a in enumerate(mdp.actions)
-        if a.source in keep_states and all(t in keep_states for t, _ in a.dist)
+        if a.source in keep_states and all(t in keep_states for t, _ in dist(a))
     }
     while True:
         has_action = {mdp.actions[ai].source for ai in keep_actions}
@@ -610,14 +632,14 @@ def rescan_restrict(mdp, removed):
         keep_actions = {
             ai
             for ai in keep_actions
-            if all(t in keep_states for t, _ in mdp.actions[ai].dist)
+            if all(t in keep_states for t, _ in dist(mdp.actions[ai]))
         }
     if not keep_states:
         return None
     order = sorted(keep_states)
     remap = {old: new for new, old in enumerate(order)}
     actions = [
-        MdpAction(a.name, remap[a.source], tuple((remap[t], p) for t, p in a.dist))
+        MdpAction(a.name, remap[a.source], weights_of([(remap[t], p) for t, p in dist(a)]))
         for a in (mdp.actions[ai] for ai in sorted(keep_actions))
     ]
     init = remap.get(mdp.init) if mdp.init is not None else None
@@ -627,21 +649,23 @@ def rescan_restrict(mdp, removed):
 def rescan_attractor_policy(mdp, targets):
     """Attractor layers found by scanning every state once per layer."""
     target_set = set(targets)
-    dist = {t: 0 for t in target_set}
+    distance = {t: 0 for t in target_set}
     policy = {}
     frontier = set(target_set)
     while frontier:
         nxt = set()
         for si in range(len(mdp)):
-            if si in dist:
+            if si in distance:
                 continue
             best = None
             for ai in mdp.act[si]:
-                if any(t in frontier for t, _ in mdp.actions[ai].dist):
+                if any(t in frontier for t, _ in dist(mdp.actions[ai])):
                     best = ai
                     break
             if best is not None:
-                dist[si] = min(dist[t] for t, _ in mdp.actions[best].dist if t in dist) + 1
+                distance[si] = 1 + min(
+                    distance[t] for t, _ in dist(mdp.actions[best]) if t in distance
+                )
                 policy[si] = best
                 nxt.add(si)
         frontier = nxt
@@ -656,11 +680,11 @@ def ring_mdp(rng, n):
     for k in range(n):
         nxt = (k + 1) % n
         q = rng.choice(probs)
-        actions.append(MdpAction(f"r{k}", k, tuple(sorted(((nxt, q), (k, 1 - q))))))
+        actions.append(MdpAction(f"r{k}", k, weights_of(sorted(((nxt, q), (k, 1 - q))))))
         if rng.random() < 0.6:
             t = rng.choice([j for j in range(n) if j not in (k, nxt)])
             q = rng.choice(probs)
-            actions.append(MdpAction(f"c{k}", k, tuple(sorted(((t, q), (nxt, 1 - q))))))
+            actions.append(MdpAction(f"c{k}", k, weights_of(sorted(((t, q), (nxt, 1 - q))))))
     valuation = [frozenset(x for x in ("a", "b") if rng.random() < 0.5) for _ in range(n)]
     return Mdp([f"s{k}" for k in range(n)], actions, 0), valuation
 
@@ -889,7 +913,7 @@ def rescan_build_lp(mdp, cond):
             coeffs = {}
             for ai, action in enumerate(mdp.actions):
                 p = _ZERO
-                for t, prob in action.dist:
+                for t, prob in dist(action):
                     if t == si:
                         p += prob
                 if action.source == si:
@@ -901,7 +925,8 @@ def rescan_build_lp(mdp, cond):
             rows.append((reward_row(i, bound), ">=", Fraction(bound.bound)))
         if cond.mp_sup:
             rows.append((reward_row(i, cond.mp_sup[i]), ">=", Fraction(cond.mp_sup[i].bound)))
-    return LinearSystem(mdp, whole(mdp), cond, n_flows, num_vars, rows)
+    bounds = cond.restricted([a.source for a in mdp.actions])
+    return LinearSystem(mdp, whole(mdp), cond, n_flows, num_vars, rows, bounds)
 
 
 def _dense_evaluate_policy(mdp, policy, target):
@@ -914,7 +939,7 @@ def _dense_evaluate_policy(mdp, policy, target):
         row = [_ZERO] * len(variables)
         row[pos[s]] = _ONE
         b = _ZERO
-        for t, p in mdp.actions[policy[s]].dist:
+        for t, p in dist(mdp.actions[policy[s]]):
             if t in target:
                 b += p
             elif t in pos:
@@ -936,7 +961,7 @@ def dense_max_reach(mdp, target_names):
     index-order rescans until every state has a selector action, then a
     full evaluation of the selector."""
     n = len(mdp)
-    target = {mdp.state_index[s] for s in target_names}
+    target = {state_at(mdp, s) for s in target_names}
     zero = set(range(n)) - can_reach(mdp, target, range(len(mdp.actions)))
 
     policy = [mdp.act[s][0] for s in range(n)]
@@ -949,7 +974,7 @@ def dense_max_reach(mdp, target_names):
             best_val = values[s]
             best_ai = None
             for ai in mdp.act[s]:
-                backup = sum(p * values[t] for t, p in mdp.actions[ai].dist)
+                backup = sum(p * values[t] for t, p in dist(mdp.actions[ai]))
                 if backup > best_val:
                     best_val = backup
                     best_ai = ai
@@ -971,10 +996,10 @@ def dense_max_reach(mdp, target_names):
                 continue
             for ai in mdp.act[s]:
                 action = mdp.actions[ai]
-                backup = sum(p * values[t] for t, p in action.dist)
+                backup = sum(p * values[t] for t, p in dist(action))
                 if backup == values[s] and any(
                     t in assigned and (t in target or values[t] > 0)
-                    for t, _ in action.dist
+                    for t, _ in dist(action)
                 ):
                     selector[s] = ai
                     assigned.add(s)
@@ -1003,7 +1028,7 @@ def reach_by_name(mdp, values, selector):
 def named_max_reach(mdp, target_names):
     """``max_reach`` with its target and its result named, as
     ``dense_max_reach`` takes and returns them."""
-    return reach_by_name(mdp, *max_reach(mdp, {mdp.state_index[s] for s in target_names}))
+    return reach_by_name(mdp, *max_reach(mdp, {state_at(mdp, s) for s in target_names}))
 
 
 def ruin_mdp(n, p, reflecting):
@@ -1012,11 +1037,13 @@ def ruin_mdp(n, p, reflecting):
     and each interior state bets timidly (+-1) or boldly (+-2), winning with
     probability p."""
     last = n - 1
-    actions = [MdpAction("bounce" if reflecting else "stay0", 0, ((1 if reflecting else 0, _ONE),))]
+    to = 1 if reflecting else 0
+    actions = [MdpAction("bounce" if reflecting else "stay0", 0, (1, ((to, 1),)))]
     for k in range(1, last):
-        actions.append(MdpAction(f"timid{k}", k, ((k + 1, p), (k - 1, 1 - p))))
-        actions.append(MdpAction(f"bold{k}", k, ((min(k + 2, last), p), (max(k - 2, 0), 1 - p))))
-    actions.append(MdpAction(f"stay{last}", last, ((last, _ONE),)))
+        actions.append(MdpAction(f"timid{k}", k, weights_of(((k + 1, p), (k - 1, 1 - p)))))
+        bold = ((min(k + 2, last), p), (max(k - 2, 0), 1 - p))
+        actions.append(MdpAction(f"bold{k}", k, weights_of(bold)))
+    actions.append(MdpAction(f"stay{last}", last, (1, ((last, 1),))))
     return Mdp([f"x{k}" for k in range(n)], actions, n // 2)
 
 
@@ -1040,8 +1067,8 @@ def model_text(mdp, valuation):
         if atoms
     ]
     for a in mdp.actions:
-        dist = " , ".join(f"{mdp.states[t]} {p}" for t, p in a.dist)
-        lines.append(f"action {mdp.states[a.source]} {a.name} : {dist}")
+        entries = " , ".join(f"{mdp.states[t]} {p}" for t, p in dist(a))
+        lines.append(f"action {mdp.states[a.source]} {a.name} : {entries}")
     return "\n".join(lines) + "\n"
 
 
@@ -1439,7 +1466,7 @@ def named_simulate_global(product, strategy, episodes, steps_per_episode, seed, 
                     )
                     pooled_steps[key] = pooled_steps.get(key, 0) + 1
                 action = winner.mdp.actions[runner.next_action(state)]
-            state = fraction_sample(action.dist, rng)
+            state = fraction_sample(dist(action), rng)
 
     mp_pooled = []
     for (w_idx, bi), total in sorted(pooled_sums.items()):

@@ -49,6 +49,7 @@ from helpers import (
     random_ufree_formula,
     rec_truth,
     simulate_strategy,
+    state_at,
     stationary_distribution,
     whole,
 )
@@ -388,7 +389,7 @@ def test_criterion_8_qualitative_dichotomy():
             aut = build_dgrma(tt())
             product, comp = product_mdp(shifted, valuation, aut.lts)
             # The MDP state of each product state, where its rewards are read.
-            model_state = [mdp.state_index[name.split("@")[0]] for name in product.states]
+            model_state = [state_at(mdp, name.split("@")[0]) for name in product.states]
             lifted_cond = GbmpCondition(
                 inf_sets=tuple(
                     frozenset(p for p, s in enumerate(model_state) if s in inf)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -15,14 +16,19 @@ from freqsynth.mdp import (
     parse_mdp,
     product_mdp,
     restrict,
+    weights_of,
 )
 
 from helpers import (
+    action_at,
     component_names,
+    dist,
+    model_text,
     random_mdp,
     rescan_attractor_policy,
     rescan_mec_decomposition,
     rescan_restrict,
+    state_at,
 )
 
 EXAMPLE = """\
@@ -43,8 +49,9 @@ def test_parse_example():
     assert len(mdp.actions) == 3
     assert valuation[0] == frozenset({"a", "b"})
     assert valuation[1] == frozenset({"b"})
-    alpha = mdp.actions[mdp.action_index["alpha"]]
-    assert alpha.dist == ((0, Fraction(1, 2)), (1, Fraction(1, 2)))
+    alpha = mdp.actions[action_at(mdp, "alpha")]
+    assert alpha.weights == (2, ((0, 1), (1, 1)))
+    assert dist(alpha) == ((0, Fraction(1, 2)), (1, Fraction(1, 2)))
 
 
 def test_parse_decimal_probabilities():
@@ -53,7 +60,7 @@ def test_parse_decimal_probabilities():
         parse_mdp(text)  # unknown state s2
     ok = "mdp\nstates s t\ninit s\naction s a : s 0.5 , t 0.5\naction t b : t 1\n"
     mdp, _ = parse_mdp(ok)
-    assert mdp.actions[0].dist[0][1] == Fraction(1, 2)
+    assert dist(mdp.actions[0])[0][1] == Fraction(1, 2)
 
 
 def test_parse_rejects_bad_sum():
@@ -75,51 +82,62 @@ def test_distribution_sums_are_exact_over_mixed_denominators():
     with pytest.raises(MdpError, match="^line 6: distribution sums to 99/100, not 1$"):
         parse_mdp(base + "action s a : s 1/4 , t 0.24 , u 1/2\n")
     third, sixth, half = Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)
-    tail = [MdpAction("b", 1, ((1, Fraction(1)),)), MdpAction("c", 2, ((2, Fraction(1)),))]
-    Mdp(["s", "t", "u"], [MdpAction("a", 0, ((0, third), (1, sixth), (2, half)))] + tail, 0)
+    tail = [MdpAction("b", 1, (1, ((1, 1),))), MdpAction("c", 2, (1, ((2, 1),)))]
+    exact = weights_of(((0, third), (1, sixth), (2, half)))
+    Mdp(["s", "t", "u"], [MdpAction("a", 0, exact)] + tail, 0)
     with pytest.raises(MdpError, match="^action 'a' distribution sums to 99/100, not 1$"):
-        off = ((0, Fraction(1, 4)), (1, Fraction(6, 25)), (2, half))
+        off = weights_of(((0, Fraction(1, 4)), (1, Fraction(6, 25)), (2, half)))
         Mdp(["s", "t", "u"], [MdpAction("a", 0, off)] + tail, 0)
 
 
 def test_derived_actions_carry_their_weights():
-    # weights is a plain attribute set at construction.  The product passes
-    # each parent action's weights on, renumbered; the result is the weights
-    # a fresh action computes, and equality, hashing and repr read only
-    # name, source and distribution.
+    # weights_of is the one converter from Fraction probabilities: the
+    # parser's weights are its output on the probabilities of the model
+    # text, and each product action's are its output on the parent's
+    # probabilities with every target renumbered to the product state it
+    # enters.  An action is its name, source and weights; equality, hashing
+    # and repr read those three.
+    assert [f.name for f in dataclasses.fields(MdpAction)] == ["name", "source", "weights"]
     rng = random.Random(8)
     master = build_master(parse_formula("G F a & F b"))
     derived = 0
     for _ in range(120):
         mdp = random_mdp(rng, 6, 3)
         valuation = [frozenset(x for x in "ab" if rng.random() < 0.5) for _ in mdp.states]
-        product, _ = product_mdp(mdp, valuation, master)
-        for m in [mdp, product]:
-            for a in m.actions:
-                fresh = MdpAction(a.name, a.source, a.dist)
-                assert "weights" in vars(a) and a.weights == fresh.weights
-                assert a == fresh and hash(a) == hash(fresh)
-                shown = f"MdpAction(name={a.name!r}, source={a.source}, dist={a.dist!r})"
-                assert repr(a) == shown
-                derived += m is not mdp
+        parsed, _ = parse_mdp(model_text(mdp, valuation))
+        for a, b in zip(mdp.actions, parsed.actions, strict=True):
+            assert b == a and b.weights == weights_of(dist(a))
+        product, _ = product_mdp(parsed, valuation, master)
+        index = {name: i for i, name in enumerate(product.states)}
+        for a in product.actions:
+            name, q = a.name.split("@")
+            parent = parsed.actions[action_at(parsed, name)]
+            entered = [
+                (index[f"{parsed.states[t]}@{master.successor(int(q), valuation[t])}"], p)
+                for t, p in dist(parent)
+            ]
+            assert a.weights == weights_of(entered)
+            fresh = MdpAction(a.name, a.source, weights_of(dist(a)))
+            assert a == fresh and hash(a) == hash(fresh)
+            shown = f"MdpAction(name={a.name!r}, source={a.source}, weights={a.weights!r})"
+            assert repr(a) == shown
+            derived += 1
     assert derived >= 500
-    sixth = Fraction(1, 6)
-    # Passed weights are used as given, and equality ignores them.
-    weights = (12, ((0, 2), (1, 10)))
-    action = MdpAction("a", 0, ((0, sixth), (1, 1 - sixth)), weights)
-    assert action.weights == weights and action == MdpAction("a", 0, action.dist)
 
 
 def test_public_constructor_checks_every_distribution():
-    # parse_mdp and the derived MDPs skip this check; Mdp(...) keeps it.
-    half = Fraction(1, 2)
-    for dist, message in (
-        (((0, Fraction(3, 10)), (1, Fraction(3, 10)), (2, Fraction(3, 10))), "sums to 9/10"),
-        (((0, Fraction(1)), (1, Fraction(0))), "non-positive probability"),
-        (((0, Fraction(3, 2)), (1, -half)), "non-positive probability"),
+    # parse_mdp and the product skip this check; Mdp(...) keeps it.
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    for weights, message in (
+        ((10, ((0, 3), (1, 3), (2, 3))), "sums to 9/10"),
+        ((1, ((0, 1), (1, 0))), "non-positive probability"),
+        (weights_of(((0, Fraction(3, 2)), (1, -half))), "non-positive probability"),
+        ((0, ()), "non-positive denominator"),
+        # parse_mdp rejects the same entries as "duplicate target".
+        (weights_of(((1, quarter), (0, half), (1, quarter))), "duplicate target"),
     ):
-        actions = [MdpAction("a", 0, dist), MdpAction("b", 1, ((1, half), (2, half)))]
-        actions.append(MdpAction("c", 2, ((2, Fraction(1)),)))
+        actions = [MdpAction("a", 0, weights), MdpAction("b", 1, (2, ((1, 1), (2, 1))))]
+        actions.append(MdpAction("c", 2, (1, ((2, 1),))))
         with pytest.raises(MdpError, match=message):
             Mdp(["s", "t", "u"], actions, 0)
 
@@ -201,7 +219,7 @@ def test_product_preserves_distributions():
     master = build_master(parse_formula("G F a"))
     product, _ = product_mdp(mdp, valuation, master)
     for action in product.actions:
-        assert sum(p for _, p in action.dist) == 1
+        assert sum(p for _, p in dist(action)) == 1
 
 
 def test_mec_strongly_connected():
@@ -246,7 +264,7 @@ def test_restrict_can_split_mecs():
         "action t b2 : t 1\naction v d2 : v 1\n"
     )
     assert len(mec_decomposition(mdp)) == 1
-    cut = restrict(mdp, [mdp.state_index["u"]])
+    cut = restrict(mdp, [state_at(mdp, "u")])
     mecs = mec_decomposition(mdp, cut)
     assert [component_names(mdp, ec) for ec in mecs] == [(("t",), ("b2",)), (("v",), ("d2",))]
 
@@ -285,7 +303,7 @@ def _shuffle_names(rng, mdp):
     names = [a.name for a in mdp.actions]
     rng.shuffle(states)
     rng.shuffle(names)
-    actions = [MdpAction(name, a.source, a.dist) for name, a in zip(names, mdp.actions)]
+    actions = [MdpAction(name, a.source, a.weights) for name, a in zip(names, mdp.actions)]
     return Mdp(states, actions, mdp.init)
 
 
@@ -298,7 +316,7 @@ def _check_graph_toolkit(rng, mdp):
     mecs = [] if part is None else mec_decomposition(mdp, part)
     assert [component_names(mdp, ec) for ec in mecs] == rescan_mec_decomposition(mdp, states)
     removed = rng.sample(mdp.states, rng.randint(0, n))
-    cut = restrict(mdp, [mdp.state_index[s] for s in removed])
+    cut = restrict(mdp, [state_at(mdp, s) for s in removed])
     oracle = rescan_restrict(mdp, removed)
     if oracle is None:
         assert cut is None
@@ -350,13 +368,13 @@ def test_product_lift_matches_automaton_run():
             action = product.actions[ai]
             u = rng.random()
             acc = Fraction(0)
-            nxt = action.dist[-1][0]
-            for t, p in action.dist:
+            nxt = dist(action)[-1][0]
+            for t, p in dist(action):
                 acc += p
                 if u < acc:
                     nxt = t
                     break
             p_state = nxt
             name = product.states[p_state]
-            s_state = mdp.state_index[name.split("@")[0]]
+            s_state = state_at(mdp, name.split("@")[0])
             q = master.successor(q, valuation[s_state])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as Fr
@@ -7,7 +8,7 @@ import pytest
 
 from freqsynth import simplex
 from freqsynth.dgrma import GbmpCondition, MpBound
-from freqsynth.mdp import draw, draw_table, mec_decomposition, parse_mdp
+from freqsynth.mdp import draw, draw_table, mec_decomposition, parse_mdp, weights_of
 from freqsynth.mecanalysis import (
     EpochSchedule,
     LpSolution,
@@ -22,7 +23,9 @@ from freqsynth.simplex import SimplexError
 
 from helpers import (
     StrategyRunner,
+    action_at,
     assert_flow_row_form,
+    dist,
     enumerate_md_strategies,
     fraction_rows,
     fraction_sample,
@@ -138,7 +141,7 @@ def test_mixed_strict_bounds_fall_back_to_slack_lp():
     ok, sol = accepting_mec(mdp, whole(mdp), cond)
     assert ok
     assert sol.slack == Fr(1, 6)
-    assert sol.flows[0][mdp.action_index["a_st"]] == Fr(1, 2)
+    assert sol.flows[0][action_at(mdp, "a_st")] == Fr(1, 2)
 
 
 def test_accepting_mec_inf_set_check():
@@ -222,7 +225,7 @@ def test_build_lp_matches_rescan_builder():
             assert _typed_rows(fraction_rows(got.rows)) == _typed_rows(want.rows)
             assert (got.num_flows, got.num_vars) == (want.num_flows, want.num_vars)
         assert_flow_row_form(mdp, whole(mdp), cond)
-        cancelled += any(a.dist == ((a.source, 1),) for a in mdp.actions)
+        cancelled += any(dist(a) == ((a.source, 1),) for a in mdp.actions)
     assert cancelled >= 30  # sure self-loops, whose balance entry cancels
 
 
@@ -298,6 +301,32 @@ def test_verify_solution_rejects_tampered_solutions():
     strict = build_lp(mdp, whole(mdp), GbmpCondition(mp_inf=(MpBound(">", Fr(1, 2), q),)))
     with pytest.raises(SimplexError, match="inferior bound"):
         _verify_solution(strict, cycling)
+
+
+def test_verify_solution_reads_the_systems_bounds(monkeypatch):
+    # build_lp reads the condition at the action sources once and keeps it
+    # as LinearSystem.bounds; solving and checking the system read it there.
+    mdp, _ = parse_mdp(
+        "mdp\nstates s t\ninit s\naction s ss : s 1\naction s st : t 1\n"
+        "action t tt : t 1\naction t ts : s 1\n"
+    )
+    cond = GbmpCondition(mp_inf=(MpBound(">=", Fr(1, 2), (Fr(1), Fr(0))),))
+    system = build_lp(mdp, whole(mdp), cond)
+    assert system.bounds == cond.restricted([0, 0, 1, 1]) == (((">=", 2, 1, (2, 2, 0, 0)),), ())
+    calls = []
+    restricted = GbmpCondition.restricted
+
+    def counted(c, states):
+        calls.append(states)
+        return restricted(c, states)
+
+    monkeypatch.setattr(GbmpCondition, "restricted", counted)
+    sol = maximize_margin(system)
+    assert sol is not None and calls == []
+    # A bound the rows do not carry (frequency of t at least 1) fails the check.
+    tampered = dataclasses.replace(system, bounds=(((">=", 1, 1, (0, 0, 1, 1)),), ()))
+    with pytest.raises(SimplexError, match="flow 0 violates inferior bound 0"):
+        _verify_solution(tampered, sol)
 
 
 def test_a_perturbed_vertex_fails_the_row_it_breaks(monkeypatch):
@@ -469,7 +498,7 @@ def test_witness_walk_matches_the_runner_oracle():
                 ai = runner.next_action(state)
                 visited |= runner.plan[0][0] == "visit"
                 assert got == (runner.epoch, state, ai), (k, schedule)
-                state = fraction_sample(mdp.actions[ai].dist, oracle)
+                state = fraction_sample(dist(mdp.actions[ai]), oracle)
             assert ours.random() == oracle.random(), (k, schedule)
             choice_draws += oracle.calls > steps + 1
             two_modes += len(strat.modes) >= 2 and runner.epoch >= 1
@@ -502,10 +531,10 @@ class _FixedDraw:
         return self.u
 
 
-def _random_pairs(rng):
-    """(value, probability) pairs with small, huge or power-of-two
-    denominators; one in eight sums to less than 1, so the last-value
-    fallback runs."""
+def _random_weights(rng):
+    """``(den, ((value, w), ...))`` integer weights with small, huge or
+    power-of-two denominators, not always the least one; one in eight sums
+    to less than ``den``, so the last-value fallback runs."""
     n = rng.randint(1, 5)
     kind = rng.randrange(3)
     if kind == 0:
@@ -520,15 +549,20 @@ def _random_pairs(rng):
         weights[-1] += total - sum(weights)
     if rng.randrange(8) == 0:
         total += rng.randint(1, total)
-    return tuple((v, Fr(w, total)) for v, w in enumerate(weights))
+    return total, tuple(enumerate(weights))
 
 
 def test_integer_sampler_matches_fraction_oracle():
+    # The table is built from integer weights; the oracle compares exact
+    # Fraction sums of the same probabilities with the float draw.
     rng = random.Random(5309)
-    fixed = [((0, Fr(1, 2)), (1, Fr(1, 2))), ((0, Fr(1, 4)), (1, Fr(1, 4)), (2, Fr(1, 2)))]
+    fixed = [(2, ((0, 1), (1, 1))), (4, ((0, 1), (1, 1), (2, 2)))]
     for case in range(400):
-        pairs = fixed[case] if case < len(fixed) else _random_pairs(rng)
-        table = draw_table(pairs)
+        weights = fixed[case] if case < len(fixed) else _random_weights(rng)
+        den = weights[0]
+        pairs = tuple((v, Fr(w, den)) for v, w in weights[1])
+        table = draw_table(weights)
+        assert table == draw_table(weights_of(pairs))  # any common denominator
         seed = rng.randrange(2**32)
         ours, oracle = random.Random(seed), random.Random(seed)
         for _ in range(100):

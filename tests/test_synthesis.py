@@ -17,6 +17,7 @@ from freqsynth.mdp import (
     parse_mdp,
     product_mdp,
     restrict,
+    weights_of,
 )
 from freqsynth.mecanalysis import EpochSchedule, accepting_mec, build_lp, maximize_margin
 from freqsynth.synthesis import (
@@ -35,6 +36,7 @@ from helpers import (
     component_names,
     corpus_formulas,
     dense_max_reach,
+    dist,
     named_max_reach,
     reach_by_name,
     letterwise_build_dgrma,
@@ -49,6 +51,7 @@ from helpers import (
     ruin_mdp,
     reward_of,
     ruin_valuation,
+    state_at,
     time_limit,
     whole,
     WIDE_FORMULA,
@@ -159,7 +162,7 @@ def test_check_selector_rejects_tampered_certificates():
         (s, ai)
         for s in range(len(mdp))
         for ai in mdp.act[s]
-        if sum(p * values[t] for t, p in mdp.actions[ai].dist) < values[s]
+        if sum(p * values[t] for t, p in dist(mdp.actions[ai])) < values[s]
     )
     swapped = list(selector)
     swapped[worse[0]] = worse[1]
@@ -189,14 +192,14 @@ def _coprime_mdp(rng, max_states, max_actions):
             else:
                 pool = range(n)
             targets = sorted(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
-            rest, dist = Fr(1), []
+            rest, entries = Fr(1), []
             for t in targets[:-1]:
                 d = rng.choice(PRIMES)
                 p = rest * Fr(rng.randint(1, d - 1), d)
-                dist.append((t, p))
+                entries.append((t, p))
                 rest -= p
-            dist.append((targets[-1], rest))
-            actions.append(MdpAction(f"a{s}_{k}", s, tuple(dist)))
+            entries.append((targets[-1], rest))
+            actions.append(MdpAction(f"a{s}_{k}", s, weights_of(entries)))
     return Mdp([f"s{i}" for i in range(n)], actions, 0)
 
 
@@ -615,7 +618,6 @@ def test_validating_constructor_accepts_every_derived_mdp():
         for sub in _derived_mdps(mdp, valuation, phi):
             again = Mdp(sub.states, sub.actions, sub.init)
             assert (again.act, again.pre) == (sub.act, sub.pre), phi
-            assert (again.state_index, again.action_index) == (sub.state_index, sub.action_index)
             derived += 1
     assert derived == 2 * len(pool) >= 100
 
@@ -896,7 +898,7 @@ def test_a_flow_rejection_refutes_only_its_sub_components(monkeypatch):
     reward = (Fr(0), Fr(1), Fr(1))  # on u, v, w
     three_quarters = GbmpCondition(mp_inf=(MpBound(">=", Fr(3, 4), reward),))
     above_one = GbmpCondition(mp_sup=(MpBound(">", Fr(1), reward),))
-    without = {name: frozenset({mdp.state_index[name]}) for name in "uvw"}
+    without = {name: frozenset({state_at(mdp, name)}) for name in "uvw"}
     cases = [
         ([(without["w"], three_quarters), (without["u"], three_quarters)], [[], ["v", "w"]]),
         ([(without["w"], three_quarters), (frozenset(), three_quarters)], [[], ["u", "v", "w"]]),
