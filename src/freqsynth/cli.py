@@ -105,7 +105,7 @@ def _load_formula(args) -> Formula:
     if args.formula and args.formula_file:
         raise FormulaError("give either --formula or --formula-file, not both")
     if args.formula_file:
-        with open(args.formula_file, "r", encoding="utf-8") as fh:
+        with open(args.formula_file, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     elif args.formula:
         text = args.formula
@@ -115,7 +115,7 @@ def _load_formula(args) -> Formula:
 
 
 def _load_model(args):
-    with open(args.model, "r", encoding="utf-8") as fh:
+    with open(args.model, "r", encoding="utf-8-sig") as fh:
         return parse_mdp(fh.read())
 
 

@@ -38,10 +38,7 @@ from .mdp import (
     draw,
     draw_table,
     successor_edges,
-    weights_of,
 )
-
-_ZERO = Fraction(0)
 
 
 @dataclass
@@ -61,10 +58,13 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Non-negative flow values: ``flows[i][j]`` is flow i on action column j."""
+    """Non-negative flow values as ``solve_lp`` returns them, int numerators
+    over ``den``: ``flows[i][j] / den`` is flow i on action column j, and
+    ``slack / den`` is ``t`` (0 without it)."""
 
     flows: tuple
-    slack: Fraction
+    slack: int
+    den: int
 
 
 def build_lp(
@@ -133,7 +133,7 @@ def maximize_margin(system: LinearSystem) -> Optional[LpSolution]:
     n_actions = len(system.component.actions)
     t = system.num_flows * n_actions
     objective = {t: 1} if system.num_vars > t else {}
-    status, values, _ = simplex.solve_lp(system.num_vars, system.rows, objective)
+    status, values, den = simplex.solve_lp(system.num_vars, system.rows, objective)
     if status == simplex.INFEASIBLE:
         return None
     if status != simplex.OPTIMAL:
@@ -144,22 +144,21 @@ def maximize_margin(system: LinearSystem) -> Optional[LpSolution]:
         tuple(values[i * n_actions : (i + 1) * n_actions])
         for i in range(system.num_flows)
     )
-    sol = LpSolution(flows, values[t] if objective else _ZERO)
+    sol = LpSolution(flows, values[t] if objective else 0, den)
     if not system.cond.strict() or sol.slack > 0:
         _verify_solution(system, sol)
     return sol
 
 
 def _verify_solution(system: LinearSystem, sol: LpSolution):
-    """Check the solution in integers, over one common denominator of the
-    flows: each flow's sum and balance rows must hold exactly, and each of
-    its bounds must be met, strictly where it is strict, by the flow's
-    reward read from the condition, not from a bound row.  A failure names
-    its flow and its state or bound."""
+    """Check the solution in integers, over its denominator: each flow's sum
+    and balance rows must hold exactly, and each of its bounds must be met,
+    strictly where it is strict, by the flow's reward read from the
+    condition, not from a bound row.  A failure names its flow and its state
+    or bound."""
     mdp, (states, actions) = system.mdp, system.component
-    x = [v for flow in sol.flows for v in flow]
-    scale = lcm(*(v.denominator for v in x))
-    xs = [v.numerator * (scale // v.denominator) for v in x]
+    xs = [v for flow in sol.flows for v in flow]
+    scale = sol.den
     n_actions = len(actions)
     mp_inf, mp_sup = system.bounds
     block = len(system.rows) // system.num_flows  # sum, balance, bound rows
@@ -232,18 +231,19 @@ class EpochSchedule:
 
 @dataclass(frozen=True)
 class ModeClass:
-    """One closed recurrent class of a flow's support; choices in component order."""
+    """One closed recurrent class of a flow's support: ``weight`` is its
+    flow mass and each state's choices are its support actions, in component
+    order, weighted by their flows, all over the solution's denominator."""
 
     states: frozenset
-    weight: Fraction
-    choices: Mapping  # state idx -> tuple of (action idx, Fraction prob)
+    weight: int
+    choices: Mapping  # state idx -> (den, ((action idx, w), ...)), den the sum of the w
     entry_policy: Mapping  # state idx -> action idx steering into the class
 
     @cached_property
     def tables(self) -> dict:
-        """Per state, ``draw_table`` of its choices' weights, built at the
-        first draw."""
-        return {s: draw_table(weights_of(pairs)) for s, pairs in self.choices.items()}
+        """Per state, ``draw_table`` of its choices, built at the first draw."""
+        return {s: draw_table(weights) for s, weights in self.choices.items()}
 
 
 @dataclass(frozen=True)
@@ -267,18 +267,14 @@ def _support_classes(mdp: Mdp, component: Component, flow: tuple) -> list[ModeCl
     classes = []
     for comp in _sccs(sorted(enabled), successor_edges(mdp, [ai for ai, _ in support])):
         comp_set = frozenset(comp)
-        weight = _ZERO
-        choices = {}
-        for si in comp:
-            mass = sum(v for _, v in enabled[si])
-            weight += mass
-            choices[si] = tuple((ai, v / mass) for ai, v in enabled[si])
+        choices = {si: (sum(v for _, v in enabled[si]), tuple(enabled[si])) for si in comp}
+        weight = sum(mass for mass, _ in choices.values())
         entry = attractor_policy(mdp, comp_set, actions)
         classes.append(ModeClass(comp_set, weight, choices, entry))
     # Flow conservation makes every support component closed; check it.
     for cls in classes:
         for si in cls.states:
-            for ai, _ in cls.choices[si]:
+            for ai, _ in cls.choices[si][1]:
                 if any(t not in cls.states for t, _ in mdp.actions[ai].weights[1]):
                     raise MdpError("flow support component is not closed")
     classes.sort(key=lambda c: min(c.states))
@@ -322,7 +318,7 @@ def witness_walk(
         mode = strategy.modes[epoch % len(strategy.modes)]
         planned = schedule.length(epoch)
         total_weight = sum(c.weight for c in mode)
-        shares = [int(planned * c.weight / total_weight) for c in mode]
+        shares = [planned * c.weight // total_weight for c in mode]
         shares[0] += planned - sum(shares)
         for target, policy in strategy.pilgrimage:
             while state != target:
@@ -333,9 +329,8 @@ def witness_walk(
             for _ in range(share):
                 if state not in cls.states:
                     ai = cls.entry_policy[state]
-                elif len(cls.choices[state]) == 1:
-                    ai = cls.choices[state][0][0]
                 else:
-                    ai = draw(cls.tables[state], rng)
+                    pairs = cls.choices[state][1]
+                    ai = pairs[0][0] if len(pairs) == 1 else draw(cls.tables[state], rng)
                 at, state = state, draw(actions[ai].table, rng)
                 yield epoch, at, ai

@@ -1,8 +1,9 @@
 """Two-phase simplex over exact rationals with Bland's anti-cycling rule.
 
-Problem form: maximize a linear objective subject to rows ``coeffs rel rhs``
-with rel in {<=, >=, ==} and all variables non-negative.  One row format
-runs from ``mecanalysis.build_lp`` through the tableau to ``_verify_solution``:
+Problem form: maximize a linear objective with int weights subject to rows
+``coeffs rel rhs``, rel ``==`` or ``>=`` with ``rhs >= 0``, the rows that
+``mecanalysis.build_lp`` emits, and all variables non-negative.  One row
+format runs from ``build_lp`` through the tableau to ``_verify_solution``:
 int numerators over one positive int denominator, exact without a Fraction
 per cell and pivot.  Every row starts basic on its own artificial, a basis
 marker with no column: an artificial that leaves never re-enters, and phase
@@ -11,13 +12,12 @@ runs on the rows that are left.  The pivot row is divided by its gcd on
 every pivot; any other row, and the cost row, only once its denominator
 outgrows ``_REDUCE_BITS``.  Every decision reads signs, zero tests and ratios
 within one row, none of which a positive common factor changes, so the
-pivots are those of a fully reduced tableau.  Only the returned values are
-Fractions.
+pivots are those of a fully reduced tableau.  The values come back as int
+numerators over one common denominator.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
@@ -25,11 +25,8 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-LEQ = "<="
 GEQ = ">="
 EQ = "=="
-
-_ZERO = Fraction(0)
 
 # An updated row is divided by its gcd only when its denominator is longer
 # than this many bits.  A gcd pass after every update (a bound of 0) made the
@@ -48,22 +45,23 @@ class SimplexError(Exception):
 def solve_lp(
     num_vars: int,
     rows: Sequence[tuple[Mapping[int, int], str, int, int]],
-    objective: Mapping[int, int | Fraction],
+    objective: Mapping[int, int],
 ):
-    """Maximize the objective; returns (status, values, objective value).
+    """Maximize the objective; returns (status, values, den).
 
     A row ``(nums, rel, rhs, den)`` reads ``sum(nums[j] * x[j]) / den rel
-    rhs / den``: int numerators and one positive int denominator.  Objective
-    weights are ``int`` or ``Fraction``.  ``values`` has one Fraction per
-    original variable when status is optimal, otherwise None.
+    rhs / den``: int numerators, rel ``==`` or ``>=``, ``rhs >= 0`` and one
+    positive int denominator.  Objective weights are ``int``.  When status is
+    optimal, ``values`` has one int numerator per original variable over the
+    common denominator ``den``, the lcm of the basic values' denominators;
+    otherwise both are None.
     """
-    # Normalize to equality form with slack/surplus columns and b >= 0.  A
-    # row is [numerators, denominator]; cell j stands for nums[j] / den.
-    # Row i starts basic on its artificial, marked total + i in the basis,
-    # and phase one maximizes minus their sum: its reduced cost row is the
-    # sum of the normalized rows, built here over their lcm.
-    n_slack = sum(1 for row in rows if row[1] in (LEQ, GEQ))
-    total = num_vars + n_slack
+    # Equality form with one surplus column per >= row.  A row is
+    # [numerators, denominator]; cell j stands for nums[j] / den.  Row i
+    # starts basic on its artificial, marked total + i in the basis, and
+    # phase one maximizes minus their sum: its reduced cost row is the sum of
+    # the rows, built here over their lcm.
+    total = num_vars + sum(1 for row in rows if row[1] == GEQ)
     m = len(rows)
     lcd = lcm(*(row[3] for row in rows))
     cost_nums = [0] * (total + 1)
@@ -72,31 +70,39 @@ def solve_lp(
     for coeffs, rel, rhs, den in rows:
         if den < 1:
             raise SimplexError(f"row denominator {den} is not positive")
-        sign = -1 if rhs < 0 else 1
-        scale = sign * (lcd // den)
+        if rel != EQ and rel != GEQ:
+            raise SimplexError(f"relation {rel!r} is not == or >=")
+        if rhs < 0:
+            raise SimplexError(f"right-hand side {rhs} is negative")
+        scale = lcd // den
         nums = [0] * (total + 1)
         for j, c in coeffs.items():
             if not 0 <= j < num_vars:
                 raise SimplexError(f"variable index {j} out of range")
-            nums[j] = sign * c
+            nums[j] = c
             cost_nums[j] += scale * c
-        if rel == LEQ or rel == GEQ:
-            nums[slack_idx] = sign * den if rel == LEQ else -sign * den
-            cost_nums[slack_idx] = nums[slack_idx] * (lcd // den)
+        if rel == GEQ:
+            nums[slack_idx] = -den
+            cost_nums[slack_idx] = -lcd
             slack_idx += 1
-        elif rel != EQ:
-            raise SimplexError(f"unknown relation {rel!r}")
-        nums[-1] = sign * rhs
+        nums[-1] = rhs
         cost_nums[-1] += scale * rhs
         tableau.append([nums, den])
+    cost = [[0] * (total + 1), 1]
+    for j, c in objective.items():
+        if type(c) is not int:
+            raise SimplexError(f"objective weight {c!r} is not an int")
+        if not 0 <= j < num_vars:
+            raise SimplexError(f"variable index {j} out of range")
+        cost[0][j] = c
 
     basis = list(range(total, total + m))
-    cost = [cost_nums, lcd]
     # Phase one prices the real columns alone.  Where none prices positive,
     # the cost row is a Farkas certificate: a nonzero objective there proves
     # the rows infeasible.
-    _iterate(tableau, basis, cost)
-    if cost[0][-1] != 0:
+    phase_one = [cost_nums, lcd]
+    _iterate(tableau, basis, phase_one)
+    if phase_one[0][-1] != 0:
         return INFEASIBLE, None, None
     for i in range(m):
         if basis[i] >= total:
@@ -109,22 +115,20 @@ def solve_lp(
     # column (redundant), so it goes.
     tableau = [row for row, b in zip(tableau, basis) if b < total]
     basis = [b for b in basis if b < total]
-    den = lcm(*(c.denominator for c in objective.values()))
-    cost = [[0] * (total + 1), den]
-    for j, c in objective.items():
-        cost[0][j] = c.numerator * (den // c.denominator)
     _reduce_cost(cost, tableau, basis)
-    status = _iterate(tableau, basis, cost)
-    if status == UNBOUNDED:
+    if _iterate(tableau, basis, cost) == UNBOUNDED:
         return UNBOUNDED, None, None
 
-    values = [_ZERO] * num_vars
-    for i, b in enumerate(basis):
+    basic = []
+    for (nums, den), b in zip(tableau, basis):
         if b < num_vars:
-            nums, den = tableau[i]
-            values[b] = Fraction(nums[-1], den)
-    # The maintained z-row holds the negated objective of the current basis.
-    return OPTIMAL, values, Fraction(-cost[0][-1], cost[1])
+            g = gcd(nums[-1], den)
+            basic.append((b, nums[-1] // g, den // g))
+    den = lcm(*(d for _, _, d in basic))
+    values = [0] * num_vars
+    for b, v, d in basic:
+        values[b] = v * (den // d)
+    return OPTIMAL, values, den
 
 
 def _eliminate(row, pivot_row, c, support):

@@ -451,7 +451,7 @@ def simulate_global(
         raise ValueError("episodes must be at least 1")
     rng = random.Random(seed)
     winner_at = [strategy.state_to_winner.get(s) for s in range(len(product))]
-    reach_tables = [None] * len(product)  # draw table of each state's selected action
+    actions, reach = product.actions, strategy.reach
     rewards = []  # per winner, per bound, the float reward of each component state
     for w in strategy.winners:
         states = w.component.states
@@ -464,10 +464,7 @@ def simulate_global(
         state = product.init
         steps = steps_per_episode
         while steps and winner_at[state] is None:
-            table = reach_tables[state]
-            if table is None:
-                table = reach_tables[state] = product.actions[strategy.reach[state]].table
-            state = draw(table, rng)
+            state = draw(actions[reach[state]].table, rng)
             steps -= 1
         if not steps:
             continue

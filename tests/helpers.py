@@ -50,6 +50,14 @@ its MD-strategy BSCCs, one small margin LP per flow block solved with
 ``int_rows`` turns Fraction rows ``(coeffs, rel, rhs)`` into ``solve_lp``'s
 integer rows ``(nums, rel, rhs, den)`` and ``fraction_rows`` turns them back,
 so the Fraction oracles are fed rows that ``build_lp`` did not make.
+``as_fractions`` is the one way back from the integers of the LP path to
+the Fractions that the oracles compute with: a ``solve_lp`` result, an
+``LpSolution``, or a witness ``Strategy`` whose mode classes then hold
+Fraction weights and (action, probability) choices, as ``StrategyRunner``
+and ``stationary_distribution`` read them.
+``assert_witness_keeps_fraction_formulas`` checks a witness's draw tables
+and epoch shares against the Fraction formulas that its integer weights
+replaced.
 ``time_limit`` fails a call that does not return within a number of seconds.
 ``shift``, ``models_at`` and ``models_boolfn`` are lasso helpers that only the
 tests use.  Conditions in the tests are over state indices, as the pipeline
@@ -71,7 +79,7 @@ import random
 import signal
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 
@@ -126,6 +134,7 @@ from freqsynth.mdp import (
     _sccs,
     can_reach,
     mec_decomposition,
+    draw_table,
     restrict,
     weights_of,
 )
@@ -144,7 +153,6 @@ from freqsynth.simplex import (
     EQ,
     GEQ,
     INFEASIBLE,
-    LEQ,
     OPTIMAL,
     UNBOUNDED,
     SimplexError,
@@ -153,6 +161,7 @@ from freqsynth.simplex import (
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
+LEQ = "<="  # a relation that only the Fraction oracle takes
 
 
 def random_fragment_formula(rng, size, atoms, under_g=False):
@@ -364,7 +373,8 @@ def stationary_distribution(mdp, policy, bscc):
     """Exact stationary distribution of the policy chain on one bottom SCC.
 
     ``policy[s]`` is an action index, or a randomized choice given as
-    (action index, probability) pairs, as in ``ModeClass.choices``."""
+    (action index, probability) pairs, as in the ``ModeClass.choices`` of a
+    strategy's ``as_fractions`` form."""
     pos = {s: i for i, s in enumerate(bscc)}
     k = len(bscc)
     rows = []
@@ -517,14 +527,14 @@ def decide_then_maximize_margin(mdp, cond):
     margin = margin_rewrite(rescan_build_lp(mdp, cond))
     n_actions = len(mdp.actions)
     t = system.num_flows * n_actions
-    status, values, _ = solve_lp(margin.num_vars, int_rows(margin.rows), {t: _ONE})
+    status, values, den = solve_lp(margin.num_vars, int_rows(margin.rows), {t: 1})
     if status != OPTIMAL or (cond.strict() and values[t] <= 0):
         return True, sol
     flows = tuple(
         tuple(values[i * n_actions : (i + 1) * n_actions])
         for i in range(system.num_flows)
     )
-    return True, LpSolution(flows, values[t])
+    return True, LpSolution(flows, values[t], den)
 
 
 def component_names(mdp, component):
@@ -712,6 +722,74 @@ def int_rows(rows):
     return out
 
 
+def as_fractions(result):
+    """The integers of the LP path back as the Fractions that the oracles
+    compute with.
+
+    A ``solve_lp`` result ``(status, values, den)`` becomes ``(status,
+    values)``, to compare with ``fraction_solve_lp(...)[:2]``.  An
+    ``LpSolution`` becomes ``(flows, slack)``.  A ``Strategy`` becomes the
+    same strategy with each mode class's ``weight`` its flow mass and its
+    ``choices`` (action, probability) pairs, which ``StrategyRunner`` and
+    ``stationary_distribution`` read."""
+    if isinstance(result, LpSolution):
+        den = result.den
+        flows = tuple(tuple(Fraction(v, den) for v in flow) for flow in result.flows)
+        return flows, Fraction(result.slack, den)
+    if isinstance(result, Strategy):
+        modes = tuple(
+            tuple(
+                replace(
+                    cls,
+                    weight=Fraction(cls.weight, sum(c.weight for c in mode)),
+                    choices={
+                        s: tuple((ai, Fraction(w, den)) for ai, w in pairs)
+                        for s, (den, pairs) in cls.choices.items()
+                    },
+                )
+                for cls in mode
+            )
+            for mode in result.modes
+        )
+        return replace(result, modes=modes)
+    status, values, den = result
+    return status, None if values is None else [Fraction(v, den) for v in values]
+
+
+def assert_witness_keeps_fraction_formulas(strategy, sol, epochs=8):
+    """The witness built from ``sol`` draws and splits its epochs as the
+    Fraction formulas that its integer weights replaced: at each mode state,
+    ``draw_table`` of the choices is that of the probabilities ``v / mass``
+    over the Fraction flows, through ``weights_of``, and in the first epochs
+    of the default and two capped schedules each class's share is ``int(planned
+    * mass / total)`` of its Fraction flow mass.  Returns the number of
+    modes with more than one class."""
+    mdp, component = strategy.mdp, strategy.component
+    flows, _ = as_fractions(sol)
+    multi = 0
+    for flow, mode in zip(flows, strategy.modes):
+        enabled = {}
+        for ai, v in zip(component.actions, flow):
+            if v > 0:
+                enabled.setdefault(mdp.actions[ai].source, []).append((ai, v))
+        masses = []
+        for cls in mode:
+            masses.append(_ZERO)
+            for s in cls.states:
+                mass = sum(v for _, v in enabled[s])
+                probabilities = [(ai, v / mass) for ai, v in enabled[s]]
+                assert cls.tables[s] == draw_table(weights_of(probabilities))
+                masses[-1] += mass
+        total, int_total = sum(masses), sum(cls.weight for cls in mode)
+        for schedule in (EpochSchedule(), EpochSchedule(cap=1), EpochSchedule(cap=7)):
+            for t in range(epochs):
+                planned = schedule.length(t)
+                want = [int(planned * mass / total) for mass in masses]
+                assert [planned * cls.weight // int_total for cls in mode] == want
+        multi += len(mode) > 1
+    return multi
+
+
 def fraction_rows(rows):
     """``solve_lp``'s integer rows back as Fraction rows ``(coeffs, rel, rhs)``,
     keys in their order."""
@@ -765,7 +843,10 @@ def hull_accepts(mdp, cond):
 
 def fraction_solve_lp(num_vars, rows, objective, reenter=False):
     """Two-phase Bland simplex on a dense tableau of Fractions, with the same
-    pivot rules and results as ``freqsynth.simplex.solve_lp``.
+    pivot rules as ``freqsynth.simplex.solve_lp`` and its results as
+    Fractions, plus the objective value: (status, values, value).  It also
+    takes ``LEQ`` rows and negative right-hand sides, which ``solve_lp``
+    refuses, flipping such a row's sign.
 
     The tableau keeps one artificial column per row, but phase one prices
     only the real columns, so an artificial that leaves never re-enters.
@@ -1438,8 +1519,9 @@ class StrategyRunner:
 def named_simulate_global(product, strategy, episodes, steps_per_episode, seed, schedule):
     """``simulate_global`` stepping the product one state at a time: every
     step looks the state up in ``state_to_winner``, reads each reward as a
-    ``Fraction``, draws the successor with ``fraction_sample``, and the
-    pooled sums are keyed by (winner, bound)."""
+    ``Fraction``, draws the successor with ``fraction_sample``, runs each
+    winner's ``as_fractions`` form with ``StrategyRunner``, and the pooled
+    sums are keyed by (winner, bound)."""
     rng = random.Random(seed)
     entered = 0
     pooled_sums: dict = {}
@@ -1452,7 +1534,7 @@ def named_simulate_global(product, strategy, episodes, steps_per_episode, seed, 
             name = product.states[state]
             if runner is None and state in strategy.state_to_winner:
                 winner_idx = strategy.state_to_winner[state]
-                runner = StrategyRunner(strategy.winners[winner_idx], schedule, rng)
+                runner = StrategyRunner(as_fractions(strategy.winners[winner_idx]), schedule, rng)
                 entered += 1
             if runner is None:
                 action = product.actions[strategy.reach[state]]

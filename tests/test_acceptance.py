@@ -33,6 +33,8 @@ from freqsynth.slave import (
 from freqsynth.synthesis import lift_pair, max_reach, synthesize, winning_union
 
 from helpers import (
+    as_fractions,
+    assert_witness_keeps_fraction_formulas,
     chain_bsccs,
     chain_pipeline_probability,
     corpus_formulas,
@@ -294,8 +296,9 @@ def test_witness_classes_mix_to_the_flow_rewards(instance_pool, mixing_pool):
         if not ok:
             continue
         strat = build_witness_strategy(mdp, whole(mdp), sol, cond)
-        for flow, mode in zip(sol.flows, strat.modes):
-            assert sum(cls.weight for cls in mode) == 1, idx
+        assert all(sum(cls.weight for cls in mode) == sol.den for mode in strat.modes), idx
+        flows, _ = as_fractions(sol)
+        for flow, mode in zip(flows, as_fractions(strat).modes):
             pis = [
                 stationary_distribution(mdp, cls.choices, sorted(cls.states))
                 for cls in mode
@@ -310,6 +313,20 @@ def test_witness_classes_mix_to_the_flow_rewards(instance_pool, mixing_pool):
                 assert mixed == own, idx
             modes += 1
     assert modes > 0
+
+
+def test_witness_draws_and_shares_keep_the_fraction_formulas(instance_pool, mixing_pool):
+    # Choices and class weights over the solution's denominator give every
+    # draw table and epoch share of the Fraction flows, multi-class modes
+    # included.
+    witnesses = multi = 0
+    for mdp, cond in instance_pool + mixing_pool:
+        ok, sol = accepting_mec(mdp, whole(mdp), cond)
+        if ok:
+            strat = build_witness_strategy(mdp, whole(mdp), sol, cond)
+            multi += assert_witness_keeps_fraction_formulas(strat, sol)
+            witnesses += 1
+    assert witnesses >= 200 and multi >= 10, (witnesses, multi)
 
 
 def test_one_lp_witness_matches_decide_then_margin(instance_pool):

@@ -9,11 +9,16 @@ import sys
 from pathlib import Path
 
 from freqsynth.dgrma import build_dgrma
-from freqsynth.formula import parse_formula
+from freqsynth.formula import parse_formula, parse_rational
 from freqsynth.mdp import mec_decomposition, parse_mdp, product_mdp, restrict
-from freqsynth.synthesis import lift_pair
+from freqsynth.synthesis import lift_pair, synthesize
 
-from helpers import component_names, rescan_mec_decomposition, rescan_restrict
+from helpers import (
+    assert_witness_keeps_fraction_formulas,
+    component_names,
+    rescan_mec_decomposition,
+    rescan_restrict,
+)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
@@ -85,3 +90,25 @@ def test_lp_solves_per_corpus_stay_pinned(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == solves, name
+
+
+def test_corpus_witnesses_keep_the_fraction_formulas():
+    # Every witness of the corpus, against the solution it was built from:
+    # the first winner on its component, in pair order.
+    witnesses = 0
+    for name in workloads.WORKLOADS:
+        for inst in workloads.corpus(name):
+            mdp, valuation = parse_mdp(inst.model)
+            report = synthesize(
+                mdp, valuation, parse_formula(inst.formula), parse_rational(inst.threshold)
+            )
+            if report.strategy is None:
+                continue
+            sols = {}
+            for winners in report.outcomes:
+                for component, sol in winners:
+                    sols.setdefault(component, sol)
+            for strategy in report.strategy.winners:
+                assert_witness_keeps_fraction_formulas(strategy, sols[strategy.component])
+                witnesses += 1
+    assert witnesses == 214

@@ -256,6 +256,27 @@ def test_a_distribution_that_misses_1_is_a_model_error(tmp_path):
     assert out.stderr == "error: line 6: distribution sums to 99/100, not 1\n"
 
 
+def test_a_byte_order_mark_changes_no_output(tmp_path):
+    # Some editors start a UTF-8 file with U+FEFF.  The model and the
+    # formula file each read the same with it as without it.
+    for bom in ("", "\ufeff"):
+        (tmp_path / f"m{len(bom)}.mdp").write_text(bom + MODEL, encoding="utf-8")
+        (tmp_path / f"f{len(bom)}.txt").write_text(bom + "G{>=1/2,inf} a | F b\n", encoding="utf-8")
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "freqsynth.cli", "synth", "--model",
+             str(tmp_path / f"m{m}.mdp"), "--formula-file",
+             str(tmp_path / f"f{f}.txt"), "--threshold", "1/3"],
+            capture_output=True,
+        )
+        for m, f in ((0, 0), (1, 0), (0, 1))
+    ]
+    plain = runs[0]
+    assert plain.returncode == 0 and b"threshold_met: yes" in plain.stdout
+    for run in runs[1:]:
+        assert (run.returncode, run.stdout, run.stderr) == (0, plain.stdout, b"")
+
+
 def test_simulate_command(model_file):
     out = run_cli("simulate", "--model", model_file, "--formula", "G b",
                   "--steps", "2000", "--seed", "11")

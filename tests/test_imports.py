@@ -75,6 +75,27 @@ def test_boolfn_models_are_read_only_in_boolfn():
     assert not found, found
 
 
+def test_the_lp_path_holds_no_fractions():
+    # ``solve_lp`` returns int numerators over one denominator, and witness
+    # choices keep the flows as integer weights: simplex.py imports nothing
+    # from fractions, and mecanalysis.py never reads ``weights_of``.
+    found = []
+    for node in ast.walk(ast.parse((SRC / "simplex.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            modules = [node.module] if isinstance(node, ast.ImportFrom) else []
+        if any(m.split(".")[0] == "fractions" for m in modules):
+            found.append(f"simplex.py:{node.lineno} fractions")
+    for node in ast.walk(ast.parse((SRC / "mecanalysis.py").read_text(encoding="utf-8"))):
+        names = [getattr(node, "id", None), getattr(node, "attr", None)]
+        if isinstance(node, ast.ImportFrom):
+            names += [alias.name for alias in node.names]
+        if "weights_of" in names:
+            found.append(f"mecanalysis.py:{node.lineno} weights_of")
+    assert not found, found
+
+
 def test_benchmark_hooks_resolve():
     # bench/spans.py wraps each HOOKS name in its module when it traces a
     # run; a renamed or removed function, or a name that no longer refers to

@@ -24,6 +24,7 @@ from freqsynth.simplex import SimplexError
 from helpers import (
     StrategyRunner,
     action_at,
+    as_fractions,
     assert_flow_row_form,
     dist,
     enumerate_md_strategies,
@@ -56,7 +57,7 @@ def test_forced_self_loop_feasibility():
     mdp = _single_loop()
     feasible = GbmpCondition(mp_inf=(MpBound(">=", Fr(1), (Fr(1),)),))
     sol = maximize_margin(build_lp(mdp, whole(mdp), feasible, margin=False))
-    assert sol is not None and sol.flows == ((1,),)
+    assert sol == LpSolution(((1,),), 0, 1)
     impossible = GbmpCondition(mp_inf=(MpBound(">=", Fr(2), (Fr(1),)),))
     assert maximize_margin(build_lp(mdp, whole(mdp), impossible, margin=False)) is None
     assert maximize_margin(build_lp(mdp, whole(mdp), impossible)) is None
@@ -69,7 +70,8 @@ def test_alternating_cycle_flow():
     sol = maximize_margin(build_lp(mdp, whole(mdp), cond, margin=False))
     assert sol is not None
     # One flow over the actions a_st, b_ts, b_tt, in that order.
-    assert sol.flows == ((Fr(1, 2), Fr(1, 2), 0),)
+    assert sol == LpSolution(((1, 1, 0),), 0, 2)
+    assert as_fractions(sol) == (((Fr(1, 2), Fr(1, 2), 0),), 0)
 
 
 def test_flow_block_shapes():
@@ -140,8 +142,9 @@ def test_mixed_strict_bounds_fall_back_to_slack_lp():
     assert maximize_margin(build_lp(mdp, whole(mdp), cond)).slack == 0
     ok, sol = accepting_mec(mdp, whole(mdp), cond)
     assert ok
-    assert sol.slack == Fr(1, 6)
-    assert sol.flows[0][action_at(mdp, "a_st")] == Fr(1, 2)
+    flows, slack = as_fractions(sol)
+    assert slack == Fr(1, 6)
+    assert flows[0][action_at(mdp, "a_st")] == Fr(1, 2)
 
 
 def test_accepting_mec_inf_set_check():
@@ -283,20 +286,20 @@ def test_verify_solution_rejects_tampered_solutions():
     sol = maximize_margin(inf_system)
     assert sol is not None
     _verify_solution(sup_system, sol)
-    doubled = LpSolution(tuple(tuple(2 * v for v in f) for f in sol.flows), sol.slack)
-    with pytest.raises(SimplexError, match="sums to 2"):
+    doubled = dataclasses.replace(sol, flows=tuple(tuple(2 * v for v in f) for f in sol.flows))
+    with pytest.raises(SimplexError, match="^flow 0 sums to 2$"):
         _verify_solution(inf_system, doubled)
     # Flows over the actions ss, st, tt, ts, in that order.
-    leaking = LpSolution(((Fr(1, 2), Fr(1, 2), 0, 0),), Fr(0))
+    leaking = LpSolution(((1, 1, 0, 0),), 0, 2)
     with pytest.raises(SimplexError, match="unbalanced at s"):
         _verify_solution(inf_system, leaking)
-    stuck_in_t = LpSolution(((0, 0, Fr(1), 0),), Fr(0))
+    stuck_in_t = LpSolution(((0, 0, 1, 0),), 0, 1)
     with pytest.raises(SimplexError, match="inferior bound"):
         _verify_solution(inf_system, stuck_in_t)
     with pytest.raises(SimplexError, match="superior bound"):
         _verify_solution(sup_system, stuck_in_t)
     # Strict bounds are checked strictly: frequency 1/2 of s misses "> 1/2".
-    cycling = LpSolution(((0, Fr(1, 2), 0, Fr(1, 2)),), Fr(0))
+    cycling = LpSolution(((0, 3, 0, 3),), 0, 6)  # any common denominator
     _verify_solution(inf_system, cycling)
     strict = build_lp(mdp, whole(mdp), GbmpCondition(mp_inf=(MpBound(">", Fr(1, 2), q),)))
     with pytest.raises(SimplexError, match="inferior bound"):
@@ -353,9 +356,10 @@ def test_a_perturbed_vertex_fails_the_row_it_breaks(monkeypatch):
     ):
 
         def perturbed(*args, flow1=flow1):
-            status, values, value = real_solve(*args)
-            values[4:8] = map(Fr, flow1)
-            return status, values, value
+            status, values, den = real_solve(*args)
+            values = [4 * v for v in values]  # over 4 * den, a multiple of 4
+            values[4:8] = (int(4 * den * v) for v in flow1)
+            return status, values, 4 * den
 
         monkeypatch.setattr(simplex, "solve_lp", perturbed)
         with pytest.raises(SimplexError, match=f"^{message}$"):
@@ -370,8 +374,7 @@ def test_witness_single_action_deterministic():
     assert len(strat.modes) == 1
     classes = strat.modes[0]
     assert len(classes) == 1
-    ((ai, p),) = classes[0].choices[0]
-    assert p == 1
+    assert classes[0].choices[0] == (1, ((0, 1),))
 
 
 def test_witness_simulation_alternating():
@@ -436,10 +439,11 @@ def _hub_witness(text=HUB):
 
 
 def test_witness_choice_draws_keep_the_fraction_sampler_output():
-    # The hub's choices are hx and hy with 43/136 and 93/136; the dump is
-    # the one the Fraction sampler gave.
+    # The hub's choices are hx and hy with 43/136 and 93/136, written as
+    # flows over the solution's denominator; the dump is the one the
+    # Fraction sampler gave.
     mdp, strat = _hub_witness()
-    assert strat.modes[0][0].choices[0] == ((0, Fr(43, 136)), (1, Fr(93, 136)))
+    assert as_fractions(strat).modes[0][0].choices[0] == ((0, Fr(43, 136)), (1, Fr(93, 136)))
     assert simulate_strategy(strat, 5_000, seed=11).to_text() == HUB_DUMP
 
 
@@ -453,7 +457,7 @@ def test_witness_choices_follow_the_component_action_order():
         "action x xh : h 1\naction h hx : x 1\n"
     )
     assert strat.component.actions == (3, 1, 2, 0)
-    assert strat.modes[0][0].choices[0] == ((3, Fr(43, 136)), (1, Fr(93, 136)))
+    assert as_fractions(strat).modes[0][0].choices[0] == ((3, Fr(43, 136)), (1, Fr(93, 136)))
     assert simulate_strategy(strat, 5_000, seed=11).to_text() == HUB_DUMP
 
 
@@ -482,7 +486,7 @@ def test_witness_walk_matches_the_runner_oracle():
         if not ok:
             continue
         strat = build_witness_strategy(mdp, whole(mdp), sol, cond)
-        choices = [c for mode in strat.modes for cls in mode for c in cls.choices.values()]
+        choices = [c for mode in strat.modes for cls in mode for _, c in cls.choices.values()]
         if len(strat.modes) >= 2 or max(map(len, choices)) >= 2:
             cases.append((mdp, strat, rng.randrange(len(mdp))))
     steps = 2000
@@ -490,7 +494,7 @@ def test_witness_walk_matches_the_runner_oracle():
     for k, (mdp, strat, start) in enumerate(cases):
         for schedule in (EpochSchedule(), EpochSchedule(cap=1), EpochSchedule(cap=7)):
             ours, oracle = random.Random(k), _CountingRandom(k)
-            runner = StrategyRunner(strat, schedule, oracle)
+            runner = StrategyRunner(as_fractions(strat), schedule, oracle)
             walk = witness_walk(strat, schedule, ours, start)
             state = start
             visited = False

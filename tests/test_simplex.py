@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import random
+import re
 import sys
 from fractions import Fraction as Fr
 from pathlib import Path
@@ -16,6 +17,7 @@ from freqsynth.mecanalysis import accepting_mec, build_lp
 from freqsynth.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from freqsynth.synthesis import synthesize
 from helpers import (
+    as_fractions,
     assert_flow_row_form,
     fraction_rows,
     fraction_solve_lp,
@@ -28,50 +30,64 @@ from helpers import (
 
 
 def test_basic_maximization():
-    status, x, value = solve_lp(
-        2,
-        int_rows([({0: Fr(1), 1: Fr(2)}, "<=", Fr(4)), ({0: Fr(1)}, "<=", Fr(3))]),
-        {0: Fr(1), 1: Fr(1)},
-    )
-    assert status == OPTIMAL
-    assert value == Fr(7, 2)
-    assert x == [Fr(3), Fr(1, 2)]
+    # x0 + 2 x1 <= 4 and x0 <= 3, written with the slack columns x2 and x3.
+    leq = int_rows([({0: Fr(1), 1: Fr(2)}, "<=", Fr(4)), ({0: Fr(1)}, "<=", Fr(3))])
+    with pytest.raises(simplex.SimplexError, match="^relation '<=' is not == or >=$"):
+        solve_lp(2, leq, {0: 1, 1: 1})
+    rows = [({0: 1, 1: 2, 2: 1}, "==", 4, 1), ({0: 1, 3: 1}, "==", 3, 1)]
+    result = solve_lp(4, rows, {0: 1, 1: 1})
+    assert result == (OPTIMAL, [6, 1, 0, 0], 2)
+    assert as_fractions(result) == (OPTIMAL, [Fr(3), Fr(1, 2), Fr(0), Fr(0)])
 
 
 def test_infeasible_and_unbounded():
-    status, _, _ = solve_lp(
-        1, int_rows([({0: Fr(1)}, ">=", Fr(2)), ({0: Fr(1)}, "<=", Fr(1))]), {0: Fr(1)}
-    )
-    assert status == INFEASIBLE
-    status, _, _ = solve_lp(1, int_rows([({0: Fr(1)}, ">=", Fr(1))]), {0: Fr(1)})
-    assert status == UNBOUNDED
+    # x0 >= 2 and x0 + x1 == 1, with x1 the slack of x0 <= 1.
+    rows = [({0: 1}, ">=", 2, 1), ({0: 1, 1: 1}, "==", 1, 1)]
+    assert solve_lp(2, rows, {0: 1}) == (INFEASIBLE, None, None)
+    assert solve_lp(1, [({0: 1}, ">=", 1, 1)], {0: 1}) == (UNBOUNDED, None, None)
 
 
 def test_equalities_and_minimization():
     # Minimizing x0 + x1 is maximizing its negation.
-    status, x, value = solve_lp(
-        2,
-        int_rows(
-            [
-                ({0: Fr(1), 1: Fr(1)}, "==", Fr(3)),
-                ({0: Fr(1), 1: Fr(-1)}, ">=", Fr(1)),
-            ]
-        ),
-        {0: Fr(-1), 1: Fr(-1)},
-    )
-    assert status == OPTIMAL and value == Fr(-3)
+    rows = [
+        ({0: Fr(1), 1: Fr(1)}, "==", Fr(3)),
+        ({0: Fr(1), 1: Fr(-1)}, ">=", Fr(1)),
+    ]
+    objective = {0: -1, 1: -1}
+    status, x = as_fractions(solve_lp(2, int_rows(rows), objective))
+    want = fraction_solve_lp(2, rows, objective)
+    assert (status, x) == want[:2] and status == OPTIMAL
+    assert want[2] == -(x[0] + x[1]) == Fr(-3) and x[0] - x[1] >= 1
 
 
 def test_beale_cycling_example_terminates():
+    # Beale's <= rows with the slack columns x4, x5 and x6, and his
+    # objective times 100; the optimum is 100 * 1/20.
     rows = [
-        ({0: Fr(1, 4), 1: Fr(-60), 2: Fr(-1, 25), 3: Fr(9)}, "<=", Fr(0)),
-        ({0: Fr(1, 2), 1: Fr(-90), 2: Fr(-1, 50), 3: Fr(3)}, "<=", Fr(0)),
-        ({2: Fr(1)}, "<=", Fr(1)),
+        ({0: Fr(1, 4), 1: Fr(-60), 2: Fr(-1, 25), 3: Fr(9), 4: Fr(1)}, "==", Fr(0)),
+        ({0: Fr(1, 2), 1: Fr(-90), 2: Fr(-1, 50), 3: Fr(3), 5: Fr(1)}, "==", Fr(0)),
+        ({2: Fr(1), 6: Fr(1)}, "==", Fr(1)),
     ]
-    status, _, value = solve_lp(
-        4, int_rows(rows), {0: Fr(3, 4), 1: Fr(-150), 2: Fr(1, 50), 3: Fr(-6)}
-    )
-    assert status == OPTIMAL and value == Fr(1, 20)
+    objective = {0: 75, 1: -15000, 2: 2, 3: -600}
+    status, x = as_fractions(solve_lp(7, int_rows(rows), objective))
+    assert status == OPTIMAL and sum(c * x[j] for j, c in objective.items()) == 5
+
+
+def _contract_rows(num_vars, rows):
+    """Fraction rows with any relation and sign of rhs as the same
+    polytope in ``solve_lp``'s form: a row with a negative rhs is negated,
+    and a ``<=`` row becomes an ``==`` row with a slack column of its own,
+    numbered from ``num_vars`` on.  Returns (number of columns, rows)."""
+    out = []
+    for coeffs, rel, rhs in rows:
+        if rhs < 0:
+            coeffs, rhs = {j: -c for j, c in coeffs.items()}, -rhs
+            rel = {"<=": ">=", ">=": "<="}.get(rel, rel)
+        if rel == "<=":
+            coeffs, rel = {**coeffs, num_vars: Fr(1)}, "=="
+            num_vars += 1
+        out.append((coeffs, rel, rhs))
+    return num_vars, out
 
 
 def test_solutions_satisfy_constraints_exactly():
@@ -86,16 +102,18 @@ def test_solutions_satisfy_constraints_exactly():
             rel = rng.choice(["<=", ">=", "=="])
             rows.append((coeffs, rel, Fr(rng.randint(-2, 4))))
         rows.append(({j: Fr(1) for j in range(n)}, "<=", Fr(10)))  # keep bounded
-        objective = {j: Fr(rng.randint(-2, 2)) for j in range(n)}
-        status, x, value = solve_lp(n, int_rows(rows), objective)
-        # A row over a multiple of its denominator, and the objective as
-        # ints, give the same result.
+        objective = {j: rng.randint(-2, 2) for j in range(n)}
+        cols, contract = _contract_rows(n, rows)
+        result = solve_lp(cols, int_rows(contract), objective)
+        # A row over a multiple of its denominator gives the same result.
         scaled = [
             ({j: 6 * c for j, c in nums.items()}, rel, 6 * rhs, 6 * den)
-            for nums, rel, rhs, den in int_rows(rows)
+            for nums, rel, rhs, den in int_rows(contract)
         ]
-        int_objective = {j: int(c) for j, c in objective.items()}
-        assert solve_lp(n, scaled, int_objective) == (status, x, value)
+        assert solve_lp(cols, scaled, objective) == result
+        want = fraction_solve_lp(cols, contract, objective)
+        status, x = as_fractions(result)
+        assert (status, x) == want[:2]
         if status != OPTIMAL:
             continue
         assert all(v >= 0 for v in x)
@@ -107,23 +125,31 @@ def test_solutions_satisfy_constraints_exactly():
                 assert lhs >= rhs
             else:
                 assert lhs == rhs
-        assert value == sum(c * x[j] for j, c in objective.items())
+        assert want[2] == sum(c * x[j] for j, c in objective.items())
 
 
 def test_malformed_rows_raise():
-    for rows, message in (
-        ([({0: 1}, "<=", 1, 0)], "row denominator 0 is not positive"),
-        ([({0: 1}, "<=", 1, -2)], "row denominator -2 is not positive"),
-        ([({1: 1}, "<=", 1, 1)], "variable index 1 out of range"),
-        ([({0: 1}, "<", 1, 1)], "unknown relation '<'"),
+    for rows, objective, message in (
+        ([({0: 1}, ">=", 1, 0)], {0: 1}, "row denominator 0 is not positive"),
+        ([({0: 1}, ">=", 1, -2)], {0: 1}, "row denominator -2 is not positive"),
+        ([({1: 1}, ">=", 1, 1)], {0: 1}, "variable index 1 out of range"),
+        ([({0: 1}, ">=", 1, 1)], {1: 1}, "variable index 1 out of range"),
+        ([({0: 1}, "<", 1, 1)], {0: 1}, "relation '<' is not == or >="),
+        ([({0: 1}, "<=", 1, 1)], {0: 1}, "relation '<=' is not == or >="),
+        ([({0: 1}, ">=", 1, 1)], {0: Fr(1, 2)}, "objective weight Fraction(1, 2) is not an int"),
+        ([({0: 1}, ">=", 1, 1)], {0: Fr(1)}, "objective weight Fraction(1, 1) is not an int"),
     ):
-        with pytest.raises(simplex.SimplexError, match=f"^{message}$"):
-            solve_lp(1, rows, {0: 1})
+        with pytest.raises(simplex.SimplexError, match=f"^{re.escape(message)}$"):
+            solve_lp(1, rows, objective)
 
 
-def test_negative_rhs_normalization():
-    status, x, _ = solve_lp(1, int_rows([({0: Fr(-1)}, "<=", Fr(-2))]), {0: Fr(-1)})
-    assert status == OPTIMAL and x[0] == Fr(2)
+def test_negative_rhs_rows_raise():
+    # The flow LPs' rows never have a negative rhs, so the solver flips no
+    # row: -x0 <= -2 is the caller's to write as x0 >= 2.
+    for rel in ("==", ">="):
+        with pytest.raises(simplex.SimplexError, match="^right-hand side -2 is negative$"):
+            solve_lp(1, [({0: -1}, rel, -2, 1)], {0: -1})
+    assert solve_lp(1, [({0: 1}, ">=", 2, 1)], {0: -1}) == (OPTIMAL, [2], 1)
 
 
 def test_bland_tie_break_decides_the_vertex():
@@ -136,8 +162,7 @@ def test_bland_tie_break_decides_the_vertex():
         ({0: Fr(2), 1: Fr(1), 2: Fr(1)}, "==", Fr(1)),
         ({0: Fr(2), 1: Fr(2), 2: Fr(1)}, ">=", Fr(1)),
     ]
-    status, x, value = solve_lp(3, int_rows(rows), {0: Fr(-1)})
-    assert (status, x, value) == (OPTIMAL, [Fr(0), Fr(0), Fr(1)], Fr(0))
+    assert solve_lp(3, int_rows(rows), {0: -1}) == (OPTIMAL, [0, 0, 1], 1)
 
 
 def test_redundant_rows_leave_before_phase_two(monkeypatch):
@@ -159,7 +184,8 @@ def test_redundant_rows_leave_before_phase_two(monkeypatch):
         doubled = rows + [rng.choice(eqs)]
         sizes.clear()
         got = solve_lp(n, int_rows(doubled), objective)
-        assert got == want == fraction_solve_lp(n, doubled, objective)
+        assert got == want
+        assert as_fractions(got) == fraction_solve_lp(n, doubled, objective)[:2]
         if got[0] != INFEASIBLE:
             assert sizes[1] < sizes[0] == len(rows) + 1
             dropped += 1
@@ -192,12 +218,16 @@ def _assert_same_as_oracle(num_vars, rows, objective, ties=None, int_form=None):
         mp.setattr(helpers, "_fraction_pivot", _counted(helpers._fraction_pivot, slow, ties))
         got = solve_lp(num_vars, int_form, objective)
         want = fraction_solve_lp(num_vars, rows, objective)
-    assert got == want
+    assert as_fractions(got) == want[:2]
     assert fast == slow  # the same entering column on every pivot
     return got[0]
 
 
 def _random_lp(rng):
+    """A random LP in ``solve_lp``'s row form, as (number of columns,
+    Fraction rows, int objective): rows drawn with any relation and sign of
+    rhs, in the form of ``_contract_rows``, and an objective over the drawn
+    columns alone, with weights drawn in halves and doubled."""
     n = rng.randint(1, 6)
     rows = []
     for _ in range(rng.randint(1, 6)):
@@ -212,11 +242,11 @@ def _random_lp(rng):
     if rng.random() < 0.5:
         rows.append(({j: Fr(1) for j in range(n)}, "<=", Fr(rng.randint(1, 6))))
     objective = {
-        j: Fr(rng.randint(-3, 3), rng.choice([1, 2])) for j in range(n) if rng.random() < 0.8
+        j: rng.randint(-3, 3) * 2 // rng.choice([1, 2]) for j in range(n) if rng.random() < 0.8
     }
     if rng.random() >= 0.6:  # a minimization: maximize the negated objective
         objective = {j: -c for j, c in objective.items()}
-    return n, rows, objective
+    return (*_contract_rows(n, rows), objective)
 
 
 # Row reduction bounds for the oracle tests: the module's own, 0 (every
@@ -258,7 +288,7 @@ def _flow_lp(mdp, cond, margin=True):
     slack = rescan_build_lp(mdp, cond)
     oracle = margin_rewrite(slack) if margin else slack
     t = system.num_flows * len(mdp.actions)
-    objective = {t: Fr(1)} if system.num_vars > t else {}
+    objective = {t: 1} if system.num_vars > t else {}
     return system.num_vars, oracle.rows, objective, system.rows
 
 
@@ -384,6 +414,8 @@ def _redundant_lps(rng, count):
             continue
         (ca, _, ra), (cb, _, rb) = rng.sample(eqs, 2)
         ka, kb = rng.choice([-2, -1, 1, 2, 3]), rng.choice([-2, -1, 1, 2])
+        if ka * ra + kb * rb < 0:  # the combination with the opposite sign
+            ka, kb = -ka, -kb
         combined = {j: ka * ca.get(j, 0) + kb * cb.get(j, 0) for j in sorted({*ca, *cb})}
         rows.append((combined, "==", ka * ra + kb * rb))
         lps.append((n, rows, objective, int_rows(rows)))
@@ -405,7 +437,7 @@ def test_artificials_that_never_reenter_change_no_result():
     for name, lps in pools.items():
         for num_vars, rows, objective, int_form in lps:
             want, _, reentry = _reentry_rule(num_vars, rows, objective)
-            assert solve_lp(num_vars, int_form, objective) == want, name
+            assert as_fractions(solve_lp(num_vars, int_form, objective)) == want[:2], name
             if reentry:
                 reentered["infeasible" if want[0] == INFEASIBLE else "feasible"] += 1
     assert reentered["feasible"] >= 10 and reentered["infeasible"] >= 100, reentered
@@ -453,7 +485,7 @@ def test_infeasible_corpus_solves_stop_earlier():
             mp.setattr(simplex, "_pivot", _counted(simplex._pivot, columns))
             got = solve_lp(num_vars, rows, objective)
         want, pivots, _ = _reentry_rule(num_vars, fraction_rows(rows), objective)
-        assert got == want
+        assert as_fractions(got) == want[:2]
         if got[0] == INFEASIBLE:
             assert len(columns) <= pivots
             fewer += len(columns) < pivots
