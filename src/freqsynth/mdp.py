@@ -1,9 +1,8 @@
 """Markov decision processes with exact rational transition probabilities,
-and the exact sampler that simulations draw their successors with."""
+and the exact draw tables that simulations draw their successors from."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -31,7 +30,8 @@ class MdpAction:
 
     @cached_property
     def table(self) -> tuple:
-        """``draw_table(self.weights)``, built at the first draw."""
+        """``draw_table(self.weights)``, built when the first step record that
+        takes the action is compiled."""
         return draw_table(self.weights)
 
 
@@ -43,13 +43,15 @@ def weights_of(pairs: Sequence) -> tuple:
 
 
 def draw_table(weights: tuple) -> tuple:
-    """Sampling table of ``(den, ((value, w), ...))`` integer weights for
-    ``draw``.
+    """Sampling table of ``(den, ((value, w), ...))`` integer weights: a
+    draw ``u = random()`` picks the first value whose cumulative probability
+    exceeds ``u``.
 
     ``random()`` returns ``k / 2**53`` for an integer ``k``, so ``u < cum /
     den`` holds exactly when ``k < ceil(cum * 2**53 / den)``.  The table
     holds the values, with the last one repeated as the fallback, and those
-    ceilings of the cumulative weights ``cum``.
+    ceilings of the cumulative weights ``cum``; a walk draws from it inline
+    as ``values[bisect_right(thresholds, int(random() * 2.0**53))]``.
     """
     den, pairs = weights
     thresholds = []
@@ -59,13 +61,6 @@ def draw_table(weights: tuple) -> tuple:
         thresholds.append(-((-cum << 53) // den))
     values = tuple(v for v, _ in pairs)
     return values + values[-1:], tuple(thresholds)
-
-
-def draw(table: tuple, rng) -> object:
-    """One value from a ``draw_table``, with one ``rng.random()``: the first
-    whose cumulative probability exceeds the draw, compared exactly."""
-    values, thresholds = table
-    return values[bisect_right(thresholds, int(rng.random() * 2.0**53))]
 
 
 class Mdp:

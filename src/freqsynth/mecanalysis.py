@@ -19,6 +19,7 @@ with a pilgrimage through the Inf sets.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -35,7 +36,6 @@ from .mdp import (
     MdpError,
     _sccs,
     attractor_policy,
-    draw,
     draw_table,
     successor_edges,
 )
@@ -240,11 +240,6 @@ class ModeClass:
     choices: Mapping  # state idx -> (den, ((action idx, w), ...)), den the sum of the w
     entry_policy: Mapping  # state idx -> action idx steering into the class
 
-    @cached_property
-    def tables(self) -> dict:
-        """Per state, ``draw_table`` of its choices, built at the first draw."""
-        return {s: draw_table(weights) for s, weights in self.choices.items()}
-
 
 @dataclass(frozen=True)
 class Strategy:
@@ -256,6 +251,43 @@ class Strategy:
     cond: GbmpCondition
     component: Component
     mdp: Mdp = field(compare=False)
+
+    @cached_property
+    def steps(self) -> tuple:
+        """The walk's step records, ``(pilgrimage, modes)``: per pilgrimage
+        target ``(target, (records, compile))`` for its policy, and per mode,
+        per class, ``(records, compile)`` for the class and its entry policy.
+        ``records`` is a list over the MDP's states, None at a state until
+        the walk first reads it and stores ``compile(state)`` there, so a
+        state the walk never reaches compiles nothing.
+
+        A step that takes action ``ai`` is ``(ai, values, thresholds)``, the
+        action's successor ``draw_table`` after it.  A state with a
+        randomized choice is ``(None, values, thresholds)``, the
+        ``draw_table`` of its choice weights whose values are those step
+        records, so one draw gives the action and its successor table.
+        """
+        actions, n = self.mdp.actions, len(self.mdp)
+
+        def step(ai: int) -> tuple:
+            return (ai,) + actions[ai].table
+
+        def policy_steps(policy: Mapping) -> tuple:
+            return [None] * n, lambda s: step(policy[s])
+
+        def class_steps(cls: ModeClass) -> tuple:
+            def compile(s: int) -> tuple:
+                if s not in cls.states:
+                    return step(cls.entry_policy[s])
+                den, pairs = cls.choices[s]
+                if len(pairs) == 1:
+                    return step(pairs[0][0])
+                return (None,) + draw_table((den, tuple((step(ai), w) for ai, w in pairs)))
+
+            return [None] * n, compile
+
+        pilgrimage = tuple((target, policy_steps(policy)) for target, policy in self.pilgrimage)
+        return pilgrimage, tuple(tuple(map(class_steps, mode)) for mode in self.modes)
 
 
 def _support_classes(mdp: Mdp, component: Component, flow: tuple) -> list[ModeClass]:
@@ -309,28 +341,37 @@ def witness_walk(
 
     Epoch t walks to each pilgrimage target in turn, then plays each class
     of mode ``t % len(modes)`` for its share of ``schedule.length(t)`` steps
-    (the rounding remainder goes to the first class).  Each step draws its
-    successor before it is yielded, so a caller that stops after n steps
-    has used exactly n steps' draws.
+    (the rounding remainder goes to the first class).  Each step reads one
+    of ``strategy.steps``' records and draws from it inline: one
+    ``random()`` for a randomized choice, then one for the successor, which
+    is drawn before the step is yielded, so a caller that stops after n
+    steps has used exactly n steps' draws.
     """
-    actions = strategy.mdp.actions
+    random = rng.random
+    pilgrimage, mode_steps = strategy.steps
     for epoch in count():
-        mode = strategy.modes[epoch % len(strategy.modes)]
+        k = epoch % len(mode_steps)
+        mode = strategy.modes[k]
         planned = schedule.length(epoch)
         total_weight = sum(c.weight for c in mode)
         shares = [planned * c.weight // total_weight for c in mode]
         shares[0] += planned - sum(shares)
-        for target, policy in strategy.pilgrimage:
+        for target, (records, compile) in pilgrimage:
             while state != target:
-                ai = policy[state]
-                at, state = state, draw(actions[ai].table, rng)
+                record = records[state]
+                if record is None:
+                    record = records[state] = compile(state)
+                ai, values, thresholds = record
+                at, state = state, values[bisect_right(thresholds, int(random() * 2.0**53))]
                 yield epoch, at, ai
-        for cls, share in zip(mode, shares):
+        for (records, compile), share in zip(mode_steps[k], shares):
             for _ in range(share):
-                if state not in cls.states:
-                    ai = cls.entry_policy[state]
-                else:
-                    pairs = cls.choices[state][1]
-                    ai = pairs[0][0] if len(pairs) == 1 else draw(cls.tables[state], rng)
-                at, state = state, draw(actions[ai].table, rng)
+                record = records[state]
+                if record is None:
+                    record = records[state] = compile(state)
+                if record[0] is None:
+                    _, values, thresholds = record
+                    record = values[bisect_right(thresholds, int(random() * 2.0**53))]
+                ai, values, thresholds = record
+                at, state = state, values[bisect_right(thresholds, int(random() * 2.0**53))]
                 yield epoch, at, ai

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
 from math import gcd
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Optional
 
 from .dgrma import Dgrma, GbmpCondition, GrmpPair, build_dgrma
@@ -27,7 +30,6 @@ from .mdp import (
     Mdp,
     MdpError,
     can_reach,
-    draw,
     mec_decomposition,
     product_mdp,
     restrict,
@@ -41,6 +43,7 @@ from .mecanalysis import (
 )
 
 _ZERO = Fraction(0)
+_CHUNK = 4096  # witness steps whose states simulate_global holds at once
 
 
 class SynthesisError(Exception):
@@ -431,6 +434,19 @@ class GlobalSimulation:
         return "\n".join(lines) + "\n"
 
 
+def _reward_lists(winner, n: int) -> list:
+    """Per bound of the winner's condition, its float reward at each of
+    the ``n`` product states, 0 outside the winner's component."""
+    states = winner.component.states
+    vecs = []
+    for _, den, _, nums in sum(winner.cond.restricted(states), ()):
+        vec = [0.0] * n
+        for s, num in zip(states, nums):
+            vec[s] = num / den
+        vecs.append(vec)
+    return vecs
+
+
 def simulate_global(
     product: Mdp,
     strategy: GlobalStrategy,
@@ -443,40 +459,50 @@ def simulate_global(
 
     An episode follows the reachability selector until it meets a winner's
     state, then runs that winner's witness, which steps the product inside
-    the winner's component.
+    the winner's component.  The selector's steps read a per-state list
+    of its actions' successor tables, filled at first read, and draw from
+    them inline as ``witness_walk`` does.  Each bound's float rewards are
+    summed in step order, a chunk of the walk's states at a time.
     """
     if steps_per_episode < 1:
         raise ValueError("steps must be at least 1")
     if episodes < 1:
         raise ValueError("episodes must be at least 1")
     rng = random.Random(seed)
+    random_ = rng.random
     winner_at = [strategy.state_to_winner.get(s) for s in range(len(product))]
     actions, reach = product.actions, strategy.reach
-    rewards = []  # per winner, per bound, the float reward of each component state
-    for w in strategy.winners:
-        states = w.component.states
-        bounds = sum(w.cond.restricted(states), ())
-        rewards.append([{s: n / den for s, n in zip(states, nums)} for _, den, _, nums in bounds])
-    pooled_sums = [[0.0] * len(vecs) for vecs in rewards]
-    pooled_steps = [0] * len(rewards)
+    successors = [None] * len(product)  # the selector's successor tables, read lazily
+    rewards = [None] * len(strategy.winners)  # per winner, per bound, per state
+    pooled_sums = [[0.0] * len(w.cond.mp_inf + w.cond.mp_sup) for w in strategy.winners]
+    pooled_steps = [0] * len(strategy.winners)
     entered = 0
     for _ in range(episodes):
         state = product.init
         steps = steps_per_episode
         while steps and winner_at[state] is None:
-            state = draw(actions[reach[state]].table, rng)
+            table = successors[state]
+            if table is None:
+                table = successors[state] = actions[reach[state]].table
+            values, thresholds = table
+            state = values[bisect_right(thresholds, int(random_() * 2.0**53))]
             steps -= 1
         if not steps:
             continue
         entered += 1
         w_idx = winner_at[state]
         winner = strategy.winners[w_idx]
-        sums, vecs = pooled_sums[w_idx], rewards[w_idx]
+        vecs = rewards[w_idx]
+        if vecs is None:
+            vecs = rewards[w_idx] = _reward_lists(winner, len(product))
+        sums = pooled_sums[w_idx]
         pooled_steps[w_idx] += steps
         walk = witness_walk(winner, schedule, rng, state)
-        for _, state, _ in islice(walk, steps):
+        while steps:
+            visited = list(map(itemgetter(1), islice(walk, min(steps, _CHUNK))))
+            steps -= len(visited)
             for k, vec in enumerate(vecs):
-                sums[k] += vec[state]
+                sums[k] = reduce(add, map(vec.__getitem__, visited), sums[k])
 
     mp_pooled = []
     for w_idx, winner in enumerate(strategy.winners):

@@ -36,10 +36,16 @@ tests state their claims with.
 step up by product state and action name; ``simulate_global`` now maps the
 entry state to its component once per episode.  ``fraction_sample`` is the
 sampler that compared exact ``Fraction`` sums with the float draw, which the
-integer tables of ``freqsynth.mdp.draw`` replaced; ``named_simulate_global``
-draws with it.  ``StrategyRunner`` is the task-list interpreter of the
-witness that ``freqsynth.mecanalysis.witness_walk`` replaced; it picks
-choices with ``fraction_sample``, and ``named_simulate_global`` steps it.
+integer tables of ``freqsynth.mdp.draw_table`` replaced;
+``named_simulate_global`` draws with it.  ``draw`` is the sampler that read
+a ``draw_table`` once per call, before the walks compiled their step records
+and drew from them inline; it is the reference that the inline draws are
+compared with.  ``FixedDraw`` is an rng whose every ``random()`` is one
+chosen value, and ``edge_draws`` lists the values on both sides of each
+threshold of some draw tables, which seeded draws almost never meet.
+``StrategyRunner`` is the task-list interpreter of the witness that
+``freqsynth.mecanalysis.witness_walk`` replaced; it picks choices with
+``fraction_sample``, and ``named_simulate_global`` steps it.
 ``simulate_strategy`` runs one witness alone from the first state of its
 component and returns ``SimulationStats`` (epoch lengths, Inf-set visits, prefix
 averages); it is an instrument for the witness tests, which the CLI's
@@ -55,9 +61,9 @@ the Fractions that the oracles compute with: a ``solve_lp`` result, an
 ``LpSolution``, or a witness ``Strategy`` whose mode classes then hold
 Fraction weights and (action, probability) choices, as ``StrategyRunner``
 and ``stationary_distribution`` read them.
-``assert_witness_keeps_fraction_formulas`` checks a witness's draw tables
-and epoch shares against the Fraction formulas that its integer weights
-replaced.
+``assert_witness_keeps_fraction_formulas`` checks a witness's compiled
+choice tables and epoch shares against the Fraction formulas that its
+integer weights replaced.
 ``time_limit`` fails a call that does not return within a number of seconds.
 ``shift``, ``models_at`` and ``models_boolfn`` are lasso helpers that only the
 tests use.  Conditions in the tests are over state indices, as the pipeline
@@ -77,6 +83,7 @@ import itertools
 import math
 import random
 import signal
+from bisect import bisect_right
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -758,27 +765,40 @@ def as_fractions(result):
 
 def assert_witness_keeps_fraction_formulas(strategy, sol, epochs=8):
     """The witness built from ``sol`` draws and splits its epochs as the
-    Fraction formulas that its integer weights replaced: at each mode state,
-    ``draw_table`` of the choices is that of the probabilities ``v / mass``
-    over the Fraction flows, through ``weights_of``, and in the first epochs
-    of the default and two capped schedules each class's share is ``int(planned
-    * mass / total)`` of its Fraction flow mass.  Returns the number of
-    modes with more than one class."""
+    Fraction formulas that its integer weights replaced: at each mode state
+    its compiled step record takes its one action without a draw, or draws
+    from the ``draw_table`` of the probabilities ``v / mass`` over the
+    Fraction flows, through ``weights_of``, and every step record carries
+    its action's successor table.  In the first epochs of the default and
+    two capped schedules each class's share is ``int(planned * mass /
+    total)`` of its Fraction flow mass.  Returns the number of modes with
+    more than one class."""
     mdp, component = strategy.mdp, strategy.component
     flows, _ = as_fractions(sol)
     multi = 0
-    for flow, mode in zip(flows, strategy.modes):
+    for flow, mode, records in zip(flows, strategy.modes, strategy.steps[1]):
         enabled = {}
         for ai, v in zip(component.actions, flow):
             if v > 0:
                 enabled.setdefault(mdp.actions[ai].source, []).append((ai, v))
         masses = []
-        for cls in mode:
+        for cls, (_, compile) in zip(mode, records):
             masses.append(_ZERO)
             for s in cls.states:
                 mass = sum(v for _, v in enabled[s])
                 probabilities = [(ai, v / mass) for ai, v in enabled[s]]
-                assert cls.tables[s] == draw_table(weights_of(probabilities))
+                record = compile(s)
+                if len(probabilities) == 1:
+                    steps = [record]
+                    assert record[0] == probabilities[0][0]
+                else:
+                    choice, values, thresholds = record
+                    steps = values
+                    table = (tuple(step[0] for step in values), thresholds)
+                    assert choice is None
+                    assert table == draw_table(weights_of(probabilities))
+                for ai, *successors in steps:
+                    assert tuple(successors) == draw_table(mdp.actions[ai].weights)
                 masses[-1] += mass
         total, int_total = sum(masses), sum(cls.weight for cls in mode)
         for schedule in (EpochSchedule(), EpochSchedule(cap=1), EpochSchedule(cap=7)):
@@ -1454,6 +1474,34 @@ def scan_lift_pair(pair, product, automaton_component):
         for b in pair.cond.mp_inf + pair.cond.mp_sup
     )
     return fin, infs, rewards
+
+
+class FixedDraw:
+    """An rng whose ``random()`` always returns one chosen float ``u``, and
+    counts its calls."""
+
+    def __init__(self, u):
+        self.u = u
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return self.u
+
+
+def edge_draws(tables) -> list:
+    """The draws on both sides of every threshold ``k`` of the given
+    ``draw_table``s: ``(k - 1) / 2**53``, the largest draw below it, and
+    ``k / 2**53``, the least at or above it (below 1)."""
+    edges = {e for _, thresholds in tables for k in thresholds for e in (k - 1, k)}
+    return sorted(k / 2**53 for k in edges if k < 2**53)
+
+
+def draw(table: tuple, rng) -> object:
+    """One value from a ``draw_table``, with one ``rng.random()``: the first
+    whose cumulative probability exceeds the draw, compared exactly."""
+    values, thresholds = table
+    return values[bisect_right(thresholds, int(rng.random() * 2.0**53))]
 
 
 def fraction_sample(pairs, rng):

@@ -6,9 +6,11 @@ from itertools import islice
 
 import pytest
 
+import freqsynth.mdp
+import freqsynth.mecanalysis
 from freqsynth import simplex
 from freqsynth.dgrma import GbmpCondition, MpBound
-from freqsynth.mdp import draw, draw_table, mec_decomposition, parse_mdp, weights_of
+from freqsynth.mdp import draw_table, mec_decomposition, parse_mdp, weights_of
 from freqsynth.mecanalysis import (
     EpochSchedule,
     LpSolution,
@@ -20,13 +22,17 @@ from freqsynth.mecanalysis import (
     witness_walk,
 )
 from freqsynth.simplex import SimplexError
+from freqsynth.synthesis import GlobalStrategy, simulate_global
 
 from helpers import (
+    FixedDraw,
     StrategyRunner,
     action_at,
     as_fractions,
     assert_flow_row_form,
     dist,
+    draw,
+    edge_draws,
     enumerate_md_strategies,
     fraction_rows,
     fraction_sample,
@@ -510,6 +516,87 @@ def test_witness_walk_matches_the_runner_oracle():
     assert min(choice_draws, two_modes, pilgrimages) >= 10
 
 
+def _witness_tables(strat):
+    """Every draw table a walk of the witness reads: the successor table of
+    each component action and the table of each randomized choice."""
+    actions = strat.mdp.actions
+    tables = [draw_table(actions[ai].weights) for ai in strat.component.actions]
+    for mode in strat.modes:
+        for cls in mode:
+            tables += [draw_table(c) for c in cls.choices.values() if len(c[1]) > 1]
+    return tables
+
+
+def test_walk_draws_at_threshold_edges_match_the_runner():
+    # Every draw of a run is one fixed value next to a threshold k of a
+    # successor or choice table: (k - 1) / 2**53 stays on the value whose
+    # cumulative weight k closes and k / 2**53 moves past it, as the
+    # runner's Fraction sums decide.  Seeded draws almost never land there.
+    # After each step both have drawn equally often.
+    rng = random.Random(4242)
+    cases = [_hub_witness() + (0,)]
+    while len(cases) < 6:
+        mdp = random_strongly_connected_mdp(rng, 4, 3)
+        cond = _random_condition(rng, mdp)
+        ok, sol = accepting_mec(mdp, whole(mdp), cond)
+        if not ok:
+            continue
+        strat = build_witness_strategy(mdp, whole(mdp), sol, cond)
+        if len(_witness_tables(strat)) > len(strat.component.actions):
+            cases.append((mdp, strat, rng.randrange(len(mdp))))
+    on_edge = {"choice": 0, "successor": 0}
+    for k, (mdp, strat, start) in enumerate(cases):
+        for u in edge_draws(_witness_tables(strat)):
+            for schedule in (EpochSchedule(cap=1), EpochSchedule(cap=7)):
+                ours, oracle = FixedDraw(u), FixedDraw(u)
+                runner = StrategyRunner(as_fractions(strat), schedule, oracle)
+                walk = witness_walk(strat, schedule, ours, start)
+                state = start
+                for got in islice(walk, 120):
+                    ai = runner.next_action(state)
+                    assert got == (runner.epoch, state, ai), (k, u, schedule)
+                    kind, task = runner.plan[0]
+                    choices = task[0].choices.get(state, ()) if kind == "play" else ()
+                    if len(choices) > 1:
+                        on_edge["choice"] += u * 2**53 in draw_table(weights_of(choices))[1]
+                    table = draw_table(mdp.actions[ai].weights)
+                    on_edge["successor"] += u * 2**53 in table[1]
+                    state = fraction_sample(dist(mdp.actions[ai]), oracle)
+                    assert ours.calls == oracle.calls, (k, u, schedule)
+    assert min(on_edge.values()) >= 100, on_edge
+
+
+def test_simulation_builds_each_table_once(monkeypatch):
+    # A long run reads compiled records: it builds one successor table per
+    # action it takes and one choice table per choice state it draws at,
+    # none per step, per epoch or per episode.  The first episode alone
+    # touches every action and the choice at h.
+    mdp, strat = _hub_witness()
+    _, twin = _hub_witness()
+    touched = list(islice(witness_walk(twin, EpochSchedule(), random.Random(5), mdp.init), 25_000))
+    visited = {s for _, s, _ in touched}
+    choice_states = sum(
+        len(c[1]) > 1 and s in visited
+        for mode in twin.modes
+        for cls in mode
+        for s, c in cls.choices.items()
+    )
+    bound = len({ai for _, _, ai in touched}) + choice_states
+    built = []
+
+    def counting_draw_table(weights):
+        built.append(weights)
+        return draw_table(weights)
+
+    monkeypatch.setattr(freqsynth.mdp, "draw_table", counting_draw_table)
+    monkeypatch.setattr(freqsynth.mecanalysis, "draw_table", counting_draw_table)
+    reach = [acts[0] for acts in mdp.act]
+    glob = GlobalStrategy(reach, [strat], dict.fromkeys(strat.component.states, 0))
+    simulate_global(mdp, glob, 4, 25_000, 5)
+    assert choice_states == 1 and bound == 5
+    assert 0 < len(built) <= bound
+
+
 def test_schedule_cap():
     sched = EpochSchedule(cap=5_000)
     assert [sched.length(t) for t in range(4)] == [100, 3_200, 5_000, 5_000]
@@ -523,16 +610,6 @@ def test_schedule_cap():
         cond = GbmpCondition(mp_inf=(MpBound(">=", Fr(1), (Fr(1),)),))
         _, sol = accepting_mec(mdp, whole(mdp), cond)
         simulate_strategy(build_witness_strategy(mdp, whole(mdp), sol, cond), 0, seed=1)
-
-
-class _FixedDraw:
-    """An rng whose ``random()`` always returns one chosen float."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
 
 
 def _random_weights(rng):
@@ -581,4 +658,4 @@ def test_integer_sampler_matches_fraction_oracle():
             for k in {math.floor(edge) - 1, math.floor(edge), math.ceil(edge), math.ceil(edge) + 1}:
                 if 0 <= k < 2**53:
                     u = k / 2**53
-                    assert draw(table, _FixedDraw(u)) == fraction_sample(pairs, _FixedDraw(u))
+                    assert draw(table, FixedDraw(u)) == fraction_sample(pairs, FixedDraw(u))

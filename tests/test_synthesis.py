@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as Fr
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,6 +16,7 @@ from freqsynth.mdp import (
     MdpError,
     mec_decomposition,
     parse_mdp,
+    draw_table,
     product_mdp,
     restrict,
     weights_of,
@@ -30,13 +32,16 @@ from freqsynth.synthesis import (
     winning_union,
 )
 
+import helpers
 from helpers import (
+    FixedDraw,
     assert_flow_row_form,
     chain_pipeline_probability,
     component_names,
     corpus_formulas,
     dense_max_reach,
     dist,
+    edge_draws,
     named_max_reach,
     reach_by_name,
     letterwise_build_dgrma,
@@ -558,6 +563,66 @@ def test_simulation_matches_the_name_keyed_oracle():
             capped_differs += texts[0] != texts[1]
     assert min(before, never, two_winners) >= 10
     assert capped_differs >= 5  # the schedule reaches the witness
+
+
+def _hub_model(go, hy):
+    """A lead-in state s that moves to the hub h with probability ``go``,
+    listed first, and stays otherwise; from h, ``hx`` goes to x and ``hy``
+    to y with probability ``hy`` or back to h, and x and y return to h.
+    Bounds on both labels make the witness draw at h."""
+    return parse_mdp(
+        "mdp\nstates s h x y\ninit s\nlabel x a\nlabel y b\n"
+        f"action s go : h {go} , s {1 - go}\n"
+        f"action h hx : x 1\naction h hy : y {hy} , h {1 - hy}\n"
+        "action x xh : h 1\naction y yh : h 1\n"
+    )
+
+
+def test_simulation_draws_at_threshold_edges_match_the_oracle(monkeypatch):
+    # Both simulators take every draw from one FixedDraw set next to a
+    # threshold of a product action's successor table or a witness's choice
+    # table, so the fork, the lead-in, the rings and the hub's choices are
+    # drawn exactly on and just below their edges.
+    rng = random.Random(6161)
+    formulas = [
+        parse_formula(t)
+        for t in (
+            "G{>=1/2,inf} a | G{>=1/2,sup} b",
+            "G{>=1/3,sup} a & G{>=1/3,sup} b",
+            "G{>=1/5,inf} a & G{>=1/7,inf} b & G F a",
+        )
+    ]
+    models = [_fork_model(rng) + (formulas[k % 2],) for k in range(24)]
+    hubs = ((Fr(3, 4), Fr(1, 3)), (Fr(7, 8), Fr(2, 5)), (Fr(5, 6), Fr(3, 5)), (Fr(2, 3), Fr(1, 2)))
+    models += [_hub_model(go, hy) + (formulas[2],) for go, hy in hubs]
+    reports = [synthesize(mdp, valuation, phi, Fr(0)) for mdp, valuation, phi in models]
+    cases = []
+    for report in reports:
+        if report.strategy is None:
+            continue
+        choices = [
+            draw_table(c)
+            for winner in report.strategy.winners
+            for mode in winner.modes
+            for cls in mode
+            for c in cls.choices.values()
+            if len(c[1]) > 1
+        ]
+        cases.append((report, [draw_table(a.weights) for a in report.product.actions], choices))
+    fixed = FixedDraw(0.0)
+    for module in (freqsynth.synthesis, helpers):
+        monkeypatch.setattr(module, "random", SimpleNamespace(Random=lambda seed: fixed))
+    schedule = EpochSchedule(cap=7)
+    entered = choice_edges = 0
+    for report, successors, choices in cases:
+        for u in edge_draws(successors + choices):
+            fixed.u = u
+            args = (report.product, report.strategy, 2, 90, 0, schedule)
+            got = simulate_global(*args)
+            assert got.to_text() == named_simulate_global(*args).to_text(), u
+            entered += got.entered > 0
+            choice_edges += got.entered > 0 and any(u * 2**53 in t[1] for t in choices)
+    assert len(cases) >= 24 and entered >= 85 and choice_edges >= 4
 
 
 def test_simulate_global_rejects_counts_below_one():
