@@ -252,15 +252,17 @@ def product_mdp(mdp: Mdp, valuation: Valuation, lts: Lts, cap: int = DEFAULT_STA
     order = [start]
     queue = [start]
     actions: list[MdpAction] = []
+    # Each MDP state's letter index, as ``Lts.successor`` reads its label.
+    letter = [lts.letter_index[frozenset(label) & lts.atoms] for label in valuation]
     while queue:
         s, q = queue.pop()
+        row = lts.delta[q]
         for ai in mdp.act[s]:
             action = mdp.actions[ai]
             den, pairs = action.weights
             renumbered = []
             for target, w in pairs:
-                tq = lts.successor(q, valuation[target])
-                key = (target, tq)
+                key = (target, None if row is None else row[letter[target]])
                 ti = index.get(key)
                 if ti is None:
                     if len(order) >= cap:

@@ -29,6 +29,7 @@ from .lts import DEFAULT_STATE_CAP
 from .mdp import (
     Mdp,
     MdpError,
+    attractor_policy,
     can_reach,
     mec_decomposition,
     product_mdp,
@@ -189,14 +190,15 @@ def _sparse_solve(rows: list, rhs: list) -> tuple[list, int]:
     return solved, scale
 
 
-def _evaluate_policy(mdp: Mdp, policy: list, target: set) -> tuple[list, int]:
+def _evaluate_policy(mdp: Mdp, policy: list, target: set, maybe: list) -> tuple[list, int]:
     """Exact reach probabilities of a memoryless deterministic policy, as
-    integer numerators over one common denominator."""
-    variables = sorted(can_reach(mdp, target, set(policy)) - target)
-    pos = {s: i for i, s in enumerate(variables)}
+    integer numerators over one common denominator.  ``maybe`` lists, in
+    index order, the states outside the target that reach it under the
+    policy; every other state outside the target has value 0."""
+    pos = {s: i for i, s in enumerate(maybe)}
     rows = []
     rhs = []
-    for s in variables:
+    for s in maybe:
         den, pairs = mdp.actions[policy[s]].weights
         row = {pos[s]: den}
         b = 0
@@ -211,7 +213,7 @@ def _evaluate_policy(mdp: Mdp, policy: list, target: set) -> tuple[list, int]:
     values = [0] * len(mdp)
     for s in target:
         values[s] = scale
-    for s, v in zip(variables, solved):
+    for s, v in zip(maybe, solved):
         values[s] = v
     return values, scale
 
@@ -241,36 +243,44 @@ def max_reach(mdp: Mdp, targets: Iterable[int]) -> tuple[dict, list]:
     """Exact maximal reachability probabilities plus an optimal selector: per
     state index, its value and its action index.
 
-    Policy iteration with exact sparse policy evaluation; after the zero
-    states are pinned, any policy-improvement fixpoint is the unique Bellman
-    solution.  Values are integer numerators over the evaluation's common
+    Policy iteration with exact sparse policy evaluation, started from the
+    attractor policy toward the target.  The attractor covers exactly the
+    states whose maximal probability is positive, the maybe-states, and its
+    policy reaches the target from each of them, so the rest are the zero
+    states and the first evaluation already covers every maybe-state.  A
+    strict improvement keeps that: were some maybe-states kept from the
+    target by the improved policy, those of them at the largest value would
+    be closed under it and untouched by the improvement, so the old policy
+    would keep them from the target too.  Each evaluation therefore solves
+    over the same maybe-states, and the improvement fixpoint is the unique
+    Bellman solution.  Values are integer numerators over the evaluation's common
     denominator, and a backup ``sum(w * values[t]) / den`` over an action's
     integer weights is compared by cross-multiplying, so every comparison is
-    exact and the values become ``Fraction`` only in the result.  The
-    selector keeps ``act[s][0]`` on target and zero states.  Every other
-    state takes an optimal action that moves strictly closer to the target:
-    the states join in index-order passes, each once an optimal action has a
-    successor that joined before it, and takes the first such action.  The
-    passes are replayed from ``Mdp.pre`` with a heap, and a linear
-    certificate checks that the selector realizes the values.
+    exact and the values become ``Fraction`` only in the result.  The last
+    improvement scan's backups, taken under the final values, mark the
+    optimal actions.  The selector keeps ``act[s][0]`` on target and zero
+    states.  Every other state takes an optimal action that moves strictly
+    closer to the target: the states join in index-order passes, each once
+    an optimal action has a successor that joined before it, and takes the
+    first such action.  The passes are replayed from ``Mdp.pre`` with a
+    heap, and a linear certificate checks that the selector realizes the
+    values.
     """
     n = len(mdp)
     target = set(targets)
-    # Qualitative pre-pass: states with maximal probability zero.
-    zero = set(range(n)) - can_reach(mdp, target, range(len(mdp.actions)))
-
-    policy = [mdp.act[s][0] for s in range(n)]
-    values, scale = _evaluate_policy(mdp, policy, target)
+    attractor = attractor_policy(mdp, target, range(len(mdp.actions)))
+    maybe = sorted(attractor)
+    policy = [attractor.get(s, act[0]) for s, act in enumerate(mdp.act)]
+    backups = [0] * len(mdp.actions)  # action -> backup numerator, last scan
+    values, scale = _evaluate_policy(mdp, policy, target, maybe)
     for _ in range(64 + 4 * n * max(len(a) for a in mdp.act)):
         improved = False
-        for s in range(n):
-            if s in target or s in zero:
-                continue
+        for s in maybe:
             best_num, best_den = values[s], 1  # best backup is best_num / best_den
             best_ai = None
             for ai in mdp.act[s]:
                 den, pairs = mdp.actions[ai].weights
-                num = sum(w * values[t] for t, w in pairs)
+                num = backups[ai] = sum(w * values[t] for t, w in pairs)
                 if num * best_den > best_num * den:
                     best_num, best_den = num, den
                     best_ai = ai
@@ -279,16 +289,14 @@ def max_reach(mdp: Mdp, targets: Iterable[int]) -> tuple[dict, list]:
                 improved = True
         if not improved:
             break
-        values, scale = _evaluate_policy(mdp, policy, target)
+        values, scale = _evaluate_policy(mdp, policy, target, maybe)
     else:
         raise MdpError("policy iteration failed to converge")
 
-    optimal = [
-        s not in target
-        and s not in zero
-        and sum(w * values[t] for t, w in pairs) == den * values[s]
-        for s, (den, pairs) in ((a.source, a.weights) for a in mdp.actions)
-    ]
+    optimal = [False] * len(mdp.actions)
+    for s in maybe:
+        for ai in mdp.act[s]:
+            optimal[ai] = backups[ai] == mdp.actions[ai].weights[0] * values[s]
     selector = list(policy)
     joined: dict = {}  # state -> (pass, index) it joined at; targets pass 0
     heap = [(0, t) for t in sorted(target)]
@@ -310,7 +318,7 @@ def max_reach(mdp: Mdp, targets: Iterable[int]) -> tuple[dict, list]:
             u = mdp.actions[ai].source
             if optimal[ai] and u not in joined:
                 heapq.heappush(heap, (k + (k == 0 or u < t), u))
-    if len(joined) + len(zero) != n:
+    if len(joined) != len(target) + len(maybe):
         raise MdpError("failed to extract a proper optimal selector")
     _check_selector(mdp, selector, values, scale, target)
 

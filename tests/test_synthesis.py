@@ -184,8 +184,7 @@ def _coprime_mdp(rng, max_states, max_actions):
     """Random MDP whose probabilities have large coprime denominators: each
     entry but the last takes k/d of what is left, d one of ``PRIMES``.  A
     state's first action only moves down and its second moves up by at most
-    two, so from the default policy improvements climb the line one round
-    at a time."""
+    two."""
     n = rng.randint(2, max_states)
     actions = []
     for s in range(n):
@@ -208,17 +207,52 @@ def _coprime_mdp(rng, max_states, max_actions):
     return Mdp([f"s{i}" for i in range(n)], actions, 0)
 
 
-def test_integer_engine_matches_dense_oracle_on_coprime_denominators(monkeypatch):
-    evaluations = []
+def _ladder_mdp(rng, rungs):
+    """Risky-shortcut ladder with coprime probabilities, its states in
+    shuffled index order: below the top rung, each rung x{i} can ``jump``,
+    into the goal with a small probability and into the sink otherwise, or
+    ``step`` up to x{i+1}, and the top rung x{rungs} steps into the goal;
+    a step falls into the sink otherwise.  Every jump has the same chance,
+    below what climbing the whole ladder wins.  The attractor policy jumps
+    from every rung below the top, climbing is optimal, and policy
+    iteration flips one rung per round, from the top down: ``rungs + 1``
+    evaluations."""
+    names = [f"x{i}" for i in range(rungs + 1)] + ["goal", "sink"]
+    rng.shuffle(names)
+    at = {name: k for k, name in enumerate(names)}
+
+    def gamble(name, rung, to, p):
+        return MdpAction(name, at[rung], weights_of(((at[to], p), (at["sink"], 1 - p))))
+
+    chance = Fr(rng.randint(1, 5), rng.choice(PRIMES))
+    actions = []
+    for i in range(rungs + 1):
+        rung = f"x{i}"
+        if i < rungs:
+            actions.append(gamble(f"jump{i}", rung, "goal", chance))
+        up = f"x{i + 1}" if i < rungs else "goal"
+        actions.append(gamble(f"step{i}", rung, up, 1 - Fr(rng.randint(1, 5), rng.choice(PRIMES))))
+    actions += [MdpAction(f"stay_{name}", at[name], (1, ((at[name], 1),))) for name in ("goal", "sink")]
+    return Mdp(names, actions, at["x0"])
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The arguments of every ``_evaluate_policy`` call, in call order."""
+    calls = []
     evaluate = freqsynth.synthesis._evaluate_policy
 
     def counting_evaluate(*args):
-        evaluations.append(args)
+        calls.append(args)
         return evaluate(*args)
 
     monkeypatch.setattr(freqsynth.synthesis, "_evaluate_policy", counting_evaluate)
+    return calls
+
+
+def test_integer_engine_matches_dense_oracle_on_coprime_denominators(evaluations):
     rng = random.Random(1697)
-    three_rounds = zero_states = everything = 0
+    pool = []  # (mdp, target names, evaluations it must take or None)
     for _ in range(400):
         mdp = _coprime_mdp(rng, 9, 3)
         roll = rng.random()
@@ -228,14 +262,33 @@ def test_integer_engine_matches_dense_oracle_on_coprime_denominators(monkeypatch
             target = {mdp.states[-1]}
         else:
             target = set(rng.sample(mdp.states, rng.randint(1, len(mdp) - 1)))
+        pool.append((mdp, target, None))
+    for _ in range(40):
+        rungs = rng.randint(1, 8)
+        pool.append((_ladder_mdp(rng, rungs), {"goal"}, rungs + 1))
+    three_rounds = zero_states = everything = 0
+    for mdp, target, expected in pool:
         evaluations.clear()
         values, selector = named_max_reach(mdp, target)
         assert (values, selector) == dense_max_reach(mdp, target)
         assert list(values) == list(selector) == mdp.states
+        assert expected in (None, len(evaluations))
         three_rounds += len(evaluations) >= 4  # the first evaluation, then one per round
         zero_states += 0 in values.values()
         everything += len(target) == len(mdp)
     assert min(three_rounds, zero_states, everything) >= 20
+
+
+def test_max_reach_evaluates_once_on_ruin_lines_won_at_most_half_the_time(evaluations):
+    # The attractor start is already optimal when a bet is won with
+    # probability at most 1/2; above that, one improvement round remains.
+    for p, most in ((Fr(1, 3), 1), (Fr(2, 5), 1), (Fr(9, 20), 1), (Fr(1, 2), 1),
+                    (Fr(3, 5), 2), (Fr(2, 3), 2), (Fr(4, 5), 2)):
+        for n in (10, 20, 40):
+            for reflecting in (False, True):
+                evaluations.clear()
+                max_reach(ruin_mdp(n, p, reflecting), {n - 1})
+                assert 1 <= len(evaluations) <= most, (p, n, reflecting)
 
 
 def test_max_reach_does_no_fraction_arithmetic(monkeypatch):
