@@ -45,7 +45,8 @@ from .mdp import (
 class LinearSystem:
     """The flow constraints for one component and condition; the column
     after the flows, when there is one, is ``t``.  ``bounds`` is
-    ``cond.restricted`` read at the source of each action."""
+    ``cond.restricted`` read at the source of each action, and ``start`` the
+    ``solve_lp`` start basis of each flow block, or ``()``."""
 
     mdp: Mdp
     component: Component
@@ -54,6 +55,7 @@ class LinearSystem:
     num_vars: int
     rows: list
     bounds: tuple
+    start: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,20 @@ def build_lp(
             rows.append(bound_row(base, bound))
         if mp_sup:
             rows.append(bound_row(base, mp_sup[i]))
-    return LinearSystem(mdp, component, cond, n_flows, t + 1 if has_t else t, rows, bounds)
+    if not has_t:
+        return LinearSystem(mdp, component, cond, n_flows, t, rows, bounds)
+    # Each block starts on the stationary flow of a unichain policy: the
+    # attractor toward the first state, each column on its source's balance
+    # row (deepest layer first), then the first state's first action on the
+    # sum row.  The first state's balance row is dependent and stays out.
+    policy = attractor_policy(mdp, {states[0]}, actions)
+    column = {ai: j for j, ai in enumerate(actions)}
+    balance_row = {s: 1 + k for k, s in enumerate(states)}
+    first = next(j for j, ai in enumerate(actions) if mdp.actions[ai].source == states[0])
+    block = [(balance_row[s], column[ai]) for s, ai in reversed(policy.items())] + [(0, first)]
+    size = len(rows) // n_flows
+    start = tuple((i * size + r, i * n_actions + j) for i in range(n_flows) for r, j in block)
+    return LinearSystem(mdp, component, cond, n_flows, t + 1, rows, bounds, start)
 
 
 def maximize_margin(system: LinearSystem) -> Optional[LpSolution]:
@@ -133,7 +148,7 @@ def maximize_margin(system: LinearSystem) -> Optional[LpSolution]:
     n_actions = len(system.component.actions)
     t = system.num_flows * n_actions
     objective = {t: 1} if system.num_vars > t else {}
-    status, values, den = simplex.solve_lp(system.num_vars, system.rows, objective)
+    status, values, den = simplex.solve_lp(system.num_vars, system.rows, objective, system.start)
     if status == simplex.INFEASIBLE:
         return None
     if status != simplex.OPTIMAL:

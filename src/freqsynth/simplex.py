@@ -14,6 +14,15 @@ outgrows ``_REDUCE_BITS``.  Every decision reads signs, zero tests and ratios
 within one row, none of which a positive common factor changes, so the
 pivots are those of a fully reduced tableau.  The values come back as int
 numerators over one common denominator.
+
+A caller may pass start pivots that crash the artificial basis, as
+``build_lp`` does with the stationary flow of a unichain policy, a vertex of
+the flow polytope.  Both phases then run from there.  Infeasible and
+unbounded do not depend on the path, but a tied optimum does, so an optimum
+is kept only when every nonbasic column prices strictly negative: then it is
+unique, and it is the vertex the plain solve reaches, with the same ``den``.
+Otherwise the LP is solved again from the artificial basis.  A start changes
+the pivots spent, never the result.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ def solve_lp(
     num_vars: int,
     rows: Sequence[tuple[Mapping[int, int], str, int, int]],
     objective: Mapping[int, int],
+    start: Sequence[tuple[int, int]] = (),
 ):
     """Maximize the objective; returns (status, values, den).
 
@@ -55,7 +65,20 @@ def solve_lp(
     optimal, ``values`` has one int numerator per original variable over the
     common denominator ``den``, the lcm of the basic values' denominators;
     otherwise both are None.
+
+    ``start`` lists ``(row, column)`` pivots that crash the initial basis;
+    column ``num_vars + k`` is the surplus of the k-th ``>=`` row.  It
+    changes no result: a start with a zero pivot cell or a negative basic
+    value is dropped, and an optimum found from it that is not provably
+    unique is found again from the all-artificial basis.
     """
+    result = _solve(num_vars, rows, objective, start)
+    return _solve(num_vars, rows, objective, ()) if result is None else result
+
+
+def _solve(num_vars, rows, objective, start):
+    """``solve_lp``'s body; None when ``start`` gives no usable basis or
+    leaves an optimum that is not provably unique."""
     # Equality form with one surplus column per >= row.  A row is
     # [numerators, denominator]; cell j stands for nums[j] / den.  Row i
     # starts basic on its artificial, marked total + i in the basis, and
@@ -66,6 +89,7 @@ def solve_lp(
     lcd = lcm(*(row[3] for row in rows))
     cost_nums = [0] * (total + 1)
     tableau: list[list] = []
+    surplus = []  # (row, its surplus column) per >= row
     slack_idx = num_vars
     for coeffs, rel, rhs, den in rows:
         if den < 1:
@@ -82,6 +106,7 @@ def solve_lp(
             nums[j] = c
             cost_nums[j] += scale * c
         if rel == GEQ:
+            surplus.append((len(tableau), slack_idx))
             nums[slack_idx] = -den
             cost_nums[slack_idx] = -lcd
             slack_idx += 1
@@ -97,10 +122,26 @@ def solve_lp(
         cost[0][j] = c
 
     basis = list(range(total, total + m))
-    # Phase one prices the real columns alone.  Where none prices positive,
-    # the cost row is a Farkas certificate: a nonzero objective there proves
-    # the rows infeasible.
     phase_one = [cost_nums, lcd]
+    # The start pivots update the phase-one row as _iterate does.  A >= row
+    # whose artificial then reads negative moves onto its surplus column.  A
+    # zero pivot cell or a negative basic value leaves no feasible start.
+    for r, c in start:
+        if not (0 <= r < m and 0 <= c < total):
+            raise SimplexError(f"start pivot {(r, c)} out of range")
+        if tableau[r][0][c] == 0:
+            return None
+        _eliminate(phase_one, tableau[r], c, _pivot(tableau, basis, r, c))
+    if start:
+        for r, c in surplus:
+            if basis[r] >= total and tableau[r][0][-1] < 0:
+                _eliminate(phase_one, tableau[r], c, _pivot(tableau, basis, r, c))
+        if any(nums[-1] < 0 for nums, _ in tableau):
+            return None
+    # Phase one prices the real columns alone.  Where none prices positive,
+    # the phase-one objective is at its optimum, and a nonzero value there
+    # proves the rows infeasible.  The multipliers that would certify it are
+    # not kept: the cost row does not hold a Farkas y.
     _iterate(tableau, basis, phase_one)
     if phase_one[0][-1] != 0:
         return INFEASIBLE, None, None
@@ -118,6 +159,10 @@ def solve_lp(
     _reduce_cost(cost, tableau, basis)
     if _iterate(tableau, basis, cost) == UNBOUNDED:
         return UNBOUNDED, None, None
+    # Every nonbasic column pricing strictly negative makes the optimum unique,
+    # so its vertex and den are the plain solve's; a tied one may not be.
+    if start and any(cost[0][j] >= 0 for j in set(range(total)).difference(basis)):
+        return None
 
     basic = []
     for (nums, den), b in zip(tableau, basis):

@@ -90,6 +90,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 
+import pytest
+
+from freqsynth import simplex
 from freqsynth.boolfn import (
     BoolFn,
     bf_and,
@@ -727,6 +730,35 @@ def int_rows(rows):
         nums = {j: int(v * den) for j, v in zip(coeffs, values)}
         out.append((nums, rel, int(values[-1] * den), den))
     return out
+
+
+def flow_system_lp(system):
+    """A flow system as ``maximize_margin`` passes it to ``solve_lp``:
+    (num_vars, rows, objective, start)."""
+    t = system.num_flows * len(system.component.actions)
+    return system.num_vars, system.rows, {t: 1} if system.num_vars > t else {}, system.start
+
+
+def start_outcome(num_vars, rows, objective, start):
+    """Assert that ``solve_lp`` from the start basis ``start`` returns what
+    the plain solve returns, and name what became of the start: "no start";
+    the status found from it; "zero pivot" or "negative value" when it was
+    dropped before phase one; or "tied" when its optimum was not provably
+    unique and the LP was solved again."""
+    assert solve_lp(num_vars, rows, objective, start) == solve_lp(num_vars, rows, objective)
+    if not start:
+        return "no start"
+    pivots, iterations = [], []
+    real_pivot, real_iterate = simplex._pivot, simplex._iterate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_pivot", lambda *args: pivots.append(1) or real_pivot(*args))
+        mp.setattr(simplex, "_iterate", lambda *args: iterations.append(1) or real_iterate(*args))
+        first = simplex._solve(num_vars, rows, objective, start)
+    if first is not None:
+        return first[0]
+    if iterations:
+        return "tied"
+    return "zero pivot" if len(pivots) < len(start) else "negative value"
 
 
 def as_fractions(result):

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction as Fr
 
 import pytest
@@ -19,8 +20,8 @@ from freqsynth.formula import always, eventually, parse_formula, tt
 from freqsynth.lasso import models
 from freqsynth.master import build_master
 from freqsynth.mdp import Mdp, parse_mdp, product_mdp
-from freqsynth.mecanalysis import accepting_mec, build_witness_strategy
-from freqsynth.simplex import SimplexError
+from freqsynth.mecanalysis import accepting_mec, build_lp, build_witness_strategy
+from freqsynth.simplex import OPTIMAL, SimplexError
 from freqsynth.slave import (
     assumption_conj,
     buchi_accepting_sets,
@@ -40,6 +41,7 @@ from helpers import (
     corpus_formulas,
     decide_then_maximize_margin,
     enumerate_md_strategies,
+    flow_system_lp,
     freq_on_lasso,
     hull_accepts,
     md_strategy_satisfies,
@@ -51,6 +53,7 @@ from helpers import (
     random_ufree_formula,
     rec_truth,
     simulate_strategy,
+    start_outcome,
     state_at,
     stationary_distribution,
     whole,
@@ -259,6 +262,18 @@ def test_criterion_5_hull_oracle_on_mixed_bounds(mixing_pool):
         f"{len(mixing_pool)} instances, {rejected} rejections, "
         f"{mixed} acceptances without an MD witness, 0 mismatches",
     )
+
+
+def test_start_basis_changes_no_flow_lp_result(instance_pool, mixing_pool):
+    # Both flow systems of every instance solve from their start basis to
+    # the plain solve's result.
+    for pool in (instance_pool, mixing_pool):
+        outcomes = Counter(
+            start_outcome(*flow_system_lp(build_lp(mdp, whole(mdp), cond, margin)))
+            for mdp, cond in pool
+            for margin in (True, False)
+        )
+        assert outcomes[OPTIMAL] >= 30, outcomes
 
 
 def test_verify_solution_checks_bounds_against_the_condition(mixing_pool, monkeypatch):

@@ -253,7 +253,8 @@ def test_no_bounds_condition_is_one_plain_solve(monkeypatch):
         calls.clear()
         ok, sol = accepting_mec(mdp, whole(mdp), cond)
         plain = build_lp(mdp, whole(mdp), cond, margin=False)
-        assert calls == [(plain.num_vars, plain.rows, {})]
+        assert plain.start == ()  # no t column, so no start basis
+        assert calls == [(plain.num_vars, plain.rows, {}, plain.start)]
         assert (ok, sol) == (True, maximize_margin(plain))
 
 

@@ -3,6 +3,7 @@ import importlib.util
 import random
 import re
 import sys
+from collections import Counter
 from fractions import Fraction as Fr
 from pathlib import Path
 
@@ -20,11 +21,13 @@ from helpers import (
     as_fractions,
     assert_flow_row_form,
     fraction_rows,
+    flow_system_lp,
     fraction_solve_lp,
     int_rows,
     margin_rewrite,
     rescan_build_lp,
     ring_mdp,
+    start_outcome,
     whole,
 )
 
@@ -292,15 +295,10 @@ def _flow_lp(mdp, cond, margin=True):
     return system.num_vars, oracle.rows, objective, system.rows
 
 
-@functools.cache
-def _ring_flow_lps():
-    """Every LP that accepting_mec solves on 16 seeded 10-14-state rings."""
-    lps = []
-
-    def recording(mdp, component, cond, margin=True):
-        lps.append(_flow_lp(mdp, cond, margin))
-        return build_lp(mdp, component, cond, margin)
-
+def _ring_instances():
+    """16 seeded 10-14-state rings, each with a condition of up to two
+    inferior and two superior bounds on the atoms a and b."""
+    instances = []
     rng = random.Random(77)
     for _ in range(16):
         mdp, valuation = ring_mdp(rng, rng.randint(10, 14))
@@ -317,6 +315,20 @@ def _ring_flow_lps():
             mp_inf=tuple(bound(rng.choice("ab")) for _ in range(rng.randint(0, 2))),
             mp_sup=tuple(bound(rng.choice("ab")) for _ in range(rng.randint(0, 2))),
         )
+        instances.append((mdp, cond))
+    return instances
+
+
+@functools.cache
+def _ring_flow_lps():
+    """Every LP that accepting_mec solves on the rings of _ring_instances."""
+    lps = []
+
+    def recording(mdp, component, cond, margin=True):
+        lps.append(_flow_lp(mdp, cond, margin))
+        return build_lp(mdp, component, cond, margin)
+
+    for mdp, cond in _ring_instances():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mecanalysis, "build_lp", recording)
             accepting_mec(mdp, whole(mdp), cond)
@@ -372,22 +384,7 @@ def test_a_large_flow_lp_reduces_rows_as_they_grow(monkeypatch):
 
 def test_flow_lp_rows_start_on_their_own_artificials():
     # The rings and conditions of the flow-LP oracle test above.
-    rng = random.Random(77)
-    for _ in range(16):
-        mdp, valuation = ring_mdp(rng, rng.randint(10, 14))
-        rewards = {
-            x: tuple(Fr(int(x in labels)) for labels in valuation)
-            for x in ("a", "b")
-        }
-
-        def bound(x):
-            cmp = rng.choice([">=", ">"])
-            return MpBound(cmp, Fr(rng.randint(0, 5), rng.choice([4, 5, 10])), rewards[x])
-
-        cond = GbmpCondition(
-            mp_inf=tuple(bound(rng.choice("ab")) for _ in range(rng.randint(0, 2))),
-            mp_sup=tuple(bound(rng.choice("ab")) for _ in range(rng.randint(0, 2))),
-        )
+    for mdp, cond in _ring_instances():
         assert_flow_row_form(mdp, whole(mdp), cond)
 
 
@@ -447,10 +444,10 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 @functools.cache
-def _corpus_lps():
-    """The distinct LPs that ``synthesize`` solves on the benchmark corpus:
-    every ``translate_wide`` instance, and two of the six initial states of
-    every ``lp_mec`` cell (``reach_ruin`` solves one LP with one pivot)."""
+def _corpus_lps(workload, step=1):
+    """The distinct LPs that ``synthesize`` solves on every ``step``-th
+    instance of a benchmark workload's corpus, as (num_vars, rows,
+    objective, start)."""
     spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # dataclasses resolve annotations there
@@ -458,15 +455,14 @@ def _corpus_lps():
     lps = {}
     real_solve = simplex.solve_lp
 
-    def recording(num_vars, rows, objective):
+    def recording(num_vars, rows, objective, start=()):
         key = (num_vars, repr(rows), repr(objective))
-        lps.setdefault(key, (num_vars, rows, objective))
-        return real_solve(num_vars, rows, objective)
+        lps.setdefault(key, (num_vars, rows, objective, start))
+        return real_solve(num_vars, rows, objective, start)
 
-    instances = workloads.corpus("lp_mec")[::3] + workloads.corpus("translate_wide")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "solve_lp", recording)
-        for inst in instances:
+        for inst in workloads.corpus(workload)[::step]:
             mdp, valuation = parse_mdp(inst.model)
             synthesize(mdp, valuation, parse_formula(inst.formula), parse_rational(inst.threshold))
     return list(lps.values())
@@ -475,11 +471,14 @@ def _corpus_lps():
 def test_infeasible_corpus_solves_stop_earlier():
     # On the flow LPs of the benchmark corpus an artificial re-enters only
     # in a phase one that ends with a nonzero objective: never re-entering
-    # saves pivots on some infeasible solves, and on no solve costs one.
-    lps = _corpus_lps()
+    # saves pivots on some infeasible solves, and on no solve costs one.  The
+    # LPs of every translate_wide instance, and of two of the six initial
+    # states of every lp_mec cell (reach_ruin solves one LP with one pivot),
+    # each solved from the all-artificial basis.
+    lps = _corpus_lps("lp_mec", 3) + _corpus_lps("translate_wide")
     assert len(lps) >= 80
     fewer = feasible = 0
-    for num_vars, rows, objective in lps:
+    for num_vars, rows, objective, _ in lps:
         columns = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simplex, "_pivot", _counted(simplex._pivot, columns))
@@ -493,3 +492,49 @@ def test_infeasible_corpus_solves_stop_earlier():
             assert len(columns) == pivots
             feasible += 1
     assert fewer >= 10 and feasible >= 30, (fewer, feasible)
+
+
+def test_random_start_pivots_change_no_result():
+    # Any list of start pivots gives the plain solve's result: a start with a
+    # zero pivot cell or a negative basic value is dropped, infeasible and
+    # unbounded LPs are found from the start as such, and a tied optimum is
+    # solved again from the all-artificial basis.
+    rng = random.Random(36)
+    outcomes = Counter()
+    for _ in range(1500):
+        num_vars, rows, objective = _random_lp(rng)
+        total = num_vars + sum(1 for row in rows if row[1] == ">=")
+        start = [
+            (rng.randrange(len(rows)), rng.randrange(total))
+            for _ in range(rng.randint(1, len(rows)))
+        ]
+        outcomes[start_outcome(num_vars, int_rows(rows), objective, start)] += 1
+    kinds = ("zero pivot", "negative value", "tied", OPTIMAL, INFEASIBLE, UNBOUNDED)
+    assert min(outcomes[kind] for kind in kinds) >= 20, outcomes
+
+
+def test_start_pivots_out_of_range_raise():
+    rows = [({0: 1, 1: 1}, "==", 1, 1), ({0: 1}, ">=", 0, 1)]
+    for pivot in ((2, 0), (0, 3), (-1, 0), (0, -1)):
+        with pytest.raises(simplex.SimplexError, match=re.escape(f"start pivot {pivot} out")):
+            solve_lp(2, rows, {0: 1}, [pivot])
+
+
+def test_start_basis_changes_no_ring_flow_lp_result():
+    # Both systems of every ring: bound-free ones have no start, and the
+    # others come back from their start basis unless their optimum is tied.
+    outcomes = Counter(
+        start_outcome(*flow_system_lp(build_lp(mdp, whole(mdp), cond, margin)))
+        for mdp, cond in _ring_instances()
+        for margin in (True, False)
+    )
+    assert outcomes[OPTIMAL] >= 10, outcomes
+
+
+def test_start_basis_changes_no_corpus_result():
+    # lp_mec's flow LPs have unique optima, so they come back from the start
+    # path; translate_wide's tied optima are solved again.
+    lp_mec = Counter(start_outcome(*lp) for lp in _corpus_lps("lp_mec"))
+    assert lp_mec[OPTIMAL] + lp_mec[INFEASIBLE] >= 100, lp_mec
+    wide = Counter(start_outcome(*lp) for lp in _corpus_lps("translate_wide"))
+    assert wide["tied"] >= 10, wide
