@@ -48,17 +48,19 @@ def draw_table(weights: tuple) -> tuple:
     exceeds ``u``.
 
     ``random()`` returns ``k / 2**53`` for an integer ``k``, so ``u < cum /
-    den`` holds exactly when ``k < ceil(cum * 2**53 / den)``.  The table
-    holds the values, with the last one repeated as the fallback, and those
-    ceilings of the cumulative weights ``cum``; a walk draws from it inline
-    as ``values[bisect_right(thresholds, int(random() * 2.0**53))]``.
+    den`` holds exactly when ``k < T`` for the ceiling ``T = ceil(cum *
+    2**53 / den)``.  ``T`` is at most ``2**53``, so ``T * 2.0**-53`` is an
+    exact double, and ``k < T`` holds exactly when ``u < T * 2.0**-53``.
+    The table holds the values, with the last one repeated as the fallback,
+    and those dyadic thresholds of the cumulative weights ``cum``; a walk
+    draws from it inline as ``values[bisect_right(thresholds, random())]``.
     """
     den, pairs = weights
     thresholds = []
     cum = 0
     for _, w in pairs:
         cum += w
-        thresholds.append(-((-cum << 53) // den))
+        thresholds.append(-((-cum << 53) // den) * 2.0**-53)
     values = tuple(v for v, _ in pairs)
     return values + values[-1:], tuple(thresholds)
 

@@ -12,8 +12,9 @@ every bound row for the margin LP, which maximizes one margin shared by all
 of them, or on the strict rows alone for the slack LP.  The margin LP
 decides and gives the witness's flows; the slack LP runs only when strict
 bounds leave the margin at 0.  The witness strategy cycles through one
-randomized mode per flow with steeply growing epochs and starts every epoch
-with a pilgrimage through the Inf sets.
+randomized mode per flow with steeply growing epochs, starts every epoch
+with a pilgrimage through the Inf sets, and interleaves a mode's recurrent
+classes in rounds that grow linearly within the epoch.
 """
 
 from __future__ import annotations
@@ -347,6 +348,37 @@ def build_witness_strategy(
     return Strategy(tuple(modes), tuple(pilgrimage), cond, component, mdp)
 
 
+def epoch_blocks(planned: int, weights: list) -> Iterator[tuple]:
+    """The plan of one epoch of ``planned`` steps for a mode whose classes
+    have flow masses ``weights``, as (class index, steps) blocks.
+
+    Class j's share of the epoch is ``planned * w_j // W`` of the total mass
+    W (the rounding remainder goes to the first class).  A single class
+    plays its share in one block.  Several classes take turns in rounds
+    that grow linearly: round r plays class j for ``R_r * w_j // W -
+    R_(r-1) * w_j // W`` steps, with ``R_r = r * (r + 1) // 2``, cut at what
+    is left of its share, and a class with nothing to play is skipped.  A
+    round is O(r) steps while the epoch's history is O(r^2), so every
+    running average tends to the flow's mixture of the classes (Brazdil,
+    Brozek, Chatterjee, Forejt and Kucera, LICS 2011).
+    """
+    if len(weights) == 1:
+        yield 0, planned
+        return
+    total = sum(weights)
+    left = [planned * w // total for w in weights]
+    left[0] += planned - sum(left)
+    for r in count(1):
+        if not any(left):
+            return
+        before, after = r * (r - 1) // 2, r * (r + 1) // 2
+        for j, w in enumerate(weights):
+            steps = min(after * w // total - before * w // total, left[j])
+            if steps:
+                left[j] -= steps
+                yield j, steps
+
+
 def witness_walk(
     strategy: Strategy, schedule: EpochSchedule, rng: random.Random, state: int
 ) -> Iterator[tuple]:
@@ -354,39 +386,37 @@ def witness_walk(
     index) per step; states and actions are those of ``strategy.mdp``, and
     ``state`` is in the strategy's component.
 
-    Epoch t walks to each pilgrimage target in turn, then plays each class
-    of mode ``t % len(modes)`` for its share of ``schedule.length(t)`` steps
-    (the rounding remainder goes to the first class).  Each step reads one
-    of ``strategy.steps``' records and draws from it inline: one
-    ``random()`` for a randomized choice, then one for the successor, which
-    is drawn before the step is yielded, so a caller that stops after n
-    steps has used exactly n steps' draws.
+    Epoch t walks to each pilgrimage target in turn, then plays the classes
+    of mode ``t % len(modes)`` in the ``epoch_blocks`` of
+    ``schedule.length(t)`` steps; a block's steps outside its class follow
+    the class's entry policy.  Each step reads one of ``strategy.steps``'
+    records and draws from it inline: one ``random()`` for a randomized
+    choice, then one for the successor, which is drawn before the step is
+    yielded, so a caller that stops after n steps has used exactly n steps'
+    draws.
     """
     random = rng.random
     pilgrimage, mode_steps = strategy.steps
     for epoch in count():
         k = epoch % len(mode_steps)
-        mode = strategy.modes[k]
-        planned = schedule.length(epoch)
-        total_weight = sum(c.weight for c in mode)
-        shares = [planned * c.weight // total_weight for c in mode]
-        shares[0] += planned - sum(shares)
+        weights = [c.weight for c in strategy.modes[k]]
         for target, (records, compile) in pilgrimage:
             while state != target:
                 record = records[state]
                 if record is None:
                     record = records[state] = compile(state)
                 ai, values, thresholds = record
-                at, state = state, values[bisect_right(thresholds, int(random() * 2.0**53))]
+                at, state = state, values[bisect_right(thresholds, random())]
                 yield epoch, at, ai
-        for (records, compile), share in zip(mode_steps[k], shares):
-            for _ in range(share):
+        for j, steps in epoch_blocks(schedule.length(epoch), weights):
+            records, compile = mode_steps[k][j]
+            for _ in range(steps):
                 record = records[state]
                 if record is None:
                     record = records[state] = compile(state)
                 if record[0] is None:
                     _, values, thresholds = record
-                    record = values[bisect_right(thresholds, int(random() * 2.0**53))]
+                    record = values[bisect_right(thresholds, random())]
                 ai, values, thresholds = record
-                at, state = state, values[bisect_right(thresholds, int(random() * 2.0**53))]
+                at, state = state, values[bisect_right(thresholds, random())]
                 yield epoch, at, ai

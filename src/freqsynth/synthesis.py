@@ -469,8 +469,10 @@ def simulate_global(
     state, then runs that winner's witness, which steps the product inside
     the winner's component.  The selector's steps read a per-state list
     of its actions' successor tables, filled at first read, and draw from
-    them inline as ``witness_walk`` does.  Each bound's float rewards are
-    summed in step order, a chunk of the walk's states at a time.
+    them inline as ``witness_walk`` does: ``random()`` itself against the
+    tables' dyadic thresholds, which decides as the exact rational sums do
+    (see ``mdp.draw_table``).  Each bound's float rewards are summed in
+    step order, a chunk of the walk's states at a time.
     """
     if steps_per_episode < 1:
         raise ValueError("steps must be at least 1")
@@ -493,7 +495,7 @@ def simulate_global(
             if table is None:
                 table = successors[state] = actions[reach[state]].table
             values, thresholds = table
-            state = values[bisect_right(thresholds, int(random_() * 2.0**53))]
+            state = values[bisect_right(thresholds, random_())]
             steps -= 1
         if not steps:
             continue

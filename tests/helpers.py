@@ -35,17 +35,23 @@ tests state their claims with.
 ``named_simulate_global`` is the global simulation loop that looked every
 step up by product state and action name; ``simulate_global`` now maps the
 entry state to its component once per episode.  ``fraction_sample`` is the
-sampler that compared exact ``Fraction`` sums with the float draw, which the
-integer tables of ``freqsynth.mdp.draw_table`` replaced;
-``named_simulate_global`` draws with it.  ``draw`` is the sampler that read
-a ``draw_table`` once per call, before the walks compiled their step records
-and drew from them inline; it is the reference that the inline draws are
-compared with.  ``FixedDraw`` is an rng whose every ``random()`` is one
-chosen value, and ``edge_draws`` lists the values on both sides of each
-threshold of some draw tables, which seeded draws almost never meet.
+sampler that compared exact ``Fraction`` sums with the float draw, which
+integer draw tables replaced; ``named_simulate_global`` draws with it.
+``int_draw_table`` is that integer table: the ceilings ``T = ceil(cum *
+2**53 / den)`` that ``k = int(random() * 2.0**53)`` was compared with,
+before ``freqsynth.mdp.draw_table`` stored each as the exact double ``T *
+2.0**-53`` and the walks compared ``random()`` itself.  ``draw`` is the
+sampler that read an integer table once per call, before the walks compiled
+their step records and drew from them inline; it is the reference that the
+dyadic draws are compared with (``assert_dyadic_draws_match``).
+``FixedDraw`` is an rng whose every ``random()`` is one chosen value in [0,
+1), and ``edge_draws`` lists the values on both sides of each threshold of
+some integer tables, which seeded draws almost never meet.
 ``StrategyRunner`` is the task-list interpreter of the witness that
 ``freqsynth.mecanalysis.witness_walk`` replaced; it picks choices with
-``fraction_sample``, and ``named_simulate_global`` steps it.
+``fraction_sample``, plays each epoch in the blocks of
+``fraction_epoch_plan``, the interleaved plan of ``epoch_blocks`` stated
+over Fraction masses, and ``named_simulate_global`` steps it.
 ``simulate_strategy`` runs one witness alone from the first state of its
 component and returns ``SimulationStats`` (epoch lengths, Inf-set visits, prefix
 averages); it is an instrument for the witness tests, which the CLI's
@@ -63,7 +69,9 @@ Fraction weights and (action, probability) choices, as ``StrategyRunner``
 and ``stationary_distribution`` read them.
 ``assert_witness_keeps_fraction_formulas`` checks a witness's compiled
 choice tables and epoch shares against the Fraction formulas that its
-integer weights replaced.
+integer weights replaced, and its epoch plans against
+``fraction_epoch_plan``, with ``merged_blocks`` joining consecutive blocks
+of one class.
 ``time_limit`` fails a call that does not return within a number of seconds.
 ``shift``, ``models_at`` and ``models_boolfn`` are lasso helpers that only the
 tests use.  Conditions in the tests are over state indices, as the pipeline
@@ -155,6 +163,7 @@ from freqsynth.mecanalysis import (
     Strategy,
     accepting_mec,
     build_lp,
+    epoch_blocks,
     maximize_margin,
     witness_walk,
 )
@@ -795,6 +804,9 @@ def as_fractions(result):
     return status, None if values is None else [Fraction(v, den) for v in values]
 
 
+PLANNED_EPOCHS = 102_400  # the default schedule's first three epochs
+
+
 def assert_witness_keeps_fraction_formulas(strategy, sol, epochs=8):
     """The witness built from ``sol`` draws and splits its epochs as the
     Fraction formulas that its integer weights replaced: at each mode state
@@ -803,8 +815,10 @@ def assert_witness_keeps_fraction_formulas(strategy, sol, epochs=8):
     Fraction flows, through ``weights_of``, and every step record carries
     its action's successor table.  In the first epochs of the default and
     two capped schedules each class's share is ``int(planned * mass /
-    total)`` of its Fraction flow mass.  Returns the number of modes with
-    more than one class."""
+    total)`` of its Fraction flow mass, and in those of at most
+    ``PLANNED_EPOCHS`` steps ``epoch_blocks`` plays the classes in the
+    blocks of ``fraction_epoch_plan``, consecutive blocks of one class taken
+    as one.  Returns the number of modes with more than one class."""
     mdp, component = strategy.mdp, strategy.component
     flows, _ = as_fractions(sol)
     multi = 0
@@ -832,12 +846,16 @@ def assert_witness_keeps_fraction_formulas(strategy, sol, epochs=8):
                 for ai, *successors in steps:
                     assert tuple(successors) == draw_table(mdp.actions[ai].weights)
                 masses[-1] += mass
-        total, int_total = sum(masses), sum(cls.weight for cls in mode)
+        weights = [cls.weight for cls in mode]
+        total, int_total = sum(masses), sum(weights)
         for schedule in (EpochSchedule(), EpochSchedule(cap=1), EpochSchedule(cap=7)):
             for t in range(epochs):
                 planned = schedule.length(t)
                 want = [int(planned * mass / total) for mass in masses]
-                assert [planned * cls.weight // int_total for cls in mode] == want
+                assert [planned * w // int_total for w in weights] == want
+                if planned <= PLANNED_EPOCHS:
+                    plan = merged_blocks(fraction_epoch_plan(planned, masses))
+                    assert merged_blocks(epoch_blocks(planned, weights)) == plan
         multi += len(mode) > 1
     return multi
 
@@ -1510,30 +1528,107 @@ def scan_lift_pair(pair, product, automaton_component):
 
 class FixedDraw:
     """An rng whose ``random()`` always returns one chosen float ``u``, and
-    counts its calls."""
+    counts its calls; it raises ``ValueError`` when ``u`` is outside [0, 1),
+    where no ``random()`` lands."""
 
     def __init__(self, u):
         self.u = u
         self.calls = 0
 
     def random(self):
+        if not 0.0 <= self.u < 1.0:
+            raise ValueError(f"FixedDraw value {self.u!r} is outside [0, 1)")
         self.calls += 1
         return self.u
 
 
-def edge_draws(tables) -> list:
-    """The draws on both sides of every threshold ``k`` of the given
-    ``draw_table``s: ``(k - 1) / 2**53``, the largest draw below it, and
-    ``k / 2**53``, the least at or above it (below 1)."""
-    edges = {e for _, thresholds in tables for k in thresholds for e in (k - 1, k)}
-    return sorted(k / 2**53 for k in edges if k < 2**53)
+def int_draw_table(weights: tuple) -> tuple:
+    """The integer sampling table of ``(den, ((value, w), ...))`` weights:
+    the values, the last one repeated as the fallback, and the ceilings
+    ``ceil(cum * 2**53 / den)`` of the cumulative weights ``cum``.  A draw
+    ``k / 2**53`` lies below ``cum / den`` exactly when ``k`` is below the
+    ceiling."""
+    den, pairs = weights
+    thresholds = []
+    cum = 0
+    for _, w in pairs:
+        cum += w
+        thresholds.append(-((-cum << 53) // den))
+    values = tuple(v for v, _ in pairs)
+    return values + values[-1:], tuple(thresholds)
+
+
+def edge_draws(tables, offsets=(-1, 0)) -> list:
+    """The draws ``(k + d) / 2**53`` next to every threshold ``k`` of the
+    given ``int_draw_table``s, for each offset ``d``, that lie in [0, 1):
+    by default ``(k - 1) / 2**53``, the largest draw below the threshold,
+    and ``k / 2**53``, the least at or above it.  A float threshold, as
+    ``freqsynth.mdp.draw_table`` stores, raises ``TypeError``."""
+    edges = {k + d for _, thresholds in tables for k in thresholds for d in offsets}
+    if not all(isinstance(k, int) for k in edges):
+        raise TypeError("edge_draws reads integer thresholds (int_draw_table)")
+    return sorted(k / 2**53 for k in edges if 0 <= k < 2**53)
 
 
 def draw(table: tuple, rng) -> object:
-    """One value from a ``draw_table``, with one ``rng.random()``: the first
-    whose cumulative probability exceeds the draw, compared exactly."""
+    """One value from an ``int_draw_table``, with one ``rng.random()``: the
+    first whose cumulative probability exceeds the draw, compared exactly."""
     values, thresholds = table
     return values[bisect_right(thresholds, int(rng.random() * 2.0**53))]
+
+
+def assert_dyadic_draws_match(table, weights, rng, seeded=20):
+    """``table``, a ``freqsynth.mdp.draw_table`` of ``weights`` or a compiled
+    record's ``(values, thresholds)``, draws as the walks draw from it,
+    ``values[bisect_right(thresholds, u)]``, the value that ``draw`` picks
+    from ``int_draw_table(weights)``: at ``(T - 1) / 2**53``, ``T / 2**53``
+    and ``(T + 1) / 2**53`` for each integer threshold ``T``, and at
+    ``seeded`` draws of ``rng``.  Returns the number of draws checked."""
+    values, thresholds = table
+    oracle = int_draw_table(weights)
+    assert values == oracle[0]
+    draws = edge_draws([oracle], (-1, 0, 1)) + [rng.random() for _ in range(seeded)]
+    for u in draws:
+        assert values[bisect_right(thresholds, u)] == draw(oracle, FixedDraw(u)), (weights, u)
+    return len(draws)
+
+
+def fraction_epoch_plan(planned, masses):
+    """One epoch of ``planned`` steps as (class index, steps) blocks, from
+    the classes' Fraction flow masses: class j's share is ``int(planned *
+    m_j / M)`` of the total mass M, and the first class takes what rounding
+    leaves.  Round r = 1, 2, ... plays each class whose share is not used up
+    for ``floor(R_r * m_j / M) - floor(R_(r-1) * m_j / M)`` steps, cut at
+    what is left of its share, where ``R_r = r (r + 1) / 2``; a block of 0
+    steps is left out.  A single class's blocks are consecutive, so they
+    play as its whole share in one."""
+    total = sum(masses)
+    left = [int(planned * Fraction(m) / total) for m in masses]
+    left[0] += planned - sum(left)
+    blocks = []
+    r = 0
+    while any(left):
+        r += 1
+        for j, m in enumerate(masses):
+            due = math.floor(Fraction(r * (r + 1), 2) * m / total) - math.floor(
+                Fraction(r * (r - 1), 2) * m / total
+            )
+            steps = min(due, left[j])
+            if steps > 0:
+                left[j] -= steps
+                blocks.append((j, steps))
+    return blocks
+
+
+def merged_blocks(blocks):
+    """``blocks`` with each run of consecutive blocks of one class joined."""
+    merged = []
+    for j, steps in blocks:
+        if merged and merged[-1][0] == j:
+            merged[-1] = (j, merged[-1][1] + steps)
+        else:
+            merged.append((j, steps))
+    return merged
 
 
 def fraction_sample(pairs, rng):
@@ -1563,12 +1658,8 @@ class StrategyRunner:
         planned = self.schedule.length(self.epoch)
         mode = self.strategy.modes[self.epoch % len(self.strategy.modes)]
         self.plan = [("visit", i) for i in range(len(self.strategy.pilgrimage))]
-        total_weight = sum(c.weight for c in mode)
-        shares = [int(planned * c.weight / total_weight) for c in mode]
-        shares[0] += planned - sum(shares)
-        for cls, share in zip(mode, shares):
-            if share > 0:
-                self.plan.append(("play", (cls, share)))
+        for j, share in fraction_epoch_plan(planned, [c.weight for c in mode]):
+            self.plan.append(("play", (mode[j], share)))
 
     def next_action(self, state: int) -> int:
         """Pick the action at the current state; advances internal phase."""

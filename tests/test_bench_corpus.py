@@ -1,11 +1,14 @@
 """The benchmark corpus through the analysis layers: the index components
-of every pair's restriction against the rescan oracles, and the number of
-LP solves per corpus.  The corpus comes from ``bench/workloads.py``, which
+of every pair's restriction against the rescan oracles, the number of LP
+solves per corpus, and its witnesses and draw tables against the Fraction
+formulas and the integer draw oracle.  The corpus comes from ``bench/workloads.py``, which
 imports nothing from freqsynth; nothing under bench/ is written."""
 
 import json
+import random
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 from freqsynth.dgrma import build_dgrma
@@ -14,6 +17,7 @@ from freqsynth.mdp import mec_decomposition, parse_mdp, product_mdp, restrict
 from freqsynth.synthesis import lift_pair, synthesize
 
 from helpers import (
+    assert_dyadic_draws_match,
     assert_witness_keeps_fraction_formulas,
     component_names,
     rescan_mec_decomposition,
@@ -92,23 +96,59 @@ def test_lp_solves_per_corpus_stay_pinned(tmp_path):
         assert json.loads(proc.stdout.splitlines()[-1]) == solves, name
 
 
-def test_corpus_witnesses_keep_the_fraction_formulas():
-    # Every witness of the corpus, against the solution it was built from:
-    # the first winner on its component, in pair order.
-    witnesses = 0
+@cache
+def _corpus_reports() -> list:
+    """The report of every corpus instance that has a strategy."""
+    reports = []
     for name in workloads.WORKLOADS:
         for inst in workloads.corpus(name):
             mdp, valuation = parse_mdp(inst.model)
             report = synthesize(
                 mdp, valuation, parse_formula(inst.formula), parse_rational(inst.threshold)
             )
-            if report.strategy is None:
-                continue
-            sols = {}
-            for winners in report.outcomes:
-                for component, sol in winners:
-                    sols.setdefault(component, sol)
-            for strategy in report.strategy.winners:
-                assert_witness_keeps_fraction_formulas(strategy, sols[strategy.component])
-                witnesses += 1
+            if report.strategy is not None:
+                reports.append(report)
+    return reports
+
+
+def test_corpus_witnesses_keep_the_fraction_formulas():
+    # Every witness of the corpus, against the solution it was built from:
+    # the first winner on its component, in pair order.
+    witnesses = 0
+    for report in _corpus_reports():
+        sols = {}
+        for winners in report.outcomes:
+            for component, sol in winners:
+                sols.setdefault(component, sol)
+        for strategy in report.strategy.winners:
+            assert_witness_keeps_fraction_formulas(strategy, sols[strategy.component])
+            witnesses += 1
     assert witnesses == 214
+
+
+def test_corpus_draws_match_the_integer_oracle():
+    # Every table that simulating the corpus can read, its witnesses'
+    # successor and compiled choice tables and its reachability selectors'
+    # successor tables, draws what the integer table's reference sampler
+    # draws on and next to each threshold and at seeded draws.
+    rng = random.Random(3838)
+    witnesses = tables = choices = 0
+    for report in _corpus_reports():
+        actions, strategy = report.product.actions, report.strategy
+        taken = {ai for ai in strategy.reach if ai is not None}
+        for witness in strategy.winners:
+            taken.update(witness.component.actions)
+            for mode, mode_steps in zip(witness.modes, witness.steps[1]):
+                for cls, (_, compile) in zip(mode, mode_steps):
+                    for s, weights in cls.choices.items():
+                        if len(weights[1]) > 1:
+                            _, values, thresholds = compile(s)
+                            table = (tuple(record[0] for record in values), thresholds)
+                            assert_dyadic_draws_match(table, weights, rng)
+                            choices += 1
+            witnesses += 1
+        for ai in sorted(taken):
+            assert_dyadic_draws_match(actions[ai].table, actions[ai].weights, rng)
+            tables += 1
+    # No corpus witness draws a choice; the walks' own tests cover those.
+    assert (witnesses, choices) == (214, 0) and tables > 5_000, (witnesses, tables, choices)

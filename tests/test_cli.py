@@ -600,11 +600,6 @@ action s2 mix : s0 1/4 , s1 1/2 , s2 1/4
 """
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the witness plays a mode's recurrent classes in one "
-    "block each per epoch, so each running average ends near the worst class's value",
-)
 def test_mixing_witness_meets_its_liminf_bounds(tmp_path):
     path = tmp_path / "mix.mdp"
     path.write_text(MIXING_MODEL)

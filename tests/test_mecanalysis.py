@@ -10,10 +10,20 @@ import freqsynth.mdp
 import freqsynth.mecanalysis
 from freqsynth import simplex
 from freqsynth.dgrma import GbmpCondition, MpBound
-from freqsynth.mdp import draw_table, mec_decomposition, parse_mdp, weights_of
+from freqsynth.mdp import (
+    Component,
+    Mdp,
+    MdpAction,
+    draw_table,
+    mec_decomposition,
+    parse_mdp,
+    weights_of,
+)
 from freqsynth.mecanalysis import (
     EpochSchedule,
     LpSolution,
+    ModeClass,
+    Strategy,
     _verify_solution,
     accepting_mec,
     build_lp,
@@ -29,6 +39,7 @@ from helpers import (
     StrategyRunner,
     action_at,
     as_fractions,
+    assert_dyadic_draws_match,
     assert_flow_row_form,
     dist,
     draw,
@@ -36,6 +47,7 @@ from helpers import (
     enumerate_md_strategies,
     fraction_rows,
     fraction_sample,
+    int_draw_table,
     margin_rewrite,
     md_strategy_satisfies,
     random_mdp,
@@ -468,6 +480,41 @@ def test_witness_choices_follow_the_component_action_order():
     assert simulate_strategy(strat, 5_000, seed=11).to_text() == HUB_DUMP
 
 
+def _mixing_witness():
+    """Two lim-inf bounds that only a mixture of the s0 and s1 loops meets:
+    the one mode has the classes {s0} (mass 9/20) and {s1} (mass 11/20)."""
+    mdp, _ = parse_mdp(
+        "mdp\nstates s0 s1 s2\ninit s0\n"
+        "action s0 go : s0 1/2 , s1 1/2\naction s0 stay0 : s0 1\n"
+        "action s1 stay1 : s1 1\naction s1 leave : s0 4/7 , s2 3/7\n"
+        "action s2 mix : s0 1/4 , s1 1/2 , s2 1/4\n"
+    )
+    cond = GbmpCondition(mp_inf=(
+        MpBound(">=", Fr(1, 2), (Fr(0), Fr(1), Fr(0))),
+        MpBound(">=", Fr(2, 5), (Fr(1), Fr(0), Fr(0))),
+    ))
+    _, sol = accepting_mec(mdp, whole(mdp), cond)
+    return mdp, build_witness_strategy(mdp, whole(mdp), sol, cond)
+
+
+def test_a_mixing_witness_interleaves_its_classes():
+    # The walk alternates between the two loops in rounds of about r * 9/20
+    # and r * 11/20 steps, so every running average of the last epoch stays
+    # near the mixture; in one block per class, the a-average would end
+    # near 0.15.
+    mdp, strat = _mixing_witness()
+    assert [sorted(c.states) for c in strat.modes[0]] == [[0], [1]]
+    weights = [c.weight for c in strat.modes[0]]
+    assert [Fr(w, sum(weights)) for w in weights] == [Fr(9, 20), Fr(11, 20)]
+    stats = simulate_strategy(strat, 400_000, seed=7)
+    assert stats.epoch_steps[:3] == [100, 3_200, 102_400]
+    for (label, value), bound in zip(stats.mp_min_late, (0.5, 0.4)):
+        assert value >= bound - 0.05, (label, value)
+    steps = list(islice(witness_walk(strat, EpochSchedule(), random.Random(7), 0), 3_300))
+    switches = sum({a[1], b[1]} == {0, 1} for a, b in zip(steps, steps[1:]))
+    assert switches >= 50
+
+
 class _CountingRandom(random.Random):
     """A ``random.Random`` that counts its ``random()`` calls."""
 
@@ -485,8 +532,8 @@ def test_witness_walk_matches_the_runner_oracle():
     # Most random witnesses are one deterministic mode; keep those that
     # draw choices or switch modes.
     rng = random.Random(1515)
-    cases = [_hub_witness() + (0,)]
-    while len(cases) < 17:
+    cases = [_hub_witness() + (0,), _mixing_witness() + (2,)]
+    while len(cases) < 18:
         mdp = random_strongly_connected_mdp(rng, 5, 3)
         cond = _random_condition(rng, mdp)
         ok, sol = accepting_mec(mdp, whole(mdp), cond)
@@ -497,7 +544,7 @@ def test_witness_walk_matches_the_runner_oracle():
         if len(strat.modes) >= 2 or max(map(len, choices)) >= 2:
             cases.append((mdp, strat, rng.randrange(len(mdp))))
     steps = 2000
-    choice_draws = two_modes = pilgrimages = 0
+    choice_draws = two_modes = pilgrimages = two_classes = 0
     for k, (mdp, strat, start) in enumerate(cases):
         for schedule in (EpochSchedule(), EpochSchedule(cap=1), EpochSchedule(cap=7)):
             ours, oracle = random.Random(k), _CountingRandom(k)
@@ -513,30 +560,33 @@ def test_witness_walk_matches_the_runner_oracle():
             assert ours.random() == oracle.random(), (k, schedule)
             choice_draws += oracle.calls > steps + 1
             two_modes += len(strat.modes) >= 2 and runner.epoch >= 1
+            two_classes += max(map(len, strat.modes)) >= 2
             pilgrimages += visited
-    assert min(choice_draws, two_modes, pilgrimages) >= 10
+    assert min(choice_draws, two_modes, pilgrimages) >= 10 and two_classes >= 3
 
 
 def _witness_tables(strat):
-    """Every draw table a walk of the witness reads: the successor table of
-    each component action and the table of each randomized choice."""
+    """The integer oracle of every draw table a walk of the witness reads:
+    the successor table of each component action and the table of each
+    randomized choice."""
     actions = strat.mdp.actions
-    tables = [draw_table(actions[ai].weights) for ai in strat.component.actions]
+    tables = [int_draw_table(actions[ai].weights) for ai in strat.component.actions]
     for mode in strat.modes:
         for cls in mode:
-            tables += [draw_table(c) for c in cls.choices.values() if len(c[1]) > 1]
+            tables += [int_draw_table(c) for c in cls.choices.values() if len(c[1]) > 1]
     return tables
 
 
 def test_walk_draws_at_threshold_edges_match_the_runner():
-    # Every draw of a run is one fixed value next to a threshold k of a
-    # successor or choice table: (k - 1) / 2**53 stays on the value whose
-    # cumulative weight k closes and k / 2**53 moves past it, as the
-    # runner's Fraction sums decide.  Seeded draws almost never land there.
-    # After each step both have drawn equally often.
+    # Every draw of a run is one fixed value next to an integer threshold k
+    # of a successor or choice table's oracle: (k - 1) / 2**53 stays on the
+    # value whose cumulative weight k closes and k / 2**53, the dyadic
+    # threshold itself, moves past it, as the runner's Fraction sums decide.
+    # Seeded draws almost never land there.  After each step both have
+    # drawn equally often.
     rng = random.Random(4242)
-    cases = [_hub_witness() + (0,)]
-    while len(cases) < 6:
+    cases = [_hub_witness() + (0,), _mixing_witness() + (2,)]
+    while len(cases) < 7:
         mdp = random_strongly_connected_mdp(rng, 4, 3)
         cond = _random_condition(rng, mdp)
         ok, sol = accepting_mec(mdp, whole(mdp), cond)
@@ -559,8 +609,8 @@ def test_walk_draws_at_threshold_edges_match_the_runner():
                     kind, task = runner.plan[0]
                     choices = task[0].choices.get(state, ()) if kind == "play" else ()
                     if len(choices) > 1:
-                        on_edge["choice"] += u * 2**53 in draw_table(weights_of(choices))[1]
-                    table = draw_table(mdp.actions[ai].weights)
+                        on_edge["choice"] += u * 2**53 in int_draw_table(weights_of(choices))[1]
+                    table = int_draw_table(mdp.actions[ai].weights)
                     on_edge["successor"] += u * 2**53 in table[1]
                     state = fraction_sample(dist(mdp.actions[ai]), oracle)
                     assert ours.calls == oracle.calls, (k, u, schedule)
@@ -635,16 +685,17 @@ def _random_weights(rng):
 
 
 def test_integer_sampler_matches_fraction_oracle():
-    # The table is built from integer weights; the oracle compares exact
-    # Fraction sums of the same probabilities with the float draw.
+    # The integer oracle is built from integer weights; the Fraction oracle
+    # compares exact Fraction sums of the same probabilities with the float
+    # draw.
     rng = random.Random(5309)
     fixed = [(2, ((0, 1), (1, 1))), (4, ((0, 1), (1, 1), (2, 2)))]
     for case in range(400):
         weights = fixed[case] if case < len(fixed) else _random_weights(rng)
         den = weights[0]
         pairs = tuple((v, Fr(w, den)) for v, w in weights[1])
-        table = draw_table(weights)
-        assert table == draw_table(weights_of(pairs))  # any common denominator
+        table = int_draw_table(weights)
+        assert table == int_draw_table(weights_of(pairs))  # any common denominator
         seed = rng.randrange(2**32)
         ours, oracle = random.Random(seed), random.Random(seed)
         for _ in range(100):
@@ -660,3 +711,95 @@ def test_integer_sampler_matches_fraction_oracle():
                 if 0 <= k < 2**53:
                     u = k / 2**53
                     assert draw(table, FixedDraw(u)) == fraction_sample(pairs, FixedDraw(u))
+
+
+def _extreme_weights(rng):
+    """``(den, ((i, w), ...))`` integer weights over values 0..n-1: ``den``
+    up to 2**70, a power of 3 or a power of 2, and cut points drawn
+    uniformly or within ``den >> 53`` of 0 or of ``den``, so that many
+    probabilities lie within 2**-53 of 0 or of 1.  One in eight sums to
+    less than ``den``."""
+    kind = rng.randrange(3)
+    den = (rng.randint(1, 2**70), 3 ** rng.randint(1, 44), 2 ** rng.randint(0, 70))[kind]
+    near = max(1, den >> 53)
+    cuts = set()
+    for _ in range(rng.randint(0, 4)):
+        cut = (rng.randint(1, den), rng.randint(1, near), den - rng.randint(1, near))[rng.randrange(3)]
+        if 0 < cut < den:
+            cuts.add(cut)
+    bounds = [0, *sorted(cuts), den]
+    pairs = tuple(enumerate(b - a for a, b in zip(bounds, bounds[1:])))
+    if rng.randrange(8) == 0:
+        den += rng.randint(1, den)
+    return den, pairs
+
+
+def _walk(strat, u):
+    """The walk of ``strat`` from state 0 with every draw ``u``."""
+    return witness_walk(strat, EpochSchedule(), FixedDraw(u), 0)
+
+
+def _draw_sites(weights):
+    """The walk's three draws over ``weights``' values: a function of ``u``
+    that runs each site with every draw ``u`` and returns what it drew.
+
+    The MDP is a star: state s has the action ``a`` that moves to ``t_i``
+    with weight ``w_i`` and the sure actions ``c_i`` to ``t_i``, and each
+    ``t_i`` returns to s.  The pilgrimage to ``t_0`` and the class that
+    takes ``a`` at s draw the successor of ``a``; the class that chooses
+    ``c_i`` with weight ``w_i`` draws the choice.  The MDP needs weights
+    that sum to ``den``; otherwise only the choice runs."""
+    den, pairs = weights
+    n = len(pairs)
+    sites = []
+    whole_den = sum(w for _, w in pairs) == den
+    if whole_den:
+        actions = [MdpAction("a", 0, (den, tuple((1 + i, w) for i, w in pairs)))]
+    else:
+        actions = [MdpAction("a", 0, (1, ((1, 1),)))]
+    actions += [MdpAction(f"c{i}", 0, (1, ((1 + i, 1),))) for i in range(n)]
+    actions += [MdpAction(f"b{i}", 1 + i, (1, ((0, 1),))) for i in range(n)]
+    mdp = Mdp(["s"] + [f"t{i}" for i in range(n)], actions, 0)
+    back = {1 + i: (1, ((1 + n + i, 1),)) for i in range(n)}
+
+    def strategy(choice, pilgrimage=()):
+        cls = ModeClass(frozenset(range(n + 1)), 1, {0: choice, **back}, {})
+        component = Component(tuple(range(n + 1)), tuple(range(len(actions))))
+        return Strategy(((cls,),), pilgrimage, GbmpCondition(), component, mdp)
+
+    if whole_den:
+        policy = {0: 0, **{1 + i: 1 + n + i for i in range(n)}}
+        for strat in (strategy((1, ((0, 1),)), ((1, policy),)), strategy((1, ((0, 1),)))):
+            sites.append(lambda u, strat=strat: next(islice(_walk(strat, u), 1, None))[1] - 1)
+    choice = strategy((den, tuple((1 + i, w) for i, w in pairs)))
+    sites.append(lambda u: next(_walk(choice, u))[2] - 1)
+    return sites
+
+
+def test_dyadic_draws_match_the_integer_oracle():
+    # Every dyadic table draws the value that the integer table's reference
+    # sampler draws, next to and on each threshold T (at (T - 1) / 2**53,
+    # T / 2**53 and (T + 1) / 2**53) and at seeded draws: from the table,
+    # and through the walk's pilgrimage, class and choice draws.  The
+    # weights have denominators up to 2**70 and powers of 3, and many
+    # probabilities within 2**-53 of 0 or of 1.
+    rng = random.Random(3737)
+    cases = [(2, ((0, 1), (1, 1))), (3, ((0, 1), (1, 2))), (2**70, ((0, 1), (1, 2**70 - 1)))]
+    cases += [_extreme_weights(rng) for _ in range(2_400)] + [_random_weights(rng) for _ in range(400)]
+    near = {"0": 0, "1": 0, "walked": 0, "fallback": 0}
+    for weights in cases:
+        den, pairs = weights
+        table = draw_table(weights)
+        oracle = int_draw_table(weights)
+        assert table == (oracle[0], tuple(t * 2.0**-53 for t in oracle[1]))
+        assert_dyadic_draws_match(table, weights, rng, seeded=5)
+        if all(v == i for i, (v, _) in enumerate(pairs)):
+            sites = _draw_sites(weights)
+            for u in edge_draws([oracle], (-1, 0, 1)) + [rng.random() for _ in range(5)]:
+                want = draw(oracle, FixedDraw(u))
+                assert [site(u) for site in sites] == [want] * len(sites), (weights, u)
+            near["walked"] += len(sites) == 3
+        near["0"] += any(w << 53 <= den for _, w in pairs)
+        near["1"] += any((den - w) << 53 <= den for _, w in pairs) and len(pairs) > 1
+        near["fallback"] += sum(w for _, w in pairs) < den
+    assert min(near.values()) >= 200 and near["walked"] >= 2_000, near

@@ -16,7 +16,6 @@ from freqsynth.mdp import (
     MdpError,
     mec_decomposition,
     parse_mdp,
-    draw_table,
     product_mdp,
     restrict,
     weights_of,
@@ -42,6 +41,7 @@ from helpers import (
     dense_max_reach,
     dist,
     edge_draws,
+    int_draw_table,
     named_max_reach,
     reach_by_name,
     letterwise_build_dgrma,
@@ -632,10 +632,10 @@ def _hub_model(go, hy):
 
 
 def test_simulation_draws_at_threshold_edges_match_the_oracle(monkeypatch):
-    # Both simulators take every draw from one FixedDraw set next to a
-    # threshold of a product action's successor table or a witness's choice
-    # table, so the fork, the lead-in, the rings and the hub's choices are
-    # drawn exactly on and just below their edges.
+    # Both simulators take every draw from one FixedDraw set next to an
+    # integer threshold of a product action's successor table or a
+    # witness's choice table, so the fork, the lead-in, the rings and the
+    # hub's choices are drawn exactly on and just below their edges.
     rng = random.Random(6161)
     formulas = [
         parse_formula(t)
@@ -654,14 +654,14 @@ def test_simulation_draws_at_threshold_edges_match_the_oracle(monkeypatch):
         if report.strategy is None:
             continue
         choices = [
-            draw_table(c)
+            int_draw_table(c)
             for winner in report.strategy.winners
             for mode in winner.modes
             for cls in mode
             for c in cls.choices.values()
             if len(c[1]) > 1
         ]
-        cases.append((report, [draw_table(a.weights) for a in report.product.actions], choices))
+        cases.append((report, [int_draw_table(a.weights) for a in report.product.actions], choices))
     fixed = FixedDraw(0.0)
     for module in (freqsynth.synthesis, helpers):
         monkeypatch.setattr(module, "random", SimpleNamespace(Random=lambda seed: fixed))
