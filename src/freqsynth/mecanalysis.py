@@ -47,7 +47,7 @@ class LinearSystem:
     """The flow constraints for one component and condition; the column
     after the flows, when there is one, is ``t``.  ``bounds`` is
     ``cond.restricted`` read at the source of each action, and ``start`` the
-    ``solve_lp`` start basis of each flow block, or ``()``."""
+    ``solve_lp`` start basis of each flow block."""
 
     mdp: Mdp
     component: Component
@@ -123,12 +123,10 @@ def build_lp(
             rows.append(bound_row(base, bound))
         if mp_sup:
             rows.append(bound_row(base, mp_sup[i]))
-    if not has_t:
-        return LinearSystem(mdp, component, cond, n_flows, t, rows, bounds)
-    # Each block starts on the stationary flow of a unichain policy: the
-    # attractor toward the first state, each column on its source's balance
-    # row (deepest layer first), then the first state's first action on the
-    # sum row.  The first state's balance row is dependent and stays out.
+    # Each block starts on the stationary flow of a unichain policy, which a
+    # bound-free system keeps: the attractor toward the first state s0, each
+    # column on its source's balance row (deepest layer first), then s0's
+    # first action on the sum row.  s0's balance row is dependent: it stays out.
     policy = attractor_policy(mdp, {states[0]}, actions)
     column = {ai: j for j, ai in enumerate(actions)}
     balance_row = {s: 1 + k for k, s in enumerate(states)}
@@ -136,12 +134,12 @@ def build_lp(
     block = [(balance_row[s], column[ai]) for s, ai in reversed(policy.items())] + [(0, first)]
     size = len(rows) // n_flows
     start = tuple((i * size + r, i * n_actions + j) for i in range(n_flows) for r, j in block)
-    return LinearSystem(mdp, component, cond, n_flows, t + 1, rows, bounds, start)
+    return LinearSystem(mdp, component, cond, n_flows, t + has_t, rows, bounds, start)
 
 
 def maximize_margin(system: LinearSystem) -> Optional[LpSolution]:
-    """Solve the system maximizing ``t`` (plain feasibility without it);
-    None when it is infeasible.
+    """Solve the system maximizing ``t``, or without it take the vertex
+    found from the start basis; None when it is infeasible.
 
     ``t`` comes back as ``slack``.  The solution is checked against every
     bound unless a bound is strict and ``t`` is 0.
@@ -201,12 +199,12 @@ def accepting_mec(mdp: Mdp, component: Component, cond: GbmpCondition):
     component (0 otherwise); returns (answer, witness flows or None).
 
     The component is rejected at once when it misses an Inf set.  Then the
-    margin LP decides (without bounds it is the plain flow system):
-    infeasible rejects, and an optimum accepts with that solution as the
-    witness when every bound is non-strict or the margin is positive.  Only
-    when strict bounds leave the best margin at 0 does the slack LP run
-    (``>= 1/2`` with ``> 1/3`` on one reward can have margin 0 but slack
-    1/6), and strict bounds then need positive slack.
+    margin LP decides (without bounds it is the plain flow system, which
+    keeps its start's flow): infeasible rejects, and an optimum accepts with
+    that solution as the witness when every bound is non-strict or the
+    margin is positive.  Only when strict bounds leave the best margin at 0
+    does the slack LP run (``>= 1/2`` with ``> 1/3`` on one reward can have
+    margin 0 but slack 1/6), and strict bounds then need positive slack.
     """
     if any(inf_set.isdisjoint(component.states) for inf_set in cond.inf_sets):
         return False, None

@@ -18,11 +18,11 @@ numerators over one common denominator.
 A caller may pass start pivots that crash the artificial basis, as
 ``build_lp`` does with the stationary flow of a unichain policy, a vertex of
 the flow polytope.  Both phases then run from there.  Infeasible and
-unbounded do not depend on the path, but a tied optimum does, so an optimum
-is kept only when every nonbasic column prices strictly negative: then it is
-unique, and it is the vertex the plain solve reaches, with the same ``den``.
-Otherwise the LP is solved again from the artificial basis.  A start changes
-the pivots spent, never the result.
+unbounded do not depend on the path, but a tied optimum does, so an
+objective's optimum is kept only when every nonbasic column prices strictly
+negative, which makes it the plain solve's unique vertex, with its ``den``;
+else the LP is solved again from the artificial basis.  With no objective the
+start picks the vertex; it never changes the status or an objective's optimum.
 """
 
 from __future__ import annotations
@@ -67,10 +67,11 @@ def solve_lp(
     otherwise both are None.
 
     ``start`` lists ``(row, column)`` pivots that crash the initial basis;
-    column ``num_vars + k`` is the surplus of the k-th ``>=`` row.  It
-    changes no result: a start with a zero pivot cell or a negative basic
-    value is dropped, and an optimum found from it that is not provably
-    unique is found again from the all-artificial basis.
+    column ``num_vars + k`` is the surplus of the k-th ``>=`` row.  A start
+    with a zero pivot cell or a negative basic value is dropped, and an
+    objective's optimum found from it that is not provably unique is found
+    again from the all-artificial basis.  With no objective it picks the
+    first feasible vertex.
     """
     result = _solve(num_vars, rows, objective, start)
     return _solve(num_vars, rows, objective, ()) if result is None else result
@@ -78,7 +79,7 @@ def solve_lp(
 
 def _solve(num_vars, rows, objective, start):
     """``solve_lp``'s body; None when ``start`` gives no usable basis or
-    leaves an optimum that is not provably unique."""
+    leaves an objective's optimum that is not provably unique."""
     # Equality form with one surplus column per >= row.  A row is
     # [numerators, denominator]; cell j stands for nums[j] / den.  Row i
     # starts basic on its artificial, marked total + i in the basis, and
@@ -159,9 +160,9 @@ def _solve(num_vars, rows, objective, start):
     _reduce_cost(cost, tableau, basis)
     if _iterate(tableau, basis, cost) == UNBOUNDED:
         return UNBOUNDED, None, None
-    # Every nonbasic column pricing strictly negative makes the optimum unique,
-    # so its vertex and den are the plain solve's; a tied one may not be.
-    if start and any(cost[0][j] >= 0 for j in set(range(total)).difference(basis)):
+    # With an objective, every nonbasic column pricing strictly negative makes
+    # the optimum unique, so its vertex and den are the plain solve's.
+    if start and objective and any(cost[0][j] >= 0 for j in set(range(total)).difference(basis)):
         return None
 
     basic = []

@@ -753,8 +753,25 @@ def start_outcome(num_vars, rows, objective, start):
     the plain solve returns, and name what became of the start: "no start";
     the status found from it; "zero pivot" or "negative value" when it was
     dropped before phase one; or "tied" when its optimum was not provably
-    unique and the LP was solved again."""
-    assert solve_lp(num_vars, rows, objective, start) == solve_lp(num_vars, rows, objective)
+    unique and the LP was solved again.
+
+    Without an objective every feasible vertex is optimal, and the start's
+    is kept: then only the status must be the plain solve's, and the values
+    must meet every row exactly, read as Fractions, with the Fraction
+    oracle's status.  That outcome is "start vertex"."""
+    got = solve_lp(num_vars, rows, objective, start)
+    plain = solve_lp(num_vars, rows, objective)
+    if objective or got[0] != OPTIMAL:
+        assert got == plain
+    else:
+        assert plain[0] == OPTIMAL
+        assert fraction_solve_lp(num_vars, fraction_rows(rows), {})[0] == OPTIMAL
+        _, values, den = got
+        assert all(v >= 0 for v in values) and den >= 1
+        x = [Fraction(v, den) for v in values]
+        for coeffs, rel, rhs in fraction_rows(rows):
+            lhs = sum(c * x[j] for j, c in coeffs.items())
+            assert lhs == rhs if rel == EQ else lhs >= rhs, (coeffs, rel, rhs)
     if not start:
         return "no start"
     pivots, iterations = [], []
@@ -764,7 +781,7 @@ def start_outcome(num_vars, rows, objective, start):
         mp.setattr(simplex, "_iterate", lambda *args: iterations.append(1) or real_iterate(*args))
         first = simplex._solve(num_vars, rows, objective, start)
     if first is not None:
-        return first[0]
+        return "start vertex" if first[0] == OPTIMAL and not objective else first[0]
     if iterations:
         return "tied"
     return "zero pivot" if len(pivots) < len(start) else "negative value"

@@ -265,14 +265,18 @@ def test_criterion_5_hull_oracle_on_mixed_bounds(mixing_pool):
 
 
 def test_start_basis_changes_no_flow_lp_result(instance_pool, mixing_pool):
-    # Both flow systems of every instance solve from their start basis to
-    # the plain solve's result.
+    # Both flow systems of every instance solve from their start basis.  One
+    # with an objective comes back with the plain solve's result.  One
+    # without (no bound, or a slack system with no strict bound) keeps the
+    # start's vertex, which meets every row exactly, with the plain solve's
+    # status.
     for pool in (instance_pool, mixing_pool):
         outcomes = Counter(
             start_outcome(*flow_system_lp(build_lp(mdp, whole(mdp), cond, margin)))
             for mdp, cond in pool
             for margin in (True, False)
         )
+        assert "no start" not in outcomes and outcomes["start vertex"] >= 30, outcomes
         assert outcomes[OPTIMAL] >= 30, outcomes
 
 

@@ -2,19 +2,32 @@
 of every pair's restriction against the rescan oracles, the number of LP
 solves per corpus, and its witnesses and draw tables against the Fraction
 formulas and the integer draw oracle.  The corpus comes from ``bench/workloads.py``, which
-imports nothing from freqsynth; nothing under bench/ is written."""
+imports nothing from freqsynth; nothing under bench/ is written.  The
+workloads' ring builder also makes larger ladder rings, on which the
+bound-free flow system's pivots are counted and the simulation bytes of
+bound-free witnesses are checked against witnesses solved without a start."""
 
 import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
+from freqsynth import simplex
 from freqsynth.dgrma import build_dgrma
 from freqsynth.formula import parse_formula, parse_rational
-from freqsynth.mdp import mec_decomposition, parse_mdp, product_mdp, restrict
-from freqsynth.synthesis import lift_pair, synthesize
+from freqsynth.mdp import (
+    Mdp,
+    MdpAction,
+    mec_decomposition,
+    parse_mdp,
+    product_mdp,
+    restrict,
+    weights_of,
+)
+from freqsynth.synthesis import lift_pair, simulate_global, synthesize
 
 from helpers import (
     assert_dyadic_draws_match,
@@ -22,6 +35,7 @@ from helpers import (
     component_names,
     rescan_mec_decomposition,
     rescan_restrict,
+    ring_mdp,
 )
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -152,3 +166,92 @@ def test_corpus_draws_match_the_integer_oracle():
             tables += 1
     # No corpus witness draws a choice; the walks' own tests cover those.
     assert (witnesses, choices) == (214, 0) and tables > 5_000, (witnesses, tables, choices)
+
+
+def _ladder_ring(n: int) -> tuple:
+    """The ``ladder/n`` ring: ``workloads.ring_model`` of n states started at
+    its first, with labels over a and b drawn as ``lp_mec_instance`` draws
+    them, parsed."""
+    rng = workloads._rng(f"ladder/{n}")
+    labels = [[x for x in ("a", "b") if rng.random() < 0.5] for _ in range(n)]
+    return parse_mdp(workloads.ring_model(n, 0, rng, labels.__getitem__, "s"))
+
+
+def test_bound_free_ladder_ring_takes_one_pivot_per_state(monkeypatch):
+    # G F a on the 120-state ladder ring is one plain flow system, solved
+    # once.  The attractor start reaches a vertex in one pivot per state,
+    # and with no objective that vertex is kept.  Solved from the artificial
+    # basis, the same system takes 1506 Bland pivots, nearly all in phase one.
+    calls, pivots = [], []
+    real_solve, real_pivot = simplex.solve_lp, simplex._pivot
+    monkeypatch.setattr(simplex, "solve_lp", lambda *args: calls.append(1) or real_solve(*args))
+    monkeypatch.setattr(simplex, "_pivot", lambda *args: pivots.append(1) or real_pivot(*args))
+    mdp, valuation = _ladder_ring(120)
+    report = synthesize(mdp, valuation, parse_formula("G F a"), Fraction(1))
+    assert report.probability == 1
+    assert (len(calls), len(pivots)) == (1, len(report.product))
+
+
+def _two_rings(rng, n: int) -> tuple:
+    """A coin flip at s enters one of two ``ring_mdp`` rings of n states:
+    ring a keeps only its a labels and ring b only its b labels."""
+    states, actions, valuation = ["s"], [], [frozenset()]
+    for x in ("a", "b"):
+        ring, labels = ring_mdp(rng, n)
+        base = len(states)
+        states += [f"{x}{k}" for k in range(n)]
+        for action in ring.actions:
+            den, weights = action.weights
+            shifted = (den, tuple((base + t, w) for t, w in weights))
+            actions.append(MdpAction(x + action.name, base + action.source, shifted))
+        valuation += [atoms & {x} for atoms in labels]
+    go = MdpAction("go", 0, weights_of(((1, Fraction(1, 2)), (1 + n, Fraction(1, 2)))))
+    return Mdp(states, [go, *actions], 0), valuation
+
+
+def _bound_free_witnesses(report) -> list:
+    return [
+        witness.modes
+        for witness in report.strategy.winners
+        if not (witness.cond.mp_inf or witness.cond.mp_sup)
+    ]
+
+
+def test_start_vertex_changes_no_simulation_bytes(monkeypatch):
+    # A bound-free system keeps its start's vertex, where the artificial
+    # basis may reach another.  Both are one closed class with one action
+    # per state, so every step draws once, and a bound-free winner prints no
+    # average.  So the report and 30 episodes' simulation are the bytes of
+    # witnesses solved without a start, also where a bound-free winner and a
+    # bounded one share the episodes' draws (the two rings, and
+    # translate_wide's formula, whose pairs have bounds or none).
+    wide = {inst.key: inst for inst in workloads.corpus("translate_wide")}
+    cases = [
+        (_ladder_ring(n), formula)
+        for n in (20, 40)
+        for formula in ("G F a", "G F a & G F b", "G F a | G{>=2/5,inf} b")
+    ]
+    cases += [(_two_rings(random.Random(n), n), "G F a | G{>=2/5,inf} b") for n in (6, 10)]
+    cases += [
+        (parse_mdp(wide[key].model), wide[key].formula)
+        for key in ("translate_wide/0/1", "translate_wide/4/2", "translate_wide/4/3")
+    ]
+    real_solve = simplex.solve_lp
+    moved = shared = 0
+    for (mdp, valuation), formula in cases:
+        runs = []
+        for solve in (real_solve, lambda n, rows, objective, start=(): real_solve(n, rows, objective)):
+            monkeypatch.setattr(simplex, "solve_lp", solve)
+            report = synthesize(mdp, valuation, parse_formula(formula), Fraction(1, 2))
+            sim = simulate_global(report.product, report.strategy, 30, 200, 3)
+            runs.append((report.to_text() + sim.to_text(), _bound_free_witnesses(report)))
+        (text, free), (plain_text, plain_free) = runs
+        assert text == plain_text, formula
+        assert free and len(free) == len(plain_free), formula
+        for modes in free + plain_free:
+            for mode in modes:
+                assert len(mode) == 1, formula
+                assert all(len(pairs) == 1 for _, pairs in mode[0].choices.values())
+        moved += free != plain_free
+        shared += len(free) < len(report.strategy.winners) and "pooled_avg" in text
+    assert moved >= 8 and shared == 2, (moved, shared)

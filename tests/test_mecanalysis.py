@@ -252,7 +252,9 @@ def test_build_lp_matches_rescan_builder():
 
 def test_no_bounds_condition_is_one_plain_solve(monkeypatch):
     # Without bounds the margin system has no t column: it is the plain
-    # flow system, solved once.
+    # flow system, solved once from the attractor policy's start basis with
+    # no objective.  The start's vertex is kept, so the witness flow sits on
+    # the start's columns, one action per state.
     calls = []
     real_solve = simplex.solve_lp
     monkeypatch.setattr(
@@ -265,9 +267,11 @@ def test_no_bounds_condition_is_one_plain_solve(monkeypatch):
         calls.clear()
         ok, sol = accepting_mec(mdp, whole(mdp), cond)
         plain = build_lp(mdp, whole(mdp), cond, margin=False)
-        assert plain.start == ()  # no t column, so no start basis
+        assert plain.num_vars == len(mdp.actions) and len(plain.start) == len(mdp)
         assert calls == [(plain.num_vars, plain.rows, {}, plain.start)]
         assert (ok, sol) == (True, maximize_margin(plain))
+        columns = {j for _, j in plain.start}
+        assert all(j in columns for j, v in enumerate(sol.flows[0]) if v)
 
 
 def test_strongly_connected_mec_drops_a_dependent_balance_row(monkeypatch):

@@ -498,7 +498,9 @@ def test_random_start_pivots_change_no_result():
     # Any list of start pivots gives the plain solve's result: a start with a
     # zero pivot cell or a negative basic value is dropped, infeasible and
     # unbounded LPs are found from the start as such, and a tied optimum is
-    # solved again from the all-artificial basis.
+    # solved again from the all-artificial basis.  Without an objective the
+    # start's vertex is kept: it has the plain solve's status and meets
+    # every row.
     rng = random.Random(36)
     outcomes = Counter()
     for _ in range(1500):
@@ -511,6 +513,7 @@ def test_random_start_pivots_change_no_result():
         outcomes[start_outcome(num_vars, int_rows(rows), objective, start)] += 1
     kinds = ("zero pivot", "negative value", "tied", OPTIMAL, INFEASIBLE, UNBOUNDED)
     assert min(outcomes[kind] for kind in kinds) >= 20, outcomes
+    assert outcomes["start vertex"] >= 5, outcomes
 
 
 def test_start_pivots_out_of_range_raise():
@@ -521,20 +524,24 @@ def test_start_pivots_out_of_range_raise():
 
 
 def test_start_basis_changes_no_ring_flow_lp_result():
-    # Both systems of every ring: bound-free ones have no start, and the
-    # others come back from their start basis unless their optimum is tied.
+    # Both systems of every ring have a start basis.  Those with an objective
+    # come back from it unless their optimum is tied; those without keep its
+    # vertex.
     outcomes = Counter(
         start_outcome(*flow_system_lp(build_lp(mdp, whole(mdp), cond, margin)))
         for mdp, cond in _ring_instances()
         for margin in (True, False)
     )
+    assert "no start" not in outcomes and outcomes["start vertex"] >= 3, outcomes
     assert outcomes[OPTIMAL] >= 10, outcomes
 
 
 def test_start_basis_changes_no_corpus_result():
     # lp_mec's flow LPs have unique optima, so they come back from the start
-    # path; translate_wide's tied optima are solved again.
+    # path; translate_wide's tied optima are solved again, and its
+    # bound-free systems, like reach_ruin's one, keep the start's vertex.
     lp_mec = Counter(start_outcome(*lp) for lp in _corpus_lps("lp_mec"))
     assert lp_mec[OPTIMAL] + lp_mec[INFEASIBLE] >= 100, lp_mec
     wide = Counter(start_outcome(*lp) for lp in _corpus_lps("translate_wide"))
-    assert wide["tied"] >= 10, wide
+    assert wide["tied"] >= 10 and wide["start vertex"] >= 5, wide
+    assert Counter(start_outcome(*lp) for lp in _corpus_lps("reach_ruin")) == {"start vertex": 1}
