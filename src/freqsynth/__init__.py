@@ -19,19 +19,20 @@ from .formula import (
 from .boolfn import BoolFn, step, substitute_ff, unfold
 from .lasso import Lasso, models, parse_lasso
 from .lts import Lts, StateCapExceeded
-from .master import build_master
 from .slave import (
     accepting_sinks,
     assumption_conj,
     buchi_accepting_sets,
     build_count_lts,
+    build_master,
     build_slave_lts,
     build_token_lts,
     cobuchi_rejecting_sets,
     mp_reward,
 )
 from .dgrma import Dgrma, GbmpCondition, GrmpPair, MpBound, accepts_lasso, build_dgrma, rec_set
-from .mdp import Component, Mdp, MdpError, mec_decomposition, parse_mdp, product_mdp, restrict
+from .graph import Component, mec_decomposition, restrict
+from .mdp import Mdp, MdpError, parse_mdp, product_mdp
 from .mecanalysis import (
     EpochSchedule,
     LpSolution,

@@ -9,9 +9,10 @@ from functools import cache
 
 from .dgrma import accepts_lasso, acceptance_dump, build_dgrma, dgrma_to_dot
 from .formula import Formula, FormulaError, parse_formula, parse_rational
+from .graph import mec_decomposition
 from .lasso import LassoError, models, parse_lasso
 from .lts import DEFAULT_STATE_CAP, StateCapExceeded
-from .mdp import MdpError, mec_decomposition, parse_mdp
+from .mdp import MdpError, parse_mdp
 from .mecanalysis import EpochSchedule
 from .simplex import SimplexError
 from .slave import token_str

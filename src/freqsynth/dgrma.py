@@ -36,11 +36,11 @@ from .formula import (
 )
 from .lasso import Lasso
 from .lts import DEFAULT_STATE_CAP, Lts, build_lts
-from .master import build_master
 from .slave import (
     assumption_conj,
     buchi_accepting_sets,
     build_count_lts,
+    build_master,
     build_slave_lts,
     build_token_lts,
     cobuchi_rejecting_sets,

@@ -31,15 +31,8 @@ from typing import Iterator, Mapping, Optional
 from . import simplex
 from .dgrma import GbmpCondition
 from .formula import GT
-from .mdp import (
-    Component,
-    Mdp,
-    MdpError,
-    _sccs,
-    attractor_policy,
-    draw_table,
-    successor_edges,
-)
+from .graph import Component, attractor_policy, sccs
+from .mdp import Mdp, MdpError, draw_table
 
 
 @dataclass
@@ -311,7 +304,7 @@ def _support_classes(mdp: Mdp, component: Component, flow: tuple) -> list[ModeCl
     for ai, v in support:
         enabled.setdefault(mdp.actions[ai].source, []).append((ai, v))
     classes = []
-    for comp in _sccs(sorted(enabled), successor_edges(mdp, [ai for ai, _ in support])):
+    for comp in sccs(mdp, enabled, {ai for ai, _ in support}):
         comp_set = frozenset(comp)
         choices = {si: (sum(v for _, v in enabled[si]), tuple(enabled[si])) for si in comp}
         weight = sum(mass for mass, _ in choices.values())

@@ -1,11 +1,14 @@
-"""Slave transition systems and their token-tracking automata.
+"""The monitors that the automaton is a product of: the master, the slaves
+and their token-tracking automata, each a plain LTS built by ``build_lts``.
 
-A slave monitors from every position whether its formula holds there.  It is
-a plain LTS that applies only the next-step operator (no unfolding), so inner
-F/G/frequency subformulas freeze into sinks, the states without a row, and the
-rest is acyclic.  The subset construction tracks one token per start
-position; the counting construction additionally keeps multiplicities for
-frequency bookkeeping.  Both build their rows with one token-row builder.
+The master tracks the property still required to hold: it unfolds every
+obligation once per state, then steps the expansion under each letter.  A
+slave monitors from every position whether its formula holds there.  It
+applies only the next-step operator (no unfolding), so inner F/G/frequency
+subformulas freeze into sinks, the states without a row, and the rest is
+acyclic.  The subset construction tracks one token per start position; the
+counting construction additionally keeps multiplicities for frequency
+bookkeeping.  Both build their rows with one token-row builder.
 """
 
 from __future__ import annotations
@@ -13,12 +16,26 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .boolfn import BoolFn, bf_and_many, formula_to_boolfn, rank, step_row
+from .boolfn import BoolFn, bf_and_many, formula_to_boolfn, rank, step_row, unfold
 from .formula import Formula, FormulaError, atoms_of
 from .lts import DEFAULT_STATE_CAP, Lts, build_lts
 
 TokenSet = frozenset  # of slave state indices
 TokenCounts = tuple  # count per slave state index
+
+
+def build_master(phi: Formula, cap: int = DEFAULT_STATE_CAP) -> Lts:
+    """Reachable master LTS over the powerset of the formula's atoms.
+
+    States are canonical Boolean functions; tt and ff are absorbing.
+    """
+    return build_lts(
+        formula_to_boolfn(phi),
+        lambda state, alphabet: step_row(unfold(state), alphabet),
+        atoms_of(phi),
+        cap,
+        what="master LTS",
+    )
 
 
 def sinks(slave: Lts) -> frozenset[int]:

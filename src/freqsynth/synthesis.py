@@ -25,16 +25,9 @@ from typing import Iterable, Mapping, Optional
 
 from .dgrma import Dgrma, GbmpCondition, GrmpPair, build_dgrma
 from .formula import Formula
+from .graph import attractor_policy, can_reach, mec_decomposition, restrict
 from .lts import DEFAULT_STATE_CAP
-from .mdp import (
-    Mdp,
-    MdpError,
-    attractor_policy,
-    can_reach,
-    mec_decomposition,
-    product_mdp,
-    restrict,
-)
+from .mdp import Mdp, MdpError, product_mdp
 from .mecanalysis import (
     EpochSchedule,
     accepting_mec,

@@ -9,10 +9,12 @@ exceptions are differential oracles that keep replaced implementations:
 the slack system before ``build_lp`` built both, and
 ``rescan_mec_decomposition``, ``rescan_restrict`` and
 ``rescan_attractor_policy`` are the full-rescan fixpoints that the graph
-toolkit in ``freqsynth.mdp`` replaced, ``fraction_solve_lp`` is the simplex
-over a tableau of Fractions that the integer-row tableau replaced (it keeps
-the artificial columns that ``solve_lp`` dropped, and its ``reenter`` argument
-keeps the phase-one rule that let a left artificial re-enter),
+toolkit in ``freqsynth.graph`` replaced (the first splits its SCCs by
+mutual reachability, ``mutual_reach_classes``, and not by ``graph.sccs``),
+``fraction_solve_lp`` is the simplex over a tableau of Fractions that the
+integer-row tableau replaced (it keeps the artificial columns that
+``solve_lp`` dropped, and its ``reenter`` argument keeps the phase-one rule
+that let a left artificial re-enter),
 ``rescan_build_lp`` is the slack flow-system builder that scanned every action
 distribution once per state, ``pairwise_winning_union`` is the winning union
 that decided every (pair, component) afresh, before decisions were shared
@@ -144,18 +146,8 @@ from freqsynth.slave import (
     cobuchi_rejecting_sets,
     mp_reward,
 )
-from freqsynth.mdp import (
-    Component,
-    Mdp,
-    MdpAction,
-    MdpError,
-    _sccs,
-    can_reach,
-    mec_decomposition,
-    draw_table,
-    restrict,
-    weights_of,
-)
+from freqsynth.graph import Component, can_reach, mec_decomposition, restrict
+from freqsynth.mdp import Mdp, MdpAction, MdpError, draw_table, weights_of
 from freqsynth.mecanalysis import (
     EpochSchedule,
     LinearSystem,
@@ -590,7 +582,8 @@ def pairwise_winning_union(product, lifted):
 def rescan_mec_decomposition(mdp, states=None):
     """MECs by iterated SCC pruning that rescans every state and action, in
     the ``component_names`` form of ``mec_decomposition``'s components:
-    states in index order, actions in name order, MECs by least state name."""
+    states in index order, actions in name order, MECs by least state name.
+    The SCCs are split by mutual reachability, not by ``graph.sccs``."""
     cur_states = set(range(len(mdp))) if states is None else set(states)
     cur_actions = {
         ai
@@ -599,13 +592,8 @@ def rescan_mec_decomposition(mdp, states=None):
         and all(t in cur_states for t, _ in dist(mdp.actions[ai]))
     }
     while True:
-        edges = {s: [] for s in cur_states}
-        for ai in cur_actions:
-            a = mdp.actions[ai]
-            edges[a.source].extend(t for t, _ in dist(a))
-        comps = _sccs(sorted(cur_states), edges)
         comp_of = {}
-        for ci, comp in enumerate(comps):
+        for ci, comp in enumerate(mutual_reach_classes(mdp, cur_states, cur_actions)):
             for s in comp:
                 comp_of[s] = ci
         removed_actions = {
@@ -624,23 +612,53 @@ def rescan_mec_decomposition(mdp, states=None):
         if next_states == cur_states and next_actions == cur_actions:
             break
         cur_states, cur_actions = next_states, next_actions
-    edges = {s: [] for s in cur_states}
-    for ai in cur_actions:
-        a = mdp.actions[ai]
-        edges[a.source].extend(t for t, _ in dist(a))
     mecs = []
-    for comp in _sccs(sorted(cur_states), edges):
+    for comp in mutual_reach_classes(mdp, cur_states, cur_actions):
         comp_set = set(comp)
         internal = [ai for ai in cur_actions if mdp.actions[ai].source in comp_set]
         if internal:
             mecs.append(
                 (
-                    tuple(mdp.states[s] for s in sorted(comp_set)),
+                    tuple(mdp.states[s] for s in comp),
                     tuple(sorted(mdp.actions[ai].name for ai in internal)),
                 )
             )
     mecs.sort(key=lambda ec: min(ec[0]))
     return mecs
+
+
+def mutual_reach_classes(mdp, states, actions):
+    """The SCCs, each in index order, of the graph on ``states`` whose edges
+    go from each of ``actions`` (targets inside ``states``) to its targets:
+    a state's class is the states it reaches that reach it back, searched
+    among the states no earlier class took."""
+    succ = {s: set() for s in states}
+    pred = {s: set() for s in states}
+    for ai in actions:
+        a = mdp.actions[ai]
+        for t, _ in dist(a):
+            succ[a.source].add(t)
+            pred[t].add(a.source)
+    left = set(states)
+    classes = []
+    for s in sorted(states):
+        if s in left:
+            comp = sorted(_closure(s, succ, left) & _closure(s, pred, left))
+            left.difference_update(comp)
+            classes.append(comp)
+    return classes
+
+
+def _closure(s, edges, within):
+    """The states of ``within`` reachable from ``s`` along ``edges``."""
+    seen = {s}
+    stack = [s]
+    while stack:
+        for t in edges[stack.pop()]:
+            if t in within and t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
 
 
 def rescan_restrict(mdp, removed):

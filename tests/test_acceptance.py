@@ -18,7 +18,6 @@ from freqsynth.boolfn import step, unfold
 from freqsynth.dgrma import GbmpCondition, MpBound, accepts_lasso, build_dgrma, rec_set, run_cycle
 from freqsynth.formula import always, eventually, parse_formula, tt
 from freqsynth.lasso import models
-from freqsynth.master import build_master
 from freqsynth.mdp import Mdp, parse_mdp, product_mdp
 from freqsynth.mecanalysis import accepting_mec, build_lp, build_witness_strategy
 from freqsynth.simplex import OPTIMAL, SimplexError
@@ -26,6 +25,7 @@ from freqsynth.slave import (
     assumption_conj,
     buchi_accepting_sets,
     build_count_lts,
+    build_master,
     build_slave_lts,
     build_token_lts,
     cobuchi_rejecting_sets,

@@ -18,15 +18,8 @@ from pathlib import Path
 from freqsynth import simplex
 from freqsynth.dgrma import build_dgrma
 from freqsynth.formula import parse_formula, parse_rational
-from freqsynth.mdp import (
-    Mdp,
-    MdpAction,
-    mec_decomposition,
-    parse_mdp,
-    product_mdp,
-    restrict,
-    weights_of,
-)
+from freqsynth.graph import mec_decomposition, restrict
+from freqsynth.mdp import Mdp, MdpAction, parse_mdp, product_mdp, weights_of
 from freqsynth.synthesis import lift_pair, simulate_global, synthesize
 
 from helpers import (

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import importlib
 import io
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -86,13 +88,13 @@ def test_synth_errors(model_file):
 def test_every_state_cap_defaults_to_the_one_constant():
     import inspect
 
-    from freqsynth import dgrma, lts, master, mdp, slave, synthesis
+    from freqsynth import dgrma, lts, mdp, slave, synthesis
 
     def default(fn, name="cap"):
         return inspect.signature(fn).parameters[name].default
 
     defaults = [
-        default(master.build_master),
+        default(slave.build_master),
         default(slave.build_slave_lts),
         default(slave.build_token_lts),
         default(slave.build_count_lts),
@@ -585,6 +587,65 @@ def test_a_kept_automaton_does_not_bypass_a_lower_cap(model_file):
     assert main_in_process(synth + ["--max-states", "925"])[0] == 0
 
 
+def _bench_hooks() -> list:
+    """The ``module.attr`` names that ``bench/spans.py`` wraps, read from the
+    file's text, so nothing is written next to it."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    namespace = {"__name__": "spans"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
+    return [f"{module}.{attr}" for module, attr, _, _ in namespace["HOOKS"]]
+
+
+# A reachable winner of a frequency and a G F member: one synth run calls
+# every hooked name but one.  synthesis never calls maximize_margin (its
+# decisions run inside accepting_mec), so that span reads 0 (ROADMAP item 3).
+HOOK_MODEL = """\
+mdp
+states s x y z
+init s
+label x a
+label y b
+action s go : x 1/2 , z 1/2
+action x xy : y 1
+action y yx : x 1
+action z stay : z 1
+"""
+UNCALLED_HOOK = "freqsynth.synthesis.maximize_margin"
+
+
+@pytest.mark.parametrize(
+    "hook",
+    [
+        pytest.param(hook, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 3"))
+        if hook == UNCALLED_HOOK
+        else hook
+        for hook in _bench_hooks()
+    ],
+)
+def test_every_benchmark_hook_is_on_the_synth_path(hook, tmp_path, monkeypatch):
+    # A hooked name that moved out of its caller's namespace still resolves
+    # but times nothing; a counting wrapper in the same place must be called.
+    module_name, _, attr = hook.rpartition(".")
+    module = importlib.import_module(module_name)
+    original = getattr(module, attr)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counted)
+    path = tmp_path / "hook.mdp"
+    path.write_text(HOOK_MODEL)
+    build_dgrma.cache_clear()
+    code, out, _ = main_in_process(
+        ["synth", "--model", str(path), "--formula", "G{>=1/3,inf} a & G F b",
+         "--threshold", "1/2"]
+    )
+    assert code == 0 and "threshold_met: yes" in out
+    assert calls, hook
+
+
 # Two lim-inf bounds that only a mixture of the s0 and s1 loops meets.
 MIXING_MODEL = """\
 mdp
@@ -617,3 +678,198 @@ def test_mixing_witness_meets_its_liminf_bounds(tmp_path):
     for bound, value in averages.items():
         # Within 0.05 below the bound at worst; above it is fine.
         assert value >= float(Fraction(bound)) - 0.05, (bound, value)
+
+
+# Small models whose `mec`, `synth` and `simulate` bytes are pinned below.
+PINNED_MODELS = {
+    "coin": """\
+mdp
+states s t
+init s
+label t a
+action s go : s 1/2 , t 1/2
+action t flip : s 1/2 , t 1/2
+""",
+    # The hub witness draws between hx and hy at h and walks to x for G F a.
+    "hub": """\
+mdp
+states s h x y
+init s
+label x a
+label y b
+action s go : s 1/2 , h 1/2
+action h hx : x 1
+action h hy : y 1/3 , h 2/3
+action x xh : h 1
+action y yh : h 1
+""",
+    # A 3-rung risky-shortcut ladder: the attractor start jumps from every
+    # rung below the top, climbing is optimal, and policy iteration takes 4
+    # evaluations to get there.
+    "ladder": """\
+mdp
+states x0 x1 x2 x3 goal sink
+init x0
+label goal g
+action x0 jump0 : goal 1/97 , sink 96/97
+action x0 step0 : x1 88/89 , sink 1/89
+action x1 jump1 : goal 1/97 , sink 96/97
+action x1 step1 : x2 100/101 , sink 1/101
+action x2 jump2 : goal 1/97 , sink 96/97
+action x2 step2 : x3 102/103 , sink 1/103
+action x3 step3 : goal 96/97 , sink 1/97
+action goal won : goal 1
+action sink lost : sink 1
+""",
+    # A 4-state ring with chords: its margin LP has a unique optimum, which
+    # solve_lp returns from the attractor policy's start basis.
+    "ring": """\
+mdp
+states s0 s1 s2 s3
+init s0
+label s1 a
+label s2 b
+label s3 a
+action s0 r0 : s1 1/2 , s0 1/2
+action s0 c0 : s2 1
+action s1 r1 : s2 1/3 , s1 2/3
+action s1 c1 : s3 1/2 , s2 1/2
+action s2 r2 : s3 1
+action s3 r3 : s0 1/2 , s3 1/2
+action s3 c3 : s1 1
+""",
+    # Two loops through h with a-frequency 1/2 each tie the margin LP.  The
+    # start basis ends on the 4-step loop; the re-solve from the artificial
+    # basis keeps Bland's 2-step loop (the other reads 0.52).
+    "loops": """\
+mdp
+states h x y z w
+init h
+label h a
+label y a
+action h h2x : x 1
+action x axh : h 1
+action h h1y : y 1
+action y yz : z 1
+action z zw : w 1
+action w wh : h 1
+""",
+    # An 8-state gambler's-ruin line, win 2/5, started mid-line: most steps
+    # are the reachability selector's draws over denominator 5, each compared
+    # with the dyadic thresholds of its successor table.
+    "ruin": """\
+mdp
+states x0 x1 x2 x3 x4 x5 x6 x7
+init x4
+label x0 broke
+label x7 goal
+action x0 stay0 : x0 1
+action x1 timid1 : x2 2/5 , x0 3/5
+action x1 bold1 : x3 2/5 , x0 3/5
+action x2 timid2 : x3 2/5 , x1 3/5
+action x2 bold2 : x4 2/5 , x0 3/5
+action x3 timid3 : x4 2/5 , x2 3/5
+action x3 bold3 : x5 2/5 , x1 3/5
+action x4 timid4 : x5 2/5 , x3 3/5
+action x4 bold4 : x6 2/5 , x2 3/5
+action x5 timid5 : x6 2/5 , x4 3/5
+action x5 bold5 : x7 2/5 , x3 3/5
+action x6 timid6 : x7 2/5 , x5 3/5
+action x6 bold6 : x7 2/5 , x4 3/5
+action x7 stay7 : x7 1
+""",
+    # A chorded ring entered from s with probability 1/2: every ring state
+    # has two actions, and G F a & G F b has no bound, so its flow LP keeps
+    # the attractor start's vertex.  That witness takes one draw per step, as
+    # any bound-free vertex does, so the selector's draws in later episodes,
+    # and the entry count, stay.
+    "chord": """\
+mdp
+states s z r0 r1 r2 r3
+init s
+label r0 a
+label r1 b
+label r2 a
+label r3 a
+action s go : s 1/2 , r0 1/4 , z 1/4
+action z stay : z 1
+action r0 step0 : r1 1/2 , r0 1/2
+action r0 chord0 : r2 3/4 , r1 1/4
+action r1 step1 : r2 3/4 , r1 1/4
+action r1 chord1 : r3 2/3 , r2 1/3
+action r2 step2 : r3 1/3 , r2 2/3
+action r2 chord2 : r0 2/3 , r3 1/3
+action r3 step3 : r0 1/3 , r3 2/3
+action r3 chord3 : r1 1
+""",
+}
+
+
+# (model, argv after the command, stdout), one per mechanism of the pipeline.
+PINNED_OUTPUTS = {
+    "mec-coin": ("coin", ["mec"], "mecs: 1\nmec 0: states={s,t} actions={flip,go}\n"),
+    "synth-ladder": (
+        "ladder",
+        ["synth", "--formula", "F g", "--threshold", "9/10"],
+        "formula: F g\nautomaton_states: 4\nautomaton_pairs: 2\nproduct_states: 6\n"
+        "winning_states: 1\npair_0_winning_mecs: {goal@2}\npair_1_winning_mecs: {goal@2}\n"
+        "max_probability: 86169600/89809099 (~0.959475)\nthreshold: >= 9/10\n"
+        "threshold_met: yes\n",
+    ),
+    "simulate-coin": (
+        "coin",
+        ["simulate", "--formula", "G{>=1/3,inf} a", "--steps", "50", "--episodes", "20",
+         "--seed", "3"],
+        "max_probability: 1 (~1.000000)\nepisodes: 20\nsteps_per_episode: 50\nseed: 3\n"
+        "entered_winning_union: 20\nentry_fraction: 1.000000\n"
+        "pooled_avg[w0][inf:>=1/3]: 0.482000\n",
+    ),
+    "simulate-hub": (
+        "hub",
+        ["simulate", "--formula", "G{>=1/5,inf} a & G{>=1/7,inf} b & G F a", "--steps", "60",
+         "--episodes", "20", "--seed", "3"],
+        "max_probability: 1 (~1.000000)\nepisodes: 20\nsteps_per_episode: 60\nseed: 3\n"
+        "entered_winning_union: 20\nentry_fraction: 1.000000\n"
+        "pooled_avg[w0][inf:>=1/5]: 0.212199\npooled_avg[w0][inf:>=1/7]: 0.139175\n",
+    ),
+    "simulate-ring": (
+        "ring",
+        ["simulate", "--formula", "G{>=1/4,inf} a & G{>=1/5,sup} b", "--steps", "50",
+         "--episodes", "20", "--seed", "3"],
+        "max_probability: 1 (~1.000000)\nepisodes: 20\nsteps_per_episode: 50\nseed: 3\n"
+        "entered_winning_union: 20\nentry_fraction: 1.000000\n"
+        "pooled_avg[w0][inf:>=1/4]: 0.476000\npooled_avg[w0][sup:>=1/5]: 0.259000\n",
+    ),
+    "simulate-loops": (
+        "loops",
+        ["simulate", "--formula", "G{>=1/3,inf} a", "--steps", "50", "--episodes", "20",
+         "--seed", "3"],
+        "max_probability: 1 (~1.000000)\nepisodes: 20\nsteps_per_episode: 50\nseed: 3\n"
+        "entered_winning_union: 20\nentry_fraction: 1.000000\n"
+        "pooled_avg[w0][inf:>=1/3]: 0.500000\n",
+    ),
+    "simulate-ruin": (
+        "ruin",
+        ["simulate", "--formula", "F goal", "--steps", "40", "--episodes", "50", "--seed", "3"],
+        "max_probability: 136/325 (~0.418462)\nepisodes: 50\nsteps_per_episode: 40\n"
+        "seed: 3\nentered_winning_union: 17\nentry_fraction: 0.340000\n",
+    ),
+    "simulate-chord": (
+        "chord",
+        ["simulate", "--formula", "G F a & G F b", "--steps", "30", "--episodes", "20",
+         "--seed", "3"],
+        "max_probability: 1/2 (~0.500000)\nepisodes: 20\nsteps_per_episode: 30\nseed: 3\n"
+        "entered_winning_union: 16\nentry_fraction: 0.800000\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("pin", PINNED_OUTPUTS)
+def test_pinned_outputs(pin, tmp_path):
+    # No pinned report prints an `&`/`|` formula line, so interning order
+    # cannot move these bytes, and they run in this process.
+    name, argv, expected = PINNED_OUTPUTS[pin]
+    path = tmp_path / f"{name}.mdp"
+    path.write_text(PINNED_MODELS[name])
+    command, *rest = argv
+    assert main_in_process([command, "--model", str(path), *rest]) == (0, expected, "")

@@ -96,6 +96,32 @@ def test_the_lp_path_holds_no_fractions():
     assert not found, found
 
 
+def test_no_module_imports_a_private_name():
+    # A name that another module needs is public in its home module, so a
+    # leading underscore keeps meaning "used here only".  Modules bound by
+    # ``from . import name`` are checked for private attribute reads too.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                if node.module is None:
+                    modules.update(alias.asname or alias.name for alias in node.names)
+                found += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+        found += [
+            f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name) and node.value.id in modules
+        ]
+    assert not found, found
+
+
 def test_benchmark_hooks_resolve():
     # bench/spans.py wraps each HOOKS name in its module when it traces a
     # run; a renamed or removed function, or a name that no longer refers to

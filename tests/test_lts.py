@@ -3,8 +3,7 @@ import pytest
 from freqsynth.dgrma import build_dgrma, rec_set
 from freqsynth.formula import FREQ, atoms_of
 from freqsynth.lts import StateCapExceeded, build_lts, powerset_alphabet
-from freqsynth.master import build_master
-from freqsynth.slave import build_count_lts, build_slave_lts, build_token_lts
+from freqsynth.slave import build_count_lts, build_master, build_slave_lts, build_token_lts
 
 from helpers import corpus_formulas
 

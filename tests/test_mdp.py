@@ -6,18 +6,9 @@ import pytest
 
 from freqsynth.formula import parse_formula
 from freqsynth.lts import StateCapExceeded
-from freqsynth.master import build_master
-from freqsynth.mdp import (
-    Mdp,
-    MdpAction,
-    MdpError,
-    attractor_policy,
-    mec_decomposition,
-    parse_mdp,
-    product_mdp,
-    restrict,
-    weights_of,
-)
+from freqsynth.graph import attractor_policy, mec_decomposition, restrict
+from freqsynth.mdp import Mdp, MdpAction, MdpError, parse_mdp, product_mdp, weights_of
+from freqsynth.slave import build_master
 
 from helpers import (
     action_at,

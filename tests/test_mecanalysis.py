@@ -10,15 +10,8 @@ import freqsynth.mdp
 import freqsynth.mecanalysis
 from freqsynth import simplex
 from freqsynth.dgrma import GbmpCondition, MpBound
-from freqsynth.mdp import (
-    Component,
-    Mdp,
-    MdpAction,
-    draw_table,
-    mec_decomposition,
-    parse_mdp,
-    weights_of,
-)
+from freqsynth.graph import Component, mec_decomposition
+from freqsynth.mdp import Mdp, MdpAction, draw_table, parse_mdp, weights_of
 from freqsynth.mecanalysis import (
     EpochSchedule,
     LpSolution,

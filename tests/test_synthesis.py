@@ -10,16 +10,8 @@ import freqsynth.synthesis
 from freqsynth import simplex
 from freqsynth.dgrma import GbmpCondition, MpBound, build_dgrma
 from freqsynth.formula import FormulaError, parse_formula
-from freqsynth.mdp import (
-    Mdp,
-    MdpAction,
-    MdpError,
-    mec_decomposition,
-    parse_mdp,
-    product_mdp,
-    restrict,
-    weights_of,
-)
+from freqsynth.graph import mec_decomposition, restrict
+from freqsynth.mdp import Mdp, MdpAction, MdpError, parse_mdp, product_mdp, weights_of
 from freqsynth.mecanalysis import EpochSchedule, accepting_mec, build_lp, maximize_margin
 from freqsynth.synthesis import (
     SynthesisError,
