@@ -16,7 +16,7 @@ from .mdp import MdpError, parse_mdp
 from .mecanalysis import EpochSchedule
 from .simplex import SimplexError
 from .slave import token_str
-from .synthesis import SynthesisError, simulate_global, synthesize
+from .synthesis import SynthesisError, check_counts, simulate_global, synthesize
 
 _ERRORS = (
     FormulaError,
@@ -200,6 +200,7 @@ def cmd_simulate(args) -> int:
     phi = _load_formula(args)
     mdp, valuation = _load_model(args)
     schedule = EpochSchedule(cap=args.epoch_cap)
+    check_counts(args.episodes, args.steps)
     report = synthesize(mdp, valuation, phi, Fraction(0), max_states=args.max_states)
     if report.strategy is None or not report.strategy.winners:
         raise SynthesisError(

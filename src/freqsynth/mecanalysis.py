@@ -14,7 +14,8 @@ decides and gives the witness's flows; the slack LP runs only when strict
 bounds leave the margin at 0.  The witness strategy cycles through one
 randomized mode per flow with steeply growing epochs, starts every epoch
 with a pilgrimage through the Inf sets, and interleaves a mode's recurrent
-classes in rounds that grow linearly within the epoch.
+classes in rounds that grow linearly within the epoch; ``WitnessRun`` plays
+it one pilgrimage leg or epoch block at a time, each in one tight loop.
 """
 
 from __future__ import annotations
@@ -227,11 +228,14 @@ class EpochSchedule:
     cap: Optional[int] = None
 
     def __post_init__(self):
-        # A length below 1 plans an empty epoch, and the walk would loop.
+        # A length below 1 plans an empty epoch, and the run would loop.
         if self.cap is not None and self.cap < 1:
             raise ValueError("epoch cap must be at least 1")
 
     def length(self, t: int) -> int:
+        # From t = cap.bit_length() on, 32**t > 2**t > cap: build no power.
+        if self.cap is not None and t >= self.cap.bit_length():
+            return self.cap
         raw = EPOCH_BASE * EPOCH_RATIO**t
         return raw if self.cap is None else min(raw, self.cap)
 
@@ -261,12 +265,12 @@ class Strategy:
 
     @cached_property
     def steps(self) -> tuple:
-        """The walk's step records, ``(pilgrimage, modes)``: per pilgrimage
+        """The run's step records, ``(pilgrimage, modes)``: per pilgrimage
         target ``(target, (records, compile))`` for its policy, and per mode,
         per class, ``(records, compile)`` for the class and its entry policy.
         ``records`` is a list over the MDP's states, None at a state until
-        the walk first reads it and stores ``compile(state)`` there, so a
-        state the walk never reaches compiles nothing.
+        the run first reads it and stores ``compile(state)`` there, so a
+        state the run never reaches compiles nothing.
 
         A step that takes action ``ai`` is ``(ai, values, thresholds)``, the
         action's successor ``draw_table`` after it.  A state with a
@@ -370,44 +374,65 @@ def epoch_blocks(planned: int, weights: list) -> Iterator[tuple]:
                 yield j, steps
 
 
-def witness_walk(
-    strategy: Strategy, schedule: EpochSchedule, rng: random.Random, state: int
-) -> Iterator[tuple]:
-    """Run the witness from ``state`` forever, yielding (epoch, state, action
-    index) per step; states and actions are those of ``strategy.mdp``, and
-    ``state`` is in the strategy's component.
+class WitnessRun:
+    """The witness run from ``state``, ``take(n)`` steps at a time; states are
+    those of ``strategy.mdp``, and ``state`` is in the strategy's component.
 
     Epoch t walks to each pilgrimage target in turn, then plays the classes
     of mode ``t % len(modes)`` in the ``epoch_blocks`` of
     ``schedule.length(t)`` steps; a block's steps outside its class follow
-    the class's entry policy.  Each step reads one of ``strategy.steps``'
-    records and draws from it inline: one ``random()`` for a randomized
-    choice, then one for the successor, which is drawn before the step is
-    yielded, so a caller that stops after n steps has used exactly n steps'
-    draws.
+    the class's entry policy.  Between calls the run keeps its state and its
+    leg.  Each step reads one of ``strategy.steps``' records and draws from
+    it inline, one ``random()`` for a randomized choice, then one for the
+    successor, so ``take(n)`` uses exactly n steps' draws.
     """
-    random = rng.random
-    pilgrimage, mode_steps = strategy.steps
-    for epoch in count():
-        k = epoch % len(mode_steps)
-        weights = [c.weight for c in strategy.modes[k]]
-        for target, (records, compile) in pilgrimage:
-            while state != target:
-                record = records[state]
-                if record is None:
-                    record = records[state] = compile(state)
-                ai, values, thresholds = record
-                at, state = state, values[bisect_right(thresholds, random())]
-                yield epoch, at, ai
-        for j, steps in epoch_blocks(schedule.length(epoch), weights):
-            records, compile = mode_steps[k][j]
-            for _ in range(steps):
-                record = records[state]
-                if record is None:
-                    record = records[state] = compile(state)
-                if record[0] is None:
+
+    def __init__(self, strategy: Strategy, schedule: EpochSchedule, rng: random.Random, state: int):
+        self._state, self._random = state, rng.random
+        self._legs = self._plan(strategy, schedule)
+        self._leg = (None, None, None, 0)  # records, compile, target, steps left
+
+    @staticmethod
+    def _plan(strategy: Strategy, schedule: EpochSchedule) -> Iterator[tuple]:
+        pilgrimage, mode_steps = strategy.steps
+        for epoch in count():
+            k = epoch % len(mode_steps)
+            for target, (records, compile) in pilgrimage:
+                yield records, compile, target, 0
+            weights = [c.weight for c in strategy.modes[k]]
+            for j, steps in epoch_blocks(schedule.length(epoch), weights):
+                yield *mode_steps[k][j], None, steps
+
+    def take(self, n: int) -> list:
+        """The states of the next ``n`` steps, in order."""
+        random, state = self._random, self._state
+        records, compile, target, left = self._leg
+        visited = []
+        append = visited.append
+        while n > 0:
+            if target is None and left:  # an epoch block
+                steps = n if n < left else left
+                n, left = n - steps, left - steps
+                for _ in range(steps):
+                    record = records[state]
+                    if record is None:
+                        record = records[state] = compile(state)
+                    if record[0] is None:
+                        record = record[1][bisect_right(record[2], random())]
                     _, values, thresholds = record
-                    record = values[bisect_right(thresholds, random())]
-                ai, values, thresholds = record
-                at, state = state, values[bisect_right(thresholds, random())]
-                yield epoch, at, ai
+                    append(state)
+                    state = values[bisect_right(thresholds, random())]
+            elif target is not None and state != target:  # a pilgrimage leg
+                for _ in range(n):
+                    record = records[state]
+                    if record is None:
+                        record = records[state] = compile(state)
+                    append(state)
+                    n -= 1
+                    state = record[1][bisect_right(record[2], random())]
+                    if state == target:
+                        break
+            else:
+                records, compile, target, left = next(self._legs)
+        self._state, self._leg = state, (records, compile, target, left)
+        return visited

@@ -7,7 +7,8 @@ with exact maximal reachability.  Parts and components are index sets of
 the product, never copies of it, and a decision is keyed by index tuples
 and integers; names appear only in the report and the simulation output.
 The LP solution that accepts a component is kept as the flows of its
-witness, which steps the product itself.
+witness, which steps the product itself; the simulation sums rewards over
+the states that a ``WitnessRun`` returns, a chunk at a time.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
 from math import gcd
-from operator import add, itemgetter
+from operator import add
 from typing import Iterable, Mapping, Optional
 
 from .dgrma import Dgrma, GbmpCondition, GrmpPair, build_dgrma
@@ -30,10 +30,10 @@ from .lts import DEFAULT_STATE_CAP
 from .mdp import Mdp, MdpError, product_mdp
 from .mecanalysis import (
     EpochSchedule,
+    WitnessRun,
     accepting_mec,
     build_witness_strategy,
     maximize_margin,  # not called here; bench/spans.py hooks this name
-    witness_walk,
 )
 
 _ZERO = Fraction(0)
@@ -448,6 +448,13 @@ def _reward_lists(winner, n: int) -> list:
     return vecs
 
 
+def check_counts(episodes: int, steps_per_episode: int):
+    """Raise ``ValueError`` on a step or episode count below 1."""
+    for name, n in (("steps", steps_per_episode), ("episodes", episodes)):
+        if n < 1:
+            raise ValueError(f"{name} must be at least 1")
+
+
 def simulate_global(
     product: Mdp,
     strategy: GlobalStrategy,
@@ -462,15 +469,12 @@ def simulate_global(
     state, then runs that winner's witness, which steps the product inside
     the winner's component.  The selector's steps read a per-state list
     of its actions' successor tables, filled at first read, and draw from
-    them inline as ``witness_walk`` does: ``random()`` itself against the
+    them inline as ``WitnessRun`` does: ``random()`` itself against the
     tables' dyadic thresholds, which decides as the exact rational sums do
     (see ``mdp.draw_table``).  Each bound's float rewards are summed in
-    step order, a chunk of the walk's states at a time.
+    step order, a chunk of the run's states at a time.
     """
-    if steps_per_episode < 1:
-        raise ValueError("steps must be at least 1")
-    if episodes < 1:
-        raise ValueError("episodes must be at least 1")
+    check_counts(episodes, steps_per_episode)
     rng = random.Random(seed)
     random_ = rng.random
     winner_at = [strategy.state_to_winner.get(s) for s in range(len(product))]
@@ -500,9 +504,9 @@ def simulate_global(
             vecs = rewards[w_idx] = _reward_lists(winner, len(product))
         sums = pooled_sums[w_idx]
         pooled_steps[w_idx] += steps
-        walk = witness_walk(winner, schedule, rng, state)
+        run = WitnessRun(winner, schedule, rng, state)
         while steps:
-            visited = list(map(itemgetter(1), islice(walk, min(steps, _CHUNK))))
+            visited = run.take(min(steps, _CHUNK))
             steps -= len(visited)
             for k, vec in enumerate(vecs):
                 sums[k] = reduce(add, map(vec.__getitem__, visited), sums[k])

@@ -49,15 +49,20 @@ dyadic draws are compared with (``assert_dyadic_draws_match``).
 ``FixedDraw`` is an rng whose every ``random()`` is one chosen value in [0,
 1), and ``edge_draws`` lists the values on both sides of each threshold of
 some integer tables, which seeded draws almost never meet.
-``StrategyRunner`` is the task-list interpreter of the witness that
-``freqsynth.mecanalysis.witness_walk`` replaced; it picks choices with
-``fraction_sample``, plays each epoch in the blocks of
-``fraction_epoch_plan``, the interleaved plan of ``epoch_blocks`` stated
-over Fraction masses, and ``named_simulate_global`` steps it.
-``simulate_strategy`` runs one witness alone from the first state of its
-component and returns ``SimulationStats`` (epoch lengths, Inf-set visits, prefix
-averages); it is an instrument for the witness tests, which the CLI's
-``simulate`` (``freqsynth.synthesis.simulate_global``) does not use.
+``witness_walk`` is the per-step generator of the witness that
+``freqsynth.mecanalysis.WitnessRun`` replaced, which fills a list of states
+one pilgrimage leg or epoch block at a time: the walk yields (epoch, state,
+action) per step, so the tests that read epochs and actions walk with it,
+and the run's chunks are checked against its states and draws.
+``StrategyRunner`` is the task-list interpreter of the witness that the walk
+replaced; it picks choices with ``fraction_sample``, plays each epoch in the
+blocks of ``fraction_epoch_plan``, the interleaved plan of ``epoch_blocks``
+stated over Fraction masses, and ``named_simulate_global`` steps it.
+``simulate_strategy`` runs one witness alone with ``witness_walk`` from the
+first state of its component and returns ``SimulationStats`` (epoch
+lengths, Inf-set visits, prefix averages); it is an instrument for the
+witness tests, which the CLI's ``simulate``
+(``freqsynth.synthesis.simulate_global``) does not use.
 ``hull_accepts`` decides a strongly connected MEC from the reward vectors of
 its MD-strategy BSCCs, one small margin LP per flow block solved with
 ``fraction_solve_lp``; it shares no code with ``build_lp`` or the simplex.
@@ -98,7 +103,8 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
+from typing import Iterator
 
 import pytest
 
@@ -157,7 +163,6 @@ from freqsynth.mecanalysis import (
     build_lp,
     epoch_blocks,
     maximize_margin,
-    witness_walk,
 )
 from freqsynth.synthesis import GlobalSimulation, max_reach
 from freqsynth.simplex import (
@@ -213,6 +218,22 @@ WIDE_FORMULA = (
     "((l U b) -> G{>=0.99,inf}(r -> X(f & F c)))"
     " & ((l U w) -> G{>=0.85,inf}(r -> (X p | X X p)))"
 )
+
+# Two lim-inf bounds that only a mixture of the s0 and s1 loops meets: the
+# witness of MIXING_FORMULA interleaves the classes {s0} and {s1}.
+MIXING_MODEL = """\
+mdp
+states s0 s1 s2
+init s0
+label s0 b
+label s1 a
+action s0 go : s0 1/2 , s1 1/2
+action s0 stay0 : s0 1
+action s1 stay1 : s1 1
+action s1 leave : s0 4/7 , s2 3/7
+action s2 mix : s0 1/4 , s1 1/2 , s2 1/4
+"""
+MIXING_FORMULA = "G{>=1/2,inf} a & G{>=2/5,inf} b"
 
 
 def corpus_formulas():
@@ -1765,6 +1786,49 @@ def named_simulate_global(product, strategy, episodes, steps_per_episode, seed, 
         label = f"{kind}:{bound.cmp}{bound.bound}"
         mp_pooled.append((w_idx, label, total / pooled_steps[(w_idx, bi)]))
     return GlobalSimulation(episodes, steps_per_episode, seed, entered, mp_pooled)
+
+
+def witness_walk(
+    strategy: Strategy, schedule: EpochSchedule, rng: random.Random, state: int
+) -> Iterator[tuple]:
+    """Run the witness from ``state`` forever, yielding (epoch, state, action
+    index) per step; states and actions are those of ``strategy.mdp``, and
+    ``state`` is in the strategy's component.
+
+    Epoch t walks to each pilgrimage target in turn, then plays the classes
+    of mode ``t % len(modes)`` in the ``epoch_blocks`` of
+    ``schedule.length(t)`` steps; a block's steps outside its class follow
+    the class's entry policy.  Each step reads one of ``strategy.steps``'
+    records and draws from it inline: one ``random()`` for a randomized
+    choice, then one for the successor, which is drawn before the step is
+    yielded, so a caller that stops after n steps has used exactly n steps'
+    draws.
+    """
+    random = rng.random
+    pilgrimage, mode_steps = strategy.steps
+    for epoch in count():
+        k = epoch % len(mode_steps)
+        weights = [c.weight for c in strategy.modes[k]]
+        for target, (records, compile) in pilgrimage:
+            while state != target:
+                record = records[state]
+                if record is None:
+                    record = records[state] = compile(state)
+                ai, values, thresholds = record
+                at, state = state, values[bisect_right(thresholds, random())]
+                yield epoch, at, ai
+        for j, steps in epoch_blocks(schedule.length(epoch), weights):
+            records, compile = mode_steps[k][j]
+            for _ in range(steps):
+                record = records[state]
+                if record is None:
+                    record = records[state] = compile(state)
+                if record[0] is None:
+                    _, values, thresholds = record
+                    record = values[bisect_right(thresholds, random())]
+                ai, values, thresholds = record
+                at, state = state, values[bisect_right(thresholds, random())]
+                yield epoch, at, ai
 
 
 @dataclass

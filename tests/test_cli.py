@@ -20,7 +20,7 @@ from freqsynth.dgrma import acceptance_dump, build_dgrma
 from freqsynth.formula import parse_formula
 from freqsynth.lts import DEFAULT_STATE_CAP
 
-from helpers import WIDE_FORMULA, time_limit
+from helpers import MIXING_FORMULA, MIXING_MODEL, WIDE_FORMULA, time_limit
 
 MODEL = """\
 mdp
@@ -291,6 +291,21 @@ def test_simulate_command(model_file):
     bad_steps = run_cli("simulate", "--model", model_file, "--formula", "G b",
                         "--steps", "0", "--seed", "11")
     assert bad_steps.returncode == 2
+
+
+@pytest.mark.parametrize("count", ["--steps", "--episodes"])
+@pytest.mark.parametrize(
+    "formula, extra",
+    [("G a", []), ("G b", ["--max-states", "1"])],
+    ids=["no-strategy", "state-cap"],
+)
+def test_simulate_checks_its_counts_before_synthesis(model_file, count, formula, extra):
+    # `G a` has no strategy and one state is below the automaton's size, so
+    # a synthesis would fail with its own error; a count below 1 is found first.
+    argv = ["simulate", "--model", model_file, "--formula", formula, "--steps", "5", *extra]
+    code, out, err = main_in_process(argv + [count, "0"])
+    assert (code, out) == (2, "")
+    assert err == f"error: {count[2:]} must be at least 1\n"
 
 
 @pytest.mark.parametrize("cap", ["-1", "0"])
@@ -646,27 +661,12 @@ def test_every_benchmark_hook_is_on_the_synth_path(hook, tmp_path, monkeypatch):
     assert calls, hook
 
 
-# Two lim-inf bounds that only a mixture of the s0 and s1 loops meets.
-MIXING_MODEL = """\
-mdp
-states s0 s1 s2
-init s0
-label s0 b
-label s1 a
-action s0 go : s0 1/2 , s1 1/2
-action s0 stay0 : s0 1
-action s1 stay1 : s1 1
-action s1 leave : s0 4/7 , s2 3/7
-action s2 mix : s0 1/4 , s1 1/2 , s2 1/4
-"""
-
-
 def test_mixing_witness_meets_its_liminf_bounds(tmp_path):
     path = tmp_path / "mix.mdp"
     path.write_text(MIXING_MODEL)
     code, out, _ = main_in_process(
         ["simulate", "--model", str(path), "--formula",
-         "G{>=1/2,inf} a & G{>=2/5,inf} b", "--steps", "400000", "--seed", "7"]
+         MIXING_FORMULA, "--steps", "400000", "--seed", "7"]
     )
     assert code == 0 and "max_probability: 1 " in out
     averages = {}
@@ -778,6 +778,8 @@ action x6 timid6 : x7 2/5 , x5 3/5
 action x6 bold6 : x7 2/5 , x4 3/5
 action x7 stay7 : x7 1
 """,
+    # Two interleaved classes: a capped run crosses many epochs and rounds.
+    "mixing": MIXING_MODEL,
     # A chorded ring entered from s with probability 1/2: every ring state
     # has two actions, and G F a & G F b has no bound, so its flow LP keeps
     # the attractor start's vertex.  That witness takes one draw per step, as
@@ -831,6 +833,24 @@ PINNED_OUTPUTS = {
         "max_probability: 1 (~1.000000)\nepisodes: 20\nsteps_per_episode: 60\nseed: 3\n"
         "entered_winning_union: 20\nentry_fraction: 1.000000\n"
         "pooled_avg[w0][inf:>=1/5]: 0.212199\npooled_avg[w0][inf:>=1/7]: 0.139175\n",
+    ),
+    # Runs past the simulator's 4096-step chunk: each episode's witness
+    # states are summed in more than one chunk.
+    "simulate-hub-long": (
+        "hub",
+        ["simulate", "--formula", "G{>=1/5,inf} a & G{>=1/7,inf} b & G F a", "--steps", "9000",
+         "--episodes", "3", "--seed", "5"],
+        "max_probability: 1 (~1.000000)\nepisodes: 3\nsteps_per_episode: 9000\nseed: 5\n"
+        "entered_winning_union: 3\nentry_fraction: 1.000000\n"
+        "pooled_avg[w0][inf:>=1/5]: 0.200778\npooled_avg[w0][inf:>=1/7]: 0.149435\n",
+    ),
+    "simulate-mixing": (
+        "mixing",
+        ["simulate", "--formula", MIXING_FORMULA, "--steps", "9000",
+         "--episodes", "2", "--epoch-cap", "7", "--seed", "5"],
+        "max_probability: 1 (~1.000000)\nepisodes: 2\nsteps_per_episode: 9000\nseed: 5\n"
+        "entered_winning_union: 2\nentry_fraction: 1.000000\n"
+        "pooled_avg[w0][inf:>=1/2]: 0.291722\npooled_avg[w0][inf:>=2/5]: 0.588500\n",
     ),
     "simulate-ring": (
         "ring",

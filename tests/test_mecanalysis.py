@@ -2,7 +2,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction as Fr
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 
@@ -17,12 +17,13 @@ from freqsynth.mecanalysis import (
     LpSolution,
     ModeClass,
     Strategy,
+    WitnessRun,
     _verify_solution,
     accepting_mec,
     build_lp,
     build_witness_strategy,
+    epoch_blocks,
     maximize_margin,
-    witness_walk,
 )
 from freqsynth.simplex import SimplexError
 from freqsynth.synthesis import GlobalStrategy, simulate_global
@@ -47,7 +48,9 @@ from helpers import (
     random_strongly_connected_mdp,
     rescan_build_lp,
     simulate_strategy,
+    time_limit,
     whole,
+    witness_walk,
 )
 
 
@@ -614,6 +617,87 @@ def test_walk_draws_at_threshold_edges_match_the_runner():
     assert min(on_edge.values()) >= 100, on_edge
 
 
+def _plan_ends(strat, schedule, states):
+    """Where the walk that visits ``states`` ends a pilgrimage leg of at
+    least one step, an epoch block and an epoch, as sets of step indices
+    inside the walk: a leg to target T ends at the next step at T, and the
+    ``epoch_blocks`` of the epoch follow the last leg."""
+    ends = {"pilgrimage": set(), "block": set(), "epoch": set()}
+    i, n = 0, len(states)
+    for epoch in count():
+        for target, _ in strat.pilgrimage:
+            if i < n and states[i] != target:
+                while i < n and states[i] != target:
+                    i += 1
+                ends["pilgrimage"].add(i)
+        weights = [c.weight for c in strat.modes[epoch % len(strat.modes)]]
+        for _, steps in epoch_blocks(schedule.length(epoch), weights):
+            i += steps
+            ends["block"].add(i)
+        ends["epoch"].add(i)
+        if i >= n:
+            return {kind: {e for e in cut if e < n} for kind, cut in ends.items()}
+
+
+def test_witness_run_takes_the_reference_walk_in_any_chunks():
+    # Joined, the run's chunks are the states of the per-step reference
+    # walk, and after each chunk both have drawn equally often.  Chunks are
+    # cut at half the ends of pilgrimage legs, epoch blocks and epochs, so
+    # the other half fall inside a chunk, one step before or after some of
+    # those ends (chunks of 1 among them), and at random steps; the draws
+    # are seeded, or every draw is one value next to a threshold of the
+    # witness's successor and choice tables.
+    rng = random.Random(2626)
+    cases = [_hub_witness() + (0,), _mixing_witness() + (2,)]
+    while len(cases) < 12:
+        mdp = random_strongly_connected_mdp(rng, 5, 3)
+        cond = _random_condition(rng, mdp)
+        ok, sol = accepting_mec(mdp, whole(mdp), cond)
+        if not ok:
+            continue
+        strat = build_witness_strategy(mdp, whole(mdp), sol, cond)
+        choices = [c for mode in strat.modes for cls in mode for _, c in cls.choices.values()]
+        if strat.pilgrimage or len(strat.modes) >= 2 or max(map(len, choices)) >= 2:
+            cases.append((mdp, strat, rng.randrange(len(mdp))))
+    cut_at = dict.fromkeys(("pilgrimage", "block", "epoch"), 0)
+    inside = dict.fromkeys(cut_at, 0)
+    ones = 0
+    for k, (mdp, strat, start) in enumerate(cases):
+        edges = edge_draws(_witness_tables(strat))
+        rngs = [lambda: random.Random(k)]
+        rngs += [lambda u=u: FixedDraw(u) for u in rng.sample(edges, min(3, len(edges)))]
+        schedules = ((EpochSchedule(), 3_500), (EpochSchedule(cap=1), 300), (EpochSchedule(cap=7), 600))
+        for schedule, steps in schedules:
+            for new_rng in rngs:
+                walked = list(islice(witness_walk(strat, schedule, new_rng(), start), steps))
+                ends = _plan_ends(strat, schedule, [s for _, s, _ in walked])
+                turns = {i for i in range(1, steps) if walked[i][0] != walked[i - 1][0]}
+                assert ends["epoch"] == turns, (k, schedule)
+                every = sorted(set().union(*ends.values()))
+                cuts = set(rng.sample(every, len(every) // 2))
+                cuts |= set(rng.sample(range(1, steps), 10))
+                cuts |= {e + d for e in rng.sample(sorted(cuts), len(cuts) // 3) for d in (-1, 1)}
+                cuts = sorted(c for c in cuts if 0 < c < steps) + [steps]
+                ours, theirs = new_rng(), new_rng()
+                run = WitnessRun(strat, schedule, ours, start)
+                walk = witness_walk(strat, schedule, theirs, start)
+                at = 0
+                for cut in cuts:
+                    want = [s for _, s, _ in islice(walk, cut - at)]
+                    assert run.take(cut - at) == want, (k, schedule, at, cut)
+                    if isinstance(ours, FixedDraw):
+                        assert ours.calls == theirs.calls, (k, schedule, cut)
+                    else:
+                        assert ours.getstate() == theirs.getstate(), (k, schedule, cut)
+                    ones += cut - at == 1
+                    for kind, cut_ends in ends.items():
+                        cut_at[kind] += cut in cut_ends
+                        inside[kind] += any(at < e < cut for e in cut_ends)
+                    at = cut
+    assert min(cut_at.values()) >= 500 and min(inside.values()) >= 100 and ones >= 500, (
+        cut_at, inside, ones)
+
+
 def test_simulation_builds_each_table_once(monkeypatch):
     # A long run reads compiled records: it builds one successor table per
     # action it takes and one choice table per choice state it draws at,
@@ -650,6 +734,15 @@ def test_schedule_cap():
     assert [sched.length(t) for t in range(4)] == [100, 3_200, 5_000, 5_000]
     assert [EpochSchedule().length(t) for t in range(3)] == [100, 3_200, 102_400]
     assert EpochSchedule(cap=1).length(3) == 1
+    for cap in (1, 99, 100, 101, 3_200, 3_201, 2**40, 2**40 + 1):
+        lengths = [EpochSchedule(cap=cap).length(t) for t in range(cap.bit_length() + 3)]
+        assert lengths == [min(100 * 32**t, cap) for t in range(len(lengths))], cap
+    # A run of one-step epochs once built 32**t for every epoch t, so 60,000
+    # steps took about half a minute; now they take a fraction of a second.
+    mdp, strat = _hub_witness()
+    run = WitnessRun(strat, EpochSchedule(cap=1), random.Random(1), 0)
+    with time_limit(10):
+        assert len(run.take(60_000)) == 60_000
     for cap in (0, -1):
         with pytest.raises(ValueError, match="epoch cap must be at least 1"):
             EpochSchedule(cap=cap)
@@ -731,13 +824,14 @@ def _extreme_weights(rng):
     return den, pairs
 
 
-def _walk(strat, u):
-    """The walk of ``strat`` from state 0 with every draw ``u``."""
-    return witness_walk(strat, EpochSchedule(), FixedDraw(u), 0)
+def _second_state(strat, u):
+    """The second state of the run of ``strat`` from state 0 with every
+    draw ``u``."""
+    return WitnessRun(strat, EpochSchedule(), FixedDraw(u), 0).take(2)[1]
 
 
 def _draw_sites(weights):
-    """The walk's three draws over ``weights``' values: a function of ``u``
+    """The run's three draws over ``weights``' values: a function of ``u``
     that runs each site with every draw ``u`` and returns what it drew.
 
     The MDP is a star: state s has the action ``a`` that moves to ``t_i``
@@ -767,9 +861,9 @@ def _draw_sites(weights):
     if whole_den:
         policy = {0: 0, **{1 + i: 1 + n + i for i in range(n)}}
         for strat in (strategy((1, ((0, 1),)), ((1, policy),)), strategy((1, ((0, 1),)))):
-            sites.append(lambda u, strat=strat: next(islice(_walk(strat, u), 1, None))[1] - 1)
+            sites.append(lambda u, strat=strat: _second_state(strat, u) - 1)
     choice = strategy((den, tuple((1 + i, w) for i, w in pairs)))
-    sites.append(lambda u: next(_walk(choice, u))[2] - 1)
+    sites.append(lambda u: _second_state(choice, u) - 1)
     return sites
 
 

@@ -26,6 +26,8 @@ from freqsynth.synthesis import (
 import helpers
 from helpers import (
     FixedDraw,
+    MIXING_FORMULA,
+    MIXING_MODEL,
     assert_flow_row_form,
     chain_pipeline_probability,
     component_names,
@@ -621,6 +623,33 @@ def _hub_model(go, hy):
         f"action h hx : x 1\naction h hy : y {hy} , h {1 - hy}\n"
         "action x xh : h 1\naction y yh : h 1\n"
     )
+
+
+def test_simulation_past_one_chunk_matches_the_name_keyed_oracle():
+    # Episodes of 4095 to 8193 steps end one step before, at and one step
+    # past the simulator's 4096-step chunk, or one step into a third chunk;
+    # the default schedule's first epochs end inside them.  The mixing
+    # witness interleaves two classes, the hubs draw a choice at h, and the
+    # two-sup fork formula switches modes at every epoch.  Both episodes of
+    # a run share one rng.
+    rng = random.Random(4097)
+    hub = parse_formula("G{>=1/5,inf} a & G{>=1/7,inf} b & G F a")
+    cases = [parse_mdp(MIXING_MODEL) + (parse_formula(MIXING_FORMULA),)]
+    cases += [_hub_model(go, hy) + (hub,) for go, hy in ((Fr(3, 4), Fr(1, 3)), (Fr(2, 3), Fr(1, 2)))]
+    cases += [
+        _fork_model(rng) + (parse_formula(t),)
+        for t in ("G{>=1/3,sup} a & G{>=1/3,sup} b", "G{>=1/2,inf} a | G{>=1/2,sup} b")
+    ]
+    entered = 0
+    for k, (mdp, valuation, phi) in enumerate(cases):
+        report = synthesize(mdp, valuation, phi, Fr(0))
+        for steps in (4095, 4096, 4097, 8193):
+            for schedule in (EpochSchedule(), EpochSchedule(cap=1), EpochSchedule(cap=7)):
+                args = (report.product, report.strategy, 2, steps, k, schedule)
+                got = simulate_global(*args)
+                assert got.to_text() == named_simulate_global(*args).to_text(), (k, steps)
+                entered += got.entered
+    assert entered >= 4 * 3 * 2 * 4
 
 
 def test_simulation_draws_at_threshold_edges_match_the_oracle(monkeypatch):
