@@ -37,13 +37,13 @@ from .mecanalysis import (
     EpochSchedule,
     LpSolution,
     Strategy,
-    accepting_mec,
     build_lp,
     build_witness_strategy,
 )
 from .synthesis import (
     GlobalStrategy,
     SynthesisReport,
+    accepting_mec,
     max_reach,
     simulate_global,
     synthesize,

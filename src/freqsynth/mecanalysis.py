@@ -1,17 +1,17 @@
-"""Qualitative analysis of end components against generalized Buchi
-mean-payoff conditions, with witness-strategy construction.
+"""One end component's flow LP against a generalized Buchi mean-payoff
+condition, and the witness strategy built from its solution.
 
 A component is read through its index tuples into the MDP: its actions, in
 their order, are the LP's columns, and its states the balance rows.
 
 Feasibility of the per-flow linear constraints decides whether the maximal
-satisfaction probability is 1 or 0.  Each limit-superior bound gets its own
-flow block; limit-inferior bounds are replicated into every block.  One
-builder makes the system with one extra column ``t`` on its bound rows: on
-every bound row for the margin LP, which maximizes one margin shared by all
-of them, or on the strict rows alone for the slack LP.  The margin LP
-decides and gives the witness's flows; the slack LP runs only when strict
-bounds leave the margin at 0.  The witness strategy cycles through one
+satisfaction probability is 1 or 0 (``synthesis.accepting_mec`` decides).
+Each limit-superior bound gets its own flow block; limit-inferior bounds
+are replicated into every block.  One builder makes the system with one
+extra column ``t`` on its bound rows: on every bound row for the margin
+LP, which maximizes one margin shared by all of them, or on the strict
+rows alone for the slack LP.  An accepting solution, checked exactly,
+gives the witness's flows.  The witness strategy cycles through one
 randomized mode per flow with steeply growing epochs, starts every epoch
 with a pilgrimage through the Inf sets, and interleaves a mode's recurrent
 classes in rounds that grow linearly within the epoch; ``WitnessRun`` plays
@@ -186,31 +186,6 @@ def _verify_solution(system: LinearSystem, sol: LpSolution):
             lhs = sum(v * r for v, r in zip(flow, rewards))
             if lhs < rhs * scale or (lhs == rhs * scale and cmp == GT):
                 raise simplex.SimplexError(f"flow {i} violates {kind}")
-
-
-def accepting_mec(mdp: Mdp, component: Component, cond: GbmpCondition):
-    """Decide whether the condition holds with probability 1 in the end
-    component (0 otherwise); returns (answer, witness flows or None).
-
-    The component is rejected at once when it misses an Inf set.  Then the
-    margin LP decides (without bounds it is the plain flow system, which
-    keeps its start's flow): infeasible rejects, and an optimum accepts with
-    that solution as the witness when every bound is non-strict or the
-    margin is positive.  Only when strict bounds leave the best margin at 0
-    does the slack LP run (``>= 1/2`` with ``> 1/3`` on one reward can have
-    margin 0 but slack 1/6), and strict bounds then need positive slack.
-    """
-    if any(inf_set.isdisjoint(component.states) for inf_set in cond.inf_sets):
-        return False, None
-    sol = maximize_margin(build_lp(mdp, component, cond))
-    if sol is None:
-        return False, None
-    if not cond.strict() or sol.slack > 0:
-        return True, sol
-    sol = maximize_margin(build_lp(mdp, component, cond, margin=False))
-    if sol is None or sol.slack == 0:
-        return False, None
-    return True, sol
 
 
 EPOCH_BASE = 100

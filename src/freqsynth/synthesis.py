@@ -1,14 +1,14 @@
 """Top-level synthesis pipeline: translate, product, analyze, assemble.
 
 The analysis lifts each pair onto the product, removes its Fin set,
-decomposes the rest into maximal end components, decides each component
-with the flow constraints, takes the union of the winners, and finishes
-with exact maximal reachability.  Parts and components are index sets of
-the product, never copies of it, and a decision is keyed by index tuples
-and integers; names appear only in the report and the simulation output.
-The LP solution that accepts a component is kept as the flows of its
-witness, which steps the product itself; the simulation sums rewards over
-the states that a ``WitnessRun`` returns, a chunk at a time.
+decomposes the rest into maximal end components, decides each component here
+(``accepting_mec``, on ``mecanalysis``'s flow LPs), takes the union of the
+winners, and finishes with exact maximal reachability.  Parts and components
+are index sets of the product, never copies of it, and a decision is keyed
+by index tuples and integers; names appear only in the report and the
+simulation output.  The LP solution that accepts a component is kept as the
+flows of its witness, which steps the product itself; the simulation sums
+rewards over the states that a ``WitnessRun`` returns, a chunk at a time.
 """
 
 from __future__ import annotations
@@ -25,15 +25,15 @@ from typing import Iterable, Mapping, Optional
 
 from .dgrma import Dgrma, GbmpCondition, GrmpPair, build_dgrma
 from .formula import Formula
-from .graph import attractor_policy, can_reach, mec_decomposition, restrict
+from .graph import Component, attractor_policy, can_reach, mec_decomposition, restrict
 from .lts import DEFAULT_STATE_CAP
 from .mdp import Mdp, MdpError, product_mdp
 from .mecanalysis import (
     EpochSchedule,
     WitnessRun,
-    accepting_mec,
+    build_lp,
     build_witness_strategy,
-    maximize_margin,  # not called here; bench/spans.py hooks this name
+    maximize_margin,
 )
 
 _ZERO = Fraction(0)
@@ -116,6 +116,31 @@ def _refuted(key: tuple, rejections: list) -> bool:
             if set(inf).issubset(mp_inf) and set(sup).issubset(mp_sup):
                 return True
     return False
+
+
+def accepting_mec(mdp: Mdp, component: Component, cond: GbmpCondition):
+    """Decide whether the condition holds with probability 1 in the end
+    component (0 otherwise); returns (answer, witness flows or None).
+
+    The component is rejected at once when it misses an Inf set.  Then the
+    margin LP decides (without bounds it is the plain flow system, which
+    keeps its start's flow): infeasible rejects, and an optimum accepts with
+    that solution as the witness when every bound is non-strict or the
+    margin is positive.  Only when strict bounds leave the best margin at 0
+    does the slack LP run (``>= 1/2`` with ``> 1/3`` on one reward can have
+    margin 0 but slack 1/6), and strict bounds then need positive slack.
+    """
+    if any(inf_set.isdisjoint(component.states) for inf_set in cond.inf_sets):
+        return False, None
+    sol = maximize_margin(build_lp(mdp, component, cond))
+    if sol is None:
+        return False, None
+    if not cond.strict() or sol.slack > 0:
+        return True, sol
+    sol = maximize_margin(build_lp(mdp, component, cond, margin=False))
+    if sol is None or sol.slack == 0:
+        return False, None
+    return True, sol
 
 
 def _sparse_solve(rows: list, rhs: list) -> tuple[list, int]:

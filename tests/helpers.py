@@ -99,11 +99,12 @@ import math
 import random
 import signal
 from bisect import bisect_right
-from collections import deque
+from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import count, islice
+from itertools import accumulate, compress, count, islice
+from operator import itemgetter, truediv
 from typing import Iterator
 
 import pytest
@@ -159,12 +160,11 @@ from freqsynth.mecanalysis import (
     LinearSystem,
     LpSolution,
     Strategy,
-    accepting_mec,
     build_lp,
     epoch_blocks,
     maximize_margin,
 )
-from freqsynth.synthesis import GlobalSimulation, max_reach
+from freqsynth.synthesis import GlobalSimulation, accepting_mec, max_reach
 from freqsynth.simplex import (
     EQ,
     GEQ,
@@ -1870,67 +1870,47 @@ def simulate_strategy(
     seed: int,
 ) -> SimulationStats:
     """Run the witness for the given number of steps from a fixed seed,
-    from the first state of its component."""
+    from the first state of its component.
+
+    The steps are collected once, and the statistics are taken with C-level
+    builtins.  Each running sum is added in step order, as a per-step loop
+    adds it, so every average is that loop's float."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
     cond, mdp, states = strategy.cond, strategy.mdp, strategy.component.states
-
-    bounds = [("inf", i, b) for i, b in enumerate(cond.mp_inf)] + [
-        ("sup", i, b) for i, b in enumerate(cond.mp_sup)
-    ]
-    reward_vecs = []
-    for _, _, b in bounds:
-        reward_vecs.append({s: float(reward_of(cond, b, s)) for s in states})
-    sums = [0.0] * len(bounds)
-    max_prefix = [float("-inf")] * len(bounds)
-    min_late = [float("inf")] * len(bounds)
-    late_from = int(0.2 * steps)
-    action_counts: dict[str, int] = {}
-    inf_sets_idx = [set(inf_set) & set(states) for inf_set in cond.inf_sets]
-    visits: list[list[int]] = [[] for _ in inf_sets_idx]
-    epoch_steps: list[int] = []
-
     walk = witness_walk(strategy, EpochSchedule(), random.Random(seed), states[0])
-    for step_no, (epoch, state, ai) in enumerate(islice(walk, steps)):
-        if epoch == len(epoch_steps):
-            epoch_steps.append(0)
-            for v in visits:
-                v.append(0)
-        epoch_steps[-1] += 1
-        name = mdp.actions[ai].name
-        action_counts[name] = action_counts.get(name, 0) + 1
-        for k, vec in enumerate(reward_vecs):
-            sums[k] += vec[state]
-            avg = sums[k] / (step_no + 1)
-            if avg > max_prefix[k]:
-                max_prefix[k] = avg
-            if step_no >= late_from and avg < min_late[k]:
-                min_late[k] = avg
-        for k, idx in enumerate(inf_sets_idx):
-            if state in idx:
-                visits[k][-1] += 1
-
-    labels = [
-        f"{kind}{i}:{b.cmp}{b.bound}" for kind, i, b in bounds
-    ]
+    walk = list(islice(walk, steps))
+    epochs, visited, taken = (list(map(itemgetter(k), walk)) for k in range(3))
+    epoch_counts = Counter(epochs)  # epochs run 0, 1, ... in order, none empty
+    visits = []
+    for inf_set in cond.inf_sets:
+        inside = set(inf_set).intersection(states).__contains__
+        hits = Counter(compress(epochs, map(inside, visited)))
+        visits.append([hits[epoch] for epoch in epoch_counts])
+    late_from = int(0.2 * steps)
+    mp_final, mp_max_prefix, mp_min_late = [], [], []
+    for kind, bounds in (("inf", cond.mp_inf), ("sup", cond.mp_sup)):
+        for i, b in enumerate(bounds):
+            label = f"{kind}{i}:{b.cmp}{b.bound}"
+            vec = {s: float(reward_of(cond, b, s)) for s in states}
+            sums = list(accumulate(map(vec.__getitem__, visited)))
+            mp_final.append((label, sums[-1] / steps))
+            if kind == "sup":
+                mp_max_prefix.append((label, max(map(truediv, sums, count(1)))))
+            else:
+                late = map(truediv, sums[late_from:], count(late_from + 1))
+                mp_min_late.append((label, min(late)))
+    names = [action.name for action in mdp.actions]
     return SimulationStats(
         steps=steps,
         seed=seed,
-        action_counts=action_counts,
-        epochs=len(epoch_steps),
-        epoch_steps=epoch_steps,
+        action_counts=dict(Counter(map(names.__getitem__, taken))),
+        epochs=len(epoch_counts),
+        epoch_steps=list(epoch_counts.values()),
         inf_visits_per_epoch=visits,
-        mp_final=[(l, sums[k] / steps) for k, l in enumerate(labels)],
-        mp_max_prefix=[
-            (l, max_prefix[k])
-            for k, l in enumerate(labels)
-            if bounds[k][0] == "sup"
-        ],
-        mp_min_late=[
-            (l, min_late[k])
-            for k, l in enumerate(labels)
-            if bounds[k][0] == "inf"
-        ],
+        mp_final=mp_final,
+        mp_max_prefix=mp_max_prefix,
+        mp_min_late=mp_min_late,
     )
 
 

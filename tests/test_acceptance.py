@@ -13,13 +13,13 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from freqsynth import mecanalysis
+from freqsynth import synthesis
 from freqsynth.boolfn import step, unfold
 from freqsynth.dgrma import GbmpCondition, MpBound, accepts_lasso, build_dgrma, rec_set, run_cycle
 from freqsynth.formula import always, eventually, parse_formula, tt
 from freqsynth.lasso import models
 from freqsynth.mdp import Mdp, parse_mdp, product_mdp
-from freqsynth.mecanalysis import accepting_mec, build_lp, build_witness_strategy
+from freqsynth.mecanalysis import build_lp, build_witness_strategy
 from freqsynth.simplex import OPTIMAL, SimplexError
 from freqsynth.slave import (
     assumption_conj,
@@ -31,7 +31,7 @@ from freqsynth.slave import (
     cobuchi_rejecting_sets,
     mp_reward,
 )
-from freqsynth.synthesis import lift_pair, max_reach, synthesize, winning_union
+from freqsynth.synthesis import accepting_mec, lift_pair, max_reach, synthesize, winning_union
 
 from helpers import (
     as_fractions,
@@ -293,8 +293,8 @@ def test_verify_solution_checks_bounds_against_the_condition(mixing_pool, monkey
                 system.rows[r] = nums, rel, 0, den
         return system
 
-    real_build_lp = mecanalysis.build_lp
-    monkeypatch.setattr(mecanalysis, "build_lp", mutant)
+    real_build_lp = synthesis.build_lp
+    monkeypatch.setattr(synthesis, "build_lp", mutant)
     raised = 0
     for mdp, cond in mixing_pool:
         try:

@@ -612,8 +612,7 @@ def _bench_hooks() -> list:
 
 
 # A reachable winner of a frequency and a G F member: one synth run calls
-# every hooked name but one.  synthesis never calls maximize_margin (its
-# decisions run inside accepting_mec), so that span reads 0 (ROADMAP item 3).
+# every hooked name.
 HOOK_MODEL = """\
 mdp
 states s x y z
@@ -625,18 +624,9 @@ action x xy : y 1
 action y yx : x 1
 action z stay : z 1
 """
-UNCALLED_HOOK = "freqsynth.synthesis.maximize_margin"
 
 
-@pytest.mark.parametrize(
-    "hook",
-    [
-        pytest.param(hook, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 3"))
-        if hook == UNCALLED_HOOK
-        else hook
-        for hook in _bench_hooks()
-    ],
-)
+@pytest.mark.parametrize("hook", _bench_hooks())
 def test_every_benchmark_hook_is_on_the_synth_path(hook, tmp_path, monkeypatch):
     # A hooked name that moved out of its caller's namespace still resolves
     # but times nothing; a counting wrapper in the same place must be called.

@@ -6,15 +6,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "freqsynth"
 
-# (module, name) pairs imported without a use in the module itself.
-ALLOWED = {
-    # bench/spans.py wraps synthesis.maximize_margin in that namespace.
-    ("synthesis", "maximize_margin"),
-}
-
 
 def test_every_import_is_used():
-    # __init__.py imports to re-export, so only the other modules are scanned.
+    # Every import in src is used where it is made.  __init__.py imports to
+    # re-export, so only the other modules are scanned.
     unused = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
@@ -33,7 +28,7 @@ def test_every_import_is_used():
         unused += [
             f"{path.name}:{line} {name}"
             for name, line in sorted(bound.items())
-            if name not in used and (path.stem, name) not in ALLOWED
+            if name not in used
         ]
     assert not unused, unused
 

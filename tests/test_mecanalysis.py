@@ -19,14 +19,13 @@ from freqsynth.mecanalysis import (
     Strategy,
     WitnessRun,
     _verify_solution,
-    accepting_mec,
     build_lp,
     build_witness_strategy,
     epoch_blocks,
     maximize_margin,
 )
 from freqsynth.simplex import SimplexError
-from freqsynth.synthesis import GlobalStrategy, simulate_global
+from freqsynth.synthesis import GlobalStrategy, accepting_mec, simulate_global
 
 from helpers import (
     FixedDraw,

@@ -10,13 +10,13 @@ from pathlib import Path
 import pytest
 
 import helpers
-from freqsynth import mecanalysis, simplex
+from freqsynth import simplex, synthesis
 from freqsynth.formula import parse_formula, parse_rational
 from freqsynth.mdp import parse_mdp
 from freqsynth.dgrma import GbmpCondition, MpBound
-from freqsynth.mecanalysis import accepting_mec, build_lp
+from freqsynth.mecanalysis import build_lp
 from freqsynth.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
-from freqsynth.synthesis import synthesize
+from freqsynth.synthesis import accepting_mec, synthesize
 from helpers import (
     as_fractions,
     assert_flow_row_form,
@@ -330,7 +330,7 @@ def _ring_flow_lps():
 
     for mdp, cond in _ring_instances():
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mecanalysis, "build_lp", recording)
+            mp.setattr(synthesis, "build_lp", recording)
             accepting_mec(mdp, whole(mdp), cond)
     return lps
 

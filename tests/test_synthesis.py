@@ -12,10 +12,11 @@ from freqsynth.dgrma import GbmpCondition, MpBound, build_dgrma
 from freqsynth.formula import FormulaError, parse_formula
 from freqsynth.graph import mec_decomposition, restrict
 from freqsynth.mdp import Mdp, MdpAction, MdpError, parse_mdp, product_mdp, weights_of
-from freqsynth.mecanalysis import EpochSchedule, accepting_mec, build_lp, maximize_margin
+from freqsynth.mecanalysis import EpochSchedule, build_lp, maximize_margin
 from freqsynth.synthesis import (
     SynthesisError,
     _check_selector,
+    accepting_mec,
     lift_pair,
     max_reach,
     simulate_global,
