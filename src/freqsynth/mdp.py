@@ -1,10 +1,13 @@
 """The model: Markov decision processes with exact rational transition
 probabilities as integer weights, the model-file parser, the product with a
-deterministic transition system, and the exact draw tables that simulations
-draw their successors from.  The graph routines on an MDP are in ``graph``."""
+deterministic transition system, the exact draw tables that simulations
+draw their successors from, and the skip of the draws that a walk standing
+on a sure self-loop would make.  The graph routines on an MDP are in
+``graph``."""
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -65,6 +68,30 @@ def draw_table(weights: tuple) -> tuple:
         thresholds.append(-((-cum << 53) // den) * 2.0**-53)
     values = tuple(v for v, _ in pairs)
     return values + values[-1:], tuple(thresholds)
+
+
+def sure_loop(table: tuple, state: int) -> bool:
+    """True when ``table``, an action's ``draw_table`` at ``state``, leads
+    back to ``state`` with probability 1: its one value and the fallback
+    copy of it are both ``state``."""
+    return table[0] == (state, state)
+
+
+_SKIP_DRAWS = 1 << 16  # draws that skip_draws makes in one call, a 512 KiB int
+
+
+def skip_draws(rng: random.Random, n: int) -> None:
+    """Advance ``rng`` exactly as ``n`` calls of ``random()`` would.
+
+    ``random()`` reads two 32-bit Mersenne Twister words, and
+    ``getrandbits(k)`` reads ``ceil(k / 32)`` of them, so ``getrandbits(64 *
+    n)`` leaves the generator in the same state, in one C call per
+    ``_SKIP_DRAWS`` draws.  A walk standing on a sure self-loop (see
+    ``sure_loop``) skips its steps' draws so."""
+    while n > 0:
+        k = min(n, _SKIP_DRAWS)
+        rng.getrandbits(64 * k)
+        n -= k
 
 
 class Mdp:

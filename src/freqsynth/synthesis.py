@@ -27,7 +27,7 @@ from .dgrma import Dgrma, GbmpCondition, GrmpPair, build_dgrma
 from .formula import Formula
 from .graph import Component, attractor_policy, can_reach, mec_decomposition, restrict
 from .lts import DEFAULT_STATE_CAP
-from .mdp import Mdp, MdpError, product_mdp
+from .mdp import Mdp, MdpError, product_mdp, skip_draws, sure_loop
 from .mecanalysis import (
     EpochSchedule,
     WitnessRun,
@@ -38,6 +38,7 @@ from .mecanalysis import (
 
 _ZERO = Fraction(0)
 _CHUNK = 4096  # witness steps whose states simulate_global holds at once
+_SINK = object()  # simulate_global's mark of a losing sink: no winner, a sure self-loop
 
 
 class SynthesisError(Exception):
@@ -498,6 +499,12 @@ def simulate_global(
     tables' dyadic thresholds, which decides as the exact rational sums do
     (see ``mdp.draw_table``).  Each bound's float rewards are summed in
     step order, a chunk of the run's states at a time.
+
+    A selector state whose table is a sure self-loop is a losing sink: the
+    walk stops there, and the episode's remaining steps are owed draws,
+    made with ``mdp.skip_draws`` only when a later episode draws, so every
+    later draw is the per-step walk's and a draw that no step reads is
+    never made.
     """
     check_counts(episodes, steps_per_episode)
     rng = random.Random(seed)
@@ -508,21 +515,30 @@ def simulate_global(
     rewards = [None] * len(strategy.winners)  # per winner, per bound, per state
     pooled_sums = [[0.0] * len(w.cond.mp_inf + w.cond.mp_sup) for w in strategy.winners]
     pooled_steps = [0] * len(strategy.winners)
-    entered = 0
+    entered = owed = 0
     for _ in range(episodes):
         state = product.init
+        if owed and winner_at[state] is not _SINK:
+            skip_draws(rng, owed)
+            owed = 0
         steps = steps_per_episode
         while steps and winner_at[state] is None:
             table = successors[state]
             if table is None:
                 table = successors[state] = actions[reach[state]].table
+                if sure_loop(table, state):
+                    winner_at[state] = _SINK
+                    break
             values, thresholds = table
             state = values[bisect_right(thresholds, random_())]
             steps -= 1
+        w_idx = winner_at[state]
+        if w_idx is _SINK:
+            owed += steps
+            continue
         if not steps:
             continue
         entered += 1
-        w_idx = winner_at[state]
         winner = strategy.winners[w_idx]
         vecs = rewards[w_idx]
         if vecs is None:

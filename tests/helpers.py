@@ -47,8 +47,10 @@ sampler that read an integer table once per call, before the walks compiled
 their step records and drew from them inline; it is the reference that the
 dyadic draws are compared with (``assert_dyadic_draws_match``).
 ``FixedDraw`` is an rng whose every ``random()`` is one chosen value in [0,
-1), and ``edge_draws`` lists the values on both sides of each threshold of
-some integer tables, which seeded draws almost never meet.
+1), and whose ``getrandbits`` counts the draws that a walk standing on a
+sure self-loop skips; ``edge_draws`` lists the values on both sides of
+each threshold of some integer tables, which seeded draws almost never
+meet.
 ``witness_walk`` is the per-step generator of the witness that
 ``freqsynth.mecanalysis.WitnessRun`` replaced, which fills a list of states
 one pilgrimage leg or epoch block at a time: the walk yields (epoch, state,
@@ -1585,7 +1587,9 @@ def scan_lift_pair(pair, product, automaton_component):
 class FixedDraw:
     """An rng whose ``random()`` always returns one chosen float ``u``, and
     counts its calls; it raises ``ValueError`` when ``u`` is outside [0, 1),
-    where no ``random()`` lands."""
+    where no ``random()`` lands.  ``getrandbits(k)`` counts as the ``k //
+    64`` draws that ``mdp.skip_draws`` skips with it, and raises unless
+    ``k`` is a multiple of 64."""
 
     def __init__(self, u):
         self.u = u
@@ -1596,6 +1600,12 @@ class FixedDraw:
             raise ValueError(f"FixedDraw value {self.u!r} is outside [0, 1)")
         self.calls += 1
         return self.u
+
+    def getrandbits(self, k):
+        if k % 64:
+            raise ValueError(f"FixedDraw reads {k} bits, not a whole number of draws")
+        self.calls += k // 64
+        return 0
 
 
 def int_draw_table(weights: tuple) -> tuple:

@@ -210,14 +210,20 @@ def _bound_free_witnesses(report) -> list:
     ]
 
 
-def test_start_vertex_changes_no_simulation_bytes(monkeypatch):
-    # A bound-free system keeps its start's vertex, where the artificial
-    # basis may reach another.  Both are one closed class with one action
-    # per state, so every step draws once, and a bound-free winner prints no
-    # average.  So the report and 30 episodes' simulation are the bytes of
-    # witnesses solved without a start, also where a bound-free winner and a
-    # bounded one share the episodes' draws (the two rings, and
-    # translate_wide's formula, whose pairs have bounds or none).
+START_VERTEX_SCRIPT = """
+import sys
+sys.path[:0] = sys.argv[1:]
+import test_bench_corpus
+print(*test_bench_corpus.start_vertex_counts())
+"""
+
+
+def start_vertex_counts() -> tuple:
+    """The cases of ``test_start_vertex_changes_no_simulation_bytes``, each
+    synthesized and simulated with ``simplex.solve_lp`` as it is and without
+    a start, with every per-case assertion; returns how many cases moved
+    their bound-free witnesses and how many share the episodes' draws with
+    a bounded winner."""
     wide = {inst.key: inst for inst in workloads.corpus("translate_wide")}
     cases = [
         (_ladder_ring(n), formula)
@@ -231,20 +237,49 @@ def test_start_vertex_changes_no_simulation_bytes(monkeypatch):
     ]
     real_solve = simplex.solve_lp
     moved = shared = 0
-    for (mdp, valuation), formula in cases:
-        runs = []
-        for solve in (real_solve, lambda n, rows, objective, start=(): real_solve(n, rows, objective)):
-            monkeypatch.setattr(simplex, "solve_lp", solve)
-            report = synthesize(mdp, valuation, parse_formula(formula), Fraction(1, 2))
-            sim = simulate_global(report.product, report.strategy, 30, 200, 3)
-            runs.append((report.to_text() + sim.to_text(), _bound_free_witnesses(report)))
-        (text, free), (plain_text, plain_free) = runs
-        assert text == plain_text, formula
-        assert free and len(free) == len(plain_free), formula
-        for modes in free + plain_free:
-            for mode in modes:
-                assert len(mode) == 1, formula
-                assert all(len(pairs) == 1 for _, pairs in mode[0].choices.values())
-        moved += free != plain_free
-        shared += len(free) < len(report.strategy.winners) and "pooled_avg" in text
+    try:
+        for (mdp, valuation), formula in cases:
+            runs = []
+            for solve in (real_solve, lambda n, rows, objective, start=(): real_solve(n, rows, objective)):
+                simplex.solve_lp = solve
+                report = synthesize(mdp, valuation, parse_formula(formula), Fraction(1, 2))
+                sim = simulate_global(report.product, report.strategy, 30, 200, 3)
+                runs.append((report.to_text() + sim.to_text(), _bound_free_witnesses(report)))
+            (text, free), (plain_text, plain_free) = runs
+            assert text == plain_text, formula
+            assert free and len(free) == len(plain_free), formula
+            for modes in free + plain_free:
+                for mode in modes:
+                    assert len(mode) == 1, formula
+                    assert all(len(pairs) == 1 for _, pairs in mode[0].choices.values())
+            moved += free != plain_free
+            shared += len(free) < len(report.strategy.winners) and "pooled_avg" in text
+    finally:
+        simplex.solve_lp = real_solve
+    return moved, shared
+
+
+def test_start_vertex_changes_no_simulation_bytes(tmp_path):
+    # A bound-free system keeps its start's vertex, where the artificial
+    # basis may reach another.  Both are one closed class with one action
+    # per state, so every step draws once, and a bound-free winner prints no
+    # average.  So the report and 30 episodes' simulation are the bytes of
+    # witnesses solved without a start, also where a bound-free winner and a
+    # bounded one share the episodes' draws (the two rings, and
+    # translate_wide's formula, whose pairs have bounds or none).
+    #
+    # The cases run in a fresh interpreter: `&`/`|` operands keep the order
+    # in which their formulas were first built, and on the 20-state ring a
+    # `G{>=2/5,inf} b` parsed earlier in the process moves the bounded pair
+    # first, and with it the witness and the simulation's averages.
+    tests = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", START_VERTEX_SCRIPT, str(tests), str(tests.parent / "src")],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    moved, shared = map(int, proc.stdout.split())
     assert moved >= 8 and shared == 2, (moved, shared)

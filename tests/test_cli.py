@@ -871,6 +871,17 @@ PINNED_OUTPUTS = {
         "max_probability: 1/2 (~0.500000)\nepisodes: 20\nsteps_per_episode: 30\nseed: 3\n"
         "entered_winning_union: 16\nentry_fraction: 0.800000\n",
     ),
+    # A quarter of the episodes fall into z and stop there; each owes its
+    # remaining draws to the next episode, so the entries and the average
+    # move unless those draws are made.
+    "simulate-chord-sink": (
+        "chord",
+        ["simulate", "--formula", "G{>=1/2,inf} a", "--steps", "30", "--episodes", "20",
+         "--seed", "3"],
+        "max_probability: 1/2 (~0.500000)\nepisodes: 20\nsteps_per_episode: 30\nseed: 3\n"
+        "entered_winning_union: 16\nentry_fraction: 0.800000\n"
+        "pooled_avg[w0][inf:>=1/2]: 0.953125\n",
+    ),
 }
 
 

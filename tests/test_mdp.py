@@ -7,7 +7,15 @@ import pytest
 from freqsynth.formula import parse_formula
 from freqsynth.lts import StateCapExceeded
 from freqsynth.graph import attractor_policy, mec_decomposition, restrict
-from freqsynth.mdp import Mdp, MdpAction, MdpError, parse_mdp, product_mdp, weights_of
+from freqsynth.mdp import (
+    Mdp,
+    MdpAction,
+    MdpError,
+    parse_mdp,
+    product_mdp,
+    skip_draws,
+    weights_of,
+)
 from freqsynth.slave import build_master
 
 from helpers import (
@@ -369,3 +377,16 @@ def test_product_lift_matches_automaton_run():
             name = product.states[p_state]
             s_state = state_at(mdp, name.split("@")[0])
             q = master.successor(q, valuation[s_state])
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 63, 4097, 2**16 + 3))
+def test_skip_draws_leaves_the_rng_where_n_draws_leave_it(n):
+    # random() reads two 32-bit words of the Mersenne Twister and
+    # getrandbits(64 * n) reads 2n, so both leave one state; past 2**16
+    # draws the skip takes more than one call.
+    ours, theirs = random.Random(n), random.Random(n)
+    skip_draws(ours, n)
+    for _ in range(n):
+        theirs.random()
+    assert ours.getstate() == theirs.getstate()
+    assert ours.random() == theirs.random()

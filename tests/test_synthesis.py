@@ -653,6 +653,59 @@ def test_simulation_past_one_chunk_matches_the_name_keyed_oracle():
     assert entered >= 4 * 3 * 2 * 4
 
 
+def _sink_or_ring_model():
+    """A lead-in s that stays with probability 1/2, falls into the sink z
+    with 1/4 and enters a 3-state ring with 1/4; the ring's labels a and b
+    can carry bounds."""
+    return parse_mdp(
+        "mdp\nstates s z r0 r1 r2\ninit s\nlabel r0 a\nlabel r1 b\n"
+        "action s go : s 1/2 , r0 1/4 , z 1/4\naction z stay : z 1\n"
+        "action r0 r0a : r1 1/2 , r0 1/2\naction r0 r0b : r2 1\n"
+        "action r1 r1a : r2 2/3 , r0 1/3\n"
+        "action r2 r2a : r0 1\naction r2 r2b : r2 1/2 , r1 1/2\n"
+    )
+
+
+def test_simulation_at_absorbing_sinks_matches_the_name_keyed_oracle(monkeypatch):
+    # A selector walk that meets a sure self-loop outside the winners stops
+    # there and owes the episode's remaining draws, which the next episode
+    # that draws makes first.  The oracle draws every step, so equal bytes
+    # mean every later draw is its draw: gambler's-ruin lines, absorbing (a
+    # losing broke and a single-state goal) and reflecting (goal alone),
+    # and a lead-in that falls into a sink or enters a ring whose bounds
+    # print averages.
+    owed = []
+    real_skip = freqsynth.synthesis.skip_draws
+    monkeypatch.setattr(
+        freqsynth.synthesis, "skip_draws", lambda rng, n: owed.append(n) or real_skip(rng, n)
+    )
+    cases = [
+        (ruin_mdp(n, p, reflecting), formula)
+        for n, p, reflecting in ((9, Fr(2, 5), False), (12, Fr(1, 2), True))
+        for formula in ("F goal", "F G !broke")
+    ]
+    cases = [(mdp, ruin_valuation(mdp), formula) for mdp, formula in cases]
+    cases += [
+        _sink_or_ring_model() + (formula,)
+        for formula in ("G{>=1/3,inf} a & G{>=1/4,sup} b", "G{>=2/5,inf} a")
+    ]
+    schedules = (EpochSchedule(), EpochSchedule(cap=1), EpochSchedule(cap=7))
+    single = averaged = 0
+    for k, (mdp, valuation, formula) in enumerate(cases):
+        report = synthesize(mdp, valuation, parse_formula(formula), Fr(0))
+        sizes = {len(w.component.states) for w in report.strategy.winners}
+        for steps in (1, 2, 200, 4097):
+            for schedule in schedules:
+                args = (report.product, report.strategy, 8, steps, k + steps, schedule)
+                got = simulate_global(*args)
+                assert got.to_text() == named_simulate_global(*args).to_text(), (k, steps)
+                single += got.entered if sizes == {1} else 0
+                averaged += bool(got.mp_pooled)
+    # Each payment follows at least one sink episode and precedes another.
+    assert len(owed) >= 60 and min(owed) >= 1, owed
+    assert single >= 80 and averaged >= 12, (single, averaged)
+
+
 def test_simulation_draws_at_threshold_edges_match_the_oracle(monkeypatch):
     # Both simulators take every draw from one FixedDraw set next to an
     # integer threshold of a product action's successor table or a
