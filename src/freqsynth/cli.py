@@ -10,24 +10,16 @@ from functools import cache
 from .dgrma import accepts_lasso, acceptance_dump, build_dgrma, dgrma_to_dot
 from .formula import Formula, FormulaError, parse_formula, parse_rational
 from .graph import mec_decomposition
-from .lasso import LassoError, models, parse_lasso
+from .lasso import models, parse_lasso
 from .lts import DEFAULT_STATE_CAP, StateCapExceeded
-from .mdp import MdpError, parse_mdp
+from .mdp import parse_mdp
 from .mecanalysis import EpochSchedule
 from .simplex import SimplexError
 from .slave import token_str
 from .synthesis import SynthesisError, check_counts, simulate_global, synthesize
 
-_ERRORS = (
-    FormulaError,
-    LassoError,
-    MdpError,
-    StateCapExceeded,
-    SynthesisError,
-    SimplexError,
-    OSError,
-    ValueError,
-)
+# FormulaError, LassoError and MdpError are ValueErrors.
+_ERRORS = (ValueError, OSError, StateCapExceeded, SynthesisError, SimplexError)
 
 
 def main(argv=None) -> int:

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -8,12 +10,10 @@ SRC = ROOT / "src" / "freqsynth"
 
 
 def test_every_import_is_used():
-    # Every import in src is used where it is made.  __init__.py imports to
-    # re-export, so only the other modules are scanned.
+    # Every import in src is used where it is made, so the package
+    # re-exports nothing (see test_the_package_loads_no_module).
     unused = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         bound = {}
         used = set()
@@ -31,6 +31,35 @@ def test_every_import_is_used():
             if name not in used
         ]
     assert not unused, unused
+
+
+PACKAGE_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("freqsynth"))
+
+import freqsynth
+print(freqsynth.__version__, *loaded())
+import freqsynth.simplex
+print(*loaded())
+"""
+
+
+def test_the_package_loads_no_module():
+    # Each name has one import path, its defining module: importing the
+    # package loads none of its modules, and importing one module loads only
+    # what that module imports.  Run in a fresh interpreter, since other
+    # tests have loaded every module here.
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", PACKAGE_SCRIPT, str(SRC.parent)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0.1.0 freqsynth", "freqsynth freqsynth.simplex"]
 
 
 def test_no_assert_statements():
