@@ -31,8 +31,8 @@ from .formula import (
     Formula,
     FormulaError,
     atoms_of,
-    in_fragment,
-    nb_subformulas,
+    fragment_violation,
+    subformulas,
 )
 from .lasso import Lasso
 from .lts import DEFAULT_STATE_CAP, Lts, build_lts
@@ -209,8 +209,7 @@ class Dgrma:
 
 def rec_set(phi: Formula) -> list[Formula]:
     """F-, G- and frequency-G subformulas in the global interning order."""
-    out = [f for f in nb_subformulas(phi) if f.kind in (EVENTUALLY, ALWAYS, FREQ)]
-    return sorted(out, key=lambda f: f.uid)
+    return [f for f in subformulas(phi) if f.kind in (EVENTUALLY, ALWAYS, FREQ)]
 
 
 def build_dgrma(phi: Formula, cap: int = DEFAULT_STATE_CAP) -> Dgrma:
@@ -238,9 +237,10 @@ def build_dgrma(phi: Formula, cap: int = DEFAULT_STATE_CAP) -> Dgrma:
 def _translate(phi: Formula, cap: int, builders: tuple) -> Dgrma:
     """``build_dgrma``'s body and its one kept entry; ``builders`` only
     keys the entry (the body calls the same names)."""
-    if not in_fragment(phi):
+    bad = fragment_violation(phi)
+    if bad is not None:
         raise FormulaError(
-            f"{phi} is outside the supported fragment "
+            f"{bad} is outside the supported fragment "
             "(no until inside a globally operator)"
         )
     atoms = set(atoms_of(phi))

@@ -231,51 +231,34 @@ def _nnf(phi: Formula, neg: bool) -> Formula:
     raise FormulaError(f"unknown node kind {k!r}")
 
 
-def in_fragment(phi: Formula) -> bool:
-    """True iff no until occurs under a (frequency-)globally operator.
-
-    Requires negation normal form; an explicit negation node fails the check.
-    """
-    return _frag(phi, False)
-
-
-def _frag(phi: Formula, under_g: bool) -> bool:
-    k = phi.kind
-    if k == NOT:
-        return False
-    if k == UNTIL and under_g:
-        return False
-    if k in (ALWAYS, FREQ):
-        under_g = True
-    return all(_frag(c, under_g) for c in phi.children)
-
-
-def nb_subformulas(phi: Formula) -> set[Formula]:
-    """All subformulas whose root is neither a conjunction nor a disjunction.
-
-    The constants tt/ff are not collected (they are never state variables).
-    """
-    out: set[Formula] = set()
+def subformulas(phi: Formula) -> list[Formula]:
+    """Each distinct node of ``phi`` once, in uid order.  A node is interned
+    after its children, so every child comes before its parent."""
+    seen = {phi.uid: phi}
     stack = [phi]
     while stack:
-        f = stack.pop()
-        if not f.is_boolean() and not f.is_constant():
-            if f in out:
-                continue
-            out.add(f)
-        stack.extend(f.children)
-    return out
+        for c in stack.pop().children:
+            if c.uid not in seen:
+                seen[c.uid] = c
+                stack.append(c)
+    return [seen[uid] for uid in sorted(seen)]
+
+
+def fragment_violation(phi: Formula) -> Formula | None:
+    """The first node of ``phi``, in uid order, that puts it outside the
+    fragment (no until inside a globally operator): an explicit negation, or
+    a G or G{...} whose operand holds an until.  None inside the fragment."""
+    holds_until: set[Formula] = set()
+    for f in subformulas(phi):
+        if f.kind == NOT or (f.kind in (ALWAYS, FREQ) and f.children[0] in holds_until):
+            return f
+        if f.kind == UNTIL or not holds_until.isdisjoint(f.children):
+            holds_until.add(f)
+    return None
 
 
 def atoms_of(phi: Formula) -> set[str]:
-    out: set[str] = set()
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if f.kind in (AP, NAP):
-            out.add(f.name)
-        stack.extend(f.children)
-    return out
+    return {f.name for f in subformulas(phi) if f.kind in (AP, NAP)}
 
 
 # Printing.  Precedence levels: 0 until, 1 or, 2 and, 3 unary/primary.

@@ -82,6 +82,9 @@ integer weights replaced, and its epoch plans against
 ``fraction_epoch_plan``, with ``merged_blocks`` joining consecutive blocks
 of one class.
 ``time_limit`` fails a call that does not return within a number of seconds.
+``tree_in_fragment`` is the recursive fragment check over the formula tree
+that ``freqsynth.formula.fragment_violation`` replaced, which walks each
+distinct node once.
 ``shift``, ``models_at`` and ``models_boolfn`` are lasso helpers that only the
 tests use.  Conditions in the tests are over state indices, as the pipeline
 decides them: ``whole`` is a strongly connected MDP as one ``Component``,
@@ -149,7 +152,7 @@ from freqsynth.dgrma import (
     build_dgrma,
     rec_set,
 )
-from freqsynth.formula import ALWAYS, EVENTUALLY, FREQ, GT, FormulaError, atoms_of
+from freqsynth.formula import ALWAYS, EVENTUALLY, FREQ, GT, NOT, UNTIL, FormulaError, atoms_of
 from freqsynth.slave import (
     buchi_accepting_sets,
     cobuchi_rejecting_sets,
@@ -210,6 +213,16 @@ def random_fragment_formula(rng, size, atoms, under_g=False):
         rng.choice(["inf", "sup"]),
     )
     return freq_always(bound, c)
+
+
+def tree_in_fragment(phi, under_g=False):
+    """The fragment check as the recursive tree walk that
+    ``formula.fragment_violation`` replaced: no explicit negation, and no
+    until below a G or G{...}.  It visits a shared node once per path."""
+    if phi.kind == NOT or (phi.kind == UNTIL and under_g):
+        return False
+    under_g = under_g or phi.kind in (ALWAYS, FREQ)
+    return all(tree_in_fragment(c, under_g) for c in phi.children)
 
 
 def random_ufree_formula(rng, size, atoms):

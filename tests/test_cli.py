@@ -227,6 +227,23 @@ def test_deeply_nested_formula_is_a_syntax_error():
     assert out.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("levels", [20, 33])
+def test_the_fragment_error_names_the_first_offending_g(model_file, levels):
+    # Each negated until doubles its operand in negation normal form, so the
+    # whole formula would print in millions of bytes at 20 levels; the
+    # innermost G over an until prints in a few dozen.
+    text = "!(b U c | d & " * levels + "a" + ")" * levels
+    with time_limit(5):
+        code, out, err = main_in_process(
+            ["synth", "--model", model_file, "--formula", text, "--threshold", "1/2"]
+        )
+    assert_one_error_line(code, err)
+    assert out == "" and len(err.encode()) < 200, err
+    assert err.startswith("error: G (") and err.endswith(
+        " is outside the supported fragment (no until inside a globally operator)\n"
+    )
+
+
 def test_check_word(model_file):
     match = run_cli("check-word", "--formula", "F a", "--stem", "{}",
                     "--loop", "{a}")

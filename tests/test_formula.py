@@ -17,19 +17,22 @@ from freqsynth.formula import (
     always,
     conj,
     eventually,
+    atoms_of,
     freq_always,
-    in_fragment,
-    nb_subformulas,
+    fragment_violation,
     neg_atom,
     next_,
     parse_formula,
     push_negation,
     negation,
+    subformulas,
+    tt,
     until,
 )
+from freqsynth.dgrma import rec_set
 from freqsynth.lasso import models
 
-from helpers import random_fragment_formula, random_lasso
+from helpers import random_fragment_formula, random_lasso, time_limit, tree_in_fragment
 
 
 def test_parse_motivating_formula():
@@ -144,20 +147,69 @@ def test_nesting_depth_limit(opening, closing, levels):
     text = "(" * pad + opening * reps + "a" + closing * reps + ")" * pad
     phi = parse_formula(text)
     assert push_negation(phi) is phi
-    in_fragment(phi)
+    fragment_violation(phi)
     formula_rank(phi)
     str(phi)
     with pytest.raises(FormulaSyntaxError, match=f"nested deeper than {MAX_DEPTH}"):
         parse_formula("(" + text + ")")
 
 
-def test_in_fragment():
-    assert in_fragment(parse_formula("G(F a)"))
-    assert not in_fragment(parse_formula("G(a U b)"))
-    assert in_fragment(parse_formula("(a U b) & G{>=1/2,inf} c"))
-    assert not in_fragment(parse_formula("G{>=1/2,inf}(a U b)"))
-    assert not in_fragment(parse_formula("F G (a U b)"))
-    assert in_fragment(parse_formula("F(a U b)"))
+def test_fragment_violation():
+    assert fragment_violation(parse_formula("G(F a)")) is None
+    assert fragment_violation(parse_formula("G(a U b)")) is parse_formula("G(a U b)")
+    assert fragment_violation(parse_formula("(a U b) & G{>=1/2,inf} c")) is None
+    bad = parse_formula("G{>=1/2,inf}(a U b)")
+    assert fragment_violation(bad) is bad
+    # The offender is the G, not the formula around it.
+    assert fragment_violation(parse_formula("F G (a U b)")) is parse_formula("G (a U b)")
+    assert fragment_violation(parse_formula("F(a U b)")) is None
+    # An explicit negation is outside the fragment wherever it sits.
+    raw = conj(eventually(atom("a")), negation(atom("b")))
+    assert fragment_violation(raw) is negation(atom("b"))
+
+
+def _holds_until(phi):
+    return phi.kind == "U" or any(_holds_until(c) for c in phi.children)
+
+
+def _offends(phi):
+    return phi.kind == "not" or (phi.kind in ("G", "Gf") and _holds_until(phi.children[0]))
+
+
+def test_fragment_violation_matches_the_tree_walk():
+    # Random formulas, their pushed negations (a negated F over an until is
+    # a G over one) and G over them: the first offender in uid order, which
+    # is an offending G when no explicit negation is left.
+    rng = random.Random(4409)
+    inside = offending_g = 0
+    for _ in range(1500):
+        phi = random_fragment_formula(rng, rng.randint(1, 9), ["a", "b", "c"])
+        for psi in (phi, push_negation(negation(phi)), always(phi), conj(phi, negation(phi))):
+            bad = fragment_violation(psi)
+            assert (bad is None) == tree_in_fragment(psi), psi
+            if bad is None:
+                inside += 1
+                continue
+            nodes = subformulas(psi)
+            assert bad is next(f for f in nodes if _offends(f))
+            if all(f.kind != "not" for f in nodes):
+                assert bad.kind in ("G", "Gf"), psi
+                offending_g += 1
+    assert inside >= 2000 and offending_g >= 500, (inside, offending_g)
+
+
+def test_formula_walks_stay_linear_in_shared_nodes():
+    # Each level of "!(b U c | d & ...)" shares its operand twice in
+    # negation normal form: a tree walk triples per level, and printing the
+    # whole formula would take about 10^13 characters at 33 levels.
+    text = "!(b U c | d & " * 30 + "a" + ")" * 30
+    phi = parse_formula(text)
+    with time_limit(5):
+        assert atoms_of(phi) == {"a", "b", "c", "d"}
+        rec = rec_set(phi)
+        bad = fragment_violation(phi)
+    assert [f.uid for f in rec] == sorted(f.uid for f in rec) and rec
+    assert bad.kind == "G" and len(str(bad)) <= len(text)
 
 
 def test_push_negation_dualities():
@@ -173,7 +225,7 @@ def test_push_negation_dualities():
 def test_push_negation_until():
     # Negated until re-expressed with globally plus until.
     phi = parse_formula("!(a U b)")
-    assert in_fragment(phi)
+    assert fragment_violation(phi) is None
     rng = random.Random(11)
     base = parse_formula("a U b")
     for _ in range(100):
@@ -191,13 +243,25 @@ def test_push_negation_preserves_semantics_on_lassos():
             assert models(w, phi) == (not models(w, neg))
 
 
-def test_nb_subformulas():
+def test_subformulas():
     phi = conj(atom("a"), next_(until(atom("b"), atom("a"))))
-    got = {str(f) for f in nb_subformulas(phi)}
-    assert got == {"a", "X (b U a)", "b U a", "b"}
-    assert nb_subformulas(parse_formula("tt")) == set()
+    got = subformulas(phi)
+    assert {str(f) for f in got} == {"a", "b", "b U a", "X (b U a)", str(phi)}
+    assert len(got) == 5
+    assert subformulas(tt()) == [tt()]
     fa = eventually(atom("a"))
-    assert nb_subformulas(fa) == {fa, atom("a")}
+    assert subformulas(fa) == [atom("a"), fa]
+    # Each distinct node once, in uid order, every child before its parent.
+    rng = random.Random(57)
+    for _ in range(200):
+        psi = push_negation(negation(random_fragment_formula(rng, rng.randint(1, 9), ["a", "b"])))
+        nodes = subformulas(psi)
+        assert [f.uid for f in nodes] == sorted({f.uid for f in nodes})
+        assert nodes[-1] is psi
+        seen = set()
+        for f in nodes:
+            assert seen.issuperset(f.children)
+            seen.add(f)
 
 
 def test_conjunction_canonicalization():

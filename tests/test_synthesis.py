@@ -875,11 +875,28 @@ def _lifted(mdp, valuation, phi):
 TWO_ASSUMPTIONS = "(F G a -> G{>=1/2,inf} b) & (G F b -> G{>1/3,sup} a)"
 
 
+def _inside(mdp, component, key, outer, outer_cond):
+    """Whether ``component``, decided as ``key``, lies inside ``outer`` and
+    has each of ``outer_cond``'s bounds, restricted to it, among its own."""
+    states, actions = component_names(mdp, component)
+    outer_states, outer_actions = component_names(mdp, outer)
+    _, _, inf, sup = _restricted_condition(mdp, component, outer_cond)
+    return (
+        set(states) <= set(outer_states)
+        and set(actions) <= set(outer_actions)
+        and set(inf) <= set(key[2])
+        and set(sup) <= set(key[3])
+    )
+
+
 def test_winning_union_decomposes_each_fin_set_once(monkeypatch):
     # 20 pairs over 2 distinct Fin sets: one restriction and decomposition
-    # per Fin set, one decision per distinct restricted condition in order
-    # of first occurrence, and the outcomes of deciding every (pair,
-    # component), each winner being the pair's own component object.
+    # per Fin set, at most one decision per distinct restricted condition in
+    # order of first occurrence, and the outcomes of deciding every (pair,
+    # component), each winner being the pair's own component object.  A
+    # condition left undecided is one that an earlier flow rejection settles:
+    # its component lies inside the rejected one (which meets every Inf
+    # set), and each rejected bound, restricted to it, is one of its own.
     phi = parse_formula(TWO_ASSUMPTIONS)
     restrict_calls, decisions, decomposed = [], [], {}
     real_restrict = freqsynth.synthesis.restrict
@@ -912,14 +929,32 @@ def test_winning_union_decomposes_each_fin_set_once(monkeypatch):
         fins = {fin for fin, _ in lifted}
         assert len(fins) < len(lifted)
         assert sorted(restrict_calls, key=sorted) == sorted(fins, key=sorted)
-        keys = []
-        for fin, cond in lifted:
-            part = real_restrict(product, fin)
-            for component in mec_decomposition(product, part) if part is not None else ():
-                keys.append(_restricted_condition(product, component, cond))
-        assert decisions == list(dict.fromkeys(keys))
-        shared += len(keys) - len(decisions)
+        called = list(decisions)
         want_states, want_outcomes = pairwise_winning_union(product, lifted)
+        keys, first = [], {}  # first: key -> (component, condition, accepted)
+        for (fin, cond), want in zip(lifted, _named(product, want_outcomes)):
+            part = real_restrict(product, fin)
+            accepted = {names for names, _ in want}
+            for component in mec_decomposition(product, part) if part is not None else ():
+                key = _restricted_condition(product, component, cond)
+                keys.append(key)
+                names = component_names(product, component)
+                first.setdefault(key, (component, cond, names in accepted))
+        distinct = list(first)
+        assert called == [key for key in distinct if key in called]
+        for i, key in enumerate(distinct):
+            if key in called:
+                continue
+            component, _, accepted = first[key]
+            assert not accepted
+            assert any(
+                earlier in called
+                and earlier[1]
+                and not first[earlier][2]
+                and _inside(product, component, key, *first[earlier][:2])
+                for earlier in distinct[:i]
+            ), key
+        shared += len(keys) - len(called)
         assert w_states == want_states
         assert _named(product, outcomes) == _named(product, want_outcomes)
         for (fin, _), pair_winners in zip(lifted, outcomes):
@@ -1159,7 +1194,7 @@ def test_out_of_fragment_formula_is_a_formula_error():
 def test_chain_probabilities_complement_exactly():
     # A chain has one behavior, so the probability of a formula and of its
     # pushed negation must sum to exactly 1 whenever both stay in fragment.
-    from freqsynth.formula import in_fragment, negation, push_negation
+    from freqsynth.formula import fragment_violation, negation, push_negation
 
     from helpers import random_fragment_formula
 
@@ -1168,7 +1203,7 @@ def test_chain_probabilities_complement_exactly():
     while checked < 25:
         phi = random_fragment_formula(rng, rng.randint(2, 6), ["a", "b"])
         neg = push_negation(negation(phi))
-        if not in_fragment(neg):
+        if fragment_violation(neg) is not None:
             continue
         chain, valuation = random_markov_chain(rng, 4)
         p = synthesize(chain, valuation, phi, Fr(1, 2))
