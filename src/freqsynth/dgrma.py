@@ -11,7 +11,6 @@ column of the product's part states, not a set written out per state.
 from __future__ import annotations
 
 from collections.abc import Set
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress, count
@@ -97,13 +96,13 @@ class ColumnMap:
         return map(self.values.__getitem__, self.column)
 
 
-@dataclass(frozen=True)
 class MpBound:
     """Limit-average requirement: average reward compared against a bound."""
 
-    cmp: str  # ">=" or ">"
-    bound: Fraction
-    reward: Sequence  # per state its Fraction reward: a ColumnMap or a sequence
+    def __init__(self, cmp: str, bound: Fraction, reward: Sequence):
+        self.cmp = cmp  # ">=" or ">"
+        self.bound = bound
+        self.reward = reward  # per state its Fraction reward: a ColumnMap or a sequence
 
     def check(self, value: Fraction) -> bool:
         return value >= self.bound if self.cmp == GEQ else value > self.bound
@@ -121,7 +120,6 @@ class MpBound:
         return den, self.bound.numerator * (den // self.bound.denominator), ints, reward.column
 
 
-@dataclass(frozen=True)
 class GbmpCondition:
     """Conjunction of Inf sets, limit-inferior and limit-superior bounds.
 
@@ -132,10 +130,26 @@ class GbmpCondition:
     itself without ``at``).
     """
 
-    inf_sets: tuple = ()
-    mp_inf: tuple = ()
-    mp_sup: tuple = ()
-    at: Optional[Sequence] = field(default=None, repr=False)
+    __slots__ = ("inf_sets", "mp_inf", "mp_sup", "at")
+
+    def __init__(
+        self,
+        inf_sets: tuple = (),
+        mp_inf: tuple = (),
+        mp_sup: tuple = (),
+        at: Optional[Sequence] = None,
+    ):
+        self.inf_sets = inf_sets
+        self.mp_inf = mp_inf
+        self.mp_sup = mp_sup
+        self.at = at
+
+    def __eq__(self, other):
+        if not isinstance(other, GbmpCondition):
+            return NotImplemented
+        return (self.inf_sets, self.mp_inf, self.mp_sup, self.at) == (
+            other.inf_sets, other.mp_inf, other.mp_sup, other.at
+        )
 
     def num_flows(self) -> int:
         return max(len(self.mp_sup), 1)
@@ -159,7 +173,6 @@ def _on(bound: MpBound, qs: Sequence[int]) -> tuple:
     return bound.cmp, den // g, rhs // g, tuple(v // g for v in nums)
 
 
-@dataclass(frozen=True)
 class GrmpPair:
     """One disjunct of the acceptance condition.
 
@@ -174,9 +187,12 @@ class GrmpPair:
     its frequency formulas in ``assumptions``.
     """
 
-    assumptions: tuple  # the recurrent formulas assumed by this pair
-    fin: ColumnSet
-    cond: GbmpCondition
+    __slots__ = ("assumptions", "fin", "cond")
+
+    def __init__(self, assumptions: tuple, fin: ColumnSet, cond: GbmpCondition):
+        self.assumptions = assumptions  # the recurrent formulas assumed by this pair
+        self.fin = fin
+        self.cond = cond
 
 
 class Dgrma:

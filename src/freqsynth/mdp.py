@@ -8,7 +8,6 @@ on a sure self-loop would make.  The graph routines on an MDP are in
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -22,16 +21,28 @@ class MdpError(ValueError):
     """Malformed model file or inconsistent MDP data."""
 
 
-@dataclass(frozen=True)
 class MdpAction:
     """An action, enabled in exactly one state, with its distribution as
     ``weights``: ``(den, ((t, w), ...))``, integer weights ``w = p * den``
     over the least common denominator ``den`` of its probabilities
-    (``weights_of`` converts ``Fraction`` probabilities)."""
+    (``weights_of`` converts ``Fraction`` probabilities).  Equality, hashing
+    and repr read those three fields."""
 
-    name: str
-    source: int
-    weights: tuple
+    def __init__(self, name: str, source: int, weights: tuple):
+        self.name = name
+        self.source = source
+        self.weights = weights
+
+    def __eq__(self, other):
+        if not isinstance(other, MdpAction):
+            return NotImplemented
+        return (self.name, self.source, self.weights) == (other.name, other.source, other.weights)
+
+    def __hash__(self):
+        return hash((self.name, self.source, self.weights))
+
+    def __repr__(self):
+        return f"MdpAction(name={self.name!r}, source={self.source!r}, weights={self.weights!r})"
 
     @cached_property
     def table(self) -> tuple:

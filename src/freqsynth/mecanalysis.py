@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
@@ -36,32 +35,51 @@ from .graph import Component, attractor_policy, sccs
 from .mdp import Mdp, MdpError, draw_table
 
 
-@dataclass
 class LinearSystem:
     """The flow constraints for one component and condition; the column
     after the flows, when there is one, is ``t``.  ``bounds`` is
     ``cond.restricted`` read at the source of each action, and ``start`` the
     ``solve_lp`` start basis of each flow block."""
 
-    mdp: Mdp
-    component: Component
-    cond: GbmpCondition
-    num_flows: int
-    num_vars: int
-    rows: list
-    bounds: tuple
-    start: tuple = ()
+    __slots__ = ("mdp", "component", "cond", "num_flows", "num_vars", "rows", "bounds", "start")
+
+    def __init__(
+        self,
+        mdp: Mdp,
+        component: Component,
+        cond: GbmpCondition,
+        num_flows: int,
+        num_vars: int,
+        rows: list,
+        bounds: tuple,
+        start: tuple = (),
+    ):
+        self.mdp = mdp
+        self.component = component
+        self.cond = cond
+        self.num_flows = num_flows
+        self.num_vars = num_vars
+        self.rows = rows
+        self.bounds = bounds
+        self.start = start
 
 
-@dataclass(frozen=True)
 class LpSolution:
     """Non-negative flow values as ``solve_lp`` returns them, int numerators
     over ``den``: ``flows[i][j] / den`` is flow i on action column j, and
     ``slack / den`` is ``t`` (0 without it)."""
 
-    flows: tuple
-    slack: int
-    den: int
+    __slots__ = ("flows", "slack", "den")
+
+    def __init__(self, flows: tuple, slack: int, den: int):
+        self.flows = flows
+        self.slack = slack
+        self.den = den
+
+    def __eq__(self, other):
+        if not isinstance(other, LpSolution):
+            return NotImplemented
+        return (self.flows, self.slack, self.den) == (other.flows, other.slack, other.den)
 
 
 def build_lp(
@@ -192,7 +210,6 @@ EPOCH_BASE = 100
 EPOCH_RATIO = 32
 
 
-@dataclass(frozen=True)
 class EpochSchedule:
     """Epoch t runs for EPOCH_BASE*EPOCH_RATIO^t steps (optionally capped).
 
@@ -200,12 +217,13 @@ class EpochSchedule:
     is what realizes limit-superior bounds in finite simulations.
     """
 
-    cap: Optional[int] = None
+    __slots__ = ("cap",)
 
-    def __post_init__(self):
+    def __init__(self, cap: Optional[int] = None):
         # A length below 1 plans an empty epoch, and the run would loop.
-        if self.cap is not None and self.cap < 1:
+        if cap is not None and cap < 1:
             raise ValueError("epoch cap must be at least 1")
+        self.cap = cap
 
     def length(self, t: int) -> int:
         # From t = cap.bit_length() on, 32**t > 2**t > cap: build no power.
@@ -215,28 +233,39 @@ class EpochSchedule:
         return raw if self.cap is None else min(raw, self.cap)
 
 
-@dataclass(frozen=True)
 class ModeClass:
     """One closed recurrent class of a flow's support: ``weight`` is its
     flow mass and each state's choices are its support actions, in component
     order, weighted by their flows, all over the solution's denominator."""
 
-    states: frozenset
-    weight: int
-    choices: Mapping  # state idx -> (den, ((action idx, w), ...)), den the sum of the w
-    entry_policy: Mapping  # state idx -> action idx steering into the class
+    __slots__ = ("states", "weight", "choices", "entry_policy")
+
+    def __init__(self, states: frozenset, weight: int, choices: Mapping, entry_policy: Mapping):
+        self.states = states
+        self.weight = weight
+        self.choices = choices  # state idx -> (den, ((action idx, w), ...)), den the sum of the w
+        self.entry_policy = entry_policy  # state idx -> action idx steering into the class
+
+    def __eq__(self, other):
+        if not isinstance(other, ModeClass):
+            return NotImplemented
+        return (self.states, self.weight, self.choices, self.entry_policy) == (
+            other.states, other.weight, other.choices, other.entry_policy
+        )
 
 
-@dataclass(frozen=True)
 class Strategy:
     """Witness strategy: per-flow randomized modes, visited in epochs, on
     ``component``; it steps ``mdp``, whose indices it holds."""
 
-    modes: tuple  # per flow, a tuple of its ModeClass
-    pilgrimage: tuple  # per Inf set, (target state index, attractor policy)
-    cond: GbmpCondition
-    component: Component
-    mdp: Mdp = field(compare=False)
+    def __init__(
+        self, modes: tuple, pilgrimage: tuple, cond: GbmpCondition, component: Component, mdp: Mdp
+    ):
+        self.modes = modes  # per flow, a tuple of its ModeClass
+        self.pilgrimage = pilgrimage  # per Inf set, (target state index, attractor policy)
+        self.cond = cond
+        self.component = component
+        self.mdp = mdp
 
     @cached_property
     def steps(self) -> tuple:

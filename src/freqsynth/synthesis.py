@@ -16,7 +16,6 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -344,27 +343,46 @@ def max_reach(mdp: Mdp, targets: Iterable[int]) -> tuple[dict, list]:
     return {s: Fraction(v, scale) for s, v in enumerate(values)}, selector
 
 
-@dataclass
 class GlobalStrategy:
     """Reachability selector outside the winning union, witnesses inside."""
 
-    reach: list  # product state index -> action index
-    winners: list  # Strategy, each on its winning component
-    state_to_winner: Mapping  # product state index -> index into winners
+    __slots__ = ("reach", "winners", "state_to_winner")
+
+    def __init__(self, reach: list, winners: list, state_to_winner: Mapping):
+        self.reach = reach  # product state index -> action index
+        self.winners = winners  # Strategy, each on its winning component
+        self.state_to_winner = state_to_winner  # product state index -> index into winners
 
 
-@dataclass
 class SynthesisReport:
-    formula: Formula
-    probability: Fraction
-    threshold: Fraction
-    strict: bool
-    threshold_met: bool
-    winning_states: frozenset
-    outcomes: list  # per pair, its winners as (component, LpSolution)
-    strategy: Optional[GlobalStrategy]
-    automaton: Dgrma
-    product: Mdp
+    __slots__ = (
+        "formula", "probability", "threshold", "strict", "threshold_met",
+        "winning_states", "outcomes", "strategy", "automaton", "product",
+    )
+
+    def __init__(
+        self,
+        formula: Formula,
+        probability: Fraction,
+        threshold: Fraction,
+        strict: bool,
+        threshold_met: bool,
+        winning_states: frozenset,
+        outcomes: list,
+        strategy: Optional[GlobalStrategy],
+        automaton: Dgrma,
+        product: Mdp,
+    ):
+        self.formula = formula
+        self.probability = probability
+        self.threshold = threshold
+        self.strict = strict
+        self.threshold_met = threshold_met
+        self.winning_states = winning_states
+        self.outcomes = outcomes  # per pair, its winners as (component, LpSolution)
+        self.strategy = strategy
+        self.automaton = automaton
+        self.product = product
 
     def to_text(self) -> str:
         lines = [
@@ -440,13 +458,17 @@ def _assemble_strategy(product, lifted, outcomes, selector):
     return GlobalStrategy(selector, winners, state_to_winner)
 
 
-@dataclass
 class GlobalSimulation:
-    episodes: int
-    steps_per_episode: int
-    seed: int
-    entered: int
-    mp_pooled: list  # (winner idx, label, pooled average over in-component steps)
+    __slots__ = ("episodes", "steps_per_episode", "seed", "entered", "mp_pooled")
+
+    def __init__(
+        self, episodes: int, steps_per_episode: int, seed: int, entered: int, mp_pooled: list
+    ):
+        self.episodes = episodes
+        self.steps_per_episode = steps_per_episode
+        self.seed = seed
+        self.entered = entered
+        self.mp_pooled = mp_pooled  # (winner idx, label, pooled average over in-component steps)
 
     def to_text(self) -> str:
         lines = [

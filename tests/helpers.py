@@ -106,7 +106,7 @@ import signal
 from bisect import bisect_right
 from collections import Counter, deque
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count, islice
 from operator import itemgetter, truediv
@@ -164,6 +164,7 @@ from freqsynth.mecanalysis import (
     EpochSchedule,
     LinearSystem,
     LpSolution,
+    ModeClass,
     Strategy,
     build_lp,
     epoch_blocks,
@@ -858,19 +859,20 @@ def as_fractions(result):
     if isinstance(result, Strategy):
         modes = tuple(
             tuple(
-                replace(
-                    cls,
-                    weight=Fraction(cls.weight, sum(c.weight for c in mode)),
-                    choices={
+                ModeClass(
+                    cls.states,
+                    Fraction(cls.weight, sum(c.weight for c in mode)),
+                    {
                         s: tuple((ai, Fraction(w, den)) for ai, w in pairs)
                         for s, (den, pairs) in cls.choices.items()
                     },
+                    cls.entry_policy,
                 )
                 for cls in mode
             )
             for mode in result.modes
         )
-        return replace(result, modes=modes)
+        return Strategy(modes, result.pilgrimage, result.cond, result.component, result.mdp)
     status, values, den = result
     return status, None if values is None else [Fraction(v, den) for v in values]
 

@@ -62,6 +62,29 @@ def test_the_package_loads_no_module():
     assert proc.stdout.splitlines() == ["0.1.0 freqsynth", "freqsynth freqsynth.simplex"]
 
 
+STARTUP_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import freqsynth.cli
+print(*sorted({"dataclasses", "inspect"} & set(sys.modules)))
+"""
+
+
+def test_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Every fresh process pays for what ``freqsynth.cli`` imports: its
+    # classes are written out, so no class is built by ``dataclasses``,
+    # which also imports ``inspect``.  ``-S`` keeps a site hook from
+    # importing either first and hiding a regression.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-B", "-c", STARTUP_SCRIPT, str(SRC.parent)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
 def test_no_assert_statements():
     # Invariants raise real errors: `python -O` strips `assert` statements.
     found = [

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import random
 from fractions import Fraction
 
@@ -96,7 +96,7 @@ def test_derived_actions_carry_their_weights():
     # probabilities with every target renumbered to the product state it
     # enters.  An action is its name, source and weights; equality, hashing
     # and repr read those three.
-    assert [f.name for f in dataclasses.fields(MdpAction)] == ["name", "source", "weights"]
+    assert list(inspect.signature(MdpAction).parameters) == ["name", "source", "weights"]
     rng = random.Random(8)
     master = build_master(parse_formula("G F a & F b"))
     derived = 0

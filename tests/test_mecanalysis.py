@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction as Fr
@@ -14,6 +13,7 @@ from freqsynth.graph import Component, mec_decomposition
 from freqsynth.mdp import Mdp, MdpAction, draw_table, parse_mdp, weights_of
 from freqsynth.mecanalysis import (
     EpochSchedule,
+    LinearSystem,
     LpSolution,
     ModeClass,
     Strategy,
@@ -304,7 +304,7 @@ def test_verify_solution_rejects_tampered_solutions():
     sol = maximize_margin(inf_system)
     assert sol is not None
     _verify_solution(sup_system, sol)
-    doubled = dataclasses.replace(sol, flows=tuple(tuple(2 * v for v in f) for f in sol.flows))
+    doubled = LpSolution(tuple(tuple(2 * v for v in f) for f in sol.flows), sol.slack, sol.den)
     with pytest.raises(SimplexError, match="^flow 0 sums to 2$"):
         _verify_solution(inf_system, doubled)
     # Flows over the actions ss, st, tt, ts, in that order.
@@ -345,7 +345,16 @@ def test_verify_solution_reads_the_systems_bounds(monkeypatch):
     sol = maximize_margin(system)
     assert sol is not None and calls == []
     # A bound the rows do not carry (frequency of t at least 1) fails the check.
-    tampered = dataclasses.replace(system, bounds=(((">=", 1, 1, (0, 0, 1, 1)),), ()))
+    tampered = LinearSystem(
+        system.mdp,
+        system.component,
+        system.cond,
+        system.num_flows,
+        system.num_vars,
+        system.rows,
+        (((">=", 1, 1, (0, 0, 1, 1)),), ()),
+        system.start,
+    )
     with pytest.raises(SimplexError, match="flow 0 violates inferior bound 0"):
         _verify_solution(tampered, sol)
 
