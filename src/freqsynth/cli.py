@@ -13,7 +13,6 @@ from .graph import mec_decomposition
 from .lasso import models, parse_lasso
 from .lts import DEFAULT_STATE_CAP, StateCapExceeded
 from .mdp import parse_mdp
-from .mecanalysis import EpochSchedule
 from .simplex import SimplexError
 from .slave import token_str
 from .synthesis import SynthesisError, check_counts, simulate_global, synthesize
@@ -89,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True, help="steps per episode")
     p.add_argument("--episodes", type=int, default=1, help="number of episodes")
     p.add_argument("--seed", type=int, default=0, help="simulation seed")
-    p.add_argument("--epoch-cap", type=int, help="cap on individual epoch lengths")
     p.set_defaults(func=cmd_simulate)
     return parser
 
@@ -191,16 +189,13 @@ def cmd_mec(args) -> int:
 def cmd_simulate(args) -> int:
     phi = _load_formula(args)
     mdp, valuation = _load_model(args)
-    schedule = EpochSchedule(cap=args.epoch_cap)
     check_counts(args.episodes, args.steps)
     report = synthesize(mdp, valuation, phi, Fraction(0), max_states=args.max_states)
     if report.strategy is None or not report.strategy.winners:
         raise SynthesisError(
             "no strategy available: the maximal probability is 0 everywhere"
         )
-    stats = simulate_global(
-        report.product, report.strategy, args.episodes, args.steps, args.seed, schedule
-    )
+    stats = simulate_global(report.product, report.strategy, args.episodes, args.steps, args.seed)
     sys.stdout.write(f"max_probability: {report.probability} "
                      f"(~{float(report.probability):.6f})\n")
     sys.stdout.write(stats.to_text())

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count
 from math import lcm
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from . import simplex
 from .dgrma import GbmpCondition
@@ -210,27 +210,13 @@ EPOCH_BASE = 100
 EPOCH_RATIO = 32
 
 
-class EpochSchedule:
-    """Epoch t runs for EPOCH_BASE*EPOCH_RATIO^t steps (optionally capped).
+def epoch_length(t: int) -> int:
+    """Epoch t of the witness runs for EPOCH_BASE*EPOCH_RATIO^t steps.
 
     The steep growth makes the newest epoch dominate the whole history, which
     is what realizes limit-superior bounds in finite simulations.
     """
-
-    __slots__ = ("cap",)
-
-    def __init__(self, cap: Optional[int] = None):
-        # A length below 1 plans an empty epoch, and the run would loop.
-        if cap is not None and cap < 1:
-            raise ValueError("epoch cap must be at least 1")
-        self.cap = cap
-
-    def length(self, t: int) -> int:
-        # From t = cap.bit_length() on, 32**t > 2**t > cap: build no power.
-        if self.cap is not None and t >= self.cap.bit_length():
-            return self.cap
-        raw = EPOCH_BASE * EPOCH_RATIO**t
-        return raw if self.cap is None else min(raw, self.cap)
+    return EPOCH_BASE * EPOCH_RATIO**t
 
 
 class ModeClass:
@@ -384,27 +370,33 @@ class WitnessRun:
 
     Epoch t walks to each pilgrimage target in turn, then plays the classes
     of mode ``t % len(modes)`` in the ``epoch_blocks`` of
-    ``schedule.length(t)`` steps; a block's steps outside its class follow
+    ``schedule(t)`` steps; a block's steps outside its class follow
     the class's entry policy.  Between calls the run keeps its state and its
     leg.  Each step reads one of ``strategy.steps``' records and draws from
     it inline, one ``random()`` for a randomized choice, then one for the
     successor, so ``take(n)`` uses exactly n steps' draws.
     """
 
-    def __init__(self, strategy: Strategy, schedule: EpochSchedule, rng: random.Random, state: int):
+    def __init__(
+        self,
+        strategy: Strategy,
+        schedule: Callable[[int], int],
+        rng: random.Random,
+        state: int,
+    ):
         self._state, self._random = state, rng.random
         self._legs = self._plan(strategy, schedule)
         self._leg = (None, None, None, 0)  # records, compile, target, steps left
 
     @staticmethod
-    def _plan(strategy: Strategy, schedule: EpochSchedule) -> Iterator[tuple]:
+    def _plan(strategy: Strategy, schedule: Callable[[int], int]) -> Iterator[tuple]:
         pilgrimage, mode_steps = strategy.steps
         for epoch in count():
             k = epoch % len(mode_steps)
             for target, (records, compile) in pilgrimage:
                 yield records, compile, target, 0
             weights = [c.weight for c in strategy.modes[k]]
-            for j, steps in epoch_blocks(schedule.length(epoch), weights):
+            for j, steps in epoch_blocks(schedule(epoch), weights):
                 yield *mode_steps[k][j], None, steps
 
     def take(self, n: int) -> list:

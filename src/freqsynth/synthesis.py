@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 from operator import add
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .dgrma import Dgrma, GbmpCondition, GrmpPair, build_dgrma
 from .formula import Formula
@@ -28,10 +28,10 @@ from .graph import Component, attractor_policy, can_reach, mec_decomposition, re
 from .lts import DEFAULT_STATE_CAP
 from .mdp import Mdp, MdpError, product_mdp, skip_draws, sure_loop
 from .mecanalysis import (
-    EpochSchedule,
     WitnessRun,
     build_lp,
     build_witness_strategy,
+    epoch_length,
     maximize_margin,
 )
 
@@ -509,7 +509,7 @@ def simulate_global(
     episodes: int,
     steps_per_episode: int,
     seed: int,
-    schedule: EpochSchedule = EpochSchedule(),
+    schedule: Callable[[int], int] = epoch_length,
 ) -> GlobalSimulation:
     """Seeded episodic run of the assembled strategy on the product MDP.
 
@@ -520,7 +520,8 @@ def simulate_global(
     them inline as ``WitnessRun`` does: ``random()`` itself against the
     tables' dyadic thresholds, which decides as the exact rational sums do
     (see ``mdp.draw_table``).  Each bound's float rewards are summed in
-    step order, a chunk of the run's states at a time.
+    step order, a chunk of the run's states at a time.  A witness's epoch
+    t runs ``schedule(t)`` steps.
 
     A selector state whose table is a sure self-loop is a losing sink: the
     walk stops there, and the episode's remaining steps are owed draws,

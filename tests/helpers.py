@@ -108,9 +108,10 @@ from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, compress, count, islice
 from operator import itemgetter, truediv
-from typing import Iterator
+from typing import Callable, Iterator
 
 import pytest
 
@@ -161,13 +162,13 @@ from freqsynth.slave import (
 from freqsynth.graph import Component, can_reach, mec_decomposition, restrict
 from freqsynth.mdp import Mdp, MdpAction, MdpError, draw_table, weights_of
 from freqsynth.mecanalysis import (
-    EpochSchedule,
     LinearSystem,
     LpSolution,
     ModeClass,
     Strategy,
     build_lp,
     epoch_blocks,
+    epoch_length,
     maximize_margin,
 )
 from freqsynth.synthesis import GlobalSimulation, accepting_mec, max_reach
@@ -593,6 +594,16 @@ def component_names(mdp, component):
     )
 
 
+def assert_winners_hold_their_states(report):
+    """``state_to_winner`` maps exactly the report's winning states, each
+    to a winner whose component holds it."""
+    strategy = report.strategy
+    missed = strategy.state_to_winner.keys() ^ report.winning_states
+    assert not missed, sorted(report.product.states[s] for s in missed)
+    for s, w_idx in strategy.state_to_winner.items():
+        assert s in strategy.winners[w_idx].component.states, report.product.states[s]
+
+
 def pairwise_winning_union(product, lifted):
     """``winning_union`` deciding every (pair, component) afresh: one
     restriction and decomposition per distinct Fin set, one
@@ -880,6 +891,13 @@ def as_fractions(result):
 PLANNED_EPOCHS = 102_400  # the default schedule's first three epochs
 
 
+def capped(cap):
+    """``epoch_length`` with every epoch cut to at most ``cap`` steps, so a
+    short run crosses many epochs; from t = cap.bit_length() on, 32**t > cap
+    and no power is built."""
+    return lambda t: cap if t >= cap.bit_length() else min(epoch_length(t), cap)
+
+
 def assert_witness_keeps_fraction_formulas(strategy, sol, epochs=8):
     """The witness built from ``sol`` draws and splits its epochs as the
     Fraction formulas that its integer weights replaced: at each mode state
@@ -921,13 +939,13 @@ def assert_witness_keeps_fraction_formulas(strategy, sol, epochs=8):
                 masses[-1] += mass
         weights = [cls.weight for cls in mode]
         total, int_total = sum(masses), sum(weights)
-        for schedule in (EpochSchedule(), EpochSchedule(cap=1), EpochSchedule(cap=7)):
+        for schedule in (epoch_length, capped(1), capped(7)):
             for t in range(epochs):
-                planned = schedule.length(t)
+                planned = schedule(t)
                 want = [int(planned * mass / total) for mass in masses]
                 assert [planned * w // int_total for w in weights] == want
                 if planned <= PLANNED_EPOCHS:
-                    plan = merged_blocks(fraction_epoch_plan(planned, masses))
+                    plan = merged_blocks(fraction_epoch_plan(planned, tuple(masses)))
                     assert merged_blocks(epoch_blocks(planned, weights)) == plan
         multi += len(mode) > 1
     return multi
@@ -1674,6 +1692,7 @@ def assert_dyadic_draws_match(table, weights, rng, seeded=20):
     return len(draws)
 
 
+@cache
 def fraction_epoch_plan(planned, masses):
     """One epoch of ``planned`` steps as (class index, steps) blocks, from
     the classes' Fraction flow masses: class j's share is ``int(planned *
@@ -1682,7 +1701,8 @@ def fraction_epoch_plan(planned, masses):
     for ``floor(R_r * m_j / M) - floor(R_(r-1) * m_j / M)`` steps, cut at
     what is left of its share, where ``R_r = r (r + 1) / 2``; a block of 0
     steps is left out.  A single class's blocks are consecutive, so they
-    play as its whole share in one."""
+    play as its whole share in one.  ``masses`` is a tuple, and each plan
+    is kept: a capped runner plans the same short epochs over and over."""
     total = sum(masses)
     left = [int(planned * Fraction(m) / total) for m in masses]
     left[0] += planned - sum(left)
@@ -1698,7 +1718,7 @@ def fraction_epoch_plan(planned, masses):
             if steps > 0:
                 left[j] -= steps
                 blocks.append((j, steps))
-    return blocks
+    return tuple(blocks)
 
 
 def merged_blocks(blocks):
@@ -1736,10 +1756,10 @@ class StrategyRunner:
 
     def begin_epoch(self):
         self.epoch += 1
-        planned = self.schedule.length(self.epoch)
+        planned = self.schedule(self.epoch)
         mode = self.strategy.modes[self.epoch % len(self.strategy.modes)]
         self.plan = [("visit", i) for i in range(len(self.strategy.pilgrimage))]
-        for j, share in fraction_epoch_plan(planned, [c.weight for c in mode]):
+        for j, share in fraction_epoch_plan(planned, tuple(c.weight for c in mode)):
             self.plan.append(("play", (mode[j], share)))
 
     def next_action(self, state: int) -> int:
@@ -1814,7 +1834,7 @@ def named_simulate_global(product, strategy, episodes, steps_per_episode, seed, 
 
 
 def witness_walk(
-    strategy: Strategy, schedule: EpochSchedule, rng: random.Random, state: int
+    strategy: Strategy, schedule: Callable[[int], int], rng: random.Random, state: int
 ) -> Iterator[tuple]:
     """Run the witness from ``state`` forever, yielding (epoch, state, action
     index) per step; states and actions are those of ``strategy.mdp``, and
@@ -1822,7 +1842,7 @@ def witness_walk(
 
     Epoch t walks to each pilgrimage target in turn, then plays the classes
     of mode ``t % len(modes)`` in the ``epoch_blocks`` of
-    ``schedule.length(t)`` steps; a block's steps outside its class follow
+    ``schedule(t)`` steps; a block's steps outside its class follow
     the class's entry policy.  Each step reads one of ``strategy.steps``'
     records and draws from it inline: one ``random()`` for a randomized
     choice, then one for the successor, which is drawn before the step is
@@ -1842,7 +1862,7 @@ def witness_walk(
                 ai, values, thresholds = record
                 at, state = state, values[bisect_right(thresholds, random())]
                 yield epoch, at, ai
-        for j, steps in epoch_blocks(schedule.length(epoch), weights):
+        for j, steps in epoch_blocks(schedule(epoch), weights):
             records, compile = mode_steps[k][j]
             for _ in range(steps):
                 record = records[state]
@@ -1903,7 +1923,7 @@ def simulate_strategy(
     if steps < 1:
         raise ValueError("steps must be at least 1")
     cond, mdp, states = strategy.cond, strategy.mdp, strategy.component.states
-    walk = witness_walk(strategy, EpochSchedule(), random.Random(seed), states[0])
+    walk = witness_walk(strategy, epoch_length, random.Random(seed), states[0])
     walk = list(islice(walk, steps))
     epochs, visited, taken = (list(map(itemgetter(k), walk)) for k in range(3))
     epoch_counts = Counter(epochs)  # epochs run 0, 1, ... in order, none empty

@@ -24,6 +24,7 @@ from freqsynth.synthesis import lift_pair, simulate_global, synthesize
 
 from helpers import (
     assert_dyadic_draws_match,
+    assert_winners_hold_their_states,
     assert_witness_keeps_fraction_formulas,
     component_names,
     rescan_mec_decomposition,
@@ -120,9 +121,11 @@ def _corpus_reports() -> list:
 
 def test_corpus_witnesses_keep_the_fraction_formulas():
     # Every witness of the corpus, against the solution it was built from:
-    # the first winner on its component, in pair order.
+    # the first winner on its component, in pair order; each winning state
+    # maps to a winner that holds it.
     witnesses = 0
     for report in _corpus_reports():
+        assert_winners_hold_their_states(report)
         sols = {}
         for winners in report.outcomes:
             for component, sol in winners:

@@ -325,20 +325,6 @@ def test_simulate_checks_its_counts_before_synthesis(model_file, count, formula,
     assert err == f"error: {count[2:]} must be at least 1\n"
 
 
-@pytest.mark.parametrize("cap", ["-1", "0"])
-def test_simulate_rejects_an_epoch_cap_below_one(model_file, cap):
-    # A cap below 1 once planned empty epochs, and the runner looped forever;
-    # the timeout turns such a regression into a failure.
-    out = run_cli("simulate", "--model", model_file, "--formula", "G b",
-                  "--steps", "5", "--epoch-cap", cap, timeout=30)
-    assert out.returncode == 2
-    assert out.stderr == "error: epoch cap must be at least 1\n"
-    capped = run_cli("simulate", "--model", model_file, "--formula", "G b",
-                     "--steps", "5", "--epoch-cap", "1", timeout=30)
-    assert capped.returncode == 0
-    assert "entered_winning_union: 1" in capped.stdout
-
-
 def test_byte_identical_reruns(model_file, tmp_path):
     dot1, dot2 = tmp_path / "a1.dot", tmp_path / "a2.dot"
     r1 = run_cli("synth", "--model", model_file, "--formula",
@@ -451,16 +437,14 @@ SMALL_INTS = st.integers(min_value=-3, max_value=3)
 
 
 @settings(max_examples=100, deadline=None)
-@given(SMALL_INTS, SMALL_INTS, st.one_of(st.none(), SMALL_INTS))
-def test_fuzzed_simulate_counts_run_or_give_one_error_line(steps, episodes, cap):
+@given(SMALL_INTS, SMALL_INTS)
+def test_fuzzed_simulate_counts_run_or_give_one_error_line(steps, episodes):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.mdp")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(MODEL)
         argv = ["simulate", "--model", path, "--formula", "G b",
                 f"--steps={steps}", f"--episodes={episodes}"]
-        if cap is not None:
-            argv.append(f"--epoch-cap={cap}")
         with time_limit(30):
             code, out, err = main_in_process(argv)
     if code == 2:
@@ -785,7 +769,8 @@ action x6 timid6 : x7 2/5 , x5 3/5
 action x6 bold6 : x7 2/5 , x4 3/5
 action x7 stay7 : x7 1
 """,
-    # Two interleaved classes: a capped run crosses many epochs and rounds.
+    # Two interleaved classes: 9000 steps cross epochs 0-2 and the
+    # two-class rounds of each.
     "mixing": MIXING_MODEL,
     # A chorded ring entered from s with probability 1/2: every ring state
     # has two actions, and G F a & G F b has no bound, so its flow LP keeps
@@ -854,10 +839,10 @@ PINNED_OUTPUTS = {
     "simulate-mixing": (
         "mixing",
         ["simulate", "--formula", MIXING_FORMULA, "--steps", "9000",
-         "--episodes", "2", "--epoch-cap", "7", "--seed", "5"],
+         "--episodes", "2", "--seed", "5"],
         "max_probability: 1 (~1.000000)\nepisodes: 2\nsteps_per_episode: 9000\nseed: 5\n"
         "entered_winning_union: 2\nentry_fraction: 1.000000\n"
-        "pooled_avg[w0][inf:>=1/2]: 0.291722\npooled_avg[w0][inf:>=2/5]: 0.588500\n",
+        "pooled_avg[w0][inf:>=1/2]: 0.537889\npooled_avg[w0][inf:>=2/5]: 0.443111\n",
     ),
     "simulate-ring": (
         "ring",
@@ -904,8 +889,11 @@ PINNED_OUTPUTS = {
 
 @pytest.mark.parametrize("pin", PINNED_OUTPUTS)
 def test_pinned_outputs(pin, tmp_path):
-    # No pinned report prints an `&`/`|` formula line, so interning order
-    # cannot move these bytes, and they run in this process.
+    # These run in this process, after whatever formulas earlier tests
+    # interned.  No pinned report prints an `&`/`|` formula line, yet
+    # interning order can move these bytes: parsing unrelated formulas first
+    # has moved `simulate-hub`, `simulate-hub-long` and `simulate-mixing`.
+    # ROADMAP item 23 (a canonical formula order) removes that dependence.
     name, argv, expected = PINNED_OUTPUTS[pin]
     path = tmp_path / f"{name}.mdp"
     path.write_text(PINNED_MODELS[name])

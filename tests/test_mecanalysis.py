@@ -12,7 +12,6 @@ from freqsynth.dgrma import GbmpCondition, MpBound
 from freqsynth.graph import Component, mec_decomposition
 from freqsynth.mdp import Mdp, MdpAction, draw_table, parse_mdp, weights_of
 from freqsynth.mecanalysis import (
-    EpochSchedule,
     LinearSystem,
     LpSolution,
     ModeClass,
@@ -22,6 +21,7 @@ from freqsynth.mecanalysis import (
     build_lp,
     build_witness_strategy,
     epoch_blocks,
+    epoch_length,
     maximize_margin,
 )
 from freqsynth.simplex import SimplexError
@@ -34,6 +34,7 @@ from helpers import (
     as_fractions,
     assert_dyadic_draws_match,
     assert_flow_row_form,
+    capped,
     dist,
     draw,
     edge_draws,
@@ -518,7 +519,7 @@ def test_a_mixing_witness_interleaves_its_classes():
     assert stats.epoch_steps[:3] == [100, 3_200, 102_400]
     for (label, value), bound in zip(stats.mp_min_late, (0.5, 0.4)):
         assert value >= bound - 0.05, (label, value)
-    steps = list(islice(witness_walk(strat, EpochSchedule(), random.Random(7), 0), 3_300))
+    steps = list(islice(witness_walk(strat, epoch_length, random.Random(7), 0), 3_300))
     switches = sum({a[1], b[1]} == {0, 1} for a, b in zip(steps, steps[1:]))
     assert switches >= 50
 
@@ -554,7 +555,7 @@ def test_witness_walk_matches_the_runner_oracle():
     steps = 2000
     choice_draws = two_modes = pilgrimages = two_classes = 0
     for k, (mdp, strat, start) in enumerate(cases):
-        for schedule in (EpochSchedule(), EpochSchedule(cap=1), EpochSchedule(cap=7)):
+        for schedule in (epoch_length, capped(1), capped(7)):
             ours, oracle = random.Random(k), _CountingRandom(k)
             runner = StrategyRunner(as_fractions(strat), schedule, oracle)
             walk = witness_walk(strat, schedule, ours, start)
@@ -606,7 +607,7 @@ def test_walk_draws_at_threshold_edges_match_the_runner():
     on_edge = {"choice": 0, "successor": 0}
     for k, (mdp, strat, start) in enumerate(cases):
         for u in edge_draws(_witness_tables(strat)):
-            for schedule in (EpochSchedule(cap=1), EpochSchedule(cap=7)):
+            for schedule in (capped(1), capped(7)):
                 ours, oracle = FixedDraw(u), FixedDraw(u)
                 runner = StrategyRunner(as_fractions(strat), schedule, oracle)
                 walk = witness_walk(strat, schedule, ours, start)
@@ -639,7 +640,7 @@ def _plan_ends(strat, schedule, states):
                     i += 1
                 ends["pilgrimage"].add(i)
         weights = [c.weight for c in strat.modes[epoch % len(strat.modes)]]
-        for _, steps in epoch_blocks(schedule.length(epoch), weights):
+        for _, steps in epoch_blocks(schedule(epoch), weights):
             i += steps
             ends["block"].add(i)
         ends["epoch"].add(i)
@@ -674,7 +675,7 @@ def test_witness_run_takes_the_reference_walk_in_any_chunks():
         edges = edge_draws(_witness_tables(strat))
         rngs = [lambda: random.Random(k)]
         rngs += [lambda u=u: FixedDraw(u) for u in rng.sample(edges, min(3, len(edges)))]
-        schedules = ((EpochSchedule(), 3_500), (EpochSchedule(cap=1), 300), (EpochSchedule(cap=7), 600))
+        schedules = ((epoch_length, 3_500), (capped(1), 300), (capped(7), 600))
         for schedule, steps in schedules:
             for new_rng in rngs:
                 walked = list(islice(witness_walk(strat, schedule, new_rng(), start), steps))
@@ -713,7 +714,7 @@ def test_simulation_builds_each_table_once(monkeypatch):
     # touches every action and the choice at h.
     mdp, strat = _hub_witness()
     _, twin = _hub_witness()
-    touched = list(islice(witness_walk(twin, EpochSchedule(), random.Random(5), mdp.init), 25_000))
+    touched = list(islice(witness_walk(twin, epoch_length, random.Random(5), mdp.init), 25_000))
     visited = {s for _, s, _ in touched}
     choice_states = sum(
         len(c[1]) > 1 and s in visited
@@ -737,23 +738,14 @@ def test_simulation_builds_each_table_once(monkeypatch):
     assert 0 < len(built) <= bound
 
 
-def test_schedule_cap():
-    sched = EpochSchedule(cap=5_000)
-    assert [sched.length(t) for t in range(4)] == [100, 3_200, 5_000, 5_000]
-    assert [EpochSchedule().length(t) for t in range(3)] == [100, 3_200, 102_400]
-    assert EpochSchedule(cap=1).length(3) == 1
-    for cap in (1, 99, 100, 101, 3_200, 3_201, 2**40, 2**40 + 1):
-        lengths = [EpochSchedule(cap=cap).length(t) for t in range(cap.bit_length() + 3)]
-        assert lengths == [min(100 * 32**t, cap) for t in range(len(lengths))], cap
-    # A run of one-step epochs once built 32**t for every epoch t, so 60,000
-    # steps took about half a minute; now they take a fraction of a second.
+def test_epoch_lengths():
+    assert [epoch_length(t) for t in range(3)] == [100, 3_200, 102_400]
+    # 60,000 one-step epochs: a schedule that builds 32**t for every epoch t
+    # takes about half a minute; ``capped`` builds none past its cap.
     mdp, strat = _hub_witness()
-    run = WitnessRun(strat, EpochSchedule(cap=1), random.Random(1), 0)
+    run = WitnessRun(strat, capped(1), random.Random(1), 0)
     with time_limit(10):
         assert len(run.take(60_000)) == 60_000
-    for cap in (0, -1):
-        with pytest.raises(ValueError, match="epoch cap must be at least 1"):
-            EpochSchedule(cap=cap)
     with pytest.raises(ValueError):
         mdp = _single_loop()
         cond = GbmpCondition(mp_inf=(MpBound(">=", Fr(1), (Fr(1),)),))
@@ -835,7 +827,7 @@ def _extreme_weights(rng):
 def _second_state(strat, u):
     """The second state of the run of ``strat`` from state 0 with every
     draw ``u``."""
-    return WitnessRun(strat, EpochSchedule(), FixedDraw(u), 0).take(2)[1]
+    return WitnessRun(strat, epoch_length, FixedDraw(u), 0).take(2)[1]
 
 
 def _draw_sites(weights):

@@ -12,7 +12,7 @@ from freqsynth.dgrma import GbmpCondition, MpBound, build_dgrma
 from freqsynth.formula import FormulaError, parse_formula
 from freqsynth.graph import mec_decomposition, restrict
 from freqsynth.mdp import Mdp, MdpAction, MdpError, parse_mdp, product_mdp, weights_of
-from freqsynth.mecanalysis import EpochSchedule, build_lp, maximize_margin
+from freqsynth.mecanalysis import build_lp, epoch_length, maximize_margin
 from freqsynth.synthesis import (
     SynthesisError,
     _check_selector,
@@ -30,6 +30,8 @@ from helpers import (
     MIXING_FORMULA,
     MIXING_MODEL,
     assert_flow_row_form,
+    assert_winners_hold_their_states,
+    capped,
     chain_pipeline_probability,
     component_names,
     corpus_formulas,
@@ -525,6 +527,33 @@ def test_global_strategy_enters_winning_union():
     assert "entry_fraction: 1.000000" in text
 
 
+LINE = """\
+mdp
+states s1 s2 s3
+init s2
+label s1 a
+label s2 a b
+label s3 b
+action s1 stay1 : s1 1
+action s1 right1 : s2 1
+action s2 left2 : s1 1
+action s2 right2 : s3 1
+action s3 left3 : s2 1
+action s3 stay3 : s3 1
+"""
+
+
+def test_winners_that_overlap_in_part_each_hold_their_states():
+    # On the line s1 - s2 - s3, F G a wins {s1, s2} and F G b wins {s2, s3}.
+    # The second winner shares only s2 with the first, so it is kept, and s3
+    # maps to it; skipping it would leave s3 winning without a witness.
+    mdp, valuation = parse_mdp(LINE)
+    report = synthesize(mdp, valuation, parse_formula("F G a | F G b"), Fr(1))
+    assert report.probability == 1 and len(report.strategy.winners) == 2
+    assert len(report.winning_states) == 3
+    assert_winners_hold_their_states(report)
+
+
 def test_global_strategy_entry_frequency_matches_probability():
     # Coin flip into a winning a/not-a loop or a dead end: entry fraction
     # tracks the exact probability, and the loop's average of a sits at its
@@ -591,7 +620,7 @@ def test_simulation_matches_the_name_keyed_oracle():
             "G{>=1/3,sup} a & G{>=1/3,sup} b",
         )
     ]
-    schedules = (EpochSchedule(), EpochSchedule(cap=1), EpochSchedule(cap=7))
+    schedules = (epoch_length, capped(1), capped(7))
     before = never = two_winners = capped_differs = 0
     for k in range(32):
         mdp, valuation = _fork_model(rng)
@@ -645,7 +674,7 @@ def test_simulation_past_one_chunk_matches_the_name_keyed_oracle():
     for k, (mdp, valuation, phi) in enumerate(cases):
         report = synthesize(mdp, valuation, phi, Fr(0))
         for steps in (4095, 4096, 4097, 8193):
-            for schedule in (EpochSchedule(), EpochSchedule(cap=1), EpochSchedule(cap=7)):
+            for schedule in (epoch_length, capped(1), capped(7)):
                 args = (report.product, report.strategy, 2, steps, k, schedule)
                 got = simulate_global(*args)
                 assert got.to_text() == named_simulate_global(*args).to_text(), (k, steps)
@@ -689,7 +718,7 @@ def test_simulation_at_absorbing_sinks_matches_the_name_keyed_oracle(monkeypatch
         _sink_or_ring_model() + (formula,)
         for formula in ("G{>=1/3,inf} a & G{>=1/4,sup} b", "G{>=2/5,inf} a")
     ]
-    schedules = (EpochSchedule(), EpochSchedule(cap=1), EpochSchedule(cap=7))
+    schedules = (epoch_length, capped(1), capped(7))
     single = averaged = 0
     for k, (mdp, valuation, formula) in enumerate(cases):
         report = synthesize(mdp, valuation, parse_formula(formula), Fr(0))
@@ -740,7 +769,7 @@ def test_simulation_draws_at_threshold_edges_match_the_oracle(monkeypatch):
     fixed = FixedDraw(0.0)
     for module in (freqsynth.synthesis, helpers):
         monkeypatch.setattr(module, "random", SimpleNamespace(Random=lambda seed: fixed))
-    schedule = EpochSchedule(cap=7)
+    schedule = capped(7)
     entered = choice_edges = 0
     for report, successors, choices in cases:
         for u in edge_draws(successors + choices):
