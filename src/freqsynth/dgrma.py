@@ -236,23 +236,30 @@ def build_dgrma(phi: Formula, cap: int = DEFAULT_STATE_CAP) -> Dgrma:
     alphabet's atoms.
 
     The automaton depends only on the formula, the cap and the builders it
-    is made with, so the last one built stays alive in this process, also
-    between calls, until another is translated or
-    ``build_dgrma.cache_clear()`` drops it; a call with the same formula and
-    cap returns it.  The builders are looked up in this module at each call
-    and are part of the key, so a wrapper or test double put in place of one
-    is called, never bypassed.  Formulas are interned, so the key compares
-    by identity.  Errors are raised, never kept.  Nothing writes to a
-    ``Dgrma`` after it is built, so callers share it.
+    is made with, so the last ``_KEPT_AUTOMATA`` built stay alive in this
+    process, also between calls, least recently used first out, until
+    ``build_dgrma.cache_clear()`` drops them; a call with a kept formula and
+    cap returns its automaton.  The builders are looked up in this module at
+    each call and are part of the key, so a wrapper or test double put in
+    place of one is called, never bypassed.  Formulas are interned, so the
+    key compares by identity.  Errors are raised, never kept.  Nothing
+    writes to a ``Dgrma`` after it is built, so callers share it.
     """
     builders = (build_master, build_slave_lts, build_token_lts, build_count_lts, build_lts)
     return _translate(phi, cap, builders)
 
 
-@lru_cache(maxsize=1)
+# Automata kept per process, least recently used first out.  A caller that
+# alternates between up to 8 formulas translates each once; the benchmark's
+# lp_mec plan alternates between 4 on 83 % of its calls.  The cost is memory:
+# at most 8 times the largest automaton, 8 x 43.8 MB for an 8965-state one.
+_KEPT_AUTOMATA = 8
+
+
+@lru_cache(maxsize=_KEPT_AUTOMATA)
 def _translate(phi: Formula, cap: int, builders: tuple) -> Dgrma:
-    """``build_dgrma``'s body and its one kept entry; ``builders`` only
-    keys the entry (the body calls the same names)."""
+    """``build_dgrma``'s body and its kept entries; ``builders`` only keys
+    an entry (the body calls the same names)."""
     bad = fragment_violation(phi)
     if bad is not None:
         raise FormulaError(

@@ -236,45 +236,58 @@ def parse_mdp(text: str) -> tuple[Mdp, Valuation]:
     actions: list[MdpAction] = []
     seen_names = set()
     probs: dict = {}  # probability text -> its value, converted once per call
+    dists: dict = {}  # probability texts -> (den, weights), checked once per call
     for lineno, state, name, dist_part in raw_actions:
         if state not in index:
             raise MdpError(f"line {lineno}: unknown state {state!r}")
         if name in seen_names:
             raise MdpError(f"line {lineno}: action {name!r} redeclared")
         seen_names.add(name)
-        entries = []
-        seen_targets = set()
-        for chunk in dist_part.split(","):
-            fields = chunk.split()
-            if len(fields) != 2:
-                raise MdpError(f"line {lineno}: expected 'TARGET PROB' entries")
-            target, prob_text = fields
-            if target not in index:
-                raise MdpError(f"line {lineno}: unknown state {target!r}")
-            if target in seen_targets:
-                raise MdpError(f"line {lineno}: duplicate target {target!r}")
-            seen_targets.add(target)
-            prob = probs.get(prob_text)
-            if prob is None:
-                try:
-                    prob = rational_literal(prob_text)
-                except ValueError:
-                    raise MdpError(f"line {lineno}: bad probability {prob_text!r}") from None
-                if not prob:
-                    raise MdpError(f"line {lineno}: probability of {target!r} must be positive")
-                probs[prob_text] = prob
-            entries.append((index[target], prob))
-        weights = weights_of(entries)
-        total = sum(w for _, w in weights[1])
-        if total != weights[0]:
-            raise MdpError(
-                f"line {lineno}: distribution sums to {Fraction(total, weights[0])}, not 1"
-            )
-        actions.append(MdpAction(name, index[state], weights))
+        rows = [chunk.split() for chunk in dist_part.split(",")]
+        try:
+            targets = [index[target] for target, _ in rows]
+            texts = tuple([text for _, text in rows])
+        except (KeyError, ValueError):  # an unknown target or a malformed entry
+            targets = texts = None
+        known = dists.get(texts)
+        if known is None or len(set(targets)) < len(targets):
+            known = dists[texts] = _checked_weights(lineno, rows, index, probs)
+        den, ws = known
+        actions.append(MdpAction(name, index[state], (den, tuple(zip(targets, ws)))))
 
     mdp = Mdp._trusted(state_names, actions, index[init_name])
     valuation = [labels.get(s, frozenset()) for s in state_names]
     return mdp, valuation
+
+
+def _checked_weights(lineno: int, rows: list, index: dict, probs: dict) -> tuple:
+    """``(den, [w, ...])`` of one action line's ``TARGET PROB`` entries, each
+    checked in order (the line's first fault raises), and their sum checked."""
+    values, seen_targets = [], set()
+    for fields in rows:
+        if len(fields) != 2:
+            raise MdpError(f"line {lineno}: expected 'TARGET PROB' entries")
+        target, prob_text = fields
+        if target not in index:
+            raise MdpError(f"line {lineno}: unknown state {target!r}")
+        if target in seen_targets:
+            raise MdpError(f"line {lineno}: duplicate target {target!r}")
+        seen_targets.add(target)
+        prob = probs.get(prob_text)
+        if prob is None:
+            try:
+                prob = rational_literal(prob_text)
+            except ValueError:
+                raise MdpError(f"line {lineno}: bad probability {prob_text!r}") from None
+            if not prob:
+                raise MdpError(f"line {lineno}: probability of {target!r} must be positive")
+            probs[prob_text] = prob
+        values.append((target, prob))
+    den, pairs = weights_of(values)
+    total = sum(w for _, w in pairs)
+    if total != den:
+        raise MdpError(f"line {lineno}: distribution sums to {Fraction(total, den)}, not 1")
+    return den, [w for _, w in pairs]
 
 
 def product_mdp(mdp: Mdp, valuation: Valuation, lts: Lts, cap: int = DEFAULT_STATE_CAP):

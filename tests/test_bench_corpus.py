@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
-from freqsynth import simplex
+from freqsynth import cli, simplex
 from freqsynth.dgrma import build_dgrma
 from freqsynth.formula import parse_formula, parse_rational
 from freqsynth.graph import mec_decomposition, restrict
@@ -102,6 +102,24 @@ def test_lp_solves_per_corpus_stay_pinned(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == solves, name
+
+
+def test_one_pass_over_a_plan_translates_each_formula_once(tmp_path, capsys):
+    # The benchmark's warm-up runs each formula once so that no timed call
+    # translates; that holds only if the kept automata cover every formula
+    # of a plan, whose calls alternate formulas.
+    for name, formulas in (("lp_mec", 4), ("reach_ruin", 2), ("translate_wide", 1)):
+        plan = workloads.plan(name, 1, workloads.calls(name, 96))
+        build_dgrma.cache_clear()
+        for inst in plan:
+            path = tmp_path / f"{inst.key.replace('/', '-')}.mdp"
+            path.write_text(inst.model, encoding="utf-8")
+            argv = ["synth", "--model", str(path), "--formula", inst.formula,
+                    "--threshold", inst.threshold]
+            assert cli.main(argv) in (0, 1), inst.key
+        capsys.readouterr()
+        assert len({inst.formula for inst in plan}) == formulas, name
+        assert build_dgrma.cache_info().misses == formulas, name
 
 
 @cache

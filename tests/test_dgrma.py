@@ -288,27 +288,70 @@ def test_translation_goes_through_the_traced_builders(monkeypatch):
     assert plain.columns == [list(range(len(plain.master)))]
 
 
-def test_the_last_automaton_is_kept():
-    # One entry: a repeated call returns the same object until another
-    # formula or cap is translated, however the cap is passed; errors are
-    # raised every time and do not evict it.
+def test_recent_automata_are_kept():
+    # The last _KEPT_AUTOMATA keys are kept, least recently used first out:
+    # a repeated call returns the same object however the cap is passed, also
+    # after other formulas in between; errors are raised every time and evict
+    # nothing; a lower cap and replaced builders are new keys.
+    kept = freqsynth.dgrma._KEPT_AUTOMATA
     wide = parse_formula(WIDE_FORMULA)
     build_dgrma.cache_clear()
     aut = build_dgrma(wide)
     assert build_dgrma(wide, DEFAULT_STATE_CAP) is aut
     assert build_dgrma(wide, cap=DEFAULT_STATE_CAP) is aut
     assert build_dgrma.cache_info()[:2] == (2, 1)  # hits, misses
+    other = build_dgrma(parse_formula("F a"))
+    assert build_dgrma(wide) is aut  # A, B, A: the second A hits
+    assert build_dgrma(parse_formula("F a")) is other
+    assert build_dgrma.cache_info()[:2] == (4, 2)
     for _ in range(2):
         with pytest.raises(FormulaError, match="outside the supported fragment"):
             build_dgrma(parse_formula("G(a U b)"))
         with pytest.raises(StateCapExceeded, match="product automaton"):
             build_dgrma(wide, 924)
+    assert build_dgrma.cache_info()[:2] == (4, 6)
+    assert build_dgrma.cache_info().currsize == 2
+
+    # Fill the table with distinct formulas, touching ``wide`` last, so that
+    # ``F a`` is the least recently used key when one more comes.
+    fillers = [parse_formula(f"F p{k}") for k in range(kept - 2)]
+    for phi in fillers:
+        build_dgrma(phi)
     assert build_dgrma(wide) is aut
-    other = build_dgrma(parse_formula("F a"))
-    assert build_dgrma(parse_formula("F a")) is other
-    again = build_dgrma(wide)
-    assert again is not aut and acceptance_dump(again) == acceptance_dump(aut)
-    assert build_dgrma.cache_info().currsize == 1
+    assert build_dgrma.cache_info().currsize == kept
+    build_dgrma(parse_formula("G q"))
+    assert build_dgrma.cache_info().currsize == kept
+    misses = build_dgrma.cache_info().misses
+    assert build_dgrma(wide) is aut
+    assert build_dgrma(fillers[0]) is build_dgrma(fillers[0])
+    assert build_dgrma.cache_info().misses == misses
+    again = build_dgrma(parse_formula("F a"))
+    assert build_dgrma.cache_info().misses == misses + 1
+    assert again is not other and acceptance_dump(again) == acceptance_dump(other)
+
+
+def test_wrapped_builders_translate_afresh_and_leave_the_kept_automaton(monkeypatch):
+    # The benchmark's traced calls wrap the builders for one call and then
+    # restore them: the wrapper is called although the formula is kept, and
+    # the next call with the original builders returns the automaton kept
+    # before, as the same object.
+    wide = parse_formula(WIDE_FORMULA)
+    build_dgrma.cache_clear()
+    aut = build_dgrma(wide)
+    calls = []
+    original = freqsynth.dgrma.build_master
+
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(freqsynth.dgrma, "build_master", wrapped)
+    traced = build_dgrma(wide)
+    assert calls == [1]
+    assert traced is not aut and acceptance_dump(traced) == acceptance_dump(aut)
+    monkeypatch.undo()
+    assert build_dgrma(wide) is aut
+    assert calls == [1]
 
 
 def test_extra_atoms_only_widen_rows():

@@ -150,6 +150,30 @@ def test_parse_reports_a_bad_probability_text_at_its_first_line():
             parse_mdp(text)
 
 
+def test_parse_checks_each_distinct_distribution_once_and_every_target_on_its_line():
+    # parse_mdp converts and sums each distinct tuple of probability texts
+    # once per call; the targets of every line are still checked, in entry
+    # order, and each error names its own line.
+    head = "mdp\nstates s t u\ninit s\naction u c : u 1\n"
+    bad = "action s a : s 0.3 , t 0.3 , u 0.3\naction t b : t 0.3 , s 0.3 , u 0.3\n"
+    with pytest.raises(MdpError, match="^line 5: distribution sums to 9/10, not 1$"):
+        parse_mdp(head + bad)
+    kept = head + "action s a : s 1/2 , t 1/2\n"
+    mdp, _ = parse_mdp(kept + "action t b : u 1/2 , s 1/2\n")
+    assert mdp.actions[2].weights == (2, ((2, 1), (0, 1)))
+    for line, message in (
+        ("u 1/2 , v 1/2", "unknown state 'v'"),
+        ("u 1/2 , u 1/2", "duplicate target 'u'"),
+        ("u 1/2 , s t 1/2", "expected 'TARGET PROB' entries"),
+        ("v 1/2 , s 1/0", "unknown state 'v'"),
+        ("u 1/0 , v 1/2", "bad probability '1/0'"),
+        ("u 1/2 , v 1/2 , t 0", "unknown state 'v'"),
+    ):
+        text = kept + f"action t b : {line}\naction t d : s 1/2 , t 1/2\n"
+        with pytest.raises(MdpError, match=f"^line 6: {message}$"):
+            parse_mdp(text)
+
+
 def test_parse_requires_init_and_actions():
     with pytest.raises(MdpError, match="init"):
         parse_mdp("mdp\nstates s\naction s a : s 1\n")
