@@ -2,7 +2,9 @@
 condition, and the witness strategy built from its solution.
 
 A component is read through its index tuples into the MDP: its actions, in
-their order, are the LP's columns, and its states the balance rows.
+their order, are the LP's columns, and its states the balance rows.  Those
+rows and the start crash do not depend on the condition, so the systems
+built with one table of ``FlowBlock``s share them.
 
 Feasibility of the per-flow linear constraints decides whether the maximal
 satisfaction probability is 1 or 0 (``synthesis.accepting_mec`` decides).
@@ -39,7 +41,8 @@ class LinearSystem:
     """The flow constraints for one component and condition; the column
     after the flows, when there is one, is ``t``.  ``bounds`` is
     ``cond.restricted`` read at the source of each action, and ``start`` the
-    ``solve_lp`` start basis of each flow block."""
+    ``solve_lp`` start basis of each flow block, a ``simplex.BlockStart``
+    over the component's kept crash."""
 
     __slots__ = ("mdp", "component", "cond", "num_flows", "num_vars", "rows", "bounds", "start")
 
@@ -64,6 +67,53 @@ class LinearSystem:
         self.start = start
 
 
+class FlowBlock:
+    """What a component's flow systems share whatever the condition: its
+    actions' sources, one flow's sum row and balance rows over the action
+    columns, and their start crash, kept by the first LP that solves it.
+
+    Rows are ``solve_lp``'s ``(nums, rel, rhs, den)``: the sum row over 1
+    and a balance row over the lcm of its entering actions' ``weights``.
+    The start is the stationary flow of a unichain policy, which a
+    bound-free system keeps: the attractor toward the first state s0, each
+    column on its source's balance row (deepest layer first), then s0's
+    first action on the sum row.  s0's balance row is dependent: it stays
+    out.
+    """
+
+    __slots__ = ("sources", "rows", "crash")
+
+    def __init__(self, mdp: Mdp, component: Component):
+        states, actions = component
+        self.sources = [mdp.actions[ai].source for ai in actions]
+        # Balance at each state, inflow minus outflow, keyed by action column
+        # in ascending order.  Probabilities are positive, so only the
+        # outflow at the source can cancel (a sure self-loop); that entry is
+        # dropped.
+        dens = dict.fromkeys(states, 1)
+        for ai in actions:
+            for s, _ in mdp.actions[ai].weights[1]:
+                dens[s] = lcm(dens[s], mdp.actions[ai].weights[0])
+        balance: dict[int, dict[int, int]] = {s: {} for s in states}
+        for j, ai in enumerate(actions):
+            action = mdp.actions[ai]
+            den, weights = action.weights
+            for s, w in weights:
+                balance[s][j] = balance[s].get(j, 0) + w * (dens[s] // den)
+            src = balance[action.source]
+            src[j] = src.get(j, 0) - dens[action.source]
+            if not src[j]:
+                del src[j]
+        self.rows = [(dict.fromkeys(range(len(actions)), 1), "==", 1, 1)]
+        self.rows += [(balance[s], "==", 0, dens[s]) for s in states]
+        policy = attractor_policy(mdp, {states[0]}, actions)
+        column = {ai: j for j, ai in enumerate(actions)}
+        balance_row = {s: 1 + k for k, s in enumerate(states)}
+        first = self.sources.index(states[0])
+        pivots = [(balance_row[s], column[ai]) for s, ai in reversed(policy.items())]
+        self.crash = simplex.Crash((*pivots, (0, first)), len(self.rows), len(actions))
+
+
 class LpSolution:
     """Non-negative flow values as ``solve_lp`` returns them, int numerators
     over ``den``: ``flows[i][j] / den`` is flow i on action column j, and
@@ -83,21 +133,32 @@ class LpSolution:
 
 
 def build_lp(
-    mdp: Mdp, component: Component, cond: GbmpCondition, margin: bool = True
+    mdp: Mdp,
+    component: Component,
+    cond: GbmpCondition,
+    margin: bool = True,
+    blocks: Optional[dict] = None,
 ) -> LinearSystem:
     """Assemble the per-flow constraint system (no Inf rows: those are a
-    separate nonempty-intersection check).  Every bound row with ``margin``,
-    else every strict one, reads ``reward - t >= bound``; ``t`` is left out
-    when no row has it.  Rows are ``solve_lp``'s ``(nums, rel, rhs, den)``:
-    the sum row over 1, a balance row over the lcm of its entering actions'
-    ``weights``, a bound row in ``GbmpCondition.restricted``'s form, read at
-    the source of each action (every state of a component is one)."""
-    states, actions = component
+    separate nonempty-intersection check).  Each flow has the component's
+    ``FlowBlock`` rows on its own columns, then its bound rows.  Every bound
+    row with ``margin``, else every strict one, reads ``reward - t >=
+    bound``; ``t`` is left out when no row has it.  A bound row is in
+    ``GbmpCondition.restricted``'s form, read at the source of each action
+    (every state of a component is one).  ``blocks`` maps components to
+    their blocks, and a component's block is taken from it or added to it,
+    so every system built with one table shares its start crash.
+    """
+    block = None if blocks is None else blocks.get(component)
+    if block is None:
+        block = FlowBlock(mdp, component)
+        if blocks is not None:
+            blocks[component] = block
     n_flows = cond.num_flows()
-    n_actions = len(actions)
+    n_actions = len(component.actions)
     t = n_flows * n_actions
     has_t = bool(cond.mp_inf or cond.mp_sup) if margin else cond.strict()
-    bounds = cond.restricted([mdp.actions[ai].source for ai in actions])
+    bounds = cond.restricted(block.sources)
     mp_inf, mp_sup = bounds
 
     def bound_row(base: int, bound: tuple) -> tuple:
@@ -107,45 +168,19 @@ def build_lp(
             nums[t] = -den
         return nums, ">=", rhs, den
 
-    # Balance at each state, inflow minus outflow, keyed by action column in
-    # ascending order.  Probabilities are positive, so only the outflow at
-    # the source can cancel (a sure self-loop); that entry is dropped.
-    dens = dict.fromkeys(states, 1)
-    for ai in actions:
-        for s, _ in mdp.actions[ai].weights[1]:
-            dens[s] = lcm(dens[s], mdp.actions[ai].weights[0])
-    balance: dict[int, dict[int, int]] = {s: {} for s in states}
-    for j, ai in enumerate(actions):
-        action = mdp.actions[ai]
-        den, weights = action.weights
-        for s, w in weights:
-            balance[s][j] = balance[s].get(j, 0) + w * (dens[s] // den)
-        src = balance[action.source]
-        src[j] = src.get(j, 0) - dens[action.source]
-        if not src[j]:
-            del src[j]
-
     rows = []
     for i in range(n_flows):
         base = i * n_actions
-        rows.append(({base + j: 1 for j in range(n_actions)}, "==", 1, 1))
-        for s in states:
-            rows.append(({base + j: w for j, w in balance[s].items()}, "==", 0, dens[s]))
+        if base:
+            rows += [({base + j: c for j, c in nums.items()}, *rest) for nums, *rest in block.rows]
+        else:
+            rows += block.rows
         for bound in mp_inf:
             rows.append(bound_row(base, bound))
         if mp_sup:
             rows.append(bound_row(base, mp_sup[i]))
-    # Each block starts on the stationary flow of a unichain policy, which a
-    # bound-free system keeps: the attractor toward the first state s0, each
-    # column on its source's balance row (deepest layer first), then s0's
-    # first action on the sum row.  s0's balance row is dependent: it stays out.
-    policy = attractor_policy(mdp, {states[0]}, actions)
-    column = {ai: j for j, ai in enumerate(actions)}
-    balance_row = {s: 1 + k for k, s in enumerate(states)}
-    first = next(j for j, ai in enumerate(actions) if mdp.actions[ai].source == states[0])
-    block = [(balance_row[s], column[ai]) for s, ai in reversed(policy.items())] + [(0, first)]
     size = len(rows) // n_flows
-    start = tuple((i * size + r, i * n_actions + j) for i in range(n_flows) for r, j in block)
+    start = simplex.BlockStart(block.crash, tuple((i * size, i * n_actions) for i in range(n_flows)))
     return LinearSystem(mdp, component, cond, n_flows, t + has_t, rows, bounds, start)
 
 

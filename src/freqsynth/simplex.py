@@ -23,6 +23,11 @@ objective's optimum is kept only when every nonbasic column prices strictly
 negative, which makes it the plain solve's unique vertex, with its ``den``;
 else the LP is solved again from the artificial basis.  With no objective the
 start picks the vertex; it never changes the status or an objective's optimum.
+
+LPs that repeat one block of rows, as the flow LPs of one end component do
+against several conditions, share its crash (``Crash``, ``BlockStart``): the
+first crashes the block in its own tableau and keeps the crashed rows and
+its eta file, and every later one copies the rows and replays the eta file.
 """
 
 from __future__ import annotations
@@ -51,6 +56,45 @@ class SimplexError(Exception):
     """Internal solver failure (malformed input or a broken invariant)."""
 
 
+class Crash:
+    """The start crash of a block of ``height`` rows over ``width`` columns,
+    kept for every LP that repeats the block (``BlockStart``).
+
+    The block's rows have no entry outside its columns, so they are ``==``
+    rows, and ``pivots`` are (row, column) pivots within it.  The first
+    solve that starts from the block crashes it in its own tableau, as raw
+    start pivots do, and keeps the crashed rows and, per pivot, the pivot row
+    as it stood when it pivoted: a product-form eta file (Dantzig and
+    Orchard-Hays, 1954).  A later copy of the block takes the crashed rows
+    and replays the eta file into every other row of its tableau and into
+    the phase-one row.  Those are the eliminations the crash makes there, in
+    the same order, so the tableau after the start is the same, cell for
+    cell.  The caller keeps a crash only for LPs whose block rows are equal.
+    """
+
+    __slots__ = ("pivots", "height", "width", "rows", "eta")
+
+    def __init__(self, pivots: tuple, height: int, width: int):
+        self.pivots = pivots
+        self.height = height
+        self.width = width
+        self.rows = None  # per block row: its numerators on the block's columns, rhs, den
+        self.eta = None  # per pivot: its column, den, numerators on the block's columns, rhs
+
+
+class BlockStart(tuple):
+    """Start pivots that crash one ``Crash``'s block at each of ``offsets``,
+    the block's (first row, first column) in the LP, in order.  The tuple
+    holds those (row, column) pivots, so it is the raw start it stands for,
+    and ``solve_lp`` fills or reads the kept ``crash`` on its way."""
+
+    def __new__(cls, crash: Crash, offsets: tuple):
+        pivots = ((r0 + r, c0 + c) for r0, c0 in offsets for r, c in crash.pivots)
+        start = super().__new__(cls, pivots)
+        start.crash, start.offsets = crash, offsets
+        return start
+
+
 def solve_lp(
     num_vars: int,
     rows: Sequence[tuple[Mapping[int, int], str, int, int]],
@@ -71,7 +115,8 @@ def solve_lp(
     with a zero pivot cell or a negative basic value is dropped, and an
     objective's optimum found from it that is not provably unique is found
     again from the all-artificial basis.  With no objective it picks the
-    first feasible vertex.
+    first feasible vertex.  A ``BlockStart`` gives the same result as its
+    pivots and keeps its block's crash for the next LP that repeats it.
     """
     result = _solve(num_vars, rows, objective, start)
     return _solve(num_vars, rows, objective, ()) if result is None else result
@@ -127,12 +172,14 @@ def _solve(num_vars, rows, objective, start):
     # The start pivots update the phase-one row as _iterate does.  A >= row
     # whose artificial then reads negative moves onto its surplus column.  A
     # zero pivot cell or a negative basic value leaves no feasible start.
-    for r, c in start:
-        if not (0 <= r < m and 0 <= c < total):
-            raise SimplexError(f"start pivot {(r, c)} out of range")
-        if tableau[r][0][c] == 0:
-            return None
-        _eliminate(phase_one, tableau[r], c, _pivot(tableau, basis, r, c))
+    if isinstance(start, BlockStart):
+        crashed = all(
+            _crash_block(start.crash, tableau, basis, phase_one, r0, c0) for r0, c0 in start.offsets
+        )
+    else:
+        crashed = _crash(tableau, basis, phase_one, start)
+    if not crashed:
+        return None
     if start:
         for r, c in surplus:
             if basis[r] >= total and tableau[r][0][-1] < 0:
@@ -175,6 +222,81 @@ def _solve(num_vars, rows, objective, start):
     for b, v, d in basic:
         values[b] = v * (den // d)
     return OPTIMAL, values, den
+
+
+def _crash(tableau, basis, phase_one, pivots, eta=None, c0=0, width=0):
+    """Pivot on each of ``pivots`` in order and update the phase-one row as
+    ``_iterate`` does; False at a zero pivot cell.  A list ``eta`` gets each
+    pivot row as it stood when it pivoted: its column and den, counted from
+    ``c0``, and its numerators on the ``width`` columns from there and rhs."""
+    m, total = len(tableau), len(phase_one[0]) - 1
+    for r, c in pivots:
+        if not (0 <= r < m and 0 <= c < total):
+            raise SimplexError(f"start pivot {(r, c)} out of range")
+        if tableau[r][0][c] == 0:
+            return False
+        support = _pivot(tableau, basis, r, c)
+        if eta is not None:
+            nums, den = tableau[r]
+            eta.append((c - c0, den, nums[c0 : c0 + width], nums[-1]))
+        _eliminate(phase_one, tableau[r], c, support)
+    return True
+
+
+def _crash_block(crash, tableau, basis, phase_one, r0, c0):
+    """Crash ``crash``'s block with its first row at ``r0`` and its first
+    column at ``c0``; False at a zero pivot cell.  The first time, the block
+    crashes in the tableau and its crash is kept; after that the kept rows
+    are copied in and the eta file is replayed into the other rows and the
+    phase-one row."""
+    total = len(phase_one[0]) - 1
+    height, width = crash.height, crash.width
+    if not (0 <= r0 <= len(tableau) - height and 0 <= c0 <= total - width):
+        raise SimplexError(f"block at {(r0, c0)} out of range")
+    if crash.eta is None:
+        pivots = [(r0 + r, c0 + c) for r, c in crash.pivots]
+        eta = []
+        if not _crash(tableau, basis, phase_one, pivots, eta, c0, width):
+            return False
+        block = tableau[r0 : r0 + height]
+        crash.rows = [(nums[c0 : c0 + width], nums[-1], den) for nums, den in block]
+        crash.eta = eta
+        return True
+    for i, (local, rhs, den) in enumerate(crash.rows):
+        nums = [0] * (total + 1)
+        nums[c0 : c0 + width] = local
+        nums[-1] = rhs
+        tableau[r0 + i] = [nums, den]
+    for r, c in crash.pivots:
+        basis[r0 + r] = c0 + c
+    for i, row in enumerate(tableau):
+        if not r0 <= i < r0 + height:
+            _replay(row, crash.eta, c0, False)
+    _replay(phase_one, crash.eta, c0, True)
+    return True
+
+
+def _replay(row, eta, c0, always):
+    """Apply the eta file of a block at column ``c0`` to a row outside it,
+    as ``_eliminate`` applies each pivot row: every entry where the row is
+    nonzero in its column, or every entry when ``always``."""
+    nums, den = row
+    for c, p, local, rhs in eta:
+        f = nums[c0 + c]
+        if not f and not always:
+            continue
+        g = gcd(f, p)
+        f, p = f // g, p // g
+        if p != 1:
+            nums = [a * p for a in nums]
+            den *= p
+        if f:
+            end = c0 + len(local)
+            nums[c0:end] = [a - f * v for a, v in zip(nums[c0:end], local)]
+            nums[-1] -= f * rhs
+        if den.bit_length() > _REDUCE_BITS:
+            nums, den = _reduced(nums, den)
+    row[:] = nums, den
 
 
 def _eliminate(row, pivot_row, c, support):

@@ -71,12 +71,17 @@ def winning_union(product: Mdp, lifted: list) -> tuple[frozenset, list]:
     of an end component inside another, extended by zero, are flows of the
     larger one with the same rewards, and each keeps meeting the bounds it
     met, strict ones strictly.
+
+    The flow LPs of one component share their sum and balance rows and
+    their start crash, whatever the condition (``mecanalysis.FlowBlock``),
+    so each component's block is built and crashed once per call.
     """
     w_states: set = set()
     outcomes = []
     components_of: dict = {}  # fin set -> MECs of the product without it
     decided: dict = {}  # decision key -> (accepted, LpSolution or None)
     rejections: list = []  # (states, actions, condition) of each flow rejection
+    blocks: dict = {}  # component -> its FlowBlock, for this call only
     for fin, cond in lifted:
         winners = []
         components = components_of.get(fin)
@@ -93,7 +98,7 @@ def winning_union(product: Mdp, lifted: list) -> tuple[frozenset, list]:
                 if meets_infs and _refuted(key, rejections):
                     verdict = (False, None)
                 else:
-                    verdict = accepting_mec(product, component, cond)
+                    verdict = accepting_mec(product, component, cond, blocks)
                     if meets_infs and not verdict[0]:
                         rejections.append((frozenset(states), frozenset(key[1]), cond))
                 decided[key] = verdict
@@ -118,9 +123,12 @@ def _refuted(key: tuple, rejections: list) -> bool:
     return False
 
 
-def accepting_mec(mdp: Mdp, component: Component, cond: GbmpCondition):
+def accepting_mec(
+    mdp: Mdp, component: Component, cond: GbmpCondition, blocks: Optional[dict] = None
+):
     """Decide whether the condition holds with probability 1 in the end
     component (0 otherwise); returns (answer, witness flows or None).
+    ``blocks`` is ``build_lp``'s table of flow blocks.
 
     The component is rejected at once when it misses an Inf set.  Then the
     margin LP decides (without bounds it is the plain flow system, which
@@ -132,12 +140,12 @@ def accepting_mec(mdp: Mdp, component: Component, cond: GbmpCondition):
     """
     if any(inf_set.isdisjoint(component.states) for inf_set in cond.inf_sets):
         return False, None
-    sol = maximize_margin(build_lp(mdp, component, cond))
+    sol = maximize_margin(build_lp(mdp, component, cond, True, blocks))
     if sol is None:
         return False, None
     if not cond.strict() or sol.slack > 0:
         return True, sol
-    sol = maximize_margin(build_lp(mdp, component, cond, margin=False))
+    sol = maximize_margin(build_lp(mdp, component, cond, False, blocks))
     if sol is None or sol.slack == 0:
         return False, None
     return True, sol

@@ -10,6 +10,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction as Fr
+from itertools import combinations
 
 import pytest
 
@@ -20,7 +21,7 @@ from freqsynth.formula import always, eventually, parse_formula, tt
 from freqsynth.lasso import models
 from freqsynth.mdp import Mdp, parse_mdp, product_mdp
 from freqsynth.mecanalysis import build_lp, build_witness_strategy
-from freqsynth.simplex import OPTIMAL, SimplexError
+from freqsynth.simplex import OPTIMAL, SimplexError, solve_lp
 from freqsynth.slave import (
     assumption_conj,
     buchi_accepting_sets,
@@ -278,14 +279,36 @@ def test_start_basis_changes_no_flow_lp_result(instance_pool, mixing_pool):
         )
         assert "no start" not in outcomes and outcomes["start vertex"] >= 30, outcomes
         assert outcomes[OPTIMAL] >= 30, outcomes
+    # One table of flow blocks per MDP: its condition and every subset of
+    # the condition's bounds solve through the component's kept crash, each
+    # with the result of a fresh solve from the same start pivots.  Two sup
+    # bounds make two flows, the second a copy of the block at an offset.
+    replayed = copies = 0
+    for mdp, cond in instance_pool + mixing_pool:
+        blocks = {}
+        for mp_inf in _subsets(cond.mp_inf):
+            for mp_sup in _subsets(cond.mp_sup):
+                sub = GbmpCondition(cond.inf_sets, mp_inf, mp_sup)
+                for margin in (True, False):
+                    system = build_lp(mdp, whole(mdp), sub, margin, blocks)
+                    num_vars, rows, objective, start = flow_system_lp(system)
+                    want = solve_lp(num_vars, rows, objective, tuple(start))
+                    replayed += start.crash.eta is not None
+                    copies += len(start.offsets) > 1
+                    assert solve_lp(num_vars, rows, objective, start) == want
+    assert replayed >= 5000 and copies >= 1000, (replayed, copies)
+
+
+def _subsets(bounds: tuple) -> list:
+    return [sub for k in range(len(bounds) + 1) for sub in combinations(bounds, k)]
 
 
 def test_verify_solution_checks_bounds_against_the_condition(mixing_pool, monkeypatch):
     # A build_lp that compares inf bounds with 0 in every flow block after
     # the first lets flow 1 miss the inferior bound; the check reads the
     # condition's rewards, not the faulty row, and names the flow and bound.
-    def mutant(mdp, component, cond, margin=True):
-        system = real_build_lp(mdp, component, cond, margin)
+    def mutant(mdp, component, cond, margin=True, blocks=None):
+        system = real_build_lp(mdp, component, cond, margin, blocks)
         block = len(system.rows) // system.num_flows
         for r in range(block, len(system.rows)):
             if 0 <= r % block - 1 - len(mdp) < len(cond.mp_inf):

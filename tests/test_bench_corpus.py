@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
-from freqsynth import cli, simplex
+from freqsynth import cli, simplex, synthesis
 from freqsynth.dgrma import build_dgrma
 from freqsynth.formula import parse_formula, parse_rational
 from freqsynth.graph import mec_decomposition, restrict
@@ -41,6 +41,11 @@ import workloads  # noqa: E402
 # decision key that misses a memo or refutation hit (the same restricted
 # rewards keyed apart, say) solves more.
 SOLVES = {"lp_mec": 144, "reach_ruin": 90, "translate_wide": 87}
+# ``simplex._pivot`` calls in the same runs.  Each translate_wide component
+# is decided against several pairs, and its LPs after the first copy its
+# kept start crash; with a crash per LP it reads 1450.  lp_mec and
+# reach_ruin solve one LP per component.
+PIVOTS = {"lp_mec": 2917, "reach_ruin": 90, "translate_wide": 880}
 
 SCRIPT = """
 import json, sys
@@ -53,13 +58,14 @@ from freqsynth.formula import parse_formula, parse_rational
 from freqsynth.mdp import parse_mdp
 from freqsynth.synthesis import synthesize
 
-calls = []
-real_solve = simplex.solve_lp
+calls, pivots = [], []
+real_solve, real_pivot = simplex.solve_lp, simplex._pivot
 simplex.solve_lp = lambda *args: calls.append(1) or real_solve(*args)
+simplex._pivot = lambda *args: pivots.append(1) or real_pivot(*args)
 for inst in workloads.corpus(sys.argv[2]):
     mdp, valuation = parse_mdp(inst.model)
     synthesize(mdp, valuation, parse_formula(inst.formula), parse_rational(inst.threshold))
-print(json.dumps(len(calls)))
+print(json.dumps([len(calls), len(pivots)]))
 """
 
 
@@ -101,7 +107,7 @@ def test_lp_solves_per_corpus_stay_pinned(tmp_path):
             cwd=tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == solves, name
+        assert json.loads(proc.stdout.splitlines()[-1]) == [solves, PIVOTS[name]], name
 
 
 def test_one_pass_over_a_plan_translates_each_formula_once(tmp_path, capsys):
@@ -180,6 +186,28 @@ def test_corpus_draws_match_the_integer_oracle():
             tables += 1
     # No corpus witness draws a choice; the walks' own tests cover those.
     assert (witnesses, choices) == (214, 0) and tables > 5_000, (witnesses, tables, choices)
+
+
+def test_flow_blocks_live_for_one_call(monkeypatch):
+    # A translate_wide instance decides its components against several
+    # pairs.  Within one call they share each component's start crash, so
+    # the call makes fewer pivots than with a crash per LP; nothing is kept
+    # between calls, so a second call makes as many pivots as the first.
+    pivots = []
+    real_pivot, real_decide = simplex._pivot, synthesis.accepting_mec
+    monkeypatch.setattr(simplex, "_pivot", lambda *args: pivots.append(1) or real_pivot(*args))
+    inst = workloads.corpus("translate_wide")[0]
+    mdp, valuation = parse_mdp(inst.model)
+    phi, threshold = parse_formula(inst.formula), parse_rational(inst.threshold)
+    counts = []
+    for _ in range(2):
+        pivots.clear()
+        synthesize(mdp, valuation, phi, threshold)
+        counts.append(len(pivots))
+    monkeypatch.setattr(synthesis, "accepting_mec", lambda m, c, cond, blocks: real_decide(m, c, cond))
+    pivots.clear()
+    synthesize(mdp, valuation, phi, threshold)
+    assert counts[0] == counts[1] < len(pivots), (counts, len(pivots))
 
 
 def _ladder_ring(n: int) -> tuple:

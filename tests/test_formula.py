@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freqsynth import formula
 from freqsynth.boolfn import formula_rank
 from freqsynth.formula import (
     GEQ,
@@ -120,6 +121,36 @@ NUMERALS = st.text(
     st.one_of(st.characters(categories=("Nd", "No", "Nl")), st.sampled_from("0123456789/. ")),
     max_size=6,
 )
+
+
+def test_recent_texts_are_kept(monkeypatch):
+    # The last 8 texts keep their trees, least recently used first out: a
+    # kept text returns its tree without lexing, and a syntax error is never
+    # kept.
+    lexed = []
+    real_lexer = formula._Lexer
+
+    def counting_lexer(text):
+        lexed.append(text)
+        return real_lexer(text)
+
+    monkeypatch.setattr(formula, "_Lexer", counting_lexer)
+    parse_formula.cache_clear()
+    texts = [f"G F a{k}" for k in range(9)]
+    trees = [parse_formula(text) for text in texts[:8]]
+    assert lexed == texts[:8]
+    assert parse_formula(texts[0]) is trees[0] and lexed == texts[:8]
+    for _ in range(2):
+        with pytest.raises(FormulaSyntaxError, match="unexpected character"):
+            parse_formula("a @ b")
+    assert lexed == texts[:8] + ["a @ b"] * 2
+    # texts[1] is now the least recently used; the ninth text evicts it.
+    parse_formula(texts[8])
+    assert parse_formula(texts[0]) is trees[0] and parse_formula(texts[2]) is trees[2]
+    assert lexed == texts[:8] + ["a @ b"] * 2 + [texts[8]]
+    assert parse_formula(texts[1]) is trees[1]
+    assert lexed == texts[:8] + ["a @ b"] * 2 + [texts[8], texts[1]]
+    parse_formula.cache_clear()
 
 
 @settings(max_examples=300, deadline=None)

@@ -9,7 +9,7 @@ import freqsynth.mdp
 import freqsynth.mecanalysis
 from freqsynth import simplex
 from freqsynth.dgrma import GbmpCondition, MpBound
-from freqsynth.graph import Component, mec_decomposition
+from freqsynth.graph import Component, closed_part, mec_decomposition
 from freqsynth.mdp import Mdp, MdpAction, draw_table, parse_mdp, weights_of
 from freqsynth.mecanalysis import (
     LinearSystem,
@@ -268,6 +268,52 @@ def test_no_bounds_condition_is_one_plain_solve(monkeypatch):
         assert (ok, sol) == (True, maximize_margin(plain))
         columns = {j for _, j in plain.start}
         assert all(j in columns for j, v in enumerate(sol.flows[0]) if v)
+
+
+def test_a_components_second_lp_makes_no_crash_pivots(monkeypatch):
+    # Flow systems built with one table of blocks share the component's
+    # start crash.  The second LP copies the crashed rows instead of
+    # pivoting: it makes every pivot the first makes but the start's, and
+    # returns the same solution.
+    pivots = []
+    real_pivot = simplex._pivot
+    monkeypatch.setattr(simplex, "_pivot", lambda *args: pivots.append(1) or real_pivot(*args))
+    rng = random.Random(4801)
+    for _ in range(40):
+        mdp = random_strongly_connected_mdp(rng, 5, 3)
+        q = tuple(Fr(rng.randint(0, 4), 4) for _ in mdp.states)
+        cond = GbmpCondition(mp_inf=(MpBound(">=", Fr(rng.randint(0, 4), 8), q),))
+        blocks, counts, sols = {}, [], []
+        for _ in range(2):
+            pivots.clear()
+            system = build_lp(mdp, whole(mdp), cond, True, blocks)
+            sols.append(maximize_margin(system))
+            counts.append(len(pivots))
+        assert sols[0] == sols[1]
+        assert counts[0] - counts[1] == len(system.start) >= len(mdp), counts
+
+
+def test_flow_blocks_are_kept_per_component():
+    # End components on the same states with different actions have flow
+    # blocks of their own: each is decided through one shared table as it
+    # is without a table.
+    rng = random.Random(4802)
+    shared = 0
+    for _ in range(60):
+        mdp = random_strongly_connected_mdp(rng, 4, 3)
+        components = [whole(mdp)]
+        for ai in range(len(mdp.actions)):
+            part = closed_part(mdp, range(len(mdp)), set(range(len(mdp.actions))) - {ai})
+            components += [c for c in mec_decomposition(mdp, part) if len(c.states) == len(mdp)]
+        shared += len(components) > 1
+        q = tuple(Fr(rng.randint(0, 4), 4) for _ in mdp.states)
+        conds = [GbmpCondition(mp_inf=(MpBound(">=", Fr(k, 4), q),)) for k in range(3)]
+        blocks = {}
+        for cond in conds:
+            for component in components:
+                got = accepting_mec(mdp, component, cond, blocks)
+                assert got == accepting_mec(mdp, component, cond)
+    assert shared >= 20
 
 
 def test_strongly_connected_mec_drops_a_dependent_balance_row(monkeypatch):

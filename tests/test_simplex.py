@@ -324,9 +324,9 @@ def _ring_flow_lps():
     """Every LP that accepting_mec solves on the rings of _ring_instances."""
     lps = []
 
-    def recording(mdp, component, cond, margin=True):
+    def recording(mdp, component, cond, margin=True, blocks=None):
         lps.append(_flow_lp(mdp, cond, margin))
-        return build_lp(mdp, component, cond, margin)
+        return build_lp(mdp, component, cond, margin, blocks)
 
     for mdp, cond in _ring_instances():
         with pytest.MonkeyPatch.context() as mp:

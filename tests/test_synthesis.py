@@ -944,8 +944,8 @@ def test_winning_union_decomposes_each_fin_set_once(monkeypatch):
     monkeypatch.setattr(
         freqsynth.synthesis,
         "accepting_mec",
-        lambda m, c, cond: decisions.append(_restricted_condition(m, c, cond))
-        or real_decide(m, c, cond),
+        lambda m, c, cond, blocks: decisions.append(_restricted_condition(m, c, cond))
+        or real_decide(m, c, cond, blocks),
     )
     rng = random.Random(1719)
     winners = shared = 0
@@ -1022,8 +1022,8 @@ def test_winning_union_matches_the_pairwise_oracle(monkeypatch):
     monkeypatch.setattr(
         freqsynth.synthesis,
         "accepting_mec",
-        lambda m, c, cond: decisions.append(_restricted_condition(m, c, cond))
-        or real_decide(m, c, cond),
+        lambda m, c, cond, blocks: decisions.append(_restricted_condition(m, c, cond))
+        or real_decide(m, c, cond, blocks),
     )
     pairwise = distinct = refuted = reports = 0
     for mdp, valuation, phi in _pool() + _wide_pool():
@@ -1067,7 +1067,7 @@ def test_decisions_are_not_shared_across_calls(monkeypatch):
     monkeypatch.setattr(
         freqsynth.synthesis,
         "accepting_mec",
-        lambda m, c, cond: counts.append(1) or real_decide(m, c, cond),
+        lambda m, c, cond, blocks: counts.append(1) or real_decide(m, c, cond, blocks),
     )
     mdp, valuation, phi = _wide_pool()[0]
     per_call = []
@@ -1102,8 +1102,8 @@ def test_conditions_differing_on_the_component_are_decided_apart(monkeypatch):
     monkeypatch.setattr(
         freqsynth.synthesis,
         "accepting_mec",
-        lambda m, c, cond: calls.append(tuple(m.states[s] for s in c.states))
-        or real_decide(m, c, cond),
+        lambda m, c, cond, blocks: calls.append(tuple(m.states[s] for s in c.states))
+        or real_decide(m, c, cond, blocks),
     )
 
     def pair(cmp, rewards):
@@ -1149,8 +1149,8 @@ def test_a_flow_rejection_refutes_only_its_sub_components(monkeypatch):
     monkeypatch.setattr(
         freqsynth.synthesis,
         "accepting_mec",
-        lambda m, c, cond: calls.append(tuple(m.states[s] for s in c.states))
-        or real_decide(m, c, cond),
+        lambda m, c, cond, blocks: calls.append(tuple(m.states[s] for s in c.states))
+        or real_decide(m, c, cond, blocks),
     )
     reward = (Fr(0), Fr(1), Fr(1))  # on u, v, w
     three_quarters = GbmpCondition(mp_inf=(MpBound(">=", Fr(3, 4), reward),))
