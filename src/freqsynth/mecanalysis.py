@@ -42,7 +42,7 @@ class LinearSystem:
     after the flows, when there is one, is ``t``.  ``bounds`` is
     ``cond.restricted`` read at the source of each action, and ``start`` the
     ``solve_lp`` start basis of each flow block, a ``simplex.BlockStart``
-    over the component's kept crash."""
+    over the component's crash."""
 
     __slots__ = ("mdp", "component", "cond", "num_flows", "num_vars", "rows", "bounds", "start")
 
@@ -70,7 +70,7 @@ class LinearSystem:
 class FlowBlock:
     """What a component's flow systems share whatever the condition: its
     actions' sources, one flow's sum row and balance rows over the action
-    columns, and their start crash, kept by the first LP that solves it.
+    columns, and their start crash, made once here.
 
     Rows are ``solve_lp``'s ``(nums, rel, rhs, den)``: the sum row over 1
     and a balance row over the lcm of its entering actions' ``weights``.
@@ -111,7 +111,7 @@ class FlowBlock:
         balance_row = {s: 1 + k for k, s in enumerate(states)}
         first = self.sources.index(states[0])
         pivots = [(balance_row[s], column[ai]) for s, ai in reversed(policy.items())]
-        self.crash = simplex.Crash((*pivots, (0, first)), len(self.rows), len(actions))
+        self.crash = simplex.Crash(self.rows, (*pivots, (0, first)), len(actions))
 
 
 class LpSolution:

@@ -26,8 +26,9 @@ start picks the vertex; it never changes the status or an objective's optimum.
 
 LPs that repeat one block of rows, as the flow LPs of one end component do
 against several conditions, share its crash (``Crash``, ``BlockStart``): the
-first crashes the block in its own tableau and keeps the crashed rows and
-its eta file, and every later one copies the rows and replays the eta file.
+block is crashed once, on its own rows, and every LP copies the crashed rows
+in and reduces its other rows against them.  Phase one, after any start, is
+built from the rows still basic on their artificials.
 """
 
 from __future__ import annotations
@@ -57,36 +58,44 @@ class SimplexError(Exception):
 
 
 class Crash:
-    """The start crash of a block of ``height`` rows over ``width`` columns,
-    kept for every LP that repeats the block (``BlockStart``).
+    """The start crash of a block of ``==`` rows over ``width`` columns, kept
+    for every LP that repeats the block (``BlockStart``).
 
-    The block's rows have no entry outside its columns, so they are ``==``
-    rows, and ``pivots`` are (row, column) pivots within it.  The first
-    solve that starts from the block crashes it in its own tableau, as raw
-    start pivots do, and keeps the crashed rows and, per pivot, the pivot row
-    as it stood when it pivoted: a product-form eta file (Dantzig and
-    Orchard-Hays, 1954).  A later copy of the block takes the crashed rows
-    and replays the eta file into every other row of its tableau and into
-    the phase-one row.  Those are the eliminations the crash makes there, in
-    the same order, so the tableau after the start is the same, cell for
-    cell.  The caller keeps a crash only for LPs whose block rows are equal.
+    ``pivots`` are (row, column) pivots within the block, made once here on
+    the block's rows alone, as raw start pivots are in an LP.  The crashed
+    rows are kept in lowest terms with their basic columns; a row that no
+    pivot takes stays on its artificial (column None).  An LP that copies
+    them reduces each of its other rows r to r - sum r[c_k] * R_k over the
+    crashed rows R_k and their columns c_k, with r's own entries: every R_k
+    is 1 on c_k and 0 on the block's other basic columns, so that is the row
+    the pivots leave, whatever their order.  ``rows`` is None when a pivot
+    cell is zero, and every LP then starts from the artificial basis.  The
+    caller keeps a crash only for LPs whose block rows are equal.
     """
 
-    __slots__ = ("pivots", "height", "width", "rows", "eta")
+    __slots__ = ("pivots", "width", "rows")
 
-    def __init__(self, pivots: tuple, height: int, width: int):
+    def __init__(self, rows: Sequence[tuple], pivots: tuple, width: int):
+        for _, rel, _, _ in rows:
+            if rel != EQ:
+                raise SimplexError(f"block row relation {rel!r} is not ==")
+        tableau = [[_row(row, width, width), row[3]] for row in rows]
+        basis = [None] * len(tableau)
         self.pivots = pivots
-        self.height = height
         self.width = width
-        self.rows = None  # per block row: its numerators on the block's columns, rhs, den
-        self.eta = None  # per pivot: its column, den, numerators on the block's columns, rhs
+        self.rows = None  # per block row: its basic column, numerators on the block's columns, rhs, den
+        if _crash(tableau, basis, pivots, width):
+            self.rows = []
+            for (nums, den), b in zip(tableau, basis):
+                nums, den = _reduced(nums, den)
+                self.rows.append((b, nums[:-1], nums[-1], den))
 
 
 class BlockStart(tuple):
     """Start pivots that crash one ``Crash``'s block at each of ``offsets``,
     the block's (first row, first column) in the LP, in order.  The tuple
     holds those (row, column) pivots, so it is the raw start it stands for,
-    and ``solve_lp`` fills or reads the kept ``crash`` on its way."""
+    and ``solve_lp`` copies the kept crash in instead of pivoting."""
 
     def __new__(cls, crash: Crash, offsets: tuple):
         pivots = ((r0 + r, c0 + c) for r0, c0 in offsets for r, c in crash.pivots)
@@ -116,7 +125,7 @@ def solve_lp(
     objective's optimum found from it that is not provably unique is found
     again from the all-artificial basis.  With no objective it picks the
     first feasible vertex.  A ``BlockStart`` gives the same result as its
-    pivots and keeps its block's crash for the next LP that repeats it.
+    pivots.
     """
     result = _solve(num_vars, rows, objective, start)
     return _solve(num_vars, rows, objective, ()) if result is None else result
@@ -127,38 +136,39 @@ def _solve(num_vars, rows, objective, start):
     leaves an objective's optimum that is not provably unique."""
     # Equality form with one surplus column per >= row.  A row is
     # [numerators, denominator]; cell j stands for nums[j] / den.  Row i
-    # starts basic on its artificial, marked total + i in the basis, and
-    # phase one maximizes minus their sum: its reduced cost row is the sum of
-    # the rows, built here over their lcm.
+    # starts basic on its artificial, marked total + i in the basis.  A
+    # BlockStart's block rows are its kept crashed rows instead.
     total = num_vars + sum(1 for row in rows if row[1] == GEQ)
     m = len(rows)
-    lcd = lcm(*(row[3] for row in rows))
-    cost_nums = [0] * (total + 1)
+    kept = {}  # block row -> (its block's first column, its kept row)
+    if isinstance(start, BlockStart):
+        crash = start.crash
+        if crash.rows is None:
+            return None
+        for r0, c0 in start.offsets:
+            if not (0 <= r0 <= m - len(crash.rows) and 0 <= c0 <= total - crash.width):
+                raise SimplexError(f"block at {(r0, c0)} out of range")
+            kept.update((r0 + i, (c0, row)) for i, row in enumerate(crash.rows))
     tableau: list[list] = []
+    basis = []
     surplus = []  # (row, its surplus column) per >= row
     slack_idx = num_vars
-    for coeffs, rel, rhs, den in rows:
-        if den < 1:
-            raise SimplexError(f"row denominator {den} is not positive")
-        if rel != EQ and rel != GEQ:
-            raise SimplexError(f"relation {rel!r} is not == or >=")
-        if rhs < 0:
-            raise SimplexError(f"right-hand side {rhs} is negative")
-        scale = lcd // den
-        nums = [0] * (total + 1)
-        for j, c in coeffs.items():
-            if not 0 <= j < num_vars:
-                raise SimplexError(f"variable index {j} out of range")
-            nums[j] = c
-            cost_nums[j] += scale * c
-        if rel == GEQ:
-            surplus.append((len(tableau), slack_idx))
-            nums[slack_idx] = -den
-            cost_nums[slack_idx] = -lcd
+    for i, row in enumerate(rows):
+        if i in kept:
+            c0, (b, local, rhs, den) = kept[i]
+            nums = [0] * (total + 1)
+            nums[c0 : c0 + len(local)] = local
+            nums[-1] = rhs
+            tableau.append([nums, den])
+            basis.append(total + i if b is None else c0 + b)
+            continue
+        nums = _row(row, num_vars, total)
+        if row[1] == GEQ:
+            surplus.append((i, slack_idx))
+            nums[slack_idx] = -row[3]
             slack_idx += 1
-        nums[-1] = rhs
-        cost_nums[-1] += scale * rhs
-        tableau.append([nums, den])
+        tableau.append([nums, row[3]])
+        basis.append(total + i)
     cost = [[0] * (total + 1), 1]
     for j, c in objective.items():
         if type(c) is not int:
@@ -167,29 +177,32 @@ def _solve(num_vars, rows, objective, start):
             raise SimplexError(f"variable index {j} out of range")
         cost[0][j] = c
 
-    basis = list(range(total, total + m))
-    phase_one = [cost_nums, lcd]
-    # The start pivots update the phase-one row as _iterate does.  A >= row
-    # whose artificial then reads negative moves onto its surplus column.  A
-    # zero pivot cell or a negative basic value leaves no feasible start.
-    if isinstance(start, BlockStart):
-        crashed = all(
-            _crash_block(start.crash, tableau, basis, phase_one, r0, c0) for r0, c0 in start.offsets
-        )
-    else:
-        crashed = _crash(tableau, basis, phase_one, start)
-    if not crashed:
+    # The start.  Every row outside the blocks is reduced against the kept
+    # rows on real columns, the only rows on one yet.  A >= row whose
+    # artificial then reads negative moves onto its surplus column.  A zero
+    # pivot cell or a negative basic value leaves no feasible start.
+    if kept:
+        for i, row in enumerate(tableau):
+            if i not in kept:
+                _reduce(row, tableau, basis)
+    elif not _crash(tableau, basis, start, total):
         return None
     if start:
         for r, c in surplus:
             if basis[r] >= total and tableau[r][0][-1] < 0:
-                _eliminate(phase_one, tableau[r], c, _pivot(tableau, basis, r, c))
+                _pivot(tableau, basis, r, c)
         if any(nums[-1] < 0 for nums, _ in tableau):
             return None
-    # Phase one prices the real columns alone.  Where none prices positive,
-    # the phase-one objective is at its optimum, and a nonzero value there
+    # Phase one maximizes minus the sum of the artificials still basic, so
+    # its reduced cost row is the sum of their rows, over their lcm.  It
+    # prices the real columns alone.  Where none prices positive, the
+    # phase-one objective is at its optimum, and a nonzero value there
     # proves the rows infeasible.  The multipliers that would certify it are
     # not kept: the cost row does not hold a Farkas y.
+    on_artificials = [row for row, b in zip(tableau, basis) if b >= total]
+    lcd = lcm(*(den for _, den in on_artificials))
+    scaled = (nums if den == lcd else [v * (lcd // den) for v in nums] for nums, den in on_artificials)
+    phase_one = [list(map(sum, zip([0] * (total + 1), *scaled))), lcd]
     _iterate(tableau, basis, phase_one)
     if phase_one[0][-1] != 0:
         return INFEASIBLE, None, None
@@ -204,7 +217,7 @@ def _solve(num_vars, rows, objective, start):
     # column (redundant), so it goes.
     tableau = [row for row, b in zip(tableau, basis) if b < total]
     basis = [b for b in basis if b < total]
-    _reduce_cost(cost, tableau, basis)
+    _reduce(cost, tableau, basis)
     if _iterate(tableau, basis, cost) == UNBOUNDED:
         return UNBOUNDED, None, None
     # With an objective, every nonbasic column pricing strictly negative makes
@@ -224,79 +237,36 @@ def _solve(num_vars, rows, objective, start):
     return OPTIMAL, values, den
 
 
-def _crash(tableau, basis, phase_one, pivots, eta=None, c0=0, width=0):
-    """Pivot on each of ``pivots`` in order and update the phase-one row as
-    ``_iterate`` does; False at a zero pivot cell.  A list ``eta`` gets each
-    pivot row as it stood when it pivoted: its column and den, counted from
-    ``c0``, and its numerators on the ``width`` columns from there and rhs."""
-    m, total = len(tableau), len(phase_one[0]) - 1
+def _row(row, num_vars, total):
+    """Check one ``(nums, rel, rhs, den)`` row and return its numerators over
+    ``total`` columns, the first ``num_vars`` of them its variables, then its
+    rhs."""
+    coeffs, rel, rhs, den = row
+    if den < 1:
+        raise SimplexError(f"row denominator {den} is not positive")
+    if rel != EQ and rel != GEQ:
+        raise SimplexError(f"relation {rel!r} is not == or >=")
+    if rhs < 0:
+        raise SimplexError(f"right-hand side {rhs} is negative")
+    nums = [0] * (total + 1)
+    for j, c in coeffs.items():
+        if not 0 <= j < num_vars:
+            raise SimplexError(f"variable index {j} out of range")
+        nums[j] = c
+    nums[-1] = rhs
+    return nums
+
+
+def _crash(tableau, basis, pivots, total):
+    """Pivot on each of ``pivots`` in order, each column below ``total``;
+    False at a zero pivot cell."""
     for r, c in pivots:
-        if not (0 <= r < m and 0 <= c < total):
+        if not (0 <= r < len(tableau) and 0 <= c < total):
             raise SimplexError(f"start pivot {(r, c)} out of range")
         if tableau[r][0][c] == 0:
             return False
-        support = _pivot(tableau, basis, r, c)
-        if eta is not None:
-            nums, den = tableau[r]
-            eta.append((c - c0, den, nums[c0 : c0 + width], nums[-1]))
-        _eliminate(phase_one, tableau[r], c, support)
+        _pivot(tableau, basis, r, c)
     return True
-
-
-def _crash_block(crash, tableau, basis, phase_one, r0, c0):
-    """Crash ``crash``'s block with its first row at ``r0`` and its first
-    column at ``c0``; False at a zero pivot cell.  The first time, the block
-    crashes in the tableau and its crash is kept; after that the kept rows
-    are copied in and the eta file is replayed into the other rows and the
-    phase-one row."""
-    total = len(phase_one[0]) - 1
-    height, width = crash.height, crash.width
-    if not (0 <= r0 <= len(tableau) - height and 0 <= c0 <= total - width):
-        raise SimplexError(f"block at {(r0, c0)} out of range")
-    if crash.eta is None:
-        pivots = [(r0 + r, c0 + c) for r, c in crash.pivots]
-        eta = []
-        if not _crash(tableau, basis, phase_one, pivots, eta, c0, width):
-            return False
-        block = tableau[r0 : r0 + height]
-        crash.rows = [(nums[c0 : c0 + width], nums[-1], den) for nums, den in block]
-        crash.eta = eta
-        return True
-    for i, (local, rhs, den) in enumerate(crash.rows):
-        nums = [0] * (total + 1)
-        nums[c0 : c0 + width] = local
-        nums[-1] = rhs
-        tableau[r0 + i] = [nums, den]
-    for r, c in crash.pivots:
-        basis[r0 + r] = c0 + c
-    for i, row in enumerate(tableau):
-        if not r0 <= i < r0 + height:
-            _replay(row, crash.eta, c0, False)
-    _replay(phase_one, crash.eta, c0, True)
-    return True
-
-
-def _replay(row, eta, c0, always):
-    """Apply the eta file of a block at column ``c0`` to a row outside it,
-    as ``_eliminate`` applies each pivot row: every entry where the row is
-    nonzero in its column, or every entry when ``always``."""
-    nums, den = row
-    for c, p, local, rhs in eta:
-        f = nums[c0 + c]
-        if not f and not always:
-            continue
-        g = gcd(f, p)
-        f, p = f // g, p // g
-        if p != 1:
-            nums = [a * p for a in nums]
-            den *= p
-        if f:
-            end = c0 + len(local)
-            nums[c0:end] = [a - f * v for a, v in zip(nums[c0:end], local)]
-            nums[-1] -= f * rhs
-        if den.bit_length() > _REDUCE_BITS:
-            nums, den = _reduced(nums, den)
-    row[:] = nums, den
 
 
 def _eliminate(row, pivot_row, c, support):
@@ -325,10 +295,13 @@ def _reduced(nums, den):
     return ([v // g for v in nums], den // g) if g > 1 else (nums, den)
 
 
-def _reduce_cost(cost, tableau, basis):
+def _reduce(row, tableau, basis):
+    """Eliminate ``row`` on the basic column of every row of ``tableau`` not
+    on its artificial."""
+    total = len(row[0]) - 1
     for i, b in enumerate(basis):
-        if cost[0][b] != 0:
-            _eliminate(cost, tableau[i], b, range(len(cost[0])))
+        if b < total and row[0][b] != 0:
+            _eliminate(row, tableau[i], b, range(total + 1))
 
 
 def _iterate(tableau, basis, cost):

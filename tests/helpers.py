@@ -845,7 +845,8 @@ def start_outcome(num_vars, rows, objective, start):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "_pivot", lambda *args: pivots.append(1) or real_pivot(*args))
         mp.setattr(simplex, "_iterate", lambda *args: iterations.append(1) or real_iterate(*args))
-        # The raw pivots: a BlockStart's crash is kept after the solve above.
+        # The raw pivots, counted: a BlockStart makes none, it copies its
+        # block's crashed rows in.
         first = simplex._solve(num_vars, rows, objective, tuple(start))
     if first is not None:
         return "start vertex" if first[0] == OPTIMAL and not objective else first[0]

@@ -36,6 +36,7 @@ from freqsynth.synthesis import accepting_mec, lift_pair, max_reach, synthesize,
 
 from helpers import (
     as_fractions,
+    assert_winners_hold_their_states,
     assert_witness_keeps_fraction_formulas,
     chain_bsccs,
     chain_pipeline_probability,
@@ -283,7 +284,7 @@ def test_start_basis_changes_no_flow_lp_result(instance_pool, mixing_pool):
     # the condition's bounds solve through the component's kept crash, each
     # with the result of a fresh solve from the same start pivots.  Two sup
     # bounds make two flows, the second a copy of the block at an offset.
-    replayed = copies = 0
+    copied = copies = 0
     for mdp, cond in instance_pool + mixing_pool:
         blocks = {}
         for mp_inf in _subsets(cond.mp_inf):
@@ -293,10 +294,10 @@ def test_start_basis_changes_no_flow_lp_result(instance_pool, mixing_pool):
                     system = build_lp(mdp, whole(mdp), sub, margin, blocks)
                     num_vars, rows, objective, start = flow_system_lp(system)
                     want = solve_lp(num_vars, rows, objective, tuple(start))
-                    replayed += start.crash.eta is not None
+                    copied += start.crash.rows is not None
                     copies += len(start.offsets) > 1
                     assert solve_lp(num_vars, rows, objective, start) == want
-    assert replayed >= 5000 and copies >= 1000, (replayed, copies)
+    assert copied >= 5000 and copies >= 1000, (copied, copies)
 
 
 def _subsets(bounds: tuple) -> list:
@@ -438,21 +439,24 @@ def test_criterion_6_witness_realization_on_mixed_bounds(mixing_pool):
 def test_criterion_7_markov_chain_cross_validation():
     rng = random.Random(770_000)
     formulas = [phi for phi in corpus_formulas() if phi.kind not in ("tt", "ff")][:10]
-    mismatches = 0
-    combos = 0
+    mismatches = combos = strategies = 0
     for _ in range(20):
         chain, valuation = random_markov_chain(rng, 6)
         for phi in formulas:
             combos += 1
             report = synthesize(chain, valuation, phi, Fr(1, 2))
+            if report.strategy is not None:
+                assert_winners_hold_their_states(report)
+                strategies += 1
             product, comp = product_mdp(chain, valuation, report.automaton.lts)
             lifted = [lift_pair(p, comp) for p in report.automaton.pairs]
             if report.probability != chain_pipeline_probability(product, lifted):
                 mismatches += 1
-    assert mismatches == 0
+    assert mismatches == 0 and strategies > 0
     _report(
         "criterion 7 (Markov-chain cross-validation)",
-        f"20 chains x {len(formulas)} formulas = {combos} rounds, 0 mismatches",
+        f"20 chains x {len(formulas)} formulas = {combos} rounds, 0 mismatches,"
+        f" {strategies} strategies hold their winning states",
     )
 
 

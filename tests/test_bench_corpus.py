@@ -42,9 +42,9 @@ import workloads  # noqa: E402
 # rewards keyed apart, say) solves more.
 SOLVES = {"lp_mec": 144, "reach_ruin": 90, "translate_wide": 87}
 # ``simplex._pivot`` calls in the same runs.  Each translate_wide component
-# is decided against several pairs, and its LPs after the first copy its
-# kept start crash; with a crash per LP it reads 1450.  lp_mec and
-# reach_ruin solve one LP per component.
+# is decided against several pairs; its start crash is made once per call,
+# when its block is built, and every LP copies it in; with a crash per LP it
+# reads 1450.  lp_mec and reach_ruin solve one LP per component.
 PIVOTS = {"lp_mec": 2917, "reach_ruin": 90, "translate_wide": 880}
 
 SCRIPT = """

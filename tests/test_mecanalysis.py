@@ -39,6 +39,7 @@ from helpers import (
     draw,
     edge_draws,
     enumerate_md_strategies,
+    flow_system_lp,
     fraction_rows,
     fraction_sample,
     int_draw_table,
@@ -272,9 +273,9 @@ def test_no_bounds_condition_is_one_plain_solve(monkeypatch):
 
 def test_a_components_second_lp_makes_no_crash_pivots(monkeypatch):
     # Flow systems built with one table of blocks share the component's
-    # start crash.  The second LP copies the crashed rows instead of
-    # pivoting: it makes every pivot the first makes but the start's, and
-    # returns the same solution.
+    # start crash.  Its pivots are made once, when the block is built; no
+    # solve makes them, so each makes every pivot of a solve from the raw
+    # start pivots but the start's, and returns the same solution.
     pivots = []
     real_pivot = simplex._pivot
     monkeypatch.setattr(simplex, "_pivot", lambda *args: pivots.append(1) or real_pivot(*args))
@@ -283,14 +284,33 @@ def test_a_components_second_lp_makes_no_crash_pivots(monkeypatch):
         mdp = random_strongly_connected_mdp(rng, 5, 3)
         q = tuple(Fr(rng.randint(0, 4), 4) for _ in mdp.states)
         cond = GbmpCondition(mp_inf=(MpBound(">=", Fr(rng.randint(0, 4), 8), q),))
-        blocks, counts, sols = {}, [], []
+        blocks = {}
+        pivots.clear()
+        system = build_lp(mdp, whole(mdp), cond, True, blocks)
+        assert len(pivots) == len(system.start) >= len(mdp)
+        num_vars, rows, objective, start = flow_system_lp(system)
+        pivots.clear()
+        want = simplex.solve_lp(num_vars, rows, objective, tuple(start))
+        raw = len(pivots)
         for _ in range(2):
             pivots.clear()
             system = build_lp(mdp, whole(mdp), cond, True, blocks)
-            sols.append(maximize_margin(system))
-            counts.append(len(pivots))
-        assert sols[0] == sols[1]
-        assert counts[0] - counts[1] == len(system.start) >= len(mdp), counts
+            assert simplex.solve_lp(*flow_system_lp(system)) == want
+            assert len(pivots) == raw - len(system.start), (len(pivots), raw)
+
+
+def test_a_blocks_crashed_rows_are_kept_in_lowest_terms():
+    # Every LP on a component copies its block's crashed rows in and
+    # reduces its other rows against them, so a common factor left in a
+    # kept row would be multiplied into each of those rows.  A row on a
+    # real column is 1 there.
+    rng = random.Random(4803)
+    for _ in range(40):
+        mdp = random_strongly_connected_mdp(rng, 5, 3)
+        block = freqsynth.mecanalysis.FlowBlock(mdp, whole(mdp))
+        for b, local, rhs, den in block.crash.rows:
+            assert math.gcd(den, rhs, *local) == 1
+            assert b is None or local[b] == den
 
 
 def test_flow_blocks_are_kept_per_component():

@@ -545,3 +545,15 @@ def test_start_basis_changes_no_corpus_result():
     wide = Counter(start_outcome(*lp) for lp in _corpus_lps("translate_wide"))
     assert wide["tied"] >= 10 and wide["start vertex"] >= 5, wide
     assert Counter(start_outcome(*lp) for lp in _corpus_lps("reach_ruin")) == {"start vertex": 1}
+
+
+def test_a_crash_rejects_a_greater_equal_row():
+    # A >= row's surplus column lies outside the block's columns, so an LP
+    # could not copy the crashed row in.
+    with pytest.raises(simplex.SimplexError, match="^block row relation '>=' is not ==$"):
+        simplex.Crash([({0: 1, 1: 1}, "==", 1, 1), ({0: 1}, ">=", 0, 1)], ((0, 0),), 2)
+
+
+def test_a_crash_rejects_an_entry_outside_its_columns():
+    with pytest.raises(simplex.SimplexError, match="^variable index 2 out of range$"):
+        simplex.Crash([({0: 1, 2: 1}, "==", 1, 1)], ((0, 0),), 2)
