@@ -41,8 +41,7 @@ class LinearSystem:
     """The flow constraints for one component and condition; the column
     after the flows, when there is one, is ``t``.  ``bounds`` is
     ``cond.restricted`` read at the source of each action, and ``start`` the
-    ``solve_lp`` start basis of each flow block, a ``simplex.BlockStart``
-    over the component's crash."""
+    ``solve_lp`` start basis, the component's crash at each flow block."""
 
     __slots__ = ("mdp", "component", "cond", "num_flows", "num_vars", "rows", "bounds", "start")
 
@@ -55,7 +54,7 @@ class LinearSystem:
         num_vars: int,
         rows: list,
         bounds: tuple,
-        start: tuple = (),
+        start: Optional[simplex.BlockStart] = None,
     ):
         self.mdp = mdp
         self.component = component
@@ -78,7 +77,10 @@ class FlowBlock:
     bound-free system keeps: the attractor toward the first state s0, each
     column on its source's balance row (deepest layer first), then s0's
     first action on the sum row.  s0's balance row is dependent: it stays
-    out.
+    out.  The other balance rows on their policy columns form a nonsingular
+    M-matrix, up to sign and a positive row scaling, so no pivot cell of the
+    crash is zero, and its basic values, a stationary distribution, are
+    never negative.
     """
 
     __slots__ = ("sources", "rows", "crash")

@@ -15,26 +15,26 @@ within one row, none of which a positive common factor changes, so the
 pivots are those of a fully reduced tableau.  The values come back as int
 numerators over one common denominator.
 
-A caller may pass start pivots that crash the artificial basis, as
-``build_lp`` does with the stationary flow of a unichain policy, a vertex of
-the flow polytope.  Both phases then run from there.  Infeasible and
+A caller may pass a start basis, as ``build_lp`` does with the stationary
+flow of a unichain policy, a vertex of the flow polytope.  The start is a
+block of ``==`` rows crashed once, on its own rows (``Crash``), and copied
+into every LP that repeats the block (``BlockStart``), as the flow LPs of one
+end component do against several conditions; the LP's other rows are
+reduced against the crashed rows.  A start must be feasible: one that leaves
+a negative basic value raises.  Phase one is built from the rows still
+basic on their artificials, and both phases run from there.  Infeasible and
 unbounded do not depend on the path, but a tied optimum does, so an
 objective's optimum is kept only when every nonbasic column prices strictly
 negative, which makes it the plain solve's unique vertex, with its ``den``;
-else the LP is solved again from the artificial basis.  With no objective the
-start picks the vertex; it never changes the status or an objective's optimum.
-
-LPs that repeat one block of rows, as the flow LPs of one end component do
-against several conditions, share its crash (``Crash``, ``BlockStart``): the
-block is crashed once, on its own rows, and every LP copies the crashed rows
-in and reduces its other rows against them.  Phase one, after any start, is
-built from the rows still basic on their artificials.
+else the LP is solved again from the artificial basis.  With no objective
+the start picks the vertex; it never changes the status or an objective's
+optimum.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -62,53 +62,51 @@ class Crash:
     for every LP that repeats the block (``BlockStart``).
 
     ``pivots`` are (row, column) pivots within the block, made once here on
-    the block's rows alone, as raw start pivots are in an LP.  The crashed
-    rows are kept in lowest terms with their basic columns; a row that no
-    pivot takes stays on its artificial (column None).  An LP that copies
-    them reduces each of its other rows r to r - sum r[c_k] * R_k over the
-    crashed rows R_k and their columns c_k, with r's own entries: every R_k
-    is 1 on c_k and 0 on the block's other basic columns, so that is the row
-    the pivots leave, whatever their order.  ``rows`` is None when a pivot
-    cell is zero, and every LP then starts from the artificial basis.  The
+    the block's rows alone; a pivot out of range or on a zero cell raises
+    ``SimplexError``.  The crashed rows are kept in lowest terms with their
+    basic columns; a row that no pivot takes stays on its artificial (column
+    None).  An LP that copies them reduces each of its other rows r to r -
+    sum r[c_k] * R_k over the crashed rows R_k and their columns c_k, with
+    r's own entries: every R_k is 1 on c_k and 0 on the block's other basic
+    columns, so that is the row the pivots leave, whatever their order.  The
     caller keeps a crash only for LPs whose block rows are equal.
     """
 
-    __slots__ = ("pivots", "width", "rows")
+    __slots__ = ("width", "rows")
 
-    def __init__(self, rows: Sequence[tuple], pivots: tuple, width: int):
+    def __init__(self, rows: Sequence[tuple], pivots: Sequence[tuple[int, int]], width: int):
         for _, rel, _, _ in rows:
             if rel != EQ:
                 raise SimplexError(f"block row relation {rel!r} is not ==")
         tableau = [[_row(row, width, width), row[3]] for row in rows]
         basis = [None] * len(tableau)
-        self.pivots = pivots
+        for r, c in pivots:
+            if not (0 <= r < len(tableau) and 0 <= c < width):
+                raise SimplexError(f"start pivot {(r, c)} out of range")
+            _pivot(tableau, basis, r, c)
         self.width = width
-        self.rows = None  # per block row: its basic column, numerators on the block's columns, rhs, den
-        if _crash(tableau, basis, pivots, width):
-            self.rows = []
-            for (nums, den), b in zip(tableau, basis):
-                nums, den = _reduced(nums, den)
-                self.rows.append((b, nums[:-1], nums[-1], den))
+        self.rows = []  # per block row: its basic column, numerators on the block's columns, rhs, den
+        for (nums, den), b in zip(tableau, basis):
+            nums, den = _reduced(nums, den)
+            self.rows.append((b, nums[:-1], nums[-1], den))
 
 
-class BlockStart(tuple):
-    """Start pivots that crash one ``Crash``'s block at each of ``offsets``,
-    the block's (first row, first column) in the LP, in order.  The tuple
-    holds those (row, column) pivots, so it is the raw start it stands for,
-    and ``solve_lp`` copies the kept crash in instead of pivoting."""
+class BlockStart:
+    """A start basis that copies one ``Crash``'s kept rows in at each of
+    ``offsets``, the block's (first row, first column) in the LP."""
 
-    def __new__(cls, crash: Crash, offsets: tuple):
-        pivots = ((r0 + r, c0 + c) for r0, c0 in offsets for r, c in crash.pivots)
-        start = super().__new__(cls, pivots)
-        start.crash, start.offsets = crash, offsets
-        return start
+    __slots__ = ("crash", "offsets")
+
+    def __init__(self, crash: Crash, offsets: tuple):
+        self.crash = crash
+        self.offsets = offsets
 
 
 def solve_lp(
     num_vars: int,
     rows: Sequence[tuple[Mapping[int, int], str, int, int]],
     objective: Mapping[int, int],
-    start: Sequence[tuple[int, int]] = (),
+    start: Optional[BlockStart] = None,
 ):
     """Maximize the objective; returns (status, values, den).
 
@@ -119,32 +117,29 @@ def solve_lp(
     common denominator ``den``, the lcm of the basic values' denominators;
     otherwise both are None.
 
-    ``start`` lists ``(row, column)`` pivots that crash the initial basis;
-    column ``num_vars + k`` is the surplus of the k-th ``>=`` row.  A start
-    with a zero pivot cell or a negative basic value is dropped, and an
-    objective's optimum found from it that is not provably unique is found
-    again from the all-artificial basis.  With no objective it picks the
-    first feasible vertex.  A ``BlockStart`` gives the same result as its
-    pivots.
+    ``start`` copies a kept crash into the initial basis; a ``>=`` row
+    outside its blocks whose artificial then reads negative moves onto its
+    surplus column, and a basic value still negative raises
+    ``SimplexError``.  An objective's optimum found from the start that is
+    not provably unique is found again from the all-artificial basis.  With
+    no objective the start's vertex is kept.
     """
     result = _solve(num_vars, rows, objective, start)
-    return _solve(num_vars, rows, objective, ()) if result is None else result
+    return _solve(num_vars, rows, objective, None) if result is None else result
 
 
 def _solve(num_vars, rows, objective, start):
-    """``solve_lp``'s body; None when ``start`` gives no usable basis or
-    leaves an objective's optimum that is not provably unique."""
+    """``solve_lp``'s body; None when ``start`` leaves an objective's optimum
+    that is not provably unique."""
     # Equality form with one surplus column per >= row.  A row is
     # [numerators, denominator]; cell j stands for nums[j] / den.  Row i
     # starts basic on its artificial, marked total + i in the basis.  A
-    # BlockStart's block rows are its kept crashed rows instead.
+    # start's block rows are its kept crashed rows instead.
     total = num_vars + sum(1 for row in rows if row[1] == GEQ)
     m = len(rows)
     kept = {}  # block row -> (its block's first column, its kept row)
-    if isinstance(start, BlockStart):
+    if start is not None:
         crash = start.crash
-        if crash.rows is None:
-            return None
         for r0, c0 in start.offsets:
             if not (0 <= r0 <= m - len(crash.rows) and 0 <= c0 <= total - crash.width):
                 raise SimplexError(f"block at {(r0, c0)} out of range")
@@ -179,20 +174,16 @@ def _solve(num_vars, rows, objective, start):
 
     # The start.  Every row outside the blocks is reduced against the kept
     # rows on real columns, the only rows on one yet.  A >= row whose
-    # artificial then reads negative moves onto its surplus column.  A zero
-    # pivot cell or a negative basic value leaves no feasible start.
-    if kept:
+    # artificial then reads negative moves onto its surplus column.
+    if start is not None:
         for i, row in enumerate(tableau):
             if i not in kept:
                 _reduce(row, tableau, basis)
-    elif not _crash(tableau, basis, start, total):
-        return None
-    if start:
         for r, c in surplus:
             if basis[r] >= total and tableau[r][0][-1] < 0:
                 _pivot(tableau, basis, r, c)
         if any(nums[-1] < 0 for nums, _ in tableau):
-            return None
+            raise SimplexError("start basis is not feasible")
     # Phase one maximizes minus the sum of the artificials still basic, so
     # its reduced cost row is the sum of their rows, over their lcm.  It
     # prices the real columns alone.  Where none prices positive, the
@@ -222,8 +213,9 @@ def _solve(num_vars, rows, objective, start):
         return UNBOUNDED, None, None
     # With an objective, every nonbasic column pricing strictly negative makes
     # the optimum unique, so its vertex and den are the plain solve's.
-    if start and objective and any(cost[0][j] >= 0 for j in set(range(total)).difference(basis)):
-        return None
+    if start is not None and objective:
+        if any(cost[0][j] >= 0 for j in set(range(total)).difference(basis)):
+            return None
 
     basic = []
     for (nums, den), b in zip(tableau, basis):
@@ -255,18 +247,6 @@ def _row(row, num_vars, total):
         nums[j] = c
     nums[-1] = rhs
     return nums
-
-
-def _crash(tableau, basis, pivots, total):
-    """Pivot on each of ``pivots`` in order, each column below ``total``;
-    False at a zero pivot cell."""
-    for r, c in pivots:
-        if not (0 <= r < len(tableau) and 0 <= c < total):
-            raise SimplexError(f"start pivot {(r, c)} out of range")
-        if tableau[r][0][c] == 0:
-            return False
-        _pivot(tableau, basis, r, c)
-    return True
 
 
 def _eliminate(row, pivot_row, c, support):

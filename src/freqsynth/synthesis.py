@@ -161,7 +161,10 @@ def _sparse_solve(rows: list, rhs: list) -> tuple[list, int]:
     no pivoting is needed and every pivot stays positive.  Each pivot
     touches only the later rows with an entry in its column: such a row
     becomes ``pivot * row - f * pivot_row`` and is divided by the gcd of its
-    entries and its right-hand side; cancelled entries are dropped.
+    entries and its right-hand side.  No entry cancels: an off-diagonal
+    update adds two non-positive terms, one of them nonzero, and a Schur
+    complement of an M-matrix keeps its diagonal positive.  A zero entry
+    would only cost work, and a zero pivot still raises.
     """
     n = len(rows)
     below = [set() for _ in range(n)]  # column -> later rows with an entry
@@ -185,14 +188,9 @@ def _sparse_solve(rows: list, rhs: list) -> tuple[list, int]:
             for c, v in pivot_row.items():
                 if c == k:
                     continue
-                x = row.get(c, 0) - f * v
-                if x:
-                    row[c] = x
-                    if c < r:
-                        below[c].add(r)
-                else:
-                    del row[c]
-                    below[c].discard(r)
+                row[c] = row.get(c, 0) - f * v
+                if c < r:
+                    below[c].add(r)
             b = a * rhs[r] - f * rhs[k]
             g = gcd(b, *row.values())
             if g > 1:

@@ -13,8 +13,9 @@ toolkit in ``freqsynth.graph`` replaced (the first splits its SCCs by
 mutual reachability, ``mutual_reach_classes``, and not by ``graph.sccs``),
 ``fraction_solve_lp`` is the simplex over a tableau of Fractions that the
 integer-row tableau replaced (it keeps the artificial columns that
-``solve_lp`` dropped, and its ``reenter`` argument keeps the phase-one rule
-that let a left artificial re-enter),
+``solve_lp`` dropped, its ``reenter`` argument keeps the phase-one rule
+that let a left artificial re-enter, and its ``start`` argument the raw
+start pivots that the kept crash of a ``BlockStart`` replaced),
 ``rescan_build_lp`` is the slack flow-system builder that scanned every action
 distribution once per state, ``pairwise_winning_union`` is the winning union
 that decided every (pair, component) afresh, before decisions were shared
@@ -112,8 +113,6 @@ from functools import cache
 from itertools import accumulate, compress, count, islice
 from operator import itemgetter, truediv
 from typing import Callable, Iterator
-
-import pytest
 
 from freqsynth import simplex
 from freqsynth.boolfn import (
@@ -814,12 +813,23 @@ def flow_system_lp(system):
     return system.num_vars, system.rows, {t: 1} if system.num_vars > t else {}, system.start
 
 
+def block_pivots(start):
+    """A ``BlockStart`` as raw ``(row, column)`` pivots in the LP: each kept
+    row of its crash on its basic column, last row first, at every offset.
+    On a flow block that pivots the balance rows, whose policy columns form
+    a nonsingular M-matrix up to sign, before the sum row, so no pivot cell
+    is zero."""
+    kept = list(enumerate(start.crash.rows))[::-1]
+    return [(r0 + i, c0 + b) for r0, c0 in start.offsets for i, (b, *_) in kept if b is not None]
+
+
 def start_outcome(num_vars, rows, objective, start):
     """Assert that ``solve_lp`` from the start basis ``start`` returns what
-    the plain solve returns, and name what became of the start: "no start";
-    the status found from it; "zero pivot" or "negative value" when it was
-    dropped before phase one; or "tied" when its optimum was not provably
-    unique and the LP was solved again.
+    the plain solve returns, and that its start path returns what the
+    Fraction oracle finds from the same basis crashed by raw pivots
+    (``block_pivots``); name what became of the start: "no start"; the
+    status found from it; or "tied" when its optimum was not provably unique
+    and the LP was solved again.
 
     Without an objective every feasible vertex is optimal, and the start's
     is kept: then only the status must be the plain solve's, and the values
@@ -838,21 +848,43 @@ def start_outcome(num_vars, rows, objective, start):
         for coeffs, rel, rhs in fraction_rows(rows):
             lhs = sum(c * x[j] for j, c in coeffs.items())
             assert lhs == rhs if rel == EQ else lhs >= rhs, (coeffs, rel, rhs)
-    if not start:
+    if start is None:
         return "no start"
-    pivots, iterations = [], []
-    real_pivot, real_iterate = simplex._pivot, simplex._iterate
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simplex, "_pivot", lambda *args: pivots.append(1) or real_pivot(*args))
-        mp.setattr(simplex, "_iterate", lambda *args: iterations.append(1) or real_iterate(*args))
-        # The raw pivots, counted: a BlockStart makes none, it copies its
-        # block's crashed rows in.
-        first = simplex._solve(num_vars, rows, objective, tuple(start))
-    if first is not None:
-        return "start vertex" if first[0] == OPTIMAL and not objective else first[0]
-    if iterations:
+    want = fraction_solve_lp(num_vars, fraction_rows(rows), objective, start=block_pivots(start))
+    first = simplex._solve(num_vars, rows, objective, start)
+    if first is None:
+        # A tied optimum: the oracle's, found from the start, has the plain
+        # solve's value.
+        _, values, den = plain
+        assert want[0] == OPTIMAL
+        assert want[2] == sum(Fraction(c * values[j], den) for j, c in objective.items())
         return "tied"
-    return "zero pivot" if len(pivots) < len(start) else "negative value"
+    assert as_fractions(first) == want[:2]
+    return "start vertex" if first[0] == OPTIMAL and not objective else first[0]
+
+
+def start_flow(mdp, component):
+    """The flow that a bound-free system of the component keeps, found
+    without the simplex: the stationary distribution pi of its start policy,
+    the attractor toward its first state s0 over its actions (each state
+    takes its first action, in the component's order, into the previous
+    layer) plus s0's first action.  One Fraction per action column: pi(s)
+    on the policy's action at s, and 0 elsewhere."""
+    states, actions = component
+    pos = {s: i for i, s in enumerate(states)}
+    sub_actions = []
+    for a in (mdp.actions[ai] for ai in actions):
+        den, weights = a.weights
+        sub_actions.append(MdpAction(a.name, pos[a.source], (den, tuple((pos[t], w) for t, w in weights))))
+    sub = Mdp([mdp.states[s] for s in states], sub_actions, 0)
+    policy = rescan_attractor_policy(sub, {0})
+    policy[0] = sub.act[0][0]
+    policy = [policy[s] for s in range(len(sub))]
+    (bscc,) = chain_bsccs(sub, policy)
+    pi = stationary_distribution(sub, policy, bscc)
+    return tuple(
+        pi.get(a.source, _ZERO) if policy[a.source] == j else _ZERO for j, a in enumerate(sub.actions)
+    )
 
 
 def as_fractions(result):
@@ -1004,7 +1036,7 @@ def hull_accepts(mdp, cond):
     return True
 
 
-def fraction_solve_lp(num_vars, rows, objective, reenter=False):
+def fraction_solve_lp(num_vars, rows, objective, reenter=False, start=()):
     """Two-phase Bland simplex on a dense tableau of Fractions, with the same
     pivot rules as ``freqsynth.simplex.solve_lp`` and its results as
     Fractions, plus the objective value: (status, values, value).  It also
@@ -1015,10 +1047,18 @@ def fraction_solve_lp(num_vars, rows, objective, reenter=False):
     only the real columns, so an artificial that leaves never re-enters.
     ``reenter=True`` prices the artificial columns too: the textbook rule,
     under which phase one ends only when no column of either kind prices
-    positive."""
+    positive.
+
+    ``start`` lists raw ``(row, column)`` pivots that crash the artificial
+    basis in order, as ``block_pivots`` reads a ``BlockStart``; then every
+    ``GEQ`` row still on its artificial whose value reads negative moves
+    onto its surplus column, as in ``solve_lp``.  A zero pivot cell or a
+    basic value still negative raises ``SimplexError``.  The optimum found
+    from the start is returned, tied or not."""
     n_slack = sum(1 for _, rel, _ in rows if rel in (LEQ, GEQ))
     total = num_vars + n_slack
     tableau = []
+    surplus = []  # (row, its surplus column) per GEQ row
     slack_idx = num_vars
     for coeffs, rel, rhs in rows:
         row = [_ZERO] * (total + 1)
@@ -1032,6 +1072,7 @@ def fraction_solve_lp(num_vars, rows, objective, reenter=False):
             slack_idx += 1
         elif rel == GEQ:
             row[slack_idx] = -_ONE
+            surplus.append((len(tableau), slack_idx))
             slack_idx += 1
         elif rel != EQ:
             raise SimplexError(f"unknown relation {rel!r}")
@@ -1046,8 +1087,18 @@ def fraction_solve_lp(num_vars, rows, objective, reenter=False):
         row[total:total] = [_ZERO] * m
         row[total + i] = _ONE
     basis = list(range(total, total + m))
+    for r, c in start:
+        if not (0 <= r < m and 0 <= c < total):
+            raise SimplexError(f"start pivot {(r, c)} out of range")
+        _fraction_pivot(tableau, basis, r, c)
+    if start:
+        for r, c in surplus:
+            if basis[r] >= total and tableau[r][-1] < 0:
+                _fraction_pivot(tableau, basis, r, c)
+        if any(row[-1] < 0 for row in tableau):
+            raise SimplexError("start basis is not feasible")
     cost = [_ZERO] * (total + m + 1)
-    for j in basis:
+    for j in range(total, total + m):
         cost[j] = -_ONE
     _fraction_reduce_cost(cost, tableau, basis)
     _fraction_iterate(tableau, basis, cost, total + m if reenter else total)
@@ -1121,11 +1172,13 @@ def _fraction_pivot(tableau, basis, r, c):
     if piv == 0:
         raise SimplexError("zero pivot")
     inv = _ONE / piv
-    tableau[r] = row = [v * inv for v in row]
-    for i, other in enumerate(tableau):
-        if i != r and other[c] != 0:
-            f = other[c]
-            tableau[i] = [a - f * b for a, b in zip(other, row)]
+    tableau[r] = row = [v * inv if v else v for v in row]
+    support = [j for j, v in enumerate(row) if v]
+    for other in tableau:
+        f = other[c]
+        if f != 0 and other is not row:
+            for j in support:
+                other[j] -= f * row[j]
     basis[r] = c
 
 

@@ -20,8 +20,8 @@ from freqsynth.dgrma import GbmpCondition, MpBound, accepts_lasso, build_dgrma, 
 from freqsynth.formula import always, eventually, parse_formula, tt
 from freqsynth.lasso import models
 from freqsynth.mdp import Mdp, parse_mdp, product_mdp
-from freqsynth.mecanalysis import build_lp, build_witness_strategy
-from freqsynth.simplex import OPTIMAL, SimplexError, solve_lp
+from freqsynth.mecanalysis import build_lp, build_witness_strategy, maximize_margin
+from freqsynth.simplex import OPTIMAL, SimplexError
 from freqsynth.slave import (
     assumption_conj,
     buchi_accepting_sets,
@@ -55,6 +55,7 @@ from helpers import (
     random_ufree_formula,
     rec_truth,
     simulate_strategy,
+    start_flow,
     start_outcome,
     state_at,
     stationary_distribution,
@@ -282,22 +283,29 @@ def test_start_basis_changes_no_flow_lp_result(instance_pool, mixing_pool):
         assert outcomes[OPTIMAL] >= 30, outcomes
     # One table of flow blocks per MDP: its condition and every subset of
     # the condition's bounds solve through the component's kept crash, each
-    # with the result of a fresh solve from the same start pivots.  Two sup
-    # bounds make two flows, the second a copy of the block at an offset.
-    copied = copies = 0
+    # with what the Fraction oracle finds from the crash's raw pivots, or
+    # with a tie solved again.  Two sup bounds make two flows, the second a
+    # copy of the block at an offset.
+    copied, copies = Counter(), 0
     for mdp, cond in instance_pool + mixing_pool:
         blocks = {}
         for mp_inf in _subsets(cond.mp_inf):
             for mp_sup in _subsets(cond.mp_sup):
                 sub = GbmpCondition(cond.inf_sets, mp_inf, mp_sup)
                 for margin in (True, False):
-                    system = build_lp(mdp, whole(mdp), sub, margin, blocks)
-                    num_vars, rows, objective, start = flow_system_lp(system)
-                    want = solve_lp(num_vars, rows, objective, tuple(start))
-                    copied += start.crash.rows is not None
-                    copies += len(start.offsets) > 1
-                    assert solve_lp(num_vars, rows, objective, start) == want
-    assert copied >= 5000 and copies >= 1000, (copied, copies)
+                    lp = flow_system_lp(build_lp(mdp, whole(mdp), sub, margin, blocks))
+                    copied[start_outcome(*lp)] += 1
+                    copies += len(lp[3].offsets) > 1
+    assert copied.total() >= 5000 and copies >= 1000, (copied, copies)
+
+
+def test_bound_free_systems_keep_the_start_policys_stationary_flow(instance_pool, mixing_pool):
+    # Without bounds a flow system has no objective, and its solution is the
+    # start's vertex: the stationary flow of the attractor-plus-first-action
+    # policy, found by the chain oracles without the simplex.
+    for mdp, cond in instance_pool + mixing_pool:
+        sol = maximize_margin(build_lp(mdp, whole(mdp), GbmpCondition(cond.inf_sets)))
+        assert as_fractions(sol) == ((start_flow(mdp, whole(mdp)),), 0)
 
 
 def _subsets(bounds: tuple) -> list:

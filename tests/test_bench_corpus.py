@@ -23,6 +23,7 @@ from freqsynth.mdp import Mdp, MdpAction, parse_mdp, product_mdp, weights_of
 from freqsynth.synthesis import lift_pair, simulate_global, synthesize
 
 from helpers import (
+    as_fractions,
     assert_dyadic_draws_match,
     assert_winners_hold_their_states,
     assert_witness_keeps_fraction_formulas,
@@ -30,6 +31,7 @@ from helpers import (
     rescan_mec_decomposition,
     rescan_restrict,
     ring_mdp,
+    start_flow,
 )
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -210,6 +212,33 @@ def test_flow_blocks_live_for_one_call(monkeypatch):
     assert counts[0] == counts[1] < len(pivots), (counts, len(pivots))
 
 
+def test_bound_free_corpus_systems_keep_the_start_policys_stationary_flow(monkeypatch):
+    # A flow system without bounds has no objective, and its solution is
+    # the start's vertex: the stationary flow of the component's
+    # attractor-plus-first-action policy, found by the chain oracles without
+    # the simplex.
+    solved = []
+    real_maximize = synthesis.maximize_margin
+
+    def recording(system):
+        solved.append((system, real_maximize(system)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(synthesis, "maximize_margin", recording)
+    free = {}
+    for name in ("reach_ruin", "translate_wide"):
+        solved.clear()
+        for inst in workloads.corpus(name):
+            mdp, valuation = parse_mdp(inst.model)
+            synthesize(mdp, valuation, parse_formula(inst.formula), parse_rational(inst.threshold))
+        free[name] = 0
+        for system, sol in solved:
+            if not (system.cond.mp_inf or system.cond.mp_sup):
+                assert as_fractions(sol) == ((start_flow(system.mdp, system.component),), 0)
+                free[name] += 1
+    assert min(free.values()) >= 9, free
+
+
 def _ladder_ring(n: int) -> tuple:
     """The ``ladder/n`` ring: ``workloads.ring_model`` of n states started at
     its first, with labels over a and b drawn as ``lp_mec_instance`` draws
@@ -289,7 +318,7 @@ def start_vertex_counts() -> tuple:
     try:
         for (mdp, valuation), formula in cases:
             runs = []
-            for solve in (real_solve, lambda n, rows, objective, start=(): real_solve(n, rows, objective)):
+            for solve in (real_solve, lambda n, rows, objective, start=None: real_solve(n, rows, objective)):
                 simplex.solve_lp = solve
                 report = synthesize(mdp, valuation, parse_formula(formula), Fraction(1, 2))
                 sim = simulate_global(report.product, report.strategy, 30, 200, 3)

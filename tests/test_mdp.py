@@ -193,6 +193,36 @@ def test_parse_rejects_repeated_directives():
             parse_mdp(base + extra)
 
 
+def test_parse_rejects_malformed_lines_and_unknown_names():
+    # Each rejection names its fault, with its line where it has one.
+    for text, message in (
+        ("mdp\nstates\ninit s\n", "line 2: empty state list"),
+        ("mdp\nstates s\ninit s\nlabel\n", "line 4: label line needs a state"),
+        ("mdp\nstates s\ninit s\naction s a s 1\n", "line 4: action line needs ':'"),
+        ("mdp\nstates s\ninit s\naction s : s 1\n", "line 4: expected 'action STATE NAME :'"),
+        ("mdp\nstates s\ninit s\naction s a b : s 1\n", "line 4: expected 'action STATE NAME :'"),
+        ("mdp\nstates s t s\ninit s\n", "duplicate state name in 'states' line"),
+        ("mdp\nstates s\ninit t\naction s a : s 1\n", "unknown initial state 't'"),
+        ("mdp\nstates s\ninit s\nlabel t a\naction s a : s 1\n", "label for unknown state 't'"),
+        ("mdp\nstates s\ninit s\naction s a : s 1\naction t b : s 1\n", "line 5: unknown state 't'"),
+    ):
+        with pytest.raises(MdpError) as exc:
+            parse_mdp(text)
+        assert str(exc.value) == message
+
+
+def test_public_constructor_rejects_duplicate_names_and_outside_targets():
+    loop = (1, ((0, 1),))
+    for states, actions, message in (
+        (["s", "s"], [MdpAction("a", 0, loop), MdpAction("b", 1, loop)], "duplicate state name"),
+        (["s"], [MdpAction("a", 0, loop), MdpAction("a", 0, loop)], "duplicate action name"),
+        (["s"], [MdpAction("a", 0, (2, ((0, 1), (1, 1))))], "action 'a' has a target outside the states"),
+    ):
+        with pytest.raises(MdpError) as exc:
+            Mdp(states, actions, 0)
+        assert str(exc.value) == message
+
+
 def test_parse_rejects_label_names_that_are_not_atom_names():
     # Labels follow the atom-name rule of formulas and lasso letters.
     text = "mdp\nstates s\ninit s\nlabel s a {}\naction s loop : s 1\n"
@@ -317,6 +347,10 @@ def test_product_enforces_the_state_cap():
     assert len(product_mdp(mdp, valuation, master, size)[0]) == size
     with pytest.raises(StateCapExceeded, match=f"product MDP exceeds the state cap of {size - 1} "):
         product_mdp(mdp, valuation, master, size - 1)
+    for cap in (0, -1):
+        with pytest.raises(StateCapExceeded) as exc:
+            product_mdp(mdp, valuation, master, cap)
+        assert str(exc.value) == f"product MDP exceeds the state cap of {cap} states"
 
 
 def _shuffle_names(rng, mdp):

@@ -27,6 +27,7 @@ from freqsynth.mecanalysis import (
 from freqsynth.simplex import SimplexError
 from freqsynth.synthesis import GlobalStrategy, accepting_mec, simulate_global
 
+import helpers
 from helpers import (
     FixedDraw,
     StrategyRunner,
@@ -34,6 +35,7 @@ from helpers import (
     as_fractions,
     assert_dyadic_draws_match,
     assert_flow_row_form,
+    block_pivots,
     capped,
     dist,
     draw,
@@ -41,6 +43,7 @@ from helpers import (
     enumerate_md_strategies,
     flow_system_lp,
     fraction_rows,
+    fraction_solve_lp,
     fraction_sample,
     int_draw_table,
     margin_rewrite,
@@ -49,6 +52,7 @@ from helpers import (
     random_strongly_connected_mdp,
     rescan_build_lp,
     simulate_strategy,
+    start_flow,
     time_limit,
     whole,
     witness_walk,
@@ -250,8 +254,8 @@ def test_build_lp_matches_rescan_builder():
 def test_no_bounds_condition_is_one_plain_solve(monkeypatch):
     # Without bounds the margin system has no t column: it is the plain
     # flow system, solved once from the attractor policy's start basis with
-    # no objective.  The start's vertex is kept, so the witness flow sits on
-    # the start's columns, one action per state.
+    # no objective.  The start's vertex is kept: the witness flow is the
+    # stationary flow of the start policy, one action per state.
     calls = []
     real_solve = simplex.solve_lp
     monkeypatch.setattr(
@@ -264,22 +268,30 @@ def test_no_bounds_condition_is_one_plain_solve(monkeypatch):
         calls.clear()
         ok, sol = accepting_mec(mdp, whole(mdp), cond)
         plain = build_lp(mdp, whole(mdp), cond, margin=False)
-        assert plain.num_vars == len(mdp.actions) and len(plain.start) == len(mdp)
-        assert calls == [(plain.num_vars, plain.rows, {}, plain.start)]
+        columns = [b for b, *_ in plain.start.crash.rows if b is not None]
+        assert plain.num_vars == len(mdp.actions) and len(columns) == len(mdp)
+        ((num_vars, rows, objective, start),) = calls
+        assert (num_vars, rows, objective) == (plain.num_vars, plain.rows, {})
+        assert (start.offsets, start.crash.rows) == (plain.start.offsets, plain.start.crash.rows)
         assert (ok, sol) == (True, maximize_margin(plain))
-        columns = {j for _, j in plain.start}
+        assert as_fractions(sol) == ((start_flow(mdp, whole(mdp)),), 0)
         assert all(j in columns for j, v in enumerate(sol.flows[0]) if v)
 
 
 def test_a_components_second_lp_makes_no_crash_pivots(monkeypatch):
     # Flow systems built with one table of blocks share the component's
     # start crash.  Its pivots are made once, when the block is built; no
-    # solve makes them, so each makes every pivot of a solve from the raw
-    # start pivots but the start's, and returns the same solution.
-    pivots = []
-    real_pivot = simplex._pivot
+    # solve makes them, so each start path makes every pivot that the
+    # Fraction oracle makes from the crash's raw pivots but those, and
+    # returns the same solution unless its optimum is tied.
+    pivots, oracle_pivots = [], []
+    real_pivot, real_oracle_pivot = simplex._pivot, helpers._fraction_pivot
     monkeypatch.setattr(simplex, "_pivot", lambda *args: pivots.append(1) or real_pivot(*args))
+    monkeypatch.setattr(
+        helpers, "_fraction_pivot", lambda *args: oracle_pivots.append(1) or real_oracle_pivot(*args)
+    )
     rng = random.Random(4801)
+    tied = 0
     for _ in range(40):
         mdp = random_strongly_connected_mdp(rng, 5, 3)
         q = tuple(Fr(rng.randint(0, 4), 4) for _ in mdp.states)
@@ -287,16 +299,19 @@ def test_a_components_second_lp_makes_no_crash_pivots(monkeypatch):
         blocks = {}
         pivots.clear()
         system = build_lp(mdp, whole(mdp), cond, True, blocks)
-        assert len(pivots) == len(system.start) >= len(mdp)
-        num_vars, rows, objective, start = flow_system_lp(system)
-        pivots.clear()
-        want = simplex.solve_lp(num_vars, rows, objective, tuple(start))
-        raw = len(pivots)
+        raw = block_pivots(system.start)
+        assert len(pivots) == len(raw) >= len(mdp)
+        num_vars, rows, objective, _ = flow_system_lp(system)
+        oracle_pivots.clear()
+        want = fraction_solve_lp(num_vars, fraction_rows(rows), objective, start=raw)
         for _ in range(2):
             pivots.clear()
             system = build_lp(mdp, whole(mdp), cond, True, blocks)
-            assert simplex.solve_lp(*flow_system_lp(system)) == want
-            assert len(pivots) == raw - len(system.start), (len(pivots), raw)
+            got = simplex._solve(*flow_system_lp(system))
+            assert len(pivots) == len(oracle_pivots) - len(raw), (len(pivots), len(oracle_pivots))
+            assert got is None or as_fractions(got) == want[:2]
+        tied += got is None
+    assert tied <= 20, tied  # most optima are unique
 
 
 def test_a_blocks_crashed_rows_are_kept_in_lowest_terms():

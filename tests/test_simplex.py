@@ -455,7 +455,7 @@ def _corpus_lps(workload, step=1):
     lps = {}
     real_solve = simplex.solve_lp
 
-    def recording(num_vars, rows, objective, start=()):
+    def recording(num_vars, rows, objective, start=None):
         key = (num_vars, repr(rows), repr(objective))
         lps.setdefault(key, (num_vars, rows, objective, start))
         return real_solve(num_vars, rows, objective, start)
@@ -494,33 +494,104 @@ def test_infeasible_corpus_solves_stop_earlier():
     assert fewer >= 10 and feasible >= 30, (fewer, feasible)
 
 
+def _random_block_lp(rng):
+    """A random LP with one ``==`` block, at a random row and column offset,
+    whose kept crash is feasible by construction, and only ``>=`` rows
+    outside the block: (num_vars, rows, objective, start).
+
+    The block's rhs is B x for a random x >= 0 on the pivot columns (a row
+    whose rhs reads negative is negated), so the crash's basic values are x
+    and the rows that no pivot takes read 0.  A draw whose crash meets a
+    zero pivot cell is drawn again.  The pivots go last row first, the order
+    in which ``block_pivots`` reads them back."""
+    n = rng.randint(2, 6)
+    width = rng.randint(1, n)
+    c0 = rng.randint(0, n - width)
+    k = rng.randint(1, 4)
+    while True:
+        block = [
+            {j: Fr(rng.randint(-4, 4), rng.choice([1, 2, 3])) for j in range(width) if rng.random() < 0.7}
+            for _ in range(k)
+        ]
+        taken = rng.randint(1, min(k, width))
+        pivots = list(zip(sorted(rng.sample(range(k), taken), reverse=True), rng.sample(range(width), taken)))
+        x = {c: Fr(rng.randint(0, 3), rng.choice([1, 2])) for _, c in pivots}
+        local = []
+        for coeffs in block:
+            rhs = sum(coeffs.get(c, 0) * v for c, v in x.items())
+            sign = -1 if rhs < 0 else 1
+            local.append(({j: sign * v for j, v in coeffs.items()}, "==", sign * rhs))
+        try:
+            crash = simplex.Crash(int_rows(local), pivots, width)
+        except simplex.SimplexError:
+            continue
+        break
+    others = []
+    for _ in range(rng.randint(0, 4)):
+        coeffs = {j: Fr(rng.randint(-4, 4), rng.choice([1, 2])) for j in range(n) if rng.random() < 0.6}
+        others.append((coeffs, ">=", Fr(rng.randint(0, 4), rng.choice([1, 2]))))
+    r0 = rng.randint(0, len(others))
+    shifted = [({c0 + j: v for j, v in coeffs.items()}, rel, rhs) for coeffs, rel, rhs in local]
+    rows = int_rows(others[:r0] + shifted + others[r0:])
+    objective = {}
+    if rng.random() < 0.8:
+        objective = {j: rng.randint(-3, 3) for j in range(n) if rng.random() < 0.8}
+    return n, rows, objective, simplex.BlockStart(crash, ((r0, c0),))
+
+
 def test_random_start_pivots_change_no_result():
-    # Any list of start pivots gives the plain solve's result: a start with a
-    # zero pivot cell or a negative basic value is dropped, infeasible and
-    # unbounded LPs are found from the start as such, and a tied optimum is
-    # solved again from the all-artificial basis.  Without an objective the
+    # A block start with a feasible crash gives the plain solve's result:
+    # infeasible and unbounded LPs are found from the start as such, and a
+    # tied optimum is solved again from the all-artificial basis.  Before
+    # any solve again, the start path returns what the Fraction oracle finds
+    # from the same basis crashed by raw pivots.  Without an objective the
     # start's vertex is kept: it has the plain solve's status and meets
     # every row.
-    rng = random.Random(36)
-    outcomes = Counter()
-    for _ in range(1500):
-        num_vars, rows, objective = _random_lp(rng)
-        total = num_vars + sum(1 for row in rows if row[1] == ">=")
-        start = [
-            (rng.randrange(len(rows)), rng.randrange(total))
-            for _ in range(rng.randint(1, len(rows)))
-        ]
-        outcomes[start_outcome(num_vars, int_rows(rows), objective, start)] += 1
-    kinds = ("zero pivot", "negative value", "tied", OPTIMAL, INFEASIBLE, UNBOUNDED)
-    assert min(outcomes[kind] for kind in kinds) >= 20, outcomes
-    assert outcomes["start vertex"] >= 5, outcomes
+    rng = random.Random(51)
+    outcomes = Counter(start_outcome(*_random_block_lp(rng)) for _ in range(1500))
+    kinds = ("tied", OPTIMAL, INFEASIBLE, UNBOUNDED, "start vertex")
+    assert min(outcomes[kind] for kind in kinds) >= 50, outcomes
 
 
 def test_start_pivots_out_of_range_raise():
-    rows = [({0: 1, 1: 1}, "==", 1, 1), ({0: 1}, ">=", 0, 1)]
-    for pivot in ((2, 0), (0, 3), (-1, 0), (0, -1)):
+    rows = [({0: 1, 1: 1}, "==", 1, 1), ({0: 1}, "==", 1, 1)]
+    for pivot in ((2, 0), (0, 2), (-1, 0), (0, -1)):
         with pytest.raises(simplex.SimplexError, match=re.escape(f"start pivot {pivot} out")):
-            solve_lp(2, rows, {0: 1}, [pivot])
+            simplex.Crash(rows, [pivot], 2)
+    # The block's two rows and two columns fit at (0, 0) and (1, 1) among
+    # three rows and three columns (a surplus column counts), nowhere else.
+    crash = simplex.Crash(rows, [(0, 0)], 2)
+    lp = [*rows, ({0: 1, 2: 1}, ">=", 1, 1)]
+    for offset in ((0, 0), (1, 1)):
+        assert solve_lp(3, lp, {}, simplex.BlockStart(crash, (offset,)))[0] == OPTIMAL
+    for offset in ((2, 0), (0, 3), (-1, 0), (0, -1)):
+        with pytest.raises(simplex.SimplexError, match=re.escape(f"block at {offset} out of range")):
+            solve_lp(3, lp, {}, simplex.BlockStart(crash, (offset,)))
+
+
+def test_a_crash_on_a_zero_pivot_cell_raises():
+    # A pivot cell can be zero from the start, or once an earlier pivot has
+    # cleared it.
+    twice = [({0: 1, 1: 1}, "==", 1, 1), ({0: 2, 1: 2}, "==", 2, 1)]
+    for rows, pivots in (
+        ([({0: 1}, "==", 1, 1)], [(0, 1)]),
+        (twice, [(0, 0), (1, 1)]),
+        (twice, [(1, 0), (0, 0)]),
+    ):
+        with pytest.raises(simplex.SimplexError, match="^zero pivot$"):
+            simplex.Crash(rows, pivots, 2)
+
+
+def test_an_infeasible_kept_crash_raises():
+    # x0 + x1 == 1 and x0 + 2 x1 == 3 crash to x0 = -1 and x1 = 2.  The
+    # LP is infeasible, but the start is at fault and says so.
+    rows = [({0: 1, 1: 1}, "==", 1, 1), ({0: 1, 1: 2}, "==", 3, 1)]
+    crash = simplex.Crash(rows, ((0, 0), (1, 1)), 2)
+    assert [row[2] for row in crash.rows] == [-1, 2]
+    assert solve_lp(2, rows, {})[0] == INFEASIBLE
+    for objective in ({}, {0: 1}):
+        with pytest.raises(simplex.SimplexError, match="^start basis is not feasible$"):
+            solve_lp(2, rows, objective, simplex.BlockStart(crash, ((0, 0),)))
 
 
 def test_start_basis_changes_no_ring_flow_lp_result():
