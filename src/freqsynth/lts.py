@@ -83,37 +83,30 @@ def build_lts(
 
     ``successors(payload, alphabet)`` returns the whole row: the list of next
     payloads, one per letter of ``alphabet`` in its order, or None for a
-    state without outgoing transitions.  One lookup pass maps the row to
-    known indices; only a row with unseen payloads is walked again, in
-    letter order, numbering each new payload at its first letter
-    and checking the cap as it is added, so the numbering is that of a
-    letter-by-letter breadth-first search.  The initial state counts too: a
-    cap below 1 raises at once.
+    state without outgoing transitions.  One walk over the row, in letter
+    order, maps it to indices, numbering each new payload at its first
+    letter and checking the cap as it is added, so the numbering is that of
+    a letter-by-letter breadth-first search.  The initial state counts too:
+    a cap below 1 raises at once.
     """
     if cap < 1:
         raise StateCapExceeded(what, cap)
     alphabet = powerset_alphabet(atoms)
     states = [init_payload]
     index = {init_payload: 0}
-    delta: list = [None]
-    q = 0
-    while q < len(states):
-        succ = successors(states[q], alphabet)
+    delta: list = []
+    for payload in states:  # the list grows as new payloads are numbered
+        succ = successors(payload, alphabet)
+        row = None
         if succ is not None:
-            row = list(map(index.get, succ))
-            if None in row:
-                for li, target in enumerate(row):
-                    if target is None:
-                        nxt = succ[li]
-                        target = index.get(nxt)
-                        if target is None:
-                            if len(states) >= cap:
-                                raise StateCapExceeded(what, cap)
-                            target = len(states)
-                            index[nxt] = target
-                            states.append(nxt)
-                            delta.append(None)
-                        row[li] = target
-            delta[q] = row
-        q += 1
+            row = []
+            for nxt in succ:
+                target = index.get(nxt)
+                if target is None:
+                    if len(states) >= cap:
+                        raise StateCapExceeded(what, cap)
+                    target = index[nxt] = len(states)
+                    states.append(nxt)
+                row.append(target)
+        delta.append(row)
     return Lts(atoms, alphabet, states, 0, delta)

@@ -195,6 +195,9 @@ def parse_mdp(text: str) -> tuple[Mdp, Valuation]:
             state_names = rest.split()
             if not state_names:
                 raise MdpError(f"line {lineno}: empty state list")
+            for name in state_names:
+                if ":" in name:  # no action line could name it as its source
+                    raise MdpError(f"line {lineno}: bad state name {name!r}")
         elif head == "init":
             if init_name is not None:
                 raise MdpError(f"line {lineno}: duplicate 'init' line")
@@ -236,58 +239,51 @@ def parse_mdp(text: str) -> tuple[Mdp, Valuation]:
     actions: list[MdpAction] = []
     seen_names = set()
     probs: dict = {}  # probability text -> its value, converted once per call
-    dists: dict = {}  # probability texts -> (den, weights), checked once per call
+    dists: dict = {}  # probability texts -> (den, weights), summed once per call
     for lineno, state, name, dist_part in raw_actions:
         if state not in index:
             raise MdpError(f"line {lineno}: unknown state {state!r}")
         if name in seen_names:
             raise MdpError(f"line {lineno}: action {name!r} redeclared")
         seen_names.add(name)
-        rows = [chunk.split() for chunk in dist_part.split(",")]
-        try:
-            targets = [index[target] for target, _ in rows]
-            texts = tuple([text for _, text in rows])
-        except (KeyError, ValueError):  # an unknown target or a malformed entry
-            targets = texts = None
+        # One pass checks each TARGET PROB entry in order, so a line's first
+        # fault raises; only then is its distribution looked up or summed.
+        targets, texts, seen_targets = [], [], set()
+        for entry in dist_part.split(","):
+            fields = entry.split()
+            if len(fields) != 2:
+                raise MdpError(f"line {lineno}: expected 'TARGET PROB' entries")
+            target, text = fields
+            t = index.get(target)
+            if t is None:
+                raise MdpError(f"line {lineno}: unknown state {target!r}")
+            if t in seen_targets:
+                raise MdpError(f"line {lineno}: duplicate target {target!r}")
+            seen_targets.add(t)
+            if text not in probs:
+                try:
+                    prob = rational_literal(text)
+                except ValueError:
+                    raise MdpError(f"line {lineno}: bad probability {text!r}") from None
+                if not prob:
+                    raise MdpError(f"line {lineno}: probability of {target!r} must be positive")
+                probs[text] = prob
+            targets.append(t)
+            texts.append(text)
+        texts = tuple(texts)
         known = dists.get(texts)
-        if known is None or len(set(targets)) < len(targets):
-            known = dists[texts] = _checked_weights(lineno, rows, index, probs)
+        if known is None:
+            den, pairs = weights_of([(text, probs[text]) for text in texts])
+            total = sum(w for _, w in pairs)
+            if total != den:
+                raise MdpError(f"line {lineno}: distribution sums to {Fraction(total, den)}, not 1")
+            known = dists[texts] = den, [w for _, w in pairs]
         den, ws = known
         actions.append(MdpAction(name, index[state], (den, tuple(zip(targets, ws)))))
 
     mdp = Mdp._trusted(state_names, actions, index[init_name])
     valuation = [labels.get(s, frozenset()) for s in state_names]
     return mdp, valuation
-
-
-def _checked_weights(lineno: int, rows: list, index: dict, probs: dict) -> tuple:
-    """``(den, [w, ...])`` of one action line's ``TARGET PROB`` entries, each
-    checked in order (the line's first fault raises), and their sum checked."""
-    values, seen_targets = [], set()
-    for fields in rows:
-        if len(fields) != 2:
-            raise MdpError(f"line {lineno}: expected 'TARGET PROB' entries")
-        target, prob_text = fields
-        if target not in index:
-            raise MdpError(f"line {lineno}: unknown state {target!r}")
-        if target in seen_targets:
-            raise MdpError(f"line {lineno}: duplicate target {target!r}")
-        seen_targets.add(target)
-        prob = probs.get(prob_text)
-        if prob is None:
-            try:
-                prob = rational_literal(prob_text)
-            except ValueError:
-                raise MdpError(f"line {lineno}: bad probability {prob_text!r}") from None
-            if not prob:
-                raise MdpError(f"line {lineno}: probability of {target!r} must be positive")
-            probs[prob_text] = prob
-        values.append((target, prob))
-    den, pairs = weights_of(values)
-    total = sum(w for _, w in pairs)
-    if total != den:
-        raise MdpError(f"line {lineno}: distribution sums to {Fraction(total, den)}, not 1")
-    return den, [w for _, w in pairs]
 
 
 def product_mdp(mdp: Mdp, valuation: Valuation, lts: Lts, cap: int = DEFAULT_STATE_CAP):

@@ -59,18 +59,18 @@ def winning_union(product: Mdp, lifted: list) -> tuple[frozenset, list]:
     ``lifted`` holds (fin set, condition) per pair; returns the winning
     states and, per pair, its winners as (component, accepting LpSolution).
     Pairs that share a Fin set share its restriction and its components.
-    A decision reads only the component and the condition restricted to it
-    (whether every Inf set meets it, and each bound on its states, in
-    ``GbmpCondition.restricted``'s integers), so each distinct such key of
+    A component that misses one of the pair's Inf sets never wins, so it is
+    passed over before any key is built.  A decision on the others reads
+    only the component and each bound on its states, in
+    ``GbmpCondition.restricted``'s integers, so each distinct such key of
     index tuples and integers is decided once per call and reused.
 
-    A flow rejection (a rejected component that meets every Inf set) also
-    settles, without a solve, every later decision on a sub-component whose
-    condition contains each of its bounds restricted to that sub-component.
-    A witness there would be one for the rejected decision too: the flows
-    of an end component inside another, extended by zero, are flows of the
-    larger one with the same rewards, and each keeps meeting the bounds it
-    met, strict ones strictly.
+    A rejection also settles, without a solve, every later decision on a
+    sub-component whose condition contains each of its bounds restricted to
+    that sub-component.  A witness there would be one for the rejected
+    decision too: the flows of an end component inside another, extended
+    by zero, are flows of the larger one with the same rewards, and each
+    keeps meeting the bounds it met, strict ones strictly.
 
     The flow LPs of one component share their sum and balance rows and
     their start crash, whatever the condition (``mecanalysis.FlowBlock``),
@@ -80,7 +80,7 @@ def winning_union(product: Mdp, lifted: list) -> tuple[frozenset, list]:
     outcomes = []
     components_of: dict = {}  # fin set -> MECs of the product without it
     decided: dict = {}  # decision key -> (accepted, LpSolution or None)
-    rejections: list = []  # (states, actions, condition) of each flow rejection
+    rejections: list = []  # (states, actions, condition) of each rejection
     blocks: dict = {}  # component -> its FlowBlock, for this call only
     for fin, cond in lifted:
         winners = []
@@ -91,15 +91,16 @@ def winning_union(product: Mdp, lifted: list) -> tuple[frozenset, list]:
             components_of[fin] = components
         for component in components:
             states = component.states
-            meets_infs = all(not inf_set.isdisjoint(states) for inf_set in cond.inf_sets)
-            key = (states, component.actions, meets_infs, *cond.restricted(states))
+            if any(inf_set.isdisjoint(states) for inf_set in cond.inf_sets):
+                continue  # it misses an Inf set, so it never wins
+            key = (states, component.actions, *cond.restricted(states))
             verdict = decided.get(key)
             if verdict is None:
-                if meets_infs and _refuted(key, rejections):
+                if _refuted(key, rejections):
                     verdict = (False, None)
                 else:
                     verdict = accepting_mec(product, component, cond, blocks)
-                    if meets_infs and not verdict[0]:
+                    if not verdict[0]:
                         rejections.append((frozenset(states), frozenset(key[1]), cond))
                 decided[key] = verdict
             ok, sol = verdict
@@ -111,10 +112,10 @@ def winning_union(product: Mdp, lifted: list) -> tuple[frozenset, list]:
 
 
 def _refuted(key: tuple, rejections: list) -> bool:
-    """Whether a flow rejection implies the decision ``key``'s: its
+    """Whether a rejection implies the decision ``key``'s: its
     component holds the key's states and actions, and each of its bounds,
     restricted to the key's states, is one of the key's own."""
-    states, actions, _, mp_inf, mp_sup = key
+    states, actions, mp_inf, mp_sup = key
     for rejected_states, rejected_actions, cond in rejections:
         if rejected_states.issuperset(states) and rejected_actions.issuperset(actions):
             inf, sup = cond.restricted(states)

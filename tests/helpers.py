@@ -96,6 +96,9 @@ index-keyed result by names, as ``dense_max_reach`` gives it.  An action
 holds its distribution only as integer weights; ``dist`` reads them back as
 (target, ``Fraction``) pairs, the view the oracles compute with, and
 ``state_at`` and ``action_at`` look a state or an action up by name.
+``plain_parse_mdp`` reads a model's action lines one entry at a time, with
+``parse_mdp``'s messages and none of its memos of probability texts and
+distributions.
 """
 
 from __future__ import annotations
@@ -138,6 +141,7 @@ from freqsynth.formula import (
     neg_atom,
     next_,
     parse_formula,
+    rational_literal,
     until,
 )
 from freqsynth.lasso import Lasso, LassoError, _Eval, models
@@ -1367,6 +1371,49 @@ def model_text(mdp, valuation):
         entries = " , ".join(f"{mdp.states[t]} {p}" for t, p in dist(a))
         lines.append(f"action {mdp.states[a.source]} {a.name} : {entries}")
     return "\n".join(lines) + "\n"
+
+
+def plain_parse_mdp(text):
+    """Reference reader of a model whose lines other than its action lines
+    are well formed.  Each ``TARGET PROB`` entry is checked in order with
+    ``parse_mdp``'s message texts, and every probability is converted and
+    every line summed afresh (no memo); the MDP is built by the public
+    ``Mdp(...)``, which checks every distribution again."""
+    states, init, labels, actions = [], None, {}, []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        head, _, rest = line.partition(" ")
+        if head == "states":
+            states = rest.split()
+        elif head == "init":
+            init = states.index(rest.strip())
+        elif head == "label":
+            name, *atoms = rest.split()
+            labels[name] = frozenset(atoms)
+        elif head == "action":
+            source_and_name, _, entries = rest.partition(":")
+            source, name = source_and_name.split()
+            values = []
+            for entry in entries.split(","):
+                fields = entry.split()
+                if len(fields) != 2:
+                    raise MdpError(f"line {lineno}: expected 'TARGET PROB' entries")
+                target, prob_text = fields
+                if target not in states:
+                    raise MdpError(f"line {lineno}: unknown state {target!r}")
+                if any(states[t] == target for t, _ in values):
+                    raise MdpError(f"line {lineno}: duplicate target {target!r}")
+                try:
+                    prob = rational_literal(prob_text)
+                except ValueError:
+                    raise MdpError(f"line {lineno}: bad probability {prob_text!r}") from None
+                if prob == 0:
+                    raise MdpError(f"line {lineno}: probability of {target!r} must be positive")
+                values.append((states.index(target), prob))
+            total = sum(p for _, p in values)
+            if total != 1:
+                raise MdpError(f"line {lineno}: distribution sums to {total}, not 1")
+            actions.append(MdpAction(name, states.index(source), weights_of(values)))
+    return Mdp(states, actions, init), [labels.get(s, frozenset()) for s in states]
 
 
 def random_lasso(seed, max_stem, max_loop, ap):

@@ -1,5 +1,6 @@
 import inspect
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from helpers import (
     component_names,
     dist,
     model_text,
+    plain_parse_mdp,
     random_mdp,
     rescan_attractor_policy,
     rescan_mec_decomposition,
@@ -174,6 +176,84 @@ def test_parse_checks_each_distinct_distribution_once_and_every_target_on_its_li
             parse_mdp(text)
 
 
+def _mutated_entries(rng, entries):
+    """One fault, or an equal-valued respelling, in one entry of an action
+    line's ``TARGET PROB`` entries; returns the entries and the kind."""
+    kind = rng.choice(("unknown", "repeat", "fields", "zero", "no_den", "literal", "sum", "respell"))
+    wellformed = [j for j, entry in enumerate(entries) if len(entry.split()) == 2]
+    if not wellformed:
+        return entries + ["zz 1"], "unknown"
+    j = rng.choice(wellformed)
+    target, text = entries[j].split()
+    if kind == "unknown":
+        entries[j] = f"zz {rng.choice((text, text, '0', '1/0', 'x'))}"
+    elif kind == "repeat":
+        text = rng.choice(("1/2", "1/4", text, "0", "x"))
+        entries.insert(rng.randrange(len(entries) + 1), f"{target} {text}")
+    elif kind == "fields":
+        entries[j] = rng.choice((target, f"{target} {text} 1/2", "", f"{target}{text}"))
+    elif kind == "zero":
+        entries[j] = f"{target} {rng.choice(('0', '0/3', '0.0'))}"
+    elif kind == "no_den":
+        entries[j] = f"{target} {rng.choice(('1/0', '0/0'))}"
+    elif kind == "literal":
+        entries[j] = f"{target} {rng.choice(('x', '-1/2', '1e3', '.5', '1/2/3', '+1'))}"
+    elif kind == "sum":
+        entries[j] = f"{target} {rng.choice(('1/7', '2', '0.3', '1/3'))}"
+    else:
+        try:
+            p = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            return entries, kind  # a fault already; nothing to respell
+        entries[j] = f"{target} {rng.choice((f'{2 * p.numerator}/{2 * p.denominator}', f'{p}'))}"
+    return entries, kind
+
+
+def _parsed(parse, text):
+    try:
+        mdp, valuation = parse(text)
+    except MdpError as exc:
+        return str(exc)
+    return mdp.states, mdp.actions, mdp.init, valuation
+
+
+def test_parse_matches_the_plain_entry_checker_on_mutated_models():
+    # parse_mdp reads each action line in one pass and keeps a memo of
+    # probability texts and one of distributions; a reader with neither,
+    # checking each entry in order, must give the same MDP or the same
+    # message on models whose action lines carry unknown and repeated
+    # targets, entries of the wrong size, zero, zero-denominator and
+    # malformed probabilities, sums other than 1 and equal-valued
+    # respellings.  The lines of one model reuse a few probability texts, so
+    # memo hits meet faults on later lines.  One model in four is unmutated;
+    # the others carry one to three mutations, which may share a line or an
+    # entry, so faults meet in either order.
+    rng = random.Random(5252)
+    kinds, messages, valid = Counter(), Counter(), 0
+    for k in range(5000):
+        mdp = random_mdp(rng, 5, 3)
+        valuation = [frozenset(rng.sample(("a", "b"), rng.randint(0, 2))) for _ in mdp.states]
+        lines = model_text(mdp, valuation).splitlines()
+        actions = [i for i, line in enumerate(lines) if line.startswith("action")]
+        for _ in range(rng.randint(1, 3) if k % 4 else 0):
+            i = rng.choice(actions)
+            head, _, entries = lines[i].partition(" : ")
+            entries, kind = _mutated_entries(rng, entries.split(" , "))
+            lines[i] = f"{head} : {' , '.join(entries)}"
+            kinds[kind] += 1
+        text = "\n".join(lines) + "\n"
+        want = _parsed(plain_parse_mdp, text)
+        assert _parsed(parse_mdp, text) == want, text
+        if isinstance(want, str):
+            messages[want.split(": ", 1)[1].split(" ", 1)[0]] += 1
+        else:
+            valid += 1
+    assert valid >= 1250
+    assert min(kinds.values()) >= 500 and len(kinds) == 8
+    assert set(messages) == {"unknown", "duplicate", "expected", "probability", "bad", "distribution"}
+    assert min(messages.values()) >= 300
+
+
 def test_parse_requires_init_and_actions():
     with pytest.raises(MdpError, match="init"):
         parse_mdp("mdp\nstates s\naction s a : s 1\n")
@@ -202,6 +282,8 @@ def test_parse_rejects_malformed_lines_and_unknown_names():
         ("mdp\nstates s\ninit s\naction s : s 1\n", "line 4: expected 'action STATE NAME :'"),
         ("mdp\nstates s\ninit s\naction s a b : s 1\n", "line 4: expected 'action STATE NAME :'"),
         ("mdp\nstates s t s\ninit s\n", "duplicate state name in 'states' line"),
+        ("mdp\nstates s x:y\ninit s\naction s a : s 1\n", "line 2: bad state name 'x:y'"),
+        ("mdp\nstates s :\ninit s\n", "line 2: bad state name ':'"),
         ("mdp\nstates s\ninit t\naction s a : s 1\n", "unknown initial state 't'"),
         ("mdp\nstates s\ninit s\nlabel t a\naction s a : s 1\n", "label for unknown state 't'"),
         ("mdp\nstates s\ninit s\naction s a : s 1\naction t b : s 1\n", "line 5: unknown state 't'"),

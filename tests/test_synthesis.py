@@ -427,7 +427,7 @@ def test_one_lp_solve_per_mec_that_meets_the_inf_sets(monkeypatch):
     # {t,v} can see b infinitely often with a at frequency 3/4 or more; {x}
     # sees b but never a; {u,w} never sees b; s is transient.  Deciding a
     # component and building its witness share one solve, and a component
-    # missing an Inf set needs none.
+    # missing an Inf set is not even decided.
     mdp, valuation = parse_mdp(
         "mdp\nstates s t u v w x\ninit s\n"
         "label t a\nlabel u a\nlabel v b\nlabel x b\n"
@@ -455,11 +455,20 @@ def test_one_lp_solve_per_mec_that_meets_the_inf_sets(monkeypatch):
         return solve_lp(*args, **kwargs)
 
     monkeypatch.setattr(simplex, "solve_lp", counting_solve_lp)
+    decided = []
+    real_decide = freqsynth.synthesis.accepting_mec
+    monkeypatch.setattr(
+        freqsynth.synthesis,
+        "accepting_mec",
+        lambda m, c, cond, blocks: decided.append(all(not inf.isdisjoint(c.states) for inf in cond.inf_sets))
+        or real_decide(m, c, cond, blocks),
+    )
     report = synthesize(mdp, valuation, phi, Fr(1))
     assert report.probability == 1
     assert len(report.strategy.winners) == 1
     assert mecs > expected >= 2
     assert len(calls) == expected
+    assert decided == [True] * expected
 
 
 def test_unused_model_atoms_do_not_change_synthesis(monkeypatch):
@@ -923,9 +932,10 @@ def test_winning_union_decomposes_each_fin_set_once(monkeypatch):
     # per Fin set, at most one decision per distinct restricted condition in
     # order of first occurrence, and the outcomes of deciding every (pair,
     # component), each winner being the pair's own component object.  A
-    # condition left undecided is one that an earlier flow rejection settles:
-    # its component lies inside the rejected one (which meets every Inf
-    # set), and each rejected bound, restricted to it, is one of its own.
+    # component that misses an Inf set is never decided.  Any other
+    # condition left undecided is one that an earlier rejection settles: its
+    # component lies inside the rejected one, and each rejected bound,
+    # restricted to it, is one of its own.
     phi = parse_formula(TWO_ASSUMPTIONS)
     restrict_calls, decisions, decomposed = [], [], {}
     real_restrict = freqsynth.synthesis.restrict
@@ -971,12 +981,13 @@ def test_winning_union_decomposes_each_fin_set_once(monkeypatch):
                 first.setdefault(key, (component, cond, names in accepted))
         distinct = list(first)
         assert called == [key for key in distinct if key in called]
+        assert all(key[1] for key in called)
         for i, key in enumerate(distinct):
             if key in called:
                 continue
             component, _, accepted = first[key]
             assert not accepted
-            assert any(
+            assert not key[1] or any(
                 earlier in called
                 and earlier[1]
                 and not first[earlier][2]
